@@ -172,6 +172,9 @@ class DynamicProgrammingOptimizer:
         self._config = config or dqo_config()
         self._estimator = CardinalityEstimator(catalog)
         self._stats = SearchStats()  # rebound per optimize_spec() call
+        #: base-table distinct count per qualified column (the domain size
+        #: of a dense column); rebuilt per optimize_spec() call.
+        self._domains: dict[str, float] = {}
         self._plan_cache = plan_cache
         self._workers = 1  # rebound per optimize_spec() call
         #: pinned :class:`repro.obs.search.SearchTrace`; None falls back
@@ -386,9 +389,11 @@ class DynamicProgrammingOptimizer:
     ) -> tuple[list[_ScanContext], Correlations]:
         correlations = Correlations()
         contexts: list[_ScanContext] = []
+        self._domains = {}
         for scan in spec.scans:
             table = self._catalog.table(scan.table_name)
             estimate = self._estimator.base_table(scan.table_name, scan.alias)
+            self._domains.update(estimate.distinct)
             properties = properties_from_table(table, scan.alias)
             correlations = correlations.merged(
                 correlations_from_table(table, scan.alias)
@@ -871,6 +876,8 @@ class DynamicProgrammingOptimizer:
                 probe_key,
                 correlations,
                 scope,
+                estimate.rows,
+                self._domains,
             )
             node = PhysicalNode(
                 op="join",

@@ -170,9 +170,9 @@ def enumerate_exhaustive(
             ),
             1.0,
         )
+        domains = {**build_ndv, **probe_ndv}
         merged_ndv = {
-            column: min(value, join_rows)
-            for column, value in {**build_ndv, **probe_ndv}.items()
+            column: min(value, join_rows) for column, value in domains.items()
         }
         for b_desc, b_cost, b_props in build_variants:
             for p_desc, p_cost, p_props in probe_variants:
@@ -201,6 +201,8 @@ def enumerate_exhaustive(
                         probe_key,
                         correlations,
                         config.property_scope,
+                        join_rows,
+                        domains,
                     )
                     description = (
                         f"{option.algorithm.name}({b_desc}, {p_desc})"

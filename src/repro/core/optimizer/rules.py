@@ -17,7 +17,9 @@ consumes either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.optimizer.base import OptimizerConfig, PropertyScope
 from repro.core.physiological import (
@@ -39,6 +41,7 @@ from repro.engine.kernels.parallel import (
     EXCHANGE_JOIN_ALGORITHMS,
     PARALLEL_PROBE_ALGORITHMS,
 )
+from repro.indexes.perfect_hash import MIN_DENSITY
 
 #: the blackbox textbook operator catalogue available to SQO. SPH variants
 #: are absent: without density tracking they can never be proven safe.
@@ -54,6 +57,21 @@ SQO_JOIN_CATALOG = (
     JoinAlgorithm.SOJ,
     JoinAlgorithm.BSJ,
 )
+
+
+def stays_dense(domain_size: float, rows: float) -> bool:
+    """Does a column that is dense over ``domain_size`` values stay dense
+    in a relation of ``rows`` rows drawn from it?
+
+    A join keeps a value only if some surviving row carries it. With
+    ``rows`` rows spread over the domain, the expected share of values
+    still present is ``1 - exp(-rows / domain_size)``; the column counts
+    as dense while that share reaches :data:`MIN_DENSITY`, the very
+    threshold the SPH kernels' guards enforce at run time.
+    """
+    if domain_size <= 0:
+        return False
+    return -math.expm1(-rows / domain_size) >= MIN_DENSITY
 
 
 @dataclass(frozen=True)
@@ -186,8 +204,14 @@ class JoinOption:
         probe_key: str,
         correlations: Correlations,
         scope: PropertyScope,
+        rows: float,
+        domains: Mapping[str, float],
     ) -> PropertyVector:
         """Output properties of this join.
+
+        :param rows: estimated output rows of the join.
+        :param domains: base-table distinct count per qualified column —
+            for a dense column, the size of its domain.
 
         Probe-streaming joins (HJ/SPHJ/BSJ) preserve the probe side's row
         order, so all probe-side guarantees survive; if the probe stream
@@ -207,10 +231,15 @@ class JoinOption:
             sorted_on = {build_key, probe_key}
             clustered_on = set(sorted_on)
         # Density is a value-domain property: an inner join removes rows,
-        # never values' positions in the domain — under the FK assumption
-        # (every child row matches, every parent value referenced) the
-        # domains stay dense. Documented as substitution #5c.
-        dense = set(build_props.dense) | set(probe_props.dense)
+        # never values' positions in the domain, so a dense column stays
+        # dense as long as enough rows survive to reference (about) every
+        # value — which a filtered or small input breaks. Documented as
+        # substitution #5c.
+        dense = {
+            column
+            for column in build_props.dense | probe_props.dense
+            if stays_dense(domains.get(column, 0.0), rows)
+        }
         result = PropertyVector(
             sorted_on=frozenset(sorted_on),
             clustered_on=frozenset(clustered_on) | frozenset(sorted_on),

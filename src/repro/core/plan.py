@@ -11,6 +11,7 @@ engine so optimised plans actually run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from repro.core.granularity import Granularity
@@ -33,6 +34,7 @@ from repro.engine.operators import (
     Sort,
     TableScan,
 )
+from repro.engine.operators.base import kept_columns
 from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.disk import is_disk_table
@@ -446,10 +448,46 @@ def to_operator(
         the registry.
     :raises PlanError: when the plan uses a view but no registry (or the
         wrong registry) is supplied.
+
+    Lowering carries one fact top-down that the plan itself does not
+    record: the columns each node's ancestors read. The root's output is
+    the query result, so it is asked for every column; a group-by needs
+    its key and aggregate inputs, a filter adds its predicate's columns,
+    a sort its keys, a join its two keys. Scans then read, and joins
+    gather, only what is asked for — the plan, its cost and its
+    fingerprint are untouched.
     """
-    operator = _lower_node(node, catalog, validate, views)
+    return _lower(node, catalog, validate, views, None)
+
+
+def _lower(
+    node: PhysicalNode,
+    catalog: Catalog,
+    validate: bool,
+    views,
+    required: frozenset[str] | None,
+) -> PhysicalOperator:
+    """Lower ``node`` given the columns its ancestors read (None = all)."""
+    operator = _lower_node(node, catalog, validate, views, required)
     _annotate_estimates(operator, node)
     return operator
+
+
+def _also(required: frozenset[str] | None, *columns: str) -> frozenset[str] | None:
+    """``required`` plus the columns a node reads itself."""
+    return None if required is None else required.union(columns)
+
+
+def _groups_hint(node: PhysicalNode) -> int | None:
+    """A group-by's distinct-key estimate as its hash-table size hint.
+
+    Joins are not hinted: a join node's ``estimated_groups`` counts the
+    keys *both* sides share, which undercuts the build side's distinct
+    keys whenever the probe side is filtered, and an undersized table
+    costs a rebuild.
+    """
+    groups = math.ceil(node.estimated_groups)
+    return groups if groups > 0 else None
 
 
 def _annotate_estimates(operator: PhysicalOperator, node: PhysicalNode) -> None:
@@ -472,25 +510,27 @@ def _lower_node(
     catalog: Catalog,
     validate: bool,
     views,
+    required: frozenset[str] | None,
 ) -> PhysicalOperator:
+    def child(index: int, needs: frozenset[str] | None) -> PhysicalOperator:
+        return _lower(node.children[index], catalog, validate, views, needs)
+
     if node.op == "scan":
-        return _lower_scan(node, catalog, views)
+        return _lower_scan(node, catalog, views, required)
     if node.op == "filter":
         assert node.predicate is not None
         return Filter(
-            to_operator(node.children[0], catalog, validate, views),
+            child(0, _also(required, *node.predicate.referenced_columns())),
             node.predicate,
         )
     if node.op == "sort":
-        return Sort(
-            to_operator(node.children[0], catalog, validate, views),
-            list(node.sort_keys),
-        )
+        return Sort(child(0, _also(required, *node.sort_keys)), list(node.sort_keys))
     if node.op == "join":
         assert node.join_algorithm is not None
+        needs = _also(required, node.left_key, node.right_key)
         return Join(
-            to_operator(node.children[0], catalog, validate, views),
-            to_operator(node.children[1], catalog, validate, views),
+            child(0, needs),
+            child(1, needs),
             node.left_key,
             node.right_key,
             algorithm=node.join_algorithm,
@@ -500,14 +540,17 @@ def _lower_node(
             parallel=node.parallel,
             exchange=node.exchange,
             backend=node.backend,
+            columns=required,
         )
     if node.op == "group_by":
         assert node.grouping_algorithm is not None
+        inputs = {spec.column for spec in node.aggregates if spec.column is not None}
         operator: PhysicalOperator = GroupBy(
-            to_operator(node.children[0], catalog, validate, views),
+            child(0, frozenset(inputs | {node.group_key})),
             key=node.group_key,
             aggregates=list(node.aggregates),
             algorithm=node.grouping_algorithm,
+            num_distinct_hint=_groups_hint(node),
             validate=validate,
             parallel=node.parallel,
             exchange=node.exchange,
@@ -520,18 +563,29 @@ def _lower_node(
             operator = DecodeColumn(operator, node.group_key, encoding)
         return operator
     if node.op == "project":
-        return Project(
-            to_operator(node.children[0], catalog, validate, views),
-            list(node.outputs),
+        read = frozenset().union(
+            *(expression.referenced_columns() for __, expression in node.outputs)
         )
+        return Project(child(0, read), list(node.outputs))
     if node.op == "limit":
-        return Limit(
-            to_operator(node.children[0], catalog, validate, views), node.count
-        )
+        return Limit(child(0, required), node.count)
     raise PlanError(f"cannot lower node kind {node.op!r}")
 
 
-def _lower_scan(node: PhysicalNode, catalog: Catalog, views) -> PhysicalOperator:
+def _narrowed(table, required: frozenset[str] | None):
+    """``table`` projected to the ``required`` columns, in schema order
+    (column data is shared)."""
+    if required is None:
+        return table
+    return table.project(kept_columns(table.schema.names, required))
+
+
+def _lower_scan(
+    node: PhysicalNode,
+    catalog: Catalog,
+    views,
+    required: frozenset[str] | None,
+) -> PhysicalOperator:
     alias = node.alias or node.table_name
     kind, column = node.scan_view
     if not kind:
@@ -540,8 +594,13 @@ def _lower_scan(node: PhysicalNode, catalog: Catalog, views) -> PhysicalOperator
         # node, so hand-built and greedy/exhaustive plans (which never
         # set scan_storage) still take the segment path.
         if is_disk_table(table):
-            return SegmentScan(table, alias=alias, predicates=node.scan_predicates)
-        return TableScan(table.qualified(alias))
+            return SegmentScan(
+                table,
+                alias=alias,
+                predicates=node.scan_predicates,
+                columns=required,
+            )
+        return TableScan(_narrowed(table.qualified(alias), required))
     if views is None:
         raise PlanError(
             f"plan scans {node.table_name!r} through a {kind!r} view but no "
@@ -549,14 +608,20 @@ def _lower_scan(node: PhysicalNode, catalog: Catalog, views) -> PhysicalOperator
         )
     view = views.get(kind, node.table_name, column)
     if kind == "sorted_projection":
-        return TableScan(view.artifact.qualified(alias))
+        return TableScan(_narrowed(view.artifact.qualified(alias), required))
     if kind == "dictionary":
-        return TableScan(view.artifact.encoded_table.qualified(alias))
+        return TableScan(
+            _narrowed(view.artifact.encoded_table.qualified(alias), required)
+        )
     if kind == "btree":
         low, high = node.index_range
+        indexed = f"{alias}.{column}"
         return IndexRangeScan(
-            catalog.table(node.table_name).qualified(alias),
-            f"{alias}.{column}",
+            _narrowed(
+                catalog.table(node.table_name).qualified(alias),
+                _also(required, indexed),
+            ),
+            indexed,
             view.artifact,
             low,
             high,

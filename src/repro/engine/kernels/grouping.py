@@ -34,7 +34,7 @@ import numpy as np
 from repro._util.arrays import runs_of
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
-from repro.indexes.perfect_hash import StaticPerfectHash
+from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
 
 
 class GroupingAlgorithm(enum.Enum):
@@ -142,13 +142,14 @@ def hash_slots(
 
     :param num_distinct_hint: the paper *"always assume[s] the number of
         distinct values to be known"*; when omitted, the table is sized
-        pessimistically at ``len(keys)``.
+        pessimistically at ``len(keys)``. A hint that proves too low
+        costs a rebuild at that size, never correctness.
     :param hash_name: MOLECULE-level hash-function choice (Table 1).
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    capacity = num_distinct_hint if num_distinct_hint else max(int(keys.size), 1)
-    table = OpenAddressingHashTable(capacity, hash_name=hash_name)
-    slots = table.build(keys) if keys.size else np.empty(0, dtype=np.int64)
+    table, slots = OpenAddressingHashTable.for_keys(
+        keys, num_distinct_hint, hash_name
+    )
     return GroupingAssignment(
         slots=slots,
         group_keys=table.slot_keys(),
@@ -163,7 +164,7 @@ def perfect_hash_slots(
     keys: np.ndarray,
     min_key: int | None = None,
     max_key: int | None = None,
-    min_density: float = 0.5,
+    min_density: float = MIN_DENSITY,
 ) -> GroupingAssignment:
     """SPHG slot assignment: the key *is* the slot (§4.1 SPHG, §2.1).
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
-from repro.indexes.perfect_hash import StaticPerfectHash
+from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
 
 
 class JoinAlgorithm(enum.Enum):
@@ -84,21 +84,23 @@ class JoinResult:
         )
 
 
-def _expand_matches(
+def expand_matches(
     probe_slots: np.ndarray,
     slot_offsets: np.ndarray,
     slot_counts: np.ndarray,
-    build_rows_grouped: np.ndarray,
+    build_rows_grouped: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand per-probe slot hits into (build_row, probe_row) pairs.
 
-    ``build_rows_grouped`` lists build row ids grouped by slot;
+    The general (many-to-many) expansion, needed only when build keys
+    repeat. ``build_rows_grouped`` lists build row ids grouped by slot
+    (None = the build rows already lie in slot order);
     ``slot_offsets[s] .. slot_offsets[s] + slot_counts[s]`` is slot ``s``'s
     range in it. Probes with slot -1 produce no output. The expansion is
-    probe-major, preserving probe order.
+    probe-major, preserving probe order; within one probe row the build
+    rows ascend.
     """
-    hit = probe_slots >= 0
-    hit_rows = np.flatnonzero(hit)
+    hit_rows = np.flatnonzero(probe_slots >= 0)
     hit_slots = probe_slots[hit_rows]
     lengths = slot_counts[hit_slots]
     total = int(lengths.sum())
@@ -111,19 +113,239 @@ def _expand_matches(
     ranks = np.arange(total, dtype=np.int64) - np.repeat(
         boundaries - lengths, lengths
     )
-    starts = np.repeat(slot_offsets[hit_slots], lengths)
-    build_out = build_rows_grouped[starts + ranks]
+    build_out = np.repeat(slot_offsets[hit_slots], lengths) + ranks
+    if build_rows_grouped is not None:
+        build_out = build_rows_grouped[build_out]
     return build_out.astype(np.int64), probe_out.astype(np.int64)
 
 
-def _group_build_rows(
-    build_slots: np.ndarray, num_slots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group build row ids by slot: returns (offsets, counts, grouped rows)."""
-    counts = np.bincount(build_slots, minlength=num_slots).astype(np.int64)
+@dataclass(frozen=True)
+class BuildSide:
+    """The probe-able form of a join's build input.
+
+    Every probe-streaming join looks a probe key up in three steps: map
+    the key to a *slot* (one slot per distinct build key, -1 for a key no
+    build row has), map the slot to its build rows, emit the pairs. The
+    algorithm families differ in the first step only (:attr:`kind`):
+
+    ``"hash"``
+        an open-addressing table (:attr:`bucket_keys`, :attr:`bucket_slots`);
+    ``"direct"``
+        ``key - min_key``, the static perfect hash (an in-domain slot may
+        be one no build key occupies);
+    ``"sorted"``
+        binary search in the ascending distinct build keys (:attr:`keys`).
+
+    The second step depends on what the build keys are. **Distinct build
+    keys** (:attr:`offsets` is None): a probe row has at most one match,
+    ``rows[slot]``, so the pairs are one gather — no sorting of build
+    rows, no match-list expansion. **Repeated build keys**: ``rows`` lists
+    the build rows grouped by slot, :attr:`offsets`/:attr:`counts` delimit
+    each slot's run, and :func:`expand_matches` produces the pairs. Both
+    emit pairs probe-major with build rows ascending, so which of the two
+    ran is not observable in the output.
+
+    All fields are arrays or scalars, so a build side erected once can be
+    published to worker processes field by field and reassembled there.
+    """
+
+    kind: str
+    #: distinct keys: the build row of each slot (-1 = unoccupied direct
+    #: slot); repeated keys: build rows grouped by slot. None = the build
+    #: rows are in slot order themselves (a sorted build input).
+    rows: np.ndarray | None
+    #: first position of each slot's run in ``rows``; None = distinct keys.
+    offsets: np.ndarray | None = None
+    #: build rows per slot; None = distinct keys.
+    counts: np.ndarray | None = None
+    bucket_keys: np.ndarray | None = None
+    bucket_slots: np.ndarray | None = None
+    hash_name: str = "murmur3"
+    min_key: int = 0
+    num_slots: int = 0
+    keys: np.ndarray | None = None
+    #: bytes of the structure erected for this build side — Table 2's
+    #: footprint column.
+    structure_bytes: int = 0
+
+    def slots(self, probe_keys: np.ndarray) -> np.ndarray:
+        """Slot of each probe key; -1 where no build row can match."""
+        if self.kind == "hash":
+            table = OpenAddressingHashTable.from_state(
+                self.hash_name,
+                self.bucket_keys,
+                self.bucket_slots,
+                self.bucket_keys[:0],
+                self.num_slots,
+            )
+            return table.probe(probe_keys)
+        if self.kind == "direct":
+            raw = probe_keys - np.int64(self.min_key)
+            in_domain = (raw >= 0) & (raw < self.num_slots)
+            return raw if in_domain.all() else np.where(in_domain, raw, -1)
+        last = self.keys.size - 1
+        positions = np.searchsorted(self.keys, probe_keys)
+        np.minimum(positions, last, out=positions)
+        found = self.keys[positions] == probe_keys
+        return positions if found.all() else np.where(found, positions, -1)
+
+    def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Matching ``(build_row, probe_row)`` index arrays, probe-major."""
+        slots = self.slots(probe_keys)
+        if self.offsets is not None:
+            return expand_matches(slots, self.offsets, self.counts, self.rows)
+        build_rows = slots if self.rows is None else self.rows[slots]
+        # Misses are -1 slots; an unoccupied direct slot holds row -1. An
+        # out-of-range slot of -1 reads the last entry of ``rows``, which
+        # the slot test masks out again.
+        hit = slots >= 0
+        if self.kind == "direct":
+            hit &= build_rows >= 0
+        if hit.all():
+            probe_rows = np.arange(probe_keys.size, dtype=np.int64)
+        else:
+            probe_rows = np.flatnonzero(hit)
+            build_rows = build_rows[probe_rows]
+        return build_rows.astype(np.int64, copy=False), probe_rows.astype(
+            np.int64, copy=False
+        )
+
+
+def _rows_by_slot(
+    build_slots: np.ndarray, slot_counts: np.ndarray | None, num_slots: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``(rows, offsets, counts)`` of a build side whose rows map to
+    ``build_slots``; ``slot_counts`` is None when no slot holds more than
+    one row."""
+    if slot_counts is None:
+        rows = np.full(num_slots, -1, dtype=np.int64)
+        rows[build_slots] = np.arange(build_slots.size, dtype=np.int64)
+        return rows, None, None
+    counts = slot_counts.astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    order = np.argsort(build_slots, kind="stable")
-    return offsets, counts, order.astype(np.int64)
+    # Stable: the rows of one slot stay ascending.
+    grouped = np.argsort(build_slots, kind="stable").astype(np.int64)
+    return grouped, offsets, counts
+
+
+def _nbytes(*arrays: np.ndarray | None) -> int:
+    return sum(int(array.nbytes) for array in arrays if array is not None)
+
+
+def build_side(
+    build_keys: np.ndarray,
+    algorithm: JoinAlgorithm,
+    num_distinct_hint: int | None = None,
+    hash_name: str = "murmur3",
+    min_density: float = MIN_DENSITY,
+) -> BuildSide:
+    """Erect the build side of a join over non-empty ``build_keys``.
+
+    Whether the keys are distinct is read off data the kernel touches
+    anyway, in O(n): the hash table's key count (HJ), the occupancy of
+    the perfect-hash array (SPHJ), strict monotonicity of the sorted keys
+    (BSJ after its sort, OJ on its pre-sorted input).
+
+    :param num_distinct_hint: expected distinct build keys; sizes HJ's
+        table. A hint that proves too low costs a rebuild at the row
+        count, never correctness.
+    :raises PreconditionError: SPHJ over a sparse domain; an algorithm
+        with no shared build side (SOJ).
+    """
+    num_rows = int(build_keys.size)
+    if algorithm is JoinAlgorithm.HJ:
+        table, build_slots = OpenAddressingHashTable.for_keys(
+            build_keys, num_distinct_hint, hash_name
+        )
+        slot_counts = (
+            None
+            if table.num_keys == num_rows
+            else np.bincount(build_slots, minlength=table.num_keys)
+        )
+        rows, offsets, counts = _rows_by_slot(
+            build_slots, slot_counts, table.num_keys
+        )
+        return BuildSide(
+            "hash",
+            rows,
+            offsets,
+            counts,
+            bucket_keys=table.bucket_keys,
+            bucket_slots=table.bucket_slots,
+            hash_name=hash_name,
+            num_slots=table.num_keys,
+            structure_bytes=table.memory_bytes() + _nbytes(rows, offsets, counts),
+        )
+    if algorithm is JoinAlgorithm.SPHJ:
+        sph, occupancy = StaticPerfectHash.with_occupancy(build_keys, min_density)
+        build_slots = sph.slot(build_keys)
+        slot_counts = None if int(occupancy.max()) <= 1 else occupancy
+        rows, offsets, counts = _rows_by_slot(
+            build_slots, slot_counts, sph.num_slots
+        )
+        return BuildSide(
+            "direct",
+            rows,
+            offsets,
+            counts,
+            min_key=sph.min_key,
+            num_slots=sph.num_slots,
+            # With distinct keys ``rows`` is the SPH array itself.
+            structure_bytes=sph.memory_bytes()
+            if counts is None
+            else sph.memory_bytes() + _nbytes(rows, offsets, counts),
+        )
+    if algorithm is JoinAlgorithm.BSJ:
+        rows = np.argsort(build_keys, kind="stable").astype(np.int64, copy=False)
+        keys = build_keys[rows]
+    elif algorithm is JoinAlgorithm.OJ:
+        rows, keys = None, build_keys
+    else:
+        raise PreconditionError(
+            f"{algorithm.value!r} join has no probe-able build side"
+        )
+    offsets = counts = None
+    if num_rows > 1 and not bool(np.all(keys[1:] > keys[:-1])):
+        # Repeated (or, for an unvalidated OJ, out-of-order) keys: one
+        # slot per run of equal keys.
+        offsets = np.concatenate(
+            [[0], np.flatnonzero(keys[1:] != keys[:-1]) + 1]
+        ).astype(np.int64)
+        counts = np.diff(np.append(offsets, num_rows))
+        keys = keys[offsets]
+    # ``keys`` is the caller's array unless it was sorted or compacted.
+    owned = keys if (rows is not None or offsets is not None) else None
+    return BuildSide(
+        "sorted",
+        rows,
+        offsets,
+        counts,
+        keys=keys,
+        structure_bytes=_nbytes(rows, offsets, counts, owned),
+    )
+
+
+def _probe_join(
+    build_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    algorithm: JoinAlgorithm,
+    **build_options,
+) -> JoinResult:
+    """Erect ``algorithm``'s build side over ``build_keys`` and probe it
+    with all of ``probe_keys`` — the serial form of every join but SOJ."""
+    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
+    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
+    order = (
+        JoinOutputOrder.KEY_SORTED
+        if algorithm is JoinAlgorithm.OJ
+        else JoinOutputOrder.PROBE_ORDER
+    )
+    if build_keys.size == 0 or probe_keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return JoinResult(empty, empty.copy(), order)
+    build = build_side(build_keys, algorithm, **build_options)
+    left, right = build.probe(probe_keys)
+    return JoinResult(left, right, order, structure_bytes=build.structure_bytes)
 
 
 def hash_join(
@@ -138,29 +360,19 @@ def hash_join(
     Output preserves probe order — the property Figure 5's 2.8x case rests
     on (DESIGN.md substitution #5a).
     """
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    capacity = num_distinct_hint if num_distinct_hint else int(build_keys.size)
-    table = OpenAddressingHashTable(capacity, hash_name=hash_name)
-    build_slots = table.build(build_keys)
-    offsets, counts, grouped = _group_build_rows(build_slots, table.num_keys)
-    probe_slots = table.probe(probe_keys)
-    left, right = _expand_matches(probe_slots, offsets, counts, grouped)
-    structure = table.memory_bytes() + int(
-        offsets.nbytes + counts.nbytes + grouped.nbytes
-    )
-    return JoinResult(
-        left, right, JoinOutputOrder.PROBE_ORDER, structure_bytes=structure
+    return _probe_join(
+        build_keys,
+        probe_keys,
+        JoinAlgorithm.HJ,
+        num_distinct_hint=num_distinct_hint,
+        hash_name=hash_name,
     )
 
 
 def perfect_hash_join(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
-    min_density: float = 0.5,
+    min_density: float = MIN_DENSITY,
 ) -> JoinResult:
     """SPHJ: dense-domain direct-array join (Table 2's SPHJ).
 
@@ -169,23 +381,8 @@ def perfect_hash_join(
 
     :raises PreconditionError: when the build-side domain is too sparse.
     """
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    sph = StaticPerfectHash.for_keys(build_keys, min_density=min_density)
-    build_slots = np.asarray(sph.slot(build_keys))
-    offsets, counts, grouped = _group_build_rows(build_slots, sph.num_slots)
-    raw = probe_keys - np.int64(sph.min_key)
-    in_domain = (raw >= 0) & (raw < sph.num_slots)
-    probe_slots = np.where(in_domain, raw, -1)
-    left, right = _expand_matches(probe_slots, offsets, counts, grouped)
-    structure = sph.memory_bytes() + int(
-        offsets.nbytes + counts.nbytes + grouped.nbytes
-    )
-    return JoinResult(
-        left, right, JoinOutputOrder.PROBE_ORDER, structure_bytes=structure
+    return _probe_join(
+        build_keys, probe_keys, JoinAlgorithm.SPHJ, min_density=min_density
     )
 
 
@@ -194,43 +391,21 @@ def merge_join(
 ) -> JoinResult:
     """OJ: merge two key-sorted inputs (Table 2's OJ).
 
+    The sorted left input is its own build side: each right row finds its
+    matching left range by binary search, and because the right keys are
+    sorted too, the probe-major output *is* key order.
+
     :param validate: verify both inputs are sorted (one extra pass each).
     :raises PreconditionError: when ``validate`` and an input is unsorted.
     """
-    left_keys = np.ascontiguousarray(left_keys, dtype=np.int64)
-    right_keys = np.ascontiguousarray(right_keys, dtype=np.int64)
     if validate:
         for name, keys in (("left", left_keys), ("right", right_keys)):
+            keys = np.asarray(keys)
             if keys.size > 1 and not bool(np.all(keys[:-1] <= keys[1:])):
                 raise PreconditionError(
                     f"merge join requires sorted inputs; {name} is unsorted"
                 )
-    if left_keys.size == 0 or right_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.KEY_SORTED)
-    # For each right row, its matching left range [lo, hi).
-    lo = np.searchsorted(left_keys, right_keys, side="left")
-    hi = np.searchsorted(left_keys, right_keys, side="right")
-    lengths = (hi - lo).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.KEY_SORTED)
-    right_out = np.repeat(
-        np.arange(right_keys.size, dtype=np.int64), lengths
-    )
-    boundaries = np.cumsum(lengths)
-    ranks = np.arange(total, dtype=np.int64) - np.repeat(
-        boundaries - lengths, lengths
-    )
-    left_out = np.repeat(lo, lengths) + ranks
-    # Right keys are sorted, so probe-major expansion IS key order here.
-    return JoinResult(
-        left_out.astype(np.int64),
-        right_out,
-        JoinOutputOrder.KEY_SORTED,
-        structure_bytes=int(lo.nbytes + hi.nbytes),
-    )
+    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ)
 
 
 def sort_merge_join(
@@ -257,34 +432,7 @@ def binary_search_join(
 ) -> JoinResult:
     """BSJ: sorted array on the build side, binary-search each probe
     (Table 2's BSJ). Output preserves probe order."""
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    build_order = np.argsort(build_keys, kind="stable")
-    sorted_build = build_keys[build_order]
-    lo = np.searchsorted(sorted_build, probe_keys, side="left")
-    hi = np.searchsorted(sorted_build, probe_keys, side="right")
-    lengths = (hi - lo).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    probe_out = np.repeat(np.arange(probe_keys.size, dtype=np.int64), lengths)
-    boundaries = np.cumsum(lengths)
-    ranks = np.arange(total, dtype=np.int64) - np.repeat(
-        boundaries - lengths, lengths
-    )
-    left_out = build_order[np.repeat(lo, lengths) + ranks]
-    return JoinResult(
-        left_out.astype(np.int64),
-        probe_out,
-        JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=int(
-            build_order.nbytes + sorted_build.nbytes + lo.nbytes + hi.nbytes
-        ),
-    )
+    return _probe_join(build_keys, probe_keys, JoinAlgorithm.BSJ)
 
 
 def join(

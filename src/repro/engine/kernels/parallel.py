@@ -33,14 +33,12 @@ from repro.engine.kernels.joins import (
     JoinAlgorithm,
     JoinOutputOrder,
     JoinResult,
-    _expand_matches,
-    _group_build_rows,
+    build_side,
     join,
 )
 from repro.engine.parallel import morsel_boundaries, run_morsels
 from repro.errors import PreconditionError
-from repro.indexes.hash_table import OpenAddressingHashTable, murmur3_finalizer
-from repro.indexes.perfect_hash import StaticPerfectHash
+from repro.indexes.hash_table import murmur3_finalizer
 
 #: join algorithms whose probe phase shards safely: the build structure is
 #: read-only during probing and output is probe-major, so concatenating
@@ -198,65 +196,11 @@ def parallel_join(
             num_distinct_hint=num_distinct_hint,
         )
 
-    if algorithm is JoinAlgorithm.HJ:
-        capacity = (
-            num_distinct_hint if num_distinct_hint else int(build_keys.size)
-        )
-        table = OpenAddressingHashTable(capacity, hash_name="murmur3")
-        build_slots = table.build(build_keys)
-        offsets, counts, grouped = _group_build_rows(
-            build_slots, table.num_keys
-        )
-        structure = table.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-
-        def probe_slots_of(shard: np.ndarray) -> np.ndarray:
-            return table.probe(shard)
-
-    elif algorithm is JoinAlgorithm.SPHJ:
-        sph = StaticPerfectHash.for_keys(build_keys, min_density=0.5)
-        build_slots = np.asarray(sph.slot(build_keys))
-        offsets, counts, grouped = _group_build_rows(
-            build_slots, sph.num_slots
-        )
-        structure = sph.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-
-        def probe_slots_of(shard: np.ndarray) -> np.ndarray:
-            raw = shard - np.int64(sph.min_key)
-            in_domain = (raw >= 0) & (raw < sph.num_slots)
-            return np.where(in_domain, raw, -1)
-
-    else:  # BSJ: a sorted copy of the build keys is the shared structure.
-        build_order = np.argsort(build_keys, kind="stable")
-        sorted_build = build_keys[build_order]
-        structure = int(build_order.nbytes + sorted_build.nbytes)
+    build = build_side(build_keys, algorithm, num_distinct_hint)
 
     def probe_shard(start: int, stop: int):
-        shard = probe_keys[start:stop]
-        if algorithm is JoinAlgorithm.BSJ:
-            lo = np.searchsorted(sorted_build, shard, side="left")
-            hi = np.searchsorted(sorted_build, shard, side="right")
-            lengths = (hi - lo).astype(np.int64)
-            total = int(lengths.sum())
-            if total == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty.copy()
-            probe_out = np.repeat(
-                np.arange(shard.size, dtype=np.int64), lengths
-            )
-            boundaries = np.cumsum(lengths)
-            ranks = np.arange(total, dtype=np.int64) - np.repeat(
-                boundaries - lengths, lengths
-            )
-            left = build_order[np.repeat(lo, lengths) + ranks]
-        else:
-            left, probe_out = _expand_matches(
-                probe_slots_of(shard), offsets, counts, grouped
-            )
-        return left.astype(np.int64), probe_out + np.int64(start)
+        left, probe_out = build.probe(probe_keys[start:stop])
+        return left, probe_out + np.int64(start)
 
     bounds = morsel_boundaries(probe_keys.size, shards)
     tasks = [
@@ -275,7 +219,7 @@ def parallel_join(
         if right_parts
         else np.empty(0, dtype=np.int64),
         output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=structure,
+        structure_bytes=build.structure_bytes,
     )
 
 

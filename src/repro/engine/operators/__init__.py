@@ -3,7 +3,9 @@
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
+    MaterialisedOperator,
     PhysicalOperator,
+    chunk_count,
     table_to_chunks,
 )
 from repro.engine.operators.decode import DecodeColumn
@@ -23,6 +25,7 @@ __all__ = [
     "IndexRangeScan",
     "Join",
     "Limit",
+    "MaterialisedOperator",
     "PartitionBy",
     "PhysicalOperator",
     "Project",
@@ -30,5 +33,6 @@ __all__ = [
     "Sort",
     "TableScan",
     "build_row_index",
+    "chunk_count",
     "table_to_chunks",
 ]

@@ -4,14 +4,22 @@ Operators follow the vectorised descendant of the volcano model the paper
 cites ([3] MonetDB/X100): instead of one tuple per ``next()`` call, each
 step yields a :class:`Chunk` of a few thousand rows as parallel numpy
 arrays. Pipeline breakers (sort, grouping, join build sides) materialise
-their input; streaming operators (scan, filter, project, join probe sides)
-pass chunks through.
+their input; streaming operators (filter, project, limit) pass chunks
+through.
+
+An operator has two outputs, ``chunks()`` for a streaming parent and
+``to_table()`` for a materialising one. A :class:`MaterialisedOperator`
+— one whose whole output exists as a :class:`Table` before the first row
+leaves it (table scan, join, group-by, sort) — hands that table to
+``to_table()`` as it is, and slices the same table for ``chunks()``; every
+other operator's ``to_table()`` drains its chunks. So a pipeline of
+breakers copies nothing between them.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -237,6 +245,52 @@ class PhysicalOperator:
     def describe(self) -> str:
         """One-line description used by :meth:`explain`."""
         return self.name
+
+
+class MaterialisedOperator(PhysicalOperator):
+    """An operator whose whole output is one :class:`Table` before the
+    first row leaves it.
+
+    Subclasses implement :meth:`_materialise`; both outputs derive from
+    it. ``to_table()`` hands the table over without slicing it into
+    chunks and concatenating them again; it polls the governing context
+    before and after the work, where the chunk loop used to poll per
+    chunk. :func:`repro.obs.instrument.instrumented` hooks ``to_table``
+    of these operators as well as ``chunks``, and counts a handed-over
+    table as the :func:`chunk_count` chunks it stands for.
+    """
+
+    _chunk_size: int = DEFAULT_CHUNK_SIZE
+
+    def _materialise(self) -> Table:
+        """Compute the operator's whole output."""
+        raise NotImplementedError
+
+    def to_table(self) -> Table:
+        check_active_context()
+        table = self._materialise()
+        check_active_context()
+        return table
+
+    def chunks(self) -> Iterator[Chunk]:
+        yield from table_to_chunks(self._materialise(), self._chunk_size)
+
+
+def kept_columns(
+    names: Sequence[str], columns: Collection[str] | None
+) -> list[str]:
+    """Of ``names``, those an ancestor reads (``columns``; None = all),
+    in their order. Never empty for a relation that has columns: one
+    column at least must carry the row count."""
+    if columns is None:
+        return list(names)
+    return [name for name in names if name in columns] or list(names[:1])
+
+
+def chunk_count(num_rows: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+    """Chunks :func:`table_to_chunks` slices ``num_rows`` rows into (an
+    empty table still yields one chunk, carrying the schema)."""
+    return max(-(-num_rows // chunk_size), 1)
 
 
 def table_to_chunks(table: Table, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Chunk]:

@@ -9,8 +9,6 @@ unrelated operators.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.engine.aggregates import (
@@ -29,9 +27,8 @@ from repro.engine.kernels.grouping import (
 )
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
-    Chunk,
+    MaterialisedOperator,
     PhysicalOperator,
-    table_to_chunks,
 )
 from repro.engine.kernels.parallel import EXCHANGE_GROUPING_ALGORITHMS
 from repro.engine.operators.scan import TableScan
@@ -112,7 +109,7 @@ def _partial_bytes(partial) -> int:
     return sum(array.nbytes for array in partial.values())
 
 
-class GroupBy(PhysicalOperator):
+class GroupBy(MaterialisedOperator):
     """Group rows by one key column and evaluate aggregates.
 
     :param child: input operator.
@@ -235,17 +232,15 @@ class GroupBy(PhysicalOperator):
         argument, else the process-wide executor configuration."""
         return self._backend or get_executor_config().backend
 
-    def chunks(self) -> Iterator[Chunk]:
+    def _materialise(self) -> Table:
         table = self.children[0].to_table()
         check_active_context()
         workers = get_executor_config().workers
         if self._exchange and table.num_rows and workers > 1:
-            yield from self._exchange_chunks(table, workers)
-            return
+            return self._exchange_grouped(table, workers)
         shards = self._effective_shards(table.num_rows)
         if shards > 1 and table.num_rows:
-            yield from self._sharded_chunks(table, shards)
-            return
+            return self._sharded_grouped(table, shards)
         keys = table[self._key]
         if self._algorithm is GroupingAlgorithm.HG:
             assignment = hash_slots(keys, self._num_distinct_hint)
@@ -279,7 +274,7 @@ class GroupBy(PhysicalOperator):
             + assignment.memory_bytes()
             + result.memory_bytes()
         )
-        yield from table_to_chunks(result, self._chunk_size)
+        return result
 
     def _group_slice(self, table: Table) -> Table:
         """Group one shard into a partial-aggregate table."""
@@ -342,7 +337,7 @@ class GroupBy(PhysicalOperator):
         del keepalive
         return report.results, report
 
-    def _sharded_chunks(self, table: Table, shards: int) -> Iterator[Chunk]:
+    def _sharded_grouped(self, table: Table, shards: int) -> Table:
         boundaries = morsel_boundaries(table.num_rows, shards)
         partials, report = self._partial_tables(table, boundaries)
         self._note_parallelism(report.workers_used, report.busy_seconds)
@@ -352,9 +347,9 @@ class GroupBy(PhysicalOperator):
             + sum(_partial_bytes(part) for part in partials)
             + merged.memory_bytes()
         )
-        yield from table_to_chunks(merged, self._chunk_size)
+        return merged
 
-    def _exchange_chunks(self, table: Table, partitions: int) -> Iterator[Chunk]:
+    def _exchange_grouped(self, table: Table, partitions: int) -> Table:
         """The repartitioning path: hash-partition rows on the key, group
         each partition locally (partitions are key-disjoint, so partials
         share no groups), and merge. Output is key-sorted, same as the
@@ -373,7 +368,7 @@ class GroupBy(PhysicalOperator):
             + sum(_partial_bytes(part) for part in partials)
             + merged.memory_bytes()
         )
-        yield from table_to_chunks(merged, self._chunk_size)
+        return merged
 
     def _merge_partials(self, partials: list[Table]) -> Table:
         all_keys = np.concatenate([part[self._key] for part in partials])

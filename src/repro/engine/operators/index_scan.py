@@ -10,15 +10,11 @@ with a DQO plan-property side effect, exactly §1's point.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
-    Chunk,
-    PhysicalOperator,
-    table_to_chunks,
+    MaterialisedOperator,
 )
 from repro.errors import ExecutionError
 from repro.indexes.btree import BPlusTree
@@ -47,7 +43,7 @@ def build_row_index(table: Table, column: str, order: int = 64) -> BPlusTree:
     return tree
 
 
-class IndexRangeScan(PhysicalOperator):
+class IndexRangeScan(MaterialisedOperator):
     """Scan the rows of ``table`` whose ``column`` lies in ``[low, high]``
     via an unclustered B+-tree, in ascending ``column`` order."""
 
@@ -74,7 +70,7 @@ class IndexRangeScan(PhysicalOperator):
     def output_schema(self) -> Schema:
         return self._table.schema
 
-    def chunks(self) -> Iterator[Chunk]:
+    def _materialise(self) -> Table:
         row_lists = [
             rows for __, rows in self._index.range(self._low, self._high)
         ]
@@ -89,7 +85,7 @@ class IndexRangeScan(PhysicalOperator):
             + int(row_ids.nbytes)
             + gathered.memory_bytes()
         )
-        yield from table_to_chunks(gathered, self._chunk_size)
+        return gathered
 
     def describe(self) -> str:
         return (

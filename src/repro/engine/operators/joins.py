@@ -8,19 +8,11 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Collection
 
 import numpy as np
 
-from repro.engine.kernels.joins import (
-    JoinAlgorithm,
-    JoinOutputOrder,
-    binary_search_join,
-    hash_join,
-    merge_join,
-    perfect_hash_join,
-    sort_merge_join,
-)
+from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder, join
 from repro.engine.kernels.parallel import (
     EXCHANGE_JOIN_ALGORITHMS,
     PARALLEL_PROBE_ALGORITHMS,
@@ -31,20 +23,27 @@ from repro.engine.parallel import BACKENDS, get_executor_config
 from repro.service.context import check_active_context, get_active_context
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
-    Chunk,
+    MaterialisedOperator,
     PhysicalOperator,
-    table_to_chunks,
+    kept_columns,
 )
 from repro.errors import ExecutionError
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
-class Join(PhysicalOperator):
+class Join(MaterialisedOperator):
     """Inner equi-join: ``left.left_key = right.right_key``.
 
-    Output schema is the concatenation of both input schemas; the caller
-    must pre-qualify ambiguous column names (see :meth:`Table.qualified`).
+    Output schema is the concatenation of both input schemas (narrowed to
+    ``columns`` when given); the caller must pre-qualify ambiguous column
+    names (see :meth:`Table.qualified`).
+
+    :param columns: the columns an ancestor reads. Only those are
+        gathered through the match indices; ``None`` (default) gathers
+        every column of both inputs. Names the inputs do not have are
+        ignored, and a relation always keeps at least one column (it
+        carries the row count).
 
     :param parallel: the optimiser's MOLECULE-level ``loop`` decision for
         the probe phase. ``True`` forces the shared-build, sharded-probe
@@ -77,6 +76,7 @@ class Join(PhysicalOperator):
         parallel: bool | None = None,
         exchange: bool = False,
         backend: str | None = None,
+        columns: Collection[str] | None = None,
     ) -> None:
         super().__init__(children=[left, right])
         if left_key not in left.output_schema:
@@ -108,10 +108,12 @@ class Join(PhysicalOperator):
         self._parallel = parallel
         self._exchange = bool(exchange)
         self._backend = backend
+        schema = left.output_schema.concat(right.output_schema)
+        self._schema = schema.project(kept_columns(schema.names, columns))
 
     @property
     def output_schema(self) -> Schema:
-        return self.children[0].output_schema.concat(self.children[1].output_schema)
+        return self._schema
 
     @property
     def algorithm(self) -> JoinAlgorithm:
@@ -154,7 +156,7 @@ class Join(PhysicalOperator):
             return 1
         return config.workers
 
-    def chunks(self) -> Iterator[Chunk]:
+    def _materialise(self) -> Table:
         left_table = self.children[0].to_table()
         right_table = self.children[1].to_table()
         check_active_context()
@@ -195,25 +197,24 @@ class Join(PhysicalOperator):
                 num_distinct_hint=self._num_distinct_hint,
                 on_report=note,
             )
-        elif self._algorithm is JoinAlgorithm.HJ:
-            result = hash_join(build_keys, probe_keys, self._num_distinct_hint)
-        elif self._algorithm is JoinAlgorithm.SPHJ:
-            result = perfect_hash_join(build_keys, probe_keys)
-        elif self._algorithm is JoinAlgorithm.OJ:
-            result = merge_join(build_keys, probe_keys, validate=self._validate)
-        elif self._algorithm is JoinAlgorithm.SOJ:
-            result = sort_merge_join(build_keys, probe_keys)
-        elif self._algorithm is JoinAlgorithm.BSJ:
-            result = binary_search_join(build_keys, probe_keys)
         else:
-            raise ExecutionError(f"unknown algorithm {self._algorithm!r}")
+            result = join(
+                build_keys,
+                probe_keys,
+                self._algorithm,
+                num_distinct_hint=self._num_distinct_hint,
+                validate=self._validate,
+            )
+        # Late materialisation: only the columns an ancestor reads are
+        # gathered through the match indices.
         data: dict[str, np.ndarray] = {}
-        for name in left_table.schema.names:
-            data[name] = left_table[name][result.left_indices]
-        for name in right_table.schema.names:
-            data[name] = right_table[name][result.right_indices]
+        for name in self._schema.names:
+            if name in left_table.schema:
+                data[name] = left_table[name][result.left_indices]
+            else:
+                data[name] = right_table[name][result.right_indices]
         output = Table.from_arrays(
-            data, dtypes={s.name: s.dtype for s in self.output_schema}
+            data, dtypes={s.name: s.dtype for s in self._schema}
         )
         # Working set: both materialised inputs, the kernel's build-side
         # structure plus match-index arrays, and the gathered output.
@@ -223,7 +224,7 @@ class Join(PhysicalOperator):
             + result.memory_bytes()
             + output.memory_bytes()
         )
-        yield from table_to_chunks(output, self._chunk_size)
+        return output
 
     def describe(self) -> str:
         if self._exchange:

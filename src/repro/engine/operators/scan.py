@@ -10,8 +10,8 @@ from repro.engine.expressions import Expression
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
+    MaterialisedOperator,
     PhysicalOperator,
-    table_to_chunks,
 )
 from repro.engine.parallel import get_executor_config, run_morsels
 from repro.errors import ExecutionError
@@ -20,8 +20,9 @@ from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
 
 
-class TableScan(PhysicalOperator):
-    """Stream a materialised table as chunks."""
+class TableScan(MaterialisedOperator):
+    """Scan an in-memory table: handed to a materialising parent as it
+    is, sliced into chunks for a streaming one."""
 
     def __init__(self, table: Table, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         super().__init__(children=[])
@@ -37,10 +38,10 @@ class TableScan(PhysicalOperator):
         """The scanned table."""
         return self._table
 
-    def chunks(self) -> Iterator[Chunk]:
+    def _materialise(self) -> Table:
         # The scan pins its table for the duration of the query.
         self._note_memory(self._table.memory_bytes())
-        yield from table_to_chunks(self._table, self._chunk_size)
+        return self._table
 
     def describe(self) -> str:
         return f"TableScan(rows={self._table.num_rows})"

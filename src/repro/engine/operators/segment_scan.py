@@ -6,7 +6,9 @@ segment; before touching a segment it consults the zone maps against its
 pushed-down predicates and skips segments provably empty — the skip is
 free (manifest metadata only, no I/O). Unpruned segments are pinned as a
 :meth:`~repro.storage.disk.table.DiskTable.row_group` through the buffer
-pool, sliced into vectorised chunks, and released.
+pool, sliced into vectorised chunks, and released. A scan told which
+``columns`` its ancestors read pins only those columns' segments; the
+others are never decoded, and never compete for the pool.
 
 The pushed-down predicates only *skip*; they are not applied row-wise
 here. The Filter above the scan still evaluates them, so results are
@@ -16,7 +18,7 @@ segments cannot contribute.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
     PhysicalOperator,
+    kept_columns,
 )
 from repro.service.context import check_active_context
 from repro.storage.disk.table import DiskTable
@@ -39,6 +42,11 @@ class SegmentScan(PhysicalOperator):
         (empty = raw column names), matching ``Table.qualified``.
     :param predicates: pushed-down conjuncts used for segment skipping
         only — never applied row-wise here.
+    :param columns: the output columns (qualified names) an ancestor
+        reads; ``None`` (default) scans every column. Names the table
+        does not have are ignored, and at least one column is always
+        scanned (it carries the row count). Zone-map skipping does not
+        depend on it: a predicate's column need not be scanned to prune.
     """
 
     def __init__(
@@ -47,12 +55,20 @@ class SegmentScan(PhysicalOperator):
         alias: str = "",
         predicates: Sequence[Expression] = (),
         chunk_size: int = DEFAULT_CHUNK_SIZE,
+        columns: Collection[str] | None = None,
     ) -> None:
         super().__init__(children=[])
         self._table = table
         self._alias = alias
         self._predicates = tuple(predicates)
         self._chunk_size = chunk_size
+        prefix = f"{alias}." if alias else ""
+        raw = {f"{prefix}{name}": name for name in table.schema.names}
+        #: raw column name -> output (qualified) name, in table order.
+        self._names = {
+            raw[output]: output for output in kept_columns(list(raw), columns)
+        }
+        self._raw_names = list(self._names)
 
     @property
     def table(self) -> DiskTable:
@@ -61,16 +77,10 @@ class SegmentScan(PhysicalOperator):
 
     @property
     def output_schema(self) -> Schema:
-        prefix = f"{self._alias}." if self._alias else ""
         return Schema(
-            ColumnSpec(f"{prefix}{spec.name}", spec.dtype)
-            for spec in self._table.schema
+            ColumnSpec(output, self._table.schema[name].dtype)
+            for name, output in self._names.items()
         )
-
-    def _qualify(self, arrays: dict) -> dict:
-        if not self._alias:
-            return dict(arrays)
-        return {f"{self._alias}.{name}": values for name, values in arrays.items()}
 
     def chunks(self) -> Iterator[Chunk]:
         table = self._table
@@ -80,11 +90,14 @@ class SegmentScan(PhysicalOperator):
             if table.segment_prunable(index, self._predicates, self._alias):
                 self._note_io(segments_skipped=1)
                 continue
-            with table.row_group(index) as group:
+            with table.row_group(index, self._raw_names) as group:
                 self._note_io(segments_read=1, bytes_read=group.cold_bytes)
                 # The pinned decoded group is this scan's working set.
                 self._note_memory(group.nbytes)
-                data = self._qualify(group.arrays)
+                data = {
+                    self._names[name]: values
+                    for name, values in group.arrays.items()
+                }
                 for start in range(0, group.num_rows, self._chunk_size):
                     stop = min(start + self._chunk_size, group.num_rows)
                     produced = True

@@ -23,15 +23,15 @@ from repro.engine.kernels.grouping import (
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
+    MaterialisedOperator,
     PhysicalOperator,
-    table_to_chunks,
 )
 from repro.errors import ExecutionError
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
-class Sort(PhysicalOperator):
+class Sort(MaterialisedOperator):
     """Materialise the input, emit it sorted by the given key columns."""
 
     def __init__(
@@ -54,12 +54,12 @@ class Sort(PhysicalOperator):
     def output_schema(self) -> Schema:
         return self.children[0].output_schema
 
-    def chunks(self) -> Iterator[Chunk]:
+    def _materialise(self) -> Table:
         table = self.children[0].to_table()
         ordered = table.sort_by(self._keys)
         # Sort buffer: the materialised input plus the reordered copy.
         self._note_memory(table.memory_bytes() + ordered.memory_bytes())
-        yield from table_to_chunks(ordered, self._chunk_size)
+        return ordered
 
     def describe(self) -> str:
         return f"Sort(by={self._keys})"

@@ -369,51 +369,15 @@ def _task_rebuild_specs(payload: dict):
 
 
 def _task_probe(payload: dict):
-    """Probe one shard of the probe side against the shared build
-    structure (the sharded-probe half of the process parallel join)."""
-    from repro.engine.kernels.joins import JoinAlgorithm, _expand_matches
-    from repro.indexes.hash_table import OpenAddressingHashTable
+    """Probe one shard of the probe side against the shared build side
+    (the sharded-probe half of the process parallel join)."""
+    from repro.engine.kernels.joins import BuildSide
 
-    algorithm = JoinAlgorithm(payload["algorithm"])
     start, stop = payload["start"], payload["stop"]
-    shard = payload["probe"][start:stop]
-    if algorithm is JoinAlgorithm.BSJ:
-        sorted_build = payload["sorted_build"]
-        build_order = payload["build_order"]
-        lo = np.searchsorted(sorted_build, shard, side="left")
-        hi = np.searchsorted(sorted_build, shard, side="right")
-        lengths = (hi - lo).astype(np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return {"left": empty, "right": empty.copy()}
-        probe_out = np.repeat(np.arange(shard.size, dtype=np.int64), lengths)
-        boundaries = np.cumsum(lengths)
-        ranks = np.arange(total, dtype=np.int64) - np.repeat(
-            boundaries - lengths, lengths
-        )
-        left = build_order[np.repeat(lo, lengths) + ranks]
-    else:
-        if algorithm is JoinAlgorithm.HJ:
-            table = OpenAddressingHashTable.from_state(
-                payload["hash_name"],
-                payload["bucket_keys"],
-                payload["bucket_slots"],
-                payload["slot_keys"],
-                payload["num_slots"],
-            )
-            slots = table.probe(shard)
-        else:  # SPHJ: the domain offsets are the whole structure.
-            raw = shard - np.int64(payload["min_key"])
-            in_domain = (raw >= 0) & (raw < payload["num_slots"])
-            slots = np.where(in_domain, raw, -1)
-        left, probe_out = _expand_matches(
-            slots, payload["offsets"], payload["counts"], payload["grouped"]
-        )
-    return {
-        "left": left.astype(np.int64),
-        "right": probe_out + np.int64(start),
-    }
+    left, probe_out = BuildSide(**payload["build"]).probe(
+        payload["probe"][start:stop]
+    )
+    return {"left": left, "right": probe_out + np.int64(start)}
 
 
 def _task_join_partition(payload: dict):
@@ -889,15 +853,12 @@ def process_join(
     kernels.
     """
     from repro.engine.kernels.joins import (
-        JoinAlgorithm,
         JoinOutputOrder,
         JoinResult,
-        _group_build_rows,
+        build_side,
         join,
     )
     from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
-    from repro.indexes.hash_table import OpenAddressingHashTable
-    from repro.indexes.perfect_hash import StaticPerfectHash
 
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
@@ -911,56 +872,20 @@ def process_join(
             build_keys, probe_keys, algorithm, num_distinct_hint=num_distinct_hint
         )
     store = get_shared_store()
-    probe_ref = store.publish(probe_keys)
-    base: dict = {"algorithm": algorithm.value, "probe": probe_ref}
-    if algorithm is JoinAlgorithm.HJ:
-        capacity = num_distinct_hint if num_distinct_hint else int(build_keys.size)
-        table = OpenAddressingHashTable(capacity, hash_name="murmur3")
-        build_slots = table.build(build_keys)
-        offsets, counts, grouped = _group_build_rows(build_slots, table.num_keys)
-        # Keep the structure arrays referenced for the whole batch: their
-        # finalizers release the segments when this frame ends.
-        bucket_keys = np.ascontiguousarray(table._bucket_keys)
-        bucket_slots = np.ascontiguousarray(table._bucket_slots)
-        slot_keys = np.ascontiguousarray(table._slot_keys[: table.num_keys])
-        base.update(
-            hash_name="murmur3",
-            num_slots=table.num_keys,
-            bucket_keys=store.publish(bucket_keys),
-            bucket_slots=store.publish(bucket_slots),
-            slot_keys=store.publish(slot_keys),
-            offsets=store.publish(offsets),
-            counts=store.publish(counts),
-            grouped=store.publish(grouped),
-        )
-        structure = table.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-        keepalive = (bucket_keys, bucket_slots, slot_keys, offsets, counts, grouped)
-    elif algorithm is JoinAlgorithm.SPHJ:
-        sph = StaticPerfectHash.for_keys(build_keys, min_density=0.5)
-        build_slots = np.asarray(sph.slot(build_keys))
-        offsets, counts, grouped = _group_build_rows(build_slots, sph.num_slots)
-        base.update(
-            min_key=int(sph.min_key),
-            num_slots=int(sph.num_slots),
-            offsets=store.publish(offsets),
-            counts=store.publish(counts),
-            grouped=store.publish(grouped),
-        )
-        structure = sph.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-        keepalive = (offsets, counts, grouped)
-    else:  # BSJ
-        build_order = np.argsort(build_keys, kind="stable")
-        sorted_build = build_keys[build_order]
-        base.update(
-            sorted_build=store.publish(sorted_build),
-            build_order=store.publish(build_order),
-        )
-        structure = int(build_order.nbytes + sorted_build.nbytes)
-        keepalive = (build_order, sorted_build)
+    build = build_side(build_keys, algorithm, num_distinct_hint)
+    # Publish the build side field by field. ``keepalive`` holds any
+    # contiguous copies until this frame ends: a published segment is
+    # released when its source array is collected.
+    keepalive = {
+        name: np.ascontiguousarray(value)
+        for name, value in vars(build).items()
+        if isinstance(value, np.ndarray)
+    }
+    shared_build = {
+        **vars(build),
+        **{name: store.publish(array) for name, array in keepalive.items()},
+    }
+    base = {"build": shared_build, "probe": store.publish(probe_keys)}
     tasks = [
         ("probe", {**base, "start": start, "stop": stop})
         for start, stop in morsel_boundaries(probe_keys.size, shards)
@@ -968,7 +893,6 @@ def process_join(
     report = run_process_tasks(tasks, workers=workers)
     if on_report is not None:
         on_report(report)
-    del keepalive
     left_parts = [r["left"] for r in report.results]
     right_parts = [r["right"] for r in report.results]
     return JoinResult(
@@ -979,5 +903,5 @@ def process_join(
         if right_parts
         else np.empty(0, dtype=np.int64),
         output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=structure,
+        structure_bytes=build.structure_bytes,
     )

@@ -244,10 +244,46 @@ class OpenAddressingHashTable:
         table._num_slots = int(num_slots)
         return table
 
+    @classmethod
+    def for_keys(
+        cls,
+        keys: np.ndarray,
+        num_distinct_hint: int | None = None,
+        hash_name: str = "murmur3",
+    ) -> tuple["OpenAddressingHashTable", np.ndarray]:
+        """A table built over ``keys``, and the per-row slot ids.
+
+        The table is sized for ``num_distinct_hint`` distinct keys (the
+        row count when there is no hint). A hint below the true distinct
+        count overflows the table; it is then rebuilt at the row count,
+        which always fits — a low estimate costs time, never correctness.
+        """
+        num_rows = max(int(keys.size), 1)
+        capacity = num_distinct_hint if num_distinct_hint else num_rows
+        table = cls(capacity, hash_name=hash_name)
+        try:
+            return table, table.build(keys)
+        except IndexError_:
+            if capacity >= num_rows:
+                raise
+        table = cls(num_rows, hash_name=hash_name)
+        return table, table.build(keys)
+
     @property
     def num_buckets(self) -> int:
         """Allocated bucket count (a power of two)."""
         return int(self._bucket_keys.size)
+
+    @property
+    def bucket_keys(self) -> np.ndarray:
+        """Key held by each bucket (-1 = empty); with :attr:`bucket_slots`
+        the whole probe-side state (see :meth:`from_state`)."""
+        return self._bucket_keys
+
+    @property
+    def bucket_slots(self) -> np.ndarray:
+        """Slot id of the key each bucket holds."""
+        return self._bucket_slots
 
     @property
     def num_keys(self) -> int:
@@ -271,95 +307,109 @@ class OpenAddressingHashTable:
         """Insert ``keys`` (duplicates allowed) and return per-row slot ids.
 
         Vectorised: each probing round resolves every not-yet-placed row at
-        once. Distinct keys get dense slot ids in first-occurrence order.
+        once. The first round runs at full width (every row is pending, so
+        it needs no row-index indirection); later rounds carry only the
+        rows still unplaced. Slot ids are dense, assigned in the order
+        rows win their bucket.
 
         :raises IndexError_: if the table overflows its allocation (more
             distinct keys than ``capacity_hint``).
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        positions = (self._hash(keys) & self._mask).astype(np.int64)
+        mask = np.int64(self._mask)
         slots = np.full(keys.size, self._EMPTY, dtype=np.int64)
-        pending = np.arange(keys.size, dtype=np.int64)
+        # Arbitration scratch: only ever read at positions written in the
+        # same round, so it needs no initialisation.
+        arbiter = np.empty(self.num_buckets, dtype=np.int64)
+        # The unplaced rows (None = every row), their keys and buckets.
+        pending = None
+        pending_keys = keys
+        positions = (self._hash(keys) & self._mask).astype(np.int64)
         rounds = 0
         # Each row advances at most num_buckets times; additionally a row
         # may hold position for one round per arbitration loss, and losses
         # coincide with global slot placements (at most capacity per run).
         max_rounds = self.num_buckets + self._slot_keys.size + 2
-        while pending.size:
+        while pending_keys.size:
             rounds += 1
             if rounds > max_rounds:
                 raise IndexError_(
                     "hash table overflow: more distinct keys than capacity "
                     f"hint ({self._slot_keys.size})"
                 )
-            pos = positions[pending]
-            occupant = self._bucket_keys[pos]
+            occupant = self._bucket_keys[positions]
             # Case 1: bucket already holds this row's key -> resolve.
-            matches = occupant == keys[pending]
+            matches = occupant == pending_keys
             if np.any(matches):
-                rows = pending[matches]
-                slots[rows] = self._bucket_slots[positions[rows]]
+                matched = np.flatnonzero(matches)
+                rows = matched if pending is None else pending[matched]
+                slots[rows] = self._bucket_slots[positions[matched]]
             # Case 2: bucket occupied by a different key -> advance (probe).
             empty = occupant == self._EMPTY
-            mismatches = pending[~matches & ~empty]
+            mismatched = np.flatnonzero(~matches & ~empty)
             # Case 3: bucket empty -> try to claim. Multiple rows may race
             # for one bucket within a round; scatter-then-check arbitrates:
             # the last writer wins the scatter, then every row re-reads the
             # bucket and only the winner (same row index) proceeds. Equal
             # keys share a home bucket, so at most one row wins per key.
-            losers = np.empty(0, dtype=np.int64)
-            claimers = pending[empty]
-            if claimers.size:
-                claim_pos = positions[claimers]
-                arbiter = np.full(self.num_buckets, self._EMPTY, dtype=np.int64)
+            claiming = np.flatnonzero(empty)
+            lost = claiming[:0]
+            if claiming.size:
+                claim_pos = positions[claiming]
+                claimers = claiming if pending is None else pending[claiming]
                 arbiter[claim_pos] = claimers
                 won = arbiter[claim_pos] == claimers
                 winners = claimers[won]
-                new_slot_base = self._num_slots
                 count = winners.size
-                if new_slot_base + count > self._slot_keys.size:
+                if self._num_slots + count > self._slot_keys.size:
                     raise IndexError_(
                         "hash table overflow: more distinct keys than "
                         f"capacity hint ({self._slot_keys.size})"
                     )
                 new_slots = np.arange(
-                    new_slot_base, new_slot_base + count, dtype=np.int64
+                    self._num_slots, self._num_slots + count, dtype=np.int64
                 )
-                wpos = positions[winners]
+                wpos = claim_pos[won]
                 self._bucket_keys[wpos] = keys[winners]
                 self._bucket_slots[wpos] = new_slots
                 self._slot_keys[new_slots] = keys[winners]
                 self._num_slots += count
                 slots[winners] = new_slots
-                losers = claimers[~won]
+                lost = claiming[~won]
             # Mismatches advance to the next bucket. Losers must NOT
             # advance: the winner may have placed their key in this very
             # bucket, so they re-read it next round (and match case 1).
-            positions[mismatches] = (
-                (positions[mismatches] + 1) & np.int64(self._mask)
+            remaining = np.concatenate([mismatched, lost])
+            positions = np.concatenate(
+                [(positions[mismatched] + 1) & mask, positions[lost]]
             )
-            pending = np.concatenate([mismatches, losers])
+            pending = remaining if pending is None else pending[remaining]
+            pending_keys = keys[pending]
         return slots
 
     def probe(self, keys: np.ndarray) -> np.ndarray:
-        """Look up slot ids for ``keys``; -1 for keys never inserted."""
+        """Look up slot ids for ``keys``; -1 for keys never inserted.
+
+        The first probing round runs at full width; later rounds carry
+        only the keys that hit a bucket holding a different key."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
+        mask = np.int64(self._mask)
         positions = (self._hash(keys) & self._mask).astype(np.int64)
-        slots = np.full(keys.size, self._EMPTY, dtype=np.int64)
-        pending = np.arange(keys.size, dtype=np.int64)
-        for __ in range(self.num_buckets + 1):
+        occupant = self._bucket_keys[positions]
+        matches = occupant == keys
+        slots = np.where(matches, self._bucket_slots[positions], self._EMPTY)
+        # Missing keys resolve to -1 already; only mismatches continue.
+        pending = np.flatnonzero(~matches & (occupant != self._EMPTY))
+        positions = (positions[pending] + 1) & mask
+        pkeys = keys[pending]
+        for __ in range(self.num_buckets):
             if not pending.size:
                 break
-            pos = positions[pending]
-            occupant = self._bucket_keys[pos]
-            matches = occupant == keys[pending]
-            misses = occupant == self._EMPTY
-            rows = pending[matches]
-            slots[rows] = self._bucket_slots[positions[rows]]
-            # Missing keys resolve to -1 (already initialised); drop them.
-            continuing = pending[~matches & ~misses]
-            positions[continuing] = (
-                (positions[continuing] + 1) & np.int64(self._mask)
-            )
-            pending = continuing
+            occupant = self._bucket_keys[positions]
+            matches = occupant == pkeys
+            slots[pending[matches]] = self._bucket_slots[positions[matches]]
+            continuing = ~matches & (occupant != self._EMPTY)
+            pending = pending[continuing]
+            pkeys = pkeys[continuing]
+            positions = (positions[continuing] + 1) & mask
         return slots

@@ -18,6 +18,12 @@ import numpy as np
 
 from repro.errors import PreconditionError
 
+#: minimum ``distinct / domain_size`` static perfect hashing accepts — the
+#: paper's "(relatively) dense". The kernels' guards and the optimiser's
+#: density propagation (:mod:`repro.core.optimizer.rules`) share it, so
+#: the optimiser never asks for an SPH the guard would refuse.
+MIN_DENSITY = 0.5
+
 
 class StaticPerfectHash:
     """A (minimal when dense) static perfect hash over ``[min_key, max_key]``.
@@ -26,8 +32,8 @@ class StaticPerfectHash:
     :param max_key: largest key of the domain.
     :param num_distinct: distinct keys that will actually occur; used for
         the minimality check and the density guard.
-    :param min_density: minimum acceptable ``num_distinct / domain_size``;
-        the default of 0.5 encodes the paper's "(relatively) dense".
+    :param min_density: minimum acceptable ``num_distinct / domain_size``
+        (default :data:`MIN_DENSITY`).
     :raises PreconditionError: when the domain is too sparse.
     """
 
@@ -36,7 +42,7 @@ class StaticPerfectHash:
         min_key: int,
         max_key: int,
         num_distinct: int | None = None,
-        min_density: float = 0.5,
+        min_density: float = MIN_DENSITY,
     ) -> None:
         if max_key < min_key:
             raise PreconditionError(
@@ -115,9 +121,25 @@ class StaticPerfectHash:
 
     @classmethod
     def for_keys(
-        cls, keys: np.ndarray, min_density: float = 0.5
+        cls, keys: np.ndarray, min_density: float = MIN_DENSITY
     ) -> "StaticPerfectHash":
         """Build an SPH for the observed ``keys`` (one scan for min/max/NDV).
+
+        :raises PreconditionError: if ``keys`` is empty or too sparse.
+        """
+        return cls.with_occupancy(keys, min_density)[0]
+
+    @classmethod
+    def with_occupancy(
+        cls, keys: np.ndarray, min_density: float = MIN_DENSITY
+    ) -> tuple["StaticPerfectHash", np.ndarray]:
+        """An SPH for the observed ``keys`` plus the rows per slot.
+
+        The occupancy (a ``bincount`` over the slot array SPH stands for)
+        yields the distinct count for the density guard in O(n + domain),
+        and tells a join whether its build keys are distinct. A domain
+        that cannot reach ``min_density`` even if every key were distinct
+        is rejected before the array is allocated.
 
         :raises PreconditionError: if ``keys`` is empty or too sparse.
         """
@@ -125,5 +147,16 @@ class StaticPerfectHash:
             raise PreconditionError("cannot build an SPH over no keys")
         min_key = int(keys.min())
         max_key = int(keys.max())
-        num_distinct = int(np.unique(keys).size)
-        return cls(min_key, max_key, num_distinct, min_density)
+        domain_size = max_key - min_key + 1
+        if keys.size < min_density * domain_size:
+            raise PreconditionError(
+                "static perfect hashing requires a dense key domain: at most "
+                f"{keys.size} distinct keys over [{min_key}, {max_key}] "
+                f"cannot reach density {min_density:.4f}"
+            )
+        occupancy = np.bincount(
+            np.asarray(keys, dtype=np.int64) - np.int64(min_key),
+            minlength=domain_size,
+        )
+        num_distinct = int(np.count_nonzero(occupancy))
+        return cls(min_key, max_key, num_distinct, min_density), occupancy

@@ -19,7 +19,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.engine.operators.base import PhysicalOperator
+from repro.engine.operators.base import (
+    MaterialisedOperator,
+    PhysicalOperator,
+    chunk_count,
+)
 
 
 def format_bytes(nbytes: int | float) -> str:
@@ -219,7 +223,7 @@ def _hook(
 ) -> None:
     original = operator.chunks  # the bound, un-instrumented method
 
-    def instrumented_chunks():
+    def begin() -> None:
         if is_root:
             # A fresh pull on the root is a fresh execution: every
             # operator resets on its first call of this generation, so
@@ -238,6 +242,15 @@ def _hook(
             stats.segments_skipped = 0
             stats.bytes_read = 0
             operator.reset_memory_accounting()
+
+    def sample() -> None:
+        peak = operator.memory_bytes()
+        if peak > stats.peak_memory_bytes:
+            stats.peak_memory_bytes = peak
+        _sample_parallelism(operator, stats)
+
+    def instrumented_chunks():
+        begin()
         iterator = original()
         while True:
             started = time.perf_counter()
@@ -245,23 +258,34 @@ def _hook(
                 chunk = next(iterator)
             except StopIteration:
                 stats.cumulative_seconds += time.perf_counter() - started
-                peak = operator.memory_bytes()
-                if peak > stats.peak_memory_bytes:
-                    stats.peak_memory_bytes = peak
-                _sample_parallelism(operator, stats)
+                sample()
                 return
             stats.cumulative_seconds += time.perf_counter() - started
             stats.rows_out += chunk.num_rows
             stats.chunks_out += 1
             # Sample after every chunk too, so early-terminated pulls
             # (e.g. below a Limit) still record their peak.
-            peak = operator.memory_bytes()
-            if peak > stats.peak_memory_bytes:
-                stats.peak_memory_bytes = peak
-            _sample_parallelism(operator, stats)
+            sample()
             yield chunk
 
     operator.chunks = instrumented_chunks  # type: ignore[method-assign]
+    if not isinstance(operator, MaterialisedOperator):
+        return
+    hand_over = operator.to_table
+
+    def instrumented_to_table():
+        begin()
+        started = time.perf_counter()
+        try:
+            table = hand_over()
+        finally:
+            stats.cumulative_seconds += time.perf_counter() - started
+            sample()
+        stats.rows_out += table.num_rows
+        stats.chunks_out += chunk_count(table.num_rows, operator._chunk_size)
+        return table
+
+    operator.to_table = instrumented_to_table  # type: ignore[method-assign]
 
 
 @contextmanager
@@ -305,3 +329,4 @@ def instrumented(root: PhysicalOperator) -> Iterator[OperatorStats]:
     finally:
         for operator in hooked:
             operator.__dict__.pop("chunks", None)
+            operator.__dict__.pop("to_table", None)

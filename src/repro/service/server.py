@@ -332,6 +332,12 @@ class QueryServer:
         join connection threads (bounded by ``timeout``)."""
         self._stopping.set()
         if self._socket is not None:
+            # Closing a listening socket does not wake a thread blocked in
+            # accept() on Linux; shutting it down does.
+            try:
+                self._socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._socket.close()
             except OSError:

@@ -27,7 +27,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class ScanEstimate:
 
 
 class _RowGroup:
-    """One pinned, aligned segment across all columns of a table."""
+    """One pinned, aligned segment across the requested columns of a table."""
 
     __slots__ = ("arrays", "num_rows", "cold_bytes", "nbytes")
 
@@ -439,10 +439,12 @@ class DiskTable:
         return merged
 
     @contextmanager
-    def row_group(self, index: int):
-        """Pin segment ``index`` across every column; yields a
-        :class:`_RowGroup`. Frames stay pinned (and the arrays valid)
-        until the context exits."""
+    def row_group(self, index: int, columns: Sequence[str] | None = None):
+        """Pin segment ``index`` across ``columns`` (every column when
+        None); yields a :class:`_RowGroup`. Frames stay pinned (and the
+        arrays valid) until the context exits. Pool frames are keyed per
+        column, so a narrower group neither loads nor evicts for the
+        columns it leaves out."""
         pool = self.buffer
         leases = []
         try:
@@ -450,7 +452,7 @@ class DiskTable:
             cold = 0
             nbytes = 0
             rows = 0
-            for name in self._schema.names:
+            for name in self._schema.names if columns is None else columns:
                 lease = pool.acquire(
                     (self.uid, name, index), self._segment_loader(name, index)
                 )
