@@ -51,3 +51,10 @@ def runs_of(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(array[1:], array[:-1], out=change[1:])
     starts = np.flatnonzero(change).astype(np.int64)
     return starts, array[starts]
+
+
+def run_count(array: np.ndarray) -> int:
+    """Number of runs :func:`runs_of` would return for a non-empty array,
+    without building them (a NaN equals nothing, so every NaN is a run of
+    its own)."""
+    return int(np.count_nonzero(array[1:] != array[:-1])) + 1

@@ -17,10 +17,12 @@ consumes either.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.granularity import Granularity
 from repro.core.optimizer.base import OptimizerConfig, PropertyScope
 from repro.core.physiological import (
     Granule,
@@ -272,7 +274,7 @@ def _recipe_mode(recipe: Granule) -> tuple[bool, bool, str] | None:
 
 def grouping_options(
     config: OptimizerConfig, workers: int = 1
-) -> list[GroupingOption]:
+) -> tuple[GroupingOption, ...]:
     """The grouping implementation space of a configuration.
 
     Shallow configurations get the blackbox catalogue; deep ones get the
@@ -280,6 +282,12 @@ def grouping_options(
     algorithm, loop mode, exchange, backend) — molecule variants with
     equal paper-model cost collapse to their default representative, kept
     distinct only in the recipe.
+
+    The lattice is static, so this is the paper's *offline* half of the
+    enumeration: the space is a pure function of ``(is_deep,
+    max_granularity, backend, workers > 1)`` and is enumerated once per
+    such configuration; every later search starts from the same
+    immutable tuple.
 
     :param workers: the executor's worker count. Parallel-loop and
         exchange recipes are enumerated only when ``workers > 1`` — with
@@ -290,19 +298,28 @@ def grouping_options(
         plans). Shallow configurations never see the ``loop`` or
         ``exchange`` granules at all: both are below SQO's reach.
     """
-    if not config.is_deep:
-        return [GroupingOption(algorithm) for algorithm in SQO_GROUPING_CATALOG]
+    return _grouping_options(
+        config.is_deep, config.max_granularity, config.backend, workers > 1
+    )
+
+
+@functools.cache
+def _grouping_options(
+    is_deep: bool, max_granularity: Granularity, config_backend: str, many_workers: bool
+) -> tuple[GroupingOption, ...]:
+    if not is_deep:
+        return tuple(GroupingOption(algorithm) for algorithm in SQO_GROUPING_CATALOG)
     options: list[GroupingOption] = []
     seen: set[tuple[GroupingAlgorithm, bool, bool, str]] = set()
-    for recipe in enumerate_recipes(logical_grouping(), config.max_granularity):
+    for recipe in enumerate_recipes(logical_grouping(), max_granularity):
         algorithm = recipe_algorithm(recipe)
         mode = _recipe_mode(recipe)
         if mode is None:
             continue
         parallel, exchange, backend = mode
-        if (parallel or exchange) and workers <= 1:
+        if (parallel or exchange) and not many_workers:
             continue
-        if backend == "process" and config.backend != "process":
+        if backend == "process" and config_backend != "process":
             continue
         if exchange and algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
             continue
@@ -313,29 +330,41 @@ def grouping_options(
         options.append(
             GroupingOption(algorithm, recipe, parallel, exchange, backend)
         )
-    return options
+    return tuple(options)
 
 
-def join_options(config: OptimizerConfig, workers: int = 1) -> list[JoinOption]:
+def join_options(
+    config: OptimizerConfig, workers: int = 1
+) -> tuple[JoinOption, ...]:
     """The join implementation space of a configuration (see
-    :func:`grouping_options`). Parallel-loop recipes are kept only for
-    the probe-streaming families whose sharded probe is bit-identical to
-    the serial kernel (:data:`PARALLEL_PROBE_ALGORITHMS`); exchange
-    recipes only for the families whose partition-local runs restore the
-    serial output exactly (:data:`EXCHANGE_JOIN_ALGORITHMS`)."""
-    if not config.is_deep:
-        return [JoinOption(algorithm) for algorithm in SQO_JOIN_CATALOG]
+    :func:`grouping_options`; enumerated once per configuration too).
+    Parallel-loop recipes are kept only for the probe-streaming families
+    whose sharded probe is bit-identical to the serial kernel
+    (:data:`PARALLEL_PROBE_ALGORITHMS`); exchange recipes only for the
+    families whose partition-local runs restore the serial output exactly
+    (:data:`EXCHANGE_JOIN_ALGORITHMS`)."""
+    return _join_options(
+        config.is_deep, config.max_granularity, config.backend, workers > 1
+    )
+
+
+@functools.cache
+def _join_options(
+    is_deep: bool, max_granularity: Granularity, config_backend: str, many_workers: bool
+) -> tuple[JoinOption, ...]:
+    if not is_deep:
+        return tuple(JoinOption(algorithm) for algorithm in SQO_JOIN_CATALOG)
     options: list[JoinOption] = []
     seen: set[tuple[JoinAlgorithm, bool, bool, str]] = set()
-    for recipe in enumerate_recipes(logical_join(), config.max_granularity):
+    for recipe in enumerate_recipes(logical_join(), max_granularity):
         algorithm = recipe_join_algorithm(recipe)
         mode = _recipe_mode(recipe)
         if mode is None:
             continue
         parallel, exchange, backend = mode
-        if (parallel or exchange) and workers <= 1:
+        if (parallel or exchange) and not many_workers:
             continue
-        if backend == "process" and config.backend != "process":
+        if backend == "process" and config_backend != "process":
             continue
         if parallel and algorithm not in PARALLEL_PROBE_ALGORITHMS:
             continue
@@ -346,4 +375,4 @@ def join_options(config: OptimizerConfig, workers: int = 1) -> list[JoinOption]:
             continue
         seen.add(key)
         options.append(JoinOption(algorithm, recipe, parallel, exchange, backend))
-    return options
+    return tuple(options)

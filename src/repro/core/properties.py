@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro._util.arrays import is_nondecreasing
 from repro.storage.statistics import ColumnStatistics
 from repro.storage.table import Table
 
@@ -171,25 +172,61 @@ class Correlations:
         return Correlations(self.pairs | other.pairs)
 
 
+#: rows of the sample that may refute a correlation before the full sort.
+CORRELATION_SAMPLE_ROWS = 2048
+
+
 def detect_monotone_correlation(
     table: Table, x: str, y: str, sample_limit: int = 100_000
 ) -> bool:
     """Measure whether ``y`` is non-decreasing when rows are ordered by
-    ``x`` — i.e. whether ``(x, y)`` is a monotone correlation.
+    ``x`` (stably) — i.e. whether ``(x, y)`` is a monotone correlation.
 
-    Checks up to ``sample_limit`` rows (a prefix after sorting); exact for
-    tables at or below the limit.
+    Checks the first ``sample_limit`` rows; exact for tables at or below
+    the limit. The answer is that of one stable sort by ``x``, reached in
+    three stages so that the sort is rarely paid:
+
+    1. *Statistics decide.* At most one row, or a constant ``y``: true.
+       A sorted ``x`` is its own stable order, so the answer is whether
+       ``y`` is sorted — its statistic, or one pass over the prefix when
+       the table is longer than the limit.
+    2. *A sample refutes.* The same test on the first
+       :data:`CORRELATION_SAMPLE_ROWS` rows. Two rows are ordered the same
+       way by the stable sort of any subset that holds both, so a pair
+       out of order in the sample is out of order in the whole: a
+       refutation is exact.
+    3. *The sort confirms* a pair the sample could not refute.
+
+    Only the rows looked at are read: a disk table decodes the segments
+    covering them, never the whole column. A correlation is a fact about
+    the data, so a what-if overlay table is judged by the statistics
+    measured on its :attr:`~repro.storage.table.Table.origin`.
     """
-    x_values = table[x]
-    y_values = table[y]
-    if x_values.size > sample_limit:
-        x_values = x_values[:sample_limit]
-        y_values = y_values[:sample_limit]
-    order = np.argsort(x_values, kind="stable")
-    reordered = y_values[order]
-    if reordered.size <= 1:
+    table = table.origin
+    rows = min(table.num_rows, sample_limit)
+    if rows <= 1:
         return True
-    return bool(np.all(reordered[:-1] <= reordered[1:]))
+    x_column, y_column = table.column(x), table.column(y)
+    y_statistics = y_column.statistics
+    if y_statistics.minimum == y_statistics.maximum:  # never true of NaN
+        return True
+    if x_column.statistics.is_sorted:
+        if y_statistics.is_sorted or rows == table.num_rows:
+            return y_statistics.is_sorted
+        return is_nondecreasing(y_column.slice(0, rows).values)
+
+    def ordered_within(count: int) -> bool:
+        """``y`` non-decreasing under a stable order by ``x``, over the
+        first ``count`` rows."""
+        x_values = x_column.slice(0, count).values
+        y_values = y_column.slice(0, count).values
+        return is_nondecreasing(y_values[np.argsort(x_values, kind="stable")])
+
+    if rows > CORRELATION_SAMPLE_ROWS and not ordered_within(
+        CORRELATION_SAMPLE_ROWS
+    ):
+        return False
+    return ordered_within(rows)
 
 
 def properties_from_table(table: Table, qualify: str = "") -> PropertyVector:
@@ -217,38 +254,31 @@ def properties_from_table(table: Table, qualify: str = "") -> PropertyVector:
     )
 
 
-#: memo for :func:`correlations_from_table`, keyed by (table identity,
-#: qualifier). Tables are immutable, so identity-keyed caching is sound;
-#: entries die with the table object (weak keying is not worth the
-#: bookkeeping at this scale).
-_CORRELATION_CACHE: dict[tuple[int, str, int], Correlations] = {}
-
-
 def correlations_from_table(
     table: Table, qualify: str = "", sample_limit: int = 100_000
 ) -> Correlations:
     """Detect all pairwise monotone correlations among a table's columns.
 
     Quadratic in column count — intended for the narrow relations of the
-    paper's experiments, not thousand-column tables. Results are memoised
-    per table object (tables are immutable).
+    paper's experiments, not thousand-column tables. The pairs are
+    memoised in the :attr:`~repro.storage.table.Table.memo` of the
+    table's :attr:`~repro.storage.table.Table.origin` (the object whose
+    data they describe): the memo dies with that table, and a new table
+    is never answered with an old one's pairs.
     """
-    cache_key = (id(table), qualify, sample_limit)
-    cached = _CORRELATION_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    pairs: set[tuple[str, str]] = set()
-    names = list(table.schema.names)
-    for x in names:
-        for y in names:
-            if x == y:
-                continue
-            if detect_monotone_correlation(table, x, y, sample_limit):
-                qualified_x = f"{qualify}.{x}" if qualify else x
-                qualified_y = f"{qualify}.{y}" if qualify else y
-                pairs.add((qualified_x, qualified_y))
-    result = Correlations(frozenset(pairs))
-    if len(_CORRELATION_CACHE) > 4096:
-        _CORRELATION_CACHE.clear()
-    _CORRELATION_CACHE[cache_key] = result
-    return result
+    source = table.origin
+    key = ("monotone_correlations", sample_limit)
+    pairs = source.memo.get(key)
+    if pairs is None:
+        names = source.schema.names
+        pairs = source.memo[key] = frozenset(
+            (x, y)
+            for x in names
+            for y in names
+            if x != y and detect_monotone_correlation(source, x, y, sample_limit)
+        )
+    if qualify:
+        pairs = frozenset(
+            (f"{qualify}.{x}", f"{qualify}.{y}") for x, y in pairs
+        )
+    return Correlations(pairs)

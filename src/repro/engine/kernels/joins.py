@@ -277,9 +277,13 @@ def build_side(
             structure_bytes=table.memory_bytes() + _nbytes(rows, offsets, counts),
         )
     if algorithm is JoinAlgorithm.SPHJ:
-        sph, occupancy = StaticPerfectHash.with_occupancy(build_keys, min_density)
+        sph = StaticPerfectHash.for_keys(build_keys, min_density)
         build_slots = sph.slot(build_keys)
-        slot_counts = None if int(occupancy.max()) <= 1 else occupancy
+        slot_counts = (
+            None
+            if sph.num_distinct == num_rows
+            else np.bincount(build_slots, minlength=sph.num_slots)
+        )
         rows, offsets, counts = _rows_by_slot(
             build_slots, slot_counts, sph.num_slots
         )

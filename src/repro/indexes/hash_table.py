@@ -184,7 +184,10 @@ class OpenAddressingHashTable:
     :param hash_name: one of :data:`HASH_FUNCTIONS`.
     """
 
-    #: sentinel marking an empty bucket.
+    #: slot id of an empty bucket, and of a probe key never inserted. Slot
+    #: ids are >= 0, so — unlike any value of the key domain, -1 included —
+    #: it cannot be mistaken for an entry: emptiness is always read off
+    #: the slot array, never off the keys.
     _EMPTY = np.int64(-1)
 
     def __init__(
@@ -276,13 +279,14 @@ class OpenAddressingHashTable:
 
     @property
     def bucket_keys(self) -> np.ndarray:
-        """Key held by each bucket (-1 = empty); with :attr:`bucket_slots`
-        the whole probe-side state (see :meth:`from_state`)."""
+        """Key held by each occupied bucket (an empty bucket's entry means
+        nothing); with :attr:`bucket_slots` the whole probe-side state
+        (see :meth:`from_state`)."""
         return self._bucket_keys
 
     @property
     def bucket_slots(self) -> np.ndarray:
-        """Slot id of the key each bucket holds."""
+        """Slot id of the key each bucket holds; -1 = empty bucket."""
         return self._bucket_slots
 
     @property
@@ -337,16 +341,18 @@ class OpenAddressingHashTable:
                     "hash table overflow: more distinct keys than capacity "
                     f"hint ({self._slot_keys.size})"
                 )
-            occupant = self._bucket_keys[positions]
-            # Case 1: bucket already holds this row's key -> resolve.
-            matches = occupant == pending_keys
+            occupant_slots = self._bucket_slots[positions]
+            empty = occupant_slots == self._EMPTY
+            # Case 1: bucket already holds this row's key -> resolve. An
+            # empty bucket whose stale key happens to equal the row's
+            # "resolves" to -1, which case 3 then overwrites or retries.
+            matches = self._bucket_keys[positions] == pending_keys
             if np.any(matches):
                 matched = np.flatnonzero(matches)
                 rows = matched if pending is None else pending[matched]
-                slots[rows] = self._bucket_slots[positions[matched]]
+                slots[rows] = occupant_slots[matched]
             # Case 2: bucket occupied by a different key -> advance (probe).
-            empty = occupant == self._EMPTY
-            mismatched = np.flatnonzero(~matches & ~empty)
+            mismatched = np.flatnonzero(~(matches | empty))
             # Case 3: bucket empty -> try to claim. Multiple rows may race
             # for one bucket within a round; scatter-then-check arbitrates:
             # the last writer wins the scatter, then every row re-reads the
@@ -395,20 +401,22 @@ class OpenAddressingHashTable:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         mask = np.int64(self._mask)
         positions = (self._hash(keys) & self._mask).astype(np.int64)
-        occupant = self._bucket_keys[positions]
-        matches = occupant == keys
-        slots = np.where(matches, self._bucket_slots[positions], self._EMPTY)
-        # Missing keys resolve to -1 already; only mismatches continue.
-        pending = np.flatnonzero(~matches & (occupant != self._EMPTY))
+        occupant_slots = self._bucket_slots[positions]
+        matches = self._bucket_keys[positions] == keys
+        # A key that "matches" an empty bucket's stale entry reads that
+        # bucket's slot, -1: missing keys resolve to -1 either way, and
+        # only keys that met a different key continue.
+        slots = np.where(matches, occupant_slots, self._EMPTY)
+        pending = np.flatnonzero(~matches & (occupant_slots != self._EMPTY))
         positions = (positions[pending] + 1) & mask
         pkeys = keys[pending]
         for __ in range(self.num_buckets):
             if not pending.size:
                 break
-            occupant = self._bucket_keys[positions]
-            matches = occupant == pkeys
-            slots[pending[matches]] = self._bucket_slots[positions[matches]]
-            continuing = ~matches & (occupant != self._EMPTY)
+            occupant_slots = self._bucket_slots[positions]
+            matches = self._bucket_keys[positions] == pkeys
+            slots[pending[matches]] = occupant_slots[matches]
+            continuing = ~matches & (occupant_slots != self._EMPTY)
             pending = pending[continuing]
             pkeys = pkeys[continuing]
             positions = (positions[continuing] + 1) & mask

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import PreconditionError
+from repro.storage.statistics import occupancy_distinct
 
 #: minimum ``distinct / domain_size`` static perfect hashing accepts — the
 #: paper's "(relatively) dense". The kernels' guards and the optimiser's
@@ -77,6 +78,11 @@ class StaticPerfectHash:
         return self._max_key
 
     @property
+    def num_distinct(self) -> int | None:
+        """Distinct keys occupying the domain, when known."""
+        return self._num_distinct
+
+    @property
     def num_slots(self) -> int:
         """Size of the slot array: ``max_key - min_key + 1``."""
         return self._max_key - self._min_key + 1
@@ -123,21 +129,11 @@ class StaticPerfectHash:
     def for_keys(
         cls, keys: np.ndarray, min_density: float = MIN_DENSITY
     ) -> "StaticPerfectHash":
-        """Build an SPH for the observed ``keys`` (one scan for min/max/NDV).
-
-        :raises PreconditionError: if ``keys`` is empty or too sparse.
-        """
-        return cls.with_occupancy(keys, min_density)[0]
-
-    @classmethod
-    def with_occupancy(
-        cls, keys: np.ndarray, min_density: float = MIN_DENSITY
-    ) -> tuple["StaticPerfectHash", np.ndarray]:
-        """An SPH for the observed ``keys`` plus the rows per slot.
-
-        The occupancy (a ``bincount`` over the slot array SPH stands for)
-        yields the distinct count for the density guard in O(n + domain),
-        and tells a join whether its build keys are distinct. A domain
+        """Build an SPH for the observed ``keys``: min/max, then the
+        distinct count from the occupancy of the slot array
+        (:func:`repro.storage.statistics.occupancy_distinct`, the count
+        the column statistics use), in O(n + domain). A join reads off
+        :attr:`num_distinct` whether its build keys are distinct. A domain
         that cannot reach ``min_density`` even if every key were distinct
         is rejected before the array is allocated.
 
@@ -154,9 +150,5 @@ class StaticPerfectHash:
                 f"{keys.size} distinct keys over [{min_key}, {max_key}] "
                 f"cannot reach density {min_density:.4f}"
             )
-        occupancy = np.bincount(
-            np.asarray(keys, dtype=np.int64) - np.int64(min_key),
-            minlength=domain_size,
-        )
-        num_distinct = int(np.count_nonzero(occupancy))
-        return cls(min_key, max_key, num_distinct, min_density), occupancy
+        num_distinct = occupancy_distinct(keys, min_key, domain_size)
+        return cls(min_key, max_key, num_distinct, min_density)

@@ -43,11 +43,11 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro._util.arrays import runs_of
+from repro._util.arrays import run_count
 from repro.errors import StorageError
 from repro.storage.dictionary import dictionary_encode
 from repro.storage.rle import rle_encode
-from repro.storage.statistics import ColumnStatistics
+from repro.storage.statistics import ColumnStatistics, count_distinct
 
 #: trailing magic of every segment; the "1" is the segment format version.
 MAGIC = b"RDS1"
@@ -96,10 +96,9 @@ def choose_encoding(values: np.ndarray) -> str:
         return "plain"
     itemsize = int(values.dtype.itemsize)
     sizes = {"plain": n * itemsize}
-    __, run_values = runs_of(values)
-    sizes["rle"] = int(run_values.size) * (itemsize + 8)
+    sizes["rle"] = run_count(values) * (itemsize + 8)
     if not _has_nulls(values):
-        cardinality = int(np.unique(values).size)
+        cardinality = count_distinct(values, values.min(), values.max())
         sizes["dictionary"] = (
             cardinality * itemsize + n * int(_code_dtype(cardinality).itemsize)
         )
@@ -126,7 +125,9 @@ def _zone_map(values: np.ndarray) -> dict:
     else:
         minimum = present.min().item()
         maximum = present.max().item()
-        distinct = int(np.unique(present).size) + (1 if null_count else 0)
+        distinct = count_distinct(present, minimum, maximum) + (
+            1 if null_count else 0
+        )
     return {
         "min": minimum,
         "max": maximum,

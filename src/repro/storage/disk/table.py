@@ -47,7 +47,11 @@ from repro.storage.disk.format import (
 )
 from repro.storage.dtypes import DataType
 from repro.storage.schema import ColumnSpec, Schema
-from repro.storage.statistics import ColumnStatistics, collect_statistics
+from repro.storage.statistics import (
+    ColumnStatistics,
+    collect_statistics,
+    merge_statistics,
+)
 from repro.storage.table import Table
 
 #: comparison operators zone maps can reason about.
@@ -211,7 +215,10 @@ class DiskColumn:
         return Column(self._name, self.values[indices], self._dtype)
 
     def slice(self, start: int, stop: int) -> Column:
-        return Column(self._name, self.values[start:stop], self._dtype)
+        """Rows ``[start, stop)``; decodes only the segments covering them."""
+        return Column(
+            self._name, self._table.column_values(self._name, start, stop), self._dtype
+        )
 
     def equals(self, other) -> bool:
         return (
@@ -245,6 +252,7 @@ class DiskTable:
             name: statistics_from_dict(record["statistics"])
             for name, record in self._columns.items()
         }
+        self._memo: dict = {}
 
     # -- identity & shape ---------------------------------------------------
 
@@ -294,6 +302,19 @@ class DiskTable:
         the catalog version so cached plans re-optimise against fresh
         zone maps."""
         return int(self._manifest["statistics_version"])
+
+    @property
+    def origin(self) -> "DiskTable":
+        """The table whose statistics were measured on this data: itself
+        (see :attr:`repro.storage.table.Table.origin`)."""
+        return self
+
+    @property
+    def memo(self) -> dict:
+        """Facts derived from this table's data, memoised per handle (see
+        :attr:`repro.storage.table.Table.memo`). An append opens a new
+        handle, so the memo never describes rows it was not measured on."""
+        return self._memo
 
     def __len__(self) -> int:
         return self.num_rows
@@ -422,16 +443,26 @@ class DiskTable:
         with pool.lease((self.uid, name, index), self._segment_loader(name, index)) as lease:
             return lease.array
 
-    def column_values(self, name: str) -> np.ndarray:
-        """The whole column, decoded (read-only)."""
+    def column_values(
+        self, name: str, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Rows ``[start, stop)`` of a column (the whole column by
+        default), decoded (read-only). Only the segments covering the
+        range go through the buffer pool."""
         record = self._column_record(name)
-        dtype = DataType(record["dtype"]).numpy_dtype
-        parts = [
-            self.segment_values(name, index)
-            for index in range(len(record["segments"]))
-        ]
+        stop = self.num_rows if stop is None else min(stop, self.num_rows)
+        parts = []
+        first = 0  # row number of the segment's first row
+        for index, meta in enumerate(record["segments"]):
+            if first >= stop:
+                break
+            rows = int(meta["rows"])
+            if first + rows > start:
+                values = self.segment_values(name, index)
+                parts.append(values[max(start - first, 0) : stop - first])
+            first += rows
         if not parts:
-            return np.empty(0, dtype=dtype)
+            return np.empty(0, dtype=DataType(record["dtype"]).numpy_dtype)
         if len(parts) == 1:
             return parts[0]
         merged = np.concatenate(parts)
@@ -652,10 +683,13 @@ def append_table(
     """Append ``table``'s rows to an existing disk table.
 
     New segments are appended to each column file (existing segments and
-    any buffered frames stay valid), full-column statistics are
-    recomputed, and the manifest's ``statistics_version`` bumps — which
-    flows into the catalog version on re-registration and invalidates
-    zone-map-dependent cached plans.
+    any buffered frames stay valid), and the manifest's
+    ``statistics_version`` bumps — which flows into the catalog version
+    on re-registration and invalidates zone-map-dependent cached plans.
+    Full-column statistics are the persisted ones merged with the
+    batch's (:func:`~repro.storage.statistics.merge_statistics`), which
+    reads no stored row; only a column whose merge is undecided is
+    decoded and measured again.
 
     :raises StorageError: schema mismatch with the existing table.
     """
@@ -681,11 +715,16 @@ def append_table(
                 )
     manifest["num_rows"] = int(manifest["num_rows"]) + table.num_rows
     manifest["statistics_version"] = int(manifest["statistics_version"]) + 1
-    refreshed = DiskTable(directory, manifest, buffer)
     for record in manifest["columns"]:
-        record["statistics"] = statistics_to_dict(
-            collect_statistics(refreshed.column_values(record["name"]))
+        merged = merge_statistics(
+            statistics_from_dict(record["statistics"]),
+            incoming[record["name"]].statistics,
         )
+        if merged is None:
+            # The segment index is current already; only the statistics lag.
+            grown = DiskTable(directory, manifest, buffer)
+            merged = collect_statistics(grown.column_values(record["name"]))
+        record["statistics"] = statistics_to_dict(merged)
     write_manifest(directory, manifest)
     return DiskTable(directory, manifest, buffer)
 

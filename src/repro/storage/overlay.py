@@ -16,10 +16,11 @@ Mechanics worth knowing:
   :meth:`~repro.storage.catalog.Catalog.fingerprint` never collides with
   the base catalog's — a process-wide plan cache cannot leak hypothetical
   plans into real optimisations (or vice versa).
-* Patched tables are built once and held by the overlay catalog:
-  property/correlation memoisation keys on table identity
-  (``id(table)``), so the patched tables must stay alive and stable for
-  the optimiser's caches to be sound.
+* Patched tables are built once and held by the overlay catalog. Each
+  names the base table as its :attr:`~repro.storage.table.Table.origin`:
+  correlations are facts about the data, not the statistics, so the
+  optimiser measures (and memoises) them on the base table, under its
+  real statistics, and a hypothetical ``sorted`` flag cannot forge one.
 * Column statistics are fabricated as *trusted* precomputed
   :class:`~repro.storage.statistics.ColumnStatistics` — exactly the
   constructor hook producers use when they already know a distribution.
@@ -282,7 +283,7 @@ class OverlayCatalog(Catalog):
             columns.append(
                 Column(column.name, column.values, column.dtype, statistics=stats)
             )
-        return Table(columns)
+        return Table(columns, origin=table)
 
     @property
     def base(self) -> Catalog:

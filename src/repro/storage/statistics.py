@@ -21,8 +21,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.arrays import is_nondecreasing, runs_of
+from repro._util.arrays import is_nondecreasing, run_count
 from repro.errors import StatisticsError
+
+#: an integer column counts its distinct values through an occupancy
+#: array while its domain ``max - min + 1`` is at most this multiple of
+#: its length. Twice the length is the widest domain static perfect
+#: hashing can accept (``MIN_DENSITY`` = 0.5), so every column whose
+#: density matters to the optimiser is counted without a sort; the array
+#: is one byte per domain value, a quarter of an ``int64`` column.
+OCCUPANCY_MAX_SPREAD = 2
+
+#: rows offset against the minimum per step of :func:`occupancy_distinct`,
+#: so that the offsets' scratch is 512 KiB however long the column.
+_OCCUPANCY_CHUNK_ROWS = 65_536
+
+
+def occupancy_distinct(values: np.ndarray, minimum: int, domain: int) -> int:
+    """Distinct values of an integer array all inside ``[minimum,
+    minimum + domain)``, in O(n + domain) and without a sort.
+
+    One byte per domain value is set where a value occurs — the
+    occupancy of the slot array a static perfect hash over that domain
+    stands for (§2.1) — and the set bytes are counted. The caller bounds
+    ``domain``; offsets are taken in ``int64`` (``uint64`` for unsigned
+    input), which cannot wrap because every offset is below ``domain``.
+    """
+    occupied = np.zeros(domain, dtype=np.bool_)
+    offset_dtype = np.uint64 if values.dtype.kind == "u" else np.int64
+    base = offset_dtype(minimum)
+    for start in range(0, values.size, _OCCUPANCY_CHUNK_ROWS):
+        chunk = values[start : start + _OCCUPANCY_CHUNK_ROWS]
+        occupied[chunk.astype(offset_dtype, copy=False) - base] = True
+    return int(np.count_nonzero(occupied))
+
+
+def count_distinct(values: np.ndarray, minimum, maximum) -> int:
+    """Distinct values of a non-empty, NaN-free 1-D array whose extremes
+    are ``minimum`` and ``maximum``.
+
+    Integer arrays whose domain is at most :data:`OCCUPANCY_MAX_SPREAD`
+    times their length go through :func:`occupancy_distinct`; wider
+    domains and non-integer arrays are sorted by ``np.unique``. The
+    domain is computed in Python integers, so ``int64`` extremes do not
+    wrap.
+    """
+    if values.dtype.kind in "iu":
+        domain = int(maximum) - int(minimum) + 1
+        if domain <= OCCUPANCY_MAX_SPREAD * values.size:
+            return occupancy_distinct(values, int(minimum), domain)
+    return int(np.unique(values).size)
 
 
 @dataclass(frozen=True)
@@ -76,7 +124,10 @@ class ColumnStatistics:
 
 
 def collect_statistics(values: np.ndarray) -> ColumnStatistics:
-    """Scan ``values`` once and compute its :class:`ColumnStatistics`.
+    """Compute the :class:`ColumnStatistics` of ``values`` in a fixed
+    number of O(n) passes: extremes, sortedness, runs and — unless the
+    column is sorted, where the runs are the distinct values —
+    :func:`count_distinct`.
 
     Works for any 1-D numeric array. Density is only meaningful for integer
     data; for float data ``is_dense`` is reported as ``False``.
@@ -96,18 +147,15 @@ def collect_statistics(values: np.ndarray) -> ColumnStatistics:
     minimum = values.min()
     maximum = values.max()
     sorted_flag = is_nondecreasing(values)
+    runs = run_count(values)
     if sorted_flag:
-        # One pass over the runs suffices: every run is a distinct value.
-        starts, run_values = runs_of(values)
-        distinct = int(run_values.size)
+        # Every run of a sorted column is a distinct value.
+        distinct = runs
         clustered = True
-        del starts
     else:
-        unique = np.unique(values)
-        distinct = int(unique.size)
+        distinct = count_distinct(values, minimum, maximum)
         # Clustered: each distinct value forms exactly one run.
-        __, run_values = runs_of(values)
-        clustered = int(run_values.size) == distinct
+        clustered = runs == distinct
     if np.issubdtype(values.dtype, np.integer):
         domain = int(maximum) - int(minimum) + 1
         dense = distinct == domain
@@ -125,4 +173,61 @@ def collect_statistics(values: np.ndarray) -> ColumnStatistics:
         is_sorted=sorted_flag,
         is_clustered=clustered,
         is_dense=dense,
+    )
+
+
+def merge_statistics(
+    head: ColumnStatistics, tail: ColumnStatistics
+) -> ColumnStatistics | None:
+    """Statistics of a column followed by appended rows, from the two
+    parts' statistics alone — or ``None`` where those do not decide it
+    and the merged column has to be measured.
+
+    Counts add and extremes combine; the whole is sorted iff both parts
+    are and ``head.maximum <= tail.minimum``. The distinct count is
+    decided in three cases: the value ranges are disjoint (the counts
+    add, and the whole is clustered iff both parts are); the whole is
+    sorted and the parts share the boundary value (one less, clustered);
+    the head is dense and the tail lies inside its domain (the head's
+    count — and the whole is unclustered as soon as one part is, since a
+    value with two runs keeps them; two clustered parts are undecided).
+    """
+    if tail.count == 0:
+        return head
+    if head.count == 0:
+        return tail
+    extremes = (head.minimum, head.maximum, tail.minimum, tail.maximum)
+    if any(value != value for value in extremes):  # NaN
+        return None
+    both_clustered = head.is_clustered and tail.is_clustered
+    is_sorted = (
+        head.is_sorted and tail.is_sorted and head.maximum <= tail.minimum
+    )
+    if tail.minimum > head.maximum or tail.maximum < head.minimum:
+        distinct = head.distinct + tail.distinct
+        clustered = both_clustered
+    elif is_sorted:
+        distinct = head.distinct + tail.distinct - 1
+        clustered = True
+    elif (
+        head.is_dense
+        and head.minimum <= tail.minimum
+        and tail.maximum <= head.maximum
+        and not both_clustered
+    ):
+        distinct = head.distinct
+        clustered = False
+    else:
+        return None
+    minimum = min(head.minimum, tail.minimum)
+    maximum = max(head.maximum, tail.maximum)
+    return ColumnStatistics(
+        count=head.count + tail.count,
+        minimum=minimum,
+        maximum=maximum,
+        distinct=distinct,
+        is_sorted=is_sorted,
+        is_clustered=clustered,
+        is_dense=isinstance(minimum, int)
+        and distinct == maximum - minimum + 1,
     )

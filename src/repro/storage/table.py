@@ -24,9 +24,17 @@ class Table:
     prepared :class:`Column` objects. All columns must have equal length.
     """
 
-    __slots__ = ("_columns", "_schema", "_num_rows")
+    __slots__ = ("_columns", "_schema", "_num_rows", "_origin", "_memo")
 
-    def __init__(self, columns: Iterable[Column]) -> None:
+    def __init__(
+        self, columns: Iterable[Column], origin: "Table | None" = None
+    ) -> None:
+        """
+        :param origin: the table whose data these columns share unchanged,
+            when the statistics given with them are hypothetical (a
+            what-if overlay). Facts measured from the data are then read
+            off — and memoised on — the origin; see :attr:`memo`.
+        """
         columns = tuple(columns)
         lengths = {len(column) for column in columns}
         if len(lengths) > 1:
@@ -40,6 +48,9 @@ class Table:
             ColumnSpec(column.name, column.dtype) for column in columns
         )
         self._num_rows = lengths.pop() if lengths else 0
+        # None stands for the table itself (no reference cycle to collect).
+        self._origin = None if origin is None else origin.origin
+        self._memo: dict = {}
 
     # -- constructors --------------------------------------------------
 
@@ -93,6 +104,21 @@ class Table:
     def num_columns(self) -> int:
         """Number of columns."""
         return len(self._columns)
+
+    @property
+    def origin(self) -> "Table":
+        """The table whose measured statistics describe this table's
+        data: the table itself, unless it was built as a hypothetical
+        view of another one."""
+        return self if self._origin is None else self._origin
+
+    @property
+    def memo(self) -> dict:
+        """Facts derived from this table's (immutable) data, memoised by
+        whoever derives them — the optimiser keeps detected correlations
+        here. The memo lives and dies with the table object, so no fact
+        outlives the data it was measured on."""
+        return self._memo
 
     def column(self, name: str) -> Column:
         """The column named ``name``.

@@ -59,8 +59,7 @@ def build_keys(draw):
     size = 0 if kind == "empty" else draw(st.integers(1, 40))
     spread = 1_000 if density == "sparse" else 1
     domain = size + size // 2 if density == "gappy" else size
-    # Non-negative build keys: -1 is the hash table's empty-bucket mark.
-    offset = draw(st.integers(0, 100))
+    offset = draw(st.integers(-100, 100))
     if kind == "duplicated":
         build = rng.integers(0, max(domain // 2, 1), size) * spread + offset
     else:
