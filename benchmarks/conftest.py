@@ -42,3 +42,22 @@ def bench_artifact():
         )
 
     return record
+
+
+@pytest.fixture(scope="module")
+def fork_pool():
+    """Cheap fork workers for the requesting module's process-pool tests
+    (the production default is ``spawn``), and the zero-leak contract on
+    the way out: no ``repro_shm_*`` entry survives in ``/dev/shm``."""
+    from repro.engine.procpool import leaked_segments, shutdown_process_pool
+
+    previous = os.environ.get("REPRO_PROC_START")
+    os.environ["REPRO_PROC_START"] = "fork"
+    shutdown_process_pool()
+    yield
+    shutdown_process_pool()
+    if previous is None:
+        os.environ.pop("REPRO_PROC_START", None)
+    else:
+        os.environ["REPRO_PROC_START"] = previous
+    assert leaked_segments() == []

@@ -109,8 +109,9 @@ def measure_figure4(timings: dict, rows: int) -> None:
 
 def measure_parallel(timings: dict, rows: int) -> None:
     """Serial vs morsel-parallel kernel times at 1/2/4 workers — the
-    ``bench_parallel.py`` quantities (speedups are host-core-dependent;
-    the baseline records absolute times)."""
+    thread half of ``bench_procpool.py``'s scaling curve, at the kernel
+    API (speedups are host-core-dependent; the baseline records absolute
+    times)."""
     from repro.engine.kernels.parallel import parallel_group_by
 
     dataset = make_grouping_dataset(

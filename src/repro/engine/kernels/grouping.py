@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.arrays import runs_of
+from repro.engine.aggregates import AggregateSpec, compute_aggregate
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
@@ -339,6 +340,64 @@ def aggregate_assignment(
     )
 
 
+def assign_slots(
+    keys: np.ndarray,
+    algorithm: GroupingAlgorithm,
+    num_distinct_hint: int | None = None,
+    validate: bool = False,
+) -> GroupingAssignment:
+    """Stage 1 with the chosen §4.1 algorithm.
+
+    :param num_distinct_hint: known NDV (sizes HG's table).
+    :param validate: verify algorithm preconditions (OG clustering).
+    :raises PreconditionError: when the algorithm's precondition fails
+        (SPHG on sparse domains always fails; OG only fails when
+        ``validate`` is set).
+    """
+    if algorithm is GroupingAlgorithm.HG:
+        return hash_slots(keys, num_distinct_hint)
+    if algorithm is GroupingAlgorithm.SPHG:
+        return perfect_hash_slots(keys)
+    if algorithm is GroupingAlgorithm.OG:
+        return order_slots(keys, validate=validate)
+    if algorithm is GroupingAlgorithm.SOG:
+        return sort_order_slots(keys)
+    if algorithm is GroupingAlgorithm.BSG:
+        return binary_search_slots(keys)
+    raise PreconditionError(f"unknown grouping algorithm: {algorithm!r}")
+
+
+def aggregate_groups(
+    keys: np.ndarray,
+    inputs: dict[str, np.ndarray],
+    aggregates: list[AggregateSpec],
+    algorithm: GroupingAlgorithm,
+    num_distinct_hint: int | None = None,
+    validate: bool = False,
+) -> tuple[GroupingAssignment, dict[str, np.ndarray]]:
+    """Both stages for arbitrary aggregates: the body of a serial
+    ``GroupBy`` and of every parallel partial alike.
+
+    :param inputs: the aggregate input columns by name, row-aligned
+        with ``keys``.
+    :returns: the slot assignment and one per-group array per aggregate
+        alias, indexed by slot. Nothing is cast to the aggregate's output
+        type here — a float SUM stays float — so partial results merge
+        without losing what a final cast would drop.
+    """
+    assignment = assign_slots(keys, algorithm, num_distinct_hint, validate)
+    columns = {
+        spec.alias: compute_aggregate(
+            spec,
+            assignment.slots,
+            assignment.num_groups,
+            None if spec.column is None else inputs[spec.column],
+        )
+        for spec in aggregates
+    }
+    return assignment, columns
+
+
 def group_by(
     keys: np.ndarray,
     values: np.ndarray | None,
@@ -356,22 +415,11 @@ def group_by(
     :param num_distinct_hint: known NDV (sizes HG's table).
     :param validate: verify algorithm preconditions (OG clustering).
     :raises PreconditionError: when the algorithm's precondition fails
-        (SPHG on sparse domains always fails; OG only fails when
-        ``validate`` is set).
+        (see :func:`assign_slots`).
     """
-    if algorithm is GroupingAlgorithm.HG:
-        assignment = hash_slots(keys, num_distinct_hint)
-    elif algorithm is GroupingAlgorithm.SPHG:
-        assignment = perfect_hash_slots(keys)
-    elif algorithm is GroupingAlgorithm.OG:
-        assignment = order_slots(keys, validate=validate)
-    elif algorithm is GroupingAlgorithm.SOG:
-        assignment = sort_order_slots(keys)
-    elif algorithm is GroupingAlgorithm.BSG:
-        assignment = binary_search_slots(keys)
-    else:
-        raise PreconditionError(f"unknown grouping algorithm: {algorithm!r}")
-    return aggregate_assignment(assignment, values)
+    return aggregate_assignment(
+        assign_slots(keys, algorithm, num_distinct_hint, validate), values
+    )
 
 
 #: Slot-assignment function per algorithm (for harnesses that sweep them).

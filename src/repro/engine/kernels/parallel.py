@@ -3,41 +3,57 @@
 Figure 3(e) unnests grouping into *SPH + parallel load*; the MOLECULE-level
 ``loop`` parameter of the physiological lattice chooses serial vs parallel.
 This module implements the parallel variants the way morsel-driven engines
-do ([14] Leis et al.): the input splits into shards (morsels), each shard
-runs independently on the shared worker pool
-(:mod:`repro.engine.parallel`), and the results are combined:
+do ([14] Leis et al.), along two orthogonal axes:
 
-* **grouping** — each shard is grouped with the chosen algorithm and the
-  decomposable partial aggregates (§2.1) are merged exactly;
-* **join** — the build-side structure is erected once, then read-only
-  shared across workers that probe contiguous probe shards; the
-  probe-major outputs concatenate back in shard order, so the result is
-  bit-identical to the serial kernel's.
+* **partitioning** — how rows are split into pieces *before* dispatch:
+  contiguous ranges (:func:`~repro.engine.parallel.morsel_boundaries`) or
+  an exchange (:func:`hash_partition`, equal keys co-locate);
+* **backend** — which pool runs the pieces: threads or processes
+  (:func:`~repro.engine.parallel.run_tasks`).
 
-The numpy kernels release the GIL, so on a multi-core host the shards
-genuinely overlap; with one worker (the default) everything runs inline
-on the calling thread, preserving serial behaviour.
+The work done per piece is one of three tasks, each written once and
+registered by name so either pool runs the same function:
+
+==================  ==================================================
+``group_partial``   a slice of key + aggregate-input arrays -> partial
+                    aggregate arrays, merged by :func:`merge_partials`
+``probe``           a shared :class:`BuildSide` x a probe slice ->
+                    index pairs (probe-major, so slices concatenate)
+``join_partition``  one exchange partition's serial join
+==================  ==================================================
+
+Every combination returns the serial kernels' bits: grouping up to key
+order (the merge sorts), joins exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.aggregates import AggregateFunction, AggregateSpec, count_star, sum_of
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     GroupingResult,
     KeyOrder,
+    aggregate_groups,
     group_by,
 )
 from repro.engine.kernels.joins import (
+    BuildSide,
     JoinAlgorithm,
     JoinOutputOrder,
     JoinResult,
     build_side,
     join,
 )
-from repro.engine.parallel import morsel_boundaries, run_morsels
-from repro.errors import PreconditionError
+from repro.engine.parallel import (
+    MorselReport,
+    get_executor_config,
+    morsel_boundaries,
+    run_tasks,
+    task,
+)
+from repro.errors import ExecutionError, PreconditionError
 from repro.indexes.hash_table import murmur3_finalizer
 
 #: join algorithms whose probe phase shards safely: the build structure is
@@ -60,171 +76,6 @@ EXCHANGE_GROUPING_ALGORITHMS = frozenset(
 #: restored probe order bit-identical to the serial kernels; SPHJ fails
 #: on the sparse per-partition domains, OJ/SOJ need pre-sorted inputs.
 EXCHANGE_JOIN_ALGORITHMS = frozenset({JoinAlgorithm.HJ, JoinAlgorithm.BSJ})
-
-
-def merge_partials(partials: list[GroupingResult]) -> GroupingResult:
-    """Merge per-shard grouping results into one.
-
-    COUNT and SUM are distributive, so merging is grouping the
-    concatenated partial rows again, summing both aggregates. The merged
-    result is key-sorted (the merge itself sorts).
-
-    Integer counts and sums merge with exact int64 ``np.add.at`` — a
-    float64 detour (e.g. ``np.bincount`` weights) would silently round
-    partial sums at magnitudes >= 2**53.
-    """
-    non_empty = [partial for partial in partials if partial.num_groups]
-    if not non_empty:
-        return GroupingResult(
-            keys=np.empty(0, dtype=np.int64),
-            counts=np.empty(0, dtype=np.int64),
-            sums=np.empty(0, dtype=np.int64),
-            key_order=KeyOrder.SORTED,
-        )
-    all_keys = np.concatenate([partial.keys for partial in non_empty])
-    all_counts = np.concatenate([partial.counts for partial in non_empty])
-    all_sums = np.concatenate([partial.sums for partial in non_empty])
-    merged_keys, inverse = np.unique(all_keys, return_inverse=True)
-    counts = np.zeros(merged_keys.size, dtype=np.int64)
-    np.add.at(counts, inverse, all_counts.astype(np.int64))
-    if np.issubdtype(all_sums.dtype, np.integer):
-        sums_out = np.zeros(merged_keys.size, dtype=np.int64)
-        np.add.at(sums_out, inverse, all_sums.astype(np.int64))
-    else:
-        sums_out = np.bincount(
-            inverse, weights=all_sums, minlength=merged_keys.size
-        )
-    return GroupingResult(
-        keys=merged_keys.astype(np.int64),
-        counts=counts,
-        sums=sums_out,
-        key_order=KeyOrder.SORTED,
-    )
-
-
-def parallel_group_by(
-    keys: np.ndarray,
-    values: np.ndarray | None,
-    algorithm: GroupingAlgorithm,
-    shards: int = 4,
-    num_distinct_hint: int | None = None,
-    workers: int | None = None,
-) -> GroupingResult:
-    """Group via independent shard-local runs plus a merge.
-
-    :param keys: grouping key per row.
-    :param values: SUM input per row, or None.
-    :param algorithm: the per-shard implementation.
-    :param shards: number of morsels; 1 degenerates to the serial kernel.
-    :param num_distinct_hint: known global NDV (sizes per-shard HG tables).
-    :param workers: worker threads to schedule shards on; defaults to the
-        process-wide :func:`repro.engine.parallel.get_executor_config`
-        value (1 = run the shards inline, serially).
-    :raises PreconditionError: if ``shards`` < 1, or the per-shard
-        algorithm's own precondition fails on some shard (note: sharding
-        *preserves* clusteredness only within shards — a run crossing a
-        shard boundary splits into two partial groups, which the merge
-        re-combines, so OG over sorted input remains correct).
-    """
-    if shards < 1:
-        raise PreconditionError(f"shards must be >= 1, got {shards}")
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if shards == 1 or keys.size == 0:
-        return group_by(
-            keys, values, algorithm, num_distinct_hint=num_distinct_hint
-        )
-
-    def shard_task(start: int, stop: int):
-        shard_values = values[start:stop] if values is not None else None
-        return group_by(
-            keys[start:stop],
-            shard_values,
-            algorithm,
-            num_distinct_hint=num_distinct_hint,
-        )
-
-    tasks = [
-        (lambda s=start, e=stop: shard_task(s, e))
-        for start, stop in morsel_boundaries(keys.size, shards)
-    ]
-    report = run_morsels(tasks, workers=workers)
-    return merge_partials(report.results)
-
-
-def parallel_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    algorithm: JoinAlgorithm,
-    shards: int = 4,
-    num_distinct_hint: int | None = None,
-    workers: int | None = None,
-    on_report=None,
-) -> JoinResult:
-    """Shared-build, sharded-probe join: the morsel-parallel join form.
-
-    The build side's structure (hash table / SPH array / sorted array)
-    is erected once on the calling thread; probe morsels then scan it
-    read-only in parallel. Because HJ/SPHJ/BSJ expand matches
-    probe-major, concatenating the shard outputs in shard order yields
-    exactly the serial kernel's output.
-
-    OJ and SOJ merge both inputs in lockstep — there is no read-only
-    shared structure to probe — so they fall back to the serial kernel.
-
-    :param on_report: optional callback receiving the scheduling
-        :class:`~repro.engine.parallel.MorselReport` (operators use it to
-        attribute per-node parallelism degree and worker busy time).
-    :raises PreconditionError: if ``shards`` < 1, or the underlying
-        kernel's precondition fails (e.g. SPHJ over a sparse domain).
-    """
-    if shards < 1:
-        raise PreconditionError(f"shards must be >= 1, got {shards}")
-    if algorithm not in PARALLEL_PROBE_ALGORITHMS:
-        return join(
-            build_keys,
-            probe_keys,
-            algorithm,
-            num_distinct_hint=num_distinct_hint,
-        )
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if shards == 1 or build_keys.size == 0 or probe_keys.size == 0:
-        return join(
-            build_keys,
-            probe_keys,
-            algorithm,
-            num_distinct_hint=num_distinct_hint,
-        )
-
-    build = build_side(build_keys, algorithm, num_distinct_hint)
-
-    def probe_shard(start: int, stop: int):
-        left, probe_out = build.probe(probe_keys[start:stop])
-        return left, probe_out + np.int64(start)
-
-    bounds = morsel_boundaries(probe_keys.size, shards)
-    tasks = [
-        (lambda s=start, e=stop: probe_shard(s, e)) for start, stop in bounds
-    ]
-    report = run_morsels(tasks, workers=workers)
-    if on_report is not None:
-        on_report(report)
-    left_parts = [left for left, __ in report.results]
-    right_parts = [right for __, right in report.results]
-    return JoinResult(
-        left_indices=np.concatenate(left_parts)
-        if left_parts
-        else np.empty(0, dtype=np.int64),
-        right_indices=np.concatenate(right_parts)
-        if right_parts
-        else np.empty(0, dtype=np.int64),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=build.structure_bytes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# exchange (hash repartition) kernels
 
 
 def hash_partition(
@@ -256,95 +107,298 @@ def hash_partition(
     return order, bounds
 
 
-def exchange_group_by(
+# ---------------------------------------------------------------------------
+# grouping: partition -> group_partial per piece -> merge_partials
+
+
+def decompose_partials(aggregates: list[AggregateSpec]) -> list[AggregateSpec]:
+    """Aggregates rewritten for partial (shard/partition-local) runs.
+
+    AVG is decomposed into partial SUM and COUNT columns (suffixes
+    ``@sum`` / ``@count``) so partials merge losslessly; everything else
+    is already decomposable as-is.
+    """
+    partial_specs: list[AggregateSpec] = []
+    for spec in aggregates:
+        if spec.function is AggregateFunction.AVG:
+            partial_specs += [
+                sum_of(spec.column, f"{spec.alias}@sum"),
+                count_star(f"{spec.alias}@count"),
+            ]
+        else:
+            partial_specs.append(spec)
+    return partial_specs
+
+
+@task("group_partial")
+def group_partial_task(payload: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Group rows ``[start, stop)`` serially: ``(group keys, {alias:
+    per-group array})`` for the (already decomposed) ``aggregates``."""
+    start, stop = payload["start"], payload["stop"]
+    assignment, columns = aggregate_groups(
+        payload["keys"][start:stop],
+        {name: array[start:stop] for name, array in payload["inputs"].items()},
+        payload["aggregates"],
+        payload["algorithm"],
+        payload["num_distinct_hint"],
+    )
+    return assignment.group_keys, columns
+
+
+def merge_partials(
+    partials: list[tuple[np.ndarray, dict[str, np.ndarray]]],
+    aggregates: list[AggregateSpec],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Merge :func:`group_partial_task` outputs into one result per group.
+
+    :param partials: at least one ``(group keys, columns)`` pair computed
+        for ``decompose_partials(aggregates)``.
+    :returns: the distinct keys ascending (the merge itself sorts) and
+        one array per aggregate alias.
+
+    COUNT and SUM are distributive, MIN and MAX idempotent, AVG is the
+    merged ``@sum`` over the merged ``@count``. Integer partials merge
+    with exact int64 ``np.add.at`` — a float64 detour (``np.bincount``
+    weights) would silently round at magnitudes >= 2**53. Float partial
+    sums stay float64 here: whoever owns the output type casts once,
+    after the merge, exactly as the serial path casts once at its end.
+    """
+    merged_keys, inverse = np.unique(
+        np.concatenate([keys for keys, __ in partials]), return_inverse=True
+    )
+
+    def gather(alias: str) -> np.ndarray:
+        return np.concatenate([columns[alias] for __, columns in partials])
+
+    def total(alias: str) -> np.ndarray:
+        values = gather(alias)
+        if np.issubdtype(values.dtype, np.integer):
+            out = np.zeros(merged_keys.size, dtype=np.int64)
+            np.add.at(out, inverse, values)
+            return out
+        return np.bincount(inverse, weights=values, minlength=merged_keys.size)
+
+    merged: dict[str, np.ndarray] = {}
+    for spec in aggregates:
+        if spec.function in (AggregateFunction.COUNT, AggregateFunction.SUM):
+            merged[spec.alias] = total(spec.alias)
+        elif spec.function in (AggregateFunction.MIN, AggregateFunction.MAX):
+            least = spec.function is AggregateFunction.MIN
+            bound = np.iinfo(np.int64).max if least else np.iinfo(np.int64).min
+            out = np.full(merged_keys.size, bound, dtype=np.int64)
+            (np.minimum if least else np.maximum).at(out, inverse, gather(spec.alias))
+            merged[spec.alias] = out
+        elif spec.function is AggregateFunction.AVG:
+            merged[spec.alias] = total(f"{spec.alias}@sum") / total(
+                f"{spec.alias}@count"
+            )
+        else:
+            raise ExecutionError(f"cannot merge partials of {spec.function!r}")
+    return merged_keys, merged
+
+
+def partitioned_group_by(
+    keys: np.ndarray,
+    inputs: dict[str, np.ndarray],
+    aggregates: list[AggregateSpec],
+    algorithm: GroupingAlgorithm,
+    parts: int,
+    partitioning: str = "range",
+    num_distinct_hint: int | None = None,
+    backend: str = "thread",
+    workers: int | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray], MorselReport]:
+    """Group through ``parts`` independent pieces plus a merge.
+
+    :param inputs: aggregate input columns by name, row-aligned with
+        the non-empty ``keys``.
+    :param partitioning: ``"range"`` cuts contiguous shards — a group
+        may span shards and the merge re-combines its partials (so OG
+        over sorted input stays correct); ``"hash"`` is the exchange —
+        partitions are disjoint in key space, the merge only interleaves
+        sorted key runs and never pays a ``parts x num_groups`` blow-up.
+    :returns: ``(group keys ascending, {alias: array}, report)``; the
+        report's ``results`` are the partials.
+    :raises PreconditionError: for ``"hash"`` with an algorithm that
+        repartitioning breaks (:data:`EXCHANGE_GROUPING_ALGORITHMS`), or
+        when the algorithm's own precondition fails on some piece.
+    """
+    if partitioning == "hash":
+        if algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
+            raise PreconditionError(
+                f"exchange grouping cannot run {algorithm.value!r} locally: "
+                "hash partitioning destroys clusteredness and density"
+            )
+        order, bounds = hash_partition(keys, parts)
+        keys = keys[order]
+        inputs = {name: array[order] for name, array in inputs.items()}
+        bounds = [(start, stop) for start, stop in bounds if stop > start]
+    elif partitioning == "range":
+        bounds = morsel_boundaries(keys.size, parts)
+    else:
+        raise PreconditionError(f"unknown partitioning {partitioning!r}")
+    report = run_tasks(
+        "group_partial",
+        {
+            "keys": keys,
+            "inputs": inputs,
+            "aggregates": decompose_partials(aggregates),
+            "algorithm": algorithm,
+            "num_distinct_hint": num_distinct_hint,
+        },
+        [{"start": start, "stop": stop} for start, stop in bounds],
+        backend,
+        workers,
+    )
+    merged_keys, merged = merge_partials(report.results, aggregates)
+    return merged_keys, merged, report
+
+
+def parallel_group_by(
     keys: np.ndarray,
     values: np.ndarray | None,
     algorithm: GroupingAlgorithm,
-    workers: int | None = None,
+    shards: int = 4,
     num_distinct_hint: int | None = None,
+    workers: int | None = None,
     backend: str = "thread",
-    on_report=None,
+    partitioning: str = "range",
 ) -> GroupingResult:
-    """Grouping through an exchange: hash-partition, group each partition
-    locally, concatenate the disjoint partials through the sorting merge.
+    """COUNT + SUM through :func:`partitioned_group_by` — the parallel
+    twin of :func:`~repro.engine.kernels.grouping.group_by` that the
+    Figure 4 benchmarks time.
 
-    Unlike the sharding loop of :func:`parallel_group_by`, partitions are
-    disjoint in key space, so the merge never combines partial groups —
-    it only interleaves sorted key runs. The payoff the cost model sees:
-    no ``workers x num_groups`` merge blow-up at huge NDV.
-
-    :raises PreconditionError: for algorithms repartitioning breaks
-        (see :data:`EXCHANGE_GROUPING_ALGORITHMS`).
+    :param values: SUM input per row, or None for COUNT-only.
+    :param shards: number of pieces; 1 degenerates to the serial kernel.
+    :param workers: workers to schedule pieces on; defaults to the
+        process-wide :func:`repro.engine.parallel.get_executor_config`
+        value (1 = run the pieces inline, serially).
+    :raises PreconditionError: if ``shards`` < 1, or see
+        :func:`partitioned_group_by`.
     """
-    if algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
-        raise PreconditionError(
-            f"exchange grouping cannot run {algorithm.value!r} locally: "
-            "hash partitioning destroys clusteredness and density"
-        )
-    from repro.engine.parallel import get_executor_config
-
-    if workers is None:
-        workers = get_executor_config().workers
-    workers = max(int(workers), 1)
+    if shards < 1:
+        raise PreconditionError(f"shards must be >= 1, got {shards}")
     keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if workers == 1 or keys.size == 0:
+    if shards == 1 or keys.size == 0:
         return group_by(keys, values, algorithm, num_distinct_hint=num_distinct_hint)
-    order, bounds = hash_partition(keys, workers)
-    part_keys = keys[order]
-    part_values = (
-        np.ascontiguousarray(values)[order] if values is not None else None
+    aggregates, inputs = [count_star("counts")], {}
+    if values is not None:
+        aggregates.append(sum_of("values", "sums"))
+        inputs["values"] = np.asarray(values)
+    merged_keys, merged, __ = partitioned_group_by(
+        keys,
+        inputs,
+        aggregates,
+        algorithm,
+        shards,
+        partitioning,
+        num_distinct_hint,
+        backend,
+        workers,
     )
-    if backend == "process":
-        from repro.engine.procpool import get_shared_store, run_process_tasks
+    return GroupingResult(
+        keys=merged_keys,
+        counts=merged["counts"],
+        sums=merged.get("sums", np.zeros(merged_keys.size, dtype=np.int64)),
+        key_order=KeyOrder.SORTED,
+    )
 
-        store = get_shared_store()
-        keys_ref = store.publish(part_keys)
-        values_ref = (
-            store.publish(part_values) if part_values is not None else None
+
+# ---------------------------------------------------------------------------
+# joins: shared build x sharded probe, or both sides through an exchange
+
+
+@task("probe")
+def probe_task(payload: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Probe rows ``[start, stop)`` of the probe side against the shared
+    build side; probe rows are reported in whole-input positions."""
+    start, stop = payload["start"], payload["stop"]
+    left, probe_out = BuildSide(**payload["build"]).probe(
+        payload["probe"][start:stop]
+    )
+    return left, probe_out + np.int64(start)
+
+
+@task("join_partition")
+def join_partition_task(payload: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One hash partition of an exchange join: a partition-local serial
+    join; the caller maps local indices back through the permutations."""
+    result = join(
+        payload["build"][payload["build_start"] : payload["build_stop"]],
+        payload["probe"][payload["probe_start"] : payload["probe_stop"]],
+        payload["algorithm"],
+        num_distinct_hint=payload["num_distinct_hint"],
+    )
+    return result.left_indices, result.right_indices
+
+
+def _concatenated(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def parallel_join(
+    build_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    algorithm: JoinAlgorithm,
+    shards: int = 4,
+    num_distinct_hint: int | None = None,
+    workers: int | None = None,
+    on_report=None,
+    backend: str = "thread",
+) -> JoinResult:
+    """Shared-build, sharded-probe join: the morsel-parallel join form.
+
+    The build side's structure (hash table / SPH array / sorted array)
+    is erected once on the calling thread; probe morsels then scan it
+    read-only in parallel — pool threads read the arrays themselves,
+    worker processes map the one published copy. Because HJ/SPHJ/BSJ
+    expand matches probe-major, concatenating the shard outputs in shard
+    order yields exactly the serial kernel's output.
+
+    OJ and SOJ merge both inputs in lockstep — there is no read-only
+    shared structure to probe — so they fall back to the serial kernel.
+
+    :param on_report: optional callback receiving the scheduling
+        :class:`~repro.engine.parallel.MorselReport` (operators use it to
+        attribute per-node parallelism degree and worker busy time).
+    :raises PreconditionError: if ``shards`` < 1, or the underlying
+        kernel's precondition fails (e.g. SPHJ over a sparse domain).
+    """
+    if shards < 1:
+        raise PreconditionError(f"shards must be >= 1, got {shards}")
+    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
+    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
+    if (
+        algorithm not in PARALLEL_PROBE_ALGORITHMS
+        or shards == 1
+        or build_keys.size == 0
+        or probe_keys.size == 0
+    ):
+        return join(
+            build_keys,
+            probe_keys,
+            algorithm,
+            num_distinct_hint=num_distinct_hint,
         )
-        tasks = [
-            (
-                "group",
-                {
-                    "keys": keys_ref,
-                    "values": values_ref,
-                    "start": start,
-                    "stop": stop,
-                    "algorithm": algorithm.value,
-                    "num_distinct_hint": num_distinct_hint,
-                },
-            )
-            for start, stop in bounds
-            if stop > start
-        ]
-        report = run_process_tasks(tasks, workers=workers)
-        partials = [
-            GroupingResult(
-                keys=r["keys"],
-                counts=r["counts"],
-                sums=r["sums"],
-                key_order=KeyOrder(r["key_order"]),
-            )
-            for r in report.results
-        ]
-    else:
-        tasks = [
-            (
-                lambda s=start, e=stop: group_by(
-                    part_keys[s:e],
-                    part_values[s:e] if part_values is not None else None,
-                    algorithm,
-                    num_distinct_hint=num_distinct_hint,
-                )
-            )
-            for start, stop in bounds
-            if stop > start
-        ]
-        report = run_morsels(tasks, workers=workers)
-        partials = report.results
+    build = build_side(build_keys, algorithm, num_distinct_hint)
+    report = run_tasks(
+        "probe",
+        {"build": vars(build), "probe": probe_keys},
+        [
+            {"start": start, "stop": stop}
+            for start, stop in morsel_boundaries(probe_keys.size, shards)
+        ],
+        backend,
+        workers,
+    )
     if on_report is not None:
         on_report(report)
-    return merge_partials(partials)
+    return JoinResult(
+        left_indices=_concatenated([left for left, __ in report.results]),
+        right_indices=_concatenated([right for __, right in report.results]),
+        output_order=JoinOutputOrder.PROBE_ORDER,
+        structure_bytes=build.structure_bytes,
+    )
 
 
 def exchange_join(
@@ -368,6 +422,8 @@ def exchange_join(
     shared-build :func:`parallel_join`, the *build* phase parallelises
     too — the niche the cost model prices it for.
 
+    :param workers: partition count and worker count alike; defaults to
+        the process-wide configuration, 1 degenerates to the serial kernel.
     :raises PreconditionError: for algorithms repartitioning breaks
         (see :data:`EXCHANGE_JOIN_ALGORITHMS`).
     """
@@ -376,8 +432,6 @@ def exchange_join(
             f"exchange join cannot run {algorithm.value!r} locally: "
             "partitioning breaks its precondition or tie order"
         )
-    from repro.engine.parallel import get_executor_config
-
     if workers is None:
         workers = get_executor_config().workers
     workers = max(int(workers), 1)
@@ -398,71 +452,38 @@ def exchange_join(
         # probe rows emits nothing. Either way there is no work.
         if pe > ps and be > bs
     ]
-    if backend == "process":
-        from repro.engine.procpool import get_shared_store, run_process_tasks
-
-        store = get_shared_store()
-        build_ref = store.publish(part_build)
-        probe_ref = store.publish(part_probe)
-        tasks = [
-            (
-                "join_partition",
-                {
-                    "build": build_ref,
-                    "probe": probe_ref,
-                    "build_start": bs,
-                    "build_stop": be,
-                    "probe_start": ps,
-                    "probe_stop": pe,
-                    "algorithm": algorithm.value,
-                    "num_distinct_hint": num_distinct_hint,
-                },
-            )
+    report = run_tasks(
+        "join_partition",
+        {
+            "build": part_build,
+            "probe": part_probe,
+            "algorithm": algorithm,
+            "num_distinct_hint": num_distinct_hint,
+        },
+        [
+            {"build_start": bs, "build_stop": be, "probe_start": ps, "probe_stop": pe}
             for bs, be, ps, pe in ranges
-        ]
-        report = run_process_tasks(tasks, workers=workers)
-        locals_ = [(r["left"], r["right"]) for r in report.results]
-    else:
-        tasks = [
-            (
-                lambda b0=bs, b1=be, p0=ps, p1=pe: (
-                    lambda r: (r.left_indices, r.right_indices)
-                )(
-                    join(
-                        part_build[b0:b1],
-                        part_probe[p0:p1],
-                        algorithm,
-                        num_distinct_hint=num_distinct_hint,
-                    )
-                )
-            )
-            for bs, be, ps, pe in ranges
-        ]
-        report = run_morsels(tasks, workers=workers)
-        locals_ = report.results
+        ],
+        backend,
+        workers,
+    )
     if on_report is not None:
         on_report(report)
-    left_parts = []
-    right_parts = []
-    structure = int(
-        build_order.nbytes
-        + probe_order.nbytes
-        + part_build.nbytes
-        + part_probe.nbytes
-    )
-    for (bs, be, ps, pe), (left_local, right_local) in zip(ranges, locals_):
+    left_parts, right_parts = [], []
+    for (bs, __, ps, __), (left_local, right_local) in zip(ranges, report.results):
         left_parts.append(build_order[bs + left_local])
         right_parts.append(probe_order[ps + right_local])
-    if left_parts:
-        left_all = np.concatenate(left_parts)
-        right_all = np.concatenate(right_parts)
-    else:
-        left_all = np.empty(0, dtype=np.int64)
-        right_all = np.empty(0, dtype=np.int64)
+    left_all = _concatenated(left_parts)
+    right_all = _concatenated(right_parts)
     restore = np.argsort(right_all, kind="stable")
     return JoinResult(
         left_indices=left_all[restore].astype(np.int64),
         right_indices=right_all[restore].astype(np.int64),
         output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=structure,
+        structure_bytes=int(
+            build_order.nbytes
+            + probe_order.nbytes
+            + part_build.nbytes
+            + part_probe.nbytes
+        ),
     )

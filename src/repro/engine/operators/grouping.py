@@ -9,104 +9,26 @@ unrelated operators.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.aggregates import (
-    AggregateFunction,
-    AggregateSpec,
-    compute_aggregate,
-)
+from repro.engine.aggregates import AggregateSpec
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     KeyOrder,
-    binary_search_slots,
-    hash_slots,
-    order_slots,
-    perfect_hash_slots,
-    sort_order_slots,
+    aggregate_groups,
+)
+from repro.engine.kernels.parallel import (
+    EXCHANGE_GROUPING_ALGORITHMS,
+    partitioned_group_by,
 )
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
     PhysicalOperator,
 )
-from repro.engine.kernels.parallel import EXCHANGE_GROUPING_ALGORITHMS
-from repro.engine.operators.scan import TableScan
-from repro.engine.parallel import (
-    BACKENDS,
-    get_executor_config,
-    morsel_boundaries,
-    run_morsels,
-)
+from repro.engine.parallel import check_backend, get_executor_config
 from repro.errors import ExecutionError
 from repro.service.context import check_active_context
-from repro.storage.dtypes import DataType
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
-
-
-def decompose_partials(aggregates: list[AggregateSpec]) -> list[AggregateSpec]:
-    """Aggregates rewritten for partial (shard/partition-local) runs.
-
-    AVG is decomposed into partial SUM and COUNT columns (suffixes
-    ``@sum`` / ``@count``) so partials merge losslessly; everything else
-    is already decomposable as-is.
-    """
-    partial_specs: list[AggregateSpec] = []
-    for spec in aggregates:
-        if spec.function is AggregateFunction.AVG:
-            partial_specs.append(
-                AggregateSpec(
-                    AggregateFunction.SUM, spec.column, f"{spec.alias}@sum"
-                )
-            )
-            partial_specs.append(
-                AggregateSpec(
-                    AggregateFunction.COUNT, None, f"{spec.alias}@count"
-                )
-            )
-        else:
-            partial_specs.append(spec)
-    return partial_specs
-
-
-def group_partial(
-    table: Table,
-    key: str,
-    aggregates: list[AggregateSpec],
-    algorithm,
-    num_distinct_hint: int | None = None,
-) -> Table:
-    """Group one shard/partition serially into a partial-aggregate table.
-
-    This is the per-morsel unit of work shared by the thread pool and the
-    process workers (:mod:`repro.engine.procpool` ships it table slices
-    rebuilt from shared memory); ``aggregates`` must already be
-    decomposed (:func:`decompose_partials`). ``algorithm`` accepts the
-    enum or its string value (process payloads carry the value).
-    """
-    if not isinstance(algorithm, GroupingAlgorithm):
-        algorithm = GroupingAlgorithm(algorithm)
-    partial = GroupBy(
-        TableScan(table),
-        key=key,
-        aggregates=list(aggregates),
-        algorithm=algorithm,
-        num_distinct_hint=num_distinct_hint,
-        # A partial is already one unit of parallel work: pinning serial
-        # stops it re-sharding (unbounded recursion under a small
-        # min_parallel_rows setting).
-        parallel=False,
-    )
-    return partial.to_table()
-
-
-def _partial_bytes(partial) -> int:
-    """Working-set bytes of one partial result (a Table from the thread
-    path, a plain {name: array} dict from the process path)."""
-    if hasattr(partial, "memory_bytes"):
-        return partial.memory_bytes()
-    return sum(array.nbytes for array in partial.values())
 
 
 class GroupBy(MaterialisedOperator):
@@ -179,14 +101,10 @@ class GroupBy(MaterialisedOperator):
                 f"{sorted(a.value for a in EXCHANGE_GROUPING_ALGORITHMS)}, "
                 f"not {algorithm.value!r}"
             )
-        if backend is not None and backend not in BACKENDS:
-            raise ExecutionError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self._shards = shards
         self._parallel = parallel
         self._exchange = bool(exchange)
-        self._backend = backend
+        self._backend = None if backend is None else check_backend(backend)
 
     @property
     def output_schema(self) -> Schema:
@@ -227,199 +145,60 @@ class GroupBy(MaterialisedOperator):
             return 1
         return config.workers
 
-    def _effective_backend(self) -> str:
-        """Which pool parallel work runs on: the pinned ``backend``
-        argument, else the process-wide executor configuration."""
-        return self._backend or get_executor_config().backend
-
     def _materialise(self) -> Table:
         table = self.children[0].to_table()
         check_active_context()
-        workers = get_executor_config().workers
-        if self._exchange and table.num_rows and workers > 1:
-            return self._exchange_grouped(table, workers)
-        shards = self._effective_shards(table.num_rows)
-        if shards > 1 and table.num_rows:
-            return self._sharded_grouped(table, shards)
         keys = table[self._key]
-        if self._algorithm is GroupingAlgorithm.HG:
-            assignment = hash_slots(keys, self._num_distinct_hint)
-        elif self._algorithm is GroupingAlgorithm.SPHG:
-            assignment = perfect_hash_slots(keys)
-        elif self._algorithm is GroupingAlgorithm.OG:
-            assignment = order_slots(keys, validate=self._validate)
-        elif self._algorithm is GroupingAlgorithm.SOG:
-            assignment = sort_order_slots(keys)
-        elif self._algorithm is GroupingAlgorithm.BSG:
-            assignment = binary_search_slots(keys)
+        inputs = {
+            spec.column: table[spec.column]
+            for spec in self._aggregates
+            if spec.column is not None
+        }
+        config = get_executor_config()
+        # An exchange makes one partition per worker; shards cut ranges.
+        exchange = self._exchange and config.workers > 1
+        parts = config.workers if exchange else self._effective_shards(table.num_rows)
+        if parts > 1 and table.num_rows:
+            group_keys, columns, report = partitioned_group_by(
+                keys,
+                inputs,
+                self._aggregates,
+                self._algorithm,
+                parts,
+                "hash" if exchange else "range",
+                self._num_distinct_hint,
+                self._backend or config.backend,
+            )
+            self._note_parallelism(report.workers_used, report.busy_seconds)
+            # Working set beyond input and output: the partials, plus the
+            # permuted copy of the needed columns an exchange makes.
+            scratch = sum(
+                part_keys.nbytes + sum(array.nbytes for array in part.values())
+                for part_keys, part in report.results
+            )
+            if exchange:
+                scratch += keys.nbytes + sum(a.nbytes for a in inputs.values())
         else:
-            raise ExecutionError(f"unknown algorithm {self._algorithm!r}")
-        key_dtype = self.output_schema[self._key].dtype
-        data: dict[str, np.ndarray] = {
-            self._key: assignment.group_keys.astype(key_dtype.numpy_dtype)
-        }
-        for spec in self._aggregates:
-            values = table[spec.column] if spec.column is not None else None
-            data[spec.alias] = compute_aggregate(
-                spec, assignment.slots, assignment.num_groups, values
+            assignment, columns = aggregate_groups(
+                keys,
+                inputs,
+                self._aggregates,
+                self._algorithm,
+                self._num_distinct_hint,
+                self._validate,
             )
+            group_keys = assignment.group_keys
+            # The slot assignment with its algorithm structure (HG's hash
+            # table vs SPHG's dense array — the Table 1 contrast).
+            scratch = assignment.memory_bytes()
+        # The one cast to the output types (a float SUM truncates here,
+        # after any merge — so every route truncates the same total).
         result = Table.from_arrays(
-            data, dtypes={s.name: s.dtype for s in self.output_schema}
+            {self._key: group_keys, **columns},
+            dtypes={s.name: s.dtype for s in self.output_schema},
         )
-        # Working set: the materialised input, the slot assignment with
-        # its algorithm structure (HG's hash table vs SPHG's dense array
-        # — the Table 1 contrast), and the group-state output arrays.
-        self._note_memory(
-            table.memory_bytes()
-            + assignment.memory_bytes()
-            + result.memory_bytes()
-        )
+        self._note_memory(table.memory_bytes() + scratch + result.memory_bytes())
         return result
-
-    def _group_slice(self, table: Table) -> Table:
-        """Group one shard into a partial-aggregate table."""
-        return group_partial(
-            table,
-            self._key,
-            decompose_partials(self._aggregates),
-            self._algorithm,
-            self._num_distinct_hint,
-        )
-
-    def _partial_tables(self, table: Table, boundaries):
-        """Run the partial grouping of each ``(start, stop)`` slice on the
-        effective backend; returns ``(partials, MorselReport)``."""
-        if self._effective_backend() == "process":
-            return self._process_partials(table, boundaries)
-        tasks = [
-            (lambda s=start, e=stop: self._group_slice(table.slice(s, e)))
-            for start, stop in boundaries
-        ]
-        report = run_morsels(tasks)
-        return report.results, report
-
-    def _process_partials(self, table: Table, boundaries):
-        """Partial grouping on the shared-memory process pool: publish the
-        needed columns once, ship only (start, stop) bounds per morsel."""
-        from repro.engine.procpool import get_shared_store, run_process_tasks
-
-        store = get_shared_store()
-        partial_specs = decompose_partials(self._aggregates)
-        needed = [self._key] + sorted(
-            {
-                spec.column
-                for spec in partial_specs
-                if spec.column is not None and spec.column != self._key
-            }
-        )
-        # ascontiguousarray may copy (sliced inputs): the keepalive list
-        # holds those copies until the batch has drained, since the store
-        # unlinks a published segment when its source array is collected.
-        keepalive = [np.ascontiguousarray(table[name]) for name in needed]
-        base = {
-            "columns": {
-                name: store.publish(array)
-                for name, array in zip(needed, keepalive)
-            },
-            "key": self._key,
-            "aggregates": [
-                (spec.function.value, spec.column, spec.alias)
-                for spec in partial_specs
-            ],
-            "algorithm": self._algorithm.value,
-            "num_distinct_hint": self._num_distinct_hint,
-        }
-        tasks = [
-            ("group_table", {**base, "start": start, "stop": stop})
-            for start, stop in boundaries
-        ]
-        report = run_process_tasks(tasks)
-        del keepalive
-        return report.results, report
-
-    def _sharded_grouped(self, table: Table, shards: int) -> Table:
-        boundaries = morsel_boundaries(table.num_rows, shards)
-        partials, report = self._partial_tables(table, boundaries)
-        self._note_parallelism(report.workers_used, report.busy_seconds)
-        merged = self._merge_partials(partials)
-        self._note_memory(
-            table.memory_bytes()
-            + sum(_partial_bytes(part) for part in partials)
-            + merged.memory_bytes()
-        )
-        return merged
-
-    def _exchange_grouped(self, table: Table, partitions: int) -> Table:
-        """The repartitioning path: hash-partition rows on the key, group
-        each partition locally (partitions are key-disjoint, so partials
-        share no groups), and merge. Output is key-sorted, same as the
-        sharded path's merge."""
-        from repro.engine.kernels.parallel import hash_partition
-
-        order, bounds = hash_partition(table[self._key], partitions)
-        permuted = table.take(order)
-        boundaries = [(start, stop) for start, stop in bounds if stop > start]
-        partials, report = self._partial_tables(permuted, boundaries)
-        self._note_parallelism(report.workers_used, report.busy_seconds)
-        merged = self._merge_partials(partials)
-        self._note_memory(
-            table.memory_bytes()
-            + permuted.memory_bytes()
-            + sum(_partial_bytes(part) for part in partials)
-            + merged.memory_bytes()
-        )
-        return merged
-
-    def _merge_partials(self, partials: list[Table]) -> Table:
-        all_keys = np.concatenate([part[self._key] for part in partials])
-        merged_keys, inverse = np.unique(all_keys, return_inverse=True)
-        key_dtype = self.output_schema[self._key].dtype
-        data: dict[str, np.ndarray] = {
-            self._key: merged_keys.astype(key_dtype.numpy_dtype)
-        }
-
-        def gather(column: str) -> np.ndarray:
-            return np.concatenate([part[column] for part in partials])
-
-        def exact_sum(values: np.ndarray) -> np.ndarray:
-            # Integer partials merge with exact int64 scatter-adds; a
-            # float64 detour (bincount weights) would round >= 2**53.
-            if np.issubdtype(values.dtype, np.integer):
-                out = np.zeros(merged_keys.size, dtype=np.int64)
-                np.add.at(out, inverse, values.astype(np.int64))
-                return out
-            return np.bincount(
-                inverse,
-                weights=values.astype(np.float64),
-                minlength=merged_keys.size,
-            )
-
-        for spec in self._aggregates:
-            if spec.function in (AggregateFunction.COUNT, AggregateFunction.SUM):
-                data[spec.alias] = exact_sum(gather(spec.alias))
-            elif spec.function is AggregateFunction.MIN:
-                out = np.full(
-                    merged_keys.size, np.iinfo(np.int64).max, dtype=np.int64
-                )
-                np.minimum.at(out, inverse, gather(spec.alias).astype(np.int64))
-                data[spec.alias] = out
-            elif spec.function is AggregateFunction.MAX:
-                out = np.full(
-                    merged_keys.size, np.iinfo(np.int64).min, dtype=np.int64
-                )
-                np.maximum.at(out, inverse, gather(spec.alias).astype(np.int64))
-                data[spec.alias] = out
-            elif spec.function is AggregateFunction.AVG:
-                sums = exact_sum(gather(f"{spec.alias}@sum"))
-                counts = exact_sum(gather(f"{spec.alias}@count"))
-                data[spec.alias] = sums / counts
-            else:
-                raise ExecutionError(
-                    f"cannot merge partials of {spec.function!r}"
-                )
-        return Table.from_arrays(
-            data, dtypes={s.name: s.dtype for s in self.output_schema}
-        )
 
     def describe(self) -> str:
         aggs = ", ".join(

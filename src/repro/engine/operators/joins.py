@@ -19,7 +19,7 @@ from repro.engine.kernels.parallel import (
     exchange_join,
     parallel_join,
 )
-from repro.engine.parallel import BACKENDS, get_executor_config
+from repro.engine.parallel import check_backend, get_executor_config
 from repro.service.context import check_active_context, get_active_context
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
@@ -95,10 +95,6 @@ class Join(MaterialisedOperator):
                 f"{sorted(a.value for a in EXCHANGE_JOIN_ALGORITHMS)}, "
                 f"not {algorithm.value!r}"
             )
-        if backend is not None and backend not in BACKENDS:
-            raise ExecutionError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self._left_key = left_key
         self._right_key = right_key
         self._algorithm = algorithm
@@ -107,7 +103,7 @@ class Join(MaterialisedOperator):
         self._chunk_size = chunk_size
         self._parallel = parallel
         self._exchange = bool(exchange)
-        self._backend = backend
+        self._backend = None if backend is None else check_backend(backend)
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
 
@@ -177,17 +173,6 @@ class Join(MaterialisedOperator):
                 backend=backend,
                 on_report=note,
             )
-        elif shards > 1 and backend == "process":
-            from repro.engine.procpool import process_join
-
-            result = process_join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                shards=shards,
-                num_distinct_hint=self._num_distinct_hint,
-                on_report=note,
-            )
         elif shards > 1:
             result = parallel_join(
                 build_keys,
@@ -195,6 +180,7 @@ class Join(MaterialisedOperator):
                 self._algorithm,
                 shards=shards,
                 num_distinct_hint=self._num_distinct_hint,
+                backend=backend,
                 on_report=note,
             )
         else:

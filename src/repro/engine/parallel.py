@@ -17,7 +17,13 @@ This module owns the process-wide pieces:
   morsel thunks, collect results *in submission order* (determinism),
   and attribute per-worker busy time to the process-wide metrics
   (``parallel.morsels``, ``worker.busy_seconds``) and tracer
-  (``parallel.morsel`` spans).
+  (``parallel.morsel`` spans);
+* the **task registry** and :func:`run_tasks` — the one entry point for
+  intra-operator parallel work: a morsel task is a module-level function
+  registered under a name (:func:`task`), run over shared arrays and
+  small per-morsel pieces on either backend. How the rows were split
+  into pieces — ranges (:func:`morsel_boundaries`) or hash partitions —
+  is the caller's step before dispatch, orthogonal to the backend.
 
 Degenerate cases run inline on the calling thread: a single morsel, a
 one-worker configuration, or a call made *from* a worker thread (nested
@@ -45,6 +51,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.runtime import get_metrics, get_tracer
 from repro.service.context import activate_context, get_active_context
@@ -64,6 +72,16 @@ DEFAULT_MIN_PARALLEL_ROWS = 32_768
 
 #: execution backends an operator's parallel loop can run on.
 BACKENDS = ("thread", "process")
+
+
+def check_backend(backend: str) -> str:
+    """``backend`` if it names an execution backend.
+
+    :raises ExecutionError: otherwise.
+    """
+    if backend not in BACKENDS:
+        raise ExecutionError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    return backend
 
 
 @dataclass(frozen=True)
@@ -109,7 +127,6 @@ class ExecutorConfig:
         ``REPRO_WORKERS`` sets the worker count; zero, negative, or
         non-integer values raise :class:`ConfigurationError` — a typo'd
         deployment must fail loudly, not silently run serial.
-        ``REPRO_MORSEL_ROWS`` overrides the morsel size and
         ``REPRO_BACKEND`` selects ``thread`` (default) or ``process``.
         """
         raw_workers = os.environ.get("REPRO_WORKERS", "1")
@@ -123,16 +140,8 @@ class ExecutorConfig:
             raise ConfigurationError(
                 f"REPRO_WORKERS must be >= 1, got {raw_workers!r}"
             )
-        try:
-            morsel_rows = int(
-                os.environ.get("REPRO_MORSEL_ROWS", str(DEFAULT_MORSEL_ROWS))
-            )
-        except ValueError:
-            morsel_rows = DEFAULT_MORSEL_ROWS
         backend = os.environ.get("REPRO_BACKEND", "thread").strip().lower()
-        return ExecutorConfig(
-            workers=workers, morsel_rows=max(morsel_rows, 1), backend=backend
-        )
+        return ExecutorConfig(workers=workers, backend=backend)
 
 
 _config: ExecutorConfig | None = None
@@ -319,7 +328,6 @@ def run_morsels(
             busy_seconds=time.perf_counter() - started,
         )
 
-    metrics = get_metrics()
     tracer = get_tracer()
     busy_lock = threading.Lock()
     busy_by_worker: dict[str, float] = {}
@@ -366,9 +374,18 @@ def run_morsels(
             results.append(None)
     if first_error is not None:
         raise first_error
+    return batch_report(results, workers, busy_by_worker)
+
+
+def batch_report(
+    results: list, workers: int, busy_by_worker: dict[str, float]
+) -> MorselReport:
+    """The report of a batch that ran on a pool (either one), with its
+    busy time stamped into the process-wide ``parallel.*`` metrics."""
     busy_seconds = sum(busy_by_worker.values())
+    metrics = get_metrics()
     if metrics.enabled:
-        metrics.counter("parallel.morsels", exist_ok=True).inc(len(tasks))
+        metrics.counter("parallel.morsels", exist_ok=True).inc(len(results))
         metrics.gauge("worker.busy_seconds", exist_ok=True).add(busy_seconds)
         for worker, seconds in sorted(busy_by_worker.items()):
             metrics.gauge(
@@ -376,7 +393,7 @@ def run_morsels(
             ).add(seconds)
     return MorselReport(
         results=results,
-        workers_used=min(workers, len(tasks)),
+        workers_used=min(workers, len(results)),
         busy_seconds=busy_seconds,
     )
 
@@ -395,3 +412,105 @@ def morsel_boundaries(num_rows: int, morsels: int) -> list[tuple[int, int]]:
         if stop > start:
             bounds.append((start, stop))
     return bounds
+
+
+# ---------------------------------------------------------------------------
+# named tasks: written once, run on either pool
+
+_TASKS: dict[str, Callable[[dict], object]] = {}
+
+
+def task(kind: str) -> Callable[[Callable], Callable]:
+    """Register a module-level function as the morsel task ``kind``.
+
+    A task takes one ``payload`` dict — the batch's shared inputs merged
+    with one piece — and returns picklable values (arrays, tuples of
+    arrays). It must not care which pool runs it: that is the whole
+    contract, and ``tests/engine/test_task_registry.py`` checks it for
+    every registered kind.
+    """
+
+    def register(fn: Callable[[dict], object]) -> Callable[[dict], object]:
+        if _TASKS.setdefault(kind, fn) is not fn:
+            raise ExecutionError(f"task {kind!r} is already registered")
+        return fn
+
+    return register
+
+
+def registered_tasks() -> dict[str, Callable[[dict], object]]:
+    """The registry, with the engine's own tasks loaded (they register
+    when :mod:`repro.engine.kernels.parallel` is imported — which a
+    freshly spawned worker process may not have done yet)."""
+    import repro.engine.kernels.parallel  # noqa: F401 - registers tasks
+
+    return _TASKS
+
+
+def get_task(kind: str) -> Callable[[dict], object]:
+    """The function registered as ``kind``."""
+    tasks = registered_tasks()
+    if kind not in tasks:
+        raise ExecutionError(f"no task {kind!r}; registered: {sorted(tasks)}")
+    return tasks[kind]
+
+
+def map_leaves(value, leaf: Callable):
+    """``value`` rebuilt with ``leaf`` applied to everything in it that
+    is not a dict, list or tuple — the one walk over a payload's shape,
+    shared by publishing (arrays -> refs) and resolving (refs -> views)."""
+    if isinstance(value, dict):
+        return {key: map_leaves(item, leaf) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map_leaves(item, leaf) for item in value)
+    return leaf(value)
+
+
+def run_tasks(
+    kind: str,
+    shared: dict,
+    pieces: Sequence[dict],
+    backend: str,
+    workers: int | None = None,
+) -> MorselReport:
+    """Run the task ``kind`` once per piece; results in piece order.
+
+    :param shared: inputs every piece reads — a (possibly nested) dict
+        whose ndarray leaves are the big arrays (columns, build-side
+        fields); everything else must be small and picklable.
+    :param pieces: one small dict per morsel (bounds); each call's
+        payload is ``{**shared, **piece}``.
+    :param backend: ``"thread"`` or ``"process"``.
+    :param workers: worker-count override; defaults to the process-wide
+        :func:`get_executor_config` value.
+
+    Deadlines, cancellation, error propagation and busy-time accounting
+    are those of :func:`run_morsels` and
+    :meth:`repro.engine.procpool.ProcessPool.run_batch` respectively.
+    """
+    fn = get_task(kind)
+    if check_backend(backend) == "process":
+        from repro.engine.procpool import get_shared_store, run_process_tasks
+
+        store = get_shared_store()
+        # Publishing needs C-contiguous arrays, and a published segment
+        # lives only as long as its source array: the contiguous copies
+        # are held here until the batch has drained.
+        keepalive: list = []
+
+        def publish(value):
+            if not isinstance(value, np.ndarray):
+                return value
+            keepalive.append(np.ascontiguousarray(value))
+            return store.publish(keepalive[-1])
+
+        refs = map_leaves(shared, publish)
+        report = run_process_tasks(
+            [(kind, {**refs, **piece}) for piece in pieces], workers=workers
+        )
+        del keepalive
+        return report
+    return run_morsels(
+        [(lambda piece=piece: fn({**shared, **piece})) for piece in pieces],
+        workers=workers,
+    )

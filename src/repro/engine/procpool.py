@@ -31,11 +31,14 @@ Pieces:
   pool is marked broken and rebuilt on next use). Per-worker busy time is
   stamped into the same ``parallel.*`` metrics and spans the thread
   backend uses, so ``top``/exposition show process-worker utilisation.
-* :func:`process_group_by` / :func:`process_join` — the process twins of
-  the thread kernels in :mod:`repro.engine.kernels.parallel`, bit-identical
-  to them and to the serial kernels. Joins are shared-build: the parent
-  erects the hash table / SPH domain / sorted build once, publishes its
-  arrays, and all workers probe the one shared structure.
+
+This module holds no grouping- or join-specific code. What a worker runs
+is a *named task*: the dispatcher
+(:func:`repro.engine.parallel.run_tasks`) publishes a batch's shared
+arrays, ships ``(name, payload)`` pairs, and the worker looks the name up
+in the task registry and calls the very function the thread backend
+calls — after resolving the payload's refs to shared-memory views. The
+only task defined here is the ``sleep`` test hook.
 
 Deadline and cancellation granularity is the task, exactly as the thread
 backend polls per morsel: a task already running is never interrupted,
@@ -58,9 +61,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.parallel import MorselReport, get_executor_config, morsel_boundaries
+from repro.engine.parallel import (
+    MorselReport,
+    batch_report,
+    get_executor_config,
+    get_task,
+    map_leaves,
+    task,
+)
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled, WorkerCrashError
-from repro.obs.runtime import get_metrics, get_tracer
+from repro.obs.runtime import get_tracer
 
 #: shared-memory segment name prefix — distinctive, so leak checks can
 #: scan ``/dev/shm`` without tripping over other tenants' segments.
@@ -249,19 +259,6 @@ def leaked_segments() -> list[str]:
 # worker side
 
 
-def _ref_names(payload, names: set) -> set:
-    """Collect the segment names of every :class:`SharedArrayRef` leaf."""
-    if isinstance(payload, SharedArrayRef):
-        names.add(payload.name)
-    elif isinstance(payload, dict):
-        for value in payload.values():
-            _ref_names(value, names)
-    elif isinstance(payload, (list, tuple)):
-        for item in payload:
-            _ref_names(item, names)
-    return names
-
-
 def _attach(
     ref: SharedArrayRef, cache: dict, protected: set, retired: list
 ) -> np.ndarray:
@@ -296,119 +293,23 @@ def _attach(
 
 def _resolve(payload, cache: dict, retired: list):
     """Replace every :class:`SharedArrayRef` leaf with its numpy view."""
-    protected = _ref_names(payload, set())
-    return _resolve_inner(payload, cache, protected, retired)
+    leaves: list = []
+    map_leaves(payload, leaves.append)
+    protected = {leaf.name for leaf in leaves if isinstance(leaf, SharedArrayRef)}
+
+    def attach(leaf):
+        if isinstance(leaf, SharedArrayRef):
+            return _attach(leaf, cache, protected, retired)
+        return leaf
+
+    return map_leaves(payload, attach)
 
 
-def _resolve_inner(payload, cache: dict, protected: set, retired: list):
-    if isinstance(payload, SharedArrayRef):
-        return _attach(payload, cache, protected, retired)
-    if isinstance(payload, dict):
-        return {
-            key: _resolve_inner(value, cache, protected, retired)
-            for key, value in payload.items()
-        }
-    if isinstance(payload, (list, tuple)):
-        resolved = [
-            _resolve_inner(item, cache, protected, retired) for item in payload
-        ]
-        return type(payload)(resolved) if isinstance(payload, tuple) else resolved
-    return payload
-
-
-def _task_group(payload: dict):
-    from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
-
-    start, stop = payload["start"], payload["stop"]
-    keys = payload["keys"][start:stop]
-    values = payload["values"]
-    if values is not None:
-        values = values[start:stop]
-    result = group_by(
-        keys,
-        values,
-        GroupingAlgorithm(payload["algorithm"]),
-        num_distinct_hint=payload.get("num_distinct_hint"),
-    )
-    return {
-        "keys": result.keys,
-        "counts": result.counts,
-        "sums": result.sums,
-        "key_order": result.key_order.value,
-    }
-
-
-def _task_group_table(payload: dict):
-    """One partial-aggregation morsel of the GroupBy operator: rebuild the
-    table slice from shared views and run the serial partial kernel."""
-    from repro.engine.operators.grouping import group_partial
-    from repro.storage.table import Table
-
-    start, stop = payload["start"], payload["stop"]
-    table = Table.from_arrays(
-        {name: array[start:stop] for name, array in payload["columns"].items()}
-    )
-    partial = _task_rebuild_specs(payload)
-    result = group_partial(
-        table,
-        payload["key"],
-        partial,
-        payload["algorithm"],
-        payload.get("num_distinct_hint"),
-    )
-    return {name: result[name] for name in result.schema.names}
-
-
-def _task_rebuild_specs(payload: dict):
-    from repro.engine.aggregates import AggregateFunction, AggregateSpec
-
-    return [
-        AggregateSpec(AggregateFunction(function), column, alias)
-        for function, column, alias in payload["aggregates"]
-    ]
-
-
-def _task_probe(payload: dict):
-    """Probe one shard of the probe side against the shared build side
-    (the sharded-probe half of the process parallel join)."""
-    from repro.engine.kernels.joins import BuildSide
-
-    start, stop = payload["start"], payload["stop"]
-    left, probe_out = BuildSide(**payload["build"]).probe(
-        payload["probe"][start:stop]
-    )
-    return {"left": left, "right": probe_out + np.int64(start)}
-
-
-def _task_join_partition(payload: dict):
-    """One hash partition of an exchange join: a partition-local serial
-    join; the parent maps local indices back through the permutations."""
-    from repro.engine.kernels.joins import JoinAlgorithm, join
-
-    build = payload["build"][payload["build_start"] : payload["build_stop"]]
-    probe = payload["probe"][payload["probe_start"] : payload["probe_stop"]]
-    result = join(
-        build,
-        probe,
-        JoinAlgorithm(payload["algorithm"]),
-        num_distinct_hint=payload.get("num_distinct_hint"),
-    )
-    return {"left": result.left_indices, "right": result.right_indices}
-
-
+@task("sleep")
 def _task_sleep(payload: dict):
     """Test hook: hold a worker busy (SIGKILL / cancellation coverage)."""
     time.sleep(float(payload["seconds"]))
     return payload.get("token")
-
-
-_TASKS = {
-    "group": _task_group,
-    "group_table": _task_group_table,
-    "probe": _task_probe,
-    "join_partition": _task_join_partition,
-    "sleep": _task_sleep,
-}
 
 
 def _worker_main(task_queue, result_queue, cancel_event, worker_name: str) -> None:
@@ -435,43 +336,22 @@ def _worker_main(task_queue, result_queue, cancel_event, worker_name: str) -> No
             started = time.perf_counter()
             try:
                 if cancel_event.is_set():
-                    result_queue.put(
-                        (batch_id, index, "cancelled", None, worker_name, 0.0)
-                    )
-                    continue
-                if deadline is not None and time.time() > deadline:
-                    result_queue.put(
-                        (batch_id, index, "deadline", None, worker_name, 0.0)
-                    )
-                    continue
-                output = _TASKS[kind](_resolve(payload, cache, retired))
-                result_queue.put(
-                    (
-                        batch_id,
-                        index,
-                        "ok",
-                        output,
-                        worker_name,
-                        time.perf_counter() - started,
-                    )
-                )
+                    status, output = "cancelled", None
+                elif deadline is not None and time.time() > deadline:
+                    status, output = "deadline", None
+                else:
+                    task_fn = get_task(kind)
+                    status, output = "ok", task_fn(_resolve(payload, cache, retired))
             except BaseException as error:  # noqa: BLE001 - shipped to parent
-                detail = {
+                status, output = "error", {
                     "type": type(error).__name__,
                     "message": str(error),
                     "traceback": traceback.format_exc(),
                     "worker": worker_name,
                 }
-                result_queue.put(
-                    (
-                        batch_id,
-                        index,
-                        "error",
-                        detail,
-                        worker_name,
-                        time.perf_counter() - started,
-                    )
-                )
+            result_queue.put(
+                (batch_id, index, status, output, worker_name, time.perf_counter() - started)
+            )
     finally:
         for shm in retired:
             shm.close()
@@ -656,20 +536,7 @@ class ProcessPool:
                     f"deadline passed before process task {index} started"
                 )
             raise QueryCancelled(f"process task {index} was cancelled")
-        busy_seconds = sum(busy_by_worker.values())
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("parallel.morsels", exist_ok=True).inc(expected)
-            metrics.gauge("worker.busy_seconds", exist_ok=True).add(busy_seconds)
-            for worker, seconds in sorted(busy_by_worker.items()):
-                metrics.gauge(
-                    f"worker.{worker}.busy_seconds", exist_ok=True
-                ).add(seconds)
-        return MorselReport(
-            results=results,
-            workers_used=min(self.workers, expected),
-            busy_seconds=busy_seconds,
-        )
+        return batch_report(results, self.workers, busy_by_worker)
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Graceful stop: poison pills, join, terminate stragglers."""
@@ -777,131 +644,3 @@ def run_process_tasks(
 
         context = get_active_context()
     return get_process_pool(workers).run_batch(tasks, context=context)
-
-
-# ---------------------------------------------------------------------------
-# process twins of the thread parallel kernels
-
-
-def process_group_by(
-    keys: np.ndarray,
-    values: np.ndarray | None,
-    algorithm,
-    shards: int = 4,
-    num_distinct_hint: int | None = None,
-    workers: int | None = None,
-    on_report=None,
-):
-    """Sharded grouping on the process pool; bit-identical to
-    :func:`repro.engine.kernels.parallel.parallel_group_by` (both merge
-    through the same key-sorting :func:`merge_partials`)."""
-    from repro.engine.kernels.grouping import GroupingResult, KeyOrder, group_by
-    from repro.engine.kernels.parallel import merge_partials
-
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if shards <= 1 or keys.size == 0:
-        return group_by(keys, values, algorithm, num_distinct_hint=num_distinct_hint)
-    store = get_shared_store()
-    keys_ref = store.publish(keys)
-    values_ref = None
-    if values is not None:
-        values = np.ascontiguousarray(values)
-        values_ref = store.publish(values)
-    tasks = [
-        (
-            "group",
-            {
-                "keys": keys_ref,
-                "values": values_ref,
-                "start": start,
-                "stop": stop,
-                "algorithm": algorithm.value,
-                "num_distinct_hint": num_distinct_hint,
-            },
-        )
-        for start, stop in morsel_boundaries(keys.size, shards)
-    ]
-    report = run_process_tasks(tasks, workers=workers)
-    if on_report is not None:
-        on_report(report)
-    partials = [
-        GroupingResult(
-            keys=r["keys"],
-            counts=r["counts"],
-            sums=r["sums"],
-            key_order=KeyOrder(r["key_order"]),
-        )
-        for r in report.results
-    ]
-    return merge_partials(partials)
-
-
-def process_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    algorithm,
-    shards: int = 4,
-    num_distinct_hint: int | None = None,
-    workers: int | None = None,
-    on_report=None,
-):
-    """Shared-build, sharded-probe join on the process pool.
-
-    The parent erects the build structure once and publishes its arrays;
-    every worker probes the *same* shared-memory structure. Output is
-    probe-major in shard order — bit-identical to the serial and thread
-    kernels.
-    """
-    from repro.engine.kernels.joins import (
-        JoinOutputOrder,
-        JoinResult,
-        build_side,
-        join,
-    )
-    from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
-
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if (
-        algorithm not in PARALLEL_PROBE_ALGORITHMS
-        or shards <= 1
-        or build_keys.size == 0
-        or probe_keys.size == 0
-    ):
-        return join(
-            build_keys, probe_keys, algorithm, num_distinct_hint=num_distinct_hint
-        )
-    store = get_shared_store()
-    build = build_side(build_keys, algorithm, num_distinct_hint)
-    # Publish the build side field by field. ``keepalive`` holds any
-    # contiguous copies until this frame ends: a published segment is
-    # released when its source array is collected.
-    keepalive = {
-        name: np.ascontiguousarray(value)
-        for name, value in vars(build).items()
-        if isinstance(value, np.ndarray)
-    }
-    shared_build = {
-        **vars(build),
-        **{name: store.publish(array) for name, array in keepalive.items()},
-    }
-    base = {"build": shared_build, "probe": store.publish(probe_keys)}
-    tasks = [
-        ("probe", {**base, "start": start, "stop": stop})
-        for start, stop in morsel_boundaries(probe_keys.size, shards)
-    ]
-    report = run_process_tasks(tasks, workers=workers)
-    if on_report is not None:
-        on_report(report)
-    left_parts = [r["left"] for r in report.results]
-    right_parts = [r["right"] for r in report.results]
-    return JoinResult(
-        left_indices=np.concatenate(left_parts)
-        if left_parts
-        else np.empty(0, dtype=np.int64),
-        right_indices=np.concatenate(right_parts)
-        if right_parts
-        else np.empty(0, dtype=np.int64),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=build.structure_bytes,
-    )

@@ -6,31 +6,17 @@ so a -1 among the grouping keys split into several groups
 them) and a -1 among join keys lost matches. Emptiness is now read off
 the slot array, which no key can equal. HG and HJ are compared with the
 sort-based SOG and SOJ over keys drawn from a pool that holds -1 and
-both ends of ``int64``, on every route: serial, thread-sharded,
-exchange, process.
+both ends of ``int64``. These are the serial kernels; the same keys on
+every parallel route are ``test_parallel_routes.py``'s
+``test_no_key_value_is_special``.
 """
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import (
-    exchange_group_by,
-    exchange_join,
-    parallel_group_by,
-    parallel_join,
-)
-from repro.engine.procpool import (
-    leaked_segments,
-    process_group_by,
-    process_join,
-    shutdown_process_pool,
-)
 
 INT64 = np.iinfo(np.int64)
 POOL = (-1, INT64.min, INT64.max, 0, -2, 1, INT64.min + 1, INT64.max - 1, 7)
@@ -78,47 +64,3 @@ def test_the_reported_case():
 def test_serial(build, probe):
     check_grouping(build, group_by)
     check_join(build, probe, join)
-
-
-@settings(max_examples=40, deadline=None)
-@given(keys_of, keys_of, st.integers(2, 4))
-def test_thread_sharded(build, probe, shards):
-    check_grouping(
-        build, lambda k, v, a: parallel_group_by(k, v, a, shards=shards, workers=2)
-    )
-    check_join(
-        build, probe, lambda b, p, a: parallel_join(b, p, a, shards=shards, workers=2)
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(keys_of, keys_of, st.integers(2, 4))
-def test_exchange(build, probe, workers):
-    check_grouping(build, lambda k, v, a: exchange_group_by(k, v, a, workers=workers))
-    check_join(build, probe, lambda b, p, a: exchange_join(b, p, a, workers=workers))
-
-
-@pytest.fixture(scope="module")
-def fork_pool():
-    """Cheap fork workers, and the zero-leak contract on the way out."""
-    previous = os.environ.get("REPRO_PROC_START")
-    os.environ["REPRO_PROC_START"] = "fork"
-    shutdown_process_pool()
-    yield
-    shutdown_process_pool()
-    if previous is None:
-        os.environ.pop("REPRO_PROC_START", None)
-    else:
-        os.environ["REPRO_PROC_START"] = previous
-    assert leaked_segments() == []
-
-
-@settings(max_examples=10, deadline=None)
-@given(keys_of, keys_of, st.integers(2, 3))
-def test_process(fork_pool, build, probe, shards):
-    check_grouping(
-        build, lambda k, v, a: process_group_by(k, v, a, shards=shards, workers=2)
-    )
-    check_join(
-        build, probe, lambda b, p, a: process_join(b, p, a, shards=shards, workers=2)
-    )

@@ -14,32 +14,19 @@ order and dtype — with
 
 over build keys {distinct, duplicated, empty} x probe keys {all hit,
 some miss, out of domain, empty} x {sorted, unsorted} x {dense, dense
-with unoccupied slots, sparse} x the five algorithms x the routes
-serial / ``parallel_join`` / ``process_join`` / ``exchange_join``. Each
+with unoccupied slots, sparse} x the five algorithms, on the serial
+kernels (every parallel route is held bit-identical to these, distinct
+and duplicated build keys alike, by ``test_parallel_routes.py``). Each
 hypothesis example is one build side; every probe kind and both orders
 run against it.
 """
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernels.grouping import hash_slots
 from repro.engine.kernels.joins import JoinAlgorithm, build_side, join
-from repro.engine.kernels.parallel import (
-    EXCHANGE_JOIN_ALGORITHMS,
-    PARALLEL_PROBE_ALGORITHMS,
-    exchange_join,
-    parallel_join,
-)
-from repro.engine.procpool import (
-    leaked_segments,
-    process_join,
-    shutdown_process_pool,
-)
 from repro.errors import PreconditionError
 
 KEY_SORTED = (JoinAlgorithm.OJ, JoinAlgorithm.SOJ)
@@ -157,51 +144,6 @@ def check_join(build, probe, algorithm, run_with):
 @given(build_keys())
 def test_serial_kernels(built):
     check_route(built, JoinAlgorithm, join)
-
-
-@settings(max_examples=40, deadline=None)
-@given(build_keys(), st.integers(2, 5))
-def test_parallel_join(built, shards):
-    check_route(
-        built,
-        PARALLEL_PROBE_ALGORITHMS,
-        lambda b, p, a: parallel_join(b, p, a, shards=shards, workers=2),
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(build_keys(), st.integers(2, 4))
-def test_exchange_join(built, workers):
-    check_route(
-        built,
-        EXCHANGE_JOIN_ALGORITHMS,
-        lambda b, p, a: exchange_join(b, p, a, workers=workers),
-    )
-
-
-@pytest.fixture(scope="module")
-def fork_pool():
-    """Cheap fork workers, and the zero-leak contract on the way out."""
-    previous = os.environ.get("REPRO_PROC_START")
-    os.environ["REPRO_PROC_START"] = "fork"
-    shutdown_process_pool()
-    yield
-    shutdown_process_pool()
-    if previous is None:
-        os.environ.pop("REPRO_PROC_START", None)
-    else:
-        os.environ["REPRO_PROC_START"] = previous
-    assert leaked_segments() == []
-
-
-@settings(max_examples=10, deadline=None)
-@given(build_keys(), st.integers(2, 4))
-def test_process_join(fork_pool, built, shards):
-    check_route(
-        built,
-        PARALLEL_PROBE_ALGORITHMS,
-        lambda b, p, a: process_join(b, p, a, shards=shards, workers=2),
-    )
 
 
 @settings(max_examples=100, deadline=None)

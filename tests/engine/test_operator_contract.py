@@ -27,7 +27,6 @@ from repro.engine import (
     parallel_execution,
 )
 from repro.engine.operators import SegmentScan, chunk_count
-from repro.engine.procpool import leaked_segments, shutdown_process_pool
 from repro.errors import DeadlineExceeded, MemoryBudgetExceeded
 from repro.logical.naive import evaluate_naive
 from repro.service.context import QueryContext
@@ -206,13 +205,8 @@ class TestPrunedSegmentScan:
         assert 0 < counters[2] < cold
 
 
+@pytest.mark.usefixtures("fork_pool")
 class TestEveryRoute:
-    @pytest.fixture(autouse=True)
-    def _no_leaks(self):
-        yield
-        shutdown_process_pool()
-        assert leaked_segments() == []
-
     def rows(self, catalog, **config):
         service = QueryService(catalog, ServiceConfig(**config))
         try:
@@ -222,7 +216,6 @@ class TestEveryRoute:
 
     def test_memory_disk_and_both_backends_agree(self, scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORAGE", "memory")
-        monkeypatch.setenv("REPRO_PROC_START", "fork")
         memory = scenario.build_catalog()
         expected = evaluate_naive(plan_query(PAPER_SQL, memory), memory)
         expected = expected.sort_by(["R.A"])

@@ -1,8 +1,8 @@
 """Real parallel execution: the morsel scheduler, worker-count
 determinism, and the shared-build parallel join.
 
-The sharding dimension (shard + merge == serial, any shard count) is
-covered by test_parallel_grouping.py; this file covers the *workers*
+The route dimension (backend x partitioning == serial, any piece count)
+is covered by test_parallel_routes.py; this file covers the *workers*
 dimension — scheduling morsels on the shared thread pool must change
 wall-clock behaviour only, never results. Every (algorithm x workers)
 combination is asserted identical to the serial kernel: grouping up to
@@ -25,7 +25,7 @@ from repro.engine import (
     set_executor_config,
     sum_of,
 )
-from repro.engine.kernels.grouping import GroupingAlgorithm, GroupingResult, KeyOrder, group_by
+from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
 from repro.engine.kernels.parallel import (
     PARALLEL_PROBE_ALGORITHMS,
@@ -98,10 +98,6 @@ class TestExecutorConfig:
     def test_from_env_reads_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
         assert ExecutorConfig.from_env().backend == "process"
-
-    def test_from_env_morsel_rows(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MORSEL_ROWS", "1024")
-        assert ExecutorConfig.from_env().morsel_rows == 1024
 
     def test_parallel_execution_scopes_and_restores(self):
         before = get_executor_config()
@@ -288,51 +284,32 @@ class TestMergePrecision:
     """Satellite regression: merging partial aggregates must stay exact
     past 2**53, where float64 loses integer resolution."""
 
-    def test_integer_sums_exact_beyond_float53(self):
+    AGGREGATES = [count_star("counts"), sum_of("v", "sums")]
+
+    def partial(self, key, count, total):
+        return (
+            np.array([key], dtype=np.int64),
+            {"counts": np.array([count], dtype=np.int64), "sums": np.array([total])},
+        )
+
+    def test_integer_counts_and_sums_exact_beyond_float53(self):
         big = 2**53
-        a = group_by(
-            np.array([1], dtype=np.int64),
-            np.array([big], dtype=np.int64),
-            GroupingAlgorithm.HG,
+        keys, merged = merge_partials(
+            [self.partial(7, big, big), self.partial(7, 3, 1)], self.AGGREGATES
         )
-        b = group_by(
-            np.array([1], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            GroupingAlgorithm.HG,
-        )
-        merged = merge_partials([a, b])
         # float64 would round 2**53 + 1 back down to 2**53.
-        assert merged.sums.dtype == np.int64
-        assert int(merged.sums[0]) == big + 1
+        assert keys.tolist() == [7]
+        assert merged["sums"].dtype == np.int64
+        assert int(merged["counts"][0]) == big + 3
+        assert int(merged["sums"][0]) == big + 1
 
-    def test_large_counts_exact(self):
-        big = 2**53
-        partials = [
-            GroupingResult(
-                keys=np.array([7], dtype=np.int64),
-                counts=np.array([big], dtype=np.int64),
-                sums=np.array([big], dtype=np.int64),
-                key_order=KeyOrder.SORTED,
-            ),
-            GroupingResult(
-                keys=np.array([7], dtype=np.int64),
-                counts=np.array([3], dtype=np.int64),
-                sums=np.array([5], dtype=np.int64),
-                key_order=KeyOrder.SORTED,
-            ),
-        ]
-        merged = merge_partials(partials)
-        assert int(merged.counts[0]) == big + 3
-        assert int(merged.sums[0]) == big + 5
-
-    def test_float_payloads_still_merge(self):
-        a = group_by(
-            np.array([1, 2], dtype=np.int64),
-            np.array([0.5, 1.5]),
-            GroupingAlgorithm.HG,
+    def test_float_sums_stay_float_until_the_caller_casts(self):
+        keys, merged = merge_partials(
+            [self.partial(2, 1, 1.5), self.partial(1, 1, 0.5), self.partial(2, 1, 1.5)],
+            self.AGGREGATES,
         )
-        merged = merge_partials([a, a])
-        assert merged.sums.tolist() == [1.0, 3.0]
+        assert keys.tolist() == [1, 2]  # the merge sorts
+        assert merged["sums"].tolist() == [0.5, 3.0]
 
 
 class TestOperatorParallelism:

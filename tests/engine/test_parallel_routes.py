@@ -1,0 +1,342 @@
+"""One route matrix: every parallel route returns what the serial kernel does.
+
+A route is backend {thread, process} x partitioning {range, hash}; each
+is checked for every algorithm it applies to, through the kernel API
+(``parallel_group_by`` / ``parallel_join`` / ``exchange_join``) and
+through the ``GroupBy`` / ``Join`` operators. Joins are compared bit for
+bit; grouping up to key order (the merge sorts). A float aggregate input
+is the one place arithmetic may reassociate: range shards add a group's
+partial sums in another order than the serial pass (tolerance below),
+hash partitions keep each group's rows together and stay exact.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
+from repro.engine import (
+    avg_of,
+    count_star,
+    execute,
+    max_of,
+    min_of,
+    parallel_execution,
+    sum_of,
+)
+from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
+from repro.engine.kernels.joins import JoinAlgorithm, join
+from repro.engine.kernels.parallel import (
+    EXCHANGE_GROUPING_ALGORITHMS,
+    EXCHANGE_JOIN_ALGORITHMS,
+    PARALLEL_PROBE_ALGORITHMS,
+    exchange_join,
+    parallel_group_by,
+    parallel_join,
+)
+from repro.engine.operators import GroupBy, Join, TableScan
+from repro.errors import PreconditionError
+from repro.service.session import QueryService, ServiceConfig
+from repro.storage import Catalog, Table
+
+pytestmark = pytest.mark.usefixtures("fork_pool")
+
+#: float64 sums of ~10^4 addends reassociated across shards.
+FLOAT_RTOL = 1e-12
+
+INT64 = np.iinfo(np.int64)
+#: the keys that were once special to the hash kernels (-1 marked an
+#: empty bucket), both ends of int64, and enough else to collide.
+EXTREME_KEYS = (-1, INT64.min, INT64.max, 0, -2, 1, INT64.min + 1, INT64.max - 1, 7)
+
+ROUTES = [
+    pytest.param(backend, partitioning, id=f"{backend}-{partitioning}")
+    for backend in ("thread", "process")
+    for partitioning in ("range", "hash")
+]
+
+
+def route_cases(range_algorithms, hash_algorithms):
+    """(backend, partitioning, algorithm) for every applicable algorithm."""
+    return [
+        pytest.param(
+            backend, partitioning, algorithm,
+            id=f"{backend}-{partitioning}-{algorithm.name}",
+        )
+        for backend in ("thread", "process")
+        for partitioning, algorithms in (
+            ("range", range_algorithms),
+            ("hash", hash_algorithms),
+        )
+        for algorithm in sorted(algorithms, key=lambda a: a.name)
+    ]
+
+
+GROUPING_CASES = route_cases(GroupingAlgorithm, EXCHANGE_GROUPING_ALGORITHMS)
+JOIN_CASES = route_cases(PARALLEL_PROBE_ALGORITHMS, EXCHANGE_JOIN_ALGORITHMS)
+
+
+def routed_join(build, probe, algorithm, backend, partitioning, parts, **kwargs):
+    """``parts`` probe shards on two workers, or — an exchange has one
+    partition per worker — ``parts`` of each (kept <= 4: the shared
+    thread pool never shrinks, and other modules' timing tests assume a
+    small one)."""
+    if partitioning == "hash":
+        return exchange_join(
+            build, probe, algorithm, workers=parts, backend=backend, **kwargs
+        )
+    return parallel_join(
+        build, probe, algorithm, shards=parts, workers=2, backend=backend, **kwargs
+    )
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    """Sorted + dense satisfies every grouping algorithm's precondition;
+    37 groups over 20 000 rows puts runs across every shard boundary."""
+    return make_grouping_dataset(20_000, 37, Sortedness.SORTED, Density.DENSE, seed=11)
+
+
+@pytest.fixture(scope="module")
+def floats(dataset):
+    return np.random.default_rng(3).random(dataset.keys.size) * 10
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    """Sorted/sorted dense: every join algorithm is applicable."""
+    return make_join_scenario(n_r=1_500, n_s=6_000, num_groups=75, seed=13)
+
+
+class TestGroupingKernel:
+    @pytest.mark.parametrize("values", ["int", "float", None])
+    @pytest.mark.parametrize("backend, partitioning, algorithm", GROUPING_CASES)
+    def test_equals_serial(
+        self, dataset, floats, backend, partitioning, algorithm, values
+    ):
+        payload = {"int": dataset.payload, "float": floats, None: None}[values]
+        serial = group_by(
+            dataset.keys, payload, algorithm, num_distinct_hint=37
+        ).sorted_by_key()
+        result = parallel_group_by(
+            dataset.keys, payload, algorithm, shards=7, num_distinct_hint=37,
+            workers=2, backend=backend, partitioning=partitioning,
+        )
+        assert np.all(np.diff(result.keys) > 0)  # the merge sorts
+        assert np.array_equal(result.keys, serial.keys)
+        assert np.array_equal(result.counts, serial.counts)
+        assert result.sums.dtype == serial.sums.dtype
+        if values == "float" and partitioning == "range":
+            np.testing.assert_allclose(result.sums, serial.sums, rtol=FLOAT_RTOL)
+        else:
+            assert np.array_equal(result.sums, serial.sums)
+
+    @pytest.mark.parametrize("backend, partitioning", ROUTES)
+    def test_degenerate_inputs_run_serially(self, backend, partitioning):
+        route = dict(backend=backend, partitioning=partitioning)
+        empty = parallel_group_by(
+            np.empty(0, dtype=np.int64), None, GroupingAlgorithm.HG, shards=4, **route
+        )
+        assert empty.num_groups == 0
+        few = parallel_group_by(
+            np.array([5, 5, 6]), None, GroupingAlgorithm.SOG, shards=50, **route
+        )
+        assert (few.keys.tolist(), few.counts.tolist()) == ([5, 6], [2, 1])
+        with pytest.raises(PreconditionError):
+            parallel_group_by(np.array([1]), None, GroupingAlgorithm.HG, shards=0, **route)
+
+    @pytest.mark.parametrize("algorithm", [GroupingAlgorithm.OG, GroupingAlgorithm.SPHG])
+    def test_hash_partitioning_refuses_what_it_breaks(self, dataset, algorithm):
+        with pytest.raises(PreconditionError):
+            parallel_group_by(dataset.keys, None, algorithm, partitioning="hash")
+
+
+class TestGroupByOperator:
+    AGGREGATES = [
+        count_star(),
+        sum_of("value"),
+        min_of("value"),
+        max_of("value"),
+        avg_of("value"),
+        sum_of("f", "sum_f"),
+        avg_of("f", "avg_f"),
+        max_of("f", "max_f"),
+    ]
+
+    def grouped(self, table, algorithm, **route):
+        return execute(
+            GroupBy(
+                TableScan(table), "key", self.AGGREGATES, algorithm=algorithm,
+                num_distinct_hint=37, **route,
+            )
+        ).sort_by(["key"])
+
+    @pytest.mark.parametrize("backend, partitioning, algorithm", GROUPING_CASES)
+    def test_equals_serial(self, dataset, floats, backend, partitioning, algorithm):
+        """Includes the float-input regression: every partial used to be
+        truncated to SUM's INT64 before the merge, so ``sum_f`` came out
+        up to one per shard short of the serial answer and ``avg_f`` was
+        computed from the truncated sums."""
+        table = Table.from_arrays(
+            {"key": dataset.keys, "value": dataset.payload, "f": floats}
+        )
+        serial = self.grouped(table, algorithm, parallel=False)
+        with parallel_execution(2):
+            if partitioning == "hash":
+                result = self.grouped(table, algorithm, exchange=True, backend=backend)
+            else:
+                result = self.grouped(table, algorithm, shards=7, backend=backend)
+        assert result.schema == serial.schema
+        for name in serial.schema.names:
+            if name == "avg_f" and partitioning == "range":
+                np.testing.assert_allclose(
+                    result[name], serial[name], rtol=FLOAT_RTOL
+                )
+            else:
+                assert np.array_equal(result[name], serial[name]), name
+
+
+class TestJoinKernel:
+    @pytest.mark.parametrize("build_keys", ["distinct", "duplicated"])
+    @pytest.mark.parametrize("backend, partitioning, algorithm", JOIN_CASES)
+    def test_bit_identical_to_serial(
+        self, scenario, backend, partitioning, algorithm, build_keys
+    ):
+        """Distinct build keys take the one-gather fast path, duplicated
+        ones the general match expansion; neither may be observable."""
+        build, probe = scenario.r["ID"], scenario.s["R_ID"]
+        if build_keys == "duplicated":
+            build = np.concatenate([build, build[::3]])
+        serial = join(build, probe, algorithm)
+        reports = []
+        result = routed_join(
+            build, probe, algorithm, backend, partitioning, 4,
+            on_report=reports.append,
+        )
+        for got, want in (
+            (result.left_indices, serial.left_indices),
+            (result.right_indices, serial.right_indices),
+        ):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert len(reports) == 1 and len(reports[0].results) == 4
+        assert reports[0].workers_used >= 1 and reports[0].busy_seconds >= 0.0
+
+    @pytest.mark.parametrize("backend, partitioning", ROUTES)
+    def test_empty_sides_run_serially(self, backend, partitioning):
+        some, none = np.arange(5, dtype=np.int64), np.empty(0, dtype=np.int64)
+        for build, probe in ((some, none), (none, some)):
+            result = routed_join(build, probe, JoinAlgorithm.HJ, backend, partitioning, 3)
+            assert result.left_indices.size == result.right_indices.size == 0
+
+
+class TestJoinOperator:
+    @pytest.mark.parametrize("backend, partitioning, algorithm", JOIN_CASES)
+    def test_equals_serial(self, scenario, backend, partitioning, algorithm):
+        def run(**route):
+            return execute(
+                Join(
+                    TableScan(scenario.r), TableScan(scenario.s), "ID", "R_ID",
+                    algorithm=algorithm, **route,
+                )
+            )
+
+        serial = run(parallel=False)
+        with parallel_execution(2):
+            result = run(
+                parallel=partitioning == "range",
+                exchange=partitioning == "hash",
+                backend=backend,
+            )
+        assert result.schema == serial.schema
+        for name in serial.schema.names:
+            assert np.array_equal(result[name], serial[name]), name
+
+
+keys_of = st.lists(st.sampled_from(EXTREME_KEYS), min_size=1, max_size=60).map(
+    lambda values: np.array(values, dtype=np.int64)
+)
+
+
+@pytest.mark.parametrize("backend, partitioning", ROUTES)
+@settings(max_examples=40, deadline=None)
+@given(build=keys_of, probe=keys_of, shards=st.integers(1, 12), parts=st.integers(2, 4))
+def test_no_key_value_is_special(backend, partitioning, build, probe, shards, parts):
+    """-1, both ends of int64 and heavy duplication on every route: the
+    hash families against the sort-based ones, and against themselves
+    run serially."""
+    values = np.arange(build.size, dtype=np.int64)
+    hashed = parallel_group_by(
+        build, values, GroupingAlgorithm.HG, shards=shards, workers=2,
+        backend=backend, partitioning=partitioning,
+    ).sorted_by_key()
+    sort_based = group_by(build, values, GroupingAlgorithm.SOG)
+    assert np.array_equal(hashed.keys, sort_based.keys)
+    assert np.array_equal(hashed.counts, sort_based.counts)
+    assert np.array_equal(hashed.sums, sort_based.sums)
+
+    joined = routed_join(build, probe, JoinAlgorithm.HJ, backend, partitioning, parts)
+    serial = join(build, probe, JoinAlgorithm.HJ)
+    assert np.array_equal(joined.left_indices, serial.left_indices)
+    assert np.array_equal(joined.right_indices, serial.right_indices)
+    sort_merge = join(build, probe, JoinAlgorithm.SOJ)
+    assert sorted(zip(joined.left_indices.tolist(), joined.right_indices.tolist())) == (
+        sorted(zip(sort_merge.left_indices.tolist(), sort_merge.right_indices.tolist()))
+    )
+
+
+def small_keys(low, high):
+    return st.lists(st.integers(low, high), min_size=1, max_size=40).map(
+        lambda values: np.array(values, dtype=np.int64)
+    )
+
+
+@pytest.mark.parametrize("backend, partitioning", ROUTES)
+@settings(max_examples=40, deadline=None)
+@given(build=small_keys(-3, 12), probe=small_keys(-8, 20), parts=st.integers(2, 4))
+def test_misses_gaps_and_duplicates(backend, partitioning, build, probe, parts):
+    """Build keys distinct or repeated over a domain with unoccupied
+    slots, probe keys that miss inside and outside it: every algorithm
+    of the route, bit for bit."""
+    algorithms = (
+        EXCHANGE_JOIN_ALGORITHMS if partitioning == "hash" else PARALLEL_PROBE_ALGORITHMS
+    )
+    for algorithm in algorithms:
+        try:
+            serial = join(build, probe, algorithm)
+        except PreconditionError:  # SPHJ over too sparse a draw
+            continue
+        result = routed_join(build, probe, algorithm, backend, partitioning, parts)
+        assert np.array_equal(result.left_indices, serial.left_indices), algorithm
+        assert np.array_equal(result.right_indices, serial.right_indices), algorithm
+
+
+def test_float_aggregates_agree_across_worker_counts(memory_storage):
+    """The reported case, end to end: with two workers the optimiser
+    picks ``GroupBy[HG/parallel]`` and SUM(V) used to lose one per
+    truncated partial (19773 against the serial 19774)."""
+    rng = np.random.default_rng(0)
+    catalog = Catalog()
+    catalog.register(
+        "T",
+        Table.from_arrays(
+            {"K": rng.integers(0, 50, 200_000), "V": rng.random(200_000) * 10}
+        ),
+    )
+
+    def answer(workers):
+        service = QueryService(catalog, ServiceConfig(workers=workers))
+        try:
+            result = service.execute(
+                "SELECT K, SUM(V) AS S, AVG(V) AS A FROM T GROUP BY K"
+            )
+            return result.table.sort_by(["T.K"]), result.plan
+        finally:
+            service.shutdown()
+
+    (serial, __), (parallel, plan_text) = answer(1), answer(2)
+    assert "parallel" in plan_text
+    assert np.array_equal(parallel["T.K"], serial["T.K"])
+    assert np.array_equal(parallel["S"], serial["S"])
+    np.testing.assert_allclose(parallel["A"], serial["A"], rtol=FLOAT_RTOL)

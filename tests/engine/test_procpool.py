@@ -1,14 +1,15 @@
 """The process-based execution backend (`repro.engine.procpool`).
 
 Covers the shared-memory column store lifecycle (publish/identity-cache/
-GC/catalog-unregister), bit-identity of the process kernels against the
-serial and thread kernels, operator-level equality with a pinned process
-backend, and governance across the process boundary: deadline
-propagation, mid-batch cancellation with pool reuse, and a SIGKILLed
-worker surfacing as WorkerCrashError with zero leaked ``/dev/shm``
-segments after shutdown.
+GC/catalog-unregister) and governance across the process boundary:
+deadline propagation, mid-batch cancellation with pool reuse, and a
+SIGKILLed worker surfacing as WorkerCrashError with zero leaked
+``/dev/shm`` segments after shutdown. What the workers compute is not
+this module's business: ``test_task_registry.py`` holds every task to
+the same result on both pools, ``test_parallel_routes.py`` every route
+to the serial kernels.
 
-The module forces ``REPRO_PROC_START=fork`` so pool spin-up stays cheap
+The module runs on the ``fork_pool`` fixture so pool spin-up stays cheap
 on the test host; one test exercises the default ``spawn`` path
 explicitly.
 """
@@ -23,78 +24,46 @@ import numpy as np
 import pytest
 from multiprocessing import shared_memory
 
-from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
-from repro.engine import count_star, execute, parallel_execution, sum_of
+from repro.engine import count_star, sum_of
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
-from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import exchange_group_by, exchange_join
-from repro.engine.operators import GroupBy, Join, TableScan
 from repro.engine.procpool import (
     ProcessPool,
     get_process_pool,
     get_shared_store,
     leaked_segments,
-    process_group_by,
-    process_join,
     run_process_tasks,
     shutdown_process_pool,
 )
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
+    PreconditionError,
     QueryCancelled,
     WorkerCrashError,
 )
 from repro.service.context import CancellationToken, QueryContext
 from repro.storage import Catalog, Table
 
-
-@pytest.fixture(autouse=True, scope="module")
-def _fork_pool_and_leak_check():
-    """Cheap fork workers for the whole module; the teardown is the
-    tentpole's leak contract — zero repro_shm_* entries in /dev/shm."""
-    previous = os.environ.get("REPRO_PROC_START")
-    os.environ["REPRO_PROC_START"] = "fork"
-    shutdown_process_pool()
-    yield
-    shutdown_process_pool()
-    if previous is None:
-        os.environ.pop("REPRO_PROC_START", None)
-    else:
-        os.environ["REPRO_PROC_START"] = previous
-    assert leaked_segments() == []
+pytestmark = pytest.mark.usefixtures("fork_pool")
 
 
-@pytest.fixture
-def dataset():
-    return make_grouping_dataset(
-        30_000, 128, Sortedness.UNSORTED, Density.DENSE, seed=7
+def group_task(keys_ref, values_ref, stop, algorithm=GroupingAlgorithm.HG):
+    """A hand-built ``group_partial`` batch entry over published refs."""
+    aggregates = [count_star("counts")]
+    if values_ref is not None:
+        aggregates.append(sum_of("values", "sums"))
+    return (
+        "group_partial",
+        {
+            "keys": keys_ref,
+            "inputs": {} if values_ref is None else {"values": values_ref},
+            "aggregates": aggregates,
+            "algorithm": algorithm,
+            "num_distinct_hint": None,
+            "start": 0,
+            "stop": stop,
+        },
     )
-
-
-@pytest.fixture
-def join_scenario():
-    return make_join_scenario(n_r=2_000, n_s=9_000, num_groups=100, seed=5)
-
-
-def assert_grouping_identical(actual, expected):
-    """Equality up to key order: the parallel merge emits key-sorted
-    groups, serial HG emits first-seen order (same contract as the
-    thread-backend tests)."""
-    actual_order = np.argsort(actual.keys, kind="stable")
-    expected_order = np.argsort(expected.keys, kind="stable")
-    assert np.array_equal(
-        actual.keys[actual_order], expected.keys[expected_order]
-    )
-    assert np.array_equal(
-        actual.counts[actual_order], expected.counts[expected_order]
-    )
-    if expected.sums is None:
-        assert actual.sums is None
-    else:
-        assert np.array_equal(
-            actual.sums[actual_order], expected.sums[expected_order]
-        )
 
 
 class TestSharedColumnStore:
@@ -147,100 +116,6 @@ class TestSharedColumnStore:
         assert name not in leaked_segments()
 
 
-class TestProcessKernels:
-    @pytest.mark.parametrize(
-        "algorithm", [GroupingAlgorithm.HG, GroupingAlgorithm.SOG]
-    )
-    def test_grouping_bit_identical_to_serial(self, dataset, algorithm):
-        serial = group_by(dataset.keys, dataset.payload, algorithm)
-        result = process_group_by(
-            dataset.keys, dataset.payload, algorithm, shards=4, workers=2
-        )
-        assert_grouping_identical(result, serial)
-
-    @pytest.mark.parametrize(
-        "algorithm",
-        [JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ],
-    )
-    def test_join_bit_identical_to_serial(self, join_scenario, algorithm):
-        build = join_scenario.r["ID"]
-        probe = join_scenario.s["R_ID"]
-        serial = join(build, probe, algorithm)
-        result = process_join(build, probe, algorithm, shards=4, workers=2)
-        assert np.array_equal(result.left_indices, serial.left_indices)
-        assert np.array_equal(result.right_indices, serial.right_indices)
-
-    def test_exchange_grouping_process_backend(self, dataset):
-        serial = group_by(dataset.keys, dataset.payload, GroupingAlgorithm.HG)
-        result = exchange_group_by(
-            dataset.keys,
-            dataset.payload,
-            GroupingAlgorithm.HG,
-            workers=2,
-            backend="process",
-        )
-        assert_grouping_identical(result, serial)
-
-    def test_exchange_join_process_backend(self, join_scenario):
-        build = join_scenario.r["ID"]
-        probe = join_scenario.s["R_ID"]
-        serial = join(build, probe, JoinAlgorithm.HJ)
-        result = exchange_join(
-            build, probe, JoinAlgorithm.HJ, workers=2, backend="process"
-        )
-        assert np.array_equal(result.left_indices, serial.left_indices)
-        assert np.array_equal(result.right_indices, serial.right_indices)
-
-    def test_reports_worker_busy_time(self, dataset):
-        reports = []
-        process_group_by(
-            dataset.keys,
-            dataset.payload,
-            GroupingAlgorithm.HG,
-            shards=4,
-            workers=2,
-            on_report=reports.append,
-        )
-        assert len(reports) == 1
-        assert reports[0].workers_used >= 1
-        assert reports[0].busy_seconds >= 0.0
-
-
-class TestOperatorEquality:
-    def test_group_by_operator_process_backend(self, dataset):
-        table = dataset.to_table()
-        plan = lambda backend: GroupBy(  # noqa: E731
-            TableScan(table),
-            "key",
-            [count_star(), sum_of("value")],
-            algorithm=GroupingAlgorithm.HG,
-            shards=4,
-            parallel=True,
-            backend=backend,
-        )
-        serial = execute(plan(None))
-        with parallel_execution(2):
-            result = execute(plan("process"))
-        for name in serial.schema.names:
-            assert np.array_equal(result[name], serial[name])
-
-    def test_join_operator_process_backend(self, join_scenario):
-        plan = lambda backend: Join(  # noqa: E731
-            TableScan(join_scenario.r),
-            TableScan(join_scenario.s),
-            "ID",
-            "R_ID",
-            algorithm=JoinAlgorithm.HJ,
-            parallel=True,
-            backend=backend,
-        )
-        serial = execute(plan(None))
-        with parallel_execution(2):
-            result = execute(plan("process"))
-        for name in serial.schema.names:
-            assert np.array_equal(result[name], serial[name])
-
-
 class TestGovernance:
     def test_deadline_propagates_to_workers(self):
         context = QueryContext.start(deadline=0.0)
@@ -269,18 +144,8 @@ class TestGovernance:
     def test_worker_error_rebuilt_parent_side(self):
         keys = np.arange(100, dtype=np.int64)
         ref = get_shared_store().publish(keys)
-        task = (
-            "group",
-            {
-                "keys": ref,
-                "values": None,
-                "start": 0,
-                "stop": 100,
-                "algorithm": "no-such-algorithm",
-                "num_distinct_hint": None,
-            },
-        )
-        with pytest.raises(ExecutionError, match="no-such-algorithm"):
+        task = group_task(ref, None, 100, algorithm="no-such-algorithm")
+        with pytest.raises(PreconditionError, match="no-such-algorithm"):
             run_process_tasks([task], workers=2)
         get_shared_store().release_array(keys)
 
@@ -337,36 +202,14 @@ class TestWorkerSegmentCache:
         for __ in range(_WORKER_CACHE_CAP):
             keys = rng.integers(0, 8, size=32).astype(np.int64)
             keepalive.append(keys)
-            tasks.append(
-                (
-                    "group",
-                    {
-                        "keys": store.publish(keys),
-                        "values": None,
-                        "start": 0,
-                        "stop": int(keys.size),
-                        "algorithm": GroupingAlgorithm.HG.value,
-                        "num_distinct_hint": None,
-                    },
-                )
-            )
+            tasks.append(group_task(store.publish(keys), None, int(keys.size)))
         # The capstone task carries two fresh refs: with the cache at its
         # cap, attaching ``values`` must not evict (and unmap) ``keys``.
         keys = rng.integers(0, 8, size=4_096).astype(np.int64)
         values = rng.integers(0, 1_000, size=4_096).astype(np.int64)
         keepalive += [keys, values]
         tasks.append(
-            (
-                "group",
-                {
-                    "keys": store.publish(keys),
-                    "values": store.publish(values),
-                    "start": 0,
-                    "stop": int(keys.size),
-                    "algorithm": GroupingAlgorithm.HG.value,
-                    "num_distinct_hint": None,
-                },
-            )
+            group_task(store.publish(keys), store.publish(values), int(keys.size))
         )
         pool = ProcessPool(1)  # one worker sees every task in order
         try:
@@ -374,10 +217,10 @@ class TestWorkerSegmentCache:
         finally:
             pool.shutdown()
         expected = group_by(keys, values, GroupingAlgorithm.HG)
-        capstone = report.results[-1]
-        assert np.array_equal(capstone["keys"], expected.keys)
-        assert np.array_equal(capstone["counts"], expected.counts)
-        assert np.array_equal(capstone["sums"], expected.sums)
+        group_keys, columns = report.results[-1]
+        assert np.array_equal(group_keys, expected.keys)
+        assert np.array_equal(columns["counts"], expected.counts)
+        assert np.array_equal(columns["sums"], expected.sums)
         for array in keepalive:
             store.release_array(array)
 
