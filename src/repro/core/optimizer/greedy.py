@@ -13,10 +13,9 @@ from repro.core.cost.model import CostModel
 from repro.core.optimizer.base import (
     OptimizationResult,
     OptimizerConfig,
-    SearchStats,
     dqo_config,
 )
-from repro.core.optimizer.dp import DynamicProgrammingOptimizer
+from repro.core.optimizer.dp import DynamicProgrammingOptimizer, ClassJournal
 from repro.core.optimizer.pruning import DPEntry
 from repro.logical.algebra import LogicalPlan
 from repro.storage.catalog import Catalog
@@ -26,25 +25,25 @@ class GreedyOptimizer(DynamicProgrammingOptimizer):
     """Cheapest-entry-only frontiers: local decisions, no lookahead."""
 
     def _insert(
-        self, entries: list[DPEntry], candidate: DPEntry, stats: SearchStats
+        self, entries: list[DPEntry], candidate: DPEntry, journal: ClassJournal
     ) -> list[DPEntry]:
+        stats, trace, cls = journal.stats, journal.trace, journal.cls
         stats.generated += 1
-        trace = self._trace
         if trace is not None:
-            trace.generated(self._trace_cls, candidate)
+            trace.generated(cls, candidate)
         if not entries or candidate.cost < entries[0].cost:
             if entries:
                 # Cheapest-only truncation, not dominance: the evicted
                 # entry may hold properties the winner lacks.
                 stats.truncated += 1
                 if trace is not None:
-                    trace.truncated(self._trace_cls, entries[0], candidate)
+                    trace.truncated(cls, entries[0], candidate)
             if trace is not None:
-                trace.kept(self._trace_cls, candidate)
+                trace.kept(cls, candidate)
             return [candidate]
         stats.truncated += 1
         if trace is not None:
-            trace.truncated(self._trace_cls, candidate, entries[0])
+            trace.truncated(cls, candidate, entries[0])
         return entries
 
 

@@ -1,0 +1,644 @@
+"""The plan space: which candidates one search step has, and what each costs.
+
+Written once, read four times. Three pure generators over one per-search
+:class:`PlanSpace` — :func:`access_paths`, :func:`join_candidates`,
+:func:`grouping_candidates` — yield finished
+:class:`~repro.core.optimizer.pruning.DPEntry` objects, and
+:func:`option_cost` alone decides whether an option is priced as serial,
+parallel-loop or exchange, and on which backend. The DP folds the
+candidates into Pareto frontiers, the greedy baseline into cheapest-only
+ones, the exhaustive oracle composes them without any frontier, and
+``EXPLAIN WHY`` prices its rival tables through :func:`option_cost`.
+Nothing here inserts, prunes, journals or polls a deadline: that is
+search policy and belongs to the readers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Iterator
+
+import numpy as np
+
+from repro.core.cost.cardinality import CardinalityEstimator, RelationEstimate
+from repro.core.cost.model import CostModel
+from repro.core.optimizer.base import (
+    OptimizerConfig,
+    PropertyScope,
+    SearchStats,
+)
+from repro.core.optimizer.pruning import DPEntry
+from repro.core.optimizer.query import JoinEdge, QuerySpec, ScanSpec
+from repro.core.optimizer.rules import (
+    GroupingOption,
+    JoinOption,
+    grouping_options,
+    join_options,
+)
+from repro.core.plan import PhysicalNode
+from repro.core.properties import (
+    Correlations,
+    PropertyVector,
+    correlations_from_table,
+    properties_from_table,
+)
+from repro.engine.kernels.joins import JoinAlgorithm
+from repro.engine.parallel import get_executor_config
+from repro.errors import PlanError
+from repro.storage.catalog import Catalog
+from repro.storage.disk import conjunct_triple, is_disk_table
+
+#: join algorithm -> the Algorithmic View kind whose presence on the build
+#: side's (table, column) waives the build-phase cost (§3).
+_JOIN_VIEW_KINDS = {
+    JoinAlgorithm.HJ: "hash_table",
+    JoinAlgorithm.SPHJ: "sph_array",
+    JoinAlgorithm.BSJ: "sorted_keys",
+    JoinAlgorithm.SOJ: "sorted_projection",
+}
+
+
+def resolve_workers(config: OptimizerConfig) -> int:
+    """The worker count a configuration plans for: ``config.workers``,
+    or the ambient :func:`repro.engine.parallel.get_executor_config`
+    when that is ``None``; never below one."""
+    workers = config.workers
+    if workers is None:
+        workers = get_executor_config().workers
+    return max(workers, 1)
+
+
+def option_cost(
+    model: CostModel, option: JoinOption | GroupingOption, workers: int, *sizes: float
+) -> float:
+    """Local cost of running ``option`` in the mode it names.
+
+    ``sizes`` are the cost model's inputs for the option's family:
+    ``(build_rows, probe_rows, groups)`` for a join, ``(rows, groups)``
+    for a grouping. The mode and backend are decided here and nowhere
+    else, so no two readers can quote different prices for one option.
+    """
+    join = isinstance(option, JoinOption)
+    if option.exchange:
+        price = model.exchange_join_cost if join else model.exchange_grouping_cost
+    elif option.parallel:
+        price = model.parallel_join_cost if join else model.parallel_grouping_cost
+    else:
+        price = model.join_cost if join else model.grouping_cost
+        return price(option.algorithm, *sizes)
+    return price(option.algorithm, *sizes, float(workers), option.backend)
+
+
+def base_access_cost(
+    cost_model: CostModel, table, predicates=(), alias: str = ""
+) -> tuple[float, float]:
+    """``(cost, rows_touched)`` of the cheapest base access to ``table``.
+
+    In-memory tables cost a plain scan over every row. Disk-resident
+    tables cost :meth:`~repro.core.cost.model.CostModel.disk_scan_cost`
+    over the rows the zone maps cannot prune for ``predicates``, with
+    the buffer pool's current residency discounting the cold-read term
+    and the table's encoding mix pricing the decode (all manifest-only
+    facts).
+    """
+    rows = float(table.num_rows)
+    if not is_disk_table(table):
+        return cost_model.scan_cost(rows), rows
+    estimate = table.estimate_scan(tuple(predicates), alias)
+    decode = sum(
+        fraction * cost_model.io_decode_weight(encoding)
+        for encoding, fraction in table.encoding_mix().items()
+    )
+    touched = float(estimate.rows_scanned)
+    cost = cost_model.disk_scan_cost(touched, table.buffer_residency(), decode)
+    return cost, touched
+
+
+def sort_node(
+    cost_model: CostModel,
+    child: PhysicalNode,
+    keys: tuple[str, ...],
+    rows: float,
+    properties: PropertyVector,
+) -> PhysicalNode:
+    """An explicit sort of ``child`` on ``keys`` (enforcer or ORDER BY)."""
+    sort_cost = cost_model.sort_cost(rows)
+    return PhysicalNode(
+        op="sort",
+        children=(child,),
+        sort_keys=keys,
+        rows=rows,
+        local_cost=sort_cost,
+        cost=child.cost + sort_cost,
+        properties=properties,
+    )
+
+
+def _filtered(
+    node: PhysicalNode, predicates, rows: float, properties: PropertyVector
+) -> PhysicalNode:
+    """``node`` under one free filter per conjunct."""
+    for predicate in predicates:
+        node = PhysicalNode(
+            op="filter",
+            children=(node,),
+            predicate=predicate,
+            rows=rows,
+            cost=node.cost,
+            properties=properties,
+        )
+    return node
+
+
+def _range_bounds(filters, alias: str, column: str, value_min: int, value_max: int):
+    """Inclusive [low, high] bounds on ``alias.column`` implied by conjuncts.
+
+    Returns None when no conjunct constrains the column, or when any
+    conjunct on it is not a simple ``column <op> literal`` comparison
+    (those shapes an unclustered B-tree cannot serve).
+    """
+    low, high = value_min, value_max
+    constrained = False
+    for conjunct in filters:
+        if f"{alias}.{column}" not in conjunct.referenced_columns():
+            continue
+        triple = conjunct_triple(conjunct, alias, (column,))
+        if triple is None:
+            return None
+        op, value = triple[1], int(triple[2])
+        if op == "=":
+            low, high = max(low, value), min(high, value)
+        elif op == ">=":
+            low = max(low, value)
+        elif op == ">":
+            low = max(low, value + 1)
+        elif op == "<=":
+            high = min(high, value)
+        elif op == "<":
+            high = min(high, value - 1)
+        else:
+            return None  # '<>' and friends
+        constrained = True
+    return (low, high) if constrained else None
+
+
+@dataclass
+class ScanContext:
+    """Precomputed per-scan facts the generators consult."""
+
+    spec: ScanSpec
+    estimate: RelationEstimate
+    properties: PropertyVector
+    interesting: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class JoinOrientation:
+    """One build/probe assignment of a join edge, with the catalog facts
+    every (build, probe) pair joined this way shares."""
+
+    build_scan: int
+    probe_scan: int
+    build_key: str
+    probe_key: str
+    #: join algorithms whose build phase a registered Algorithmic View
+    #: on the build key's base column has already paid for (§3).
+    credited: frozenset[JoinAlgorithm]
+    is_foreign_key: bool
+    #: the cardinality estimator's ``fk_child_is_right`` for this
+    #: orientation (right = probe).
+    fk_child_is_right: bool
+
+
+class PlanSpace:
+    """Everything one search knows about its query: built once from the
+    query, the catalog and the configuration, then only read. ``stats``
+    is the one mutable member — closures are counted where they happen.
+    """
+
+    def __init__(
+        self,
+        spec: QuerySpec,
+        catalog: Catalog,
+        cost_model: CostModel,
+        config: OptimizerConfig,
+        workers: int,
+        stats: SearchStats | None = None,
+    ) -> None:
+        self.spec = spec
+        self.catalog = catalog
+        self.cost_model = cost_model
+        self.config = config
+        self.workers = workers
+        self.stats = stats if stats is not None else SearchStats()
+        self.scope = config.property_scope
+        self.estimator = CardinalityEstimator(catalog)
+        self.join_options = join_options(config, workers)
+        self.grouping_options = grouping_options(config, workers)
+        #: qualified columns a dictionary view must never re-encode:
+        #: aggregate inputs need values, and a join key's codes would no
+        #: longer join with the other side's raw values.
+        self.value_columns = {
+            aggregate.column
+            for aggregate in spec.aggregates
+            if aggregate.column is not None
+        }.union(*((edge.left_column, edge.right_column) for edge in spec.joins))
+        #: base-table distinct count per qualified column (the domain
+        #: size of a dense column).
+        self.domains: dict[str, float] = {}
+        self.correlations = Correlations()
+        self.scans = [self._scan_context(scan) for scan in spec.scans]
+        self._mark_interesting()
+        self.orientations = {edge: self._orientations(edge) for edge in spec.joins}
+        #: a sorted-keys view on the group key's base column has already
+        #: paid for the build phase of grouping an unjoined scan (§3).
+        self.group_key_view = self._group_key_view()
+
+    def resolve(self, qualified: str) -> tuple[str, str]:
+        """(table name, raw column name) of a qualified column."""
+        scan = self.spec.scans[self.spec.scan_of_column(qualified)]
+        return scan.table_name, qualified.split(".", 1)[1]
+
+    def _group_key_view(self) -> bool:
+        views, key = self.config.views, self.spec.group_key
+        if views is None or key is None:
+            return False
+        try:
+            site = self.resolve(key)
+        except PlanError:
+            return False  # a hand-built spec whose key names no scan
+        return views.has_view("sorted_keys", *site)
+
+    def close(self, properties: PropertyVector) -> PropertyVector:
+        """``properties`` closed under the query's correlations and cut
+        to what the configuration may see."""
+        self.stats.closures += 1
+        properties = self.correlations.close_sorted(properties)
+        if self.scope is PropertyScope.ORDERS:
+            return properties.restrict_to_orders()
+        return properties
+
+    def _scan_context(self, scan: ScanSpec) -> ScanContext:
+        table = self.catalog.table(scan.table_name)
+        estimate = self.estimator.base_table(scan.table_name, scan.alias)
+        self.domains.update(estimate.distinct)
+        properties = properties_from_table(table, scan.alias)
+        self.correlations = self.correlations.merged(
+            correlations_from_table(table, scan.alias)
+        )
+        if scan.filters:
+            selectivity = self._exact_selectivity(scan)
+            rows = max(estimate.rows * selectivity, 0.0)
+            estimate = RelationEstimate(
+                rows=rows,
+                distinct={
+                    column: min(ndv, rows)
+                    for column, ndv in estimate.distinct.items()
+                },
+            )
+            # Filtering preserves order but punches holes into dense
+            # domains (§2.2: density is a DQO property the filter
+            # must be assumed to destroy unless it kept everything).
+            if selectivity < 1.0:
+                properties = PropertyVector(
+                    sorted_on=properties.sorted_on,
+                    clustered_on=properties.clustered_on,
+                    dense=frozenset(),
+                )
+        if self.scope is PropertyScope.ORDERS:
+            properties = properties.restrict_to_orders()
+        self.stats.closures += 1
+        properties = self.correlations.close_sorted(properties)
+        return ScanContext(scan, estimate, properties)
+
+    def _exact_selectivity(self, scan: ScanSpec) -> float:
+        """Evaluate the scan's filter conjuncts against the base table.
+
+        Exact selectivities keep estimation error out of the experiments —
+        cardinality estimation is not the phenomenon under study.
+        """
+        base = self.catalog.table(scan.table_name)
+        if is_disk_table(base):
+            # Segment-by-segment through the buffer pool: bounded memory,
+            # zone-map-pruned segments never read — and the same exact
+            # number the in-memory path computes, so plans agree.
+            return base.exact_selectivity(scan.filters, scan.alias)
+        table = base.qualified(scan.alias)
+        if table.num_rows == 0:
+            return 0.0
+        data = {name: table[name] for name in table.schema.names}
+        mask = np.ones(table.num_rows, dtype=bool)
+        for conjunct in scan.filters:
+            mask &= np.asarray(conjunct.evaluate(data), dtype=bool)
+        return float(np.count_nonzero(mask)) / table.num_rows
+
+    def _mark_interesting(self) -> None:
+        """Interesting columns: join keys + group key + order-by keys."""
+        spec, scans = self.spec, self.scans
+        for edge in spec.joins:
+            scans[edge.left_scan].interesting.append(edge.left_column)
+            scans[edge.right_scan].interesting.append(edge.right_column)
+        for column in list(spec.order_by) + (
+            [spec.group_key] if spec.group_key else []
+        ):
+            try:
+                owner = spec.scan_of_column(column)
+            except PlanError:
+                continue  # e.g. ORDER BY an aggregate's output alias
+            scans[owner].interesting.append(column)
+
+    def _orientations(self, edge: JoinEdge) -> tuple[JoinOrientation, ...]:
+        """Syntactic orientation first (the edge's left side builds),
+        then the commuted one when the configuration considers it."""
+        left = (edge.left_scan, edge.left_column)
+        right = (edge.right_scan, edge.right_column)
+        sides = [(left, right)]
+        if self.config.consider_commutation:
+            sides.append((right, left))
+        views = self.config.views
+        result = []
+        for (build_scan, build_key), (probe_scan, probe_key) in sides:
+            build_site = self.resolve(build_key)
+            probe_site = self.resolve(probe_key)
+            fk = self.catalog.foreign_key_between(*build_site, *probe_site)
+            result.append(
+                JoinOrientation(
+                    build_scan,
+                    probe_scan,
+                    build_key,
+                    probe_key,
+                    frozenset(
+                        algorithm
+                        for algorithm, kind in _JOIN_VIEW_KINDS.items()
+                        if views is not None
+                        and views.has_view(kind, *build_site)
+                    ),
+                    is_foreign_key=fk is not None,
+                    fk_child_is_right=fk is None
+                    or (fk.child_table, fk.child_column) == probe_site,
+                )
+            )
+        return tuple(result)
+
+
+# -- access paths -------------------------------------------------------------
+
+
+def access_paths(space: PlanSpace, scan: ScanContext) -> Iterator[DPEntry]:
+    """Every way to read one scan: the base (memory or disk) scan under
+    its filters, the Algorithmic-View scans that manufacture a property,
+    the B-tree range scan, and a sort enforcer per interesting column."""
+    base = _base_scan(space, scan)
+    yield base
+    views = space.config.views
+    if views is not None:
+        if scan.spec.filters:
+            yield from _btree_paths(space, scan, views)
+        else:
+            yield from _view_paths(space, scan, base.plan, views)
+    if space.config.consider_enforcers:
+        for column in dict.fromkeys(scan.interesting):
+            if not scan.properties.is_sorted_on(column):
+                yield order_enforced(space, base, column)
+
+
+def _base_scan(space: PlanSpace, scan: ScanContext) -> DPEntry:
+    spec = scan.spec
+    table = space.catalog.table(spec.table_name)
+    storage, pushed = "", ()
+    if is_disk_table(table):
+        # Out-of-core scan: the filters are also pushed to the scan so
+        # zone maps bound what it touches.
+        storage, pushed = "disk", tuple(spec.filters)
+    cost, rows = base_access_cost(space.cost_model, table, pushed, spec.alias)
+    node = PhysicalNode(
+        op="scan",
+        table_name=spec.table_name,
+        alias=spec.alias,
+        scan_storage=storage,
+        scan_predicates=pushed,
+        rows=rows,
+        local_cost=cost,
+        cost=cost,
+        properties=scan.properties,
+    )
+    node = _filtered(node, spec.filters, scan.estimate.rows, scan.properties)
+    return DPEntry(node, node.cost, scan.properties, scan.estimate)
+
+
+def _view_paths(
+    space: PlanSpace, scan: ScanContext, node: PhysicalNode, views
+) -> Iterator[DPEntry]:
+    """Unfiltered scans served from an Algorithmic View (§3)."""
+    spec = scan.spec
+    if node.scan_storage:
+        # AV artifacts are in-memory materialisations (lowering reads
+        # the artifact, never the segments), but an AV scan is costed
+        # like the base scan: views must stay cost-neutral access paths
+        # whose only value is the property they manufacture — SQO must
+        # not see a cheaper scan where DQO sees a property.
+        node = replace(node, scan_storage="", scan_predicates=())
+
+    def view_scan(kind: str, column: str, properties: PropertyVector) -> DPEntry:
+        properties = space.close(properties)
+        plan = replace(node, properties=properties, scan_view=(kind, column))
+        return DPEntry(plan, node.cost, properties, scan.estimate)
+
+    # Sorted-projection views: order for free.
+    for column in views.sorted_scan_columns(spec.table_name):
+        qualified = f"{spec.alias}.{column}"
+        if not scan.properties.is_sorted_on(qualified):
+            yield view_scan(
+                "sorted_projection", column, scan.properties.with_sorted(qualified)
+            )
+    # Dictionary views: density for free (§2.1 — the codes of a
+    # dictionary-compressed column directly feed SPH). Safe only for the
+    # grouping key: codes must neither join against raw values nor feed
+    # value aggregates, and the group keys are decoded after the
+    # group-by (see core.plan.to_operator).
+    for column in views.dense_scan_columns(spec.table_name):
+        qualified = f"{spec.alias}.{column}"
+        if (
+            qualified == space.spec.group_key
+            and qualified not in space.value_columns
+            and not scan.properties.is_dense(qualified)
+        ):
+            yield view_scan(
+                "dictionary", column, scan.properties.with_dense(qualified)
+            )
+
+
+def _btree_paths(space: PlanSpace, scan: ScanContext, views) -> Iterator[DPEntry]:
+    """Unclustered B-tree access path (§1: "unclustered B-tree vs
+    scan"): serve a range/equality filter from an index view. Output
+    rows arrive in index (value) order: sorted on the column, an
+    access-path decision with a property side effect."""
+    spec = scan.spec
+    base_rows = float(space.catalog.cardinality(spec.table_name))
+    for column in views.btree_scan_columns(spec.table_name):
+        qualified = f"{spec.alias}.{column}"
+        column_stats = space.catalog.column_statistics(spec.table_name, column)
+        if column_stats.count == 0:
+            continue
+        bounds = _range_bounds(
+            spec.filters,
+            spec.alias,
+            column,
+            int(column_stats.minimum),
+            int(column_stats.maximum),
+        )
+        if bounds is None:
+            continue
+        cost = space.cost_model.index_scan_cost(base_rows, scan.estimate.rows)
+        properties = space.close(PropertyVector(sorted_on=frozenset([qualified])))
+        node = PhysicalNode(
+            op="scan",
+            table_name=spec.table_name,
+            alias=spec.alias,
+            scan_view=("btree", column),
+            index_range=bounds,
+            rows=scan.estimate.rows,
+            local_cost=cost,
+            cost=cost,
+            properties=properties,
+        )
+        node = _filtered(node, spec.filters, scan.estimate.rows, properties)
+        yield DPEntry(node, cost, properties, scan.estimate)
+
+
+def order_enforced(space: PlanSpace, entry: DPEntry, column: str) -> DPEntry:
+    """``entry`` under a sort enforcer on ``column``: the one order is
+    manufactured, every other order is lost, density survives."""
+    properties = space.close(
+        PropertyVector(
+            sorted_on=frozenset([column]), dense=entry.properties.dense
+        )
+    )
+    node = sort_node(
+        space.cost_model, entry.plan, (column,), entry.estimate.rows, properties
+    )
+    return DPEntry(node, node.cost, properties, entry.estimate)
+
+
+# -- joins ----------------------------------------------------------------------
+
+
+def join_candidates(
+    space: PlanSpace, build: DPEntry, probe: DPEntry, side: JoinOrientation
+) -> Iterator[DPEntry]:
+    """Every applicable join implementation of ``build`` with ``probe``
+    in one orientation of one edge, each priced in its own mode less a build
+    phase an Algorithmic View already paid for."""
+    build_key, probe_key = side.build_key, side.probe_key
+    estimate = space.estimator.join(
+        build.estimate,
+        probe.estimate,
+        build_key,
+        probe_key,
+        is_foreign_key=side.is_foreign_key,
+        fk_child_is_right=side.fk_child_is_right,
+    )
+    groups = max(
+        min(build.estimate.ndv(build_key), probe.estimate.ndv(probe_key)), 1.0
+    )
+    for option in space.join_options:
+        if not option.applicable(
+            build.properties, probe.properties, build_key, probe_key, space.scope
+        ):
+            continue
+        cost = option_cost(
+            space.cost_model,
+            option,
+            space.workers,
+            build.estimate.rows,
+            probe.estimate.rows,
+            groups,
+        )
+        if option.algorithm in side.credited and build.plan.op == "scan":
+            cost -= space.cost_model.join_build_cost(
+                option.algorithm, build.estimate.rows, 0.0, groups
+            )
+        properties = option.derive(
+            build.properties,
+            probe.properties,
+            build_key,
+            probe_key,
+            space.correlations,
+            space.scope,
+            estimate.rows,
+            space.domains,
+        )
+        node = PhysicalNode(
+            op="join",
+            children=(build.plan, probe.plan),
+            join_algorithm=option.algorithm,
+            left_key=build_key,
+            right_key=probe_key,
+            recipe=option.recipe,
+            parallel=option.parallel,
+            exchange=option.exchange,
+            backend=option.backend,
+            rows=estimate.rows,
+            local_cost=cost,
+            cost=build.cost + probe.cost + cost,
+            estimated_groups=groups,
+            properties=properties,
+        )
+        yield DPEntry(node, node.cost, properties, estimate)
+
+
+# -- grouping -------------------------------------------------------------------
+
+
+def grouping_inputs(space: PlanSpace, entries: list[DPEntry]) -> list[DPEntry]:
+    """What the group-by may consume: every joined entry as it is, then
+    (enforcers permitting) each one not yet sorted on the group key
+    under a sort on it."""
+    inputs = list(entries)
+    key = space.spec.group_key
+    if space.config.consider_enforcers:
+        inputs += [
+            order_enforced(space, entry, key)
+            for entry in entries
+            if not entry.properties.is_sorted_on(key)
+        ]
+    return inputs
+
+
+def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
+    """Every applicable grouping implementation over ``entry``, each
+    priced in its own mode less any build phase a view already paid."""
+    spec = space.spec
+    key = spec.group_key
+    groups = entry.estimate.ndv(key)
+    estimate = space.estimator.group_by(entry.estimate, key)
+    for option in space.grouping_options:
+        if not option.applicable(entry.properties, key, space.scope):
+            continue
+        cost = option_cost(
+            space.cost_model, option, space.workers, entry.estimate.rows, groups
+        )
+        if space.group_key_view and entry.plan.op in ("scan", "filter"):
+            cost -= space.cost_model.grouping_build_cost(
+                option.algorithm, entry.estimate.rows, groups
+            )
+        properties = option.derive(
+            entry.properties, key, space.correlations, space.scope
+        )
+        node = PhysicalNode(
+            op="group_by",
+            children=(entry.plan,),
+            grouping_algorithm=option.algorithm,
+            group_key=key,
+            aggregates=spec.aggregates,
+            recipe=option.recipe,
+            parallel=option.parallel,
+            exchange=option.exchange,
+            backend=option.backend,
+            rows=estimate.rows,
+            local_cost=cost,
+            cost=entry.cost + cost,
+            estimated_groups=groups,
+            properties=properties,
+        )
+        yield DPEntry(node, node.cost, properties, estimate)

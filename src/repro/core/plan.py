@@ -129,13 +129,13 @@ class PhysicalNode:
         elif self.op == "join":
             assert self.join_algorithm is not None
             head = (
-                f"Join[{self.join_algorithm.name}{self._mode_suffix()}]"
+                f"Join[{self.join_algorithm.name}{mode_suffix(self)}]"
                 f"({self.left_key} = {self.right_key})"
             )
         elif self.op == "group_by":
             assert self.grouping_algorithm is not None
             head = (
-                f"GroupBy[{self.grouping_algorithm.name}{self._mode_suffix()}]"
+                f"GroupBy[{self.grouping_algorithm.name}{mode_suffix(self)}]"
                 f"(key={self.group_key})"
             )
         elif self.op == "project":
@@ -148,22 +148,6 @@ class PhysicalNode:
             f"{head}  cost={self.cost:,.0f} rows={self.rows:,.0f} "
             f"props={self.properties.describe()}"
         )
-
-    def _mode_suffix(self) -> str:
-        """The loop/exchange/backend decision as a describe() suffix.
-
-        Plain thread parallelism keeps the historical "/parallel" form so
-        existing baselines and log greps stay valid; only the new modes
-        grow a "@backend" qualifier."""
-        if self.exchange:
-            return f"/exchange@{self.backend}"
-        if self.parallel:
-            return (
-                "/parallel"
-                if self.backend == "thread"
-                else f"/parallel@{self.backend}"
-            )
-        return ""
 
     def explain(self, indent: int = 0, deep: bool = False) -> str:
         """Indented plan rendering; ``deep=True`` also prints each node's
@@ -190,6 +174,25 @@ class PhysicalNode:
             if node.recipe is not None:
                 deepest = max(deepest, node.recipe.max_level())
         return deepest
+
+
+def mode_suffix(choice) -> str:
+    """The loop/exchange/backend decision of a plan node — or of an
+    optimiser option, which carries the same three fields — as a label
+    suffix.
+
+    Plain thread parallelism keeps the historical "/parallel" form so
+    existing baselines and log greps stay valid; only the new modes
+    grow a "@backend" qualifier."""
+    if choice.exchange:
+        return f"/exchange@{choice.backend}"
+    if choice.parallel:
+        return (
+            "/parallel"
+            if choice.backend == "thread"
+            else f"/parallel@{choice.backend}"
+        )
+    return ""
 
 
 def plan_fingerprint(node: PhysicalNode) -> str:

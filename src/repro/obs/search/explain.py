@@ -1,10 +1,12 @@
 """``EXPLAIN WHY`` — the chosen plan against the road not taken.
 
 ``EXPLAIN`` shows *what* the optimiser chose; :func:`explain_why` shows
-*why*: for every algorithm decision in the winning plan it recomputes
-each rival implementation's cost on the same inputs (and, when a rival
-was not even applicable, names the missing property — "probe input not
-sorted on S.R_ID"), names the decisive Table-2 cost term via
+*why*: for every algorithm decision in the winning plan it prices each
+rival implementation on the same inputs — through
+:func:`repro.core.optimizer.space.option_cost`, the function the search
+itself prices options with, so a rival costs here what it cost there —
+(and, when a rival was not even applicable, names the missing property —
+"probe input not sorted on S.R_ID"), names the decisive Table-2 cost term via
 :meth:`~repro.core.cost.model.CostModel.join_cost_terms`, and renders
 the recorded runner-up plans plus — from the decision trace — each
 killed candidate's cause of death and killer.
@@ -38,11 +40,11 @@ from repro.core.optimizer.rules import (
     grouping_options,
     join_options,
 )
-from repro.core.plan import PhysicalNode, plan_fingerprint
+from repro.core.optimizer.space import option_cost, resolve_workers
+from repro.core.plan import PhysicalNode, mode_suffix, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
-from repro.engine.parallel import get_executor_config
 from repro.logical.algebra import LogicalPlan
 from repro.obs.search.trace import DEFAULT_CAPACITY, SearchTrace, replay
 from repro.storage.catalog import Catalog
@@ -60,7 +62,9 @@ def _as_spec(query, catalog: Catalog) -> QuerySpec:
 
 
 def _option_label(option) -> str:
-    return option.algorithm.name + ("/parallel" if option.parallel else "")
+    """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``: an option
+    named with its mode, spelled as the plan's own nodes spell theirs."""
+    return option.algorithm.name + mode_suffix(option)
 
 
 def _props_facts(label: str, props: PropertyVector, key: str, rows: float) -> str:
@@ -241,12 +245,12 @@ class WhyReport:
             for rival in decision.rivals:
                 if rival["applicable"]:
                     lines.append(
-                        f"       vs {rival['algorithm']:<14} cost "
+                        f"       vs {rival['algorithm']:<22} cost "
                         f"{rival['cost']:>14,.0f}  ({rival['ratio']:.2f}x)"
                     )
                 else:
                     lines.append(
-                        f"       vs {rival['algorithm']:<14} inapplicable: "
+                        f"       vs {rival['algorithm']:<22} inapplicable: "
                         f"{rival['reason']}"
                     )
         lines.append("runner-up plans:")
@@ -278,6 +282,37 @@ class WhyReport:
         return "\n".join(lines)
 
 
+def _rival_table(options, node, algorithm, applicable, price, reason) -> list:
+    """Every option but the chosen one — recognised by its full
+    (algorithm, parallel, exchange, backend) identity, so the chosen
+    option's exchange or process sibling stays a rival — priced on the
+    chosen node's inputs, or with the reason it could not run."""
+    chosen = (algorithm, node.parallel, node.exchange, node.backend)
+    chosen_cost = float(node.local_cost)
+    rivals = []
+    for option in options:
+        identity = (
+            option.algorithm, option.parallel, option.exchange, option.backend
+        )
+        if identity == chosen:
+            continue
+        rival = {
+            "algorithm": _option_label(option),
+            "applicable": applicable(option),
+            "cost": None,
+            "ratio": None,
+            "reason": "",
+        }
+        if rival["applicable"]:
+            rival["cost"] = price(option)
+            if chosen_cost > 0:
+                rival["ratio"] = rival["cost"] / chosen_cost
+        else:
+            rival["reason"] = reason(option)
+        rivals.append(rival)
+    return rivals
+
+
 def _explain_join(
     node: PhysicalNode,
     cost_model: CostModel,
@@ -285,79 +320,40 @@ def _explain_join(
     workers: int,
 ) -> DecisionExplanation:
     build, probe = node.children
-    build_rows, probe_rows = float(build.rows), float(probe.rows)
-    groups = max(float(node.estimated_groups), 1.0)
-    scope = config.property_scope
-    chosen_parallel = bool(node.parallel)
-    chosen_cost = float(node.local_cost)
-    terms = cost_model.join_cost_terms(
-        node.join_algorithm, build_rows, probe_rows, groups
+    sizes = (
+        float(build.rows),
+        float(probe.rows),
+        max(float(node.estimated_groups), 1.0),
     )
+    keys = (node.left_key, node.right_key)
+    scope = config.property_scope
+    terms = cost_model.join_cost_terms(node.join_algorithm, *sizes)
     decisive_term, decisive_value = max(terms, key=lambda term: term[1])
-    rivals = []
-    for option in join_options(config, workers):
-        if (
-            option.algorithm is node.join_algorithm
-            and option.parallel == chosen_parallel
-        ):
-            continue
-        applicable = option.applicable(
-            build.properties,
-            probe.properties,
-            node.left_key,
-            node.right_key,
-            scope,
-        )
-        if not applicable:
-            rivals.append(
-                {
-                    "algorithm": _option_label(option),
-                    "applicable": False,
-                    "cost": None,
-                    "ratio": None,
-                    "reason": _join_reason(
-                        option,
-                        build.properties,
-                        probe.properties,
-                        node.left_key,
-                        node.right_key,
-                        scope,
-                    ),
-                }
-            )
-            continue
-        if option.parallel:
-            cost = cost_model.parallel_join_cost(
-                option.algorithm, build_rows, probe_rows, groups, float(workers)
-            )
-        else:
-            cost = cost_model.join_cost(
-                option.algorithm, build_rows, probe_rows, groups
-            )
-        rivals.append(
-            {
-                "algorithm": _option_label(option),
-                "applicable": True,
-                "cost": cost,
-                "ratio": cost / chosen_cost if chosen_cost > 0 else None,
-                "reason": "",
-            }
-        )
     return DecisionExplanation(
         op="join",
         node=node.describe(),
-        algorithm=node.join_algorithm.name
-        + ("/parallel" if chosen_parallel else ""),
-        cost=chosen_cost,
+        algorithm=node.join_algorithm.name + mode_suffix(node),
+        cost=float(node.local_cost),
         rows=float(node.rows),
         decisive_term=decisive_term,
         decisive_value=decisive_value,
         terms=terms,
         facts=[
-            _props_facts("build", build.properties, node.left_key, build_rows),
-            _props_facts("probe", probe.properties, node.right_key, probe_rows),
+            _props_facts("build", build.properties, node.left_key, sizes[0]),
+            _props_facts("probe", probe.properties, node.right_key, sizes[1]),
         ],
-        rivals=rivals,
+        rivals=_rival_table(
+            join_options(config, workers),
+            node,
+            node.join_algorithm,
+            lambda option: option.applicable(
+                build.properties, probe.properties, *keys, scope
+            ),
+            lambda option: option_cost(cost_model, option, workers, *sizes),
+            lambda option: _join_reason(
+                option, build.properties, probe.properties, *keys, scope
+            ),
+        ),
     )
 
 
@@ -368,67 +364,31 @@ def _explain_grouping(
     workers: int,
 ) -> DecisionExplanation:
     child = node.children[0]
-    rows = float(child.rows)
-    groups = max(float(node.estimated_groups), 1.0)
+    sizes = (float(child.rows), max(float(node.estimated_groups), 1.0))
+    key = node.group_key
     scope = config.property_scope
-    chosen_parallel = bool(node.parallel)
-    chosen_cost = float(node.local_cost)
-    terms = cost_model.grouping_cost_terms(
-        node.grouping_algorithm, rows, groups
-    )
+    terms = cost_model.grouping_cost_terms(node.grouping_algorithm, *sizes)
     decisive_term, decisive_value = max(terms, key=lambda term: term[1])
-    rivals = []
-    for option in grouping_options(config, workers):
-        if (
-            option.algorithm is node.grouping_algorithm
-            and option.parallel == chosen_parallel
-        ):
-            continue
-        applicable = option.applicable(
-            child.properties, node.group_key, scope
-        )
-        if not applicable:
-            rivals.append(
-                {
-                    "algorithm": _option_label(option),
-                    "applicable": False,
-                    "cost": None,
-                    "ratio": None,
-                    "reason": _grouping_reason(
-                        option, child.properties, node.group_key, scope
-                    ),
-                }
-            )
-            continue
-        if option.parallel:
-            cost = cost_model.parallel_grouping_cost(
-                option.algorithm, rows, groups, float(workers)
-            )
-        else:
-            cost = cost_model.grouping_cost(option.algorithm, rows, groups)
-        rivals.append(
-            {
-                "algorithm": _option_label(option),
-                "applicable": True,
-                "cost": cost,
-                "ratio": cost / chosen_cost if chosen_cost > 0 else None,
-                "reason": "",
-            }
-        )
     return DecisionExplanation(
         op="group_by",
         node=node.describe(),
-        algorithm=node.grouping_algorithm.name
-        + ("/parallel" if chosen_parallel else ""),
-        cost=chosen_cost,
+        algorithm=node.grouping_algorithm.name + mode_suffix(node),
+        cost=float(node.local_cost),
         rows=float(node.rows),
         decisive_term=decisive_term,
         decisive_value=decisive_value,
         terms=terms,
-        facts=[
-            _props_facts("input", child.properties, node.group_key, rows)
-        ],
-        rivals=rivals,
+        facts=[_props_facts("input", child.properties, key, sizes[0])],
+        rivals=_rival_table(
+            grouping_options(config, workers),
+            node,
+            node.grouping_algorithm,
+            lambda option: option.applicable(child.properties, key, scope),
+            lambda option: option_cost(cost_model, option, workers, *sizes),
+            lambda option: _grouping_reason(
+                option, child.properties, key, scope
+            ),
+        ),
     )
 
 
@@ -474,12 +434,7 @@ def explain_why(
     spec = _as_spec(query, catalog)
     config = config or dqo_config()
     cost_model = cost_model or PaperCostModel()
-    workers = max(
-        config.workers
-        if config.workers is not None
-        else get_executor_config().workers,
-        1,
-    )
+    workers = resolve_workers(config)
     trace = SearchTrace(capacity_per_class=capacity_per_class)
     optimizer = DynamicProgrammingOptimizer(
         catalog,

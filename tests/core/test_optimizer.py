@@ -1,21 +1,14 @@
-"""The unified SQO/DQO optimiser: Figure 5, oracle agreement, pruning."""
+"""The unified SQO/DQO optimiser: Figure 5, search behaviour, pruning."""
 
 import pytest
 
 from repro.core import (
     DynamicProgrammingOptimizer,
-    dqo_config,
     optimize_dqo,
     optimize_greedy,
     optimize_sqo,
-    sqo_config,
 )
-from repro.core.optimizer import (
-    PropertyScope,
-    enumerate_exhaustive,
-    exhaustive_minimum,
-    extract_query,
-)
+from repro.core.optimizer import PropertyScope, extract_query
 from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import GroupingAlgorithm, JoinAlgorithm
 from repro.errors import PlanError
@@ -92,33 +85,6 @@ class TestFigure5Grid:
         sqo = optimize_sqo(logical, catalog)
         group_node = next(n for n in sqo.plan.walk() if n.op == "group_by")
         assert group_node.recipe is None  # blackbox textbook operator
-
-
-class TestOracleAgreement:
-    @pytest.mark.parametrize("r_sort", list(Sortedness))
-    @pytest.mark.parametrize("s_sort", list(Sortedness))
-    @pytest.mark.parametrize("density", list(Density))
-    def test_dp_matches_exhaustive(self, r_sort, s_sort, density, paper_query):
-        catalog = scenario_catalog(r_sort, s_sort, density)
-        logical = plan_query(paper_query, catalog)
-        for config_factory, optimizer in (
-            (sqo_config, optimize_sqo),
-            (dqo_config, optimize_dqo),
-        ):
-            oracle = exhaustive_minimum(
-                logical, catalog, config=config_factory()
-            )
-            result = optimizer(logical, catalog)
-            assert result.cost == pytest.approx(oracle.cost)
-
-    def test_exhaustive_space_is_nonempty_and_consistent(self, paper_query):
-        catalog = scenario_catalog(
-            Sortedness.UNSORTED, Sortedness.UNSORTED, Density.DENSE
-        )
-        logical = plan_query(paper_query, catalog)
-        plans = enumerate_exhaustive(logical, catalog, config=dqo_config())
-        assert len(plans) > 20
-        assert min(p.cost for p in plans) > 0
 
 
 class TestSearchBehaviour:

@@ -1,0 +1,128 @@
+"""The DP against the exhaustive oracle, over the whole configuration grid.
+
+Both read the same candidate generators (``repro.core.optimizer.space``),
+so what is under test is the *search*: in every cell (a) the DP's verdict
+costs exactly what the cheapest plan of the unpruned space costs, and
+(b) switching pruning off makes the DP carry exactly the oracle's
+multiset of complete plans — no candidate lost, none invented, none
+priced differently.
+"""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from repro.avs import AVRegistry, ViewKind, materialize_view
+from repro.core import DynamicProgrammingOptimizer, SearchStats, dqo_config, sqo_config
+from repro.core.optimizer import enumerate_exhaustive
+from repro.datagen import Density, Sortedness, make_join_scenario
+from repro.errors import OptimizationError
+from repro.obs.search import SearchTrace
+from repro.sql import plan_query
+from repro.storage.disk import BufferManager, is_disk_table, set_buffer_manager
+
+FILTERED = (
+    "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID "
+    "WHERE S.R_ID < 9000 GROUP BY R.A"
+)
+
+
+def layout(r_sort=Sortedness.UNSORTED, s_sort=Sortedness.UNSORTED,
+           density=Density.SPARSE, **sizes):
+    # Large enough that exchange plans win the S-unsorted x sparse cells
+    # on both backends; the search itself never looks at the rows.
+    sizes = dict(n_r=20_000, n_s=50_000, num_groups=2_000, seed=3) | sizes
+    return make_join_scenario(
+        r_sortedness=r_sort, s_sortedness=s_sort, density=density, **sizes
+    ).build_catalog()
+
+
+def unpruned_costs(logical, catalog, config) -> Counter:
+    """Costs of every complete (pre-decoration) plan the DP generates
+    with pruning off, read from its own decision journal."""
+    trace = SearchTrace(capacity_per_class=1 << 20)
+    DynamicProgrammingOptimizer(
+        catalog,
+        config=dataclasses.replace(config, prune_dominated=False),
+        trace=trace,
+    ).optimize(logical)
+    return Counter(
+        round(event.cost, 6)
+        for event in trace.events("group_by")
+        if event.kind == "generated"
+    )
+
+
+def assert_agreement(sql, catalog, config, same_space=True) -> float:
+    logical = plan_query(sql, catalog)
+    verdict = DynamicProgrammingOptimizer(catalog, config=config).optimize(logical)
+    stats = SearchStats()
+    plans = enumerate_exhaustive(logical, catalog, config=config, stats=stats)
+    assert stats.generated == stats.retained == len(plans)  # it never prunes
+    assert len({plan.description for plan in plans}) == len(plans)
+    assert 0 < verdict.cost == pytest.approx(min(plan.cost for plan in plans))
+    if same_space:
+        oracle = Counter(round(plan.cost, 6) for plan in plans)
+        assert unpruned_costs(logical, catalog, config) == oracle
+    return verdict.cost
+
+
+@pytest.mark.parametrize("make_config", [sqo_config, dqo_config])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("density", list(Density))
+@pytest.mark.parametrize("s_sort", list(Sortedness))
+@pytest.mark.parametrize("r_sort", list(Sortedness))
+def test_figure5_grid(r_sort, s_sort, density, workers, backend, make_config,
+                      paper_query):
+    config = make_config(workers=workers, backend=backend)
+    assert_agreement(paper_query, layout(r_sort, s_sort, density), config)
+
+
+def test_filtered_and_commuted():
+    config = dqo_config(workers=4, backend="process", consider_commutation=True)
+    assert_agreement(FILTERED, layout(Sortedness.SORTED), config)
+
+
+def test_trailing_order_by_is_priced(paper_query):
+    # Decoration follows grouping, so the journal's group_by class holds
+    # pre-sort costs: only the verdict is comparable here.
+    config = dqo_config(workers=2)
+    assert_agreement(paper_query + " ORDER BY R.A", layout(), config, same_space=False)
+
+
+def test_view_credit_reaches_both_sides(paper_query, memory_storage):
+    catalog = layout(density=Density.DENSE, n_r=45_000, n_s=90_000, num_groups=20_000)
+    views = AVRegistry([materialize_view(catalog, ViewKind.SPH_ARRAY, "R", "ID")])
+    assert assert_agreement(paper_query, catalog, dqo_config(views=views)) == 180_000
+
+
+def test_btree_access_path(memory_storage):
+    catalog = layout(Sortedness.SORTED)
+    views = AVRegistry([materialize_view(catalog, ViewKind.BTREE, "S", "R_ID")])
+    assert_agreement(FILTERED, catalog, dqo_config(views=views))
+
+
+def test_disk_resident_catalog(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_STORAGE", "disk")
+    monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
+    set_buffer_manager(BufferManager(budget_bytes=8 * 1024 * 1024))
+    try:
+        catalog = layout(Sortedness.SORTED)
+        assert is_disk_table(catalog.table("S"))
+        assert_agreement(FILTERED, catalog, dqo_config(workers=4))
+    finally:
+        set_buffer_manager(None)
+
+
+def test_more_than_two_relations_are_refused():
+    catalog = layout()
+    logical = plan_query(
+        "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID "
+        "JOIN S AS T ON R.ID = T.R_ID GROUP BY R.A",
+        catalog,
+    )
+    with pytest.raises(OptimizationError, match="at most 2 relations"):
+        enumerate_exhaustive(logical, catalog)

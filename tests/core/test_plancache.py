@@ -21,7 +21,7 @@ from repro.core import (
     set_plan_cache,
     sqo_config,
 )
-from repro.core.optimizer import exhaustive_minimum, extract_query, spec_fingerprint
+from repro.core.optimizer import extract_query, spec_fingerprint
 from repro.core.optimizer.plancache import config_fingerprint
 from repro.core.optimizer.rules import grouping_options, join_options
 from repro.datagen import Density, Sortedness, make_join_scenario
@@ -315,13 +315,6 @@ class TestParallelOptionSpace:
         assert any(node.parallel for node in wide.plan.walk())
         assert not any(node.parallel for node in serial.plan.walk())
 
-    def test_oracle_agreement_with_workers(self, catalog, paper_query):
-        logical = plan_query(paper_query, catalog)
-        config = dqo_config(workers=4)
-        dp = optimize_dqo(logical, catalog, workers=4)
-        oracle = exhaustive_minimum(logical, catalog, config=config)
-        assert dp.cost == pytest.approx(oracle.cost)
-
     def test_figure5_costs_invariant_to_ambient_workers(
         self, catalog, paper_query
     ):
@@ -386,15 +379,6 @@ class TestBackendOptionSpace:
         assert not process.optimize_spec(spec).cached
         assert len(cache) == 2
         assert process.optimize_spec(spec).cached
-
-    def test_process_backend_plans_stay_oracle_optimal(
-        self, catalog, paper_query
-    ):
-        logical = plan_query(paper_query, catalog)
-        config = dqo_config(workers=4, backend="process")
-        dp = optimize_dqo(logical, catalog, workers=4, backend="process")
-        oracle = exhaustive_minimum(logical, catalog, config=config)
-        assert dp.cost == pytest.approx(oracle.cost)
 
     def test_thread_plans_keep_historical_fingerprints(
         self, catalog, paper_query

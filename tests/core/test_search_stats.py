@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import SearchStats, optimize_dqo, optimize_sqo
-from repro.core.optimizer.exhaustive import enumerate_exhaustive
 from repro.core.optimizer.greedy import optimize_greedy
 from repro.datagen import Density, Sortedness, make_join_scenario, make_star_scenario
 from repro.sql import plan_query
@@ -98,12 +97,3 @@ class TestRendering:
     def test_empty_stats_render(self):
         text = SearchStats().render()
         assert "(none)" in text
-
-
-class TestExhaustiveStats:
-    def test_oracle_counts_its_space(self, pair):
-        catalog, logical = pair
-        stats = SearchStats()
-        plans = enumerate_exhaustive(logical, catalog, stats=stats)
-        assert stats.generated == len(plans) > 0
-        assert stats.retained == stats.generated  # the oracle never prunes

@@ -5,9 +5,11 @@ overlay is exactly the plan direct re-optimisation over the patched
 catalog would produce — the overlay is a lens, not a second optimiser.
 """
 
+import re
+
 import pytest
 
-from repro import optimize_dqo, plan_query
+from repro import dqo_config, optimize_dqo, plan_query
 from repro.datagen import Sortedness, make_join_scenario
 from repro.obs.search import (
     StatisticsOverlay,
@@ -100,6 +102,35 @@ class TestExplainWhy:
             assert decision.decisive_term
         rendered = report.render()
         assert "EXPLAIN WHY" in rendered
+
+    def test_rivals_quote_the_searchs_own_prices(self, join_catalog, paper_query):
+        # Pruning off keeps every candidate's full description in the
+        # journal, so each rival can be looked up by its label among the
+        # candidates the search itself built over the chosen node's inputs.
+        config = dqo_config(workers=4, backend="process", prune_dominated=False)
+        report = explain_why(
+            paper_query, join_catalog, config=config, capacity_per_class=1 << 16
+        )
+        nodes = [n for n in report.result.plan.walk() if n.op in ("join", "group_by")]
+        assert len(report.decisions) == len(nodes) == 2
+        for decision, node in zip(report.decisions, nodes):
+            cls = "group_by" if node.op == "group_by" else "join:R+S"
+            input_cost = sum(child.cost for child in node.children)
+            searched = {}
+            for event in report.trace.events(cls):
+                payload = event.to_dict()
+                if event.kind == "generated" and payload["breakdown"][
+                    "input_cost"
+                ] == pytest.approx(input_cost):
+                    label = re.search(r"\[(.+?)\]", payload["plan"]).group(1)
+                    searched[label] = payload["breakdown"]["local_cost"]
+            labels = [rival["algorithm"] for rival in decision.rivals]
+            assert len(set(labels)) == len(labels)
+            assert decision.algorithm not in labels
+            assert any("exchange@process" in label for label in labels)
+            for rival in decision.rivals:
+                if rival["applicable"]:
+                    assert rival["cost"] == pytest.approx(searched[rival["algorithm"]])
 
 
 class TestParseOverlay:
