@@ -169,14 +169,15 @@ def run_figure5(
 
 
 def _plan_summary(plan) -> str:
-    """Compact `GROUPING(JOIN)` signature of a plan."""
+    """Compact `GROUPING(JOIN)` signature of a plan, each algorithm
+    named with its mode (``HG/parallel(HJ)``)."""
     grouping = join = None
     sorts = 0
     for node in plan.walk():
         if node.op == "group_by":
-            grouping = node.grouping_algorithm.name
+            grouping = node.label
         elif node.op == "join":
-            join = node.join_algorithm.name
+            join = node.label
         elif node.op == "sort":
             sorts += 1
     summary = f"{grouping}({join})" if join else f"{grouping}"

@@ -95,8 +95,8 @@ def decorate(space: PlanSpace, entry: DPEntry) -> DPEntry:
         )
         node = PhysicalNode(
             op="project",
+            decision=spec.final_outputs,
             children=(node,),
-            outputs=spec.final_outputs,
             rows=entry.estimate.rows,
             cost=node.cost,
             properties=properties,
@@ -111,8 +111,8 @@ def decorate(space: PlanSpace, entry: DPEntry) -> DPEntry:
     if spec.limit is not None:
         node = PhysicalNode(
             op="limit",
+            decision=spec.limit,
             children=(node,),
-            count=spec.limit,
             rows=min(entry.estimate.rows, spec.limit),
             cost=node.cost,
             properties=properties,

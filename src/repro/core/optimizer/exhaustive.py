@@ -29,7 +29,7 @@ from repro.core.optimizer.space import (
     join_candidates,
     resolve_workers,
 )
-from repro.core.plan import PhysicalNode, mode_suffix
+from repro.core.plan import PhysicalNode
 from repro.errors import OptimizationError
 from repro.obs.search.trace import get_search_trace
 from repro.logical.algebra import LogicalPlan
@@ -51,17 +51,8 @@ class ExhaustivePlan:
 
 def _describe(node: PhysicalNode) -> str:
     if node.op == "scan":
-        kind, column = node.scan_view
-        return f"scan({node.alias}{f' via {kind}({column})' if kind else ''})"
-    if node.op == "join":
-        head = node.join_algorithm.name + mode_suffix(node)
-    elif node.op == "group_by":
-        head = node.grouping_algorithm.name + mode_suffix(node)
-    elif node.op == "sort":
-        head = f"sort[{','.join(node.sort_keys)}]"
-    else:
-        head = node.op
-    return f"{head}({', '.join(_describe(child) for child in node.children)})"
+        return node.label
+    return f"{node.label}({', '.join(_describe(child) for child in node.children)})"
 
 
 def enumerate_exhaustive(

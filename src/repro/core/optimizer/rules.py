@@ -35,6 +35,7 @@ from repro.core.physiological import (
     recipe_join_algorithm,
     recipe_loop,
 )
+from repro.core.plan import implementation_label, mode_token
 from repro.core.properties import Correlations, PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder
@@ -76,8 +77,24 @@ def stays_dense(domain_size: float, rows: float) -> bool:
     return -math.expm1(-rows / domain_size) >= MIN_DENSITY
 
 
+class _Spelled:
+    """How an option names itself, through the plan's one mode renderer
+    (:func:`repro.core.plan.mode_token`). Options are immutable and
+    shared by every candidate, so each spelling is rendered once."""
+
+    @functools.cached_property
+    def mode(self) -> str:
+        """``serial``, ``parallel``, ``exchange@process``, ..."""
+        return mode_token(self.parallel, self.exchange, self.backend)
+
+    @functools.cached_property
+    def label(self) -> str:
+        """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``."""
+        return implementation_label(self.algorithm.name, self.mode)
+
+
 @dataclass(frozen=True)
-class GroupingOption:
+class GroupingOption(_Spelled):
     """One candidate grouping implementation (with its deep recipe, if
     the configuration is deep).
 
@@ -156,7 +173,7 @@ class GroupingOption:
 
 
 @dataclass(frozen=True)
-class JoinOption:
+class JoinOption(_Spelled):
     """One candidate join implementation (build = left, probe = right).
 
     ``parallel`` reflects the recipe's MOLECULE-level ``loop`` binding:

@@ -35,7 +35,7 @@ from repro.core.optimizer.rules import (
     grouping_options,
     join_options,
 )
-from repro.core.plan import PhysicalNode
+from repro.core.plan import AccessPath, Implementation, PhysicalNode
 from repro.core.properties import (
     Correlations,
     PropertyVector,
@@ -125,8 +125,8 @@ def sort_node(
     sort_cost = cost_model.sort_cost(rows)
     return PhysicalNode(
         op="sort",
+        decision=keys,
         children=(child,),
-        sort_keys=keys,
         rows=rows,
         local_cost=sort_cost,
         cost=child.cost + sort_cost,
@@ -141,8 +141,8 @@ def _filtered(
     for predicate in predicates:
         node = PhysicalNode(
             op="filter",
+            decision=predicate,
             children=(node,),
-            predicate=predicate,
             rows=rows,
             cost=node.cost,
             properties=properties,
@@ -208,6 +208,9 @@ class JoinOrientation:
     #: the cardinality estimator's ``fk_child_is_right`` for this
     #: orientation (right = probe).
     fk_child_is_right: bool
+    #: every join option of the configuration with this orientation's
+    #: keys bound — built once per search, shared by every candidate.
+    implementations: tuple[Implementation, ...]
 
 
 class PlanSpace:
@@ -233,8 +236,16 @@ class PlanSpace:
         self.stats = stats if stats is not None else SearchStats()
         self.scope = config.property_scope
         self.estimator = CardinalityEstimator(catalog)
-        self.join_options = join_options(config, workers)
-        self.grouping_options = grouping_options(config, workers)
+        #: every grouping option of the configuration, key and
+        #: aggregates bound (empty without a group-by).
+        self.groupings = (
+            tuple(
+                Implementation(option, (spec.group_key,), spec.aggregates)
+                for option in grouping_options(config, workers)
+            )
+            if spec.group_key is not None
+            else ()
+        )
         #: qualified columns a dictionary view must never re-encode:
         #: aggregate inputs need values, and a join key's codes would no
         #: longer join with the other side's raw values.
@@ -249,7 +260,10 @@ class PlanSpace:
         self.correlations = Correlations()
         self.scans = [self._scan_context(scan) for scan in spec.scans]
         self._mark_interesting()
-        self.orientations = {edge: self._orientations(edge) for edge in spec.joins}
+        options = join_options(config, workers)
+        self.orientations = {
+            edge: self._orientations(edge, options) for edge in spec.joins
+        }
         #: a sorted-keys view on the group key's base column has already
         #: paid for the build phase of grouping an unjoined scan (§3).
         self.group_key_view = self._group_key_view()
@@ -347,7 +361,9 @@ class PlanSpace:
                 continue  # e.g. ORDER BY an aggregate's output alias
             scans[owner].interesting.append(column)
 
-    def _orientations(self, edge: JoinEdge) -> tuple[JoinOrientation, ...]:
+    def _orientations(
+        self, edge: JoinEdge, options: tuple[JoinOption, ...]
+    ) -> tuple[JoinOrientation, ...]:
         """Syntactic orientation first (the edge's left side builds),
         then the commuted one when the configuration considers it."""
         left = (edge.left_scan, edge.left_column)
@@ -376,6 +392,10 @@ class PlanSpace:
                     is_foreign_key=fk is not None,
                     fk_child_is_right=fk is None
                     or (fk.child_table, fk.child_column) == probe_site,
+                    implementations=tuple(
+                        Implementation(option, (build_key, probe_key))
+                        for option in options
+                    ),
                 )
             )
         return tuple(result)
@@ -405,18 +425,15 @@ def access_paths(space: PlanSpace, scan: ScanContext) -> Iterator[DPEntry]:
 def _base_scan(space: PlanSpace, scan: ScanContext) -> DPEntry:
     spec = scan.spec
     table = space.catalog.table(spec.table_name)
-    storage, pushed = "", ()
+    path = AccessPath(spec.table_name, spec.alias)
     if is_disk_table(table):
         # Out-of-core scan: the filters are also pushed to the scan so
         # zone maps bound what it touches.
-        storage, pushed = "disk", tuple(spec.filters)
-    cost, rows = base_access_cost(space.cost_model, table, pushed, spec.alias)
+        path = replace(path, storage="disk", pushed=tuple(spec.filters))
+    cost, rows = base_access_cost(space.cost_model, table, path.pushed, spec.alias)
     node = PhysicalNode(
         op="scan",
-        table_name=spec.table_name,
-        alias=spec.alias,
-        scan_storage=storage,
-        scan_predicates=pushed,
+        decision=path,
         rows=rows,
         local_cost=cost,
         cost=cost,
@@ -429,19 +446,20 @@ def _base_scan(space: PlanSpace, scan: ScanContext) -> DPEntry:
 def _view_paths(
     space: PlanSpace, scan: ScanContext, node: PhysicalNode, views
 ) -> Iterator[DPEntry]:
-    """Unfiltered scans served from an Algorithmic View (§3)."""
+    """Unfiltered scans served from an Algorithmic View (§3).
+
+    AV artifacts are in-memory materialisations (lowering reads the
+    artifact, never the segments), so a view's access path names no
+    storage; but an AV scan is costed like the base scan ``node``: views
+    must stay cost-neutral access paths whose only value is the property
+    they manufacture — SQO must not see a cheaper scan where DQO sees a
+    property."""
     spec = scan.spec
-    if node.scan_storage:
-        # AV artifacts are in-memory materialisations (lowering reads
-        # the artifact, never the segments), but an AV scan is costed
-        # like the base scan: views must stay cost-neutral access paths
-        # whose only value is the property they manufacture — SQO must
-        # not see a cheaper scan where DQO sees a property.
-        node = replace(node, scan_storage="", scan_predicates=())
 
     def view_scan(kind: str, column: str, properties: PropertyVector) -> DPEntry:
         properties = space.close(properties)
-        plan = replace(node, properties=properties, scan_view=(kind, column))
+        path = AccessPath(spec.table_name, spec.alias, view=(kind, column))
+        plan = replace(node, decision=path, properties=properties)
         return DPEntry(plan, node.cost, properties, scan.estimate)
 
     # Sorted-projection views: order for free.
@@ -493,10 +511,9 @@ def _btree_paths(space: PlanSpace, scan: ScanContext, views) -> Iterator[DPEntry
         properties = space.close(PropertyVector(sorted_on=frozenset([qualified])))
         node = PhysicalNode(
             op="scan",
-            table_name=spec.table_name,
-            alias=spec.alias,
-            scan_view=("btree", column),
-            index_range=bounds,
+            decision=AccessPath(
+                spec.table_name, spec.alias, view=("btree", column), index_range=bounds
+            ),
             rows=scan.estimate.rows,
             local_cost=cost,
             cost=cost,
@@ -541,7 +558,8 @@ def join_candidates(
     groups = max(
         min(build.estimate.ndv(build_key), probe.estimate.ndv(probe_key)), 1.0
     )
-    for option in space.join_options:
+    for implementation in side.implementations:
+        option = implementation.option
         if not option.applicable(
             build.properties, probe.properties, build_key, probe_key, space.scope
         ):
@@ -570,14 +588,8 @@ def join_candidates(
         )
         node = PhysicalNode(
             op="join",
+            decision=implementation,
             children=(build.plan, probe.plan),
-            join_algorithm=option.algorithm,
-            left_key=build_key,
-            right_key=probe_key,
-            recipe=option.recipe,
-            parallel=option.parallel,
-            exchange=option.exchange,
-            backend=option.backend,
             rows=estimate.rows,
             local_cost=cost,
             cost=build.cost + probe.cost + cost,
@@ -608,11 +620,11 @@ def grouping_inputs(space: PlanSpace, entries: list[DPEntry]) -> list[DPEntry]:
 def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
     """Every applicable grouping implementation over ``entry``, each
     priced in its own mode less any build phase a view already paid."""
-    spec = space.spec
-    key = spec.group_key
+    key = space.spec.group_key
     groups = entry.estimate.ndv(key)
     estimate = space.estimator.group_by(entry.estimate, key)
-    for option in space.grouping_options:
+    for implementation in space.groupings:
+        option = implementation.option
         if not option.applicable(entry.properties, key, space.scope):
             continue
         cost = option_cost(
@@ -627,14 +639,8 @@ def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
         )
         node = PhysicalNode(
             op="group_by",
+            decision=implementation,
             children=(entry.plan,),
-            grouping_algorithm=option.algorithm,
-            group_key=key,
-            aggregates=spec.aggregates,
-            recipe=option.recipe,
-            parallel=option.parallel,
-            exchange=option.exchange,
-            backend=option.backend,
             rows=estimate.rows,
             local_cost=cost,
             cost=entry.cost + cost,

@@ -3,7 +3,10 @@
 A :class:`PhysicalNode` tree records *every* decision the optimiser made —
 which algorithm family implements each operator (ORGANELLE level), and,
 for deep plans, the full physiological recipe below it (MACROMOLECULE /
-MOLECULE levels, Figure 3). ``explain()`` renders the tree with granule
+MOLECULE levels, Figure 3). Each node holds exactly one decision record:
+a scan its :class:`AccessPath`, a join or group-by the
+:class:`Implementation` the plan space priced, a filter / sort / project
+/ limit its one parameter. ``explain()`` renders the tree with granule
 depth annotations; :func:`to_operator` lowers the plan onto the executable
 engine so optimised plans actually run.
 """
@@ -13,14 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.granularity import Granularity
-from repro.core.physiological import Granule
 from repro.core.properties import PropertyVector
 from repro.engine.aggregates import AggregateSpec
 from repro.engine.expressions import Expression
-from repro.engine.kernels.grouping import GroupingAlgorithm
-from repro.engine.kernels.joins import JoinAlgorithm
 from repro.engine.operators import (
     DecodeColumn,
     Filter,
@@ -39,65 +40,72 @@ from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.disk import is_disk_table
 
+if TYPE_CHECKING:
+    from repro.core.optimizer.rules import GroupingOption, JoinOption
+
+#: the ops whose decision is an :class:`Implementation`.
+_ALGORITHMIC = ("join", "group_by")
+
 
 @dataclass(frozen=True)
-class PhysicalNode:
-    """One node of an optimised physical plan.
+class AccessPath:
+    """How a scan reads its table: the decision record of a ``scan`` node,
+    built by :func:`repro.core.optimizer.space.access_paths`."""
 
-    ``op`` discriminates the node type; the optional fields hold that
-    type's parameters. ``cost`` is cumulative over the subtree, in the
-    cost model's abstract units.
-    """
-
-    op: str  # 'scan' | 'filter' | 'sort' | 'join' | 'group_by' | 'project' | 'limit'
-    children: tuple["PhysicalNode", ...] = ()
-    # scan:
-    table_name: str = ""
+    table: str
     alias: str = ""
     #: Algorithmic View applied at this scan: (view kind value, raw column
     #: name), or ("", "") for a plain base-table scan. Lowering a plan
     #: whose scans use views requires passing the registry to
     #: :func:`to_operator`.
-    scan_view: tuple[str, str] = ("", "")
-    #: for a 'btree' scan view: the inclusive value range fetched from
-    #: the index.
+    view: tuple[str, str] = ("", "")
+    #: for a 'btree' view: the inclusive value range fetched from the
+    #: index.
     index_range: tuple[int, int] = (0, 0)
     #: where the scanned table lives: "" for in-memory (the default,
     #: absent from fingerprints so historical hashes survive), "disk"
     #: for a disk-resident table lowered to a SegmentScan.
-    scan_storage: str = ""
+    storage: str = ""
     #: predicates pushed down to the scan for zone-map segment skipping
     #: (the Filter above still applies them row-wise; results are
     #: identical with or without the pushdown).
-    scan_predicates: tuple[Expression, ...] = ()
-    # filter:
-    predicate: Expression | None = None
-    # sort:
-    sort_keys: tuple[str, ...] = ()
-    # join:
-    join_algorithm: JoinAlgorithm | None = None
-    left_key: str = ""
-    right_key: str = ""
-    # group_by:
-    grouping_algorithm: GroupingAlgorithm | None = None
-    group_key: str = ""
+    pushed: tuple[Expression, ...] = ()
+
+    @property
+    def name(self) -> str:
+        """The name the scan's columns are qualified with."""
+        return self.alias or self.table
+
+
+@dataclass(frozen=True)
+class Implementation:
+    """The decision record of a ``join`` or ``group_by`` node: the very
+    option object the plan space iterated and priced, with the keys it
+    runs on — ``(build key, probe key)`` for a join, ``(group key,)``
+    for a grouping, which also carries its aggregates. The option holds
+    the algorithm, the deep recipe and the loop / exchange / backend
+    mode; nothing of it is copied onto the node."""
+
+    option: JoinOption | GroupingOption
+    keys: tuple[str, ...]
     aggregates: tuple[AggregateSpec, ...] = ()
-    # project:
-    outputs: tuple[tuple[str, Expression], ...] = ()
-    # limit:
-    count: int = 0
-    # deep recipe (None for shallow / non-algorithmic nodes):
-    recipe: Granule | None = None
-    #: the recipe's MOLECULE-level ``loop`` decision: True pins the
-    #: morsel-parallel implementation at lowering, False pins serial.
-    parallel: bool = False
-    #: the recipe's MACROMOLECULE-level ``exchange`` decision: True pins
-    #: the hash-repartition (shuffle, then local) implementation.
-    exchange: bool = False
-    #: which worker pool the parallel/exchange work runs on:
-    #: ``"thread"`` or ``"process"`` (shared-memory workers).
-    backend: str = "thread"
-    # annotations:
+
+
+@dataclass(frozen=True)
+class PhysicalNode:
+    """One node of an optimised physical plan.
+
+    ``op`` discriminates the node type ('scan' | 'filter' | 'sort' |
+    'join' | 'group_by' | 'project' | 'limit'); ``decision`` is what was
+    decided there — an :class:`AccessPath`, the filter's predicate, the
+    sort keys, an :class:`Implementation`, the project's
+    ``(alias, expression)`` outputs, or the limit's row count. ``cost``
+    is cumulative over the subtree, in the cost model's abstract units.
+    """
+
+    op: str
+    decision: object
+    children: tuple["PhysicalNode", ...] = ()
     rows: float = 0.0
     local_cost: float = 0.0
     cost: float = 0.0
@@ -107,41 +115,65 @@ class PhysicalNode:
     estimated_groups: float = 0.0
     properties: PropertyVector = field(default_factory=PropertyVector)
 
+    @property
+    def option(self) -> JoinOption | GroupingOption | None:
+        """The option a join or group-by node runs; None elsewhere."""
+        return self.decision.option if self.op in _ALGORITHMIC else None
+
+    # Kept for ``perf/``, which reads the algorithm of a plan's nodes.
+    @property
+    def join_algorithm(self):
+        """A join node's algorithm; None elsewhere."""
+        return self.decision.option.algorithm if self.op == "join" else None
+
+    @property
+    def grouping_algorithm(self):
+        """A group-by node's algorithm; None elsewhere."""
+        return self.decision.option.algorithm if self.op == "group_by" else None
+
     # -- rendering ----------------------------------------------------------
+
+    @property
+    def label(self) -> str:
+        """The node's head as plan summaries spell it, children aside:
+        ``HJ/exchange@process``, ``scan(S via btree(R_ID))``,
+        ``sort[S.R_ID]``, ``filter``."""
+        decided = self.decision
+        if self.op in _ALGORITHMIC:
+            return decided.option.label
+        if self.op == "scan":
+            kind, column = decided.view
+            return f"scan({decided.name}{f' via {kind}({column})' if kind else ''})"
+        if self.op == "sort":
+            return f"sort[{','.join(decided)}]"
+        return self.op
 
     def describe(self) -> str:
         """One-line description with algorithm, cost, and properties."""
+        decided = self.decision
         if self.op == "scan":
-            head = f"Scan({self.table_name}"
-            if self.alias and self.alias != self.table_name:
-                head += f" AS {self.alias}"
-            if self.scan_view[0]:
-                head += f" via AV[{self.scan_view[0]}({self.scan_view[1]})]"
+            head = f"Scan({decided.table}"
+            if decided.alias and decided.alias != decided.table:
+                head += f" AS {decided.alias}"
+            if decided.view[0]:
+                head += f" via AV[{decided.view[0]}({decided.view[1]})]"
             head += ")"
-            if self.scan_storage == "disk":
+            if decided.storage == "disk":
                 head += " [disk]"
-                if self.scan_predicates:
-                    head += f" pushed={len(self.scan_predicates)}"
+                if decided.pushed:
+                    head += f" pushed={len(decided.pushed)}"
         elif self.op == "filter":
-            head = f"Filter({self.predicate!r})"
+            head = f"Filter({decided!r})"
         elif self.op == "sort":
-            head = f"Sort(by={list(self.sort_keys)})"
+            head = f"Sort(by={list(decided)})"
         elif self.op == "join":
-            assert self.join_algorithm is not None
-            head = (
-                f"Join[{self.join_algorithm.name}{mode_suffix(self)}]"
-                f"({self.left_key} = {self.right_key})"
-            )
+            head = f"Join[{self.label}]({' = '.join(decided.keys)})"
         elif self.op == "group_by":
-            assert self.grouping_algorithm is not None
-            head = (
-                f"GroupBy[{self.grouping_algorithm.name}{mode_suffix(self)}]"
-                f"(key={self.group_key})"
-            )
+            head = f"GroupBy[{self.label}](key={decided.keys[0]})"
         elif self.op == "project":
-            head = f"Project({', '.join(a for a, __ in self.outputs)})"
+            head = f"Project({', '.join(a for a, __ in decided)})"
         elif self.op == "limit":
-            head = f"Limit({self.count})"
+            head = f"Limit({decided})"
         else:
             head = self.op
         return (
@@ -153,8 +185,9 @@ class PhysicalNode:
         """Indented plan rendering; ``deep=True`` also prints each node's
         physiological recipe (the Figure 3 sub-plan)."""
         lines = [f"{'  ' * indent}{self.describe()}"]
-        if deep and self.recipe is not None:
-            for recipe_line in self.recipe.explain().splitlines():
+        option = self.option
+        if deep and option is not None and option.recipe is not None:
+            for recipe_line in option.recipe.explain().splitlines():
                 lines.append(f"{'  ' * (indent + 1)}| {recipe_line}")
         for child in self.children:
             lines.append(child.explain(indent + 1, deep))
@@ -171,28 +204,33 @@ class PhysicalNode:
         ORGANELLE for shallow plans, deeper when recipes are attached."""
         deepest = Granularity.ORGANELLE
         for node in self.walk():
-            if node.recipe is not None:
-                deepest = max(deepest, node.recipe.max_level())
+            option = node.option
+            if option is not None and option.recipe is not None:
+                deepest = max(deepest, option.recipe.max_level())
         return deepest
 
 
-def mode_suffix(choice) -> str:
-    """The loop/exchange/backend decision of a plan node — or of an
-    optimiser option, which carries the same three fields — as a label
-    suffix.
+def mode_token(parallel: bool, exchange: bool, backend: str) -> str:
+    """The one spelling of a loop/exchange/backend decision: ``serial``,
+    ``parallel``, ``parallel@process``, ``exchange@thread`` or
+    ``exchange@process``. Fingerprints carry it as a token; labels append
+    it to the algorithm (see :func:`implementation_label`).
 
-    Plain thread parallelism keeps the historical "/parallel" form so
-    existing baselines and log greps stay valid; only the new modes
-    grow a "@backend" qualifier."""
-    if choice.exchange:
-        return f"/exchange@{choice.backend}"
-    if choice.parallel:
-        return (
-            "/parallel"
-            if choice.backend == "thread"
-            else f"/parallel@{choice.backend}"
-        )
-    return ""
+    Plain thread parallelism keeps the historical "parallel" form so
+    existing plan hashes (sentinel baselines, logged ``plan_hash``
+    values) and log greps stay valid; only the newer modes carry an
+    "@backend" qualifier."""
+    if exchange:
+        return f"exchange@{backend}"
+    if not parallel:
+        return "serial"
+    return "parallel" if backend == "thread" else f"parallel@{backend}"
+
+
+def implementation_label(algorithm: str, mode: str) -> str:
+    """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``: an algorithm
+    named with its :func:`mode_token`, serial left unmarked."""
+    return algorithm if mode == "serial" else f"{algorithm}/{mode}"
 
 
 def plan_fingerprint(node: PhysicalNode) -> str:
@@ -213,59 +251,30 @@ def plan_fingerprint(node: PhysicalNode) -> str:
     parts: list[str] = []
     for depth, item in _walk_with_depth(node, 0):
         token = [str(depth), item.op]
+        decided = item.decision
         if item.op == "scan":
-            token += [
-                item.table_name,
-                item.alias,
-                item.scan_view[0],
-                item.scan_view[1],
-            ]
-            if item.scan_view[0] == "btree":
-                token.append(f"{item.index_range[0]}:{item.index_range[1]}")
+            token += [decided.table, decided.alias, *decided.view]
+            if decided.view[0] == "btree":
+                token.append(f"{decided.index_range[0]}:{decided.index_range[1]}")
             # Only non-default storage grows the token, so every plan
             # hash minted before the out-of-core path existed is stable.
-            if item.scan_storage:
-                token.append(item.scan_storage)
-                token += [repr(p) for p in item.scan_predicates]
+            if decided.storage:
+                token.append(decided.storage)
+                token += [repr(p) for p in decided.pushed]
+        elif item.op in _ALGORITHMIC:
+            option = decided.option
+            token += [option.algorithm.name, *decided.keys, option.mode]
         elif item.op == "filter":
-            token.append(repr(item.predicate))
+            token.append(repr(decided))
         elif item.op == "sort":
-            token.append(",".join(item.sort_keys))
-        elif item.op == "join":
-            assert item.join_algorithm is not None
-            token += [
-                item.join_algorithm.name,
-                item.left_key,
-                item.right_key,
-                _mode_token(item),
-            ]
-        elif item.op == "group_by":
-            assert item.grouping_algorithm is not None
-            token += [
-                item.grouping_algorithm.name,
-                item.group_key,
-                _mode_token(item),
-            ]
+            token.append(",".join(decided))
         elif item.op == "project":
-            token.append(",".join(alias for alias, __ in item.outputs))
+            token.append(",".join(alias for alias, __ in decided))
         elif item.op == "limit":
-            token.append(str(item.count))
+            token.append(str(decided))
         parts.append("|".join(token))
     digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
     return digest.hexdigest()[:16]
-
-
-def _mode_token(node: PhysicalNode) -> str:
-    """The loop/exchange/backend decision as one fingerprint token. The
-    historical "parallel"/"serial" spellings are preserved for thread
-    plans so pre-existing plan hashes (sentinel baselines, logged
-    ``plan_hash`` values) survive unchanged; backend and exchange flips
-    produce distinct tokens and so distinct hashes."""
-    if node.exchange:
-        return f"exchange@{node.backend}"
-    if not node.parallel:
-        return "serial"
-    return "parallel" if node.backend == "thread" else f"parallel@{node.backend}"
 
 
 def _walk_with_depth(node: PhysicalNode, depth: int):
@@ -284,49 +293,40 @@ def plan_decisions(node: PhysicalNode) -> list[dict]:
     flip alerts diff the committed list against the observed one with
     :func:`plan_diff` to say *why* a plan flipped, not just that it did.
     """
-    decisions: list[dict] = []
+    rows: list[dict] = []
     for depth, item in _walk_with_depth(node, 0):
-        decision: dict = {"depth": depth, "op": item.op}
+        row: dict = {"depth": depth, "op": item.op}
+        decided = item.decision
         if item.op == "scan":
-            decision["table"] = item.table_name
-            decision["alias"] = item.alias
-            if item.scan_view[0]:
-                decision["view"] = f"{item.scan_view[0]}({item.scan_view[1]})"
-            if item.scan_storage:
-                decision["storage"] = item.scan_storage
+            row["table"] = decided.table
+            row["alias"] = decided.alias
+            if decided.view[0]:
+                row["view"] = f"{decided.view[0]}({decided.view[1]})"
+            if decided.storage:
+                row["storage"] = decided.storage
         elif item.op == "sort":
-            decision["keys"] = list(item.sort_keys)
-        elif item.op == "join":
-            decision["algorithm"] = (
-                item.join_algorithm.name if item.join_algorithm else ""
-            )
-            decision["keys"] = [item.left_key, item.right_key]
-            decision["parallel"] = bool(item.parallel)
+            row["keys"] = list(decided)
+        elif item.op in _ALGORITHMIC:
+            option = decided.option
+            row["algorithm"] = option.algorithm.name
+            row["keys"] = list(decided.keys)
+            row["parallel"] = option.parallel
             # Only non-default modes appear, so decision lists committed
             # before these dials existed still compare equal.
-            if item.exchange:
-                decision["exchange"] = True
-            if item.backend != "thread":
-                decision["backend"] = item.backend
-        elif item.op == "group_by":
-            decision["algorithm"] = (
-                item.grouping_algorithm.name if item.grouping_algorithm else ""
-            )
-            decision["keys"] = [item.group_key]
-            decision["parallel"] = bool(item.parallel)
-            if item.exchange:
-                decision["exchange"] = True
-            if item.backend != "thread":
-                decision["backend"] = item.backend
+            if option.exchange:
+                row["exchange"] = True
+            if option.backend != "thread":
+                row["backend"] = option.backend
         elif item.op == "limit":
-            decision["count"] = item.count
-        decisions.append(decision)
-    return decisions
+            row["count"] = decided
+        rows.append(row)
+    return rows
 
 
 def decision_label(decision: dict) -> str:
     """One decision as a compact human-readable label, e.g.
-    ``join[SPHJ](R.ID = S.R_ID)`` or ``scan(R via btree(ID))``."""
+    ``join[SPHJ](R.ID = S.R_ID)`` or ``scan(R via btree(ID))``; an
+    algorithm carries its mode exactly as ``describe()`` spells it."""
     op = decision.get("op", "?")
     if op == "scan":
         label = f"scan({decision.get('alias') or decision.get('table', '?')}"
@@ -334,31 +334,23 @@ def decision_label(decision: dict) -> str:
             label += f" via {decision['view']}"
         return label + ")"
     keys = decision.get("keys", [])
-    if op == "join":
-        algorithm = decision.get("algorithm", "?") + _decision_mode(decision)
-        joined = " = ".join(keys) if keys else "?"
-        return f"join[{algorithm}]({joined})"
-    if op == "group_by":
-        algorithm = decision.get("algorithm", "?") + _decision_mode(decision)
+    if op in _ALGORITHMIC:
+        algorithm = implementation_label(
+            decision.get("algorithm", "?"),
+            mode_token(
+                bool(decision.get("parallel")),
+                bool(decision.get("exchange")),
+                decision.get("backend", "thread"),
+            ),
+        )
+        if op == "join":
+            return f"join[{algorithm}]({' = '.join(keys) if keys else '?'})"
         return f"group_by[{algorithm}]({', '.join(keys) or '?'})"
     if op == "sort":
         return f"sort({', '.join(keys) or '?'})"
     if op == "limit":
         return f"limit({decision.get('count')})"
     return op
-
-
-def _decision_mode(decision: dict) -> str:
-    """The loop/exchange/backend suffix of a decision label."""
-    suffix = ""
-    if decision.get("exchange"):
-        suffix = "/exchange"
-    elif decision.get("parallel"):
-        suffix = "/parallel"
-    backend = decision.get("backend")
-    if backend and backend != "thread":
-        suffix += f"@{backend}"
-    return suffix
 
 
 def _decision_site(decision: dict) -> tuple:
@@ -498,14 +490,12 @@ def _annotate_estimates(operator: PhysicalOperator, node: PhysicalNode) -> None:
     instrumented execution can join estimates against actuals."""
     operator.estimated_rows = node.rows
     operator.estimated_cost = node.cost
-    if node.op in ("join", "group_by"):
-        operator.estimated_groups = node.estimated_groups
     operator.plan_op = node.op
     operator.plan_fingerprint = plan_fingerprint(node)
-    if node.join_algorithm is not None:
-        operator.plan_algorithm = node.join_algorithm.name
-    elif node.grouping_algorithm is not None:
-        operator.plan_algorithm = node.grouping_algorithm.name
+    option = node.option
+    if option is not None:
+        operator.estimated_groups = node.estimated_groups
+        operator.plan_algorithm = option.algorithm.name
 
 
 def _lower_node(
@@ -518,60 +508,59 @@ def _lower_node(
     def child(index: int, needs: frozenset[str] | None) -> PhysicalOperator:
         return _lower(node.children[index], catalog, validate, views, needs)
 
+    decided = node.decision
     if node.op == "scan":
-        return _lower_scan(node, catalog, views, required)
+        return _lower_scan(decided, catalog, views, required)
     if node.op == "filter":
-        assert node.predicate is not None
         return Filter(
-            child(0, _also(required, *node.predicate.referenced_columns())),
-            node.predicate,
+            child(0, _also(required, *decided.referenced_columns())), decided
         )
     if node.op == "sort":
-        return Sort(child(0, _also(required, *node.sort_keys)), list(node.sort_keys))
+        return Sort(child(0, _also(required, *decided)), list(decided))
+    # A costed plan must execute as costed: the option's loop decision is
+    # pinned (True/False, never the auto-detect None), with its exchange
+    # and backend.
+    option = node.option
     if node.op == "join":
-        assert node.join_algorithm is not None
-        needs = _also(required, node.left_key, node.right_key)
+        needs = _also(required, *decided.keys)
         return Join(
             child(0, needs),
             child(1, needs),
-            node.left_key,
-            node.right_key,
-            algorithm=node.join_algorithm,
+            *decided.keys,
+            algorithm=option.algorithm,
             validate=validate,
-            # Pin the optimiser's loop decision (True/False, never the
-            # auto-detect None): a costed plan must execute as costed.
-            parallel=node.parallel,
-            exchange=node.exchange,
-            backend=node.backend,
+            parallel=option.parallel,
+            exchange=option.exchange,
+            backend=option.backend,
             columns=required,
         )
     if node.op == "group_by":
-        assert node.grouping_algorithm is not None
-        inputs = {spec.column for spec in node.aggregates if spec.column is not None}
+        (key,) = decided.keys
+        inputs = {spec.column for spec in decided.aggregates if spec.column is not None}
         operator: PhysicalOperator = GroupBy(
-            child(0, frozenset(inputs | {node.group_key})),
-            key=node.group_key,
-            aggregates=list(node.aggregates),
-            algorithm=node.grouping_algorithm,
+            child(0, frozenset(inputs | {key})),
+            key=key,
+            aggregates=list(decided.aggregates),
+            algorithm=option.algorithm,
             num_distinct_hint=_groups_hint(node),
             validate=validate,
-            parallel=node.parallel,
-            exchange=node.exchange,
-            backend=node.backend,
+            parallel=option.parallel,
+            exchange=option.exchange,
+            backend=option.backend,
         )
         # If the grouping key column came out of a dictionary view, the
         # group keys are codes: plant the decode right after grouping.
-        encoding = _dictionary_encoding_for(node, node.group_key, views)
+        encoding = _dictionary_encoding_for(node, key, views)
         if encoding is not None:
-            operator = DecodeColumn(operator, node.group_key, encoding)
+            operator = DecodeColumn(operator, key, encoding)
         return operator
     if node.op == "project":
         read = frozenset().union(
-            *(expression.referenced_columns() for __, expression in node.outputs)
+            *(expression.referenced_columns() for __, expression in decided)
         )
-        return Project(child(0, read), list(node.outputs))
+        return Project(child(0, read), list(decided))
     if node.op == "limit":
-        return Limit(child(0, required), node.count)
+        return Limit(child(0, required), decided)
     raise PlanError(f"cannot lower node kind {node.op!r}")
 
 
@@ -584,32 +573,32 @@ def _narrowed(table, required: frozenset[str] | None):
 
 
 def _lower_scan(
-    node: PhysicalNode,
+    path: AccessPath,
     catalog: Catalog,
     views,
     required: frozenset[str] | None,
 ) -> PhysicalOperator:
-    alias = node.alias or node.table_name
-    kind, column = node.scan_view
+    alias = path.name
+    kind, column = path.view
     if not kind:
-        table = catalog.table(node.table_name)
+        table = catalog.table(path.table)
         # Disk residency is discovered from the catalog, not from the
-        # node, so hand-built and greedy/exhaustive plans (which never
-        # set scan_storage) still take the segment path.
+        # access path, so hand-built and greedy/exhaustive plans (which
+        # never set its storage) still take the segment path.
         if is_disk_table(table):
             return SegmentScan(
                 table,
                 alias=alias,
-                predicates=node.scan_predicates,
+                predicates=path.pushed,
                 columns=required,
             )
         return TableScan(_narrowed(table.qualified(alias), required))
     if views is None:
         raise PlanError(
-            f"plan scans {node.table_name!r} through a {kind!r} view but no "
+            f"plan scans {path.table!r} through a {kind!r} view but no "
             "view registry was passed to to_operator()"
         )
-    view = views.get(kind, node.table_name, column)
+    view = views.get(kind, path.table, column)
     if kind == "sorted_projection":
         return TableScan(_narrowed(view.artifact.qualified(alias), required))
     if kind == "dictionary":
@@ -617,11 +606,11 @@ def _lower_scan(
             _narrowed(view.artifact.encoded_table.qualified(alias), required)
         )
     if kind == "btree":
-        low, high = node.index_range
+        low, high = path.index_range
         indexed = f"{alias}.{column}"
         return IndexRangeScan(
             _narrowed(
-                catalog.table(node.table_name).qualified(alias),
+                catalog.table(path.table).qualified(alias),
                 _also(required, indexed),
             ),
             indexed,
@@ -636,10 +625,10 @@ def _dictionary_encoding_for(group_node: PhysicalNode, key: str, views):
     """The DictionaryEncoded codec to decode ``key`` with, if the group
     key flows out of a dictionary-view scan below ``group_node``."""
     for node in group_node.walk():
-        if node.op != "scan" or node.scan_view[0] != "dictionary":
+        if node.op != "scan" or node.decision.view[0] != "dictionary":
             continue
-        alias = node.alias or node.table_name
-        if f"{alias}.{node.scan_view[1]}" == key:
-            view = views.get("dictionary", node.table_name, node.scan_view[1])
+        path = node.decision
+        if f"{path.name}.{path.view[1]}" == key:
+            view = views.get("dictionary", path.table, path.view[1])
             return view.artifact.encoding
     return None

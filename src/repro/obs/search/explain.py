@@ -41,7 +41,7 @@ from repro.core.optimizer.rules import (
     join_options,
 )
 from repro.core.optimizer.space import option_cost, resolve_workers
-from repro.core.plan import PhysicalNode, mode_suffix, plan_fingerprint
+from repro.core.plan import PhysicalNode, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
@@ -59,12 +59,6 @@ def _as_spec(query, catalog: Catalog) -> QuerySpec:
     from repro.sql.planner import plan_query
 
     return extract_query(plan_query(str(query), catalog))
-
-
-def _option_label(option) -> str:
-    """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``: an option
-    named with its mode, spelled as the plan's own nodes spell theirs."""
-    return option.algorithm.name + mode_suffix(option)
 
 
 def _props_facts(label: str, props: PropertyVector, key: str, rows: float) -> str:
@@ -282,113 +276,68 @@ class WhyReport:
         return "\n".join(lines)
 
 
-def _rival_table(options, node, algorithm, applicable, price, reason) -> list:
-    """Every option but the chosen one — recognised by its full
-    (algorithm, parallel, exchange, backend) identity, so the chosen
-    option's exchange or process sibling stays a rival — priced on the
-    chosen node's inputs, or with the reason it could not run."""
-    chosen = (algorithm, node.parallel, node.exchange, node.backend)
-    chosen_cost = float(node.local_cost)
-    rivals = []
-    for option in options:
-        identity = (
-            option.algorithm, option.parallel, option.exchange, option.backend
-        )
-        if identity == chosen:
-            continue
-        rival = {
-            "algorithm": _option_label(option),
-            "applicable": applicable(option),
-            "cost": None,
-            "ratio": None,
-            "reason": "",
-        }
-        if rival["applicable"]:
-            rival["cost"] = price(option)
-            if chosen_cost > 0:
-                rival["ratio"] = rival["cost"] / chosen_cost
-        else:
-            rival["reason"] = reason(option)
-        rivals.append(rival)
-    return rivals
-
-
-def _explain_join(
+def _explain_decision(
     node: PhysicalNode,
     cost_model: CostModel,
     config: OptimizerConfig,
     workers: int,
 ) -> DecisionExplanation:
-    build, probe = node.children
+    """One join or group-by of the chosen plan against every other
+    option of its family — the chosen one recognised as the node's own
+    option, so its exchange or process sibling stays a rival — each
+    priced on the node's inputs, or given the reason it could not run.
+
+    Both families read alike: an option's ``applicable`` and the reason
+    functions take the inputs' properties, then the node's keys."""
+    option, keys = node.option, node.decision.keys
+    inputs = [child.properties for child in node.children]
     sizes = (
-        float(build.rows),
-        float(probe.rows),
+        *(float(child.rows) for child in node.children),
         max(float(node.estimated_groups), 1.0),
     )
-    keys = (node.left_key, node.right_key)
     scope = config.property_scope
-    terms = cost_model.join_cost_terms(node.join_algorithm, *sizes)
+    if node.op == "join":
+        options = join_options(config, workers)
+        terms = cost_model.join_cost_terms(option.algorithm, *sizes)
+        why_not, sides = _join_reason, ("build", "probe")
+    else:
+        options = grouping_options(config, workers)
+        terms = cost_model.grouping_cost_terms(option.algorithm, *sizes)
+        why_not, sides = _grouping_reason, ("input",)
     decisive_term, decisive_value = max(terms, key=lambda term: term[1])
+    chosen_cost = float(node.local_cost)
+    rivals = []
+    for rival in options:
+        if rival == option:
+            continue
+        entry = {
+            "algorithm": rival.label,
+            "applicable": rival.applicable(*inputs, *keys, scope),
+            "cost": None,
+            "ratio": None,
+            "reason": "",
+        }
+        if entry["applicable"]:
+            entry["cost"] = option_cost(cost_model, rival, workers, *sizes)
+            if chosen_cost > 0:
+                entry["ratio"] = entry["cost"] / chosen_cost
+        else:
+            entry["reason"] = why_not(rival, *inputs, *keys, scope)
+        rivals.append(entry)
     return DecisionExplanation(
-        op="join",
+        op=node.op,
         node=node.describe(),
-        algorithm=node.join_algorithm.name + mode_suffix(node),
-        cost=float(node.local_cost),
+        algorithm=node.label,
+        cost=chosen_cost,
         rows=float(node.rows),
         decisive_term=decisive_term,
         decisive_value=decisive_value,
         terms=terms,
         facts=[
-            _props_facts("build", build.properties, node.left_key, sizes[0]),
-            _props_facts("probe", probe.properties, node.right_key, sizes[1]),
+            _props_facts(side, props, key, rows)
+            for side, props, key, rows in zip(sides, inputs, keys, sizes)
         ],
-        rivals=_rival_table(
-            join_options(config, workers),
-            node,
-            node.join_algorithm,
-            lambda option: option.applicable(
-                build.properties, probe.properties, *keys, scope
-            ),
-            lambda option: option_cost(cost_model, option, workers, *sizes),
-            lambda option: _join_reason(
-                option, build.properties, probe.properties, *keys, scope
-            ),
-        ),
-    )
-
-
-def _explain_grouping(
-    node: PhysicalNode,
-    cost_model: CostModel,
-    config: OptimizerConfig,
-    workers: int,
-) -> DecisionExplanation:
-    child = node.children[0]
-    sizes = (float(child.rows), max(float(node.estimated_groups), 1.0))
-    key = node.group_key
-    scope = config.property_scope
-    terms = cost_model.grouping_cost_terms(node.grouping_algorithm, *sizes)
-    decisive_term, decisive_value = max(terms, key=lambda term: term[1])
-    return DecisionExplanation(
-        op="group_by",
-        node=node.describe(),
-        algorithm=node.grouping_algorithm.name + mode_suffix(node),
-        cost=float(node.local_cost),
-        rows=float(node.rows),
-        decisive_term=decisive_term,
-        decisive_value=decisive_value,
-        terms=terms,
-        facts=[_props_facts("input", child.properties, key, sizes[0])],
-        rivals=_rival_table(
-            grouping_options(config, workers),
-            node,
-            node.grouping_algorithm,
-            lambda option: option.applicable(child.properties, key, scope),
-            lambda option: option_cost(cost_model, option, workers, *sizes),
-            lambda option: _grouping_reason(
-                option, child.properties, key, scope
-            ),
-        ),
+        rivals=rivals,
     )
 
 
@@ -444,14 +393,11 @@ def explain_why(
         trace=trace,
     )
     result = optimizer.optimize_spec(spec)
-    decisions = []
-    for node in result.plan.walk():
-        if node.op == "join":
-            decisions.append(_explain_join(node, cost_model, config, workers))
-        elif node.op == "group_by":
-            decisions.append(
-                _explain_grouping(node, cost_model, config, workers)
-            )
+    decisions = [
+        _explain_decision(node, cost_model, config, workers)
+        for node in result.plan.walk()
+        if node.option is not None
+    ]
     alternatives = []
     for rank, plan in enumerate(result.alternatives, start=1):
         alternatives.append(

@@ -104,7 +104,7 @@ class TraceEvent:
     rank: int | None = None
     #: deferred payload source — ``(plan node, properties)`` for
     #: candidates that outlive the search, or a compact epitaph dict
-    #: (op / algorithm / costs) for ones killed on arrival, whose plan
+    #: (op / option / costs) for ones killed on arrival, whose plan
     #: graphs the journal deliberately does not keep alive. The
     #: human-readable fields above are formatted lazily at *read* time
     #: (:meth:`materialise`), never in the optimiser's hot loop.
@@ -118,7 +118,7 @@ class TraceEvent:
             return
         if isinstance(self.source, dict):
             info, self.source = self.source, None
-            algorithm = info["algorithm"]
+            option = info["option"]
             local_cost = float(info["local_cost"])
             self.breakdown = {
                 "op": info["op"],
@@ -126,9 +126,12 @@ class TraceEvent:
                 "input_cost": float(info["cost"]) - local_cost,
             }
             label = info["op"]
-            if algorithm is not None:
-                self.breakdown["algorithm"] = algorithm.name
-                label = f"{label}[{algorithm.name}]"
+            if option is not None:
+                self.breakdown["algorithm"] = option.algorithm.name
+                self.breakdown["mode"] = option.mode
+                # The node's own label, mode included: the serial and
+                # parallel siblings of one algorithm die separately.
+                label = f"{label}[{option.label}]"
             self.plan = f"{label} cost={float(info['cost']):.6g}"
             return
         node, properties = self.source
@@ -138,17 +141,17 @@ class TraceEvent:
             "local_cost": float(node.local_cost),
             "input_cost": float(node.cost - node.local_cost),
         }
-        algorithm = node.join_algorithm or node.grouping_algorithm
-        if algorithm is not None:
-            breakdown["algorithm"] = algorithm.name
-        if node.op in ("join", "group_by"):
+        option = node.option
+        if option is not None:
+            breakdown["algorithm"] = option.algorithm.name
             breakdown["estimated_groups"] = float(node.estimated_groups)
-            breakdown["parallel"] = bool(node.parallel)
+            breakdown["parallel"] = option.parallel
+            breakdown["mode"] = option.mode
+            if option.recipe is not None:
+                self.granules = " ".join(option.recipe.explain().split())[:160]
         self.breakdown = breakdown
         self.plan = node.describe()
         self.properties = properties.describe()
-        if node.recipe is not None:
-            self.granules = " ".join(node.recipe.explain().split())[:160]
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering (stable keys, Nones elided)."""
@@ -328,7 +331,7 @@ class SearchTrace:
     # death follows its ``generated`` capture *adjacently* (the same
     # ``pareto_insert`` call), the death recorders collapse the pair in
     # place into one ``("dead", ...)`` record holding only scalars and
-    # shared singletons (op string, algorithm enum member, costs) — a
+    # shared singletons (op string, the node's option, costs) — a
     # compact epitaph — and drop the reference so the doomed graph dies
     # young exactly as in an untraced search. ``from_dict`` loads
     # TraceEvent objects straight into the rings, so readers accept both
@@ -393,7 +396,7 @@ class SearchTrace:
                     cost, float(record[4]),
                     {
                         "op": record[5],
-                        "algorithm": record[6],
+                        "option": record[6],
                         "local_cost": record[7],
                         "cost": cost,
                     },
@@ -465,9 +468,7 @@ class SearchTrace:
                 node = entry.plan
                 pending[-1] = (
                     "dead_dominated", cls, by, entry.cost,
-                    entry.estimate.rows, node.op,
-                    node.join_algorithm or node.grouping_algorithm,
-                    node.local_cost,
+                    entry.estimate.rows, node.op, node.option, node.local_cost,
                 )
                 return
         pending.append(("dominated", cls, entry, by))
@@ -493,9 +494,7 @@ class SearchTrace:
                 node = entry.plan
                 pending[-1] = (
                     "dead_truncated", cls, by, entry.cost,
-                    entry.estimate.rows, node.op,
-                    node.join_algorithm or node.grouping_algorithm,
-                    node.local_cost,
+                    entry.estimate.rows, node.op, node.option, node.local_cost,
                 )
                 return
         pending.append(("truncated", cls, entry, by))

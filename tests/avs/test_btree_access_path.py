@@ -78,8 +78,8 @@ class TestAccessPathChoice:
         )
         result = optimizer_for(catalog, registry).optimize(logical)
         scan = next(n for n in result.plan.walk() if n.op == "scan")
-        assert scan.scan_view == ("btree", "k")
-        assert scan.index_range == (100, 199)
+        assert scan.decision.view == ("btree", "k")
+        assert scan.decision.index_range == (100, 199)
         # cost ~ log2(20000) + 4 * 100 matches, far below a 20,000 scan
         assert result.cost < 1_000
 
@@ -88,7 +88,7 @@ class TestAccessPathChoice:
         logical = plan_query("SELECT k, v FROM T WHERE k >= 100", catalog)
         result = optimizer_for(catalog, registry).optimize(logical)
         scan = next(n for n in result.plan.walk() if n.op == "scan")
-        assert scan.scan_view == ("", "")  # plain scan wins at ~100% sel.
+        assert scan.decision.view == ("", "")  # plain scan wins at ~100% sel.
 
     def test_crossover_around_quarter_selectivity(self, setting):
         catalog, registry = setting
@@ -105,16 +105,16 @@ class TestAccessPathChoice:
         wide_scan = next(
             n for n in optimizer.optimize(wide).plan.walk() if n.op == "scan"
         )
-        assert narrow_scan.scan_view[0] == "btree"
-        assert wide_scan.scan_view[0] == ""
+        assert narrow_scan.decision.view[0] == "btree"
+        assert wide_scan.decision.view[0] == ""
 
     def test_equality_predicate(self, setting):
         catalog, registry = setting
         logical = plan_query("SELECT v FROM T WHERE k = 42", catalog)
         result = optimizer_for(catalog, registry).optimize(logical)
         scan = next(n for n in result.plan.walk() if n.op == "scan")
-        assert scan.scan_view[0] == "btree"
-        assert scan.index_range == (42, 42)
+        assert scan.decision.view[0] == "btree"
+        assert scan.decision.index_range == (42, 42)
 
     def test_unsupported_predicate_shape_falls_back(self, setting):
         catalog, registry = setting
@@ -126,7 +126,7 @@ class TestAccessPathChoice:
             logical = plan_query(sql, catalog)
             result = optimizer_for(catalog, registry).optimize(logical)
             scan = next(n for n in result.plan.walk() if n.op == "scan")
-            assert scan.scan_view[0] == ""
+            assert scan.decision.view[0] == ""
 
     def test_index_order_property_pays_downstream(self, setting):
         """The index emits k-sorted rows, so ORDER BY k after a selective

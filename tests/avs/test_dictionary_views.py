@@ -81,10 +81,10 @@ class TestGroupingWithDictionaryView:
         )
         with_view = optimize_dqo(logical, sparse_catalog, views=registry)
         base_algorithm = next(
-            n.grouping_algorithm for n in baseline.plan.walk() if n.op == "group_by"
+            n.option.algorithm for n in baseline.plan.walk() if n.op == "group_by"
         )
         view_algorithm = next(
-            n.grouping_algorithm for n in with_view.plan.walk() if n.op == "group_by"
+            n.option.algorithm for n in with_view.plan.walk() if n.op == "group_by"
         )
         assert base_algorithm is not GroupingAlgorithm.SPHG
         assert view_algorithm is GroupingAlgorithm.SPHG
@@ -182,4 +182,4 @@ class TestJoinQueryWithDictionaryView:
         assert with_view.cost == pytest.approx(baseline.cost)
         for node in with_view.plan.walk():
             if node.op == "scan":
-                assert node.scan_view[0] != "dictionary"
+                assert node.decision.view[0] != "dictionary"

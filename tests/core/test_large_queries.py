@@ -84,13 +84,7 @@ class TestMultiWayOptimisation:
         assert dqo.cost <= sqo.cost
         # D0 is dense: the deep plan should exploit SPH somewhere.
         deep_algorithms = {
-            node.join_algorithm.name
-            for node in dqo.plan.walk()
-            if node.op == "join"
-        } | {
-            node.grouping_algorithm.name
-            for node in dqo.plan.walk()
-            if node.op == "group_by"
+            node.option.algorithm.name for node in dqo.plan.walk() if node.option
         }
         assert any(name.startswith("SPH") for name in deep_algorithms)
 

@@ -60,31 +60,31 @@ class TestFigure5Grid:
         algorithms = {
             node.op: node for node in dqo.plan.walk() if node.op in ("join", "group_by")
         }
-        assert algorithms["join"].join_algorithm is JoinAlgorithm.SPHJ
-        assert algorithms["group_by"].grouping_algorithm is GroupingAlgorithm.SPHG
+        assert algorithms["join"].option.algorithm is JoinAlgorithm.SPHJ
+        assert algorithms["group_by"].option.algorithm is GroupingAlgorithm.SPHG
         sqo = optimize_sqo(logical, catalog)
         sqo_algorithms = {
             node.op: node for node in sqo.plan.walk() if node.op in ("join", "group_by")
         }
-        assert sqo_algorithms["join"].join_algorithm is JoinAlgorithm.HJ
-        assert sqo_algorithms["group_by"].grouping_algorithm is GroupingAlgorithm.HG
+        assert sqo_algorithms["join"].option.algorithm is JoinAlgorithm.HJ
+        assert sqo_algorithms["group_by"].option.algorithm is GroupingAlgorithm.HG
 
     def test_both_sorted_plans_are_order_based(self, paper_query):
         catalog = make_join_scenario().build_catalog()  # sorted/sorted/dense
         logical = plan_query(paper_query, catalog)
         sqo = optimize_sqo(logical, catalog)
         join_node = next(n for n in sqo.plan.walk() if n.op == "join")
-        assert join_node.join_algorithm is JoinAlgorithm.OJ
+        assert join_node.option.algorithm is JoinAlgorithm.OJ
 
     def test_deep_plans_carry_recipes(self, paper_query):
         catalog = make_join_scenario().build_catalog()
         logical = plan_query(paper_query, catalog)
         dqo = optimize_dqo(logical, catalog)
         group_node = next(n for n in dqo.plan.walk() if n.op == "group_by")
-        assert group_node.recipe is not None
+        assert group_node.option.recipe is not None
         sqo = optimize_sqo(logical, catalog)
         group_node = next(n for n in sqo.plan.walk() if n.op == "group_by")
-        assert group_node.recipe is None  # blackbox textbook operator
+        assert group_node.option.recipe is None  # blackbox textbook operator
 
 
 class TestSearchBehaviour:
@@ -139,7 +139,7 @@ class TestQueryClasses:
         result = optimize_dqo(logical, catalog)
         group_node = next(n for n in result.plan.walk() if n.op == "group_by")
         # Sorted dense input: OG or SPHG, both at cost |R|.
-        assert group_node.grouping_algorithm in (
+        assert group_node.option.algorithm in (
             GroupingAlgorithm.OG,
             GroupingAlgorithm.SPHG,
         )
@@ -155,7 +155,7 @@ class TestQueryClasses:
         result = optimize_dqo(logical, catalog)
         group_node = next(n for n in result.plan.walk() if n.op == "group_by")
         # Density destroyed by the filter, so SPHG must not be chosen.
-        assert group_node.grouping_algorithm is not GroupingAlgorithm.SPHG
+        assert group_node.option.algorithm is not GroupingAlgorithm.SPHG
 
     def test_order_by_free_when_sorted(self, paper_query):
         catalog = scenario_catalog(

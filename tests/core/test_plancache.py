@@ -312,8 +312,10 @@ class TestParallelOptionSpace:
         serial = optimize_dqo(logical, catalog, workers=1)
         wide = optimize_dqo(logical, catalog, workers=4)
         assert wide.cost < serial.cost
-        assert any(node.parallel for node in wide.plan.walk())
-        assert not any(node.parallel for node in serial.plan.walk())
+        assert any(node.option and node.option.parallel for node in wide.plan.walk())
+        assert not any(
+            node.option and node.option.parallel for node in serial.plan.walk()
+        )
 
     def test_figure5_costs_invariant_to_ambient_workers(
         self, catalog, paper_query
@@ -388,7 +390,7 @@ class TestBackendOptionSpace:
         logical = plan_query(paper_query, catalog)
         wide = optimize_dqo(logical, catalog, workers=4)
         for node in wide.plan.walk():
-            assert node.backend == "thread"
+            assert node.option is None or node.option.backend == "thread"
         assert "@" not in wide.plan_fingerprint
 
 

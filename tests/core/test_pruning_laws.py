@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.cost.cardinality import RelationEstimate
 from repro.core.optimizer.base import SearchStats
 from repro.core.optimizer.pruning import DPEntry, dominates, pareto_insert
-from repro.core.plan import PhysicalNode
+from repro.core.plan import AccessPath, PhysicalNode
 from repro.core.properties import Correlations, PropertyVector
 
 COLUMNS = ("a", "b", "c")
@@ -63,7 +63,7 @@ class TestCoversIsPartialOrder:
 
 
 def entry(cost, vector):
-    node = PhysicalNode(op="scan", cost=cost, properties=vector)
+    node = PhysicalNode(op="scan", decision=AccessPath("T"), cost=cost, properties=vector)
     return DPEntry(node, cost, vector, RelationEstimate(1.0, {}))
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro import optimize_dqo, plan_query, to_operator
-from repro.core.plan import PhysicalNode
+from repro.core.optimizer.rules import JoinOption
+from repro.core.plan import AccessPath, Implementation, PhysicalNode
 from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import (
     GroupBy,
@@ -128,14 +129,12 @@ class TestJoinColumns:
     ALL = ["R.ID", "R.A", "S.R_ID", "S.B"]
 
     def join_node(self):
-        scan_r = PhysicalNode(op="scan", table_name="R", alias="R")
-        scan_s = PhysicalNode(op="scan", table_name="S", alias="S")
+        scan_r = PhysicalNode(op="scan", decision=AccessPath("R", "R"))
+        scan_s = PhysicalNode(op="scan", decision=AccessPath("S", "S"))
         return PhysicalNode(
             op="join",
+            decision=Implementation(JoinOption(JoinAlgorithm.HJ), ("R.ID", "S.R_ID")),
             children=(scan_r, scan_s),
-            join_algorithm=JoinAlgorithm.HJ,
-            left_key="R.ID",
-            right_key="S.R_ID",
         )
 
     def expected(self, catalog):
@@ -150,7 +149,7 @@ class TestJoinColumns:
         assert table.sort_by(["S.B", "S.R_ID"]).equals(self.expected(catalog))
 
     def test_join_under_limit_returns_every_column(self, catalog, memory_storage):
-        node = PhysicalNode(op="limit", children=(self.join_node(),), count=N_S)
+        node = PhysicalNode(op="limit", decision=N_S, children=(self.join_node(),))
         table = execute(to_operator(node, catalog))
         assert list(table.schema.names) == self.ALL
         assert table.sort_by(["S.B", "S.R_ID"]).equals(self.expected(catalog))
@@ -159,13 +158,13 @@ class TestJoinColumns:
         self, catalog, memory_storage
     ):
         every = tuple((name, col(name)) for name in self.ALL)
-        node = PhysicalNode(op="project", children=(self.join_node(),), outputs=every)
+        node = PhysicalNode(op="project", decision=every, children=(self.join_node(),))
         operator = to_operator(node, catalog)
         assert list(operator.children[0].output_schema.names) == self.ALL
         table = execute(operator)
         assert table.sort_by(["S.B", "S.R_ID"]).equals(self.expected(catalog))
         one = PhysicalNode(
-            op="project", children=(self.join_node(),), outputs=(("b", col("S.B")),)
+            op="project", decision=(("b", col("S.B")),), children=(self.join_node(),)
         )
         narrowed = to_operator(one, catalog)
         assert list(narrowed.children[0].output_schema.names) == ["S.B"]

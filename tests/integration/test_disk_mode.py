@@ -143,8 +143,8 @@ class TestSegmentSkipping:
         logical = plan_query(SELECTIVE, disk_catalog)
         plan = optimize_dqo(logical, disk_catalog).plan
         scan = next(node for node in plan.walk() if node.op == "scan")
-        assert scan.scan_storage == "disk"
-        assert len(scan.scan_predicates) == 1
+        assert scan.decision.storage == "disk"
+        assert len(scan.decision.pushed) == 1
         assert "[disk]" in plan.explain()
         assert "pushed=1" in plan.explain()
 
@@ -215,12 +215,12 @@ class TestCostModelResponse:
         # unclustered B-tree (4 per match = 2n) cheaper than the cold
         # segment scan (~5n), so the index path wins ...
         costly = self.scan_node(catalog, registry, AccessPathCostModel())
-        assert costly.scan_view == ("btree", "k")
+        assert costly.decision.view == ("btree", "k")
         # ... but with the cold-read term zeroed the same query flips
         # back to the segment scan (n < 2n).
         free = self.scan_node(catalog, registry, FreeIOModel())
-        assert "btree" not in free.scan_view
-        assert free.scan_storage == "disk"
+        assert "btree" not in free.decision.view
+        assert free.decision.storage == "disk"
 
 
 class TestPlanCacheInvalidation:

@@ -9,6 +9,8 @@ cause of death) from the journal alone. Zero cost when off: a disabled
 trace records nothing and leaves the optimiser's output untouched.
 """
 
+from collections import defaultdict
+
 import pytest
 
 from repro import (
@@ -17,9 +19,11 @@ from repro import (
     optimize_dqo,
     plan_query,
 )
+from repro.core import DynamicProgrammingOptimizer, dqo_config
 from repro.core.cost.cardinality import RelationEstimate
+from repro.core.optimizer.plancache import PlanCache
 from repro.core.optimizer.pruning import DPEntry
-from repro.core.plan import PhysicalNode
+from repro.core.plan import AccessPath, PhysicalNode, implementation_label
 from repro.core.properties import PropertyVector
 from repro.errors import ObservabilityError
 from repro.obs.search import (
@@ -36,7 +40,7 @@ from repro.obs.search.trace import MAX_CLASSES
 
 def make_entry(cost=1.0, rows=10.0):
     vector = PropertyVector()
-    node = PhysicalNode(op="scan", cost=cost, properties=vector)
+    node = PhysicalNode(op="scan", decision=AccessPath("T"), cost=cost, properties=vector)
     return DPEntry(node, cost, vector, RelationEstimate(rows, {}))
 
 
@@ -135,6 +139,32 @@ class TestRoundTrip:
             assert record["by"] is not None
         # Replay works off the serialised form too.
         assert replay(trace.to_dict())["chosen"] == rep["chosen"]
+
+    def test_dead_candidates_keep_their_mode(self, join_catalog, paper_query):
+        """Under four process workers one algorithm has serial, parallel
+        and exchange siblings on both pools; each dead one journals its
+        own label, so the killed-candidate list can tell them apart."""
+        trace = SearchTrace(capacity_per_class=1 << 16)
+        DynamicProgrammingOptimizer(
+            join_catalog,
+            config=dqo_config(workers=4, backend="process"),
+            plan_cache=PlanCache(),
+            trace=trace,
+        ).optimize(plan_query(paper_query, join_catalog))
+        rep = replay(trace)
+        modes_by_algorithm = defaultdict(set)
+        for entry_id in rep["deaths"]:
+            payload = rep["candidates"][entry_id]
+            breakdown = payload["breakdown"]
+            if "algorithm" not in breakdown:
+                continue  # a scan or a sort enforcer
+            label = implementation_label(breakdown["algorithm"], breakdown["mode"])
+            assert f"[{label}]" in payload["plan"]
+            modes_by_algorithm[breakdown["algorithm"]].add(breakdown["mode"])
+        assert max(len(modes) for modes in modes_by_algorithm.values()) >= 3
+        assert {"parallel@process", "exchange@process"} <= set().union(
+            *modes_by_algorithm.values()
+        )
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ObservabilityError, match="schema"):
