@@ -113,7 +113,9 @@ class SearchStats:
     truncated: int = 0
     #: entries alive at the end across all DP classes.
     retained: int = 0
-    #: property-vector closure computations (correlation-implied orders).
+    #: property-vector closures computed: every ``PlanSpace.close`` and
+    #: every ``JoinOption``/``GroupingOption.derive`` the search's memo
+    #: did not answer (a memo hit computes nothing and is not counted).
     closures: int = 0
     #: DP-table frontier entries alive per subset size after that size's
     #: enumeration round (size 1 = base access paths).

@@ -44,9 +44,9 @@ from repro.core.optimizer.space import (
     grouping_inputs,
     join_candidates,
     resolve_workers,
-    sort_node,
+    sorted_entry,
 )
-from repro.core.plan import PhysicalNode, plan_decisions, plan_fingerprint
+from repro.core.plan import plan_decisions, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.errors import OptimizationError
 from repro.service.context import check_active_context, get_active_context
@@ -71,7 +71,6 @@ def decorate(space: PlanSpace, entry: DPEntry) -> DPEntry:
     """``entry`` under the query's trailing project / order-by / limit —
     one fixed continuation per complete plan, not a search dimension."""
     spec = space.spec
-    node = entry.plan
     properties = entry.properties
     if spec.final_outputs is not None:
         kept = [alias for alias, __ in spec.final_outputs]
@@ -93,31 +92,30 @@ def decorate(space: PlanSpace, entry: DPEntry) -> DPEntry:
             clustered_on=projected(properties.clustered_on),
             dense=projected(properties.dense),
         )
-        node = PhysicalNode(
-            op="project",
-            decision=spec.final_outputs,
-            children=(node,),
-            rows=entry.estimate.rows,
-            cost=node.cost,
-            properties=properties,
+        entry = DPEntry(
+            "project",
+            spec.final_outputs,
+            entry.cost,
+            properties,
+            entry.estimate,
+            (entry,),
         )
     if spec.order_by and not all(
         properties.is_sorted_on(key) for key in spec.order_by
     ):
         properties = properties.with_sorted(*spec.order_by)
-        node = sort_node(
-            space.cost_model, node, spec.order_by, entry.estimate.rows, properties
-        )
+        entry = sorted_entry(space.cost_model, entry, spec.order_by, properties)
     if spec.limit is not None:
-        node = PhysicalNode(
-            op="limit",
-            decision=spec.limit,
-            children=(node,),
+        entry = DPEntry(
+            "limit",
+            spec.limit,
+            entry.cost,
+            properties,
+            entry.estimate,
+            (entry,),
             rows=min(entry.estimate.rows, spec.limit),
-            cost=node.cost,
-            properties=properties,
         )
-    return DPEntry(node, node.cost, properties, entry.estimate)
+    return entry
 
 
 class DynamicProgrammingOptimizer:

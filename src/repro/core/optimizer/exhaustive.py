@@ -1,9 +1,9 @@
 """Exhaustive plan enumeration — a validation oracle for the DP.
 
-Composes *every* complete plan of a one- or two-relation query by brute
-force: nested loops over access paths x join implementations x grouping
-inputs x grouping implementations, never a frontier, never a dominance
-test. Each step is built and priced by the generators the DP reads
+Composes *every* complete plan of a query over up to three relations by
+brute force: nested loops over access paths x join implementations (x a
+second join for the third relation) x grouping inputs x grouping
+implementations, never a frontier, never a dominance test. Each step is built and priced by the generators the DP reads
 (:mod:`repro.core.optimizer.space`), so the oracle is the same space
 without pruning, not a second cost model: ``DP.cost == min(oracle)``
 checks the *search*. The generators themselves are guarded
@@ -14,6 +14,7 @@ numpy-only reference results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
@@ -55,6 +56,33 @@ def _describe(node: PhysicalNode) -> str:
     return f"{node.label}({', '.join(_describe(child) for child in node.children)})"
 
 
+def _joined(
+    space: PlanSpace,
+    by_class: dict[frozenset[int], list[DPEntry]],
+    left: frozenset[int],
+    right: frozenset[int],
+) -> list[DPEntry]:
+    """Every join of a plan over the scans ``left`` with one over
+    ``right``, along every edge that connects them, in every
+    orientation."""
+    joined: list[DPEntry] = []
+    for edge in space.spec.joins:
+        if not (
+            (edge.left_scan in left and edge.right_scan in right)
+            or (edge.left_scan in right and edge.right_scan in left)
+        ):
+            continue
+        for side in space.orientations[edge]:
+            build_set, probe_set = (
+                (left, right) if side.build_scan in left else (right, left)
+            )
+            for build in by_class[build_set]:
+                for probe in by_class[probe_set]:
+                    check_active_context()
+                    joined.extend(join_candidates(space, build, probe, side))
+    return joined
+
+
 def enumerate_exhaustive(
     plan: LogicalPlan,
     catalog: Catalog,
@@ -62,17 +90,20 @@ def enumerate_exhaustive(
     config: OptimizerConfig | None = None,
     stats: SearchStats | None = None,
 ) -> list[ExhaustivePlan]:
-    """All complete plans for a 1- or 2-relation query, any cost order.
+    """All complete plans for a query over one to three relations, any
+    cost order. A third relation is joined onto every two-relation plan
+    (of each connected pair) along every edge that reaches it — with
+    three relations, every join tree is a pair joined with a single.
 
     :param stats: when given, ``generated``/``retained`` record the size
         of the enumerated space (the oracle never prunes, so both equal
         the number of plans).
-    :raises OptimizationError: for queries over more than two relations.
+    :raises OptimizationError: for queries over more than three relations.
     """
     spec = extract_query(plan)
-    if len(spec.scans) > 2:
+    if len(spec.scans) > 3:
         raise OptimizationError(
-            "exhaustive oracle supports at most 2 relations, got "
+            "exhaustive oracle supports at most 3 relations, got "
             f"{len(spec.scans)}"
         )
     config = config or dqo_config()
@@ -80,19 +111,29 @@ def enumerate_exhaustive(
     # implementation space, parallel-loop variants included.
     cost_model = cost_model or PaperCostModel()
     space = PlanSpace(spec, catalog, cost_model, config, resolve_workers(config))
-    paths = [list(access_paths(space, scan)) for scan in space.scans]
-    joined: list[DPEntry] = paths[0] if len(paths) == 1 else []
-    for edge in spec.joins:
-        for side in space.orientations[edge]:
-            for build in paths[side.build_scan]:
-                for probe in paths[side.probe_scan]:
-                    check_active_context()
-                    joined.extend(join_candidates(space, build, probe, side))
-    complete = joined
+    indexes = range(len(space.scans))
+    every = frozenset(indexes)
+    by_class = {
+        frozenset([index]): list(access_paths(space, scan))
+        for index, scan in zip(indexes, space.scans)
+    }
+    for left, right in combinations(indexes, 2):
+        by_class[frozenset([left, right])] = _joined(
+            space, by_class, frozenset([left]), frozenset([right])
+        )
+    if len(every) == 3:
+        by_class[every] = [
+            entry
+            for pair in combinations(indexes, 2)
+            for entry in _joined(
+                space, by_class, frozenset(pair), every.difference(pair)
+            )
+        ]
+    complete = by_class[every]
     if spec.group_key is not None:
         complete = [
             grouped
-            for entry in grouping_inputs(space, joined)
+            for entry in grouping_inputs(space, complete)
             for grouped in grouping_candidates(space, entry)
         ]
     plans = []

@@ -10,22 +10,59 @@ A costs no more *and* guarantees every property B does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.cost.cardinality import RelationEstimate
 from repro.core.optimizer.base import SearchStats
-from repro.core.plan import PhysicalNode
+from repro.core.plan import ALGORITHMIC_OPS, PhysicalNode
 from repro.core.properties import PropertyVector
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class DPEntry:
-    """One retained subplan: plan, cost, properties, and cardinality."""
+    """One subplan of the search: what the frontiers compare, and the
+    recipe of its plan node.
 
-    plan: PhysicalNode
+    The search reads ``cost``, ``properties`` and ``estimate``. The
+    :class:`~repro.core.plan.PhysicalNode` is not built with the entry:
+    the entry holds its recipe — ``op``, ``decision``, the child
+    *entries*, ``rows`` (None: the estimate's), ``local_cost`` and
+    ``groups`` — and :attr:`plan` builds the node on first read, its
+    children's nodes with it. Most candidates die on arrival, so most
+    are never built.
+    """
+
+    op: str
+    decision: object
     cost: float
     properties: PropertyVector
     estimate: RelationEstimate
+    children: tuple[DPEntry, ...] = ()
+    rows: float | None = None
+    local_cost: float = 0.0
+    groups: float = 0.0
+    _plan: PhysicalNode | None = field(default=None, init=False, repr=False)
+
+    @property
+    def option(self):
+        """The option a join or group-by entry runs; None elsewhere."""
+        return self.decision.option if self.op in ALGORITHMIC_OPS else None
+
+    @property
+    def plan(self) -> PhysicalNode:
+        """The entry's plan node, built from the recipe on first read."""
+        if self._plan is None:
+            self._plan = PhysicalNode(
+                op=self.op,
+                decision=self.decision,
+                children=tuple(child.plan for child in self.children),
+                rows=self.estimate.rows if self.rows is None else self.rows,
+                local_cost=self.local_cost,
+                cost=self.cost,
+                estimated_groups=self.groups,
+                properties=self.properties,
+            )
+        return self._plan
 
 
 def dominates(a: DPEntry, b: DPEntry) -> bool:

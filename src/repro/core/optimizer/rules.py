@@ -122,6 +122,26 @@ class GroupingOption(_Spelled):
             return scope is PropertyScope.FULL and props.is_dense(key)
         return True
 
+    @functools.cached_property
+    def output_order(self) -> str:
+        """Which key order the output exhibits — the one fact of the
+        option :meth:`derive` reads: ``"sorted"``, ``"first-occurrence"``
+        (OG) or ``"hash"`` (HG).
+
+        Sort variants emit key order by construction; both the parallel
+        loop's partial-merge and the exchange's partition concatenation
+        sort the merged keys regardless of the shard/partition-local
+        algorithm."""
+        if self.parallel or self.exchange or self.algorithm in (
+            GroupingAlgorithm.SPHG,
+            GroupingAlgorithm.SOG,
+            GroupingAlgorithm.BSG,
+        ):
+            return "sorted"
+        if self.algorithm is GroupingAlgorithm.OG:
+            return "first-occurrence"
+        return "hash"
+
     def derive(
         self,
         props: PropertyVector,
@@ -136,22 +156,9 @@ class GroupingOption(_Spelled):
         """
         sorted_on: frozenset[str] = frozenset()
         clustered_on: frozenset[str] = frozenset()
-        if (
-            self.parallel
-            or self.exchange
-            or self.algorithm
-            in (
-                GroupingAlgorithm.SPHG,
-                GroupingAlgorithm.SOG,
-                GroupingAlgorithm.BSG,
-            )
-        ):
-            # Sort variants emit key order by construction; both the
-            # parallel loop's partial-merge and the exchange's partition
-            # concatenation sort the merged keys regardless of the
-            # shard/partition-local algorithm.
+        if self.output_order == "sorted":
             sorted_on = frozenset([key])
-        elif self.algorithm is GroupingAlgorithm.OG:
+        elif self.output_order == "first-occurrence":
             # Clustered input gives first-occurrence order; only a fully
             # sorted input gives sorted output.
             if props.is_sorted_on(key):
@@ -191,9 +198,10 @@ class JoinOption(_Spelled):
     exchange: bool = False
     backend: str = "thread"
 
-    @property
+    @functools.cached_property
     def output_order(self) -> JoinOutputOrder:
-        """Which row order the output exhibits (Table 2 discussion)."""
+        """Which row order the output exhibits (Table 2 discussion) —
+        the one fact of the option :meth:`derive` reads."""
         if self.algorithm in (JoinAlgorithm.OJ, JoinAlgorithm.SOJ):
             return JoinOutputOrder.KEY_SORTED
         return JoinOutputOrder.PROBE_ORDER

@@ -2,8 +2,9 @@
 
 Written once, read four times. Three pure generators over one per-search
 :class:`PlanSpace` — :func:`access_paths`, :func:`join_candidates`,
-:func:`grouping_candidates` — yield finished
-:class:`~repro.core.optimizer.pruning.DPEntry` objects, and
+:func:`grouping_candidates` — yield priced
+:class:`~repro.core.optimizer.pruning.DPEntry` objects whose plan nodes
+are built only if someone reads them, and
 :func:`option_cost` alone decides whether an option is priced as serial,
 parallel-loop or exchange, and on which backend. The DP folds the
 candidates into Pareto frontiers, the greedy baseline into cheapest-only
@@ -35,7 +36,7 @@ from repro.core.optimizer.rules import (
     grouping_options,
     join_options,
 )
-from repro.core.plan import AccessPath, Implementation, PhysicalNode
+from repro.core.plan import AccessPath, Implementation
 from repro.core.properties import (
     Correlations,
     PropertyVector,
@@ -114,40 +115,32 @@ def base_access_cost(
     return cost, touched
 
 
-def sort_node(
+def sorted_entry(
     cost_model: CostModel,
-    child: PhysicalNode,
+    child: DPEntry,
     keys: tuple[str, ...],
-    rows: float,
     properties: PropertyVector,
-) -> PhysicalNode:
+) -> DPEntry:
     """An explicit sort of ``child`` on ``keys`` (enforcer or ORDER BY)."""
-    sort_cost = cost_model.sort_cost(rows)
-    return PhysicalNode(
-        op="sort",
-        decision=keys,
+    sort_cost = cost_model.sort_cost(child.estimate.rows)
+    return DPEntry(
+        "sort",
+        keys,
+        child.cost + sort_cost,
+        properties,
+        child.estimate,
         children=(child,),
-        rows=rows,
         local_cost=sort_cost,
-        cost=child.cost + sort_cost,
-        properties=properties,
     )
 
 
-def _filtered(
-    node: PhysicalNode, predicates, rows: float, properties: PropertyVector
-) -> PhysicalNode:
-    """``node`` under one free filter per conjunct."""
+def _filtered(entry: DPEntry, predicates, estimate: RelationEstimate) -> DPEntry:
+    """``entry`` under one free filter per conjunct, producing ``estimate``."""
     for predicate in predicates:
-        node = PhysicalNode(
-            op="filter",
-            decision=predicate,
-            children=(node,),
-            rows=rows,
-            cost=node.cost,
-            properties=properties,
+        entry = DPEntry(
+            "filter", predicate, entry.cost, entry.properties, estimate, (entry,)
         )
-    return node
+    return entry
 
 
 def _range_bounds(filters, alias: str, column: str, value_min: int, value_max: int):
@@ -215,8 +208,10 @@ class JoinOrientation:
 
 class PlanSpace:
     """Everything one search knows about its query: built once from the
-    query, the catalog and the configuration, then only read. ``stats``
-    is the one mutable member — closures are counted where they happen.
+    query, the catalog and the configuration, then only read — apart
+    from ``stats``, where closures are counted as they happen, and two
+    memos that live and die with the search: derived properties per
+    distinct derivation input, and join estimates per input pair.
     """
 
     def __init__(
@@ -258,6 +253,12 @@ class PlanSpace:
         #: size of a dense column).
         self.domains: dict[str, float] = {}
         self.correlations = Correlations()
+        #: (output order, inputs...) -> derived properties.
+        self._derived: dict[tuple, PropertyVector] = {}
+        #: (id(build estimate), id(probe estimate), id(orientation)) ->
+        #: (build estimate, probe estimate, join estimate, groups); the
+        #: inputs are held so that their ids cannot be reused.
+        self._join_estimates: dict[tuple[int, int, int], tuple] = {}
         self.scans = [self._scan_context(scan) for scan in spec.scans]
         self._mark_interesting()
         options = join_options(config, workers)
@@ -292,6 +293,77 @@ class PlanSpace:
             return properties.restrict_to_orders()
         return properties
 
+    def derive_join(
+        self,
+        option: JoinOption,
+        build: PropertyVector,
+        probe: PropertyVector,
+        side: JoinOrientation,
+        rows: float,
+    ) -> PropertyVector:
+        """``option.derive`` of joining ``build`` with ``probe`` in
+        ``side``'s orientation into ``rows`` rows.
+
+        ``derive`` reads nothing of an option but its ``output_order``,
+        so each distinct (output order, inputs) is derived once per
+        search; only a derivation computed here counts as a closure."""
+        key = (option.output_order, build, probe, side.build_key, side.probe_key, rows)
+        properties = self._derived.get(key)
+        if properties is None:
+            self.stats.closures += 1
+            properties = self._derived[key] = option.derive(
+                build,
+                probe,
+                side.build_key,
+                side.probe_key,
+                self.correlations,
+                self.scope,
+                rows,
+                self.domains,
+            )
+        return properties
+
+    def derive_grouping(
+        self, option: GroupingOption, properties: PropertyVector
+    ) -> PropertyVector:
+        """``option.derive`` of grouping an input with ``properties`` on
+        the query's group key, once per (output order, input)."""
+        key = (option.output_order, properties)
+        derived = self._derived.get(key)
+        if derived is None:
+            self.stats.closures += 1
+            derived = self._derived[key] = option.derive(
+                properties, self.spec.group_key, self.correlations, self.scope
+            )
+        return derived
+
+    def join_estimate(
+        self, build: RelationEstimate, probe: RelationEstimate, side: JoinOrientation
+    ) -> tuple[RelationEstimate, float]:
+        """The estimate of joining ``build`` with ``probe`` in ``side``'s
+        orientation, and the distinct keys the join builds/probes over.
+
+        All candidates of one (build, probe) pair share one estimate
+        object, so the next step's inputs repeat by identity; the memo is
+        keyed by it (estimates are unhashable, and hashing an orientation
+        would walk all its implementations)."""
+        key = (id(build), id(probe), id(side))
+        known = self._join_estimates.get(key)
+        if known is None:
+            estimate = self.estimator.join(
+                build,
+                probe,
+                side.build_key,
+                side.probe_key,
+                is_foreign_key=side.is_foreign_key,
+                fk_child_is_right=side.fk_child_is_right,
+            )
+            groups = max(
+                min(build.ndv(side.build_key), probe.ndv(side.probe_key)), 1.0
+            )
+            known = self._join_estimates[key] = (build, probe, estimate, groups)
+        return known[2], known[3]
+
     def _scan_context(self, scan: ScanSpec) -> ScanContext:
         table = self.catalog.table(scan.table_name)
         estimate = self.estimator.base_table(scan.table_name, scan.alias)
@@ -319,11 +391,7 @@ class PlanSpace:
                     clustered_on=properties.clustered_on,
                     dense=frozenset(),
                 )
-        if self.scope is PropertyScope.ORDERS:
-            properties = properties.restrict_to_orders()
-        self.stats.closures += 1
-        properties = self.correlations.close_sorted(properties)
-        return ScanContext(scan, estimate, properties)
+        return ScanContext(scan, estimate, self.close(properties))
 
     def _exact_selectivity(self, scan: ScanSpec) -> float:
         """Evaluate the scan's filter conjuncts against the base table.
@@ -415,7 +483,7 @@ def access_paths(space: PlanSpace, scan: ScanContext) -> Iterator[DPEntry]:
         if scan.spec.filters:
             yield from _btree_paths(space, scan, views)
         else:
-            yield from _view_paths(space, scan, base.plan, views)
+            yield from _view_paths(space, scan, base, views)
     if space.config.consider_enforcers:
         for column in dict.fromkeys(scan.interesting):
             if not scan.properties.is_sorted_on(column):
@@ -431,26 +499,20 @@ def _base_scan(space: PlanSpace, scan: ScanContext) -> DPEntry:
         # zone maps bound what it touches.
         path = replace(path, storage="disk", pushed=tuple(spec.filters))
     cost, rows = base_access_cost(space.cost_model, table, path.pushed, spec.alias)
-    node = PhysicalNode(
-        op="scan",
-        decision=path,
-        rows=rows,
-        local_cost=cost,
-        cost=cost,
-        properties=scan.properties,
+    entry = DPEntry(
+        "scan", path, cost, scan.properties, scan.estimate, rows=rows, local_cost=cost
     )
-    node = _filtered(node, spec.filters, scan.estimate.rows, scan.properties)
-    return DPEntry(node, node.cost, scan.properties, scan.estimate)
+    return _filtered(entry, spec.filters, scan.estimate)
 
 
 def _view_paths(
-    space: PlanSpace, scan: ScanContext, node: PhysicalNode, views
+    space: PlanSpace, scan: ScanContext, base: DPEntry, views
 ) -> Iterator[DPEntry]:
     """Unfiltered scans served from an Algorithmic View (§3).
 
     AV artifacts are in-memory materialisations (lowering reads the
     artifact, never the segments), so a view's access path names no
-    storage; but an AV scan is costed like the base scan ``node``: views
+    storage; but an AV scan is costed like the ``base`` scan: views
     must stay cost-neutral access paths whose only value is the property
     they manufacture — SQO must not see a cheaper scan where DQO sees a
     property."""
@@ -459,8 +521,15 @@ def _view_paths(
     def view_scan(kind: str, column: str, properties: PropertyVector) -> DPEntry:
         properties = space.close(properties)
         path = AccessPath(spec.table_name, spec.alias, view=(kind, column))
-        plan = replace(node, decision=path, properties=properties)
-        return DPEntry(plan, node.cost, properties, scan.estimate)
+        return DPEntry(
+            "scan",
+            path,
+            base.cost,
+            properties,
+            scan.estimate,
+            rows=base.rows,
+            local_cost=base.local_cost,
+        )
 
     # Sorted-projection views: order for free.
     for column in views.sorted_scan_columns(spec.table_name):
@@ -509,18 +578,13 @@ def _btree_paths(space: PlanSpace, scan: ScanContext, views) -> Iterator[DPEntry
             continue
         cost = space.cost_model.index_scan_cost(base_rows, scan.estimate.rows)
         properties = space.close(PropertyVector(sorted_on=frozenset([qualified])))
-        node = PhysicalNode(
-            op="scan",
-            decision=AccessPath(
-                spec.table_name, spec.alias, view=("btree", column), index_range=bounds
-            ),
-            rows=scan.estimate.rows,
-            local_cost=cost,
-            cost=cost,
-            properties=properties,
+        path = AccessPath(
+            spec.table_name, spec.alias, view=("btree", column), index_range=bounds
         )
-        node = _filtered(node, spec.filters, scan.estimate.rows, properties)
-        yield DPEntry(node, cost, properties, scan.estimate)
+        entry = DPEntry(
+            "scan", path, cost, properties, scan.estimate, local_cost=cost
+        )
+        yield _filtered(entry, spec.filters, scan.estimate)
 
 
 def order_enforced(space: PlanSpace, entry: DPEntry, column: str) -> DPEntry:
@@ -531,10 +595,7 @@ def order_enforced(space: PlanSpace, entry: DPEntry, column: str) -> DPEntry:
             sorted_on=frozenset([column]), dense=entry.properties.dense
         )
     )
-    node = sort_node(
-        space.cost_model, entry.plan, (column,), entry.estimate.rows, properties
-    )
-    return DPEntry(node, node.cost, properties, entry.estimate)
+    return sorted_entry(space.cost_model, entry, (column,), properties)
 
 
 # -- joins ----------------------------------------------------------------------
@@ -547,17 +608,12 @@ def join_candidates(
     in one orientation of one edge, each priced in its own mode less a build
     phase an Algorithmic View already paid for."""
     build_key, probe_key = side.build_key, side.probe_key
-    estimate = space.estimator.join(
-        build.estimate,
-        probe.estimate,
-        build_key,
-        probe_key,
-        is_foreign_key=side.is_foreign_key,
-        fk_child_is_right=side.fk_child_is_right,
-    )
-    groups = max(
-        min(build.estimate.ndv(build_key), probe.estimate.ndv(probe_key)), 1.0
-    )
+    estimate, groups = space.join_estimate(build.estimate, probe.estimate, side)
+    inputs = (build, probe)
+    input_cost = build.cost + probe.cost
+    # Output order -> derived properties: the options of one order share
+    # one derivation (see ``PlanSpace.derive_join``).
+    derived: dict = {}
     for implementation in side.implementations:
         option = implementation.option
         if not option.applicable(
@@ -572,31 +628,26 @@ def join_candidates(
             probe.estimate.rows,
             groups,
         )
-        if option.algorithm in side.credited and build.plan.op == "scan":
+        if option.algorithm in side.credited and build.op == "scan":
             cost -= space.cost_model.join_build_cost(
                 option.algorithm, build.estimate.rows, 0.0, groups
             )
-        properties = option.derive(
-            build.properties,
-            probe.properties,
-            build_key,
-            probe_key,
-            space.correlations,
-            space.scope,
-            estimate.rows,
-            space.domains,
-        )
-        node = PhysicalNode(
-            op="join",
-            decision=implementation,
-            children=(build.plan, probe.plan),
-            rows=estimate.rows,
+        order = option.output_order
+        properties = derived.get(order)
+        if properties is None:
+            properties = derived[order] = space.derive_join(
+                option, build.properties, probe.properties, side, estimate.rows
+            )
+        yield DPEntry(
+            "join",
+            implementation,
+            input_cost + cost,
+            properties,
+            estimate,
+            inputs,
             local_cost=cost,
-            cost=build.cost + probe.cost + cost,
-            estimated_groups=groups,
-            properties=properties,
+            groups=groups,
         )
-        yield DPEntry(node, node.cost, properties, estimate)
 
 
 # -- grouping -------------------------------------------------------------------
@@ -623,6 +674,8 @@ def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
     key = space.spec.group_key
     groups = entry.estimate.ndv(key)
     estimate = space.estimator.group_by(entry.estimate, key)
+    credit = space.group_key_view and entry.op in ("scan", "filter")
+    derived: dict = {}
     for implementation in space.groupings:
         option = implementation.option
         if not option.applicable(entry.properties, key, space.scope):
@@ -630,21 +683,23 @@ def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
         cost = option_cost(
             space.cost_model, option, space.workers, entry.estimate.rows, groups
         )
-        if space.group_key_view and entry.plan.op in ("scan", "filter"):
+        if credit:
             cost -= space.cost_model.grouping_build_cost(
                 option.algorithm, entry.estimate.rows, groups
             )
-        properties = option.derive(
-            entry.properties, key, space.correlations, space.scope
-        )
-        node = PhysicalNode(
-            op="group_by",
-            decision=implementation,
-            children=(entry.plan,),
-            rows=estimate.rows,
+        order = option.output_order
+        properties = derived.get(order)
+        if properties is None:
+            properties = derived[order] = space.derive_grouping(
+                option, entry.properties
+            )
+        yield DPEntry(
+            "group_by",
+            implementation,
+            entry.cost + cost,
+            properties,
+            estimate,
+            (entry,),
             local_cost=cost,
-            cost=entry.cost + cost,
-            estimated_groups=groups,
-            properties=properties,
+            groups=groups,
         )
-        yield DPEntry(node, node.cost, properties, estimate)

@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from repro.core.optimizer.rules import GroupingOption, JoinOption
 
 #: the ops whose decision is an :class:`Implementation`.
-_ALGORITHMIC = ("join", "group_by")
+ALGORITHMIC_OPS = ("join", "group_by")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class PhysicalNode:
     @property
     def option(self) -> JoinOption | GroupingOption | None:
         """The option a join or group-by node runs; None elsewhere."""
-        return self.decision.option if self.op in _ALGORITHMIC else None
+        return self.decision.option if self.op in ALGORITHMIC_OPS else None
 
     # Kept for ``perf/``, which reads the algorithm of a plan's nodes.
     @property
@@ -139,7 +139,7 @@ class PhysicalNode:
         ``HJ/exchange@process``, ``scan(S via btree(R_ID))``,
         ``sort[S.R_ID]``, ``filter``."""
         decided = self.decision
-        if self.op in _ALGORITHMIC:
+        if self.op in ALGORITHMIC_OPS:
             return decided.option.label
         if self.op == "scan":
             kind, column = decided.view
@@ -261,7 +261,7 @@ def plan_fingerprint(node: PhysicalNode) -> str:
             if decided.storage:
                 token.append(decided.storage)
                 token += [repr(p) for p in decided.pushed]
-        elif item.op in _ALGORITHMIC:
+        elif item.op in ALGORITHMIC_OPS:
             option = decided.option
             token += [option.algorithm.name, *decided.keys, option.mode]
         elif item.op == "filter":
@@ -306,7 +306,7 @@ def plan_decisions(node: PhysicalNode) -> list[dict]:
                 row["storage"] = decided.storage
         elif item.op == "sort":
             row["keys"] = list(decided)
-        elif item.op in _ALGORITHMIC:
+        elif item.op in ALGORITHMIC_OPS:
             option = decided.option
             row["algorithm"] = option.algorithm.name
             row["keys"] = list(decided.keys)
@@ -334,7 +334,7 @@ def decision_label(decision: dict) -> str:
             label += f" via {decision['view']}"
         return label + ")"
     keys = decision.get("keys", [])
-    if op in _ALGORITHMIC:
+    if op in ALGORITHMIC_OPS:
         algorithm = implementation_label(
             decision.get("algorithm", "?"),
             mode_token(

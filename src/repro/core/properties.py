@@ -145,9 +145,17 @@ class Correlations:
     """
 
     pairs: frozenset[tuple[str, str]] = frozenset()
+    #: column -> :meth:`implied_by`, filled on demand; dies with the
+    #: object (a search merges its own).
+    _implied: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def implied_by(self, column: str) -> frozenset[str]:
         """All columns monotone in ``column`` (transitively)."""
+        known = self._implied.get(column)
+        if known is not None:
+            return known
         implied: set[str] = set()
         frontier = [column]
         while frontier:
@@ -156,7 +164,8 @@ class Correlations:
                 if x == current and y not in implied:
                     implied.add(y)
                     frontier.append(y)
-        return frozenset(implied)
+        known = self._implied[column] = frozenset(implied)
+        return known
 
     def close_sorted(self, properties: PropertyVector) -> PropertyVector:
         """Extend ``sorted_on`` with everything correlation implies."""

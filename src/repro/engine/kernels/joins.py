@@ -50,6 +50,11 @@ class JoinOutputOrder(enum.Enum):
     #: matches appear in ascending join-key order.
     KEY_SORTED = "key_sorted"
 
+    # Members are singletons compared by identity, so they may hash by
+    # identity too: the optimiser keys its per-candidate derivation
+    # memos on them, and Enum's own hash is a Python-level call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class JoinResult:

@@ -102,17 +102,18 @@ class TraceEvent:
     breakdown: dict = field(default_factory=dict)
     #: finalist rank (0 = the chosen plan); None elsewhere.
     rank: int | None = None
-    #: deferred payload source — ``(plan node, properties)`` for
-    #: candidates that outlive the search, or a compact epitaph dict
-    #: (op / option / costs) for ones killed on arrival, whose plan
-    #: graphs the journal deliberately does not keep alive. The
-    #: human-readable fields above are formatted lazily at *read* time
-    #: (:meth:`materialise`), never in the optimiser's hot loop.
-    source: tuple | dict | None = field(default=None, repr=False, compare=False)
+    #: deferred payload source — the search's entry (a
+    #: :class:`~repro.core.optimizer.pruning.DPEntry`) for candidates
+    #: that outlive the search, or a compact epitaph dict (op / option /
+    #: costs) for ones killed on arrival, whose entries the journal
+    #: deliberately does not keep alive. The human-readable fields above
+    #: are formatted lazily at *read* time (:meth:`materialise`) — the
+    #: entry's plan node included — never in the optimiser's hot loop.
+    source: object = field(default=None, repr=False, compare=False)
 
     def materialise(self) -> None:
-        """Format the deferred description fields from the recorded plan
-        node or epitaph (idempotent; a no-op for events recorded without
+        """Format the deferred description fields from the recorded
+        entry or epitaph (idempotent; a no-op for events recorded without
         either)."""
         if self.source is None:
             return
@@ -134,8 +135,8 @@ class TraceEvent:
                 label = f"{label}[{option.label}]"
             self.plan = f"{label} cost={float(info['cost']):.6g}"
             return
-        node, properties = self.source
-        self.source = None
+        entry, self.source = self.source, None
+        node, properties = entry.plan, entry.properties
         breakdown: dict = {
             "op": node.op,
             "local_cost": float(node.local_cost),
@@ -331,11 +332,13 @@ class SearchTrace:
     # death follows its ``generated`` capture *adjacently* (the same
     # ``pareto_insert`` call), the death recorders collapse the pair in
     # place into one ``("dead", ...)`` record holding only scalars and
-    # shared singletons (op string, the node's option, costs) — a
-    # compact epitaph — and drop the reference so the doomed graph dies
-    # young exactly as in an untraced search. ``from_dict`` loads
-    # TraceEvent objects straight into the rings, so readers accept both
-    # forms.
+    # shared singletons (op string, the entry's option, costs) — a
+    # compact epitaph read off the entry's recipe — and drop the
+    # reference so the doomed graph dies young exactly as in an untraced
+    # search. Nothing here reads ``entry.plan``: the search builds a
+    # node only for what is read, and a journalled search must not build
+    # more than an untraced one. ``from_dict`` loads TraceEvent objects
+    # straight into the rings, so readers accept both forms.
 
     def _flush(self) -> None:
         """Assign ids/seqs and route pending records into the rings
@@ -376,7 +379,7 @@ class SearchTrace:
                 route(cls, kind, (
                     next(seq_counter), kind, cls, entry_id, None,
                     float(entry.cost), float(entry.estimate.rows),
-                    (entry.plan, entry.properties), "", None,
+                    entry, "", None,
                 ))
             elif kind == "kept":
                 entry = record[2]
@@ -411,7 +414,7 @@ class SearchTrace:
                 route(cls, kind, (
                     next(seq_counter), kind, cls, next(id_counter), None,
                     float(entry.cost), float(entry.estimate.rows),
-                    (entry.plan, entry.properties), record[3], record[4],
+                    entry, record[3], record[4],
                 ))
             elif kind == "oracle":
                 route(cls, kind, TraceEvent(
@@ -465,10 +468,9 @@ class SearchTrace:
         if pending:
             last = pending[-1]
             if last[0] == "generated" and last[2] is entry:
-                node = entry.plan
                 pending[-1] = (
-                    "dead_dominated", cls, by, entry.cost,
-                    entry.estimate.rows, node.op, node.option, node.local_cost,
+                    "dead_dominated", cls, by, entry.cost, entry.estimate.rows,
+                    entry.op, entry.option, entry.local_cost,
                 )
                 return
         pending.append(("dominated", cls, entry, by))
@@ -491,10 +493,9 @@ class SearchTrace:
         if pending:
             last = pending[-1]
             if last[0] == "generated" and last[2] is entry:
-                node = entry.plan
                 pending[-1] = (
-                    "dead_truncated", cls, by, entry.cost,
-                    entry.estimate.rows, node.op, node.option, node.local_cost,
+                    "dead_truncated", cls, by, entry.cost, entry.estimate.rows,
+                    entry.op, entry.option, entry.local_cost,
                 )
                 return
         pending.append(("truncated", cls, entry, by))

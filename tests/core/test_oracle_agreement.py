@@ -16,7 +16,8 @@ import pytest
 from repro.avs import AVRegistry, ViewKind, materialize_view
 from repro.core import DynamicProgrammingOptimizer, SearchStats, dqo_config, sqo_config
 from repro.core.optimizer import enumerate_exhaustive
-from repro.datagen import Density, Sortedness, make_join_scenario
+from repro.datagen import Density, Sortedness, make_join_scenario, make_star_scenario
+from repro.datagen.star import DimensionSpec
 from repro.errors import OptimizationError
 from repro.obs.search import SearchTrace
 from repro.sql import plan_query
@@ -117,12 +118,44 @@ def test_disk_resident_catalog(monkeypatch, tmp_path):
         set_buffer_manager(None)
 
 
-def test_more_than_two_relations_are_refused():
+@pytest.fixture(scope="module")
+def star3():
+    """A fact table and two dimensions (one sorted dense, one unsorted
+    sparse): the smallest shape with a multi-join search."""
+    return make_star_scenario(
+        fact_rows=4_000,
+        dimensions=[
+            DimensionSpec(800, 80),
+            DimensionSpec(
+                1_200, 120, sortedness=Sortedness.UNSORTED, density=Density.SPARSE
+            ),
+        ],
+    )
+
+
+@pytest.mark.parametrize("group_dimension", [0, 1])
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        dqo_config,
+        sqo_config,
+        lambda: dqo_config(workers=2, backend="thread"),
+        lambda: dqo_config(consider_commutation=True),
+    ],
+    ids=["dqo", "sqo", "dqo-thread2", "dqo-commuted"],
+)
+def test_three_relation_star(star3, make_config, group_dimension):
+    assert_agreement(
+        star3.join_query(group_dimension), star3.build_catalog(), make_config()
+    )
+
+
+def test_more_than_three_relations_are_refused():
     catalog = layout()
     logical = plan_query(
         "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID "
-        "JOIN S AS T ON R.ID = T.R_ID GROUP BY R.A",
+        "JOIN S AS T ON R.ID = T.R_ID JOIN S AS U ON R.ID = U.R_ID GROUP BY R.A",
         catalog,
     )
-    with pytest.raises(OptimizationError, match="at most 2 relations"):
+    with pytest.raises(OptimizationError, match="at most 3 relations"):
         enumerate_exhaustive(logical, catalog)

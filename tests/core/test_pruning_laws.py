@@ -2,7 +2,9 @@
 
 The DP's correctness rests on ``covers`` being a partial order and on
 ``pareto_insert`` maintaining an antichain that always contains a
-cheapest entry. These laws are checked on arbitrary generated vectors.
+cheapest entry; and the plan space's one-derivation-per-output-order on
+every option of an order deriving the same vector. These laws are
+checked on arbitrary generated vectors.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost.cardinality import RelationEstimate
-from repro.core.optimizer.base import SearchStats
+from repro.core.optimizer.base import PropertyScope, SearchStats, dqo_config
 from repro.core.optimizer.pruning import DPEntry, dominates, pareto_insert
-from repro.core.plan import AccessPath, PhysicalNode
+from repro.core.optimizer.rules import grouping_options, join_options
+from repro.core.plan import AccessPath
 from repro.core.properties import Correlations, PropertyVector
 
 COLUMNS = ("a", "b", "c")
@@ -62,9 +65,54 @@ class TestCoversIsPartialOrder:
         assert correlations.close_sorted(closed) == closed
 
 
+#: the widest option spaces: every algorithm in every loop, exchange and
+#: backend mode.
+WIDEST = dqo_config(workers=4, backend="process")
+columns = st.sampled_from(COLUMNS)
+correlation_sets = st.builds(Correlations, st.frozensets(st.tuples(columns, columns)))
+scopes = st.sampled_from(list(PropertyScope))
+sizes = st.floats(0.0, 1e6)
+
+
+def first_of_each_order(options):
+    first = {}
+    for option in options:
+        first.setdefault(option.output_order, option)
+    assert len(first) < len(options)  # some order is shared
+    return first
+
+
+class TestDerivationReadsOnlyTheOutputOrder:
+    """The plan space derives a candidate's properties once per output
+    order of each input pair and serves every option of that order the
+    same vector. Any rule that reads more of an option than its
+    ``output_order`` must fail here, not yield a silently wrong property."""
+
+    @settings(max_examples=200)
+    @given(vectors, vectors, columns, columns, correlation_sets, scopes, sizes,
+           st.dictionaries(columns, sizes))
+    def test_join_options(self, build, probe, build_key, probe_key,
+                          correlations, scope, rows, domains):
+        options = join_options(WIDEST, 4)
+        first = first_of_each_order(options)
+        inputs = (build, probe, build_key, probe_key, correlations, scope, rows, domains)
+        for option in options:
+            assert option.derive(*inputs) == first[option.output_order].derive(*inputs)
+
+    @settings(max_examples=200)
+    @given(vectors, columns, correlation_sets, scopes)
+    def test_grouping_options(self, props, key, correlations, scope):
+        options = grouping_options(WIDEST, 4)
+        first = first_of_each_order(options)
+        assert set(first) == {"sorted", "first-occurrence", "hash"}
+        for option in options:
+            assert option.derive(props, key, correlations, scope) == first[
+                option.output_order
+            ].derive(props, key, correlations, scope)
+
+
 def entry(cost, vector):
-    node = PhysicalNode(op="scan", decision=AccessPath("T"), cost=cost, properties=vector)
-    return DPEntry(node, cost, vector, RelationEstimate(1.0, {}))
+    return DPEntry("scan", AccessPath("T"), cost, vector, RelationEstimate(1.0, {}))
 
 
 entries_strategy = st.lists(

@@ -1,10 +1,24 @@
 """Optimiser search telemetry: SearchStats invariants and coverage."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import SearchStats, optimize_dqo, optimize_sqo
+from repro.core import (
+    DynamicProgrammingOptimizer,
+    SearchStats,
+    dqo_config,
+    optimize_dqo,
+    optimize_sqo,
+)
+from repro.core.cost.paper import PaperCostModel
 from repro.core.optimizer.greedy import optimize_greedy
+from repro.core.optimizer.plancache import PlanCache
+from repro.core.optimizer.query import extract_query
+from repro.core.optimizer.rules import GroupingOption, JoinOption
+from repro.core.optimizer.space import PlanSpace
 from repro.datagen import Density, Sortedness, make_join_scenario, make_star_scenario
+from repro.datagen.star import DimensionSpec
 from repro.sql import plan_query
 
 
@@ -74,6 +88,65 @@ class TestInvariants:
         # more alive per subset size than the Pareto DP.
         for size, kept in greedy.stats.table_entries_by_size.items():
             assert kept <= dqo.stats.table_entries_by_size[size]
+
+    def test_closures_count_every_derivation_computed(self, monkeypatch):
+        """``closures`` counts each property derivation the search
+        actually computes — a ``derive`` the plan space's memo did not
+        answer, or a ``PlanSpace.close`` — and no memo hit: on the
+        five-dimension star most candidates share a derivation."""
+        calls = Counter()
+
+        def counted(owner, name):
+            function = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[f"{owner.__name__}.{name}"] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in (
+            (JoinOption, "derive"),
+            (GroupingOption, "derive"),
+            (PlanSpace, "close"),
+        ):
+            counted(owner, name)
+        star = make_star_scenario(
+            fact_rows=20_000,
+            dimensions=[
+                DimensionSpec(
+                    1_000,
+                    100,
+                    sortedness=(
+                        Sortedness.UNSORTED if index % 2 else Sortedness.SORTED
+                    ),
+                )
+                for index in range(5)
+            ],
+        )
+        catalog = star.build_catalog()
+        stats = (
+            DynamicProgrammingOptimizer(catalog, plan_cache=PlanCache())
+            .optimize(plan_query(star.join_query(0), catalog))
+            .stats
+        )
+        assert calls["JoinOption.derive"] > 0 and calls["GroupingOption.derive"] > 0
+        assert stats.closures == sum(calls.values())
+        assert stats.closures < stats.generated
+
+    def test_a_memo_hit_is_not_a_closure(self, pair):
+        catalog, logical = pair
+        space = PlanSpace(
+            extract_query(logical), catalog, PaperCostModel(), dqo_config(), 1
+        )
+        (side,) = next(iter(space.orientations.values()))
+        option = side.implementations[0].option
+        build = space.scans[side.build_scan].properties
+        probe = space.scans[side.probe_scan].properties
+        before = space.stats.closures
+        first = space.derive_join(option, build, probe, side, 100.0)
+        assert space.derive_join(option, build, probe, side, 100.0) is first
+        assert space.stats.closures == before + 1
 
     def test_stats_independent_across_runs(self, pair):
         catalog, logical = pair

@@ -23,7 +23,7 @@ from repro.core import DynamicProgrammingOptimizer, dqo_config
 from repro.core.cost.cardinality import RelationEstimate
 from repro.core.optimizer.plancache import PlanCache
 from repro.core.optimizer.pruning import DPEntry
-from repro.core.plan import AccessPath, PhysicalNode, implementation_label
+from repro.core.plan import AccessPath, implementation_label
 from repro.core.properties import PropertyVector
 from repro.errors import ObservabilityError
 from repro.obs.search import (
@@ -39,9 +39,9 @@ from repro.obs.search.trace import MAX_CLASSES
 
 
 def make_entry(cost=1.0, rows=10.0):
-    vector = PropertyVector()
-    node = PhysicalNode(op="scan", decision=AccessPath("T"), cost=cost, properties=vector)
-    return DPEntry(node, cost, vector, RelationEstimate(rows, {}))
+    return DPEntry(
+        "scan", AccessPath("T"), cost, PropertyVector(), RelationEstimate(rows, {})
+    )
 
 
 @pytest.fixture
