@@ -4,8 +4,13 @@
 The paper: *"for up to 14 groups ... BSG outperforms HG. This opens up
 another optimisation dimension in which the number of distinct values
 should be considered."* We benchmark both algorithms at a handful of tiny
-group counts and assert the crossover exists (its exact position is
-hardware- and substrate-dependent; EXPERIMENTS.md records ours).
+group counts. On this substrate BSG's win is not reproduced: HG resolves
+every row whose key holds its home bucket in one full-width round, and
+BSG pays a sort (``np.unique``) plus a binary search per row; BSG is
+ahead only where HG's tiny table sends a quarter of the rows into the
+collision tail (EXPERIMENTS.md "Figure 4 zoom-in"). What holds at every
+scale measured is the other half of the paper's finding: past its 14
+groups, HG wins.
 """
 
 import pytest
@@ -38,13 +43,14 @@ def test_crossover_point(benchmark, bench_rows, groups, algorithm):
     assert result.num_groups == groups
 
 
-def test_crossover_exists(bench_rows):
+def test_hg_wins_past_the_papers_crossover(bench_rows):
     result = run_crossover(
         rows=min(bench_rows, 500_000),
-        group_counts=(2, 4, 8, 14),
+        group_counts=(2, 4, 8, 14, 32, 64),
         repeats=2,
     )
-    assert result.crossover_groups >= 2, (
-        "BSG should beat HG at very small group counts "
-        f"(measured points: {result.points})"
-    )
+    for num_groups, hg_ms, bsg_ms in result.points:
+        if num_groups > 14:
+            assert hg_ms < 0.9 * bsg_ms, (
+                f"HG should beat BSG past 14 groups (measured points: {result.points})"
+            )

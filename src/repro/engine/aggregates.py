@@ -82,6 +82,19 @@ def avg_of(column: str, alias: str | None = None) -> AggregateSpec:
     return AggregateSpec(AggregateFunction.AVG, column, alias or f"avg_{column}")
 
 
+def _sum(slots: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
+    """SUM per slot: float64 for float input, exact int64 for integers
+    (wrapping only where the true sum leaves int64). A float64 detour
+    for integers would round partial sums at magnitudes >= 2**53."""
+    if np.issubdtype(values.dtype, np.integer):
+        sums = np.zeros(num_groups, dtype=np.int64)
+        np.add.at(sums, slots, values.astype(np.int64, copy=False))
+        return sums
+    return np.bincount(
+        slots, weights=values.astype(np.float64), minlength=num_groups
+    )
+
+
 def compute_aggregate(
     spec: AggregateSpec,
     slots: np.ndarray,
@@ -110,12 +123,7 @@ def compute_aggregate(
             f"aggregate input length {values.size} != slot count {slots.size}"
         )
     if spec.function is AggregateFunction.SUM:
-        sums = np.bincount(
-            slots, weights=values.astype(np.float64), minlength=num_groups
-        )
-        if np.issubdtype(values.dtype, np.integer):
-            return np.rint(sums).astype(np.int64)
-        return sums
+        return _sum(slots, num_groups, values)
     if spec.function is AggregateFunction.AVG:
         sums = np.bincount(
             slots, weights=values.astype(np.float64), minlength=num_groups

@@ -6,9 +6,10 @@ Each §4.1 algorithm factors into two stages:
    (this stage is where the algorithms differ: hash table, perfect hash,
    run detection, sort + run detection, or binary search);
 2. an **aggregation** over slots — the paper's kernels compute COUNT and
-   SUM on the fly into an array; here stage 2 is shared ``bincount``-based
-   code so that the *measured difference between algorithms is exactly the
-   slot-assignment difference*, as in the paper.
+   SUM on the fly into an array; here stage 2 is the engine's shared
+   :func:`~repro.engine.aggregates.compute_aggregate`, so that the
+   *measured difference between algorithms is exactly the slot-assignment
+   difference*, as in the paper.
 
 Per DESIGN.md substitution #1 all five are implemented at the same batch
 abstraction level; their relative costs then mirror the paper's:
@@ -32,7 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.arrays import runs_of
-from repro.engine.aggregates import AggregateSpec, compute_aggregate
+from repro.engine.aggregates import (
+    AggregateSpec,
+    compute_aggregate,
+    count_star,
+    sum_of,
+)
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
@@ -314,24 +320,17 @@ def aggregate_assignment(
     assignment: GroupingAssignment, values: np.ndarray | None
 ) -> GroupingResult:
     """Compute COUNT and SUM per group from a slot assignment."""
-    num_groups = assignment.num_groups
-    counts = np.bincount(assignment.slots, minlength=num_groups).astype(np.int64)
+    slots, num_groups = assignment.slots, assignment.num_groups
+    counts = compute_aggregate(count_star(), slots, num_groups, None)
     if values is None:
         sums = np.zeros(num_groups, dtype=np.int64)
     else:
         values = np.asarray(values)
-        if values.size != assignment.slots.size:
+        if values.size != slots.size:
             raise PreconditionError(
-                f"values length {values.size} != keys length "
-                f"{assignment.slots.size}"
+                f"values length {values.size} != keys length {slots.size}"
             )
-        sums_f = np.bincount(
-            assignment.slots, weights=values.astype(np.float64), minlength=num_groups
-        )
-        if np.issubdtype(values.dtype, np.integer):
-            sums = np.rint(sums_f).astype(np.int64)
-        else:
-            sums = sums_f
+        sums = compute_aggregate(sum_of("values"), slots, num_groups, values)
     return GroupingResult(
         keys=assignment.group_keys,
         counts=counts,

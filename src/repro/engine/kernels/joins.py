@@ -31,6 +31,15 @@ from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
 
+#: Maximum load of HJ's build-side table. A probe that meets its key in
+#: its home bucket is resolved in the probe's full-width first round; the
+#: rest walk the collision chain in narrow rounds that cost far more per
+#: row. At 62 500 distinct keys and 500 000 probes (2-vCPU host), build +
+#: probe took 25 / 17 / 14 ms at loads 0.5 / 0.25 / 0.125, for 2.5 / 4.5 /
+#: 8.5 MiB of table. Unlike HG, whose output order is its slot order, a
+#: join's slot numbering is not observable, only its index pairs.
+JOIN_TABLE_LOAD = 0.25
+
 
 class JoinAlgorithm(enum.Enum):
     """The five join implementation variants of Table 2."""
@@ -260,7 +269,7 @@ def build_side(
     num_rows = int(build_keys.size)
     if algorithm is JoinAlgorithm.HJ:
         table, build_slots = OpenAddressingHashTable.for_keys(
-            build_keys, num_distinct_hint, hash_name
+            build_keys, num_distinct_hint, hash_name, JOIN_TABLE_LOAD
         )
         slot_counts = (
             None

@@ -30,7 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.aggregates import AggregateFunction, AggregateSpec, count_star, sum_of
+from repro.engine.aggregates import (
+    AggregateFunction,
+    AggregateSpec,
+    compute_aggregate,
+    count_star,
+    sum_of,
+)
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     GroupingResult,
@@ -157,11 +163,12 @@ def merge_partials(
         one array per aggregate alias.
 
     COUNT and SUM are distributive, MIN and MAX idempotent, AVG is the
-    merged ``@sum`` over the merged ``@count``. Integer partials merge
-    with exact int64 ``np.add.at`` — a float64 detour (``np.bincount``
-    weights) would silently round at magnitudes >= 2**53. Float partial
-    sums stay float64 here: whoever owns the output type casts once,
-    after the merge, exactly as the serial path casts once at its end.
+    merged ``@sum`` over the merged ``@count``. Partials merge through
+    the same SUM as the serial path, exact on integers wherever the true
+    sum fits int64, so an integer SUM is the same on every route. Float
+    partial sums stay float64 here: whoever owns the output type casts
+    once, after the merge, exactly as the serial path casts once at its
+    end.
     """
     merged_keys, inverse = np.unique(
         np.concatenate([keys for keys, __ in partials]), return_inverse=True
@@ -171,12 +178,9 @@ def merge_partials(
         return np.concatenate([columns[alias] for __, columns in partials])
 
     def total(alias: str) -> np.ndarray:
-        values = gather(alias)
-        if np.issubdtype(values.dtype, np.integer):
-            out = np.zeros(merged_keys.size, dtype=np.int64)
-            np.add.at(out, inverse, values)
-            return out
-        return np.bincount(inverse, weights=values, minlength=merged_keys.size)
+        return compute_aggregate(
+            sum_of(alias), inverse, merged_keys.size, gather(alias)
+        )
 
     merged: dict[str, np.ndarray] = {}
     for spec in aggregates:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.aggregates import compute_aggregate, sum_of
 from repro.engine.kernels.grouping import GroupingResult, KeyOrder
 from repro.errors import PreconditionError
 from repro.storage.rle import RunLengthEncoded
@@ -46,26 +47,16 @@ def rle_group_by(
             key_order=KeyOrder.SORTED,
         )
     keys, inverse = np.unique(encoded.values, return_inverse=True)
-    counts = np.bincount(
-        inverse, weights=encoded.lengths.astype(np.float64), minlength=keys.size
-    )
-    if run_value_sums is None:
-        sums = np.zeros(keys.size, dtype=np.int64)
-    else:
-        raw = np.bincount(
-            inverse,
-            weights=run_value_sums.astype(np.float64),
-            minlength=keys.size,
-        )
-        sums = (
-            np.rint(raw).astype(np.int64)
-            if np.issubdtype(run_value_sums.dtype, np.integer)
-            else raw
-        )
+
+    def total(per_run: np.ndarray) -> np.ndarray:
+        return compute_aggregate(sum_of("runs"), inverse, keys.size, per_run)
+
     return GroupingResult(
         keys=keys.astype(np.int64),
-        counts=np.rint(counts).astype(np.int64),
-        sums=sums,
+        counts=total(encoded.lengths.astype(np.int64, copy=False)),
+        sums=np.zeros(keys.size, dtype=np.int64)
+        if run_value_sums is None
+        else total(run_value_sums),
         key_order=KeyOrder.SORTED,
     )
 

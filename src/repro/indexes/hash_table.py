@@ -253,23 +253,25 @@ class OpenAddressingHashTable:
         keys: np.ndarray,
         num_distinct_hint: int | None = None,
         hash_name: str = "murmur3",
+        max_load: float = 0.5,
     ) -> tuple["OpenAddressingHashTable", np.ndarray]:
         """A table built over ``keys``, and the per-row slot ids.
 
         The table is sized for ``num_distinct_hint`` distinct keys (the
-        row count when there is no hint). A hint below the true distinct
-        count overflows the table; it is then rebuilt at the row count,
-        which always fits — a low estimate costs time, never correctness.
+        row count when there is no hint) at ``max_load``. A hint below the
+        true distinct count overflows the table; it is then rebuilt at the
+        row count, which always fits — a low estimate costs time, never
+        correctness.
         """
         num_rows = max(int(keys.size), 1)
         capacity = num_distinct_hint if num_distinct_hint else num_rows
-        table = cls(capacity, hash_name=hash_name)
+        table = cls(capacity, max_load, hash_name)
         try:
             return table, table.build(keys)
         except IndexError_:
             if capacity >= num_rows:
                 raise
-        table = cls(num_rows, hash_name=hash_name)
+        table = cls(num_rows, max_load, hash_name)
         return table, table.build(keys)
 
     @property
@@ -307,29 +309,66 @@ class OpenAddressingHashTable:
             + self._slot_keys.nbytes
         )
 
+    def _claim(self, positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Give each of ``keys`` (distinct, each won its empty bucket at
+        ``positions``) the next slot id, in order; returns the slot ids."""
+        count = keys.size
+        if self._num_slots + count > self._slot_keys.size:
+            raise IndexError_(
+                "hash table overflow: more distinct keys than "
+                f"capacity hint ({self._slot_keys.size})"
+            )
+        new_slots = np.arange(
+            self._num_slots, self._num_slots + count, dtype=np.int64
+        )
+        self._bucket_keys[positions] = keys
+        self._bucket_slots[positions] = new_slots
+        self._slot_keys[new_slots] = keys
+        self._num_slots += count
+        return new_slots
+
     def build(self, keys: np.ndarray) -> np.ndarray:
         """Insert ``keys`` (duplicates allowed) and return per-row slot ids.
 
         Vectorised: each probing round resolves every not-yet-placed row at
-        once. The first round runs at full width (every row is pending, so
-        it needs no row-index indirection); later rounds carry only the
-        rows still unplaced. Slot ids are dense, assigned in the order
-        rows win their bucket.
+        once. Slot ids are dense, assigned in the order rows win their
+        bucket. Into an empty table the first round runs at full width with
+        no row-index indirection: every home bucket is claimed by
+        scatter-then-check, then every row re-reads its home bucket once,
+        so each row whose key now holds that bucket is resolved there.
+        Only the collision tail enters the round loop, one bucket on.
 
         :raises IndexError_: if the table overflows its allocation (more
             distinct keys than ``capacity_hint``).
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         mask = np.int64(self._mask)
-        slots = np.full(keys.size, self._EMPTY, dtype=np.int64)
         # Arbitration scratch: only ever read at positions written in the
         # same round, so it needs no initialisation.
         arbiter = np.empty(self.num_buckets, dtype=np.int64)
-        # The unplaced rows (None = every row), their keys and buckets.
-        pending = None
-        pending_keys = keys
-        positions = (self._hash(keys) & self._mask).astype(np.int64)
+        # Masked hashes fit in 63 bits: reinterpreting them is exact.
+        positions = (self._hash(keys) & self._mask).view(np.int64)
         rounds = 0
+        if self._num_slots == 0 and keys.size:
+            # Every bucket is empty, so every row claims its home bucket
+            # and one row per distinct home bucket wins it.
+            rows = np.arange(keys.size, dtype=np.int64)
+            arbiter[positions] = rows
+            winners = np.flatnonzero(arbiter[positions] == rows)
+            self._claim(positions[winners], keys[winners])
+            # Every home bucket is occupied now.
+            slots = self._bucket_slots[positions]
+            pending = np.flatnonzero(self._bucket_keys[positions] != keys)
+            # The rows left met a different key: the loop would spend its
+            # second round advancing them, claiming nothing — do it here.
+            positions = (positions[pending] + 1) & mask
+            pending_keys = keys[pending]
+            rounds = 2
+        else:
+            slots = np.full(keys.size, self._EMPTY, dtype=np.int64)
+            # The unplaced rows, their keys and buckets.
+            pending = np.arange(keys.size, dtype=np.int64)
+            pending_keys = keys
         # Each row advances at most num_buckets times; additionally a row
         # may hold position for one round per arbitration loss, and losses
         # coincide with global slot placements (at most capacity per run).
@@ -349,8 +388,7 @@ class OpenAddressingHashTable:
             matches = self._bucket_keys[positions] == pending_keys
             if np.any(matches):
                 matched = np.flatnonzero(matches)
-                rows = matched if pending is None else pending[matched]
-                slots[rows] = occupant_slots[matched]
+                slots[pending[matched]] = occupant_slots[matched]
             # Case 2: bucket occupied by a different key -> advance (probe).
             mismatched = np.flatnonzero(~(matches | empty))
             # Case 3: bucket empty -> try to claim. Multiple rows may race
@@ -362,34 +400,29 @@ class OpenAddressingHashTable:
             lost = claiming[:0]
             if claiming.size:
                 claim_pos = positions[claiming]
-                claimers = claiming if pending is None else pending[claiming]
+                claimers = pending[claiming]
                 arbiter[claim_pos] = claimers
                 won = arbiter[claim_pos] == claimers
                 winners = claimers[won]
-                count = winners.size
-                if self._num_slots + count > self._slot_keys.size:
-                    raise IndexError_(
-                        "hash table overflow: more distinct keys than "
-                        f"capacity hint ({self._slot_keys.size})"
-                    )
-                new_slots = np.arange(
-                    self._num_slots, self._num_slots + count, dtype=np.int64
-                )
-                wpos = claim_pos[won]
-                self._bucket_keys[wpos] = keys[winners]
-                self._bucket_slots[wpos] = new_slots
-                self._slot_keys[new_slots] = keys[winners]
-                self._num_slots += count
-                slots[winners] = new_slots
+                slots[winners] = self._claim(claim_pos[won], keys[winners])
                 lost = claiming[~won]
-            # Mismatches advance to the next bucket. Losers must NOT
-            # advance: the winner may have placed their key in this very
-            # bucket, so they re-read it next round (and match case 1).
+                # A loser whose key the winner just placed is resolved
+                # now; the next round's case 1 would do the same and
+                # change nothing else.
+                lost_pos = claim_pos[~won]
+                same = self._bucket_keys[lost_pos] == pending_keys[lost]
+                if np.any(same):
+                    slots[pending[lost[same]]] = self._bucket_slots[lost_pos[same]]
+                    lost = lost[~same]
+            # Mismatches advance to the next bucket. The other losers must
+            # NOT advance yet: they re-read this bucket next round (case
+            # 2); arriving at the next one a round early could change
+            # which row wins it.
             remaining = np.concatenate([mismatched, lost])
             positions = np.concatenate(
                 [(positions[mismatched] + 1) & mask, positions[lost]]
             )
-            pending = remaining if pending is None else pending[remaining]
+            pending = pending[remaining]
             pending_keys = keys[pending]
         return slots
 
@@ -400,7 +433,7 @@ class OpenAddressingHashTable:
         only the keys that hit a bucket holding a different key."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         mask = np.int64(self._mask)
-        positions = (self._hash(keys) & self._mask).astype(np.int64)
+        positions = (self._hash(keys) & self._mask).view(np.int64)
         occupant_slots = self._bucket_slots[positions]
         matches = self._bucket_keys[positions] == keys
         # A key that "matches" an empty bucket's stale entry reads that

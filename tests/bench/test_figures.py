@@ -91,16 +91,24 @@ class TestFigure4:
 
 
 class TestCrossover:
-    def test_bsg_beats_hg_at_small_group_counts(self):
-        """Paper's zoom-in: BSG outperforms HG below a small crossover
-        (14 groups on their hardware; we assert existence, not the
-        precise value — DESIGN.md substitution #1)."""
+    def test_hg_beats_bsg_past_14_groups(self):
+        """Paper's zoom-in: BSG outperforms HG up to 14 groups. Not
+        reproduced here (EXPERIMENTS "Figure 4 zoom-in"): at 2-14 groups
+        which algorithm leads depends on whether the few keys happen to
+        share home buckets in HG's 16-32-bucket table, not on the group
+        count, so those points are only rendered. What holds whatever
+        the keys is the other half of the finding: past 14 groups HG
+        wins: HG/BSG measured 0.71-0.79 at 32 groups and 0.45-0.50 at 64
+        over 20 fresh processes; the assertion allows 0.9."""
         result = run_crossover(
-            rows=150_000, group_counts=(2, 4, 8, 14), repeats=2
+            rows=150_000, group_counts=(2, 4, 8, 14, 32, 64), repeats=3
         )
-        assert result.crossover_groups >= 2
+        for num_groups, hg_ms, bsg_ms in result.points:
+            if num_groups > 14:
+                assert hg_ms < 0.9 * bsg_ms, (num_groups, hg_ms, bsg_ms)
         text = render_crossover(result)
         assert "BSG" in text
+        assert len(result.points) == 6
 
 
 class TestFigure5Bench:

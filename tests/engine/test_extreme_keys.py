@@ -9,14 +9,26 @@ sort-based SOG and SOJ over keys drawn from a pool that holds -1 and
 both ends of ``int64``. These are the serial kernels; the same keys on
 every parallel route are ``test_parallel_routes.py``'s
 ``test_no_key_value_is_special``.
+
+Colliding keys — keys that share a home bucket in every table of up to
+2**20 buckets, one group of them at the last bucket — are checked on
+every route here: they are the rows HG/HJ's first round cannot resolve,
+so they exercise the round loop behind it and its wrap-around past the
+last bucket.
 """
 
+from functools import partial
+
 import numpy as np
+import pytest
+from hash_preimages import key_with_hash
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
+from repro.engine.kernels.parallel import exchange_join, parallel_group_by, parallel_join
+from repro.indexes.hash_table import murmur3_finalizer
 
 INT64 = np.iinfo(np.int64)
 POOL = (-1, INT64.min, INT64.max, 0, -2, 1, INT64.min + 1, INT64.max - 1, 7)
@@ -24,6 +36,38 @@ POOL = (-1, INT64.min, INT64.max, 0, -2, 1, INT64.min + 1, INT64.max - 1, 7)
 keys_of = st.lists(st.sampled_from(POOL), min_size=1, max_size=60).map(
     lambda values: np.array(values, dtype=np.int64)
 )
+
+
+#: six keys whose hash ends in twenty 1 bits (home: the last bucket of any
+#: table up to 2**20 buckets), four ending in twenty 0 bits (home: bucket
+#: 0, where the wrapped chain continues), and -1 and both ends of int64.
+COLLIDING = tuple(
+    key_with_hash(low + (j << 20))
+    for low, count in (((1 << 20) - 1, 6), (0, 4))
+    for j in range(1, count + 1)
+) + (-1, INT64.min, INT64.max)
+
+colliding_keys = st.lists(st.sampled_from(COLLIDING), min_size=1, max_size=80).map(
+    lambda values: np.array(values, dtype=np.int64)
+)
+
+
+#: route -> (group_by, join) run on it.
+ROUTES = {
+    "serial": (group_by, join),
+    "thread": (
+        partial(parallel_group_by, shards=3, workers=2),
+        partial(parallel_join, shards=3, workers=2),
+    ),
+    "exchange": (
+        partial(parallel_group_by, shards=3, workers=2, partitioning="hash"),
+        partial(exchange_join, workers=2),
+    ),
+    "process": (
+        partial(parallel_group_by, shards=3, workers=2, backend="process"),
+        partial(parallel_join, shards=3, workers=2, backend="process"),
+    ),
+}
 
 
 def groups(result) -> dict:
@@ -64,3 +108,25 @@ def test_the_reported_case():
 def test_serial(build, probe):
     check_grouping(build, group_by)
     check_join(build, probe, join)
+
+
+@pytest.mark.usefixtures("fork_pool")
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=30, deadline=None)
+@given(build=colliding_keys, probe=colliding_keys)
+def test_colliding_keys(route, build, probe):
+    """HG against SOG and HJ against SOJ on keys that collide in every
+    table any route builds; HJ also against itself run serially."""
+    run_group_by, run_join = ROUTES[route]
+    check_grouping(build, run_group_by)
+    check_join(build, probe, run_join)
+    joined = run_join(build, probe, JoinAlgorithm.HJ)
+    serial = join(build, probe, JoinAlgorithm.HJ)
+    assert np.array_equal(joined.left_indices, serial.left_indices)
+    assert np.array_equal(joined.right_indices, serial.right_indices)
+
+
+def test_colliding_keys_share_their_home_buckets():
+    hashed = murmur3_finalizer(np.array(COLLIDING[:10], dtype=np.int64))
+    low_bits = hashed & np.uint64((1 << 20) - 1)
+    assert low_bits.tolist() == [(1 << 20) - 1] * 6 + [0] * 4

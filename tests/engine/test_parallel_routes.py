@@ -12,7 +12,7 @@ hash partitions keep each group's rows together and stay exact.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
@@ -284,6 +284,39 @@ def test_no_key_value_is_special(backend, partitioning, build, probe, shards, pa
     assert sorted(zip(joined.left_indices.tolist(), joined.right_indices.tolist())) == (
         sorted(zip(sort_merge.left_indices.tolist(), sort_merge.right_indices.tolist()))
     )
+
+
+#: addends whose sums leave float64's exact range (2**53) but not int64.
+BIG_VALUES = (2**62, -(2**62), 2**62 - 1, 2**53, 2**53 + 1, -(2**53), 1, -1, 3, 0)
+
+
+@pytest.mark.parametrize("route", ["serial", *(param.id for param in ROUTES)])
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(BIG_VALUES)), min_size=1, max_size=40
+    ),
+    shards=st.integers(2, 5),
+)
+def test_integer_sum_is_exact_on_every_route(route, rows, shards):
+    """Integer SUM against Python ``int`` sums, near +-2**62 and with mixed
+    signs: float64 accumulation rounded 2**53 + 1 + 1 + 1 to 2**53 serially
+    and to 2**53 + 2 over two range shards."""
+    expected: dict[int, int] = {}
+    for key, value in rows:
+        expected[key] = expected.get(key, 0) + value
+    assume(all(INT64.min <= total <= INT64.max for total in expected.values()))
+    keys = np.array([key for key, __ in rows], dtype=np.int64)
+    values = np.array([value for __, value in rows], dtype=np.int64)
+    if route == "serial":
+        result = group_by(keys, values, GroupingAlgorithm.HG)
+    else:
+        backend, partitioning = route.split("-")
+        result = parallel_group_by(
+            keys, values, GroupingAlgorithm.HG, shards=shards, workers=2,
+            backend=backend, partitioning=partitioning,
+        )
+    assert dict(zip(result.keys.tolist(), result.sums.tolist())) == expected
 
 
 def small_keys(low, high):
