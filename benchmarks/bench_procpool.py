@@ -20,7 +20,7 @@ import pytest
 
 from repro._util.timer import time_callable
 from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
-from repro.engine import count_star, execute, parallel_execution, sum_of
+from repro.engine import count_star, execute, sum_of
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
 from repro.engine.operators import GroupBy, Join, TableScan
@@ -61,32 +61,32 @@ def join_scenario(bench_rows):
 
 def grouped(table, workers=1, **route):
     """SPHG through the operator: serial, or 8 shards on ``backend``."""
-    with parallel_execution(workers):
-        return execute(
-            GroupBy(
-                TableScan(table),
-                "key",
-                [count_star(), sum_of("value")],
-                algorithm=GroupingAlgorithm.SPHG,
-                num_distinct_hint=GROUPS,
-                **route,
-            )
-        )
+    return execute(
+        GroupBy(
+            TableScan(table),
+            "key",
+            [count_star(), sum_of("value")],
+            algorithm=GroupingAlgorithm.SPHG,
+            num_distinct_hint=GROUPS,
+            **route,
+        ),
+        workers=workers,
+    )
 
 
 def joined(scenario, workers=1, **route):
     """HJ through the operator: serial, or one probe shard per worker."""
-    with parallel_execution(workers):
-        return execute(
-            Join(
-                TableScan(scenario.r),
-                TableScan(scenario.s),
-                "ID",
-                "R_ID",
-                algorithm=JoinAlgorithm.HJ,
-                **route,
-            )
-        )
+    return execute(
+        Join(
+            TableScan(scenario.r),
+            TableScan(scenario.s),
+            "ID",
+            "R_ID",
+            algorithm=JoinAlgorithm.HJ,
+            **route,
+        ),
+        workers=workers,
+    )
 
 
 def test_parallel_routes_identity(table, join_scenario):

@@ -6,11 +6,13 @@ Override with ``REPRO_BENCH_ROWS``.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench.reporting import write_json_artifact
+from repro.settings import get_settings, set_settings
 
 #: rows per grouping benchmark (paper: 100,000,000).
 BENCH_ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "1000000"))
@@ -51,13 +53,9 @@ def fork_pool():
     the way out: no ``repro_shm_*`` entry survives in ``/dev/shm``."""
     from repro.engine.procpool import leaked_segments, shutdown_process_pool
 
-    previous = os.environ.get("REPRO_PROC_START")
-    os.environ["REPRO_PROC_START"] = "fork"
+    previous = set_settings(replace(get_settings(), proc_start="fork"))
     shutdown_process_pool()
     yield
     shutdown_process_pool()
-    if previous is None:
-        os.environ.pop("REPRO_PROC_START", None)
-    else:
-        os.environ["REPRO_PROC_START"] = previous
+    set_settings(previous)
     assert leaked_segments() == []

@@ -42,6 +42,7 @@ from repro.datagen.grouping import (
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.parallel import parallel_group_by
 from repro.errors import PreconditionError
+from repro.settings import check
 
 #: the paper's x-axis: group counts up to 40,000.
 DEFAULT_GROUP_COUNTS = (100, 1_000, 5_000, 10_000, 20_000, 40_000)
@@ -140,7 +141,7 @@ def run_figure4(
     :param workers: morsel workers; > 1 measures the parallel-load
         variant (``workers`` shards on ``workers`` pool threads).
     """
-    result = Figure4Result(rows=rows, workers=max(int(workers), 1))
+    result = Figure4Result(rows=rows, workers=check("workers", workers))
     for sortedness, density in FIGURE4_GRID:
         panel = PanelResult(sortedness=sortedness, density=density)
         for algorithm in applicable_algorithms(sortedness, density):

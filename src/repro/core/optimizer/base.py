@@ -51,8 +51,8 @@ class OptimizerConfig:
     views: "AVRegistry | None" = None
     #: morsel workers the optimiser plans for. With > 1 worker a deep
     #: enumeration also costs the lattice's MOLECULE-level parallel-loop
-    #: recipes against their serial siblings. ``None`` resolves the
-    #: ambient executor configuration (``REPRO_WORKERS``) at optimise
+    #: recipes against their serial siblings. ``None`` resolves
+    #: :func:`repro.settings.ambient` (``REPRO_WORKERS``) at optimise
     #: time. The default of 1 keeps the classic serial space, so the
     #: paper's Figure 5 cost ratios are invariant to the runtime
     #: executor setting.

@@ -43,7 +43,6 @@ from repro.core.optimizer.space import (
     grouping_candidates,
     grouping_inputs,
     join_candidates,
-    resolve_workers,
     sorted_entry,
 )
 from repro.core.plan import plan_decisions, plan_fingerprint
@@ -54,6 +53,7 @@ from repro.obs.querylog import get_query_log
 from repro.obs.runtime import get_metrics, get_tracer
 from repro.obs.search.trace import get_search_trace
 from repro.logical.algebra import LogicalPlan
+from repro.settings import ambient
 from repro.storage.catalog import Catalog
 
 
@@ -164,8 +164,7 @@ class DynamicProgrammingOptimizer:
         """Optimise a pre-extracted :class:`QuerySpec`.
 
         The configuration's worker count (``config.workers``; ``None``
-        resolves the ambient
-        :func:`repro.engine.parallel.get_executor_config`) scopes the
+        resolves the :func:`repro.settings.get_settings` value) scopes the
         implementation space: with more than one worker the deep
         enumeration includes the lattice's parallel-loop recipes, costed
         against their serial siblings. When a plan cache is attached
@@ -175,7 +174,7 @@ class DynamicProgrammingOptimizer:
         plan without any enumeration (``result.cached`` is True and the
         search stats stay zero).
         """
-        workers = resolve_workers(self._config)
+        workers = ambient(workers=self._config.workers).workers
         spec_fp = spec_fingerprint(spec)
         cache = self._plan_cache if self._plan_cache is not None else get_plan_cache()
         cache_key: tuple | None = None

@@ -28,13 +28,13 @@ from repro.core.optimizer.space import (
     grouping_candidates,
     grouping_inputs,
     join_candidates,
-    resolve_workers,
 )
 from repro.core.plan import PhysicalNode
 from repro.errors import OptimizationError
 from repro.obs.search.trace import get_search_trace
 from repro.logical.algebra import LogicalPlan
 from repro.service.context import check_active_context
+from repro.settings import ambient
 from repro.storage.catalog import Catalog
 
 
@@ -110,7 +110,8 @@ def enumerate_exhaustive(
     # Same worker resolution as the DP: the oracle must cost the same
     # implementation space, parallel-loop variants included.
     cost_model = cost_model or PaperCostModel()
-    space = PlanSpace(spec, catalog, cost_model, config, resolve_workers(config))
+    workers = ambient(workers=config.workers).workers
+    space = PlanSpace(spec, catalog, cost_model, config, workers)
     indexes = range(len(space.scans))
     every = frozenset(indexes)
     by_class = {

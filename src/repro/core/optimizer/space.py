@@ -44,7 +44,6 @@ from repro.core.properties import (
     properties_from_table,
 )
 from repro.engine.kernels.joins import JoinAlgorithm
-from repro.engine.parallel import get_executor_config
 from repro.errors import PlanError
 from repro.storage.catalog import Catalog
 from repro.storage.disk import conjunct_triple, is_disk_table
@@ -57,16 +56,6 @@ _JOIN_VIEW_KINDS = {
     JoinAlgorithm.BSJ: "sorted_keys",
     JoinAlgorithm.SOJ: "sorted_projection",
 }
-
-
-def resolve_workers(config: OptimizerConfig) -> int:
-    """The worker count a configuration plans for: ``config.workers``,
-    or the ambient :func:`repro.engine.parallel.get_executor_config`
-    when that is ``None``; never below one."""
-    workers = config.workers
-    if workers is None:
-        workers = get_executor_config().workers
-    return max(workers, 1)
 
 
 def option_cost(

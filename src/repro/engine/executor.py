@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro._util.timer import Timer
 from repro.engine.operators.base import PhysicalOperator
-from repro.engine.parallel import get_executor_config, parallel_execution
 from repro.obs.feedback import FeedbackStore
 from repro.obs.instrument import OperatorStats, format_bytes, instrumented
 from repro.obs.metrics import DEFAULT_BUCKETS
@@ -26,6 +25,7 @@ from repro.service.context import (
     activate_context,
     get_active_context,
 )
+from repro.settings import get_settings, scoped_settings
 from repro.storage.table import Table
 
 #: q-error histogram bucket upper bounds — 1.0 is a perfect estimate,
@@ -50,10 +50,10 @@ def execute(
 ) -> Table:
     """Run a physical operator tree to completion and return the result.
 
-    :param workers: run the plan under a scoped worker-count override —
-        the morsel-parallel pipeline driver. ``None`` keeps the ambient
-        :func:`repro.engine.parallel.get_executor_config` setting
-        (``REPRO_WORKERS``); ``1`` forces serial execution.
+    :param workers: run the plan under a thread-scoped worker count —
+        the morsel-parallel pipeline driver. ``None`` keeps the
+        :func:`repro.settings.get_settings` value (``REPRO_WORKERS``);
+        ``1`` forces serial execution.
     :param context: run the plan governed by a
         :class:`~repro.service.context.QueryContext` — operators and the
         morsel scheduler poll its deadline/cancellation token at
@@ -68,7 +68,7 @@ def execute(
         with activate_context(context):
             return execute(root, workers=workers)
     if workers is not None:
-        with parallel_execution(workers):
+        with scoped_settings(workers=workers):
             return execute(root)
     metrics = get_metrics()
     tracer = get_tracer()
@@ -91,15 +91,15 @@ def execute(
             "engine.execute_seconds", DEFAULT_BUCKETS, exist_ok=True
         ).observe(timer.elapsed)
     if query_log is not None:
-        executor = get_executor_config()
+        settings = get_settings()
         entry = {
             "kind": "execute",
             "root": root.name,
             "plan": root.explain(),
             "rows_out": result.num_rows,
             "wall_seconds": timer.elapsed,
-            "backend": executor.backend,
-            "workers": executor.workers,
+            "backend": settings.backend,
+            "workers": settings.workers,
         }
         if root.estimated_rows is not None:
             entry["estimated_rows"] = root.estimated_rows
@@ -276,7 +276,7 @@ def explain_analyze(
         with activate_context(context):
             return explain_analyze(root, feedback=feedback, workers=workers)
     if workers is not None:
-        with parallel_execution(workers):
+        with scoped_settings(workers=workers):
             return explain_analyze(root, feedback=feedback)
     with instrumented(root) as stats:
         with Timer() as timer:

@@ -54,13 +54,13 @@ from repro.engine.kernels.joins import (
 )
 from repro.engine.parallel import (
     MorselReport,
-    get_executor_config,
     morsel_boundaries,
     run_tasks,
     task,
 )
 from repro.errors import ExecutionError, PreconditionError
 from repro.indexes.hash_table import murmur3_finalizer
+from repro.settings import check, get_settings
 
 #: join algorithms whose probe phase shards safely: the build structure is
 #: read-only during probing and output is probe-major, so concatenating
@@ -274,9 +274,9 @@ def parallel_group_by(
 
     :param values: SUM input per row, or None for COUNT-only.
     :param shards: number of pieces; 1 degenerates to the serial kernel.
-    :param workers: workers to schedule pieces on; defaults to the
-        process-wide :func:`repro.engine.parallel.get_executor_config`
-        value (1 = run the pieces inline, serially).
+    :param workers: workers to schedule pieces on; defaults to
+        :func:`repro.settings.get_settings`'s (1 = run the pieces inline,
+        serially).
     :raises PreconditionError: if ``shards`` < 1, or see
         :func:`partitioned_group_by`.
     """
@@ -436,9 +436,7 @@ def exchange_join(
             f"exchange join cannot run {algorithm.value!r} locally: "
             "partitioning breaks its precondition or tie order"
         )
-    if workers is None:
-        workers = get_executor_config().workers
-    workers = max(int(workers), 1)
+    workers = get_settings().workers if workers is None else check("workers", workers)
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
     if workers == 1 or build_keys.size == 0 or probe_keys.size == 0:

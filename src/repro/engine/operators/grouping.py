@@ -24,9 +24,10 @@ from repro.engine.operators.base import (
     MaterialisedOperator,
     PhysicalOperator,
 )
-from repro.engine.parallel import check_backend, get_executor_config
+from repro.engine.parallel import MIN_PARALLEL_ROWS
 from repro.errors import ExecutionError
 from repro.service.context import check_active_context
+from repro.settings import check, get_settings
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
 
@@ -49,8 +50,8 @@ class GroupBy(MaterialisedOperator):
         ``True`` forces morsel-parallel execution (one shard per
         configured worker), ``False`` forces the serial path, and
         ``None`` (default) auto-parallelises large inputs when the
-        process-wide :class:`~repro.engine.parallel.ExecutorConfig` has
-        more than one worker.
+        :class:`~repro.settings.Settings` in force have more than one
+        worker.
     :param exchange: the MACROMOLECULE-level repartition decision.
         ``True`` hash-partitions the input on the key, groups each
         (disjoint) partition locally, and concatenates — only HG/SOG/BSG
@@ -58,7 +59,7 @@ class GroupBy(MaterialisedOperator):
     :param backend: which pool runs the parallel work: ``"thread"``,
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
-        the process-wide executor configuration.
+        the settings in force.
     """
 
     def __init__(
@@ -104,7 +105,7 @@ class GroupBy(MaterialisedOperator):
         self._shards = shards
         self._parallel = parallel
         self._exchange = bool(exchange)
-        self._backend = None if backend is None else check_backend(backend)
+        self._backend = None if backend is None else check("backend", backend)
 
     @property
     def output_schema(self) -> Schema:
@@ -135,15 +136,15 @@ class GroupBy(MaterialisedOperator):
     def _effective_shards(self, num_rows: int) -> int:
         """Morsel count for this execution: the explicit ``shards``
         argument wins; otherwise the ``parallel`` mode consults the
-        process-wide executor configuration."""
+        settings in force."""
         if self._shards > 1:
             return self._shards
-        config = get_executor_config()
-        if self._parallel is False or config.workers <= 1:
+        workers = get_settings().workers
+        if self._parallel is False or workers <= 1:
             return 1
-        if self._parallel is None and num_rows < config.min_parallel_rows:
+        if self._parallel is None and num_rows < MIN_PARALLEL_ROWS:
             return 1
-        return config.workers
+        return workers
 
     def _materialise(self) -> Table:
         table = self.children[0].to_table()
@@ -154,10 +155,10 @@ class GroupBy(MaterialisedOperator):
             for spec in self._aggregates
             if spec.column is not None
         }
-        config = get_executor_config()
+        settings = get_settings()
         # An exchange makes one partition per worker; shards cut ranges.
-        exchange = self._exchange and config.workers > 1
-        parts = config.workers if exchange else self._effective_shards(table.num_rows)
+        exchange = self._exchange and settings.workers > 1
+        parts = settings.workers if exchange else self._effective_shards(table.num_rows)
         if parts > 1 and table.num_rows:
             group_keys, columns, report = partitioned_group_by(
                 keys,
@@ -167,7 +168,7 @@ class GroupBy(MaterialisedOperator):
                 parts,
                 "hash" if exchange else "range",
                 self._num_distinct_hint,
-                self._backend or config.backend,
+                self._backend or settings.backend,
             )
             self._note_parallelism(report.workers_used, report.busy_seconds)
             # Working set beyond input and output: the partials, plus the

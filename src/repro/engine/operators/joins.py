@@ -19,8 +19,9 @@ from repro.engine.kernels.parallel import (
     exchange_join,
     parallel_join,
 )
-from repro.engine.parallel import check_backend, get_executor_config
+from repro.engine.parallel import MIN_PARALLEL_ROWS, MORSEL_ROWS
 from repro.service.context import check_active_context, get_active_context
+from repro.settings import check, get_settings
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
@@ -49,9 +50,8 @@ class Join(MaterialisedOperator):
         the probe phase. ``True`` forces the shared-build, sharded-probe
         morsel path (HJ/SPHJ/BSJ; output is bit-identical to serial),
         ``False`` forces serial, ``None`` (default) auto-parallelises
-        large probe sides when the process-wide
-        :class:`~repro.engine.parallel.ExecutorConfig` has more than one
-        worker. OJ/SOJ always run serially.
+        large probe sides when the :class:`~repro.settings.Settings` in
+        force have more than one worker. OJ/SOJ always run serially.
     :param exchange: the MACROMOLECULE-level repartition decision.
         ``True`` hash-partitions *both* sides and joins each partition
         pair locally — the build phase parallelises too, unlike the
@@ -60,7 +60,7 @@ class Join(MaterialisedOperator):
     :param backend: which pool runs the parallel work: ``"thread"``,
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
-        the process-wide executor configuration.
+        the settings in force.
     """
 
     def __init__(
@@ -103,7 +103,7 @@ class Join(MaterialisedOperator):
         self._chunk_size = chunk_size
         self._parallel = parallel
         self._exchange = bool(exchange)
-        self._backend = None if backend is None else check_backend(backend)
+        self._backend = None if backend is None else check("backend", backend)
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
 
@@ -137,20 +137,20 @@ class Join(MaterialisedOperator):
         """
         if self._algorithm not in PARALLEL_PROBE_ALGORITHMS:
             return 1
-        config = get_executor_config()
+        workers = get_settings().workers
         governed = (
             get_active_context() is not None
             and self._parallel is not False
-            and probe_rows > config.morsel_rows
+            and probe_rows > MORSEL_ROWS
         )
         if governed:
-            morsels = -(-probe_rows // config.morsel_rows)
-            return max(config.workers, morsels)
-        if self._parallel is False or config.workers <= 1:
+            morsels = -(-probe_rows // MORSEL_ROWS)
+            return max(workers, morsels)
+        if self._parallel is False or workers <= 1:
             return 1
-        if self._parallel is None and probe_rows < config.min_parallel_rows:
+        if self._parallel is None and probe_rows < MIN_PARALLEL_ROWS:
             return 1
-        return config.workers
+        return workers
 
     def _materialise(self) -> Table:
         left_table = self.children[0].to_table()
@@ -158,8 +158,9 @@ class Join(MaterialisedOperator):
         check_active_context()
         build_keys = left_table[self._left_key]
         probe_keys = right_table[self._right_key]
-        backend = self._backend or get_executor_config().backend
-        workers = get_executor_config().workers
+        settings = get_settings()
+        backend = self._backend or settings.backend
+        workers = settings.workers
         shards = self._probe_shards(right_table.num_rows)
         note = lambda report: self._note_parallelism(  # noqa: E731
             report.workers_used, report.busy_seconds

@@ -13,8 +13,9 @@ from repro.engine.operators.base import (
     MaterialisedOperator,
     PhysicalOperator,
 )
-from repro.engine.parallel import get_executor_config, run_morsels
+from repro.engine.parallel import run_morsels
 from repro.errors import ExecutionError
+from repro.settings import get_settings
 from repro.storage.dtypes import DataType
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
@@ -50,7 +51,7 @@ class TableScan(MaterialisedOperator):
 class Filter(PhysicalOperator):
     """Keep rows where a boolean expression holds. Streaming.
 
-    With a multi-worker :class:`~repro.engine.parallel.ExecutorConfig`,
+    With several workers in the :class:`~repro.settings.Settings` in force,
     incoming chunks are batched and the predicate+filter morsels run on
     the shared worker pool; output chunk order is preserved, so parallel
     and serial execution produce identical streams. ``parallel=False``
@@ -84,8 +85,7 @@ class Filter(PhysicalOperator):
         return filtered
 
     def chunks(self) -> Iterator[Chunk]:
-        config = get_executor_config()
-        workers = config.workers
+        workers = get_settings().workers
         if self._parallel is False or workers <= 1:
             for chunk in self.children[0].chunks():
                 yield self._filter_chunk(chunk)

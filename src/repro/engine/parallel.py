@@ -5,11 +5,11 @@ into fixed-size *morsels* and lets a pool of workers pull them; the
 engine's vectorised kernels release the GIL inside numpy, so CPython
 threads achieve genuine wall-clock speedup on multi-core hosts.
 
-This module owns the process-wide pieces:
+This module owns the process-wide pieces (the worker count and backend
+are :class:`repro.settings.Settings` fields):
 
-* :class:`ExecutorConfig` — worker count and morsel sizing, settable via
-  ``REPRO_WORKERS`` (environment), :func:`set_executor_config`, or the
-  scoped :func:`parallel_execution` context manager;
+* the morsel sizing constants :data:`MORSEL_ROWS` and
+  :data:`MIN_PARALLEL_ROWS`;
 * one lazily-created, shared :class:`~concurrent.futures.ThreadPoolExecutor`
   (named ``repro-worker-N`` threads) that every parallel operator
   schedules onto — one pool per process, as in the morsel paper;
@@ -42,156 +42,38 @@ the process even while morsels are in flight.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
 from concurrent.futures import CancelledError, Future
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.obs.runtime import get_metrics, get_tracer
 from repro.service.context import activate_context, get_active_context
+from repro.settings import check, get_settings
 
 T = TypeVar("T")
 
 #: thread-name prefix of pool workers; also the nested-scheduling sentinel.
 WORKER_THREAD_PREFIX = "repro-worker"
 
-#: default rows per morsel — large enough that numpy kernel time dominates
-#: scheduling overhead, small enough to load-balance across workers.
-DEFAULT_MORSEL_ROWS = 65_536
+#: rows per morsel when an operator auto-splits its input — large enough
+#: that numpy kernel time dominates scheduling overhead, small enough to
+#: load-balance across workers.
+MORSEL_ROWS = 65_536
 
-#: inputs below this row count are not worth scheduling: the kernels
-#: finish in tens of microseconds, under the pool's dispatch latency.
-DEFAULT_MIN_PARALLEL_ROWS = 32_768
+#: inputs below this row count stay serial even with several workers:
+#: the kernels finish in tens of microseconds, under the pool's
+#: dispatch latency.
+MIN_PARALLEL_ROWS = 32_768
 
-#: execution backends an operator's parallel loop can run on.
-BACKENDS = ("thread", "process")
-
-
-def check_backend(backend: str) -> str:
-    """``backend`` if it names an execution backend.
-
-    :raises ExecutionError: otherwise.
-    """
-    if backend not in BACKENDS:
-        raise ExecutionError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Process-wide parallel-execution settings.
-
-    ``workers=1`` (the default) keeps every operator on the serial code
-    path — the engine behaves exactly as before this module existed.
-    """
-
-    #: workers available to morsel scheduling (>= 1).
-    workers: int = 1
-    #: target rows per morsel when an operator auto-splits its input.
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
-    #: inputs smaller than this stay serial even when workers > 1.
-    min_parallel_rows: int = DEFAULT_MIN_PARALLEL_ROWS
-    #: parallel loops run on pool threads ("thread") or on the shared
-    #: process pool ("process", see :mod:`repro.engine.procpool`).
-    backend: str = "thread"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise ConfigurationError(
-                f"workers must be an integer, got {self.workers!r}"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.morsel_rows < 1:
-            raise ConfigurationError(
-                f"morsel_rows must be >= 1, got {self.morsel_rows}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-
-    @staticmethod
-    def from_env() -> "ExecutorConfig":
-        """The configuration implied by the environment.
-
-        ``REPRO_WORKERS`` sets the worker count; zero, negative, or
-        non-integer values raise :class:`ConfigurationError` — a typo'd
-        deployment must fail loudly, not silently run serial.
-        ``REPRO_BACKEND`` selects ``thread`` (default) or ``process``.
-        """
-        raw_workers = os.environ.get("REPRO_WORKERS", "1")
-        try:
-            workers = int(raw_workers)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_WORKERS must be a positive integer, got {raw_workers!r}"
-            ) from None
-        if workers < 1:
-            raise ConfigurationError(
-                f"REPRO_WORKERS must be >= 1, got {raw_workers!r}"
-            )
-        backend = os.environ.get("REPRO_BACKEND", "thread").strip().lower()
-        return ExecutorConfig(workers=workers, backend=backend)
-
-
-_config: ExecutorConfig | None = None
-_config_lock = threading.Lock()
-_config_local = threading.local()
 _pool: "_MorselPool | None" = None
 _pool_size = 0
 _pool_lock = threading.Lock()
-
-
-def get_executor_config() -> ExecutorConfig:
-    """The active configuration (initialised from the environment once).
-
-    A thread-scoped :func:`parallel_execution` override, when present,
-    wins over the process-wide configuration — so concurrent sessions
-    can run with different worker counts without racing on a global.
-    """
-    override = getattr(_config_local, "config", None)
-    if override is not None:
-        return override
-    global _config
-    if _config is None:
-        with _config_lock:
-            if _config is None:
-                _config = ExecutorConfig.from_env()
-    return _config
-
-
-def set_executor_config(config: ExecutorConfig) -> None:
-    """Replace the process-wide configuration."""
-    global _config
-    with _config_lock:
-        _config = config
-
-
-@contextmanager
-def parallel_execution(workers: int) -> Iterator[ExecutorConfig]:
-    """Scoped worker-count override: restores the prior setting on exit.
-
-    The override is *thread-local*: it governs plans driven from the
-    calling thread only, so two sessions executing concurrently with
-    different ``workers`` never observe each other's setting.
-    """
-    previous = getattr(_config_local, "config", None)
-    config = replace(get_executor_config(), workers=max(int(workers), 1))
-    _config_local.config = config
-    try:
-        yield config
-    finally:
-        _config_local.config = previous
 
 
 class _MorselPool:
@@ -295,8 +177,8 @@ def run_morsels(
     """Run morsel ``tasks`` and return their results in submission order.
 
     :param tasks: zero-argument callables, one per morsel.
-    :param workers: worker-count override; defaults to the process-wide
-        :func:`get_executor_config` value.
+    :param workers: worker-count override; defaults to
+        :func:`repro.settings.get_settings`'s.
     :returns: a :class:`MorselReport`; ``results[i]`` is ``tasks[i]()``.
 
     Exceptions propagate: on the first failing task (or a deadline /
@@ -311,9 +193,7 @@ def run_morsels(
     is polled before every morsel, inline or pooled.
     """
     tasks = list(tasks)
-    if workers is None:
-        workers = get_executor_config().workers
-    workers = max(int(workers), 1)
+    workers = get_settings().workers if workers is None else check("workers", workers)
     context = get_active_context()
     if len(tasks) <= 1 or workers == 1 or on_worker_thread():
         started = time.perf_counter()
@@ -481,15 +361,15 @@ def run_tasks(
     :param pieces: one small dict per morsel (bounds); each call's
         payload is ``{**shared, **piece}``.
     :param backend: ``"thread"`` or ``"process"``.
-    :param workers: worker-count override; defaults to the process-wide
-        :func:`get_executor_config` value.
+    :param workers: worker-count override; defaults to
+        :func:`repro.settings.get_settings`'s.
 
     Deadlines, cancellation, error propagation and busy-time accounting
     are those of :func:`run_morsels` and
     :meth:`repro.engine.procpool.ProcessPool.run_batch` respectively.
     """
     fn = get_task(kind)
-    if check_backend(backend) == "process":
+    if check("backend", backend) == "process":
         from repro.engine.procpool import get_shared_store, run_process_tasks
 
         store = get_shared_store()

@@ -55,7 +55,7 @@ import threading
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Sequence
 
@@ -64,13 +64,13 @@ import numpy as np
 from repro.engine.parallel import (
     MorselReport,
     batch_report,
-    get_executor_config,
     get_task,
     map_leaves,
     task,
 )
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled, WorkerCrashError
 from repro.obs.runtime import get_tracer
+from repro.settings import check, get_settings, set_settings
 
 #: shared-memory segment name prefix — distinctive, so leak checks can
 #: scan ``/dev/shm`` without tripping over other tenants' segments.
@@ -315,9 +315,7 @@ def _task_sleep(payload: dict):
 def _worker_main(task_queue, result_queue, cancel_event, worker_name: str) -> None:
     # Workers never nest parallelism: whatever REPRO_WORKERS says in the
     # inherited environment, inside a worker everything runs serial.
-    from repro.engine.parallel import ExecutorConfig, set_executor_config
-
-    set_executor_config(ExecutorConfig(workers=1))
+    set_settings(replace(get_settings(), workers=1))
     cache: dict = {}
     retired: list = []  # evicted segments awaiting a safe close
     try:
@@ -395,7 +393,7 @@ class ProcessPool:
     def __init__(self, workers: int, start_method: str | None = None) -> None:
         if workers < 1:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
-        method = start_method or os.environ.get("REPRO_PROC_START", "spawn")
+        method = start_method or get_settings().proc_start
         self._ctx = multiprocessing.get_context(method)
         self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
@@ -636,9 +634,7 @@ def run_process_tasks(
     The submitting thread's active query context governs the batch when
     ``context`` is None.
     """
-    if workers is None:
-        workers = get_executor_config().workers
-    workers = max(int(workers), 1)
+    workers = get_settings().workers if workers is None else check("workers", workers)
     if context is None:
         from repro.service.context import get_active_context
 

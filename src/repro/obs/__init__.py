@@ -33,7 +33,6 @@ from repro.obs.profile import (
     capture_profile,
 )
 from repro.obs.querylog import (
-    ENV_QUERY_LOG,
     QueryLog,
     get_query_log,
     set_query_log,
@@ -78,7 +77,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_OBJECTIVES",
-    "ENV_QUERY_LOG",
     "FeedbackSample",
     "FeedbackStore",
     "Gauge",

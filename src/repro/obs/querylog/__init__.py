@@ -4,8 +4,9 @@ Every :func:`repro.engine.executor.execute`,
 :func:`~repro.engine.executor.explain_analyze`, and
 :meth:`repro.core.optimizer.dp.DPOptimizer.optimize_spec` call appends a
 JSON line to the active log — enabled either explicitly
-(:func:`set_query_log`) or via the ``REPRO_QUERY_LOG`` environment
-variable. Lines are self-describing (``kind`` is ``'execute'``,
+(:func:`set_query_log`) or by the ``query_log`` setting
+(``REPRO_QUERY_LOG``, see :mod:`repro.settings`). Lines are
+self-describing (``kind`` is ``'execute'``,
 ``'profile'``, or ``'optimize'``), so history survives schema growth and
 a half-written trailing line never poisons the reader.
 
@@ -40,8 +41,8 @@ asked across history instead of per run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,12 +50,14 @@ from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.feedback import FeedbackSample, FeedbackStore
-
-#: environment variable holding the default log path.
-ENV_QUERY_LOG = "REPRO_QUERY_LOG"
+from repro.settings import get_settings
 
 #: schema version stamped on every appended entry.
 LOG_SCHEMA_VERSION = 1
+
+#: entry-id suffixes, shared by every handle in the process: two handles
+#: on one path never mint the same id.
+_ENTRY_SEQUENCE = itertools.count(1)
 
 
 class QueryLog:
@@ -68,7 +71,6 @@ class QueryLog:
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._sequence = 0
 
     @property
     def path(self) -> Path:
@@ -76,8 +78,7 @@ class QueryLog:
         return self._path
 
     def _new_id(self) -> str:
-        self._sequence += 1
-        return f"q{time.time_ns() // 1_000_000:011x}-{self._sequence:03d}"
+        return f"q{time.time_ns() // 1_000_000:011x}-{next(_ENTRY_SEQUENCE):03d}"
 
     def append(self, entry: dict) -> str:
         """Append one entry; returns the (assigned) entry id.
@@ -190,17 +191,15 @@ class QueryLog:
 
 # -- process-wide handle ----------------------------------------------------
 
-#: the explicitly-installed log (None = fall back to the environment).
+#: the explicitly-installed log (None = fall back to the settings).
 _query_log: QueryLog | None = None
-#: cache for the environment-configured log, keyed by the env value.
-_env_log: tuple[str, QueryLog] | None = None
 
 
 def set_query_log(target: QueryLog | str | Path | None) -> None:
     """Install (or with ``None`` uninstall) the process-wide query log.
 
-    An explicitly installed log wins over ``REPRO_QUERY_LOG``; passing
-    ``None`` restores the environment-variable behaviour.
+    An explicitly installed log wins over the ``query_log`` setting;
+    passing ``None`` falls back to it again.
     """
     global _query_log
     if target is None or isinstance(target, QueryLog):
@@ -213,18 +212,12 @@ def get_query_log() -> QueryLog | None:
     """The active query log, or None when logging is disabled.
 
     Resolution order: the log installed via :func:`set_query_log`, then
-    the path named by the ``REPRO_QUERY_LOG`` environment variable.
+    the path in :func:`repro.settings.get_settings` (``REPRO_QUERY_LOG``).
     """
-    global _env_log
     if _query_log is not None:
         return _query_log
-    path = os.environ.get(ENV_QUERY_LOG, "")
-    if not path:
-        _env_log = None
-        return None
-    if _env_log is None or _env_log[0] != path:
-        _env_log = (path, QueryLog(path))
-    return _env_log[1]
+    path = get_settings().query_log
+    return QueryLog(path) if path else None
 
 
 # -- window filters ---------------------------------------------------------
@@ -648,7 +641,7 @@ def _cli_log(args: argparse.Namespace) -> QueryLog:
     log = get_query_log()
     if log is None:
         raise ObservabilityError(
-            f"no query log: pass --log PATH or set ${ENV_QUERY_LOG}"
+            "no query log: pass --log PATH or set $REPRO_QUERY_LOG"
         )
     return log
 
@@ -932,7 +925,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--log",
         default="",
-        help=f"log path (default: ${ENV_QUERY_LOG})",
+        help="log path (default: $REPRO_QUERY_LOG)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     listing = commands.add_parser("list", help="one line per logged entry")

@@ -40,13 +40,14 @@ from repro.core.optimizer.rules import (
     grouping_options,
     join_options,
 )
-from repro.core.optimizer.space import option_cost, resolve_workers
+from repro.core.optimizer.space import option_cost
 from repro.core.plan import PhysicalNode, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
 from repro.logical.algebra import LogicalPlan
 from repro.obs.search.trace import DEFAULT_CAPACITY, SearchTrace, replay
+from repro.settings import ambient
 from repro.storage.catalog import Catalog
 
 
@@ -383,7 +384,7 @@ def explain_why(
     spec = _as_spec(query, catalog)
     config = config or dqo_config()
     cost_model = cost_model or PaperCostModel()
-    workers = resolve_workers(config)
+    workers = ambient(workers=config.workers).workers
     trace = SearchTrace(capacity_per_class=capacity_per_class)
     optimizer = DynamicProgrammingOptimizer(
         catalog,

@@ -36,9 +36,9 @@ from repro.core.optimizer.dp import DynamicProgrammingOptimizer
 from repro.core.optimizer.plancache import DEFAULT_CAPACITY, PlanCache
 from repro.core.plan import to_operator
 from repro.engine.executor import execute, explain_analyze
-from repro.engine.parallel import get_executor_config, parallel_execution
 from repro.errors import (
     AdmissionRejected,
+    ConfigurationError,
     QueryCancelled,
     ReproError,
     ServiceError,
@@ -65,6 +65,7 @@ from repro.service.context import (
     QueryContext,
     activate_context,
 )
+from repro.settings import ambient, check
 from repro.sql import plan_query
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -98,17 +99,26 @@ def observe_stage(
         ).observe(seconds, trace_id=trace_id)
 
 
+def _client_workers(value) -> int:
+    """A client's worker count, held to the one settings rule; what it
+    refuses is a :class:`ServiceError` (a request error, not a crash)."""
+    try:
+        return check("workers", value)
+    except ConfigurationError as error:
+        raise ServiceError(str(error)) from None
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """The service's policy dials (admission policy rides along)."""
 
     #: admission policy (concurrency, queue bound, degradation point).
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: morsel workers per query; None resolves the ambient executor
-    #: configuration (``REPRO_WORKERS``) at query time.
+    #: morsel workers per query; None resolves :func:`repro.settings.
+    #: ambient` (``REPRO_WORKERS``) at query time.
     workers: int | None = None
     #: execution backend the optimiser plans for ("thread" / "process");
-    #: None resolves the ambient executor configuration (``REPRO_BACKEND``)
+    #: None resolves :func:`repro.settings.ambient` (``REPRO_BACKEND``)
     #: at query time.
     backend: str | None = None
     #: optimise deep (DQO) by default; False = shallow (SQO).
@@ -432,7 +442,7 @@ class QueryService:
         :param memory_budget_bytes: cap on any single operator's working
             set; defaults to the service's ``default_memory_budget``.
         :param workers: morsel workers for this query; defaults to the
-            service's setting, then the ambient executor configuration.
+            service's setting, then :func:`repro.settings.ambient`.
             Forced to 1 when the query is admitted degraded.
         :param queue_timeout: max seconds to wait for admission.
         :param trace_id: client-minted correlation id; minted at this
@@ -449,10 +459,13 @@ class QueryService:
         :raises repro.errors.QueryCancelled: token triggered.
         :raises repro.errors.MemoryBudgetExceeded: budget exceeded.
         :raises repro.errors.ReproError: parse/plan/optimise/execution
-            errors, each with its usual typed class.
+            errors, each with its usual typed class. Any exception, typed
+            or not, is recorded as a failure and re-raised unchanged.
         """
         if self._closed:
             raise ServiceError("query service is shut down")
+        if workers is not None:
+            workers = _client_workers(workers)
         context = QueryContext.start(
             deadline=(
                 deadline if deadline is not None
@@ -500,9 +513,10 @@ class QueryService:
                 for stage, seconds in outcome.stage_seconds.items():
                     observe_stage(metrics, stage, seconds, context.trace_id)
             return outcome
-        except ReproError as error:
+        except Exception as error:
             status = type(error).__name__
-            error.trace_id = context.trace_id  # correlate failures too
+            if isinstance(error, ReproError):
+                error.trace_id = context.trace_id  # correlate failures too
             if isinstance(error, QueryCancelled):
                 self._count("cancelled")
             elif isinstance(error, AdmissionRejected):
@@ -633,7 +647,7 @@ class QueryService:
         self, logical, workers: int | None, degraded: bool
     ) -> OptimizationResult:
         deep = self._config.deep and not degraded
-        backend = self._config.backend or get_executor_config().backend
+        backend = ambient(backend=self._config.backend).backend
         config = (
             dqo_config(workers=workers, backend=backend)
             if deep
@@ -682,10 +696,9 @@ class QueryService:
         # explain/trace machinery, which plain query serving never needs.
         from repro.obs.search.explain import explain_why
 
-        if workers is None:
-            workers = self._config.workers
+        workers = self._config.workers if workers is None else _client_workers(workers)
         use_deep = self._config.deep if deep is None else bool(deep)
-        backend = self._config.backend or get_executor_config().backend
+        backend = ambient(backend=self._config.backend).backend
         config = (
             dqo_config(workers=workers, backend=backend)
             if use_deep
@@ -739,7 +752,7 @@ class Session:
     _SETTINGS = {
         "deadline": float,
         "priority": lambda v: Priority(int(v)),
-        "workers": int,
+        "workers": _client_workers,
         "memory_budget_bytes": int,
         "queue_timeout": float,
         "profile": bool,
@@ -762,17 +775,25 @@ class Session:
             self.set(name, value)
 
     def set(self, name: str, value) -> None:
-        """Set a session-scoped setting (None clears it)."""
+        """Set a session-scoped setting (None clears it).
+
+        :raises ServiceError: for an unknown name or a value the
+            setting cannot take.
+        """
         if name not in self._SETTINGS:
             raise ServiceError(
                 f"unknown session setting {name!r}; "
                 f"have {sorted(self._SETTINGS)}"
             )
+        try:
+            value = None if value is None else self._SETTINGS[name](value)
+        except (TypeError, ValueError):
+            raise ServiceError(f"session setting {name!r} cannot take {value!r}") from None
         with self._lock:
             if value is None:
                 self._settings.pop(name, None)
             else:
-                self._settings[name] = self._SETTINGS[name](value)
+                self._settings[name] = value
 
     def get(self, name: str):
         """The session's value for a setting, or None."""
@@ -807,7 +828,7 @@ class Session:
                 self._stats["queries"] += 1
                 self._stats["rejected"] += 1
             raise
-        except ReproError:
+        except Exception:
             with self._lock:
                 self._stats["queries"] += 1
                 self._stats["errors"] += 1

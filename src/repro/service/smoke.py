@@ -212,9 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         # Under REPRO_STORAGE=disk the whole burst ran out-of-core:
         # the buffer pool must have been exercised and must have held
         # its hard byte budget throughout the concurrent load.
-        from repro.storage.disk import get_buffer_manager, storage_mode
+        from repro.settings import get_settings
+        from repro.storage.disk import get_buffer_manager
 
-        if storage_mode() == "disk":
+        if get_settings().storage == "disk":
             pool = get_buffer_manager()
             pool_stats = pool.stats()
             print(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from repro.errors import SchemaError
+from repro.settings import get_settings
 from repro.storage.statistics import ColumnStatistics
 from repro.storage.table import Table
 
@@ -57,10 +58,10 @@ def _maybe_spill(name: str, table: Table):
     """
     if not isinstance(table, Table) or table.num_columns == 0:
         return table
-    from repro.storage.disk import spill_table, storage_mode
-
-    if storage_mode() != "disk":
+    if get_settings().storage != "disk":
         return table
+    from repro.storage.disk import spill_table
+
     return spill_table(table, name)
 
 

@@ -12,7 +12,8 @@ predicates prove empty; and the cost model's I/O terms
 (:meth:`~repro.core.cost.model.CostModel.disk_scan_cost`) let the DP
 optimiser trade scan strategies against cold-read, buffer-hit, and
 decode cost. Set ``REPRO_STORAGE=disk`` to spill every registered
-catalog table transparently.
+catalog table transparently; the storage settings are fields of
+:class:`repro.settings.Settings`.
 """
 
 from repro.storage.disk.buffer import (
@@ -21,15 +22,7 @@ from repro.storage.disk.buffer import (
     get_buffer_manager,
     set_buffer_manager,
 )
-from repro.storage.disk.config import (
-    DEFAULT_BUFFER_BYTES,
-    buffer_budget_bytes,
-    segment_rows_from_env,
-    spill_directory,
-    storage_mode,
-)
 from repro.storage.disk.format import (
-    DEFAULT_SEGMENT_ROWS,
     ENCODINGS,
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -49,14 +42,13 @@ from repro.storage.disk.table import (
     conjunct_triple,
     is_disk_table,
     open_table,
+    spill_directory,
     spill_table,
     write_table,
 )
 
 __all__ = [
     "BufferManager",
-    "DEFAULT_BUFFER_BYTES",
-    "DEFAULT_SEGMENT_ROWS",
     "DiskColumn",
     "DiskTable",
     "ENCODINGS",
@@ -65,7 +57,6 @@ __all__ = [
     "MANIFEST_NAME",
     "ScanEstimate",
     "append_table",
-    "buffer_budget_bytes",
     "choose_encoding",
     "conjunct_triple",
     "encode_segment",
@@ -75,11 +66,9 @@ __all__ = [
     "read_manifest",
     "read_segment",
     "scan_footers",
-    "segment_rows_from_env",
     "set_buffer_manager",
     "spill_directory",
     "spill_table",
-    "storage_mode",
     "write_manifest",
     "write_segment",
     "write_table",

@@ -33,7 +33,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.disk.config import buffer_budget_bytes
+from repro.settings import get_settings
 
 
 @dataclass
@@ -66,12 +66,13 @@ class BufferManager:
     """A byte-budgeted cache of decoded column segments.
 
     :param budget_bytes: hard ceiling on cached (resident) bytes; ``None``
-        reads ``REPRO_BUFFER_BYTES`` (default 256 MiB).
+        takes the ``buffer_bytes`` setting (``REPRO_BUFFER_BYTES``,
+        default 256 MiB).
     """
 
     def __init__(self, budget_bytes: int | None = None, name: str = "buffer") -> None:
         if budget_bytes is None:
-            budget_bytes = buffer_budget_bytes()
+            budget_bytes = get_settings().buffer_bytes
         if budget_bytes <= 0:
             raise StorageError(f"buffer budget must be > 0, got {budget_bytes}")
         self._budget = int(budget_bytes)
@@ -285,7 +286,7 @@ _default: BufferManager | None = None
 
 def get_buffer_manager() -> BufferManager:
     """The process-wide buffer pool, created on first use with the
-    ``REPRO_BUFFER_BYTES`` budget."""
+    ``buffer_bytes`` setting as its budget."""
     global _default
     if _default is None:
         with _default_lock:

@@ -58,9 +58,6 @@ FORMAT_VERSION = 1
 #: manifest file name inside a table directory.
 MANIFEST_NAME = "MANIFEST.json"
 
-#: default rows per segment (64Ki: a few hundred KiB per int64 segment).
-DEFAULT_SEGMENT_ROWS = 65536
-
 #: the supported page encodings, in decode-cheapness order.
 ENCODINGS = ("plain", "dictionary", "rle")
 

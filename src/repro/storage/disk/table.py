@@ -23,7 +23,9 @@ maps into the optimiser's segment-read and selectivity estimates.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,11 +34,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import StorageError
+from repro.settings import DEFAULT_SEGMENT_ROWS, get_settings
 from repro.storage.column import Column
 from repro.storage.disk.buffer import BufferManager, get_buffer_manager
-from repro.storage.disk.config import spill_directory
 from repro.storage.disk.format import (
-    DEFAULT_SEGMENT_ROWS,
     FORMAT_VERSION,
     read_manifest,
     read_segment,
@@ -729,22 +730,49 @@ def append_table(
     return DiskTable(directory, manifest, buffer)
 
 
+#: the per-process default spill dir, created lazily (None until used).
+_default_spill_dir: str | None = None
+
+
+def _cleanup_default_spill_dir() -> None:  # pragma: no cover - atexit hook
+    if _default_spill_dir is not None:
+        shutil.rmtree(_default_spill_dir, ignore_errors=True)
+
+
+def spill_directory() -> str:
+    """The directory spilled tables are written under (created on use).
+
+    The ``spill_dir`` setting (``REPRO_SPILL_DIR``) when set; otherwise a
+    per-process temp directory that is removed when the process exits.
+    """
+    global _default_spill_dir
+    configured = get_settings().spill_dir
+    if configured:
+        os.makedirs(configured, exist_ok=True)
+        return configured
+    if _default_spill_dir is None:
+        _default_spill_dir = os.path.join(
+            tempfile.gettempdir(), f"repro-spill-{os.getpid()}"
+        )
+        atexit.register(_cleanup_default_spill_dir)
+    os.makedirs(_default_spill_dir, exist_ok=True)
+    return _default_spill_dir
+
+
 def spill_table(
     table: Table,
     name: str,
     segment_rows: int | None = None,
     buffer: BufferManager | None = None,
 ) -> DiskTable:
-    """Write ``table`` into a fresh directory under the spill dir
-    (``REPRO_SPILL_DIR``) and return the disk-resident handle — what
+    """Write ``table`` into a fresh directory under
+    :func:`spill_directory` and return the disk-resident handle — what
     ``REPRO_STORAGE=disk`` catalog registration calls."""
-    from repro.storage.disk.config import segment_rows_from_env
-
     safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name) or "table"
     directory = tempfile.mkdtemp(prefix=f"{safe}-", dir=spill_directory())
     return write_table(
         table,
         directory,
-        segment_rows=segment_rows or segment_rows_from_env(),
+        segment_rows=segment_rows or get_settings().segment_rows,
         buffer=buffer,
     )

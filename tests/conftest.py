@@ -1,18 +1,51 @@
-"""Shared fixtures: small deterministic datasets and catalogs."""
+"""Shared fixtures: small deterministic datasets and catalogs.
+
+Tests configure by value: a fixture that needs other settings installs
+``replace(get_settings(), ...)`` with :func:`repro.settings.set_settings`
+and puts the previous value back, and ``_settings_unchanged`` fails any
+test that leaves the process-wide settings different from how it found
+them.
+"""
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
+from repro.settings import get_settings, set_settings
 from repro.storage import Catalog, Table
 
 
+@pytest.fixture(autouse=True)
+def _settings_unchanged():
+    before = get_settings()
+    yield
+    after = get_settings()
+    if after != before:
+        set_settings(before)
+        pytest.fail(f"test left the process-wide settings changed: {after} != {before}")
+
+
 @pytest.fixture
-def memory_storage(monkeypatch):
+def configured():
+    """``configured(**changes)`` installs process-wide settings with
+    ``changes`` applied for the rest of the test — visible on every
+    thread, server connections included — and restores them after."""
+    restore = []
+
+    def apply(**changes):
+        restore.append(set_settings(replace(get_settings(), **changes)))
+
+    yield apply
+    for previous in reversed(restore):
+        set_settings(previous)
+
+
+@pytest.fixture
+def memory_storage(configured):
     """Pin the in-memory storage path for this test.
 
     Used by paper-exact cost assertions (Table 2 has no I/O terms, so
@@ -20,7 +53,7 @@ def memory_storage(monkeypatch):
     in-memory-only machinery (shared-memory column store, overlay array
     sharing) whose semantics do not apply to spilled tables.
     """
-    monkeypatch.setenv("REPRO_STORAGE", "memory")
+    configured(storage="memory")
 
 
 @pytest.fixture(scope="module")
@@ -30,15 +63,11 @@ def fork_pool():
     the way out: no ``repro_shm_*`` entry survives in ``/dev/shm``."""
     from repro.engine.procpool import leaked_segments, shutdown_process_pool
 
-    previous = os.environ.get("REPRO_PROC_START")
-    os.environ["REPRO_PROC_START"] = "fork"
+    previous = set_settings(replace(get_settings(), proc_start="fork"))
     shutdown_process_pool()
     yield
     shutdown_process_pool()
-    if previous is None:
-        os.environ.pop("REPRO_PROC_START", None)
-    else:
-        os.environ["REPRO_PROC_START"] = previous
+    set_settings(previous)
     assert leaked_segments() == []
 
 

@@ -105,10 +105,8 @@ def test_btree_access_path(memory_storage):
     assert_agreement(FILTERED, catalog, dqo_config(views=views))
 
 
-def test_disk_resident_catalog(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_STORAGE", "disk")
-    monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SEGMENT_ROWS", "4096")
+def test_disk_resident_catalog(configured, tmp_path):
+    configured(storage="disk", spill_dir=str(tmp_path), segment_rows=4096)
     set_buffer_manager(BufferManager(budget_bytes=8 * 1024 * 1024))
     try:
         catalog = layout(Sortedness.SORTED)

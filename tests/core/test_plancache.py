@@ -25,9 +25,10 @@ from repro.core.optimizer import extract_query, spec_fingerprint
 from repro.core.optimizer.plancache import config_fingerprint
 from repro.core.optimizer.rules import grouping_options, join_options
 from repro.datagen import Density, Sortedness, make_join_scenario
-from repro.engine import GroupingAlgorithm, JoinAlgorithm, parallel_execution
+from repro.engine import GroupingAlgorithm, JoinAlgorithm
 from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
 from repro.obs import capture_observability
+from repro.settings import scoped_settings
 from repro.sql import plan_query
 from repro.storage.catalog import ForeignKey
 
@@ -325,11 +326,11 @@ class TestParallelOptionSpace:
         # runtime executor setting.
         logical = plan_query(paper_query, catalog)
         baseline = optimize_dqo(logical, catalog)
-        with parallel_execution(4):
+        with scoped_settings(workers=4):
             under_ambient = optimize_dqo(logical, catalog)
         assert under_ambient.cost == baseline.cost
         # Opting in to the ambient setting is explicit:
-        with parallel_execution(4):
+        with scoped_settings(workers=4):
             ambient_aware = optimize_dqo(logical, catalog, workers=None)
         assert ambient_aware.cost < baseline.cost
 

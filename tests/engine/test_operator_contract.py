@@ -25,13 +25,13 @@ from repro.engine import (
     count_star,
     execute,
     explain_analyze,
-    parallel_execution,
 )
 from repro.engine.operators import SegmentScan, chunk_count
 from repro.errors import DeadlineExceeded, MemoryBudgetExceeded
 from repro.logical.naive import evaluate_naive
 from repro.service.context import QueryContext
 from repro.service.session import QueryService, ServiceConfig
+from repro.settings import scoped_settings
 from repro.storage import Table
 from repro.storage.disk import BufferManager, write_table
 
@@ -213,18 +213,16 @@ class TestEveryRoute:
         finally:
             service.shutdown()
 
-    def test_memory_disk_and_both_backends_agree(self, scenario, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "memory")
-        memory = scenario.build_catalog()
+    def test_memory_disk_and_both_backends_agree(self, scenario, tmp_path):
+        with scoped_settings(storage="memory"):
+            memory = scenario.build_catalog()
         expected = evaluate_naive(plan_query(PAPER_SQL, memory), memory)
         expected = expected.sort_by(["R.A"])
-        monkeypatch.setenv("REPRO_STORAGE", "disk")
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SEGMENT_ROWS", "1024")
-        disk = scenario.build_catalog()
+        with scoped_settings(storage="disk", spill_dir=str(tmp_path), segment_rows=1024):
+            disk = scenario.build_catalog()
         for catalog in (memory, disk):
             assert self.rows(catalog).equals(expected)
             for backend in ("thread", "process"):
-                with parallel_execution(2):
+                with scoped_settings(workers=2):
                     got = self.rows(catalog, workers=2, backend=backend)
                 assert got.equals(expected), backend

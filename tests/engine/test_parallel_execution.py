@@ -16,13 +16,9 @@ import pytest
 
 from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
 from repro.engine import (
-    ExecutorConfig,
     col,
     count_star,
     execute,
-    get_executor_config,
-    parallel_execution,
-    set_executor_config,
     sum_of,
 )
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
@@ -39,10 +35,23 @@ from repro.engine.parallel import (
     on_worker_thread,
     run_morsels,
 )
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.obs import capture_observability
+from repro.settings import Settings, scoped_settings
 
 WORKER_COUNTS = [1, 2, 4]
+
+
+class TestExecutorConfig:
+    """The executor's two knobs, read from the process environment."""
+
+    def test_from_env_reads_repro_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        assert Settings.from_env().workers == 4
+
+    def test_from_env_reads_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert Settings.from_env().backend == "process"
 
 
 @pytest.fixture
@@ -57,70 +66,6 @@ def sorted_dense_dataset():
 def join_scenario():
     """Sorted/sorted dense: every join algorithm is applicable."""
     return make_join_scenario(n_r=1_500, n_s=6_000, num_groups=75, seed=13)
-
-
-class TestExecutorConfig:
-    def test_defaults_are_serial(self):
-        assert ExecutorConfig().workers == 1
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ExecutionError):
-            ExecutorConfig(workers=0)
-
-    def test_rejects_zero_morsel_rows(self):
-        with pytest.raises(ExecutionError):
-            ExecutorConfig(morsel_rows=0)
-
-    def test_from_env_reads_repro_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert ExecutorConfig.from_env().workers == 4
-
-    def test_from_env_rejects_zero_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ConfigurationError):
-            ExecutorConfig.from_env()
-
-    def test_from_env_rejects_negative_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "-2")
-        with pytest.raises(ConfigurationError):
-            ExecutorConfig.from_env()
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            ExecutorConfig.from_env()
-
-    def test_from_env_rejects_bad_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fiber")
-        with pytest.raises(ConfigurationError):
-            ExecutorConfig.from_env()
-
-    def test_from_env_reads_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert ExecutorConfig.from_env().backend == "process"
-
-    def test_parallel_execution_scopes_and_restores(self):
-        before = get_executor_config()
-        with parallel_execution(3) as config:
-            assert config.workers == 3
-            assert get_executor_config().workers == 3
-        assert get_executor_config() == before
-
-    def test_parallel_execution_restores_on_error(self):
-        before = get_executor_config()
-        with pytest.raises(RuntimeError):
-            with parallel_execution(2):
-                raise RuntimeError("boom")
-        assert get_executor_config() == before
-
-    def test_set_executor_config_round_trip(self):
-        before = get_executor_config()
-        try:
-            set_executor_config(ExecutorConfig(workers=2, morsel_rows=4096))
-            assert get_executor_config().workers == 2
-            assert get_executor_config().morsel_rows == 4096
-        finally:
-            set_executor_config(before)
 
 
 class TestMorselBoundaries:
@@ -317,7 +262,7 @@ class TestOperatorParallelism:
     multi-worker config produces the same table as the serial plan."""
 
     def _grouped(self, table, parallel, workers):
-        with parallel_execution(workers):
+        with scoped_settings(workers=workers):
             return execute(
                 GroupBy(
                     TableScan(table),
@@ -342,7 +287,7 @@ class TestOperatorParallelism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_join_operator(self, join_scenario, workers):
         def run(parallel, workers):
-            with parallel_execution(workers):
+            with scoped_settings(workers=workers):
                 return execute(
                     Join(
                         TableScan(join_scenario.r),
@@ -371,7 +316,7 @@ class TestOperatorParallelism:
         )
         plan = lambda: Filter(TableScan(table), col("key") < 100)
         serial = execute(plan())
-        with parallel_execution(workers):
+        with scoped_settings(workers=workers):
             parallel = execute(plan())
         for name in serial.schema.names:
             assert np.array_equal(

@@ -22,7 +22,6 @@ from repro.engine import (
     execute,
     max_of,
     min_of,
-    parallel_execution,
     sum_of,
 )
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
@@ -38,6 +37,7 @@ from repro.engine.kernels.parallel import (
 from repro.engine.operators import GroupBy, Join, TableScan
 from repro.errors import PreconditionError
 from repro.service.session import QueryService, ServiceConfig
+from repro.settings import scoped_settings
 from repro.storage import Catalog, Table
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
@@ -182,7 +182,7 @@ class TestGroupByOperator:
             {"key": dataset.keys, "value": dataset.payload, "f": floats}
         )
         serial = self.grouped(table, algorithm, parallel=False)
-        with parallel_execution(2):
+        with scoped_settings(workers=2):
             if partitioning == "hash":
                 result = self.grouped(table, algorithm, exchange=True, backend=backend)
             else:
@@ -243,7 +243,7 @@ class TestJoinOperator:
             )
 
         serial = run(parallel=False)
-        with parallel_execution(2):
+        with scoped_settings(workers=2):
             result = run(
                 parallel=partitioning == "range",
                 exchange=partitioning == "hash",

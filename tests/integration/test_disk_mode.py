@@ -27,13 +27,9 @@ from repro.core.optimizer import extract_query
 from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import execute, explain_analyze
 from repro.engine.operators import SegmentScan
-from repro.engine.parallel import (
-    ExecutorConfig,
-    get_executor_config,
-    set_executor_config,
-)
 from repro.logical import evaluate_naive
 from repro.obs.querylog import QueryLog, set_query_log, summarise
+from repro.settings import scoped_settings
 from repro.sql import plan_query
 from repro.storage import Catalog, Table
 from repro.storage.disk import (
@@ -61,11 +57,9 @@ def scenario():
 
 
 @pytest.fixture
-def disk_env(monkeypatch, tmp_path):
+def disk_env(configured, tmp_path):
     """Disk mode with small segments and a fresh 8 MiB pool."""
-    monkeypatch.setenv("REPRO_STORAGE", "disk")
-    monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SEGMENT_ROWS", "256")
+    configured(storage="disk", spill_dir=str(tmp_path), segment_rows=256)
     pool = BufferManager(budget_bytes=8 * 1024 * 1024)
     set_buffer_manager(pool)
     yield pool
@@ -88,7 +82,7 @@ def run(sql: str, catalog: Catalog) -> Table:
 
 class TestBitIdenticalResults:
     def test_disk_matches_memory_path(self, disk_catalog, memory_storage):
-        # memory_storage resets the env *after* disk_catalog spilled, so
+        # memory_storage resets the storage *after* disk_catalog spilled, so
         # this catalog stays in memory while disk_catalog is on disk.
         memory_catalog = scenario().build_catalog()
         assert not is_disk_table(memory_catalog.table("R"))
@@ -109,14 +103,8 @@ class TestBitIdenticalResults:
         logical = plan_query(QUERY, disk_catalog)
         plan = optimize_dqo(logical, disk_catalog).plan
         serial = execute(to_operator(plan, disk_catalog))
-        previous = get_executor_config()
-        try:
-            set_executor_config(
-                ExecutorConfig(workers=workers, backend=backend)
-            )
+        with scoped_settings(workers=workers, backend=backend):
             result = execute(to_operator(plan, disk_catalog))
-        finally:
-            set_executor_config(previous)
         assert result.equals_unordered(serial)
 
 

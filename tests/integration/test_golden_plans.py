@@ -29,6 +29,7 @@ from perf.reference import Query  # noqa: E402
 from repro.core.optimizer.base import dqo_config  # noqa: E402
 from repro.core.optimizer.dp import DynamicProgrammingOptimizer  # noqa: E402
 from repro.core.optimizer.plancache import PlanCache  # noqa: E402
+from repro.settings import scoped_settings  # noqa: E402
 from repro.sql import plan_query  # noqa: E402
 from repro.storage import Catalog, Table  # noqa: E402
 from repro.storage.catalog import ForeignKey  # noqa: E402
@@ -118,30 +119,31 @@ def cases(work_dir: Path):
 
 
 def measure(work_dir: Path) -> dict:
-    """``{case/config: {"fingerprint", "generated"}}`` at this commit."""
+    """``{case/config: {"fingerprint", "generated"}}`` at this commit.
+
+    The memory cases stay in memory under ``REPRO_STORAGE=disk``: a
+    spilled table plans (rightly) with disk scans.
+    """
     measured = {}
-    for label, catalog, query in cases(work_dir):
-        logical = plan_query(query.sql(), catalog)
-        for name, workers, backend in CONFIGS:
-            config = dqo_config(workers=workers, backend=backend)
-            # A private, empty plan cache: every case is a full search.
-            result = DynamicProgrammingOptimizer(
-                catalog, config=config, plan_cache=PlanCache()
-            ).optimize(logical)
-            measured[f"{label}/{name}"] = {
-                "fingerprint": result.plan_fingerprint,
-                "generated": result.stats.generated,
-            }
+    with scoped_settings(storage="memory"):
+        for label, catalog, query in cases(work_dir):
+            logical = plan_query(query.sql(), catalog)
+            for name, workers, backend in CONFIGS:
+                config = dqo_config(workers=workers, backend=backend)
+                # A private, empty plan cache: every case is a full search.
+                result = DynamicProgrammingOptimizer(
+                    catalog, config=config, plan_cache=PlanCache()
+                ).optimize(logical)
+                measured[f"{label}/{name}"] = {
+                    "fingerprint": result.plan_fingerprint,
+                    "generated": result.stats.generated,
+                }
     return measured
 
 
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory):
-    # The memory cases must stay in memory under REPRO_STORAGE=disk: a
-    # spilled table plans (rightly) with disk scans.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_STORAGE", "memory")
-        return measure(tmp_path_factory.mktemp("golden"))
+    return measure(tmp_path_factory.mktemp("golden"))
 
 
 def test_every_golden_case_is_measured(measured):
@@ -154,12 +156,10 @@ def test_plan_and_search_effort_unchanged(measured, case):
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(__doc__)
-    os.environ["REPRO_STORAGE"] = "memory"
     with tempfile.TemporaryDirectory() as scratch:
         GOLDEN.write_text(json.dumps(measure(Path(scratch)), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,4 +1,4 @@
-"""The persistent query log: appends, env gating, and the CLI."""
+"""The persistent query log: appends, settings gating, and the CLI."""
 
 import json
 
@@ -12,22 +12,22 @@ from repro.engine.operators.scan import TableScan
 from repro.errors import ObservabilityError
 from repro.obs import disable_observability
 from repro.obs.querylog import (
-    ENV_QUERY_LOG,
     QueryLog,
     get_query_log,
     main,
     set_query_log,
     summarise,
 )
+from repro.settings import scoped_settings
 from repro.storage.table import Table
 
 
 @pytest.fixture(autouse=True)
-def _clean_globals(monkeypatch):
-    monkeypatch.delenv(ENV_QUERY_LOG, raising=False)
+def _clean_globals():
     disable_observability()
     set_query_log(None)
-    yield
+    with scoped_settings(query_log=""):
+        yield
     set_query_log(None)
     disable_observability()
 
@@ -82,19 +82,23 @@ class TestProcessWideHandle:
     def test_disabled_by_default(self):
         assert get_query_log() is None
 
-    def test_env_variable_enables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_QUERY_LOG, str(tmp_path / "env.jsonl"))
-        log = get_query_log()
-        assert log is not None
-        assert log.path.name == "env.jsonl"
-        assert get_query_log() is log  # cached per env value
+    def test_env_variable_enables(self, tmp_path):
+        # REPRO_QUERY_LOG reaches the log through Settings.query_log
+        # (tests/test_settings.py reads the variable in a subprocess).
+        with scoped_settings(query_log=str(tmp_path / "env.jsonl")):
+            log = get_query_log()
+            assert log is not None
+            assert log.path.name == "env.jsonl"
+            # Handles on one path never mint the same entry id.
+            ids = {log.append({}), get_query_log().append({})}
+        assert len(ids) == 2 and len(log.entries()) == 2
 
-    def test_explicit_set_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_QUERY_LOG, str(tmp_path / "env.jsonl"))
-        set_query_log(tmp_path / "mine.jsonl")
-        assert get_query_log().path.name == "mine.jsonl"
-        set_query_log(None)
-        assert get_query_log().path.name == "env.jsonl"
+    def test_explicit_set_wins_over_env(self, tmp_path):
+        with scoped_settings(query_log=str(tmp_path / "env.jsonl")):
+            set_query_log(tmp_path / "mine.jsonl")
+            assert get_query_log().path.name == "mine.jsonl"
+            set_query_log(None)
+            assert get_query_log().path.name == "env.jsonl"
 
 
 class TestEngineIntegration:

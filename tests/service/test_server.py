@@ -143,6 +143,33 @@ class TestSessionScoping:
             client.set("nope", 1)
 
 
+#: settings a client may send that are refused: (request, message part).
+#: Worker counts pass the one Settings rule.
+BAD_SETTING_REQUESTS = {
+    "set-string": ({"op": "set", "name": "workers", "value": "x"}, "workers must be"),
+    "query-string": ({"op": "query", "sql": PAPER_SQL, "workers": "2"}, "workers must be"),
+    "set-zero": ({"op": "set", "name": "workers", "value": 0}, "workers must be"),
+    "query-huge": ({"op": "query", "sql": PAPER_SQL, "workers": 100_000}, "workers must be"),
+    "why-zero": ({"op": "why", "sql": PAPER_SQL, "workers": 0}, "workers must be"),
+    "set-priority": ({"op": "set", "name": "priority", "value": "x"}, "cannot take"),
+}
+
+
+class TestBadSettingsAtTheEdge:
+    @pytest.mark.parametrize("name", sorted(BAD_SETTING_REQUESTS))
+    def test_bad_value_is_a_typed_error(self, client, name):
+        request, message = BAD_SETTING_REQUESTS[name]
+        assert client.ping()  # the connection thread is up before counting
+        threads = threading.active_count()
+        response = client.request(request)
+        assert response["ok"] is False
+        assert response["error"] == "ServiceError"
+        assert message in response["message"]
+        assert client.ping()  # the connection stays usable
+        assert client.stats()["settings"] == {}
+        assert threading.active_count() <= threads
+
+
 class TestCancelOverTheWire:
     def test_cancel_from_a_second_connection(self, big_catalog):
         service = QueryService(big_catalog)

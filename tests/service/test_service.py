@@ -121,6 +121,35 @@ class TestObservability:
         assert by_status["ok"]["priority"] == int(Priority.NORMAL)
         assert "PlanError" in by_status
 
+    def test_untyped_crash_is_recorded_as_a_failure(
+        self, service, paper_query, tmp_path, monkeypatch
+    ):
+        """A non-ReproError from below the service is a failure too:
+        status = its class name, the ``failed`` counters, an SLO error —
+        and the caller gets the very same exception."""
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected below the service")
+
+        monkeypatch.setattr(service, "_optimize", crash)
+        log_path = tmp_path / "log.jsonl"
+        set_query_log(log_path)
+        try:
+            with capture_observability() as (metrics, __):
+                with pytest.raises(RuntimeError, match="injected below"):
+                    service.execute(paper_query)
+                snapshot = metrics.snapshot()
+        finally:
+            set_query_log(None)
+        assert service.counts()["failed"] == 1
+        assert snapshot["service.failed"] == 1
+        normal = service.slo.snapshot()["classes"]["NORMAL"]
+        assert (normal["count"], normal["errors"]) == (1, 1)
+        (entry,) = [
+            e for e in QueryLog(log_path).entries() if e["kind"] == "service"
+        ]
+        assert entry["status"] == "RuntimeError"
+
     def test_querylog_summary_reports_plan_cache(
         self, service, paper_query, tmp_path, capsys
     ):

@@ -213,18 +213,17 @@ class TestAppend:
 
 class TestSpillAndCatalog:
     def test_spill_table_lands_in_spill_dir(
-        self, small_table, tmp_path, monkeypatch
+        self, small_table, tmp_path, configured
     ):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        configured(spill_dir=str(tmp_path))
         disk = spill_table(small_table, "my table!")
         assert os.path.dirname(disk.directory) == str(tmp_path)
         assert disk.to_memory().equals(small_table)
 
     def test_catalog_autospills_under_disk_mode(
-        self, small_table, tmp_path, monkeypatch
+        self, small_table, tmp_path, configured
     ):
-        monkeypatch.setenv("REPRO_STORAGE", "disk")
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        configured(storage="disk", spill_dir=str(tmp_path))
         catalog = Catalog()
         catalog.register("t", small_table)
         registered = catalog.table("t")
