@@ -1,21 +1,29 @@
 """A threaded JSON-lines TCP front-end for the query service.
 
-Protocol: one JSON object per line, request/response. Each connection is
-one :class:`~repro.service.session.Session` (scoped settings live and
-die with the connection). Requests carry an ``op``:
+Protocol: one JSON object per line, request/response, UTF-8. Each
+connection is one :class:`~repro.service.session.Session` (scoped
+settings live and die with the connection). Both ends set
+``TCP_NODELAY`` and write each frame — the JSON object plus its
+``"\\n"`` — with one ``sendall``. Requests carry an ``op``:
 
 ``{"op": "query", "sql": ..., "id"?, "trace_id"?, "deadline"?,
 "priority"?, "workers"?, "memory_budget_bytes"?, "max_rows"?,
 "profile"?}``
     Run SQL; responds ``{"ok": true, "id", "trace_id", "columns",
-    "rows", "row_count", "wall_seconds", "stages", "cached",
-    "degraded", "plan_hash"}``. ``rows`` is capped at ``max_rows``
-    (default 1000);
-    ``row_count`` is always the full count. ``trace_id`` is minted at
-    the server edge when the client supplies none; ``stages`` maps the
-    :data:`~repro.service.session.STAGES` taxonomy (including
-    ``serialize``, stamped here) to wall seconds; ``profile: true``
-    attaches a full per-operator ``profile`` record.
+    "row_count", "truncated", "wall_seconds", "stages", "cached",
+    "degraded", "plan_hash", "data"}``. ``data`` is the result
+    column-wise, one list per name in ``columns``, each capped at
+    ``max_rows`` (a non-negative integer, default 1000); ``row_count``
+    is always the full count. :class:`ServiceClient` replaces ``data``
+    with ``rows``, the same values as a list of row lists. The
+    per-query options get :meth:`Session.set
+    <repro.service.session.Session.set>`'s coercions before the query
+    runs. ``trace_id`` is minted at the server edge when the client
+    supplies none; ``stages`` maps the
+    :data:`~repro.service.session.STAGES` taxonomy to wall seconds,
+    including ``serialize`` (stamped here: ``tolist`` plus the JSON
+    encode of ``data``); ``profile: true`` attaches a full
+    per-operator ``profile`` record.
 
 ``{"op": "cancel", "id": ...}``
     Cancel a query started on *any* connection (use a second connection:
@@ -42,8 +50,9 @@ die with the connection). Requests carry an ``op``:
 Failures respond ``{"ok": false, "error": "<type name>", "message":
 ..., "trace_id"?}`` — the typed :mod:`repro.errors` hierarchy crosses
 the wire by name (plus ``retry_after`` for admission rejections, plus
-the failed request's ``trace_id`` when one was assigned). The
-connection survives query failures; only ``close`` or EOF ends it.
+the failed request's ``trace_id`` when one was assigned); an exception
+outside that hierarchy answers the same way under its own class name.
+The connection survives every failure; only ``close`` or EOF ends it.
 
 Shutdown is graceful: stop accepting, cancel in-flight queries through
 their tokens, then join connection threads (bounded wait).
@@ -52,12 +61,10 @@ their tokens, then join connection threads (bounded wait).
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import time
-from typing import Any
-
-import numpy as np
 
 from repro.errors import AdmissionRejected, ReproError, ServiceError
 from repro.obs.runtime import get_metrics
@@ -67,11 +74,25 @@ from repro.service.session import QueryService, Session, observe_stage
 #: rows a query response carries unless the request raises/lowers it.
 DEFAULT_MAX_ROWS = 1000
 
+_log = logging.getLogger(__name__)
 
-def _json_value(value: Any) -> Any:
-    """Make numpy scalars JSON-serialisable."""
-    if isinstance(value, np.generic):
-        return value.item()
+
+def _frame(message: dict, data: str | None = None) -> bytes:
+    """``message`` as one newline-terminated UTF-8 frame. ``data``, JSON
+    already, is spliced in as the last member, so a query result is
+    encoded once, inside the ``serialize`` stage that times it."""
+    text = json.dumps(message)
+    if data is not None:
+        text = f'{text[:-1]}, "data": {data}}}'
+    return f"{text}\n".encode()
+
+
+def _row_cap(value) -> int:
+    """A request's ``max_rows``: a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ServiceError(
+            f"max_rows must be a non-negative integer, not {value!r}"
+        )
     return value
 
 
@@ -155,30 +176,25 @@ class QueryServer:
     def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
         session = self._service.session()
         try:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            writer = conn.makefile("w", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    response = self._error_response(
-                        ServiceError(f"malformed request JSON: {error}")
-                    )
-                else:
-                    if not isinstance(request, dict):
-                        request = {"op": None}
-                    if request.get("op") == "close":
-                        writer.write(json.dumps({"ok": True, "bye": True}))
-                        writer.write("\n")
-                        writer.flush()
-                        return
-                    response = self._handle(session, request)
-                writer.write(json.dumps(response))
-                writer.write("\n")
-                writer.flush()
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with conn.makefile("rb") as reader:
+                for line in reader:
+                    if not line.strip():
+                        continue
+                    try:
+                        request = json.loads(line)
+                    except ValueError as error:  # bad JSON or bad UTF-8
+                        frame = _frame(self._error_response(
+                            ServiceError(f"malformed request JSON: {error}")
+                        ))
+                    else:
+                        if not isinstance(request, dict):
+                            request = {"op": None}
+                        if request.get("op") == "close":
+                            conn.sendall(_frame({"ok": True, "bye": True}))
+                            return
+                        frame = self._handle(session, request)
+                    conn.sendall(frame)
         except (OSError, ValueError):
             pass  # connection torn down mid-request
         finally:
@@ -189,72 +205,83 @@ class QueryServer:
             with self._lock:
                 self._connections.pop(conn_id, None)
 
-    def _handle(self, session: Session, request: dict) -> dict:
-        op = request.get("op")
+    def _handle(self, session: Session, request: dict) -> bytes:
+        """The response frame for one request; every failure is answered,
+        so the connection outlives it."""
         try:
-            if op == "query":
-                return self._handle_query(session, request)
-            if op == "cancel":
-                query_id = str(request.get("id", ""))
-                with self._lock:
-                    token = self._tokens.get(query_id)
-                if token is not None:
-                    token.cancel("cancelled over the wire")
-                    cancelled = True
-                else:
-                    cancelled = self._service.cancel(query_id)
-                return {"ok": True, "cancelled": cancelled}
-            if op == "set":
-                session.set(request.get("name", ""), request.get("value"))
-                return {"ok": True, "settings": _plain(session.settings())}
-            if op == "stats":
-                return {
-                    "ok": True,
-                    "session": session.stats(),
-                    "settings": _plain(session.settings()),
-                    "service": {
-                        "running": self._service.admission.running,
-                        "queue_depth": self._service.admission.queue_depth,
-                        "active_queries": self._service.active_queries(),
-                        "plan_cache": self._service.plan_cache.info(),
-                        "plan_cache_entries": (
-                            self._service.plan_cache.entry_stats(limit=10)
-                        ),
-                        "top_queries": self._service.top_queries(),
-                    },
-                }
-            if op == "metrics":
-                registry = get_metrics()
-                return {
-                    "ok": True,
-                    "enabled": registry.enabled,
-                    "metrics": registry.snapshot(),
-                    "kinds": registry.kinds(),
-                }
-            if op == "health":
-                return {"ok": True, "health": self._service.health()}
-            if op == "why":
-                report = self._service.why(
-                    sql=request.get("sql"),
-                    fingerprint=request.get("fingerprint"),
-                    deep=request.get("deep"),
-                    workers=request.get("workers"),
-                )
-                return {
-                    "ok": True,
-                    "why": report.to_dict(),
-                    "rendered": report.render(),
-                }
-            if op == "ping":
-                return {"ok": True, "pong": True}
-            raise ServiceError(f"unknown op {op!r}")
-        except ReproError as error:
-            return self._error_response(error)
+            if request.get("op") == "query":
+                return _frame(*self._handle_query(session, request))
+            return _frame(self._handle_op(session, request))
+        except Exception as error:
+            if not isinstance(error, ReproError):
+                _log.exception("%r request failed", request.get("op"))
+            return _frame(self._error_response(error))
 
-    def _handle_query(self, session: Session, request: dict) -> dict:
+    def _handle_op(self, session: Session, request: dict) -> dict:
+        op = request.get("op")
+        if op == "cancel":
+            query_id = str(request.get("id", ""))
+            with self._lock:
+                token = self._tokens.get(query_id)
+            if token is not None:
+                token.cancel("cancelled over the wire")
+                cancelled = True
+            else:
+                cancelled = self._service.cancel(query_id)
+            return {"ok": True, "cancelled": cancelled}
+        if op == "set":
+            session.set(request.get("name", ""), request.get("value"))
+            return {"ok": True, "settings": _plain(session.settings())}
+        if op == "stats":
+            return {
+                "ok": True,
+                "session": session.stats(),
+                "settings": _plain(session.settings()),
+                "service": {
+                    "running": self._service.admission.running,
+                    "queue_depth": self._service.admission.queue_depth,
+                    "active_queries": self._service.active_queries(),
+                    "plan_cache": self._service.plan_cache.info(),
+                    "plan_cache_entries": (
+                        self._service.plan_cache.entry_stats(limit=10)
+                    ),
+                    "top_queries": self._service.top_queries(),
+                },
+            }
+        if op == "metrics":
+            registry = get_metrics()
+            return {
+                "ok": True,
+                "enabled": registry.enabled,
+                "metrics": registry.snapshot(),
+                "kinds": registry.kinds(),
+            }
+        if op == "health":
+            return {"ok": True, "health": self._service.health()}
+        if op == "why":
+            report = self._service.why(
+                sql=request.get("sql"),
+                fingerprint=request.get("fingerprint"),
+                deep=request.get("deep"),
+                workers=request.get("workers"),
+            )
+            return {
+                "ok": True,
+                "why": report.to_dict(),
+                "rendered": report.render(),
+            }
+        if op == "ping":
+            return {"ok": True, "pong": True}
+        raise ServiceError(f"unknown op {op!r}")
+
+    def _handle_query(
+        self, session: Session, request: dict
+    ) -> tuple[dict, str]:
+        """The response to a query and its ``data``, JSON-encoded."""
         sql = request.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise ServiceError("query op requires a non-empty 'sql' string")
+        max_rows = _row_cap(request.get("max_rows", DEFAULT_MAX_ROWS))
         query_id = str(request["id"]) if request.get("id") else None
         # Mint the correlation id at the server edge when the client did
         # not — every span/metric/log row of this request carries it.
@@ -279,14 +306,11 @@ class QueryServer:
             if query_id is not None:
                 with self._lock:
                     self._tokens.pop(query_id, None)
-        max_rows = int(request.get("max_rows", DEFAULT_MAX_ROWS))
         table = outcome.table
-        serialize_started = time.monotonic()
         names = list(table.schema.names)
-        count = min(table.num_rows, max(max_rows, 0))
-        columns = [table[name][:count].tolist() for name in names]
-        rows = [list(values) for values in zip(*columns)] if count else []
-        rows = [[_json_value(v) for v in row] for row in rows]
+        count = min(table.num_rows, max_rows)
+        serialize_started = time.monotonic()
+        data = json.dumps([table[name][:count].tolist() for name in names])
         serialize_seconds = time.monotonic() - serialize_started
         stages = dict(outcome.stage_seconds)
         stages["serialize"] = serialize_seconds
@@ -298,7 +322,6 @@ class QueryServer:
             "id": outcome.query_id,
             "trace_id": outcome.trace_id,
             "columns": names,
-            "rows": rows,
             "row_count": table.num_rows,
             "truncated": count < table.num_rows,
             "wall_seconds": outcome.wall_seconds,
@@ -311,10 +334,10 @@ class QueryServer:
         }
         if outcome.profile is not None:
             response["profile"] = outcome.profile.to_dict()
-        return response
+        return response, data
 
     @staticmethod
-    def _error_response(error: ReproError) -> dict:
+    def _error_response(error: Exception) -> dict:
         response = {
             "ok": False,
             "error": type(error).__name__,
@@ -414,20 +437,25 @@ class ServiceClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._socket = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._socket.makefile("r", encoding="utf-8")
-        self._writer = self._socket.makefile("w", encoding="utf-8")
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._frames = self._socket.makefile("rb")
         self._lock = threading.Lock()
 
     def request(self, payload: dict) -> dict:
-        """Send one request object, return the response object."""
+        """Send one request object, return the response object — a query
+        result's column-wise ``data`` rebuilt as ``rows``, a list of row
+        lists."""
+        frame = _frame(payload)
         with self._lock:
-            self._writer.write(json.dumps(payload))
-            self._writer.write("\n")
-            self._writer.flush()
-            line = self._reader.readline()
+            self._socket.sendall(frame)
+            line = self._frames.readline()
         if not line:
             raise ServiceError("server closed the connection")
-        return json.loads(line)
+        response = json.loads(line)
+        data = response.pop("data", None)
+        if data is not None:
+            response["rows"] = list(map(list, zip(*data)))
+        return response
 
     def query(self, sql: str, **options) -> dict:
         """Run SQL; raises the typed error named by a failure response.
@@ -520,13 +548,12 @@ class ServiceClient:
         """Say goodbye and close the socket (idempotent)."""
         try:
             with self._lock:
-                self._writer.write(json.dumps({"op": "close"}))
-                self._writer.write("\n")
-                self._writer.flush()
-                self._reader.readline()
+                self._socket.sendall(_frame({"op": "close"}))
+                self._frames.readline()
         except (OSError, ValueError):
             pass
         finally:
+            self._frames.close()
             try:
                 self._socket.close()
             except OSError:

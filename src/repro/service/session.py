@@ -774,21 +774,30 @@ class Session:
         for name, value in settings.items():
             self.set(name, value)
 
+    @classmethod
+    def coerce(cls, name: str, value):
+        """``value`` as setting ``name`` takes it (None stays None).
+
+        :raises ServiceError: for an unknown name or a value the
+            setting cannot take.
+        """
+        if name not in cls._SETTINGS:
+            raise ServiceError(
+                f"unknown session setting {name!r}; "
+                f"have {sorted(cls._SETTINGS)}"
+            )
+        try:
+            return None if value is None else cls._SETTINGS[name](value)
+        except (TypeError, ValueError):
+            raise ServiceError(f"setting {name!r} cannot take {value!r}") from None
+
     def set(self, name: str, value) -> None:
         """Set a session-scoped setting (None clears it).
 
         :raises ServiceError: for an unknown name or a value the
             setting cannot take.
         """
-        if name not in self._SETTINGS:
-            raise ServiceError(
-                f"unknown session setting {name!r}; "
-                f"have {sorted(self._SETTINGS)}"
-            )
-        try:
-            value = None if value is None else self._SETTINGS[name](value)
-        except (TypeError, ValueError):
-            raise ServiceError(f"session setting {name!r} cannot take {value!r}") from None
+        value = self.coerce(name, value)
         with self._lock:
             if value is None:
                 self._settings.pop(name, None)
@@ -811,10 +820,18 @@ class Session:
             return dict(self._stats)
 
     def execute(self, sql: str, **overrides) -> QueryOutcome:
-        """Run ``sql`` with the session's settings (plus overrides)."""
+        """Run ``sql`` with the session's settings (plus overrides).
+
+        Overrides of a setting get :meth:`set`'s coercion first, so a
+        value it refuses is a :class:`ServiceError` before the query runs.
+        """
         options = self.settings()
         options.update(
-            {k: v for k, v in overrides.items() if v is not None}
+            {
+                k: self.coerce(k, v) if k in self._SETTINGS else v
+                for k, v in overrides.items()
+                if v is not None
+            }
         )
         try:
             outcome = self._service.execute(sql, **options)

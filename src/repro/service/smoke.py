@@ -39,6 +39,8 @@ from repro.service.server import QueryServer, ServiceClient
 from repro.service.session import QueryService, ServiceConfig
 
 SQL = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
+#: one group per R row: a response as large as the catalog makes it.
+FULL_SQL = "SELECT R.ID, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.ID"
 SHUTDOWN_BUDGET_SECONDS = 5.0
 
 
@@ -53,6 +55,29 @@ def _client_worker(port: int, spec: dict, results: list, index: int) -> None:
         results[index] = (type(error).__name__, str(error))
     except BaseException as error:  # noqa: BLE001 - smoke must diagnose
         results[index] = ("UNTYPED:" + type(error).__name__, str(error))
+
+
+def _typed(rows: list) -> list:
+    """Rows with each value paired with its type (``1 == 1.0`` does not
+    make an int column that arrives as floats equal)."""
+    return [[(type(value), value) for value in row] for row in rows]
+
+
+def _check_full_response(service: QueryService, client: ServiceClient) -> list[str]:
+    """One untruncated full-size response must equal the in-process
+    result row for row and type for type: the wire's encode and decode
+    lose nothing."""
+    table = service.execute(FULL_SQL).table
+    response = client.query(FULL_SQL, max_rows=table.num_rows + 1)
+    names = list(table.schema.names)
+    expected = [list(row) for row in zip(*(table[name].tolist() for name in names))]
+    print(f"full response: {len(response['rows'])} rows over the wire")
+    if response["truncated"] or _typed(response["rows"]) != _typed(expected):
+        return [
+            f"full response differs from the in-process result "
+            f"({len(response['rows'])} rows on the wire, {len(expected)} in process)"
+        ]
+    return []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         with ServiceClient("127.0.0.1", server.port) as warm:
             warmed = warm.query(SQL)
             print(f"warm-up: {warmed['row_count']} groups")
+            failures.extend(_check_full_response(service, warm))
 
         # One spec per client: mostly plain queries at mixed priorities,
         # plus one past-deadline query and one that gets cancelled.

@@ -1,8 +1,13 @@
-"""The JSON-lines TCP server: round-trips, typed errors, cancellation."""
+"""The JSON-lines TCP server: round-trips, the wire format, typed
+errors, cancellation."""
 
+import json
+import logging
+import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -15,8 +20,10 @@ from repro.errors import (
 from repro.service.admission import AdmissionConfig
 from repro.service.server import QueryServer, ServiceClient
 from repro.service.session import QueryService, ServiceConfig
+from repro.storage import Catalog, Table
 
 PAPER_SQL = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
+PING = b'{"op": "ping"}\n'
 
 
 @pytest.fixture
@@ -30,6 +37,22 @@ def server(join_catalog):
 def client(server):
     with ServiceClient("127.0.0.1", server.port) as c:
         yield c
+
+
+def raw_exchange(port: int, *lines: bytes) -> list[dict]:
+    """Write ``lines`` and a ``close`` in one go on a plain socket and
+    read to EOF: the server's responses, asserted to be exactly one
+    newline-terminated frame per request."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(b"".join(lines) + b'{"op": "close"}\n')
+        stream = b""
+        while chunk := sock.recv(1 << 16):
+            stream += chunk
+    assert stream.endswith(b"\n")
+    frames = stream[:-1].split(b"\n")
+    assert len(frames) == len(lines) + 1
+    assert json.loads(frames[-1]) == {"ok": True, "bye": True}
+    return [json.loads(frame) for frame in frames[:-1]]
 
 
 class TestRoundTrip:
@@ -56,17 +79,92 @@ class TestRoundTrip:
         assert not client.query(PAPER_SQL)["cached"]
         assert client.query(PAPER_SQL)["cached"]
 
-    def test_malformed_json_is_a_typed_error(self, client):
-        client._writer.write("this is not json\n")
-        client._writer.flush()
-        line = client._reader.readline()
-        import json
-
-        response = json.loads(line)
+    def test_malformed_json_is_a_typed_error(self, server):
+        response, pong = raw_exchange(server.port, b"this is not json\n", PING)
         assert not response["ok"]
         assert response["error"] == "ServiceError"
         assert "malformed request JSON" in response["message"]
-        assert client.ping()  # connection survives
+        assert pong == {"ok": True, "pong": True}  # connection survives
+
+    def test_undecodable_bytes_are_a_typed_error(self, server):
+        response, pong = raw_exchange(server.port, b'{"op": "\xff"}\n', PING)
+        assert response["error"] == "ServiceError"
+        assert "malformed request JSON" in response["message"]
+        assert pong == {"ok": True, "pong": True}
+
+
+#: rows of the every-dtype table: a full response is a >= 10 k-row one.
+TYPED_ROWS = 12_000
+ALL_COLUMNS = "SELECT T.K, T.I, T.U, T.F, T.B FROM T"
+#: (sql, max_rows) whose wire ``rows`` must equal the in-process table.
+WIRE_CASES = {
+    "every-dtype-full": (ALL_COLUMNS, 100_000),
+    "aggregate": ("SELECT T.B, AVG(T.F), COUNT(*) FROM T GROUP BY T.B", None),
+    "zero-rows": ("SELECT T.K, T.F FROM T WHERE T.K < 0", None),
+    "default-cap": (ALL_COLUMNS, None),
+    "truncated": (ALL_COLUMNS, 7),
+    "max-rows-zero": (ALL_COLUMNS, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def typed_server():
+    """A server over one table holding a column of every storage dtype
+    (the engine has no string type), extremes included."""
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(TYPED_ROWS) * 1e6
+    floats[:4] = [np.inf, -np.inf, -0.0, 5e-324]
+    ints = rng.integers(-(2**62), 2**62, TYPED_ROWS)
+    ints[:2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+    catalog = Catalog()
+    catalog.register("T", Table.from_arrays({
+        "K": ints,
+        "I": rng.integers(-(2**31), 2**31, TYPED_ROWS).astype(np.int32),
+        "U": rng.integers(0, 2**32, TYPED_ROWS).astype(np.uint32),
+        "F": floats,
+        "B": rng.random(TYPED_ROWS) < 0.5,
+    }))
+    srv = QueryServer(QueryService(catalog)).start()
+    yield srv
+    srv.shutdown()
+
+
+class TestWire:
+    def test_nodelay_on_both_ends(self, server, client):
+        assert client.ping()
+        [served] = server._connections.values()
+        for sock in (client._socket, served):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_one_frame_per_request_data_column_wise(self, server):
+        query = json.dumps({"op": "query", "sql": PAPER_SQL, "max_rows": 3})
+        response, pong = raw_exchange(server.port, query.encode() + b"\n", PING)
+        assert pong == {"ok": True, "pong": True}
+        assert "rows" not in response
+        assert response["row_count"] == 100 and response["truncated"]
+        columns, data = response["columns"], response["data"]
+        assert len(columns) == len(data) == 2
+        assert [len(values) for values in data] == [3, 3]
+
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_rows_equal_the_in_process_table(self, typed_server, case):
+        sql, max_rows = WIRE_CASES[case]
+        table = typed_server.service.execute(sql).table
+        cap = min(table.num_rows, 1000 if max_rows is None else max_rows)
+        names = list(table.schema.names)
+        expected = [[table[name][i].item() for name in names] for i in range(cap)]
+        with ServiceClient("127.0.0.1", typed_server.port) as client:
+            response = client.query(sql, max_rows=max_rows)
+        rows = response["rows"]
+        assert type(rows) is list and all(type(row) is list for row in rows)
+        assert rows == expected
+        assert [[type(v) for v in row] for row in rows] == [
+            [type(v) for v in row] for row in expected
+        ]
+        assert response["columns"] == names
+        assert response["row_count"] == table.num_rows
+        assert response["truncated"] == (cap < table.num_rows)
+        assert "data" not in response
 
 
 class TestTypedErrors:
@@ -152,6 +250,13 @@ BAD_SETTING_REQUESTS = {
     "query-huge": ({"op": "query", "sql": PAPER_SQL, "workers": 100_000}, "workers must be"),
     "why-zero": ({"op": "why", "sql": PAPER_SQL, "workers": 0}, "workers must be"),
     "set-priority": ({"op": "set", "name": "priority", "value": "x"}, "cannot take"),
+    "query-max-rows-string": ({"op": "query", "sql": PAPER_SQL, "max_rows": "x"}, "max_rows must be"),
+    "query-max-rows-null": ({"op": "query", "sql": PAPER_SQL, "max_rows": None}, "max_rows must be"),
+    "query-max-rows-negative": ({"op": "query", "sql": PAPER_SQL, "max_rows": -1}, "max_rows must be"),
+    "query-deadline": ({"op": "query", "sql": PAPER_SQL, "deadline": "soon"}, "cannot take"),
+    "query-priority-name": ({"op": "query", "sql": PAPER_SQL, "priority": "high"}, "cannot take"),
+    "query-priority-range": ({"op": "query", "sql": PAPER_SQL, "priority": 7}, "cannot take"),
+    "query-memory": ({"op": "query", "sql": PAPER_SQL, "memory_budget_bytes": "lots"}, "cannot take"),
 }
 
 
@@ -166,8 +271,28 @@ class TestBadSettingsAtTheEdge:
         assert response["error"] == "ServiceError"
         assert message in response["message"]
         assert client.ping()  # the connection stays usable
-        assert client.stats()["settings"] == {}
+        stats = client.stats()
+        assert stats["settings"] == {}
+        assert stats["session"]["queries"] == 0  # refused before it ran
         assert threading.active_count() <= threads
+
+
+class TestUntypedFailures:
+    def test_a_crash_is_answered_and_the_connection_survives(
+        self, server, client, monkeypatch, caplog
+    ):
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.service, "health", crash)
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            response = client.request({"op": "health"})
+        assert response == {"ok": False, "error": "RuntimeError", "message": "boom"}
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
+        with pytest.raises(ServiceError, match="boom") as info:
+            client.health()
+        assert type(info.value).__name__ == "RuntimeError"
+        assert client.ping()
 
 
 class TestCancelOverTheWire:
