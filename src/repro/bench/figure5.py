@@ -22,7 +22,7 @@ when the optimiser may swap sides.
 
 Run as a script::
 
-    python -m repro.bench.figure5 [--execute] [--commutation]
+    python -m repro.bench.figure5 [--execute] [--commutation] [--json PATH]
 """
 
 from __future__ import annotations
@@ -233,6 +233,36 @@ def render_figure5(result: Figure5Result, execute_plans: bool = False) -> str:
     )
 
 
+def _cell_name(cell: Figure5Cell) -> str:
+    return (
+        f"R_{cell.r_sortedness.value}/S_{cell.s_sortedness.value}/"
+        f"{cell.density.value}"
+    )
+
+
+def _timings(result: Figure5Result) -> dict[str, float]:
+    """Measured seconds per cell and plan (empty unless executed)."""
+    return {
+        f"{_cell_name(cell)}/{side}": seconds
+        for cell in result.cells
+        for side, seconds in (("sqo", cell.sqo_seconds), ("dqo", cell.dqo_seconds))
+        if seconds is not None
+    }
+
+
+def _cell_record(cell: Figure5Cell) -> dict:
+    """One cell's plans, costs, factors and measured speedup."""
+    return {
+        "cell": _cell_name(cell),
+        "sqo_plan": cell.sqo_plan,
+        "dqo_plan": cell.dqo_plan,
+        "sqo_cost": cell.sqo_cost,
+        "dqo_cost": cell.dqo_cost,
+        "factor": cell.factor,
+        "measured_speedup": cell.measured_speedup,
+    }
+
+
 def main() -> None:
     """CLI entry point."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -246,11 +276,31 @@ def main() -> None:
         action="store_true",
         help="allow the optimiser to swap join build/probe sides (ablation)",
     )
+    parser.add_argument(
+        "--json",
+        metavar="ARTIFACT",
+        default="",
+        help="also write the grid as a benchmark JSON artifact",
+    )
     args = parser.parse_args()
     result = run_figure5(
         execute_plans=args.execute, consider_commutation=args.commutation
     )
     print(render_figure5(result, execute_plans=args.execute))
+    if args.json:
+        from repro.bench.reporting import write_json_artifact
+
+        path = write_json_artifact(
+            args.json,
+            "figure5",
+            _timings(result),
+            meta={
+                "executed": args.execute,
+                "commutation": args.commutation,
+                "cells": [_cell_record(cell) for cell in result.cells],
+            },
+        )
+        print(f"\nwrote JSON artifact: {path}")
     if args.commutation:
         print(
             "\n(commutation enabled: the 'R sorted, S unsorted, dense' cell "

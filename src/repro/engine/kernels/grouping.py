@@ -180,7 +180,9 @@ def perfect_hash_slots(
     :param min_density: density guard threshold (see
         :class:`repro.indexes.perfect_hash.StaticPerfectHash`).
     :raises PreconditionError: on an empty input with no explicit domain,
-        or on a too-sparse domain.
+        or on a too-sparse domain. A domain that ``len(keys)`` keys
+        cannot fill to ``min_density`` even if all were distinct is
+        rejected before any domain-sized array is allocated.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     if min_key is None or max_key is None:
@@ -190,6 +192,13 @@ def perfect_hash_slots(
             )
         min_key = int(keys.min()) if min_key is None else min_key
         max_key = int(keys.max()) if max_key is None else max_key
+    domain_size = max_key - min_key + 1
+    if keys.size < min_density * domain_size:
+        raise PreconditionError(
+            "static perfect hashing requires a dense key domain: at most "
+            f"{keys.size} distinct keys over [{min_key}, {max_key}] "
+            f"cannot reach density {min_density:.4f}"
+        )
     sph = StaticPerfectHash(min_key, max_key, min_density=0.0)
     raw_slots = sph.slot_checked(keys)
     occupancy = np.bincount(raw_slots, minlength=sph.num_slots)
@@ -356,6 +365,10 @@ def assign_slots(
     if algorithm is GroupingAlgorithm.HG:
         return hash_slots(keys, num_distinct_hint)
     if algorithm is GroupingAlgorithm.SPHG:
+        if len(keys) == 0:
+            # No keys, no groups: an empty domain is dense enough.
+            empty = np.empty(0, dtype=np.int64)
+            return GroupingAssignment(empty, empty, KeyOrder.SORTED)
         return perfect_hash_slots(keys)
     if algorithm is GroupingAlgorithm.OG:
         return order_slots(keys, validate=validate)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util.arrays import runs_of
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
@@ -197,6 +198,17 @@ class BuildSide:
             raw = probe_keys - np.int64(self.min_key)
             in_domain = (raw >= 0) & (raw < self.num_slots)
             return raw if in_domain.all() else np.where(in_domain, raw, -1)
+        if self.rows is None:
+            # A build input in slot order is OJ's sorted input, and OJ's
+            # probe input is sorted too: it has one run per distinct key.
+            # Look each run up once and repeat its slot over the run.
+            starts, run_keys = runs_of(probe_keys)
+            lengths = np.diff(np.append(starts, probe_keys.size))
+            return np.repeat(self._sorted_slots(run_keys), lengths)
+        return self._sorted_slots(probe_keys)
+
+    def _sorted_slots(self, probe_keys: np.ndarray) -> np.ndarray:
+        """Binary search of ``probe_keys`` in the ascending build keys."""
         last = self.keys.size - 1
         positions = np.searchsorted(self.keys, probe_keys)
         np.minimum(positions, last, out=positions)

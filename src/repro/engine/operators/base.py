@@ -255,12 +255,15 @@ class MaterialisedOperator(PhysicalOperator):
     it. ``to_table()`` hands the table over without slicing it into
     chunks and concatenating them again; it polls the governing context
     before and after the work, where the chunk loop used to poll per
-    chunk. :func:`repro.obs.instrument.instrumented` hooks ``to_table``
-    of these operators as well as ``chunks``, and counts a handed-over
-    table as the :func:`chunk_count` chunks it stands for.
+    chunk. :func:`repro.obs.instrument.instrumented` hooks the methods
+    named in :attr:`HAND_OVERS` as well as ``chunks``, and counts a
+    handed-over output as the :func:`chunk_count` chunks it stands for.
     """
 
     _chunk_size: int = DEFAULT_CHUNK_SIZE
+    #: methods that hand the whole output (anything with a ``num_rows``)
+    #: to a parent; one call is one execution of the operator.
+    HAND_OVERS: tuple[str, ...] = ("to_table",)
 
     def _materialise(self) -> Table:
         """Compute the operator's whole output."""

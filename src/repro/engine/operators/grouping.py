@@ -9,11 +9,14 @@ unrelated operators.
 
 from __future__ import annotations
 
-from repro.engine.aggregates import AggregateSpec
+import numpy as np
+
+from repro.engine.aggregates import AggregateFunction, AggregateSpec, compute_aggregate
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     KeyOrder,
     aggregate_groups,
+    assign_slots,
 )
 from repro.engine.kernels.parallel import (
     EXCHANGE_GROUPING_ALGORITHMS,
@@ -24,12 +27,25 @@ from repro.engine.operators.base import (
     MaterialisedOperator,
     PhysicalOperator,
 )
+from repro.engine.operators.joins import Join, JoinMatches
 from repro.engine.parallel import MIN_PARALLEL_ROWS
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PreconditionError
 from repro.service.context import check_active_context
 from repro.settings import check, get_settings
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
+
+#: grouping algorithms whose slot assignment has no precondition on row
+#: order, so they may run over a join's build input instead of its output
+#: (OG needs the *output* clustered, which the build input does not show).
+BUILD_SIDE_GROUPING = frozenset(
+    {
+        GroupingAlgorithm.HG,
+        GroupingAlgorithm.SPHG,
+        GroupingAlgorithm.SOG,
+        GroupingAlgorithm.BSG,
+    }
+)
 
 
 class GroupBy(MaterialisedOperator):
@@ -133,13 +149,16 @@ class GroupBy(MaterialisedOperator):
             return KeyOrder.FIRST_OCCURRENCE
         return KeyOrder.SORTED
 
-    def _effective_shards(self, num_rows: int) -> int:
-        """Morsel count for this execution: the explicit ``shards``
-        argument wins; otherwise the ``parallel`` mode consults the
-        settings in force."""
+    def _parts(self, num_rows: int) -> int:
+        """Pieces this execution groups through (1 = the serial kernel).
+        An exchange makes one partition per worker; otherwise the
+        explicit ``shards`` argument wins, and the ``parallel`` mode
+        consults the settings in force."""
+        workers = get_settings().workers
+        if self._exchange and workers > 1:
+            return workers
         if self._shards > 1:
             return self._shards
-        workers = get_settings().workers
         if self._parallel is False or workers <= 1:
             return 1
         if self._parallel is None and num_rows < MIN_PARALLEL_ROWS:
@@ -147,7 +166,25 @@ class GroupBy(MaterialisedOperator):
         return workers
 
     def _materialise(self) -> Table:
-        table = self.children[0].to_table()
+        child = self.children[0]
+        # A serial group-by on a key of a join's build input assigns its
+        # slots there, before the join multiplies the rows. ``_parts(0)``
+        # is 1 unless the plan pins parallel grouping; the join's row
+        # count may still decide against the build side.
+        if (
+            isinstance(child, Join)
+            and self._algorithm in BUILD_SIDE_GROUPING
+            and self._key in child.children[0].output_schema
+            and self._parts(0) == 1
+        ):
+            matches = child.matches()
+            check_active_context()
+            result = self._group_matches(matches)
+            if result is not None:
+                return result
+            table = child.gather(matches)
+        else:
+            table = child.to_table()
         check_active_context()
         keys = table[self._key]
         inputs = {
@@ -156,9 +193,8 @@ class GroupBy(MaterialisedOperator):
             if spec.column is not None
         }
         settings = get_settings()
-        # An exchange makes one partition per worker; shards cut ranges.
         exchange = self._exchange and settings.workers > 1
-        parts = settings.workers if exchange else self._effective_shards(table.num_rows)
+        parts = self._parts(table.num_rows)
         if parts > 1 and table.num_rows:
             group_keys, columns, report = partitioned_group_by(
                 keys,
@@ -192,14 +228,77 @@ class GroupBy(MaterialisedOperator):
             # The slot assignment with its algorithm structure (HG's hash
             # table vs SPHG's dense array — the Table 1 contrast).
             scratch = assignment.memory_bytes()
-        # The one cast to the output types (a float SUM truncates here,
-        # after any merge — so every route truncates the same total).
-        result = Table.from_arrays(
+        result = self._output(group_keys, columns)
+        self._note_memory(table.memory_bytes() + scratch + result.memory_bytes())
+        return result
+
+    def _group_matches(self, matches: JoinMatches) -> Table | None:
+        """Group a join's output without gathering its key column.
+
+        Slots are assigned over the build input's key column, once per
+        build row. A group's COUNT is the sum of its build rows' match
+        counts; groups with none (build keys nobody matched) are dropped.
+        For the other aggregates each output row reads its slot through
+        the build-side match indices, and its input through the indices
+        of the input column's side. Returns None, and the caller groups the
+        gathered output, when the build input has more rows than the
+        join emitted, when the output is large enough to group in
+        parallel, or when SPHG finds the build keys too sparse (the
+        matched keys alone may still be dense).
+        """
+        pairs = matches.pairs
+        if matches.left.num_rows > pairs.num_rows or self._parts(pairs.num_rows) > 1:
+            return None
+        try:
+            assignment = assign_slots(
+                matches.left[self._key], self._algorithm, self._num_distinct_hint
+            )
+        except PreconditionError:
+            if self._algorithm is GroupingAlgorithm.SPHG:
+                return None
+            raise
+        build_slots, group_keys = assignment.slots, assignment.group_keys
+        row_matches = np.bincount(pairs.left_indices, minlength=build_slots.size)
+        counts = np.bincount(
+            build_slots, weights=row_matches, minlength=group_keys.size
+        ).astype(np.int64)
+        matched = counts > 0
+        if not matched.all():
+            # A dropped group's build rows are in no match, so the slot
+            # they are renumbered to here is never read.
+            build_slots = (np.cumsum(matched) - 1)[build_slots]
+            group_keys, counts = group_keys[matched], counts[matched]
+        values = {
+            spec.column: matches.column(spec.column)
+            for spec in self._aggregates
+            if spec.function is not AggregateFunction.COUNT
+        }
+        slots = build_slots[pairs.left_indices] if values else None
+        columns = {
+            spec.alias: counts
+            if spec.function is AggregateFunction.COUNT
+            else compute_aggregate(spec, slots, group_keys.size, values[spec.column])
+            for spec in self._aggregates
+        }
+        result = self._output(group_keys, columns)
+        scratch = (
+            assignment.memory_bytes()
+            + row_matches.nbytes
+            + (0 if slots is None else slots.nbytes)
+            + sum(array.nbytes for array in values.values())
+        )
+        self._note_memory(
+            matches.left.memory_bytes() + scratch + result.memory_bytes()
+        )
+        return result
+
+    def _output(self, group_keys: np.ndarray, columns: dict[str, np.ndarray]) -> Table:
+        """The one cast to the output types (a float SUM truncates here,
+        after any merge — so every route truncates the same total)."""
+        return Table.from_arrays(
             {self._key: group_keys, **columns},
             dtypes={s.name: s.dtype for s in self.output_schema},
         )
-        self._note_memory(table.memory_bytes() + scratch + result.memory_bytes())
-        return result
 
     def describe(self) -> str:
         aggs = ", ".join(

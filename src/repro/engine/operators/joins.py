@@ -8,11 +8,17 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Collection
 
 import numpy as np
 
-from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder, join
+from repro.engine.kernels.joins import (
+    JoinAlgorithm,
+    JoinOutputOrder,
+    JoinResult,
+    join,
+)
 from repro.engine.kernels.parallel import (
     EXCHANGE_JOIN_ALGORITHMS,
     PARALLEL_PROBE_ALGORITHMS,
@@ -31,6 +37,35 @@ from repro.engine.operators.base import (
 from repro.errors import ExecutionError
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+
+
+@dataclass(frozen=True)
+class JoinMatches:
+    """A join before its gather: both inputs and the matching pairs."""
+
+    left: Table
+    right: Table
+    pairs: JoinResult
+
+    @property
+    def num_rows(self) -> int:
+        """Rows of the join's output."""
+        return self.pairs.num_rows
+
+    def column(self, name: str) -> np.ndarray:
+        """Input column ``name`` read through the match indices of its
+        side: one value per output row."""
+        if name in self.left.schema:
+            return self.left[name][self.pairs.left_indices]
+        return self.right[name][self.pairs.right_indices]
+
+    def memory_bytes(self) -> int:
+        """Bytes of both inputs plus the pairs and the build structure."""
+        return (
+            self.left.memory_bytes()
+            + self.right.memory_bytes()
+            + self.pairs.memory_bytes()
+        )
 
 
 class Join(MaterialisedOperator):
@@ -62,6 +97,8 @@ class Join(MaterialisedOperator):
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
         the settings in force.
     """
+
+    HAND_OVERS = ("to_table", "matches")
 
     def __init__(
         self,
@@ -152,7 +189,11 @@ class Join(MaterialisedOperator):
             return 1
         return workers
 
-    def _materialise(self) -> Table:
+    def matches(self) -> JoinMatches:
+        """Everything the join computes before it gathers: both
+        materialised inputs and the matching index pairs. A parent that
+        reads the inputs through the pairs itself (a group-by on a
+        build-side key) takes these instead of :meth:`to_table`."""
         left_table = self.children[0].to_table()
         right_table = self.children[1].to_table()
         check_active_context()
@@ -192,25 +233,26 @@ class Join(MaterialisedOperator):
                 num_distinct_hint=self._num_distinct_hint,
                 validate=self._validate,
             )
-        # Late materialisation: only the columns an ancestor reads are
-        # gathered through the match indices.
-        data: dict[str, np.ndarray] = {}
-        for name in self._schema.names:
-            if name in left_table.schema:
-                data[name] = left_table[name][result.left_indices]
-            else:
-                data[name] = right_table[name][result.right_indices]
-        output = Table.from_arrays(
+        matches = JoinMatches(left_table, right_table, result)
+        # Working set: both materialised inputs, the kernel's build-side
+        # structure plus match-index arrays.
+        self._note_memory(matches.memory_bytes())
+        return matches
+
+    def gather(self, matches: JoinMatches) -> Table:
+        """The join's output table. Late materialisation: only the
+        columns an ancestor reads are gathered through the match
+        indices."""
+        data = {name: matches.column(name) for name in self._schema.names}
+        return Table.from_arrays(
             data, dtypes={s.name: s.dtype for s in self._schema}
         )
-        # Working set: both materialised inputs, the kernel's build-side
-        # structure plus match-index arrays, and the gathered output.
-        self._note_memory(
-            left_table.memory_bytes()
-            + right_table.memory_bytes()
-            + result.memory_bytes()
-            + output.memory_bytes()
-        )
+
+    def _materialise(self) -> Table:
+        matches = self.matches()
+        output = self.gather(matches)
+        # Working set: the matches and the gathered output.
+        self._note_memory(matches.memory_bytes() + output.memory_bytes())
         return output
 
     def describe(self) -> str:

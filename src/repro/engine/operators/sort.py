@@ -15,10 +15,7 @@ import numpy as np
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     GroupingAssignment,
-    hash_slots,
-    order_slots,
-    perfect_hash_slots,
-    sort_order_slots,
+    assign_slots,
 )
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
@@ -105,20 +102,9 @@ class PartitionBy(PhysicalOperator):
     def _ensure_materialised(self) -> tuple[Table, GroupingAssignment]:
         if self._materialised is None or self._assignment is None:
             table = self.children[0].to_table()
-            keys = table[self._key]
-            if self._algorithm is GroupingAlgorithm.HG:
-                assignment = hash_slots(keys)
-            elif self._algorithm is GroupingAlgorithm.SPHG:
-                assignment = perfect_hash_slots(keys)
-            elif self._algorithm is GroupingAlgorithm.OG:
-                assignment = order_slots(keys, validate=True)
-            elif self._algorithm is GroupingAlgorithm.SOG:
-                assignment = sort_order_slots(keys)
-            else:
-                # BSG assignment also yields a valid partitioning.
-                from repro.engine.kernels.grouping import binary_search_slots
-
-                assignment = binary_search_slots(keys)
+            assignment = assign_slots(
+                table[self._key], self._algorithm, validate=True
+            )
             self._materialised = table
             self._assignment = assignment
             self._note_memory(

@@ -7,6 +7,10 @@ shadowing its bound ``chunks`` method with a counting/timing wrapper
 while the driver is inside *its* ``next()``, the time a child spends
 producing chunks nests inside the parent's measurement — cumulative
 time is inclusive, and ``self_seconds`` subtracts the children out.
+Whole-output hand-overs are hooked the same way: each method a
+materialising operator lists in ``HAND_OVERS`` (``to_table``, and a
+join's ``matches``, which a group-by on a build-side key takes instead
+of the joined table).
 
 The hooks are removed when the context exits, so instrumentation is
 strictly opt-in and the un-instrumented engine stays untouched.
@@ -249,43 +253,49 @@ def _hook(
             stats.peak_memory_bytes = peak
         _sample_parallelism(operator, stats)
 
+    inside = False  # a step of this operator is running
+
+    def timed(step):
+        nonlocal inside
+        inside = True
+        started = time.perf_counter()
+        try:
+            return step()
+        finally:
+            inside = False
+            stats.cumulative_seconds += time.perf_counter() - started
+            # Sampled after every chunk too, so early-terminated pulls
+            # (e.g. below a Limit) still record their peak.
+            sample()
+
     def instrumented_chunks():
         begin()
         iterator = original()
-        while True:
-            started = time.perf_counter()
-            try:
-                chunk = next(iterator)
-            except StopIteration:
-                stats.cumulative_seconds += time.perf_counter() - started
-                sample()
-                return
-            stats.cumulative_seconds += time.perf_counter() - started
+        while (chunk := timed(lambda: next(iterator, None))) is not None:
             stats.rows_out += chunk.num_rows
             stats.chunks_out += 1
-            # Sample after every chunk too, so early-terminated pulls
-            # (e.g. below a Limit) still record their peak.
-            sample()
             yield chunk
 
     operator.chunks = instrumented_chunks  # type: ignore[method-assign]
     if not isinstance(operator, MaterialisedOperator):
         return
-    hand_over = operator.to_table
 
-    def instrumented_to_table():
-        begin()
-        started = time.perf_counter()
-        try:
-            table = hand_over()
-        finally:
-            stats.cumulative_seconds += time.perf_counter() - started
-            sample()
-        stats.rows_out += table.num_rows
-        stats.chunks_out += chunk_count(table.num_rows, operator._chunk_size)
-        return table
+    def hooked(hand_over):
+        def instrumented_hand_over():
+            # A join's output is its matches, gathered: the hand-over
+            # inside another step of the same operator is counted there.
+            if inside:
+                return hand_over()
+            begin()
+            handed = timed(hand_over)
+            stats.rows_out += handed.num_rows
+            stats.chunks_out += chunk_count(handed.num_rows, operator._chunk_size)
+            return handed
 
-    operator.to_table = instrumented_to_table  # type: ignore[method-assign]
+        return instrumented_hand_over
+
+    for name in operator.HAND_OVERS:
+        setattr(operator, name, hooked(getattr(operator, name)))
 
 
 @contextmanager
@@ -329,4 +339,5 @@ def instrumented(root: PhysicalOperator) -> Iterator[OperatorStats]:
     finally:
         for operator in hooked:
             operator.__dict__.pop("chunks", None)
-            operator.__dict__.pop("to_table", None)
+            for name in getattr(operator, "HAND_OVERS", ()):
+                operator.__dict__.pop(name, None)

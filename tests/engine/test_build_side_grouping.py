@@ -1,0 +1,319 @@
+"""Laws of grouping where the keys are few.
+
+A serial group-by whose key is a column of its child join's build input
+assigns slots over the build rows. It counts a group's rows from its
+build rows' match counts, and reads each joined row's slot through the
+build-side match indices only for value aggregates; the key column is
+never gathered. That route must not be observable. For every order-free grouping
+algorithm x every join algorithm x a set of shapes (repeated build keys,
+build rows nobody matches, a build larger than the matches, empty
+inputs, a filtered build, a governed context whose probe runs in
+morsels), the result equals the same group-by over the join's
+materialised table: up to key order for HG, exactly for the others.
+
+OJ looks each run of its sorted probe up once. Its index pairs must be
+the per-row binary search's, over sorted, unsorted (unvalidated),
+all-equal and all-distinct probes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import (
+    Filter,
+    GroupBy,
+    GroupingAlgorithm,
+    Join,
+    JoinAlgorithm,
+    TableScan,
+    col,
+    count_star,
+    execute,
+)
+from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
+from repro.engine.executor import explain_analyze
+from repro.engine.kernels.joins import build_side
+from repro.engine.operators.base import chunk_count
+from repro.engine.parallel import MORSEL_ROWS
+from repro.service.context import QueryContext, activate_context
+from repro.storage import Table
+
+ORDER_FREE = (
+    GroupingAlgorithm.HG,
+    GroupingAlgorithm.SPHG,
+    GroupingAlgorithm.SOG,
+    GroupingAlgorithm.BSG,
+)
+
+AGGREGATES = [
+    count_star("n"),
+    sum_of("R.X", "sum_x"),
+    sum_of("S.B", "sum_b"),
+    sum_of("S.F", "sum_f"),
+    avg_of("R.X", "avg_x"),
+    avg_of("S.B", "avg_b"),
+    min_of("R.X", "min_x"),
+    min_of("S.B", "min_b"),
+    max_of("R.X", "max_x"),
+    max_of("S.B", "max_b"),
+]
+
+
+def relations(shape: str, seed: int = 7) -> tuple[dict, dict]:
+    """R (build: ID, A, X) and S (probe: R_ID, B, F) of one shape, both
+    sorted on the join key so that OJ's precondition holds."""
+    rng = np.random.default_rng(seed)
+    if shape == "repeated_build_keys":
+        ids = np.sort(rng.integers(0, 20, 40))
+        probe = rng.integers(0, 20, 120)
+        groups = rng.integers(0, 8, ids.size)
+    elif shape == "unmatched_build_rows":
+        # IDs 25..49 match nothing, and neither do the groups 5..9 that
+        # only they carry.
+        ids = np.arange(50)
+        probe = rng.integers(0, 25, 200)
+        groups = ids // 5
+    elif shape == "build_larger_than_matches":
+        ids = np.arange(100)
+        probe = rng.integers(0, 100, 20)
+        groups = ids % 7
+    elif shape == "empty_build":
+        ids, probe, groups = np.arange(0), rng.integers(0, 10, 30), np.arange(0)
+    elif shape == "empty_probe":
+        ids, probe, groups = np.arange(30), np.arange(0), np.arange(30) % 4
+    elif shape == "morsels":
+        ids = np.arange(500)
+        probe = rng.integers(0, 500, MORSEL_ROWS + 4_000)
+        groups = rng.integers(0, 50, ids.size)
+    else:
+        raise AssertionError(shape)
+    r = {
+        "R.ID": ids.astype(np.int64),
+        "R.A": groups.astype(np.int64) + 1_000,
+        "R.X": rng.integers(-50, 50, ids.size),
+    }
+    s = {
+        "S.R_ID": np.sort(probe).astype(np.int64),
+        "S.B": rng.integers(-1_000, 1_000, probe.size),
+        "S.F": rng.random(probe.size) * 3.0,
+    }
+    return r, s
+
+
+def plan(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES):
+    build = TableScan(Table.from_arrays(r))
+    if filtered:
+        build = Filter(build, col("R.X") > -20)
+    join = Join(build, TableScan(Table.from_arrays(s)), "R.ID", "S.R_ID", join_algorithm)
+    return GroupBy(join, "R.A", aggregates, grouping, parallel=False)
+
+
+def unfused(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES):
+    """The same group-by over the join's materialised table."""
+    join = plan(r, s, join_algorithm, grouping, filtered).children[0]
+    return execute(
+        GroupBy(TableScan(execute(join)), "R.A", aggregates, grouping, parallel=False)
+    )
+
+
+def assert_same(fused, reference, grouping):
+    if grouping is GroupingAlgorithm.HG:
+        fused, reference = fused.sort_by(["R.A"]), reference.sort_by(["R.A"])
+    assert fused.equals(reference)
+
+
+def gathers(operator) -> list:
+    """Record every call of the join's gather on ``operator``."""
+    join = operator.children[0]
+    calls = []
+    gather = join.gather
+
+    def spy(matches):
+        calls.append(matches.num_rows)
+        return gather(matches)
+
+    join.gather = spy
+    return calls
+
+
+SHAPES = (
+    "repeated_build_keys",
+    "unmatched_build_rows",
+    "build_larger_than_matches",
+    "empty_build",
+    "empty_probe",
+)
+
+
+@pytest.mark.parametrize("aggregates", [AGGREGATES, [count_star("n")]], ids=["all", "count"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("join_algorithm", list(JoinAlgorithm), ids=lambda a: a.name)
+@pytest.mark.parametrize("grouping", ORDER_FREE, ids=lambda a: a.name)
+def test_build_side_grouping_equals_unfused(shape, join_algorithm, grouping, aggregates):
+    """COUNT alone takes the route that gathers no slots."""
+    r, s = relations(shape)
+    assert_same(
+        execute(plan(r, s, join_algorithm, grouping, aggregates=aggregates)),
+        unfused(r, s, join_algorithm, grouping, aggregates=aggregates),
+        grouping,
+    )
+
+
+@pytest.mark.parametrize("join_algorithm", list(JoinAlgorithm), ids=lambda a: a.name)
+@pytest.mark.parametrize("grouping", ORDER_FREE, ids=lambda a: a.name)
+def test_filtered_build(join_algorithm, grouping):
+    r, s = relations("repeated_build_keys")
+    assert_same(
+        execute(plan(r, s, join_algorithm, grouping, filtered=True)),
+        unfused(r, s, join_algorithm, grouping, filtered=True),
+        grouping,
+    )
+
+
+@pytest.mark.parametrize("join_algorithm", list(JoinAlgorithm), ids=lambda a: a.name)
+@pytest.mark.parametrize("grouping", ORDER_FREE, ids=lambda a: a.name)
+def test_governed_probe_in_morsels(join_algorithm, grouping):
+    r, s = relations("morsels")
+    operator = plan(r, s, join_algorithm, grouping)
+    with activate_context(QueryContext.start()):
+        fused = execute(operator)
+    assert_same(fused, unfused(r, s, join_algorithm, grouping), grouping)
+
+
+class TestRoute:
+    """Which inputs take the build-side route (observed through the
+    join's gather, which the route never calls)."""
+
+    def test_taken_when_build_is_smaller(self):
+        r, s = relations("repeated_build_keys")
+        operator = plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG)
+        calls = gathers(operator)
+        execute(operator)
+        assert calls == []
+
+    def test_not_taken_when_build_is_larger(self):
+        r, s = relations("build_larger_than_matches")
+        operator = plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG)
+        calls = gathers(operator)
+        execute(operator)
+        assert calls == [20]
+
+    def test_not_taken_by_og(self):
+        r, s = relations("repeated_build_keys")
+        operator = plan(r, s, JoinAlgorithm.OJ, GroupingAlgorithm.OG)
+        calls = gathers(operator)
+        execute(operator)
+        assert len(calls) == 1
+
+    def test_sphg_over_sparse_build_keys_groups_the_output(self):
+        """The build keys nobody matches spread the domain; the matched
+        ones alone are dense, so SPHG groups the gathered output."""
+        r, s = relations("unmatched_build_rows")
+        r["R.A"] = np.where(r["R.ID"] < 25, r["R.A"], 10**9 + r["R.ID"])
+        operator = plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.SPHG)
+        calls = gathers(operator)
+        result = execute(operator)
+        assert calls == [200]
+        assert result.equals(unfused(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.SPHG))
+
+    def test_parallel_grouping_groups_the_output(self, configured):
+        configured(workers=2)
+        r, s = relations("repeated_build_keys")
+        build, probe = TableScan(Table.from_arrays(r)), TableScan(Table.from_arrays(s))
+        join = Join(build, probe, "R.ID", "S.R_ID", JoinAlgorithm.HJ)
+        operator = GroupBy(join, "R.A", AGGREGATES, GroupingAlgorithm.HG, parallel=True)
+        calls = gathers(operator)
+        execute(operator)
+        assert len(calls) == 1
+
+
+class TestJoinActuals:
+    """EXPLAIN ANALYZE counts a join once per execution, whichever of
+    its outputs a parent takes: the matches, the table (which is the
+    matches gathered), or the chunks sliced from it."""
+
+    @pytest.mark.parametrize("parent", ["group_by", "none", "filter"])
+    def test_rows_and_chunks_counted_once(self, parent):
+        r, s = relations("morsels")
+        operator = plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG)
+        join = operator.children[0]
+        if parent == "none":
+            operator = join
+        elif parent == "filter":
+            operator = Filter(join, col("S.B") > -2_000)
+        analyzed = explain_analyze(operator)
+        stats = next(node for node in analyzed.root.walk() if node.name == "Join")
+        assert stats.rows_out == s["S.R_ID"].size
+        assert stats.chunks_out == chunk_count(s["S.R_ID"].size)
+        assert stats.peak_memory_bytes > 0
+        assert stats.cumulative_seconds <= analyzed.root.cumulative_seconds
+
+
+class TestEmptyInputs:
+    """SPHG over no rows is an empty result, as for every other
+    algorithm, on every route."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_sphg_over_empty_scan(self, shards):
+        table = Table.from_arrays({"k": np.empty(0, dtype=np.int64)})
+        result = execute(
+            GroupBy(TableScan(table), "k", [count_star("c")], GroupingAlgorithm.SPHG,
+                    shards=shards)
+        )
+        assert result.num_rows == 0
+
+    def test_sphg_over_join_nobody_matches(self):
+        r, s = relations("repeated_build_keys")
+        s["S.R_ID"] = s["S.R_ID"] + 1_000
+        result = execute(plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.SPHG))
+        assert result.num_rows == 0
+
+
+# --------------------------------------------------------------------------
+# OJ: one lookup per probe run, the per-row search's pairs
+
+
+def per_row_pairs(build: np.ndarray, probe: np.ndarray) -> tuple[list, list]:
+    """OJ's pairs as a per-row search finds them: probe-major, build rows
+    ascending within one probe row."""
+    left, right = [], []
+    for j, key in enumerate(probe.tolist()):
+        start = int(np.searchsorted(build, key, "left"))
+        stop = int(np.searchsorted(build, key, "right"))
+        left += range(start, stop)
+        right += [j] * (stop - start)
+    return left, right
+
+
+def assert_oj_pairs(build, probe):
+    build = np.sort(np.asarray(build, dtype=np.int64))
+    probe = np.asarray(probe, dtype=np.int64)
+    expected_left, expected_right = per_row_pairs(build, probe)
+    if build.size == 0 or probe.size == 0:
+        return
+    left, right = build_side(build, JoinAlgorithm.OJ).probe(probe)
+    assert left.dtype == right.dtype == np.int64
+    assert left.tolist() == expected_left
+    assert right.tolist() == expected_right
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=40),
+    st.lists(st.integers(-25, 25), min_size=1, max_size=80),
+    st.booleans(),
+)
+def test_oj_pairs_match_per_row_search(build, probe, sort_probe):
+    assert_oj_pairs(build, sorted(probe) if sort_probe else probe)
+
+
+@pytest.mark.parametrize("build", [[3, 3, 3], [1, 2, 3, 4, 5], [0, 2, 2, 7]])
+@pytest.mark.parametrize(
+    "probe",
+    [[3] * 9, list(range(-2, 9)), [7, 2, 3, 2, 0, 7, 7], [5, 4, 3, 2, 1, 0]],
+    ids=["all_equal", "all_distinct", "unsorted", "descending"],
+)
+def test_oj_pairs_edge_probes(build, probe):
+    assert_oj_pairs(build, probe)

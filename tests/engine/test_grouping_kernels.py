@@ -72,6 +72,30 @@ class TestIndividualKernels:
         with pytest.raises(PreconditionError):
             perfect_hash_slots(np.empty(0, dtype=np.int64))
 
+    def test_sphg_assignment_over_no_keys_is_empty(self):
+        result = group_by(np.empty(0, dtype=np.int64), None, GroupingAlgorithm.SPHG)
+        assert result.num_groups == 0
+
+    def test_perfect_hash_full_int64_domain_is_a_precondition(self):
+        info = np.iinfo(np.int64)
+        with pytest.raises(PreconditionError, match="dense"):
+            perfect_hash_slots(np.array([info.min, 0, info.max]))
+
+    def test_perfect_hash_rejects_before_allocating_the_domain(self):
+        import tracemalloc
+
+        # 62 500 keys over a domain of 2 * 10**7: a domain-sized count
+        # array alone would be 160 MB.
+        keys = np.arange(62_500, dtype=np.int64) * 320
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="dense"):
+                perfect_hash_slots(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * keys.nbytes
+
     def test_order_slots_on_sorted(self):
         keys = np.array([1, 1, 2, 5, 5, 5])
         assignment = order_slots(keys)
