@@ -196,20 +196,25 @@ def run_crossover(
             density=Density.SPARSE,
             seed=seed,
         )
-        hg = time_callable(
-            lambda d=dataset, g=num_groups: group_by(
-                d.keys, d.payload, GroupingAlgorithm.HG, num_distinct_hint=g
-            ),
-            repeats=repeats,
-            warmup=1,
-        ).best_ms
-        bsg = time_callable(
-            lambda d=dataset: group_by(
-                d.keys, d.payload, GroupingAlgorithm.BSG
-            ),
-            repeats=repeats,
-            warmup=1,
-        ).best_ms
+
+        def hg_call():
+            return group_by(
+                dataset.keys,
+                dataset.payload,
+                GroupingAlgorithm.HG,
+                num_distinct_hint=num_groups,
+            )
+
+        def bsg_call():
+            return group_by(dataset.keys, dataset.payload, GroupingAlgorithm.BSG)
+
+        hg_call(), bsg_call()  # warm-up
+        # One repeat of each in turn, so that a slow spell of the host
+        # slows both algorithms' samples rather than all of one's.
+        hg = bsg = float("inf")
+        for _ in range(repeats):
+            hg = min(hg, time_callable(hg_call, repeats=1, warmup=0).best_ms)
+            bsg = min(bsg, time_callable(bsg_call, repeats=1, warmup=0).best_ms)
         result.points.append((num_groups, hg, bsg))
         if bsg < hg:
             result.crossover_groups = num_groups

@@ -20,6 +20,13 @@ substitution #4). Join build/probe sides stay as written in the query
 (substitution #5); run with ``--commutation`` to see how the grid changes
 when the optimiser may swap sides.
 
+With ``--execute`` each plan is timed twice, best of three each: *cold*,
+every repeat on a freshly built catalog, so that it erects its hash
+tables and slot assignments itself; and *warm*, repeated on one catalog,
+so that it reuses the build structures the first run memoised on the base
+columns. The measured speedup is the cold one; the warm seconds record
+what reuse buys per plan shape.
+
 Run as a script::
 
     python -m repro.bench.figure5 [--execute] [--commutation] [--json PATH]
@@ -28,17 +35,19 @@ Run as a script::
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro._util.timer import time_callable
+from repro._util.timer import Timer, time_callable
 from repro.bench.reporting import render_table
 from repro.core.cost.model import CostModel
 from repro.core.optimizer.dqo import optimize_dqo
 from repro.core.optimizer.sqo import optimize_sqo
 from repro.core.plan import to_operator
 from repro.datagen.grouping import Density, Sortedness
-from repro.datagen.join import make_join_scenario
+from repro.datagen.join import JoinScenario, make_join_scenario
 from repro.sql.planner import plan_query
+from repro.storage.catalog import Catalog
+from repro.storage.table import Table
 
 #: the §4.3 query, verbatim.
 QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
@@ -63,9 +72,12 @@ class Figure5Cell:
     dqo_cost: float
     sqo_plan: str
     dqo_plan: str
-    #: measured wall-clock seconds, when --execute was requested.
+    #: measured wall-clock seconds, when --execute was requested: cold
+    #: (each repeat on a fresh catalog) and warm (repeats on one catalog).
     sqo_seconds: float | None = None
     dqo_seconds: float | None = None
+    sqo_warm_seconds: float | None = None
+    dqo_warm_seconds: float | None = None
 
     @property
     def factor(self) -> float:
@@ -74,10 +86,17 @@ class Figure5Cell:
 
     @property
     def measured_speedup(self) -> float | None:
-        """Wall-clock speedup, when executed."""
+        """Cold wall-clock speedup, when executed."""
         if self.sqo_seconds is None or not self.dqo_seconds:
             return None
         return self.sqo_seconds / self.dqo_seconds
+
+    @property
+    def warm_speedup(self) -> float | None:
+        """Warm wall-clock speedup, when executed."""
+        if self.sqo_warm_seconds is None or not self.dqo_warm_seconds:
+            return None
+        return self.sqo_warm_seconds / self.dqo_warm_seconds
 
 
 @dataclass
@@ -156,16 +175,45 @@ def run_figure5(
                 dqo_plan=_plan_summary(dqo.plan),
             )
             if execute_plans:
-                sqo_operator = to_operator(sqo.plan, catalog)
-                dqo_operator = to_operator(dqo.plan, catalog)
-                cell.sqo_seconds = time_callable(
-                    sqo_operator.to_table, repeats=3, warmup=1
-                ).best
-                cell.dqo_seconds = time_callable(
-                    dqo_operator.to_table, repeats=3, warmup=1
-                ).best
+                cell.sqo_seconds, cell.sqo_warm_seconds = _time_plan(
+                    sqo.plan, catalog, scenario
+                )
+                cell.dqo_seconds, cell.dqo_warm_seconds = _time_plan(
+                    dqo.plan, catalog, scenario
+                )
             result.cells.append(cell)
     return result
+
+
+def _time_plan(
+    plan, catalog: Catalog, scenario: JoinScenario, repeats: int = 3
+) -> tuple[float, float]:
+    """Best-of-``repeats`` seconds of ``plan``'s ``to_table``: cold, each
+    repeat over a new catalog of ``scenario``, then warm, over
+    ``catalog`` after one unmeasured run."""
+    warm = time_callable(
+        to_operator(plan, catalog).to_table, repeats=repeats, warmup=1
+    ).best
+    cold = []
+    for _ in range(repeats):
+        operator = to_operator(plan, _cold_catalog(scenario))
+        with Timer() as timer:
+            operator.to_table()
+        cold.append(timer.elapsed)
+    return min(cold), warm
+
+
+def _cold_catalog(scenario: JoinScenario) -> Catalog:
+    """``scenario``'s catalog over new tables holding the same arrays, so
+    that nothing memoised on another catalog's columns is reused."""
+
+    def fresh(table: Table) -> Table:
+        return Table.from_arrays(
+            {spec.name: table[spec.name] for spec in table.schema},
+            dtypes={spec.name: spec.dtype for spec in table.schema},
+        )
+
+    return replace(scenario, r=fresh(scenario.r), s=fresh(scenario.s)).build_catalog()
 
 
 def _plan_summary(plan) -> str:
@@ -200,7 +248,7 @@ def render_figure5(result: Figure5Result, execute_plans: bool = False) -> str:
         "DQO plan",
     ]
     if execute_plans:
-        headers.append("measured speedup")
+        headers += ["measured speedup", "warm speedup"]
     rows = []
     for cell in result.cells:
         paper_sparse, paper_dense = PAPER_FACTORS[
@@ -219,8 +267,10 @@ def render_figure5(result: Figure5Result, execute_plans: bool = False) -> str:
             cell.dqo_plan,
         ]
         if execute_plans:
-            speedup = cell.measured_speedup
-            row.append(f"{speedup:.1f}x" if speedup is not None else "-")
+            row += [
+                f"{speedup:.1f}x" if speedup is not None else "-"
+                for speedup in (cell.measured_speedup, cell.warm_speedup)
+            ]
         rows.append(row)
     return render_table(
         headers,
@@ -241,11 +291,17 @@ def _cell_name(cell: Figure5Cell) -> str:
 
 
 def _timings(result: Figure5Result) -> dict[str, float]:
-    """Measured seconds per cell and plan (empty unless executed)."""
+    """Measured seconds per cell and plan, cold and warm (empty unless
+    executed)."""
     return {
         f"{_cell_name(cell)}/{side}": seconds
         for cell in result.cells
-        for side, seconds in (("sqo", cell.sqo_seconds), ("dqo", cell.dqo_seconds))
+        for side, seconds in (
+            ("sqo", cell.sqo_seconds),
+            ("dqo", cell.dqo_seconds),
+            ("sqo_warm", cell.sqo_warm_seconds),
+            ("dqo_warm", cell.dqo_warm_seconds),
+        )
         if seconds is not None
     }
 
@@ -260,6 +316,7 @@ def _cell_record(cell: Figure5Cell) -> dict:
         "dqo_cost": cell.dqo_cost,
         "factor": cell.factor,
         "measured_speedup": cell.measured_speedup,
+        "warm_speedup": cell.warm_speedup,
     }
 
 
@@ -269,7 +326,8 @@ def main() -> None:
     parser.add_argument(
         "--execute",
         action="store_true",
-        help="also execute both plans per cell and report wall-clock speedup",
+        help="also execute both plans per cell and report wall-clock "
+        "speedups, cold and warm",
     )
     parser.add_argument(
         "--commutation",

@@ -359,10 +359,12 @@ def _probe_join(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
     algorithm: JoinAlgorithm,
+    build: BuildSide | None = None,
     **build_options,
 ) -> JoinResult:
-    """Erect ``algorithm``'s build side over ``build_keys`` and probe it
-    with all of ``probe_keys`` — the serial form of every join but SOJ."""
+    """Erect ``algorithm``'s build side over ``build_keys`` (unless
+    ``build`` is it already) and probe it with all of ``probe_keys`` —
+    the serial form of every join but SOJ."""
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
     order = (
@@ -373,7 +375,8 @@ def _probe_join(
     if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return JoinResult(empty, empty.copy(), order)
-    build = build_side(build_keys, algorithm, **build_options)
+    if build is None:
+        build = build_side(build_keys, algorithm, **build_options)
     left, right = build.probe(probe_keys)
     return JoinResult(left, right, order, structure_bytes=build.structure_bytes)
 
@@ -383,6 +386,7 @@ def hash_join(
     probe_keys: np.ndarray,
     num_distinct_hint: int | None = None,
     hash_name: str = "murmur3",
+    build: BuildSide | None = None,
 ) -> JoinResult:
     """HJ: build a hash table on ``build_keys``, stream ``probe_keys``.
 
@@ -394,6 +398,7 @@ def hash_join(
         build_keys,
         probe_keys,
         JoinAlgorithm.HJ,
+        build,
         num_distinct_hint=num_distinct_hint,
         hash_name=hash_name,
     )
@@ -403,6 +408,7 @@ def perfect_hash_join(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
     min_density: float = MIN_DENSITY,
+    build: BuildSide | None = None,
 ) -> JoinResult:
     """SPHJ: dense-domain direct-array join (Table 2's SPHJ).
 
@@ -412,12 +418,15 @@ def perfect_hash_join(
     :raises PreconditionError: when the build-side domain is too sparse.
     """
     return _probe_join(
-        build_keys, probe_keys, JoinAlgorithm.SPHJ, min_density=min_density
+        build_keys, probe_keys, JoinAlgorithm.SPHJ, build, min_density=min_density
     )
 
 
 def merge_join(
-    left_keys: np.ndarray, right_keys: np.ndarray, validate: bool = False
+    left_keys: np.ndarray,
+    right_keys: np.ndarray,
+    validate: bool = False,
+    build: BuildSide | None = None,
 ) -> JoinResult:
     """OJ: merge two key-sorted inputs (Table 2's OJ).
 
@@ -435,7 +444,7 @@ def merge_join(
                 raise PreconditionError(
                     f"merge join requires sorted inputs; {name} is unsorted"
                 )
-    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ)
+    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build)
 
 
 def sort_merge_join(
@@ -458,11 +467,13 @@ def sort_merge_join(
 
 
 def binary_search_join(
-    build_keys: np.ndarray, probe_keys: np.ndarray
+    build_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    build: BuildSide | None = None,
 ) -> JoinResult:
     """BSJ: sorted array on the build side, binary-search each probe
     (Table 2's BSJ). Output preserves probe order."""
-    return _probe_join(build_keys, probe_keys, JoinAlgorithm.BSJ)
+    return _probe_join(build_keys, probe_keys, JoinAlgorithm.BSJ, build)
 
 
 def join(
@@ -471,18 +482,25 @@ def join(
     algorithm: JoinAlgorithm,
     num_distinct_hint: int | None = None,
     validate: bool = False,
+    build: BuildSide | None = None,
 ) -> JoinResult:
-    """Dispatch to the chosen Table 2 join kernel."""
+    """Dispatch to the chosen Table 2 join kernel.
+
+    :param build: the build side :func:`build_side` erected over
+        ``build_keys`` for ``algorithm`` earlier, with the options this
+        call would pass it; None erects it here. SOJ, which has none,
+        ignores it.
+    """
     if algorithm is JoinAlgorithm.HJ:
-        return hash_join(build_keys, probe_keys, num_distinct_hint)
+        return hash_join(build_keys, probe_keys, num_distinct_hint, build=build)
     if algorithm is JoinAlgorithm.SPHJ:
-        return perfect_hash_join(build_keys, probe_keys)
+        return perfect_hash_join(build_keys, probe_keys, build=build)
     if algorithm is JoinAlgorithm.OJ:
-        return merge_join(build_keys, probe_keys, validate=validate)
+        return merge_join(build_keys, probe_keys, validate=validate, build=build)
     if algorithm is JoinAlgorithm.SOJ:
         return sort_merge_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.BSJ:
-        return binary_search_join(build_keys, probe_keys)
+        return binary_search_join(build_keys, probe_keys, build=build)
     raise PreconditionError(f"unknown join algorithm: {algorithm!r}")
 
 

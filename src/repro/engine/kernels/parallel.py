@@ -349,15 +349,19 @@ def parallel_join(
     workers: int | None = None,
     on_report=None,
     backend: str = "thread",
+    build: BuildSide | None = None,
 ) -> JoinResult:
     """Shared-build, sharded-probe join: the morsel-parallel join form.
 
     The build side's structure (hash table / SPH array / sorted array)
-    is erected once on the calling thread; probe morsels then scan it
-    read-only in parallel — pool threads read the arrays themselves,
-    worker processes map the one published copy. Because HJ/SPHJ/BSJ
-    expand matches probe-major, concatenating the shard outputs in shard
-    order yields exactly the serial kernel's output.
+    is erected once on the calling thread, unless ``build`` is it
+    already (see :func:`~repro.engine.kernels.joins.join`); probe
+    morsels then scan it read-only in parallel — pool threads read the
+    arrays themselves, worker processes map the one published copy (a
+    build side passed again is not published again: the store caches
+    its arrays by identity). Because HJ/SPHJ/BSJ expand matches
+    probe-major, concatenating the shard outputs in shard order yields
+    exactly the serial kernel's output.
 
     OJ and SOJ merge both inputs in lockstep — there is no read-only
     shared structure to probe — so they fall back to the serial kernel.
@@ -383,8 +387,10 @@ def parallel_join(
             probe_keys,
             algorithm,
             num_distinct_hint=num_distinct_hint,
+            build=build,
         )
-    build = build_side(build_keys, algorithm, num_distinct_hint)
+    if build is None:
+        build = build_side(build_keys, algorithm, num_distinct_hint)
     report = run_tasks(
         "probe",
         {"build": vars(build), "probe": probe_keys},

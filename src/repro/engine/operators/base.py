@@ -19,14 +19,17 @@ breakers copies nothing between them.
 from __future__ import annotations
 
 import threading
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.service.context import charge_active_context, check_active_context
+from repro.storage.column import Column
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+
+T = TypeVar("T")
 
 #: default rows per chunk, in the vectorised sweet-spot range.
 DEFAULT_CHUNK_SIZE = 4096
@@ -288,6 +291,36 @@ def kept_columns(
     if columns is None:
         return list(names)
     return [name for name in names if name in columns] or list(names[:1])
+
+
+def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T:
+    """``build()``, memoised on ``column`` as its one ``kind`` structure.
+
+    ``build`` must read nothing but the column's values and ``key``, so a
+    hit returns exactly what a fresh build would. A column keeps one
+    entry per kind, and a miss replaces it; a build that raises leaves
+    the memo as it was. Every query shares the structure, so its arrays
+    are made read-only before it is stored.
+    """
+    # Imported here: repro.obs imports this module.
+    from repro.obs.runtime import get_metrics
+
+    entry = column.memo.get(kind)
+    hit = entry is not None and entry[0] == key
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.counter(
+            "engine.build_memo.hits" if hit else "engine.build_memo.misses",
+            exist_ok=True,
+        ).inc()
+    if hit:
+        return entry[1]
+    structure = build()
+    for value in vars(structure).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    column.memo[kind] = (key, structure)
+    return structure
 
 
 def chunk_count(num_rows: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:

@@ -26,6 +26,7 @@ from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
     PhysicalOperator,
+    memoised,
 )
 from repro.engine.operators.joins import Join, JoinMatches
 from repro.engine.parallel import MIN_PARALLEL_ROWS
@@ -249,9 +250,17 @@ class GroupBy(MaterialisedOperator):
         pairs = matches.pairs
         if matches.left.num_rows > pairs.num_rows or self._parts(pairs.num_rows) > 1:
             return None
+        column = matches.left.column(self._key)
         try:
-            assignment = assign_slots(
-                matches.left[self._key], self._algorithm, self._num_distinct_hint
+            # Memoised on the build input's key column: an unchanged base
+            # column's assignment is reused by every later query.
+            assignment = memoised(
+                column,
+                "slots",
+                (self._algorithm, self._num_distinct_hint),
+                lambda: assign_slots(
+                    column.values, self._algorithm, self._num_distinct_hint
+                ),
             )
         except PreconditionError:
             if self._algorithm is GroupingAlgorithm.SPHG:

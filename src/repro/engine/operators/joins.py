@@ -14,9 +14,11 @@ from typing import Collection
 import numpy as np
 
 from repro.engine.kernels.joins import (
+    BuildSide,
     JoinAlgorithm,
     JoinOutputOrder,
     JoinResult,
+    build_side,
     join,
 )
 from repro.engine.kernels.parallel import (
@@ -33,8 +35,10 @@ from repro.engine.operators.base import (
     MaterialisedOperator,
     PhysicalOperator,
     kept_columns,
+    memoised,
 )
 from repro.errors import ExecutionError
+from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -206,7 +210,13 @@ class Join(MaterialisedOperator):
         note = lambda report: self._note_parallelism(  # noqa: E731
             report.workers_used, report.busy_seconds
         )
-        if self._exchange and workers > 1:
+        exchange = self._exchange and workers > 1
+        build = (
+            None
+            if exchange or not (build_keys.size and probe_keys.size)
+            else self._build_side(left_table)
+        )
+        if exchange:
             result = exchange_join(
                 build_keys,
                 probe_keys,
@@ -224,6 +234,7 @@ class Join(MaterialisedOperator):
                 num_distinct_hint=self._num_distinct_hint,
                 backend=backend,
                 on_report=note,
+                build=build,
             )
         else:
             result = join(
@@ -232,12 +243,33 @@ class Join(MaterialisedOperator):
                 self._algorithm,
                 num_distinct_hint=self._num_distinct_hint,
                 validate=self._validate,
+                build=build,
             )
         matches = JoinMatches(left_table, right_table, result)
         # Working set: both materialised inputs, the kernel's build-side
         # structure plus match-index arrays.
         self._note_memory(matches.memory_bytes())
         return matches
+
+    def _build_side(self, left_table: Table) -> BuildSide | None:
+        """The build side over the left key column, erected on its first
+        use and memoised on the column: an unchanged base column's is
+        reused by every later query. None for SOJ, which sorts both
+        inputs instead."""
+        if self._algorithm is JoinAlgorithm.SOJ:
+            return None
+        column = left_table.column(self._left_key)
+        options = (self._num_distinct_hint, "murmur3", MIN_DENSITY)
+        return memoised(
+            column,
+            "build_side",
+            (self._algorithm, *options),
+            lambda: build_side(
+                np.ascontiguousarray(column.values, dtype=np.int64),
+                self._algorithm,
+                *options,
+            ),
+        )
 
     def gather(self, matches: JoinMatches) -> Table:
         """The join's output table. Late materialisation: only the

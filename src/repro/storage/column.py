@@ -20,7 +20,7 @@ class Column:
     style guide; the array is exposed read-only via :attr:`values`.
     """
 
-    __slots__ = ("_name", "_dtype", "_values", "_stats")
+    __slots__ = ("_name", "_dtype", "_values", "_stats", "_memo")
 
     def __init__(
         self,
@@ -51,6 +51,7 @@ class Column:
         self._dtype = dtype
         self._values = array
         self._stats = statistics
+        self._memo: dict = {}
 
     @property
     def name(self) -> str:
@@ -74,6 +75,16 @@ class Column:
             self._stats = collect_statistics(self._values)
         return self._stats
 
+    @property
+    def memo(self) -> dict:
+        """Structures derived from this column's (immutable) values — a
+        join's build side, a grouping's slot assignment — memoised by the
+        operators that erect them. Renamed views share one memo, so every
+        query over a registered table reads the same entries; a column
+        made from new or sliced data starts empty, and the memo is freed
+        with the last view of the column."""
+        return self._memo
+
     def memory_bytes(self) -> int:
         """Bytes held by the backing array (the memory-accounting
         protocol every storage structure, index, and operator speaks)."""
@@ -92,6 +103,7 @@ class Column:
         clone._dtype = self._dtype
         clone._values = self._values
         clone._stats = self._stats
+        clone._memo = self._memo
         return clone
 
     def take(self, indices: np.ndarray) -> "Column":

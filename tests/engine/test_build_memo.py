@@ -1,0 +1,353 @@
+"""Laws of the build memo: a hit is indistinguishable from a fresh build.
+
+A join's build side and a build-side group-by's slot assignment are
+memoised on the base column they are erected over. Every route that
+builds — serial, governed morsels, ``workers=2`` threads and processes —
+must return, on its first and on every later execution, exactly what the
+memo-free kernel returns: the same index pairs in the same order, the
+same result table in the same row order (HG's included). What must never
+be memoised (a build that raises or is cut short, an intermediate input,
+a fresh table over the same arrays) is checked by looking at the memo.
+"""
+
+import gc
+import sys
+import threading
+import time
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.engine import (
+    Filter,
+    GroupBy,
+    GroupingAlgorithm,
+    Join,
+    JoinAlgorithm,
+    TableScan,
+    col,
+    count_star,
+    execute,
+)
+from repro.engine.aggregates import sum_of
+from repro.engine.kernels.grouping import assign_slots
+from repro.engine.kernels.joins import join
+from repro.engine.operators import joins as join_operators
+from repro.engine.parallel import MORSEL_ROWS
+from repro.engine.procpool import get_shared_store, leaked_segments
+from repro.errors import DeadlineExceeded, PreconditionError
+from repro.obs.runtime import capture_observability
+from repro.service.context import QueryContext, activate_context, check_active_context
+from repro.service.session import QueryService, ServiceConfig
+from repro.settings import scoped_settings
+from repro.storage import Catalog, ForeignKey, Table
+
+pytestmark = pytest.mark.usefixtures("fork_pool")
+
+MEMOISED_JOINS = (JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ, JoinAlgorithm.OJ)
+BUILD_SIDE_GROUPING = (
+    GroupingAlgorithm.HG,
+    GroupingAlgorithm.SPHG,
+    GroupingAlgorithm.SOG,
+    GroupingAlgorithm.BSG,
+)
+ROUTES = ("serial", "governed", "thread", "process")
+HINT = 1_250
+QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
+
+
+def arrays(repeated: bool = False, seed: int = 3) -> tuple[dict, dict]:
+    """R (ID sorted and dense; distinct, or each repeated) and S (R_ID
+    sorted, one morsel and more), so every memoised algorithm applies."""
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(2_500), 2) if repeated else np.arange(5_000)
+    probe = np.sort(rng.integers(0, ids.max() + 1, MORSEL_ROWS + 4_464))
+    r = {"ID": ids.astype(np.int64), "A": (ids // 4 + 100).astype(np.int64)}
+    s = {"R_ID": probe.astype(np.int64), "B": rng.integers(-9, 9, probe.size)}
+    return r, s
+
+
+def join_operator(r: Table, s: Table, algorithm, route: str, **options) -> Join:
+    parallel = True if route in ("thread", "process") else None
+    return Join(
+        TableScan(r.qualified("R")),
+        TableScan(s.qualified("S")),
+        "R.ID",
+        "S.R_ID",
+        algorithm,
+        num_distinct_hint=HINT,
+        parallel=parallel,
+        **options,
+    )
+
+
+def on_route(route: str, run):
+    """``run()`` on ``route``: one worker (ungoverned or governed, which
+    probes in morsels), or two thread or process workers."""
+    if route in ("serial", "governed"):
+        with scoped_settings(workers=1):
+            if route == "serial":
+                return run()
+            with activate_context(QueryContext.start()):
+                return run()
+    with scoped_settings(workers=2, backend=route):
+        return run()
+
+
+def memo_counts(metrics) -> tuple[int, int]:
+    snapshot = metrics.snapshot()
+    return (
+        snapshot.get("engine.build_memo.hits", 0),
+        snapshot.get("engine.build_memo.misses", 0),
+    )
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
+def test_join_hit_equals_fresh_build(algorithm, route, repeated):
+    r_data, s_data = arrays(repeated)
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+    expected = Table.from_arrays(
+        {
+            "R.ID": r_data["ID"][fresh.left_indices],
+            "R.A": r_data["A"][fresh.left_indices],
+            "S.R_ID": s_data["R_ID"][fresh.right_indices],
+            "S.B": s_data["B"][fresh.right_indices],
+        }
+    )
+
+    def run():
+        operator = join_operator(r, s, algorithm, route)
+        matches = operator.matches()
+        return matches.pairs, operator.gather(matches)
+
+    with capture_observability() as (metrics, __):
+        runs = [on_route(route, run) for _ in range(2)]
+    assert memo_counts(metrics) == (1, 1)
+    __, build = r.column("ID").memo["build_side"]
+    shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
+    assert shared and not any(array.flags.writeable for array in shared)
+    for pairs, table in runs:
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+        assert pairs.structure_bytes == fresh.structure_bytes
+        assert table.equals(expected)
+
+
+@pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
+def test_grouping_hit_equals_fresh_build(grouping):
+    """Hints A -> B -> A: a changed key misses and replaces the one
+    entry; each run equals a group-by over tables nothing was memoised
+    on, HG's row order included."""
+    r_data, s_data = arrays(seed=5)
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+
+    def grouped(r, s, hint):
+        join = join_operator(r, s, JoinAlgorithm.HJ, "serial")
+        return execute(
+            GroupBy(
+                join,
+                "R.A",
+                [count_star("n"), sum_of("S.B", "b")],
+                grouping,
+                num_distinct_hint=hint,
+                parallel=False,
+            ),
+            workers=1,
+        )
+
+    hints = (1_250, 4_000, 1_250)
+    fresh = [
+        grouped(Table.from_arrays(r_data), Table.from_arrays(s_data), hint)
+        for hint in hints
+    ]
+    with capture_observability() as (metrics, __):
+        for hint, expected_table in zip(hints, fresh):
+            assert grouped(r, s, hint).equals(expected_table)
+            key, assignment = r.column("A").memo["slots"]
+            assert key == (grouping, hint)
+            expected = assign_slots(r_data["A"], grouping, hint)
+            assert np.array_equal(assignment.slots, expected.slots)
+            assert np.array_equal(assignment.group_keys, expected.group_keys)
+    # Per run, R.ID's build side and R.A's slots are each read once: the
+    # build side misses on the first run only, the slots on every run.
+    assert memo_counts(metrics) == (2, 4)
+
+
+@pytest.mark.usefixtures("memory_storage")
+def test_reregistered_table_returns_new_answer():
+    catalog = Catalog()
+    r_data, s_data = arrays()
+    catalog.register("R", Table.from_arrays(r_data))
+    catalog.register("S", Table.from_arrays(s_data))
+    catalog.add_foreign_key(ForeignKey("S", "R_ID", "R", "ID"))
+    service = QueryService(catalog, ServiceConfig())
+    try:
+        old = service.execute(QUERY).table
+        assert service.execute(QUERY).table.equals(old)
+        new_r = {"ID": r_data["ID"], "A": r_data["ID"] % 7}
+        catalog.register("R", Table.from_arrays(new_r), replace=True)
+        new = service.execute(QUERY).table
+    finally:
+        service.shutdown()
+    counts = np.bincount(new_r["A"][s_data["R_ID"]], minlength=7)
+    assert sorted(zip(*(new[name].tolist() for name in new.schema.names))) == [
+        (key, int(count)) for key, count in enumerate(counts) if count
+    ]
+
+
+def test_sparse_sphj_raises_every_time_and_memoises_nothing():
+    r_data, s_data = arrays()
+    r_data["ID"] = r_data["ID"] * 1_000
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            execute(join_operator(r, s, JoinAlgorithm.SPHJ, "serial"), workers=1)
+    assert r.column("ID").memo == {}
+
+
+def test_deadline_inside_the_build_leaves_no_entry(monkeypatch):
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    real_build = join_operators.build_side
+    calls = []
+
+    def slow_build(*args, **kwargs):
+        calls.append(1)
+        built = real_build(*args, **kwargs)
+        time.sleep(0.3)
+        check_active_context()
+        return built
+
+    monkeypatch.setattr(join_operators, "build_side", slow_build)
+    with pytest.raises(DeadlineExceeded):
+        execute(
+            join_operator(r, s, JoinAlgorithm.HJ, "serial"),
+            workers=1,
+            context=QueryContext.start(deadline=0.2),
+        )
+    assert calls and r.column("ID").memo == {}
+
+
+def test_validated_oj_checks_the_probe_on_every_execution():
+    r_data, s_data = arrays()
+    s_data["R_ID"] = s_data["R_ID"][::-1].copy()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="right is unsorted"):
+            execute(
+                join_operator(r, s, JoinAlgorithm.OJ, "serial", validate=True),
+                workers=1,
+            )
+
+
+def test_filtered_build_writes_nothing_on_the_base_column():
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    build = Filter(TableScan(r.qualified("R")), col("R.A") > 150)
+    operator = Join(build, TableScan(s.qualified("S")), "R.ID", "S.R_ID")
+    execute(GroupBy(operator, "R.A", [count_star("n")], parallel=False), workers=1)
+    assert r.column("ID").memo == {} and r.column("A").memo == {}
+
+
+def test_fresh_tables_over_the_same_arrays_never_hit():
+    r_data, s_data = arrays()
+    with capture_observability() as (metrics, __):
+        results = [
+            execute(
+                join_operator(
+                    Table.from_arrays(r_data),
+                    Table.from_arrays(s_data),
+                    JoinAlgorithm.HJ,
+                    "serial",
+                ),
+                workers=1,
+            )
+            for _ in range(3)
+        ]
+    assert memo_counts(metrics) == (0, 3)
+    assert all(result.equals(results[0]) for result in results)
+
+
+def test_threads_racing_on_the_first_query_agree():
+    """More threads than cores start the same first query together, with
+    a short switch interval; however their builds and memo writes
+    interleave, every result equals a fresh build."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+
+    def grouped(r, s):
+        return execute(
+            GroupBy(
+                join_operator(r, s, JoinAlgorithm.HJ, "serial"),
+                "R.A",
+                [count_star("n")],
+                GroupingAlgorithm.HG,
+                num_distinct_hint=HINT,
+                parallel=False,
+            ),
+            workers=1,
+        )
+
+    fresh = grouped(Table.from_arrays(r_data), Table.from_arrays(s_data))
+    barrier = threading.Barrier(4)
+    results = []
+
+    def run():
+        barrier.wait()
+        for _ in range(3):
+            results.append(grouped(r, s))
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 12 and all(result.equals(fresh) for result in results)
+
+
+@pytest.mark.usefixtures("memory_storage")
+@pytest.mark.parametrize("route", ["serial", "process"])
+def test_unregister_frees_the_memoised_structure(route):
+    catalog = Catalog()
+    r_data, s_data = arrays()
+    catalog.register("R", Table.from_arrays(r_data))
+    catalog.register("S", Table.from_arrays(s_data))
+    on_route(
+        route,
+        lambda: execute(
+            join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ, route)
+        ),
+    )
+    __, build = catalog.table("R").column("ID").memo["build_side"]
+    structure = weakref.ref(build.bucket_keys)
+    del build
+    catalog.unregister("R")
+    catalog.unregister("S")
+    gc.collect()
+    assert structure() is None
+    assert leaked_segments() == []
+
+
+def test_process_route_publishes_a_memoised_build_side_once():
+    r_data, s_data = arrays(seed=9)
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    store = get_shared_store()
+    published = [store.stats()["published_bytes"]]
+    for _ in range(2):
+        on_route(
+            "process",
+            lambda: execute(join_operator(r, s, JoinAlgorithm.HJ, "process", backend="process")),
+        )
+        published.append(store.stats()["published_bytes"])
+    assert published[1] > published[0]
+    assert published[2] == published[1]
