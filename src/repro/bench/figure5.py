@@ -25,11 +25,13 @@ every repeat on a freshly built catalog, so that it erects its hash
 tables and slot assignments itself; and *warm*, repeated on one catalog,
 so that it reuses the build structures the first run memoised on the base
 columns. The measured speedup is the cold one; the warm seconds record
-what reuse buys per plan shape.
+what reuse buys per plan shape. With ``--workers N`` every cell is
+optimised for and executed at N workers, so the deep plans may run in
+parallel; the paper's grid is the default, one worker.
 
 Run as a script::
 
-    python -m repro.bench.figure5 [--execute] [--commutation] [--json PATH]
+    python -m repro.bench.figure5 [--execute] [--commutation] [--workers N] [--json PATH]
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.core.optimizer.sqo import optimize_sqo
 from repro.core.plan import to_operator
 from repro.datagen.grouping import Density, Sortedness
 from repro.datagen.join import JoinScenario, make_join_scenario
+from repro.settings import check, scoped_settings
 from repro.sql.planner import plan_query
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -127,12 +130,14 @@ def run_figure5(
     consider_commutation: bool = False,
     cost_model: CostModel | None = None,
     seed: int = 0,
+    workers: int = 1,
 ) -> Figure5Result:
     """Optimise (and optionally execute) all eight configurations.
 
     Cardinality arguments default to the paper's values; pass smaller ones
     for quick runs (``execute_plans`` at full size takes a few seconds per
-    cell).
+    cell). ``workers`` is the worker count every plan is optimised for and
+    executed with; above 1 the deep plans may run in parallel.
     """
     kwargs = {}
     if n_r is not None:
@@ -158,12 +163,14 @@ def run_figure5(
                 catalog,
                 cost_model,
                 consider_commutation=consider_commutation,
+                workers=workers,
             )
             dqo = optimize_dqo(
                 logical,
                 catalog,
                 cost_model,
                 consider_commutation=consider_commutation,
+                workers=workers,
             )
             cell = Figure5Cell(
                 r_sortedness=r_sort,
@@ -175,12 +182,13 @@ def run_figure5(
                 dqo_plan=_plan_summary(dqo.plan),
             )
             if execute_plans:
-                cell.sqo_seconds, cell.sqo_warm_seconds = _time_plan(
-                    sqo.plan, catalog, scenario
-                )
-                cell.dqo_seconds, cell.dqo_warm_seconds = _time_plan(
-                    dqo.plan, catalog, scenario
-                )
+                with scoped_settings(workers=workers):
+                    cell.sqo_seconds, cell.sqo_warm_seconds = _time_plan(
+                        sqo.plan, catalog, scenario
+                    )
+                    cell.dqo_seconds, cell.dqo_warm_seconds = _time_plan(
+                        dqo.plan, catalog, scenario
+                    )
             result.cells.append(cell)
     return result
 
@@ -340,9 +348,18 @@ def main() -> None:
         default="",
         help="also write the grid as a benchmark JSON artifact",
     )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="optimise and execute every cell at N workers (default 1)",
+    )
     args = parser.parse_args()
     result = run_figure5(
-        execute_plans=args.execute, consider_commutation=args.commutation
+        execute_plans=args.execute,
+        consider_commutation=args.commutation,
+        workers=check("workers", args.workers),
     )
     print(render_figure5(result, execute_plans=args.execute))
     if args.json:
@@ -355,6 +372,7 @@ def main() -> None:
             meta={
                 "executed": args.execute,
                 "commutation": args.commutation,
+                "workers": args.workers,
                 "cells": [_cell_record(cell) for cell in result.cells],
             },
         )

@@ -121,6 +121,9 @@ def decorate(space: PlanSpace, entry: DPEntry) -> DPEntry:
 class DynamicProgrammingOptimizer:
     """The unified optimiser; configuration selects SQO vs DQO behaviour."""
 
+    #: the search this class runs, part of its plan-cache key.
+    strategy = "dp"
+
     def __init__(
         self,
         catalog: Catalog,
@@ -180,7 +183,12 @@ class DynamicProgrammingOptimizer:
         cache_key: tuple | None = None
         if cache is not None:
             cache_key = cache.key_for(
-                spec, self._catalog, self._config, self._cost_model, workers
+                spec,
+                self._catalog,
+                self._config,
+                self._cost_model,
+                workers,
+                self.strategy,
             )
             hit = cache.get(cache_key)
             if hit is not None:

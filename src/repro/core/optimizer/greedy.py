@@ -24,6 +24,8 @@ from repro.storage.catalog import Catalog
 class GreedyOptimizer(DynamicProgrammingOptimizer):
     """Cheapest-entry-only frontiers: local decisions, no lookahead."""
 
+    strategy = "greedy"
+
     def _insert(
         self, entries: list[DPEntry], candidate: DPEntry, journal: ClassJournal
     ) -> list[DPEntry]:

@@ -19,7 +19,9 @@ Cache keys combine
   replacing (fresh statistics), or unregistering a table, or adding a
   constraint, invalidates every plan optimised against the old state;
 * the **configuration and cost model identity**, and the executor
-  **worker count** — a plan costed for 4 workers is not the plan for 1.
+  **worker count** — a plan costed for 4 workers is not the plan for 1;
+* the **search strategy** — the greedy baseline searches the DP's
+  configuration but may keep another plan.
 
 Entries evict LRU. Hits return a fresh :class:`OptimizationResult`
 carrying the cached plan with zeroed :class:`SearchStats` and
@@ -166,14 +168,18 @@ class PlanCache:
         config: OptimizerConfig,
         cost_model: "CostModel",
         workers: int,
+        strategy: str,
     ) -> tuple:
-        """The cache key of one optimisation request."""
+        """The cache key of one optimisation request. ``strategy`` names
+        the search (``"dp"``, ``"greedy"``): two searches over one
+        configuration may pick different plans."""
         return (
             spec_fingerprint(spec),
             catalog.fingerprint(),
             config_fingerprint(config),
             _cost_model_fingerprint(cost_model),
             int(workers),
+            strategy,
         )
 
     def get(self, key: tuple) -> OptimizationResult | None:

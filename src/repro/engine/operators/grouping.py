@@ -168,15 +168,13 @@ class GroupBy(MaterialisedOperator):
 
     def _materialise(self) -> Table:
         child = self.children[0]
-        # A serial group-by on a key of a join's build input assigns its
-        # slots there, before the join multiplies the rows. ``_parts(0)``
-        # is 1 unless the plan pins parallel grouping; the join's row
-        # count may still decide against the build side.
+        # A group-by on a key of a join's build input assigns its slots
+        # there, before the join multiplies the rows, on every route; the
+        # join's row count may still decide against the build side.
         if (
             isinstance(child, Join)
             and self._algorithm in BUILD_SIDE_GROUPING
             and self._key in child.children[0].output_schema
-            and self._parts(0) == 1
         ):
             matches = child.matches()
             check_active_context()
@@ -243,12 +241,16 @@ class GroupBy(MaterialisedOperator):
         the build-side match indices, and its input through the indices
         of the input column's side. Returns None, and the caller groups the
         gathered output, when the build input has more rows than the
-        join emitted, when the output is large enough to group in
-        parallel, or when SPHG finds the build keys too sparse (the
+        join emitted, or when SPHG finds the build keys too sparse (the
         matched keys alone may still be dense).
+
+        Where the output would have been grouped in parts (a parallel or
+        exchange route), the groups come back sorted by key, as the
+        parts' merge returns them: the optimiser relies on that order and
+        drops an ``ORDER BY`` on the key for these routes.
         """
         pairs = matches.pairs
-        if matches.left.num_rows > pairs.num_rows or self._parts(pairs.num_rows) > 1:
+        if matches.left.num_rows > pairs.num_rows:
             return None
         column = matches.left.column(self._key)
         try:
@@ -289,6 +291,10 @@ class GroupBy(MaterialisedOperator):
             else compute_aggregate(spec, slots, group_keys.size, values[spec.column])
             for spec in self._aggregates
         }
+        if self._parts(pairs.num_rows) > 1:
+            order = np.argsort(group_keys, kind="stable")
+            group_keys = group_keys[order]
+            columns = {alias: column[order] for alias, column in columns.items()}
         result = self._output(group_keys, columns)
         scratch = (
             assignment.memory_bytes()

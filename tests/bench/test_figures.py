@@ -140,6 +140,16 @@ class TestFigure5Bench:
         assert cell.measured_speedup is not None
         assert cell.measured_speedup > 1.0
 
+    def test_two_workers_widen_the_plan_space(self):
+        """At two workers the DP also prices parallel and exchange plans,
+        so no cell's DQO plan costs more than at one; every plan runs."""
+        sizes = dict(n_r=2_000, n_s=4_000, num_groups=400)
+        serial = run_figure5(**sizes)
+        wide = run_figure5(**sizes, workers=2, execute_plans=True)
+        for one, two in zip(serial.cells, wide.cells):
+            assert two.dqo_cost <= one.dqo_cost * (1 + 1e-9)
+            assert two.dqo_seconds is not None and two.sqo_seconds is not None
+
     def test_render(self):
         result = run_figure5(n_r=500, n_s=1_000, num_groups=100)
         text = render_figure5(result)

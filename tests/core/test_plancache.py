@@ -22,6 +22,7 @@ from repro.core import (
     sqo_config,
 )
 from repro.core.optimizer import extract_query, spec_fingerprint
+from repro.core.optimizer.greedy import optimize_greedy
 from repro.core.optimizer.plancache import config_fingerprint
 from repro.core.optimizer.rules import grouping_options, join_options
 from repro.datagen import Density, Sortedness, make_join_scenario
@@ -210,6 +211,26 @@ class TestInvalidation:
         assert not wide.optimize_spec(spec).cached
         assert len(cache) == 2
         assert wide.optimize_spec(spec).cached
+
+    @pytest.mark.parametrize("first", ["dqo", "greedy"])
+    def test_search_strategy_is_part_of_the_key(self, catalog, paper_query, first):
+        """DQO and greedy search one configuration but never share an
+        entry, whichever runs first."""
+        searches = {"dqo": optimize_dqo, "greedy": optimize_greedy}
+        (second,) = set(searches) - {first}
+        logical = plan_query(paper_query, catalog)
+        previous = get_plan_cache()
+        set_plan_cache(PlanCache())
+        try:
+            searches[first](logical, catalog)
+            result = searches[second](logical, catalog)
+            again = searches[second](logical, catalog)
+            entries = len(get_plan_cache())
+        finally:
+            set_plan_cache(previous)
+        assert not result.cached and result.stats.generated > 0
+        assert again.cached and again.plan_fingerprint == result.plan_fingerprint
+        assert entries == 2
 
     def test_stateless_cost_models_share_entries(self, catalog, spec):
         from repro.core import PaperCostModel

@@ -1,6 +1,6 @@
 """Laws of grouping where the keys are few.
 
-A serial group-by whose key is a column of its child join's build input
+A group-by whose key is a column of its child join's build input
 assigns slots over the build rows. It counts a group's rows from its
 build rows' match counts, and reads each joined row's slot through the
 build-side match indices only for value aggregates; the key column is
@@ -10,6 +10,9 @@ build rows nobody matches, a build larger than the matches, empty
 inputs, a filtered build, a governed context whose probe runs in
 morsels), the result equals the same group-by over the join's
 materialised table: up to key order for HG, exactly for the others.
+On a parallel or exchange route (two workers, threads or processes) it
+equals the parts' merge over the gathered output, in the merge's
+ascending key order, which the optimiser relies on to drop an ORDER BY.
 
 OJ looks each run of its sorted probe up once. Its index pairs must be
 the per-row binary search's, over sorted, unsorted (unvalidated),
@@ -21,6 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.optimizer.dqo import optimize_dqo
+from repro.core.plan import to_operator
+from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import (
     Filter,
     GroupBy,
@@ -35,10 +41,16 @@ from repro.engine import (
 from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
 from repro.engine.executor import explain_analyze
 from repro.engine.kernels.joins import build_side
+from repro.engine.kernels.parallel import EXCHANGE_GROUPING_ALGORITHMS
 from repro.engine.operators.base import chunk_count
 from repro.engine.parallel import MORSEL_ROWS
+from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
 from repro.service.context import QueryContext, activate_context
+from repro.settings import scoped_settings
+from repro.sql import plan_query
 from repro.storage import Table
+
+pytestmark = pytest.mark.usefixtures("fork_pool")
 
 ORDER_FREE = (
     GroupingAlgorithm.HG,
@@ -59,6 +71,17 @@ AGGREGATES = [
     max_of("R.X", "max_x"),
     max_of("S.B", "max_b"),
 ]
+PARALLEL_AGGREGATES = AGGREGATES + [avg_of("S.F", "avg_f")]
+
+#: the GroupBy arguments of each route that groups in parts (at two workers).
+PARALLEL_ROUTES = {
+    "thread": {"parallel": True, "backend": "thread"},
+    "process": {"parallel": True, "backend": "process"},
+    "exchange": {"exchange": True},
+}
+#: float64 partial sums reassociated across range shards
+#: (``test_parallel_routes.py``'s tolerance).
+FLOAT_RTOL = 1e-12
 
 
 def relations(shape: str, seed: int = 7) -> tuple[dict, dict]:
@@ -102,12 +125,12 @@ def relations(shape: str, seed: int = 7) -> tuple[dict, dict]:
     return r, s
 
 
-def plan(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES):
+def plan(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES, **route):
     build = TableScan(Table.from_arrays(r))
     if filtered:
         build = Filter(build, col("R.X") > -20)
     join = Join(build, TableScan(Table.from_arrays(s)), "R.ID", "S.R_ID", join_algorithm)
-    return GroupBy(join, "R.A", aggregates, grouping, parallel=False)
+    return GroupBy(join, "R.A", aggregates, grouping, **(route or {"parallel": False}))
 
 
 def unfused(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES):
@@ -218,15 +241,114 @@ class TestRoute:
         assert calls == [200]
         assert result.equals(unfused(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.SPHG))
 
-    def test_parallel_grouping_groups_the_output(self, configured):
+    @pytest.mark.parametrize("route", list(PARALLEL_ROUTES))
+    def test_parallel_grouping_takes_the_build_side(self, configured, route):
         configured(workers=2)
         r, s = relations("repeated_build_keys")
-        build, probe = TableScan(Table.from_arrays(r)), TableScan(Table.from_arrays(s))
-        join = Join(build, probe, "R.ID", "S.R_ID", JoinAlgorithm.HJ)
-        operator = GroupBy(join, "R.A", AGGREGATES, GroupingAlgorithm.HG, parallel=True)
+        operator = plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, **PARALLEL_ROUTES[route])
         calls = gathers(operator)
         execute(operator)
-        assert len(calls) == 1
+        assert calls == []
+
+
+def parallel_cases():
+    """(grouping, route) for every route the algorithm may take: an
+    exchange cannot run SPHG locally."""
+    return [
+        pytest.param(grouping, route, id=f"{grouping.name}-{route}")
+        for grouping in ORDER_FREE
+        for route in PARALLEL_ROUTES
+        if route != "exchange" or grouping in EXCHANGE_GROUPING_ALGORITHMS
+    ]
+
+
+@pytest.mark.parametrize("aggregates", [PARALLEL_AGGREGATES, [count_star("n")]], ids=["all", "count"])
+@pytest.mark.parametrize("shape", ["repeated_build_keys", "unmatched_build_rows", "morsels"])
+@pytest.mark.parametrize("grouping, route", parallel_cases())
+def test_parallel_routes_equal_partitioned_grouping(configured, grouping, route, shape, aggregates):
+    """On a parallel or exchange route the build-side result is what the
+    same group-by over the gathered join output returns: the parts'
+    merge (``partitioned_group_by``), in its ascending key order. Float
+    AVG over range shards adds partial sums in another order."""
+    configured(workers=2)
+    r, s = relations(shape)
+    route_options = PARALLEL_ROUTES[route]
+    operator = plan(r, s, JoinAlgorithm.HJ, grouping, aggregates=aggregates, **route_options)
+    calls = gathers(operator)
+    result = execute(operator)
+    gathered = execute(plan(r, s, JoinAlgorithm.HJ, grouping).children[0])
+    reference = execute(
+        GroupBy(TableScan(gathered), "R.A", aggregates, grouping, **route_options)
+    )
+    assert calls == []
+    assert np.all(np.diff(result["R.A"]) > 0)
+    assert result.schema == reference.schema
+    for name in reference.schema.names:
+        if name == "avg_f" and route != "exchange":
+            np.testing.assert_allclose(result[name], reference[name], rtol=FLOAT_RTOL)
+        else:
+            assert np.array_equal(result[name], reference[name]), name
+
+
+FIG5_QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
+
+
+def unsorted_sparse(n_r: int, n_s: int):
+    """The section 4.3 catalog, both tables unsorted, sparse keys, 20 000
+    groups."""
+    return make_join_scenario(
+        n_r,
+        n_s,
+        20_000,
+        r_sortedness=Sortedness.UNSORTED,
+        s_sortedness=Sortedness.UNSORTED,
+        density=Density.SPARSE,
+        seed=1,
+    ).build_catalog()
+
+
+class TestFigure5AtTwoWorkers:
+    """At two workers the unsorted-sparse plans group in parts: through
+    an exchange at the paper's sizes under an ORDER BY, in parallel at
+    62 500 x 500 000 rows. Both take the build-side route."""
+
+    @pytest.mark.parametrize(
+        "sizes", [(45_000, 90_000), (62_500, 500_000)], ids=["exchange", "parallel"]
+    )
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_order_by_the_key_needs_no_sort(self, sizes, backend):
+        catalog = unsorted_sparse(*sizes)
+        logical = plan_query(FIG5_QUERY + " ORDER BY R.A", catalog)
+        plan = optimize_dqo(logical, catalog, workers=2, backend=backend).plan
+        grouping = next(node for node in plan.walk() if node.op == "group_by")
+        assert grouping.option.parallel or grouping.option.exchange
+        assert all(node.op != "sort" for node in plan.walk())
+        with scoped_settings(workers=2, backend=backend):
+            table = execute(to_operator(plan, catalog))
+        keys = table[table.schema.names[0]]
+        assert keys.size > 0 and np.all(np.diff(keys) > 0)
+
+    def test_process_plan_publishes_nothing_and_claims_no_parallel_work(self):
+        catalog = unsorted_sparse(62_500, 500_000)
+        plan = optimize_dqo(
+            plan_query(FIG5_QUERY, catalog), catalog, workers=2, backend="process"
+        ).plan
+        assert "HG/parallel@process" in [node.label for node in plan.walk()]
+        # Sweep what earlier tests published (the process-backend test
+        # leg publishes their inputs), so every segment left is this plan's.
+        shutdown_process_pool()
+        store = get_shared_store()
+        published = [store.stats()["published_bytes"]]
+        with scoped_settings(workers=2, backend="process"):
+            for _ in range(2):
+                execute(to_operator(plan, catalog))
+                published.append(store.stats()["published_bytes"])
+            analyzed = explain_analyze(to_operator(plan, catalog))
+        assert published[2] == published[1]
+        assert leaked_segments() == []
+        grouping = next(node for node in analyzed.root.walk() if node.name == "GroupBy")
+        assert grouping.parallel_degree <= 1
+        assert grouping.worker_busy_seconds == 0.0
 
 
 class TestJoinActuals:

@@ -18,10 +18,10 @@ runs pick bit-identical plans.
 import pytest
 
 from repro import (
-    disable_plan_cache,
-    enable_plan_cache,
+    get_plan_cache,
     optimize_dqo,
     plan_query,
+    set_plan_cache,
 )
 from repro.datagen import Density, Sortedness, make_star_scenario
 from repro.datagen.star import DimensionSpec
@@ -55,9 +55,10 @@ def star_sql(star):
 
 @pytest.fixture
 def no_plan_cache():
-    disable_plan_cache()
+    previous = get_plan_cache()
+    set_plan_cache(None)
     yield
-    enable_plan_cache()
+    set_plan_cache(previous)
 
 
 class TestReplay:
