@@ -1,7 +1,6 @@
-"""Algorithmic Views (§3) and the AV Selection Problem, with partial and
-runtime-adaptive variants (§6)."""
+"""Algorithmic Views (§3) and the AV Selection Problem, with partial
+AVs (§6)."""
 
-from repro.avs.adaptive import AdaptiveIndexView, AdaptiveQueryLog
 from repro.avs.partial import (
     PartialAlgorithmicView,
     bind_offline,
@@ -27,8 +26,6 @@ from repro.avs.view import (
 
 __all__ = [
     "AVRegistry",
-    "AdaptiveIndexView",
-    "AdaptiveQueryLog",
     "AlgorithmicView",
     "CandidateView",
     "DictionaryViewArtifact",

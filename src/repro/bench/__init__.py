@@ -7,22 +7,8 @@ Each module doubles as a script::
     python -m repro.bench.table2
     python -m repro.bench.figure4 --crossover
     python -m repro.bench.figure5 --execute
-    python -m repro.bench.compare baseline.json current.json
-
-The last one is the perf regression gate: it diffs two
-:func:`write_json_artifact` outputs and exits non-zero when a timing
-regressed beyond the threshold (see :mod:`repro.bench.compare`).
 """
 
-from repro.bench.compare import (
-    ComparisonReport,
-    MetricDelta,
-    TimingDelta,
-    compare_artifacts,
-    compare_files,
-    load_artifact,
-    timing_seconds,
-)
 from repro.bench.figure4 import (
     CrossoverResult,
     Figure4Result,
@@ -49,19 +35,13 @@ from repro.bench.reporting import (
 from repro.bench.table2 import render_table2
 
 __all__ = [
-    "ComparisonReport",
     "CrossoverResult",
     "Figure4Result",
     "Figure5Cell",
     "Figure5Result",
-    "MetricDelta",
     "PAPER_FACTORS",
     "PanelResult",
     "Series",
-    "TimingDelta",
-    "compare_artifacts",
-    "compare_files",
-    "load_artifact",
     "make_artifact",
     "render_ascii_chart",
     "render_crossover",
@@ -72,6 +52,5 @@ __all__ = [
     "run_crossover",
     "run_figure4",
     "run_figure5",
-    "timing_seconds",
     "write_json_artifact",
 ]

@@ -77,6 +77,15 @@ class GroupBy(MaterialisedOperator):
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
         the settings in force.
+
+    None of ``shards``, ``parallel`` or ``exchange`` splits anything
+    when the child is a :class:`Join` and the key is a column of its
+    build input (HG/SPHG/SOG/BSG), which covers every Figure 5 plan:
+    the slots are assigned once over the build input, serially, and
+    where the execution would have had more than one part the surviving
+    groups are sorted by key, the order a merge of parts returns
+    (:meth:`_group_matches`). Only when that route declines does the
+    gathered output split as described above.
     """
 
     def __init__(

@@ -2,7 +2,6 @@
 (Table 1 of the paper) that deep query optimisation chooses among."""
 
 from repro.indexes.btree import BPlusTree
-from repro.indexes.cracking import CrackedColumn
 from repro.indexes.hash_table import (
     HASH_FUNCTIONS,
     ChainedHashTable,
@@ -16,7 +15,6 @@ from repro.indexes.sorted_array import SortedKeyIndex
 __all__ = [
     "BPlusTree",
     "ChainedHashTable",
-    "CrackedColumn",
     "HASH_FUNCTIONS",
     "OpenAddressingHashTable",
     "SortedKeyIndex",

@@ -1,4 +1,4 @@
-"""Columnar storage substrate: types, columns, schemas, tables, layouts,
+"""Columnar storage substrate: types, columns, schemas, tables,
 compression, statistics, and the catalog."""
 
 from repro.storage.catalog import Catalog, ForeignKey
@@ -21,7 +21,6 @@ from repro.storage.disk import (
     write_table,
 )
 from repro.storage.dtypes import DataType
-from repro.storage.layout import Layout, PaxStore, RowStore, convert
 from repro.storage.overlay import OverlayCatalog, StatPatch, StatisticsOverlay
 from repro.storage.rle import RunLengthEncoded, rle_encode
 from repro.storage.schema import ColumnSpec, Schema
@@ -39,10 +38,7 @@ __all__ = [
     "DiskColumn",
     "DiskTable",
     "ForeignKey",
-    "Layout",
     "OverlayCatalog",
-    "PaxStore",
-    "RowStore",
     "RunLengthEncoded",
     "Schema",
     "StatPatch",
@@ -50,7 +46,6 @@ __all__ = [
     "Table",
     "append_table",
     "collect_statistics",
-    "convert",
     "dictionary_encode",
     "dictionary_encode_column",
     "get_buffer_manager",

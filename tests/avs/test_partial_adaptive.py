@@ -1,20 +1,12 @@
-"""Partial AVs and runtime-adaptive AVs (§6)."""
+"""Partial AVs (§6)."""
 
-import numpy as np
 import pytest
 
-from repro.avs import (
-    AdaptiveIndexView,
-    AVRegistry,
-    ViewKind,
-    bind_offline,
-    enumeration_savings,
-)
+from repro.avs import bind_offline, enumeration_savings
 from repro.core import Granularity
 from repro.core.physiological import recipe_algorithm
 from repro.engine import GroupingAlgorithm
 from repro.errors import ViewError
-from repro.storage import Catalog, Table
 
 
 class TestPartialAV:
@@ -53,51 +45,3 @@ class TestPartialAV:
     def test_describe(self):
         partial = bind_offline(bound_level=Granularity.MACROMOLECULE)
         assert "PartialAV" in partial.describe()
-
-
-class TestAdaptiveAV:
-    @pytest.fixture
-    def view(self):
-        catalog = Catalog()
-        catalog.register(
-            "T",
-            Table.from_arrays(
-                {"v": np.random.default_rng(3).permutation(3_000)}
-            ),
-        )
-        return AdaptiveIndexView(catalog, "T", "v")
-
-    def test_queries_are_correct_and_adapt(self, view):
-        result = view.range_query(100, 200)
-        assert sorted(result.tolist()) == list(range(100, 201))
-        assert view.crack_count > 0
-        assert len(view.log) == 1
-        assert view.log[0].result_rows == 101
-
-    def test_convergence_logged(self, view):
-        rng = np.random.default_rng(0)
-        for __ in range(150):
-            low = int(rng.integers(0, 2_900))
-            view.range_query(low, low + 50)
-        sortedness = [entry.sortedness_after for entry in view.log]
-        assert sortedness[-1] > sortedness[0]
-
-    def test_promotion_requires_convergence(self, view):
-        registry = AVRegistry()
-        view.range_query(0, 10)
-        assert view.promote(registry) is None
-        assert len(registry) == 0
-
-    def test_promotion_after_full_workload(self, view):
-        registry = AVRegistry()
-        for pivot in range(0, 3_001, 1):
-            view.range_query(pivot, pivot)
-        assert view.is_converged()
-        promoted = view.promote(registry)
-        assert promoted is not None
-        assert promoted.kind is ViewKind.SORTED_PROJECTION
-        assert promoted.build_cost == 0.0  # paid for by the workload
-        assert registry.has_view(ViewKind.SORTED_PROJECTION, "T", "v")
-        # Promotion is idempotent.
-        view.promote(registry)
-        assert len(registry) == 1

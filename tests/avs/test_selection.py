@@ -74,11 +74,14 @@ class TestSolvers:
         for candidate in candidates:
             if candidate.kind is ViewKind.SPH_ARRAY:
                 assert candidate.table.key_dense
+        larger = make_workload(num_tables=10, num_queries=120, seed=12)
+        assert len(enumerate_candidates(larger)) > len(candidates)
 
     def test_greedy_respects_budget(self, workload):
         budget = 2_000_000.0
         result = greedy_avsp(workload, budget=budget)
         assert result.build_cost <= budget
+        assert result.cost_without_views == pytest.approx(workload_cost(workload))
         assert result.cost_with_views <= result.cost_without_views
 
     def test_zero_budget_selects_nothing(self, workload):

@@ -58,6 +58,7 @@ class TestPaperCostModel:
         sqo_s_sorted = self.model.join_cost(
             JoinAlgorithm.HJ, r, s, g
         ) + self.model.grouping_cost(GroupingAlgorithm.OG, j, g)
+        assert (sqo_unsorted, sqo_s_sorted, dqo) == (900_000, 630_000, 225_000)
         assert sqo_unsorted / dqo == pytest.approx(4.0)
         assert sqo_s_sorted / dqo == pytest.approx(2.8)
 
