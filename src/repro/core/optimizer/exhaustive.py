@@ -13,7 +13,7 @@ numpy-only reference results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.core.cost.model import CostModel
@@ -48,6 +48,8 @@ class ExhaustivePlan:
     cost: float
     #: estimated output cardinality (same estimation chain as the DP).
     rows: float = 0.0
+    #: the plan itself, which :func:`repro.core.plan.to_operator` lowers.
+    plan: PhysicalNode | None = field(default=None, compare=False, repr=False)
 
 
 def _describe(node: PhysicalNode) -> str:
@@ -140,7 +142,7 @@ def enumerate_exhaustive(
     plans = []
     for entry in complete:
         final = decorate(space, entry).plan
-        plans.append(ExhaustivePlan(_describe(final), final.cost, final.rows))
+        plans.append(ExhaustivePlan(_describe(final), final.cost, final.rows, final))
     if stats is not None:
         stats.generated += len(plans)
         stats.retained += len(plans)

@@ -183,8 +183,15 @@ class BuildSide:
     #: footprint column.
     structure_bytes: int = 0
 
-    def slots(self, probe_keys: np.ndarray) -> np.ndarray:
-        """Slot of each probe key; -1 where no build row can match."""
+    def slots(
+        self, probe_keys: np.ndarray, run_starts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Slot of each probe key; -1 where no build row can match.
+
+        :param run_starts: where each run of equal keys in ``probe_keys``
+            starts (``runs_of(probe_keys)[0]``), found earlier; None finds
+            them here. Only a build side in slot order (OJ's) reads them.
+        """
         if self.kind == "hash":
             table = OpenAddressingHashTable.from_state(
                 self.hash_name,
@@ -202,9 +209,10 @@ class BuildSide:
             # A build input in slot order is OJ's sorted input, and OJ's
             # probe input is sorted too: it has one run per distinct key.
             # Look each run up once and repeat its slot over the run.
-            starts, run_keys = runs_of(probe_keys)
-            lengths = np.diff(np.append(starts, probe_keys.size))
-            return np.repeat(self._sorted_slots(run_keys), lengths)
+            if run_starts is None:
+                run_starts = runs_of(probe_keys)[0]
+            lengths = np.diff(np.append(run_starts, probe_keys.size))
+            return np.repeat(self._sorted_slots(probe_keys[run_starts]), lengths)
         return self._sorted_slots(probe_keys)
 
     def _sorted_slots(self, probe_keys: np.ndarray) -> np.ndarray:
@@ -215,9 +223,12 @@ class BuildSide:
         found = self.keys[positions] == probe_keys
         return positions if found.all() else np.where(found, positions, -1)
 
-    def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Matching ``(build_row, probe_row)`` index arrays, probe-major."""
-        slots = self.slots(probe_keys)
+    def probe(
+        self, probe_keys: np.ndarray, run_starts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Matching ``(build_row, probe_row)`` index arrays, probe-major
+        (``run_starts`` as for :meth:`slots`)."""
+        slots = self.slots(probe_keys, run_starts)
         if self.offsets is not None:
             return expand_matches(slots, self.offsets, self.counts, self.rows)
         build_rows = slots if self.rows is None else self.rows[slots]
@@ -360,11 +371,13 @@ def _probe_join(
     probe_keys: np.ndarray,
     algorithm: JoinAlgorithm,
     build: BuildSide | None = None,
+    run_starts: np.ndarray | None = None,
     **build_options,
 ) -> JoinResult:
     """Erect ``algorithm``'s build side over ``build_keys`` (unless
     ``build`` is it already) and probe it with all of ``probe_keys`` —
-    the serial form of every join but SOJ."""
+    the serial form of every join but SOJ. ``run_starts`` as for
+    :meth:`BuildSide.slots`."""
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
     order = (
@@ -377,7 +390,7 @@ def _probe_join(
         return JoinResult(empty, empty.copy(), order)
     if build is None:
         build = build_side(build_keys, algorithm, **build_options)
-    left, right = build.probe(probe_keys)
+    left, right = build.probe(probe_keys, run_starts)
     return JoinResult(left, right, order, structure_bytes=build.structure_bytes)
 
 
@@ -427,6 +440,7 @@ def merge_join(
     right_keys: np.ndarray,
     validate: bool = False,
     build: BuildSide | None = None,
+    run_starts: np.ndarray | None = None,
 ) -> JoinResult:
     """OJ: merge two key-sorted inputs (Table 2's OJ).
 
@@ -435,6 +449,8 @@ def merge_join(
     sorted too, the probe-major output *is* key order.
 
     :param validate: verify both inputs are sorted (one extra pass each).
+    :param run_starts: where each run of equal ``right_keys`` starts,
+        found earlier; None finds them here.
     :raises PreconditionError: when ``validate`` and an input is unsorted.
     """
     if validate:
@@ -444,7 +460,7 @@ def merge_join(
                 raise PreconditionError(
                     f"merge join requires sorted inputs; {name} is unsorted"
                 )
-    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build)
+    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build, run_starts)
 
 
 def sort_merge_join(
@@ -483,6 +499,7 @@ def join(
     num_distinct_hint: int | None = None,
     validate: bool = False,
     build: BuildSide | None = None,
+    run_starts: np.ndarray | None = None,
 ) -> JoinResult:
     """Dispatch to the chosen Table 2 join kernel.
 
@@ -490,13 +507,21 @@ def join(
         ``build_keys`` for ``algorithm`` earlier, with the options this
         call would pass it; None erects it here. SOJ, which has none,
         ignores it.
+    :param run_starts: where each run of equal ``probe_keys`` starts,
+        found earlier; None finds them where needed. Only OJ reads them.
     """
     if algorithm is JoinAlgorithm.HJ:
         return hash_join(build_keys, probe_keys, num_distinct_hint, build=build)
     if algorithm is JoinAlgorithm.SPHJ:
         return perfect_hash_join(build_keys, probe_keys, build=build)
     if algorithm is JoinAlgorithm.OJ:
-        return merge_join(build_keys, probe_keys, validate=validate, build=build)
+        return merge_join(
+            build_keys,
+            probe_keys,
+            validate=validate,
+            build=build,
+            run_starts=run_starts,
+        )
     if algorithm is JoinAlgorithm.SOJ:
         return sort_merge_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.BSJ:

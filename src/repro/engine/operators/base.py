@@ -299,8 +299,8 @@ def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T
     ``build`` must read nothing but the column's values and ``key``, so a
     hit returns exactly what a fresh build would. A column keeps one
     entry per kind, and a miss replaces it; a build that raises leaves
-    the memo as it was. Every query shares the structure, so its arrays
-    are made read-only before it is stored.
+    the memo as it was. Every query shares the structure (an object or
+    an array), so its arrays are made read-only before it is stored.
     """
     # Imported here: repro.obs imports this module.
     from repro.obs.runtime import get_metrics
@@ -316,7 +316,10 @@ def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T
     if hit:
         return entry[1]
     structure = build()
-    for value in vars(structure).values():
+    fields = (
+        [structure] if isinstance(structure, np.ndarray) else vars(structure).values()
+    )
+    for value in fields:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     column.memo[kind] = (key, structure)

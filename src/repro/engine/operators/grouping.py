@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util.arrays import is_nondecreasing
 from repro.engine.aggregates import AggregateFunction, AggregateSpec, compute_aggregate
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
+    GroupingAssignment,
     KeyOrder,
     aggregate_groups,
     assign_slots,
@@ -35,19 +37,6 @@ from repro.service.context import check_active_context
 from repro.settings import check, get_settings
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
-
-#: grouping algorithms whose slot assignment has no precondition on row
-#: order, so they may run over a join's build input instead of its output
-#: (OG needs the *output* clustered, which the build input does not show).
-BUILD_SIDE_GROUPING = frozenset(
-    {
-        GroupingAlgorithm.HG,
-        GroupingAlgorithm.SPHG,
-        GroupingAlgorithm.SOG,
-        GroupingAlgorithm.BSG,
-    }
-)
-
 
 class GroupBy(MaterialisedOperator):
     """Group rows by one key column and evaluate aggregates.
@@ -80,12 +69,12 @@ class GroupBy(MaterialisedOperator):
 
     None of ``shards``, ``parallel`` or ``exchange`` splits anything
     when the child is a :class:`Join` and the key is a column of its
-    build input (HG/SPHG/SOG/BSG), which covers every Figure 5 plan:
-    the slots are assigned once over the build input, serially, and
-    where the execution would have had more than one part the surviving
-    groups are sorted by key, the order a merge of parts returns
-    (:meth:`_group_matches`). Only when that route declines does the
-    gathered output split as described above.
+    build input (for OG, a non-decreasing one), which covers every
+    Figure 5 plan: the slots are assigned once over the build input,
+    serially, and where the execution would have had more than one part
+    the surviving groups are sorted by key, the order a merge of parts
+    returns (:meth:`_group_matches`). Only when that route declines does
+    the gathered output split as described above.
     """
 
     def __init__(
@@ -155,7 +144,9 @@ class GroupBy(MaterialisedOperator):
             return KeyOrder.UNSPECIFIED
         if self._algorithm is GroupingAlgorithm.OG:
             # Sorted only if the input was sorted; clustered input yields
-            # first-occurrence order. Statically we can only promise that.
+            # first-occurrence order, or ascending order where the groups
+            # are the runs of a sorted build key (_group_matches). Either
+            # is clustered, which is all a plan reads of it.
             return KeyOrder.FIRST_OCCURRENCE
         return KeyOrder.SORTED
 
@@ -180,11 +171,7 @@ class GroupBy(MaterialisedOperator):
         # A group-by on a key of a join's build input assigns its slots
         # there, before the join multiplies the rows, on every route; the
         # join's row count may still decide against the build side.
-        if (
-            isinstance(child, Join)
-            and self._algorithm in BUILD_SIDE_GROUPING
-            and self._key in child.children[0].output_schema
-        ):
+        if isinstance(child, Join) and self._key in child.children[0].output_schema:
             matches = child.matches()
             check_active_context()
             result = self._group_matches(matches)
@@ -250,8 +237,12 @@ class GroupBy(MaterialisedOperator):
         the build-side match indices, and its input through the indices
         of the input column's side. Returns None, and the caller groups the
         gathered output, when the build input has more rows than the
-        join emitted, or when SPHG finds the build keys too sparse (the
-        matched keys alone may still be dense).
+        join emitted, when SPHG finds the build keys too sparse (the
+        matched keys alone may still be dense), or when OG finds them out
+        of order. OG over a non-decreasing build key takes its runs as
+        the groups, which come back ascending: the order OG over the
+        output gives whenever the output is sorted on the key, the only
+        case in which a plan relies on OG's order.
 
         Where the output would have been grouped in parts (a parallel or
         exchange route), the groups come back sorted by key, as the
@@ -262,19 +253,22 @@ class GroupBy(MaterialisedOperator):
         if matches.left.num_rows > pairs.num_rows:
             return None
         column = matches.left.column(self._key)
+
+        def assign() -> GroupingAssignment:
+            if self._algorithm is GroupingAlgorithm.OG and not is_nondecreasing(
+                column.values
+            ):
+                raise PreconditionError("OG over an unsorted build key")
+            return assign_slots(column.values, self._algorithm, self._num_distinct_hint)
+
         try:
             # Memoised on the build input's key column: an unchanged base
             # column's assignment is reused by every later query.
             assignment = memoised(
-                column,
-                "slots",
-                (self._algorithm, self._num_distinct_hint),
-                lambda: assign_slots(
-                    column.values, self._algorithm, self._num_distinct_hint
-                ),
+                column, "slots", (self._algorithm, self._num_distinct_hint), assign
             )
         except PreconditionError:
-            if self._algorithm is GroupingAlgorithm.SPHG:
+            if self._algorithm in (GroupingAlgorithm.SPHG, GroupingAlgorithm.OG):
                 return None
             raise
         build_slots, group_keys = assignment.slots, assignment.group_keys

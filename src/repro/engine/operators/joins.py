@@ -13,6 +13,7 @@ from typing import Collection
 
 import numpy as np
 
+from repro._util.arrays import runs_of
 from repro.engine.kernels.joins import (
     BuildSide,
     JoinAlgorithm,
@@ -244,6 +245,7 @@ class Join(MaterialisedOperator):
                 num_distinct_hint=self._num_distinct_hint,
                 validate=self._validate,
                 build=build,
+                run_starts=None if build is None else self._run_starts(right_table),
             )
         matches = JoinMatches(left_table, right_table, result)
         # Working set: both materialised inputs, the kernel's build-side
@@ -269,6 +271,20 @@ class Join(MaterialisedOperator):
                 self._algorithm,
                 *options,
             ),
+        )
+
+    def _run_starts(self, right_table: Table) -> np.ndarray | None:
+        """Where each run of equal right keys starts (OJ looks each run up
+        once), found on their first use and memoised on the column like
+        the build side. None for every other algorithm."""
+        if self._algorithm is not JoinAlgorithm.OJ:
+            return None
+        column = right_table.column(self._right_key)
+        # Stored in the narrowest type that indexes the column (uint32
+        # below 2**32 rows): the memo outlives the query.
+        index_type = np.min_scalar_type(column.values.size)
+        return memoised(
+            column, "runs", (), lambda: runs_of(column.values)[0].astype(index_type)
         )
 
     def gather(self, matches: JoinMatches) -> Table:

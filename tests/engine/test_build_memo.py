@@ -1,7 +1,8 @@
 """Laws of the build memo: a hit is indistinguishable from a fresh build.
 
-A join's build side and a build-side group-by's slot assignment are
-memoised on the base column they are erected over. Every route that
+A join's build side, a build-side group-by's slot assignment and the
+runs OJ looks its probe up by are memoised on the base column they are
+erected over. Every route that
 builds — serial, governed morsels, ``workers=2`` threads and processes —
 must return, on its first and on every later execution, exactly what the
 memo-free kernel returns: the same index pairs in the same order, the
@@ -19,9 +20,11 @@ import weakref
 import numpy as np
 import pytest
 
+from repro._util.arrays import runs_of
 from repro.engine import (
     Filter,
     GroupBy,
+    Limit,
     GroupingAlgorithm,
     Join,
     JoinAlgorithm,
@@ -49,6 +52,7 @@ MEMOISED_JOINS = (JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ, JoinA
 BUILD_SIDE_GROUPING = (
     GroupingAlgorithm.HG,
     GroupingAlgorithm.SPHG,
+    GroupingAlgorithm.OG,
     GroupingAlgorithm.SOG,
     GroupingAlgorithm.BSG,
 )
@@ -126,7 +130,9 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 
     with capture_observability() as (metrics, __):
         runs = [on_route(route, run) for _ in range(2)]
-    assert memo_counts(metrics) == (1, 1)
+    # OJ reads the runs of its probe column as well as its build side.
+    reads = 2 if algorithm is JoinAlgorithm.OJ else 1
+    assert memo_counts(metrics) == (reads, reads)
     __, build = r.column("ID").memo["build_side"]
     shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
     assert shared and not any(array.flags.writeable for array in shared)
@@ -351,3 +357,93 @@ def test_process_route_publishes_a_memoised_build_side_once():
         published.append(store.stats()["published_bytes"])
     assert published[1] > published[0]
     assert published[2] == published[1]
+
+
+# --------------------------------------------------------------------------
+# Where OJ's probe runs start, memoised on the probe column
+
+
+def oj_probe(kind: str) -> np.ndarray:
+    """An S.R_ID column of one morsel and more over R.ID 0..4 999."""
+    rng = np.random.default_rng(11)
+    n = MORSEL_ROWS + 4_464
+    if kind == "sorted":
+        return np.sort(rng.integers(0, 5_000, n))
+    if kind == "unsorted":
+        return rng.integers(0, 5_000, n)
+    if kind == "all_equal":
+        return np.full(n, 1_234)
+    return np.arange(n) - 100  # all distinct, some below every build key
+
+
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "all_equal", "all_distinct"])
+def test_oj_runs_hit_equals_memo_free_kernel(kind):
+    """OJ does not validate by default, so an unsorted probe is looked up
+    run by run too; its pairs are the per-row search's either way."""
+    r_data, s_data = arrays()
+    s_data = {"R_ID": oj_probe(kind), "B": np.zeros(oj_probe(kind).size, dtype=np.int64)}
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    fresh = join(r_data["ID"], s_data["R_ID"], JoinAlgorithm.OJ)
+    with capture_observability() as (metrics, __):
+        pairs = [
+            join_operator(r, s, JoinAlgorithm.OJ, "serial").matches().pairs
+            for _ in range(2)
+        ]
+    assert memo_counts(metrics) == (2, 2)
+    key, run_starts = s.column("R_ID").memo["runs"]
+    assert key == ()
+    assert np.array_equal(run_starts, runs_of(s_data["R_ID"])[0])
+    assert not run_starts.flags.writeable
+    for result in pairs:
+        assert np.array_equal(result.left_indices, fresh.left_indices)
+        assert np.array_equal(result.right_indices, fresh.right_indices)
+
+
+@pytest.mark.parametrize("narrowed", ["filtered", "sliced"])
+def test_narrowed_probe_never_hits(narrowed):
+    """A filtered or sliced probe is a new column on every execution: it
+    finds its runs afresh and leaves the base column's entry alone."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    execute(join_operator(r, s, JoinAlgorithm.OJ, "serial"), workers=1)
+    base_entry = s.column("R_ID").memo["runs"]
+    probe = TableScan(s.qualified("S"))
+    if narrowed == "filtered":
+        probe = Filter(probe, col("S.B") > 0)
+        rows = s_data["B"] > 0
+    else:
+        probe = Limit(probe, 10_000)
+        rows = np.arange(s_data["R_ID"].size) < 10_000
+    fresh = join(r_data["ID"], s_data["R_ID"][rows], JoinAlgorithm.OJ)
+    with capture_observability() as (metrics, __):
+        for _ in range(2):
+            operator = Join(
+                TableScan(r.qualified("R")), probe, "R.ID", "S.R_ID", JoinAlgorithm.OJ,
+                num_distinct_hint=HINT,
+            )
+            with scoped_settings(workers=1):
+                pairs = operator.matches().pairs
+            assert np.array_equal(pairs.left_indices, fresh.left_indices)
+            assert np.array_equal(pairs.right_indices, fresh.right_indices)
+    # Both hits are the build side's; both runs reads miss.
+    assert memo_counts(metrics) == (2, 2)
+    assert s.column("R_ID").memo["runs"] is base_entry
+
+
+@pytest.mark.usefixtures("memory_storage")
+def test_unregister_frees_the_probe_runs():
+    catalog = Catalog()
+    r_data, s_data = arrays()
+    catalog.register("R", Table.from_arrays(r_data))
+    catalog.register("S", Table.from_arrays(s_data))
+    execute(
+        join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.OJ, "serial"),
+        workers=1,
+    )
+    __, run_starts = catalog.table("S").column("R_ID").memo["runs"]
+    structure = weakref.ref(run_starts)
+    del run_starts
+    catalog.unregister("R")
+    catalog.unregister("S")
+    gc.collect()
+    assert structure() is None

@@ -10,6 +10,10 @@ build rows nobody matches, a build larger than the matches, empty
 inputs, a filtered build, a governed context whose probe runs in
 morsels), the result equals the same group-by over the join's
 materialised table: up to key order for HG, exactly for the others.
+OG takes the route only over a sorted build key, and returns its groups
+ascending: exactly OG over the output when that output is sorted on the
+key, up to key order when it is only clustered. Over an unsorted build
+key it groups the output, as before.
 On a parallel or exchange route (two workers, threads or processes) it
 equals the parts' merge over the gathered output, in the merge's
 ascending key order, which the optimiser relies on to drop an ORDER BY.
@@ -24,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util.arrays import runs_of
 from repro.core.optimizer.dqo import optimize_dqo
 from repro.core.plan import to_operator
 from repro.datagen import Density, Sortedness, make_join_scenario
@@ -205,6 +210,49 @@ def test_governed_probe_in_morsels(join_algorithm, grouping):
     assert_same(fused, unfused(r, s, join_algorithm, grouping), grouping)
 
 
+#: how the OG law cases lay out R.A and S.R_ID: the build key sorted and
+#: the join output sorted on it; the build key sorted and the output only
+#: clustered on it (the probe descends); the build key clustered but
+#: descending, so OG declines the route.
+OG_LAYOUTS = ("sorted", "clustered", "unsorted_build_key")
+
+
+def og_relations(shape: str, layout: str) -> tuple[dict, dict]:
+    """:func:`relations` with R.A laid out for OG (see ``OG_LAYOUTS``):
+    one R.A per R.ID, rising with it (falling for an unsorted build key),
+    so that a join output ordered on R.ID is ordered on R.A too."""
+    r, s = relations(shape)
+    first_of_id = np.searchsorted(r["R.ID"], r["R.ID"])
+    r["R.A"] = np.sort(r["R.A"])[first_of_id]
+    if layout == "unsorted_build_key":
+        r["R.A"] = 2_000 - r["R.A"]
+    elif layout == "clustered":
+        s["S.R_ID"] = s["S.R_ID"][::-1].copy()
+    return r, s
+
+
+@pytest.mark.parametrize("aggregates", [AGGREGATES, [count_star("n")]], ids=["all", "count"])
+@pytest.mark.parametrize("layout", OG_LAYOUTS)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("join_algorithm", list(JoinAlgorithm), ids=lambda a: a.name)
+def test_og_build_side_equals_unfused(shape, join_algorithm, layout, aggregates):
+    """Where the route is taken its groups ascend; OG over the output
+    gives that order when the output is sorted on the key (SOJ's always
+    is). An unsorted build key declines the route."""
+    r, s = og_relations(shape, layout)
+    operator = plan(r, s, join_algorithm, GroupingAlgorithm.OG, aggregates=aggregates)
+    calls = gathers(operator)
+    fused = execute(operator)
+    reference = unfused(r, s, join_algorithm, GroupingAlgorithm.OG, aggregates=aggregates)
+    if layout == "unsorted_build_key":
+        assert len(calls) == (1 if r["R.A"].size else 0)
+    elif not calls:
+        assert np.all(np.diff(fused["R.A"]) > 0)
+    if layout == "clustered":
+        fused, reference = fused.sort_by(["R.A"]), reference.sort_by(["R.A"])
+    assert fused.equals(reference)
+
+
 class TestRoute:
     """Which inputs take the build-side route (observed through the
     join's gather, which the route never calls)."""
@@ -223,8 +271,15 @@ class TestRoute:
         execute(operator)
         assert calls == [20]
 
-    def test_not_taken_by_og(self):
-        r, s = relations("repeated_build_keys")
+    def test_og_taken_when_build_key_sorted(self):
+        r, s = og_relations("repeated_build_keys", "sorted")
+        operator = plan(r, s, JoinAlgorithm.OJ, GroupingAlgorithm.OG)
+        calls = gathers(operator)
+        execute(operator)
+        assert calls == []
+
+    def test_og_declines_unsorted_build_key(self):
+        r, s = og_relations("repeated_build_keys", "unsorted_build_key")
         operator = plan(r, s, JoinAlgorithm.OJ, GroupingAlgorithm.OG)
         calls = gathers(operator)
         execute(operator)
@@ -415,10 +470,13 @@ def assert_oj_pairs(build, probe):
     expected_left, expected_right = per_row_pairs(build, probe)
     if build.size == 0 or probe.size == 0:
         return
-    left, right = build_side(build, JoinAlgorithm.OJ).probe(probe)
-    assert left.dtype == right.dtype == np.int64
-    assert left.tolist() == expected_left
-    assert right.tolist() == expected_right
+    oj = build_side(build, JoinAlgorithm.OJ)
+    # Run starts found earlier (memoised on the probe column) or here.
+    for run_starts in (None, runs_of(probe)[0]):
+        left, right = oj.probe(probe, run_starts)
+        assert left.dtype == right.dtype == np.int64
+        assert left.tolist() == expected_left
+        assert right.tolist() == expected_right
 
 
 @settings(max_examples=60, deadline=None)
