@@ -134,6 +134,43 @@ def expand_matches(
     return build_out.astype(np.int64), probe_out.astype(np.int64)
 
 
+def matches_through_codes(
+    value_matches: JoinResult, codes: np.ndarray, num_values: int, distinct: bool
+) -> JoinResult:
+    """The pairs of a probe whose rows were looked up by value.
+
+    ``value_matches`` joined the build input with the distinct values of
+    a probe column, each looked up once; ``codes[i]`` is the value of
+    probe row ``i`` (``num_values`` in all). Each row takes its value's
+    matches: with ``distinct`` build keys, a value has at most one, and
+    the rows' build rows are one gather; otherwise each value's match
+    range is its slot for :func:`expand_matches`. Either way the pairs
+    are exactly a row-by-row probe's: probe-major, build rows ascending.
+    """
+    left, right = value_matches.left_indices, value_matches.right_indices
+    if distinct:
+        rows_per_value = np.full(num_values, -1, dtype=np.int64)
+        rows_per_value[right] = left
+        build_rows = rows_per_value[codes]
+        hit = build_rows >= 0
+        if hit.all():
+            probe_rows = np.arange(codes.size, dtype=np.int64)
+        else:
+            probe_rows = np.flatnonzero(hit)
+            build_rows = build_rows[probe_rows]
+    else:
+        counts = np.bincount(right, minlength=num_values)
+        build_rows, probe_rows = expand_matches(
+            codes, np.cumsum(counts) - counts, counts, left
+        )
+    return JoinResult(
+        build_rows,
+        probe_rows,
+        value_matches.output_order,
+        value_matches.structure_bytes,
+    )
+
+
 @dataclass(frozen=True)
 class BuildSide:
     """The probe-able form of a join's build input.

@@ -293,7 +293,18 @@ def kept_columns(
     return [name for name in names if name in columns] or list(names[:1])
 
 
-def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T:
+#: the memo entry of a structure whose column has been read once
+#: (:func:`memoised` with ``second_touch``).
+_TOUCHED = object()
+
+
+def memoised(
+    column: Column,
+    kind: str,
+    key: tuple,
+    build: Callable[[], T],
+    second_touch: bool = False,
+) -> T | None:
     """``build()``, memoised on ``column`` as its one ``kind`` structure.
 
     ``build`` must read nothing but the column's values and ``key``, so a
@@ -301,12 +312,19 @@ def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T
     entry per kind, and a miss replaces it; a build that raises leaves
     the memo as it was. Every query shares the structure (an object or
     an array), so its arrays are made read-only before it is stored.
+
+    With ``second_touch`` the first read only records that it happened
+    and returns None; the second builds. A filter's or a join's output
+    is a fresh column read once, so it never pays for the build. Such a
+    ``build`` may return None to decline, and the decline is stored like
+    a structure.
     """
     # Imported here: repro.obs imports this module.
     from repro.obs.runtime import get_metrics
 
     entry = column.memo.get(kind)
-    hit = entry is not None and entry[0] == key
+    current = entry is not None and entry[0] == key
+    hit = current and entry[1] is not _TOUCHED
     metrics = get_metrics()
     if metrics.enabled:
         metrics.counter(
@@ -315,10 +333,16 @@ def memoised(column: Column, kind: str, key: tuple, build: Callable[[], T]) -> T
         ).inc()
     if hit:
         return entry[1]
+    if second_touch and not current:
+        column.memo[kind] = (key, _TOUCHED)
+        return None
     structure = build()
-    fields = (
-        [structure] if isinstance(structure, np.ndarray) else vars(structure).values()
-    )
+    if structure is None:
+        fields = ()
+    elif isinstance(structure, np.ndarray):
+        fields = [structure]
+    else:
+        fields = vars(structure).values()
     for value in fields:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False

@@ -8,7 +8,7 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.engine.kernels.joins import (
     JoinResult,
     build_side,
     join,
+    matches_through_codes,
 )
 from repro.engine.kernels.parallel import (
     EXCHANGE_JOIN_ALGORITHMS,
@@ -40,6 +41,7 @@ from repro.engine.operators.base import (
 )
 from repro.errors import ExecutionError
 from repro.indexes.perfect_hash import MIN_DENSITY
+from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -79,6 +81,14 @@ class Join(MaterialisedOperator):
     Output schema is the concatenation of both input schemas (narrowed to
     ``columns`` when given); the caller must pre-qualify ambiguous column
     names (see :meth:`Table.qualified`).
+
+    What depends on one base column alone is memoised on it (DESIGN.md
+    "Build structures are facts about a column"): the build side over
+    the left key, OJ's probe run starts, and the dictionary of the right
+    key HJ and BSJ probe by from the column's second probe on. With it,
+    each distinct probe key is looked up once, on whichever route the
+    join takes, and the rows take their key's matches through the codes;
+    the pairs are the row-by-row probe's, in its order.
 
     :param columns: the columns an ancestor reads. Only those are
         gathered through the match indices; ``None`` (default) gathers
@@ -207,7 +217,6 @@ class Join(MaterialisedOperator):
         settings = get_settings()
         backend = self._backend or settings.backend
         workers = settings.workers
-        shards = self._probe_shards(right_table.num_rows)
         note = lambda report: self._note_parallelism(  # noqa: E731
             report.workers_used, report.busy_seconds
         )
@@ -217,6 +226,11 @@ class Join(MaterialisedOperator):
             if exchange or not (build_keys.size and probe_keys.size)
             else self._build_side(left_table)
         )
+        dictionary = None if build is None else self._probe_dictionary(right_table)
+        if dictionary is not None:
+            # Look each distinct probe key up once; the rows follow below.
+            probe_keys = dictionary.dictionary
+        shards = self._probe_shards(probe_keys.size)
         if exchange:
             result = exchange_join(
                 build_keys,
@@ -246,6 +260,13 @@ class Join(MaterialisedOperator):
                 validate=self._validate,
                 build=build,
                 run_starts=None if build is None else self._run_starts(right_table),
+            )
+        if dictionary is not None:
+            result = matches_through_codes(
+                result,
+                dictionary.codes,
+                dictionary.cardinality,
+                distinct=build.offsets is None,
             )
         matches = JoinMatches(left_table, right_table, result)
         # Working set: both materialised inputs, the kernel's build-side
@@ -286,6 +307,29 @@ class Join(MaterialisedOperator):
         return memoised(
             column, "runs", (), lambda: runs_of(column.values)[0].astype(index_type)
         )
+
+    def _probe_dictionary(self, right_table: Table) -> DictionaryEncoded | None:
+        """The probe key column's sorted distinct values and each row's
+        code, memoised on the column from its second probe on. HJ and
+        BSJ then look each distinct key up once instead of once per row.
+        None on a column's first probe, for a column with more than half
+        as many distinct values as rows (declined on its statistics,
+        never encoded), and for every other algorithm: SPHJ's lookup is a
+        gather already, and OJ looks its runs up."""
+        if self._algorithm not in (JoinAlgorithm.HJ, JoinAlgorithm.BSJ):
+            return None
+        column = right_table.column(self._right_key)
+
+        def encode() -> DictionaryEncoded | None:
+            if column.statistics.distinct * 2 > len(column):
+                return None
+            encoded = dictionary_encode(column.values)
+            # The memo outlives the query: codes in the narrowest type
+            # that holds them (uint16 below 65 536 distinct keys).
+            code_type = np.min_scalar_type(encoded.cardinality)
+            return replace(encoded, codes=encoded.codes.astype(code_type))
+
+        return memoised(column, "dictionary", (), encode, second_touch=True)
 
     def gather(self, matches: JoinMatches) -> Table:
         """The join's output table. Late materialisation: only the

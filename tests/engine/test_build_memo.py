@@ -1,8 +1,9 @@
 """Laws of the build memo: a hit is indistinguishable from a fresh build.
 
-A join's build side, a build-side group-by's slot assignment and the
-runs OJ looks its probe up by are memoised on the base column they are
-erected over. Every route that
+A join's build side, a build-side group-by's slot assignment, the runs
+OJ looks its probe up by and the dictionary HJ and BSJ look their probe
+up by are memoised on the base column they are erected over. Every
+route that
 builds — serial, governed morsels, ``workers=2`` threads and processes —
 must return, on its first and on every later execution, exactly what the
 memo-free kernel returns: the same index pairs in the same order, the
@@ -45,6 +46,7 @@ from repro.service.context import QueryContext, activate_context, check_active_c
 from repro.service.session import QueryService, ServiceConfig
 from repro.settings import scoped_settings
 from repro.storage import Catalog, ForeignKey, Table
+from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -57,6 +59,13 @@ BUILD_SIDE_GROUPING = (
     GroupingAlgorithm.BSG,
 )
 ROUTES = ("serial", "governed", "thread", "process")
+#: (hits, misses) of two runs of one join over the same tables.
+EXPECTED_MEMO_COUNTS = {
+    JoinAlgorithm.HJ: (1, 3),
+    JoinAlgorithm.SPHJ: (1, 1),
+    JoinAlgorithm.BSJ: (1, 3),
+    JoinAlgorithm.OJ: (2, 2),
+}
 HINT = 1_250
 QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 
@@ -130,9 +139,10 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 
     with capture_observability() as (metrics, __):
         runs = [on_route(route, run) for _ in range(2)]
-    # OJ reads the runs of its probe column as well as its build side.
-    reads = 2 if algorithm is JoinAlgorithm.OJ else 1
-    assert memo_counts(metrics) == (reads, reads)
+    # Each run reads the build side. OJ reads the runs of its probe
+    # column too; HJ and BSJ read its dictionary, which the first run
+    # only records and the second builds.
+    assert memo_counts(metrics) == EXPECTED_MEMO_COUNTS[algorithm]
     __, build = r.column("ID").memo["build_side"]
     shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
     assert shared and not any(array.flags.writeable for array in shared)
@@ -178,9 +188,10 @@ def test_grouping_hit_equals_fresh_build(grouping):
             expected = assign_slots(r_data["A"], grouping, hint)
             assert np.array_equal(assignment.slots, expected.slots)
             assert np.array_equal(assignment.group_keys, expected.group_keys)
-    # Per run, R.ID's build side and R.A's slots are each read once: the
-    # build side misses on the first run only, the slots on every run.
-    assert memo_counts(metrics) == (2, 4)
+    # Per run, R.ID's build side, S.R_ID's probe dictionary and R.A's
+    # slots are each read once: the build side misses on the first run
+    # only, the dictionary on the first two, the slots on every run.
+    assert memo_counts(metrics) == (3, 6)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -274,7 +285,8 @@ def test_fresh_tables_over_the_same_arrays_never_hit():
             )
             for _ in range(3)
         ]
-    assert memo_counts(metrics) == (0, 3)
+    # Each run misses the build side and records a first probe.
+    assert memo_counts(metrics) == (0, 6)
     assert all(result.equals(results[0]) for result in results)
 
 
@@ -319,6 +331,12 @@ def test_threads_racing_on_the_first_query_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 12 and all(result.equals(fresh) for result in results)
+    # However the probe dictionary's first touches and builds interleave,
+    # the entry left is the dictionary.
+    __, dictionary = s.column("R_ID").memo["dictionary"]
+    expected = dictionary_encode(s_data["R_ID"])
+    assert np.array_equal(dictionary.dictionary, expected.dictionary)
+    assert np.array_equal(dictionary.codes, expected.codes)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -349,14 +367,19 @@ def test_process_route_publishes_a_memoised_build_side_once():
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     store = get_shared_store()
     published = [store.stats()["published_bytes"]]
-    for _ in range(2):
+    for _ in range(3):
         on_route(
             "process",
             lambda: execute(join_operator(r, s, JoinAlgorithm.HJ, "process", backend="process")),
         )
         published.append(store.stats()["published_bytes"])
+    # The first run publishes the build side and the probe keys; the
+    # second probes the probe column's dictionary, so it publishes the
+    # distinct keys (each once); the third publishes nothing.
+    __, dictionary = s.column("R_ID").memo["dictionary"]
     assert published[1] > published[0]
-    assert published[2] == published[1]
+    assert published[2] - published[1] == dictionary.dictionary.nbytes == 40_000
+    assert published[3] == published[2]
 
 
 # --------------------------------------------------------------------------
@@ -447,3 +470,153 @@ def test_unregister_frees_the_probe_runs():
     catalog.unregister("S")
     gc.collect()
     assert structure() is None
+
+
+# --------------------------------------------------------------------------
+# The dictionary HJ and BSJ look their probe up by, memoised on the probe
+# column from its second probe on
+
+DICTIONARY_JOINS = (JoinAlgorithm.HJ, JoinAlgorithm.BSJ)
+
+
+def dictionary_arrays(repeated: bool, misses: bool) -> tuple[dict, dict]:
+    """R (ID sparse; distinct, or each repeated) and an unsorted S whose
+    R_ID has more distinct values than a morsel holds, so even the
+    dictionary's values are probed in morsels on the governed route. With
+    ``misses``, every tenth probe row matches no build row."""
+    rng = np.random.default_rng(17)
+    keys = np.arange(80_000, dtype=np.int64) * 3
+    ids = np.repeat(keys, 2) if repeated else keys
+    probe = rng.choice(keys, 180_000)
+    if misses:
+        probe[::10] += 1
+    distinct = np.unique(probe).size
+    assert MORSEL_ROWS < distinct and distinct * 2 <= probe.size
+    r = {"ID": ids, "A": ids % 97}
+    s = {"R_ID": probe, "B": rng.integers(-9, 9, probe.size)}
+    return r, s
+
+
+@pytest.fixture
+def encodings(monkeypatch) -> list:
+    """The row count of every probe column the join operator encodes."""
+    calls = []
+
+    def spy(values):
+        calls.append(values.size)
+        return dictionary_encode(values)
+
+    monkeypatch.setattr(join_operators, "dictionary_encode", spy)
+    return calls
+
+
+def memo_entry(table: Table, name: str, kind: str):
+    entry = table.column(name).memo.get(kind)
+    return None if entry is None else entry[1]
+
+
+@pytest.mark.parametrize("misses", [False, True], ids=["all_hit", "some_miss"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("algorithm", DICTIONARY_JOINS, ids=lambda a: a.name)
+def test_dictionary_probe_equals_memo_free_kernel(
+    algorithm, route, repeated, misses, encodings
+):
+    """The first execution records the probe, the second builds the
+    dictionary, the third reads it; each returns the memo-free kernel's
+    pairs in its order."""
+    r_data, s_data = dictionary_arrays(repeated, misses)
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+    entries = []
+    for _ in range(3):
+        pairs = on_route(
+            route, lambda: join_operator(r, s, algorithm, route).matches().pairs
+        )
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+        assert pairs.structure_bytes == fresh.structure_bytes
+        entries.append(memo_entry(s, "R_ID", "dictionary"))
+    first, built, read = entries
+    assert encodings == [s_data["R_ID"].size]
+    assert not isinstance(first, DictionaryEncoded)
+    assert isinstance(built, DictionaryEncoded) and read is built
+    expected = dictionary_encode(s_data["R_ID"])
+    assert np.array_equal(built.dictionary, expected.dictionary)
+    assert np.array_equal(built.codes, expected.codes)
+    assert built.codes.dtype == np.min_scalar_type(expected.cardinality)
+
+
+@pytest.mark.parametrize("narrowed", ["filtered", "sliced"])
+@pytest.mark.parametrize("algorithm", DICTIONARY_JOINS, ids=lambda a: a.name)
+def test_narrowed_probe_never_builds_a_dictionary(algorithm, narrowed, encodings):
+    """A filtered or sliced probe is a new column on every execution: it
+    is probed once, so it is never encoded."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    probe = TableScan(s.qualified("S"))
+    if narrowed == "filtered":
+        probe = Filter(probe, col("S.B") > 0)
+        rows = s_data["B"] > 0
+    else:
+        probe = Limit(probe, 30_000)
+        rows = np.arange(s_data["R_ID"].size) < 30_000
+    fresh = join(r_data["ID"], s_data["R_ID"][rows], algorithm)
+    for _ in range(3):
+        operator = Join(TableScan(r.qualified("R")), probe, "R.ID", "S.R_ID", algorithm)
+        with scoped_settings(workers=1):
+            pairs = operator.matches().pairs
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+    assert encodings == []
+    assert "dictionary" not in s.column("R_ID").memo
+
+
+@pytest.mark.parametrize("algorithm", DICTIONARY_JOINS, ids=lambda a: a.name)
+def test_many_distinct_probe_keys_are_declined_unsorted(algorithm, encodings):
+    """A probe column with more than half as many distinct values as rows
+    is declined on its second probe, before anything sorts it; the
+    decline is memoised, and every execution probes row by row."""
+    r_data, __ = arrays()
+    probe = np.random.default_rng(13).permutation(5_000)[:3_000].repeat(2)[:5_999]
+    r = Table.from_arrays(r_data)
+    s = Table.from_arrays({"R_ID": probe, "B": np.zeros(probe.size, dtype=np.int64)})
+    assert s.column("R_ID").statistics.distinct * 2 > len(probe)
+    fresh = join(r_data["ID"], probe, algorithm)
+    with capture_observability() as (metrics, __):
+        for _ in range(3):
+            pairs = join_operator(r, s, algorithm, "serial").matches().pairs
+            assert np.array_equal(pairs.left_indices, fresh.left_indices)
+            assert np.array_equal(pairs.right_indices, fresh.right_indices)
+    assert encodings == []
+    assert s.column("R_ID").memo["dictionary"] == ((), None)
+    # Build side: miss, hit, hit. Dictionary: first touch, decline, hit.
+    assert memo_counts(metrics) == (3, 3)
+
+
+@pytest.mark.usefixtures("memory_storage")
+@pytest.mark.parametrize("route", ["serial", "process"])
+def test_unregister_frees_the_probe_dictionary(route):
+    catalog = Catalog()
+    r_data, s_data = arrays()
+    catalog.register("R", Table.from_arrays(r_data))
+    catalog.register("S", Table.from_arrays(s_data))
+    for _ in range(2):
+        on_route(
+            route,
+            lambda: execute(
+                join_operator(
+                    catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ, route
+                )
+            ),
+        )
+    dictionary = memo_entry(catalog.table("S"), "R_ID", "dictionary")
+    arrays_ = (dictionary.codes, dictionary.dictionary)
+    assert not any(array.flags.writeable for array in arrays_)
+    structures = [weakref.ref(array) for array in arrays_]
+    del dictionary, arrays_
+    catalog.unregister("R")
+    catalog.unregister("S")
+    gc.collect()
+    assert all(structure() is None for structure in structures)
+    assert leaked_segments() == []
