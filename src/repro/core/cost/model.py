@@ -250,55 +250,3 @@ class CostModel:
         if backend == "process":
             cost += self.ipc_row_cost() * max(float(right_rows), 1.0)
         return cost
-
-    # -- exchange (hash repartition) variants ------------------------------
-
-    def exchange_grouping_cost(
-        self,
-        algorithm: GroupingAlgorithm,
-        input_rows: float,
-        num_groups: float,
-        workers: float,
-        backend: str = "thread",
-    ) -> float:
-        """Cost of grouping through an exchange: one partition pass over
-        the input (hash + stable reorder, ~2 touches per row), local
-        grouping on disjoint partitions, and a merge that only
-        concatenates sorted runs (linear in ``num_groups``, *not* the
-        ``workers x num_groups`` sort of :meth:`parallel_merge_cost`) —
-        the exchange's niche at huge group counts."""
-        w = max(float(workers), 1.0)
-        ew = self.effective_workers(w, backend)
-        partition = 2.0 * max(float(input_rows), 1.0)
-        local = self.grouping_cost(algorithm, input_rows, num_groups) / ew
-        merge = max(float(num_groups), 1.0)
-        cost = partition + local + merge + w * self.dispatch_cost(backend)
-        if backend == "process":
-            cost += self.ipc_row_cost() * max(float(num_groups), 1.0)
-        return cost
-
-    def exchange_join_cost(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-        workers: float,
-        backend: str = "thread",
-    ) -> float:
-        """Cost of joining through an exchange: both sides partition
-        (~2 touches per row each), the partition-local joins — *including
-        their build phases*, which the shared-build variant cannot
-        parallelise — divide across workers, and the probe-major order is
-        restored by one sort of the output. The exchange's niche is a
-        huge build side."""
-        w = max(float(workers), 1.0)
-        ew = self.effective_workers(w, backend)
-        rows_out = max(float(right_rows), 1.0)
-        partition = 2.0 * (max(float(left_rows), 1.0) + rows_out)
-        local = self.join_cost(algorithm, left_rows, right_rows, num_groups) / ew
-        restore = rows_out * (math.log2(rows_out) if rows_out > 1 else 0.0)
-        cost = partition + local + restore + w * self.dispatch_cost(backend)
-        if backend == "process":
-            cost += self.ipc_row_cost() * rows_out
-        return cost

@@ -60,7 +60,7 @@ class OptimizerConfig:
     #: execution backend the optimiser plans parallel recipes for:
     #: ``"thread"`` (the default morsel pool) or ``"process"``. With
     #: ``"process"`` the deep enumeration also costs process-backend
-    #: parallel/exchange recipes against their thread siblings and picks
+    #: parallel recipes against their thread siblings and picks
     #: per node by cost; the choice enters the plan fingerprint and the
     #: plan cache key.
     backend: str = "thread"

@@ -31,7 +31,6 @@ from repro.core.physiological import (
     logical_join,
     recipe_algorithm,
     recipe_backend,
-    recipe_is_exchange,
     recipe_join_algorithm,
     recipe_loop,
 )
@@ -39,11 +38,7 @@ from repro.core.plan import implementation_label, mode_token
 from repro.core.properties import Correlations, PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder
-from repro.engine.kernels.parallel import (
-    EXCHANGE_GROUPING_ALGORITHMS,
-    EXCHANGE_JOIN_ALGORITHMS,
-    PARALLEL_PROBE_ALGORITHMS,
-)
+from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
 from repro.indexes.perfect_hash import MIN_DENSITY
 
 #: the blackbox textbook operator catalogue available to SQO. SPH variants
@@ -84,12 +79,12 @@ class _Spelled:
 
     @functools.cached_property
     def mode(self) -> str:
-        """``serial``, ``parallel``, ``exchange@process``, ..."""
-        return mode_token(self.parallel, self.exchange, self.backend)
+        """``serial``, ``parallel`` or ``parallel@process``."""
+        return mode_token(self.parallel, self.backend)
 
     @functools.cached_property
     def label(self) -> str:
-        """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``."""
+        """``SPHJ``, ``HG/parallel``, ``HJ/parallel@process``."""
         return implementation_label(self.algorithm.name, self.mode)
 
 
@@ -102,14 +97,12 @@ class GroupingOption(_Spelled):
     the shard-local runs merge through
     :func:`repro.engine.kernels.parallel.merge_partials`, whose output is
     always key-sorted — a property only a deep optimiser can exploit.
-    ``exchange`` marks the repartitioning recipes (hash-shuffle, then
-    group locally), and ``backend`` which pool the parallel work runs on.
+    ``backend`` names the pool the parallel work runs on.
     """
 
     algorithm: GroupingAlgorithm
     recipe: Granule | None = None
     parallel: bool = False
-    exchange: bool = False
     backend: str = "thread"
 
     def applicable(
@@ -128,11 +121,10 @@ class GroupingOption(_Spelled):
         option :meth:`derive` reads: ``"sorted"``, ``"first-occurrence"``
         (OG) or ``"hash"`` (HG).
 
-        Sort variants emit key order by construction; both the parallel
-        loop's partial-merge and the exchange's partition concatenation
-        sort the merged keys regardless of the shard/partition-local
-        algorithm."""
-        if self.parallel or self.exchange or self.algorithm in (
+        Sort variants emit key order by construction; the parallel
+        loop's partial-merge sorts the merged keys regardless of the
+        shard-local algorithm."""
+        if self.parallel or self.algorithm in (
             GroupingAlgorithm.SPHG,
             GroupingAlgorithm.SOG,
             GroupingAlgorithm.BSG,
@@ -188,14 +180,12 @@ class JoinOption(_Spelled):
     morsels. Only the probe-streaming families (HJ/SPHJ/BSJ) shard this
     way, and shard outputs concatenate back in probe order, so the
     parallel variant derives exactly the serial variant's properties.
-    ``exchange`` marks the repartitioning recipes, whose restored output
-    is likewise probe-major; ``backend`` picks the pool.
+    ``backend`` picks the pool.
     """
 
     algorithm: JoinAlgorithm
     recipe: Granule | None = None
     parallel: bool = False
-    exchange: bool = False
     backend: str = "thread"
 
     @functools.cached_property
@@ -276,25 +266,16 @@ class JoinOption(_Spelled):
         return result if scope is PropertyScope.FULL else result.restrict_to_orders()
 
 
-def _recipe_mode(recipe: Granule) -> tuple[bool, bool, str] | None:
-    """(parallel, exchange, backend) of a recipe, normalised; None when
-    the combination is not executable and should be skipped.
+def _recipe_mode(recipe: Granule) -> tuple[bool, str]:
+    """(parallel, backend) of a recipe, normalised.
 
-    Normalisation collapses the spurious molecule products: a serial,
-    non-exchange recipe has no parallel work, so its ``backend`` binding
-    is meaningless and pins to ``"thread"`` (keeping one DP entry per
-    executable configuration); an exchange recipe's inner loop must stay
-    serial (the partitions *are* the parallelism — nesting a parallel
-    loop inside one would oversubscribe the pool).
+    Normalisation collapses the spurious molecule products: a serial
+    recipe has no parallel work, so its ``backend`` binding is
+    meaningless and pins to ``"thread"`` (keeping one DP entry per
+    executable configuration).
     """
     parallel = recipe_loop(recipe) == "parallel"
-    exchange = recipe_is_exchange(recipe)
-    backend = recipe_backend(recipe)
-    if exchange and parallel:
-        return None
-    if not parallel and not exchange:
-        backend = "thread"
-    return parallel, exchange, backend
+    return parallel, recipe_backend(recipe) if parallel else "thread"
 
 
 def grouping_options(
@@ -304,7 +285,7 @@ def grouping_options(
 
     Shallow configurations get the blackbox catalogue; deep ones get the
     recipes of the physiological lattice, deduplicated by (executable
-    algorithm, loop mode, exchange, backend) — molecule variants with
+    algorithm, loop mode, backend) — molecule variants with
     equal paper-model cost collapse to their default representative, kept
     distinct only in the recipe.
 
@@ -314,14 +295,14 @@ def grouping_options(
     such configuration; every later search starts from the same
     immutable tuple.
 
-    :param workers: the executor's worker count. Parallel-loop and
-        exchange recipes are enumerated only when ``workers > 1`` — with
-        one worker they are strictly worse (merge/shuffle + dispatch
-        overhead on top of the serial cost), so they are not worth DP
-        entries — and process-backend recipes only when
-        ``config.backend == "process"`` (no process pool, no process
-        plans). Shallow configurations never see the ``loop`` or
-        ``exchange`` granules at all: both are below SQO's reach.
+    :param workers: the executor's worker count. Parallel-loop recipes
+        are enumerated only when ``workers > 1`` — with one worker they
+        are strictly worse (merge + dispatch overhead on top of the
+        serial cost), so they are not worth DP entries — and
+        process-backend recipes only when ``config.backend ==
+        "process"`` (no process pool, no process plans). Shallow
+        configurations never see the ``loop`` granule at all: it is
+        below SQO's reach.
     """
     return _grouping_options(
         config.is_deep, config.max_granularity, config.backend, workers > 1
@@ -335,26 +316,19 @@ def _grouping_options(
     if not is_deep:
         return tuple(GroupingOption(algorithm) for algorithm in SQO_GROUPING_CATALOG)
     options: list[GroupingOption] = []
-    seen: set[tuple[GroupingAlgorithm, bool, bool, str]] = set()
+    seen: set[tuple[GroupingAlgorithm, bool, str]] = set()
     for recipe in enumerate_recipes(logical_grouping(), max_granularity):
         algorithm = recipe_algorithm(recipe)
-        mode = _recipe_mode(recipe)
-        if mode is None:
-            continue
-        parallel, exchange, backend = mode
-        if (parallel or exchange) and not many_workers:
+        parallel, backend = _recipe_mode(recipe)
+        if parallel and not many_workers:
             continue
         if backend == "process" and config_backend != "process":
             continue
-        if exchange and algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
-            continue
-        key = (algorithm, parallel, exchange, backend)
+        key = (algorithm, parallel, backend)
         if key in seen:
             continue
         seen.add(key)
-        options.append(
-            GroupingOption(algorithm, recipe, parallel, exchange, backend)
-        )
+        options.append(GroupingOption(algorithm, recipe, parallel, backend))
     return tuple(options)
 
 
@@ -365,9 +339,7 @@ def join_options(
     :func:`grouping_options`; enumerated once per configuration too).
     Parallel-loop recipes are kept only for the probe-streaming families
     whose sharded probe is bit-identical to the serial kernel
-    (:data:`PARALLEL_PROBE_ALGORITHMS`); exchange recipes only for the
-    families whose partition-local runs restore the serial output exactly
-    (:data:`EXCHANGE_JOIN_ALGORITHMS`)."""
+    (:data:`PARALLEL_PROBE_ALGORITHMS`)."""
     return _join_options(
         config.is_deep, config.max_granularity, config.backend, workers > 1
     )
@@ -380,24 +352,19 @@ def _join_options(
     if not is_deep:
         return tuple(JoinOption(algorithm) for algorithm in SQO_JOIN_CATALOG)
     options: list[JoinOption] = []
-    seen: set[tuple[JoinAlgorithm, bool, bool, str]] = set()
+    seen: set[tuple[JoinAlgorithm, bool, str]] = set()
     for recipe in enumerate_recipes(logical_join(), max_granularity):
         algorithm = recipe_join_algorithm(recipe)
-        mode = _recipe_mode(recipe)
-        if mode is None:
-            continue
-        parallel, exchange, backend = mode
-        if (parallel or exchange) and not many_workers:
+        parallel, backend = _recipe_mode(recipe)
+        if parallel and not many_workers:
             continue
         if backend == "process" and config_backend != "process":
             continue
         if parallel and algorithm not in PARALLEL_PROBE_ALGORITHMS:
             continue
-        if exchange and algorithm not in EXCHANGE_JOIN_ALGORITHMS:
-            continue
-        key = (algorithm, parallel, exchange, backend)
+        key = (algorithm, parallel, backend)
         if key in seen:
             continue
         seen.add(key)
-        options.append(JoinOption(algorithm, recipe, parallel, exchange, backend))
+        options.append(JoinOption(algorithm, recipe, parallel, backend))
     return tuple(options)

@@ -5,11 +5,10 @@ Written once, read four times. Three pure generators over one per-search
 :func:`grouping_candidates` — yield priced
 :class:`~repro.core.optimizer.pruning.DPEntry` objects whose plan nodes
 are built only if someone reads them, and
-:func:`option_cost` alone decides whether an option is priced as serial,
-parallel-loop or exchange, and on which backend. The DP folds the
-candidates into Pareto frontiers, the greedy baseline into cheapest-only
-ones, the exhaustive oracle composes them without any frontier, and
-``EXPLAIN WHY`` prices its rival tables through :func:`option_cost`.
+:func:`option_cost` alone decides whether an option is priced as serial
+or parallel-loop, and on which backend. The DP folds the candidates into
+Pareto frontiers, the greedy baseline into cheapest-only ones, the
+exhaustive oracle composes them without any frontier, and ``EXPLAIN WHY`` prices its rival tables through :func:`option_cost`.
 Nothing here inserts, prunes, journals or polls a deadline: that is
 search policy and belongs to the readers.
 """
@@ -69,13 +68,10 @@ def option_cost(
     else, so no two readers can quote different prices for one option.
     """
     join = isinstance(option, JoinOption)
-    if option.exchange:
-        price = model.exchange_join_cost if join else model.exchange_grouping_cost
-    elif option.parallel:
-        price = model.parallel_join_cost if join else model.parallel_grouping_cost
-    else:
+    if not option.parallel:
         price = model.join_cost if join else model.grouping_cost
         return price(option.algorithm, *sizes)
+    price = model.parallel_join_cost if join else model.parallel_grouping_cost
     return price(option.algorithm, *sizes, float(workers), option.backend)
 
 

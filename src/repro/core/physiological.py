@@ -143,14 +143,6 @@ PARAM_SPECS: dict[str, tuple[ParamSpec, ...]] = {
             default="thread",
         ),
     ),
-    "exchange": (
-        ParamSpec(
-            name="backend",
-            level=Granularity.MOLECULE,
-            options=("thread", "process"),
-            default="thread",
-        ),
-    ),
 }
 
 
@@ -220,33 +212,6 @@ def unnest(granule: Granule) -> list[Granule]:
             _index_partition(
                 Granule(kind="sph_array", level=Granularity.MOLECULE)
             ),
-            _index_partition(
-                Granule(kind="sorted_array", level=Granularity.MOLECULE)
-            ),
-            # Exchange (repartition): shuffle rows across workers by key
-            # hash, then partition locally. The shuffle backend (thread vs
-            # process pool) is the MOLECULE decision on the exchange node.
-            Granule(
-                kind="exchange_partition",
-                level=Granularity.MACROMOLECULE,
-                children=(
-                    Granule(kind="exchange", level=Granularity.MACROMOLECULE),
-                    Granule(
-                        kind="local_partition",
-                        level=Granularity.MACROMOLECULE,
-                    ),
-                ),
-            ),
-        ]
-    if granule.kind == "local_partition":
-        # Post-shuffle strategies only: repartitioning destroys both input
-        # clusteredness (no presorted_partition) and key-domain density
-        # (no sph_array) within a partition.
-        return [
-            _index_partition(
-                Granule(kind="hash_table", level=Granularity.MOLECULE)
-            ),
-            Granule(kind="sort_partition", level=Granularity.MACROMOLECULE),
             _index_partition(
                 Granule(kind="sorted_array", level=Granularity.MOLECULE)
             ),
@@ -400,25 +365,16 @@ def recipe_hash_function(recipe: Granule) -> str:
     return "murmur3"
 
 
-def recipe_is_exchange(recipe: Granule) -> bool:
-    """True when the recipe partitions through an exchange (repartition)."""
-    return any(node.kind == "exchange_partition" for node in recipe.walk())
-
-
 def recipe_backend(recipe: Granule) -> str:
     """The bound MOLECULE-level execution backend: ``'thread'`` or
     ``'process'``.
 
-    The binding lives on the ``exchange`` granule for exchange recipes and
-    on the ``bulkload`` granule for parallel-loop recipes; the pre-order
-    walk meets the exchange node first, so an exchange recipe's backend is
-    the shuffle's even when an inner bulkload carries a default binding.
+    The binding lives on the ``bulkload`` granule, next to the ``loop``
+    it serves.
     """
     for node in recipe.walk():
-        if node.kind in ("exchange", "bulkload"):
-            bound = node.binding("backend")
-            if bound is not None:
-                return bound
+        if node.kind == "bulkload":
+            return node.binding("backend") or "thread"
     return "thread"
 
 

@@ -83,8 +83,7 @@ class Implementation:
     option object the plan space iterated and priced, with the keys it
     runs on — ``(build key, probe key)`` for a join, ``(group key,)``
     for a grouping, which also carries its aggregates. The option holds
-    the algorithm, the deep recipe and the loop / exchange / backend
-    mode; nothing of it is copied onto the node."""
+    the algorithm, the deep recipe and the loop / backend mode; nothing of it is copied onto the node."""
 
     option: JoinOption | GroupingOption
     keys: tuple[str, ...]
@@ -136,7 +135,7 @@ class PhysicalNode:
     @property
     def label(self) -> str:
         """The node's head as plan summaries spell it, children aside:
-        ``HJ/exchange@process``, ``scan(S via btree(R_ID))``,
+        ``HJ/parallel@process``, ``scan(S via btree(R_ID))``,
         ``sort[S.R_ID]``, ``filter``."""
         decided = self.decision
         if self.op in ALGORITHMIC_OPS:
@@ -210,25 +209,23 @@ class PhysicalNode:
         return deepest
 
 
-def mode_token(parallel: bool, exchange: bool, backend: str) -> str:
-    """The one spelling of a loop/exchange/backend decision: ``serial``,
-    ``parallel``, ``parallel@process``, ``exchange@thread`` or
-    ``exchange@process``. Fingerprints carry it as a token; labels append
-    it to the algorithm (see :func:`implementation_label`).
+def mode_token(parallel: bool, backend: str) -> str:
+    """The one spelling of a loop/backend decision: ``serial``,
+    ``parallel`` or ``parallel@process``. Fingerprints carry it as a
+    token; labels append it to the algorithm (see
+    :func:`implementation_label`).
 
     Plain thread parallelism keeps the historical "parallel" form so
     existing plan hashes (sentinel baselines, logged ``plan_hash``
-    values) and log greps stay valid; only the newer modes carry an
-    "@backend" qualifier."""
-    if exchange:
-        return f"exchange@{backend}"
+    values) and log greps stay valid; only the process backend carries
+    an "@backend" qualifier."""
     if not parallel:
         return "serial"
     return "parallel" if backend == "thread" else f"parallel@{backend}"
 
 
 def implementation_label(algorithm: str, mode: str) -> str:
-    """``SPHJ``, ``HG/parallel``, ``HJ/exchange@process``: an algorithm
+    """``SPHJ``, ``HG/parallel``, ``HJ/parallel@process``: an algorithm
     named with its :func:`mode_token`, serial left unmarked."""
     return algorithm if mode == "serial" else f"{algorithm}/{mode}"
 
@@ -311,10 +308,8 @@ def plan_decisions(node: PhysicalNode) -> list[dict]:
             row["algorithm"] = option.algorithm.name
             row["keys"] = list(decided.keys)
             row["parallel"] = option.parallel
-            # Only non-default modes appear, so decision lists committed
-            # before these dials existed still compare equal.
-            if option.exchange:
-                row["exchange"] = True
+            # Only a non-default backend appears, so decision lists
+            # committed before that dial existed still compare equal.
             if option.backend != "thread":
                 row["backend"] = option.backend
         elif item.op == "limit":
@@ -338,9 +333,7 @@ def decision_label(decision: dict) -> str:
         algorithm = implementation_label(
             decision.get("algorithm", "?"),
             mode_token(
-                bool(decision.get("parallel")),
-                bool(decision.get("exchange")),
-                decision.get("backend", "thread"),
+                bool(decision.get("parallel")), decision.get("backend", "thread")
             ),
         )
         if op == "join":
@@ -518,8 +511,7 @@ def _lower_node(
     if node.op == "sort":
         return Sort(child(0, _also(required, *decided)), list(decided))
     # A costed plan must execute as costed: the option's loop decision is
-    # pinned (True/False, never the auto-detect None), with its exchange
-    # and backend.
+    # pinned (True/False, never the auto-detect None), with its backend.
     option = node.option
     if node.op == "join":
         needs = _also(required, *decided.keys)
@@ -530,7 +522,6 @@ def _lower_node(
             algorithm=option.algorithm,
             validate=validate,
             parallel=option.parallel,
-            exchange=option.exchange,
             backend=option.backend,
             columns=required,
         )
@@ -545,7 +536,6 @@ def _lower_node(
             num_distinct_hint=_groups_hint(node),
             validate=validate,
             parallel=option.parallel,
-            exchange=option.exchange,
             backend=option.backend,
         )
         # If the grouping key column came out of a dictionary view, the

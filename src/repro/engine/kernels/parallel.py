@@ -3,27 +3,22 @@
 Figure 3(e) unnests grouping into *SPH + parallel load*; the MOLECULE-level
 ``loop`` parameter of the physiological lattice chooses serial vs parallel.
 This module implements the parallel variants the way morsel-driven engines
-do ([14] Leis et al.), along two orthogonal axes:
+do ([14] Leis et al.): rows are cut into contiguous ranges
+(:func:`~repro.engine.parallel.morsel_boundaries`) and a pool — threads or
+processes (:func:`~repro.engine.parallel.run_tasks`) — runs the pieces.
 
-* **partitioning** — how rows are split into pieces *before* dispatch:
-  contiguous ranges (:func:`~repro.engine.parallel.morsel_boundaries`) or
-  an exchange (:func:`hash_partition`, equal keys co-locate);
-* **backend** — which pool runs the pieces: threads or processes
-  (:func:`~repro.engine.parallel.run_tasks`).
-
-The work done per piece is one of three tasks, each written once and
+The work done per piece is one of two tasks, each written once and
 registered by name so either pool runs the same function:
 
-==================  ==================================================
-``group_partial``   a slice of key + aggregate-input arrays -> partial
-                    aggregate arrays, merged by :func:`merge_partials`
-``probe``           a shared :class:`BuildSide` x a probe slice ->
-                    index pairs (probe-major, so slices concatenate)
-``join_partition``  one exchange partition's serial join
-==================  ==================================================
+=================  ==================================================
+``group_partial``  a slice of key + aggregate-input arrays -> partial
+                   aggregate arrays, merged by :func:`merge_partials`
+``probe``          a shared :class:`BuildSide` x a probe slice ->
+                   index pairs (probe-major, so slices concatenate)
+=================  ==================================================
 
-Every combination returns the serial kernels' bits: grouping up to key
-order (the merge sorts), joins exactly.
+Both backends return the serial kernels' bits: grouping up to key order
+(the merge sorts), joins exactly.
 """
 
 from __future__ import annotations
@@ -59,8 +54,6 @@ from repro.engine.parallel import (
     task,
 )
 from repro.errors import ExecutionError, PreconditionError
-from repro.indexes.hash_table import murmur3_finalizer
-from repro.settings import check, get_settings
 
 #: join algorithms whose probe phase shards safely: the build structure is
 #: read-only during probing and output is probe-major, so concatenating
@@ -70,55 +63,13 @@ PARALLEL_PROBE_ALGORITHMS = frozenset(
     {JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ}
 )
 
-#: grouping algorithms an exchange partition can run locally. Hash
-#: partitioning destroys both clusteredness (OG) and key-domain density
-#: (SPHG), so only the order-insensitive families survive repartitioning.
-EXCHANGE_GROUPING_ALGORITHMS = frozenset(
-    {GroupingAlgorithm.HG, GroupingAlgorithm.SOG, GroupingAlgorithm.BSG}
-)
-
-#: join algorithms an exchange partition can run locally. Partition-local
-#: HJ and BSJ both emit build-row-ascending ties, which is what makes the
-#: restored probe order bit-identical to the serial kernels; SPHJ fails
-#: on the sparse per-partition domains, OJ/SOJ need pre-sorted inputs.
-EXCHANGE_JOIN_ALGORITHMS = frozenset({JoinAlgorithm.HJ, JoinAlgorithm.BSJ})
-
-
-def hash_partition(
-    keys: np.ndarray, partitions: int
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Stable hash partitioning: the Exchange operator's shuffle.
-
-    Rows are assigned ``murmur3(key) % partitions`` and stably reordered
-    so each partition is one contiguous run; equal keys always land in
-    the same partition, and within a partition the original row order is
-    preserved (the bit-identity invariant of the exchange kernels).
-
-    :returns: ``(order, bounds)`` — the permutation to apply to every
-        row-aligned array, and per-partition ``[start, stop)`` ranges
-        into the permuted arrays (empty partitions yield empty ranges).
-    """
-    if partitions < 1:
-        raise PreconditionError(f"partitions must be >= 1, got {partitions}")
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    assignment = (murmur3_finalizer(keys) % np.uint64(partitions)).astype(
-        np.int64
-    )
-    order = np.argsort(assignment, kind="stable")
-    counts = np.bincount(assignment, minlength=partitions)
-    edges = np.concatenate([[0], np.cumsum(counts)])
-    bounds = [
-        (int(edges[i]), int(edges[i + 1])) for i in range(partitions)
-    ]
-    return order, bounds
-
 
 # ---------------------------------------------------------------------------
-# grouping: partition -> group_partial per piece -> merge_partials
+# grouping: range shards -> group_partial per piece -> merge_partials
 
 
 def decompose_partials(aggregates: list[AggregateSpec]) -> list[AggregateSpec]:
-    """Aggregates rewritten for partial (shard/partition-local) runs.
+    """Aggregates rewritten for partial (shard-local) runs.
 
     AVG is decomposed into partial SUM and COUNT columns (suffixes
     ``@sum`` / ``@count``) so partials merge losslessly; everything else
@@ -207,40 +158,22 @@ def partitioned_group_by(
     aggregates: list[AggregateSpec],
     algorithm: GroupingAlgorithm,
     parts: int,
-    partitioning: str = "range",
     num_distinct_hint: int | None = None,
     backend: str = "thread",
     workers: int | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], MorselReport]:
-    """Group through ``parts`` independent pieces plus a merge.
+    """Group through ``parts`` contiguous shards plus a merge. A group
+    may span shards; the merge re-combines its partials (so OG over
+    sorted input stays correct).
 
     :param inputs: aggregate input columns by name, row-aligned with
         the non-empty ``keys``.
-    :param partitioning: ``"range"`` cuts contiguous shards — a group
-        may span shards and the merge re-combines its partials (so OG
-        over sorted input stays correct); ``"hash"`` is the exchange —
-        partitions are disjoint in key space, the merge only interleaves
-        sorted key runs and never pays a ``parts x num_groups`` blow-up.
     :returns: ``(group keys ascending, {alias: array}, report)``; the
         report's ``results`` are the partials.
-    :raises PreconditionError: for ``"hash"`` with an algorithm that
-        repartitioning breaks (:data:`EXCHANGE_GROUPING_ALGORITHMS`), or
-        when the algorithm's own precondition fails on some piece.
+    :raises PreconditionError: when the algorithm's precondition fails
+        on some piece.
     """
-    if partitioning == "hash":
-        if algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
-            raise PreconditionError(
-                f"exchange grouping cannot run {algorithm.value!r} locally: "
-                "hash partitioning destroys clusteredness and density"
-            )
-        order, bounds = hash_partition(keys, parts)
-        keys = keys[order]
-        inputs = {name: array[order] for name, array in inputs.items()}
-        bounds = [(start, stop) for start, stop in bounds if stop > start]
-    elif partitioning == "range":
-        bounds = morsel_boundaries(keys.size, parts)
-    else:
-        raise PreconditionError(f"unknown partitioning {partitioning!r}")
+    bounds = morsel_boundaries(keys.size, parts)
     report = run_tasks(
         "group_partial",
         {
@@ -266,7 +199,6 @@ def parallel_group_by(
     num_distinct_hint: int | None = None,
     workers: int | None = None,
     backend: str = "thread",
-    partitioning: str = "range",
 ) -> GroupingResult:
     """COUNT + SUM through :func:`partitioned_group_by` — the parallel
     twin of :func:`~repro.engine.kernels.grouping.group_by` that the
@@ -295,7 +227,6 @@ def parallel_group_by(
         aggregates,
         algorithm,
         shards,
-        partitioning,
         num_distinct_hint,
         backend,
         workers,
@@ -309,7 +240,7 @@ def parallel_group_by(
 
 
 # ---------------------------------------------------------------------------
-# joins: shared build x sharded probe, or both sides through an exchange
+# joins: shared build x sharded probe
 
 
 @task("probe")
@@ -321,19 +252,6 @@ def probe_task(payload: dict) -> tuple[np.ndarray, np.ndarray]:
         payload["probe"][start:stop]
     )
     return left, probe_out + np.int64(start)
-
-
-@task("join_partition")
-def join_partition_task(payload: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One hash partition of an exchange join: a partition-local serial
-    join; the caller maps local indices back through the permutations."""
-    result = join(
-        payload["build"][payload["build_start"] : payload["build_stop"]],
-        payload["probe"][payload["probe_start"] : payload["probe_stop"]],
-        payload["algorithm"],
-        num_distinct_hint=payload["num_distinct_hint"],
-    )
-    return result.left_indices, result.right_indices
 
 
 def _concatenated(parts: list[np.ndarray]) -> np.ndarray:
@@ -408,90 +326,4 @@ def parallel_join(
         right_indices=_concatenated([right for __, right in report.results]),
         output_order=JoinOutputOrder.PROBE_ORDER,
         structure_bytes=build.structure_bytes,
-    )
-
-
-def exchange_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    algorithm: JoinAlgorithm,
-    workers: int | None = None,
-    num_distinct_hint: int | None = None,
-    backend: str = "thread",
-    on_report=None,
-) -> JoinResult:
-    """Join through an exchange: hash-partition *both* sides, join each
-    partition locally with the serial kernel, then restore probe order.
-
-    Equal keys co-locate, so the partition-local joins are exhaustive;
-    carrying global row ids through the partition permutations and
-    stable-sorting the concatenated matches by global probe row restores
-    the serial kernels' probe-major output bit-for-bit (ties stay
-    build-ascending: all matches of one probe row live in one partition,
-    where the local kernel already emits them ascending). Unlike the
-    shared-build :func:`parallel_join`, the *build* phase parallelises
-    too — the niche the cost model prices it for.
-
-    :param workers: partition count and worker count alike; defaults to
-        the process-wide configuration, 1 degenerates to the serial kernel.
-    :raises PreconditionError: for algorithms repartitioning breaks
-        (see :data:`EXCHANGE_JOIN_ALGORITHMS`).
-    """
-    if algorithm not in EXCHANGE_JOIN_ALGORITHMS:
-        raise PreconditionError(
-            f"exchange join cannot run {algorithm.value!r} locally: "
-            "partitioning breaks its precondition or tie order"
-        )
-    workers = get_settings().workers if workers is None else check("workers", workers)
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if workers == 1 or build_keys.size == 0 or probe_keys.size == 0:
-        return join(
-            build_keys, probe_keys, algorithm, num_distinct_hint=num_distinct_hint
-        )
-    build_order, build_bounds = hash_partition(build_keys, workers)
-    probe_order, probe_bounds = hash_partition(probe_keys, workers)
-    part_build = build_keys[build_order]
-    part_probe = probe_keys[probe_order]
-    ranges = [
-        (bs, be, ps, pe)
-        for (bs, be), (ps, pe) in zip(build_bounds, probe_bounds)
-        # A partition with no build rows matches nothing; one with no
-        # probe rows emits nothing. Either way there is no work.
-        if pe > ps and be > bs
-    ]
-    report = run_tasks(
-        "join_partition",
-        {
-            "build": part_build,
-            "probe": part_probe,
-            "algorithm": algorithm,
-            "num_distinct_hint": num_distinct_hint,
-        },
-        [
-            {"build_start": bs, "build_stop": be, "probe_start": ps, "probe_stop": pe}
-            for bs, be, ps, pe in ranges
-        ],
-        backend,
-        workers,
-    )
-    if on_report is not None:
-        on_report(report)
-    left_parts, right_parts = [], []
-    for (bs, __, ps, __), (left_local, right_local) in zip(ranges, report.results):
-        left_parts.append(build_order[bs + left_local])
-        right_parts.append(probe_order[ps + right_local])
-    left_all = _concatenated(left_parts)
-    right_all = _concatenated(right_parts)
-    restore = np.argsort(right_all, kind="stable")
-    return JoinResult(
-        left_indices=left_all[restore].astype(np.int64),
-        right_indices=right_all[restore].astype(np.int64),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=int(
-            build_order.nbytes
-            + probe_order.nbytes
-            + part_build.nbytes
-            + part_probe.nbytes
-        ),
     )

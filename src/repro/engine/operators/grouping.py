@@ -20,10 +20,7 @@ from repro.engine.kernels.grouping import (
     aggregate_groups,
     assign_slots,
 )
-from repro.engine.kernels.parallel import (
-    EXCHANGE_GROUPING_ALGORITHMS,
-    partitioned_group_by,
-)
+from repro.engine.kernels.parallel import partitioned_group_by
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
@@ -58,23 +55,19 @@ class GroupBy(MaterialisedOperator):
         ``None`` (default) auto-parallelises large inputs when the
         :class:`~repro.settings.Settings` in force have more than one
         worker.
-    :param exchange: the MACROMOLECULE-level repartition decision.
-        ``True`` hash-partitions the input on the key, groups each
-        (disjoint) partition locally, and concatenates — only HG/SOG/BSG
-        survive partitioning (OG loses clusteredness, SPHG density).
     :param backend: which pool runs the parallel work: ``"thread"``,
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
         the settings in force.
 
-    None of ``shards``, ``parallel`` or ``exchange`` splits anything
-    when the child is a :class:`Join` and the key is a column of its
-    build input (for OG, a non-decreasing one), which covers every
-    Figure 5 plan: the slots are assigned once over the build input,
-    serially, and where the execution would have had more than one part
-    the surviving groups are sorted by key, the order a merge of parts
-    returns (:meth:`_group_matches`). Only when that route declines does
-    the gathered output split as described above.
+    Neither ``shards`` nor ``parallel`` splits anything when the child
+    is a :class:`Join` and the key is a column of its build input (for
+    OG, a non-decreasing one), which covers every Figure 5 plan: the
+    slots are assigned once over the build input, serially, and where
+    the execution would have had more than one part the surviving groups
+    are sorted by key, the order a merge of parts returns
+    (:meth:`_group_matches`). Only when that route declines does the
+    gathered output split as described above.
     """
 
     def __init__(
@@ -88,7 +81,6 @@ class GroupBy(MaterialisedOperator):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         shards: int = 1,
         parallel: bool | None = None,
-        exchange: bool = False,
         backend: str | None = None,
     ) -> None:
         super().__init__(children=[child])
@@ -111,15 +103,8 @@ class GroupBy(MaterialisedOperator):
         self._chunk_size = chunk_size
         if shards < 1:
             raise ExecutionError(f"shards must be >= 1, got {shards}")
-        if exchange and algorithm not in EXCHANGE_GROUPING_ALGORITHMS:
-            raise ExecutionError(
-                f"exchange grouping supports "
-                f"{sorted(a.value for a in EXCHANGE_GROUPING_ALGORITHMS)}, "
-                f"not {algorithm.value!r}"
-            )
         self._shards = shards
         self._parallel = parallel
-        self._exchange = bool(exchange)
         self._backend = None if backend is None else check("backend", backend)
 
     @property
@@ -152,12 +137,9 @@ class GroupBy(MaterialisedOperator):
 
     def _parts(self, num_rows: int) -> int:
         """Pieces this execution groups through (1 = the serial kernel).
-        An exchange makes one partition per worker; otherwise the
-        explicit ``shards`` argument wins, and the ``parallel`` mode
-        consults the settings in force."""
+        The explicit ``shards`` argument wins; otherwise the ``parallel``
+        mode consults the settings in force."""
         workers = get_settings().workers
-        if self._exchange and workers > 1:
-            return workers
         if self._shards > 1:
             return self._shards
         if self._parallel is False or workers <= 1:
@@ -187,8 +169,6 @@ class GroupBy(MaterialisedOperator):
             for spec in self._aggregates
             if spec.column is not None
         }
-        settings = get_settings()
-        exchange = self._exchange and settings.workers > 1
         parts = self._parts(table.num_rows)
         if parts > 1 and table.num_rows:
             group_keys, columns, report = partitioned_group_by(
@@ -197,19 +177,15 @@ class GroupBy(MaterialisedOperator):
                 self._aggregates,
                 self._algorithm,
                 parts,
-                "hash" if exchange else "range",
                 self._num_distinct_hint,
-                self._backend or settings.backend,
+                self._backend or get_settings().backend,
             )
             self._note_parallelism(report.workers_used, report.busy_seconds)
-            # Working set beyond input and output: the partials, plus the
-            # permuted copy of the needed columns an exchange makes.
+            # Working set beyond input and output: the partials.
             scratch = sum(
                 part_keys.nbytes + sum(array.nbytes for array in part.values())
                 for part_keys, part in report.results
             )
-            if exchange:
-                scratch += keys.nbytes + sum(a.nbytes for a in inputs.values())
         else:
             assignment, columns = aggregate_groups(
                 keys,
@@ -244,8 +220,8 @@ class GroupBy(MaterialisedOperator):
         output gives whenever the output is sorted on the key, the only
         case in which a plan relies on OG's order.
 
-        Where the output would have been grouped in parts (a parallel or
-        exchange route), the groups come back sorted by key, as the
+        Where the output would have been grouped in parts (a parallel
+        route), the groups come back sorted by key, as the
         parts' merge returns them: the optimiser relies on that order and
         drops an ``ORDER BY`` on the key for these routes.
         """
@@ -323,9 +299,7 @@ class GroupBy(MaterialisedOperator):
             f"{spec.function.value.upper()}({spec.column or '*'}) AS {spec.alias}"
             for spec in self._aggregates
         )
-        if self._exchange:
-            loop = ", loop=exchange"
-        elif self._shards > 1:
+        if self._shards > 1:
             loop = f", shards={self._shards}"
         elif self._parallel:
             loop = ", loop=parallel"

@@ -23,12 +23,7 @@ from repro.engine.kernels.joins import (
     join,
     matches_through_codes,
 )
-from repro.engine.kernels.parallel import (
-    EXCHANGE_JOIN_ALGORITHMS,
-    PARALLEL_PROBE_ALGORITHMS,
-    exchange_join,
-    parallel_join,
-)
+from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS, parallel_join
 from repro.engine.parallel import MIN_PARALLEL_ROWS, MORSEL_ROWS
 from repro.service.context import check_active_context, get_active_context
 from repro.settings import check, get_settings
@@ -102,11 +97,6 @@ class Join(MaterialisedOperator):
         ``False`` forces serial, ``None`` (default) auto-parallelises
         large probe sides when the :class:`~repro.settings.Settings` in
         force have more than one worker. OJ/SOJ always run serially.
-    :param exchange: the MACROMOLECULE-level repartition decision.
-        ``True`` hash-partitions *both* sides and joins each partition
-        pair locally — the build phase parallelises too, unlike the
-        shared-build probe sharding. HJ/BSJ only; output is restored to
-        the exact serial probe-major order.
     :param backend: which pool runs the parallel work: ``"thread"``,
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
@@ -126,7 +116,6 @@ class Join(MaterialisedOperator):
         validate: bool = False,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         parallel: bool | None = None,
-        exchange: bool = False,
         backend: str | None = None,
         columns: Collection[str] | None = None,
     ) -> None:
@@ -141,12 +130,6 @@ class Join(MaterialisedOperator):
                 f"join inputs share column name(s) {sorted(overlap)}; "
                 "qualify them first"
             )
-        if exchange and algorithm not in EXCHANGE_JOIN_ALGORITHMS:
-            raise ExecutionError(
-                f"exchange join supports "
-                f"{sorted(a.value for a in EXCHANGE_JOIN_ALGORITHMS)}, "
-                f"not {algorithm.value!r}"
-            )
         self._left_key = left_key
         self._right_key = right_key
         self._algorithm = algorithm
@@ -154,7 +137,6 @@ class Join(MaterialisedOperator):
         self._validate = validate
         self._chunk_size = chunk_size
         self._parallel = parallel
-        self._exchange = bool(exchange)
         self._backend = None if backend is None else check("backend", backend)
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
@@ -214,41 +196,27 @@ class Join(MaterialisedOperator):
         check_active_context()
         build_keys = left_table[self._left_key]
         probe_keys = right_table[self._right_key]
-        settings = get_settings()
-        backend = self._backend or settings.backend
-        workers = settings.workers
-        note = lambda report: self._note_parallelism(  # noqa: E731
-            report.workers_used, report.busy_seconds
-        )
-        exchange = self._exchange and workers > 1
         build = (
-            None
-            if exchange or not (build_keys.size and probe_keys.size)
-            else self._build_side(left_table)
+            self._build_side(left_table)
+            if build_keys.size and probe_keys.size
+            else None
         )
         dictionary = None if build is None else self._probe_dictionary(right_table)
         if dictionary is not None:
             # Look each distinct probe key up once; the rows follow below.
             probe_keys = dictionary.dictionary
         shards = self._probe_shards(probe_keys.size)
-        if exchange:
-            result = exchange_join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                num_distinct_hint=self._num_distinct_hint,
-                backend=backend,
-                on_report=note,
-            )
-        elif shards > 1:
+        if shards > 1:
             result = parallel_join(
                 build_keys,
                 probe_keys,
                 self._algorithm,
                 shards=shards,
                 num_distinct_hint=self._num_distinct_hint,
-                backend=backend,
-                on_report=note,
+                backend=self._backend or get_settings().backend,
+                on_report=lambda report: self._note_parallelism(
+                    report.workers_used, report.busy_seconds
+                ),
                 build=build,
             )
         else:
@@ -348,9 +316,7 @@ class Join(MaterialisedOperator):
         return output
 
     def describe(self) -> str:
-        if self._exchange:
-            loop = ", loop=exchange"
-        elif self._parallel:
+        if self._parallel:
             loop = ", loop=parallel"
         else:
             loop = ""

@@ -21,9 +21,8 @@ are :class:`repro.settings.Settings` fields):
 * the **task registry** and :func:`run_tasks` — the one entry point for
   intra-operator parallel work: a morsel task is a module-level function
   registered under a name (:func:`task`), run over shared arrays and
-  small per-morsel pieces on either backend. How the rows were split
-  into pieces — ranges (:func:`morsel_boundaries`) or hash partitions —
-  is the caller's step before dispatch, orthogonal to the backend.
+  small per-morsel pieces on either backend. The caller cuts the rows
+  into ranges (:func:`morsel_boundaries`) before dispatch.
 
 Degenerate cases run inline on the calling thread: a single morsel, a
 one-worker configuration, or a call made *from* a worker thread (nested

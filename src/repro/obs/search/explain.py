@@ -285,7 +285,7 @@ def _explain_decision(
 ) -> DecisionExplanation:
     """One join or group-by of the chosen plan against every other
     option of its family — the chosen one recognised as the node's own
-    option, so its exchange or process sibling stays a rival — each
+    option, so its process sibling stays a rival — each
     priced on the node's inputs, or given the reason it could not run.
 
     Both families read alike: an option's ``applicable`` and the reason

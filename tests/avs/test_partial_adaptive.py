@@ -13,7 +13,7 @@ class TestPartialAV:
     def test_offline_binding_shrinks_query_time_space(self):
         partial = bind_offline(bound_level=Granularity.MACROMOLECULE)
         from_scratch, remaining = enumeration_savings(partial)
-        assert from_scratch == 68
+        assert from_scratch == 26
         assert remaining < from_scratch
 
     def test_completions_respect_offline_choice(self):

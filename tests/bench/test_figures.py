@@ -146,7 +146,7 @@ class TestFigure5Bench:
         assert cell.measured_speedup > 1.0
 
     def test_two_workers_widen_the_plan_space(self):
-        """At two workers the DP also prices parallel and exchange plans,
+        """At two workers the DP also prices parallel plans,
         so no cell's DQO plan costs more than at one; every plan runs."""
         sizes = dict(n_r=2_000, n_s=4_000, num_groups=400)
         serial = run_figure5(**sizes)

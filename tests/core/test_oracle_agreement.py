@@ -31,8 +31,10 @@ FILTERED = (
 
 def layout(r_sort=Sortedness.UNSORTED, s_sort=Sortedness.UNSORTED,
            density=Density.SPARSE, **sizes):
-    # Large enough that exchange plans win the S-unsorted x sparse cells
-    # on both backends; the search itself never looks at the rows.
+    # Large enough that the S-unsorted x sparse cells group in parallel at
+    # four workers, on either backend (test_grid_keeps_a_parallel_grouping),
+    # so the grid also checks non-serial verdicts; the search itself never
+    # looks at the rows.
     sizes = dict(n_r=20_000, n_s=50_000, num_groups=2_000, seed=3) | sizes
     return make_join_scenario(
         r_sortedness=r_sort, s_sortedness=s_sort, density=density, **sizes
@@ -79,6 +81,20 @@ def test_figure5_grid(r_sort, s_sort, density, workers, backend, make_config,
                       paper_query):
     config = make_config(workers=workers, backend=backend)
     assert_agreement(paper_query, layout(r_sort, s_sort, density), config)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("r_sort", list(Sortedness))
+def test_grid_keeps_a_parallel_grouping(r_sort, backend, paper_query):
+    catalog = layout(r_sort, Sortedness.UNSORTED, Density.SPARSE)
+    config = dqo_config(workers=4, backend=backend)
+    plan = DynamicProgrammingOptimizer(catalog, config=config).optimize(
+        plan_query(paper_query, catalog)
+    ).plan
+    grouping = next(node for node in plan.walk() if node.op == "group_by")
+    assert grouping.label == {"thread": "HG/parallel", "process": "HG/parallel@process"}[
+        backend
+    ]
 
 
 def test_filtered_and_commuted():

@@ -28,11 +28,16 @@ class TestUnnesting:
             "aggregate_bundle",
         ]
 
-    def test_partition_by_has_six_strategies(self):
+    def test_partition_by_has_five_strategies(self):
         partition = unnest(logical_grouping())[0].children[0]
         alternatives = unnest(partition)
-        assert len(alternatives) == 6
-        assert "exchange_partition" in {a.kind for a in alternatives}
+        assert [a.kind for a in alternatives] == [
+            "index_partition",
+            "presorted_partition",
+            "sort_partition",
+            "index_partition",
+            "index_partition",
+        ]
 
     def test_leaves_do_not_unnest(self):
         partition_alternatives = unnest(

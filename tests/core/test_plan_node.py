@@ -39,7 +39,7 @@ from repro.obs.search import explain_why
 from repro.storage import Catalog, Table
 from repro.storage.disk import BufferManager, write_table
 
-MODES = {"serial", "parallel", "parallel@process", "exchange@thread", "exchange@process"}
+MODES = {"serial", "parallel", "parallel@process"}
 
 
 def scenario_catalog():
@@ -80,9 +80,9 @@ def test_one_spelling_per_mode(paper_query):
 
 def pinned(operator) -> tuple:
     """What a Join / GroupBy operator was told to run: its algorithm and
-    the (parallel, exchange, backend) it pins — ``parallel=None`` would
-    mean auto-detect, i.e. a dropped decision."""
-    return (operator.algorithm, operator._parallel, operator._exchange, operator._backend)
+    the (parallel, backend) it pins — ``parallel=None`` would mean
+    auto-detect, i.e. a dropped decision."""
+    return (operator.algorithm, operator._parallel, operator._backend)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -104,9 +104,7 @@ def test_every_option_lowers_as_costed(backend, memory_storage):
         operator = to_operator(node, catalog)
         option = node.option
         assert isinstance(operator, Join if node.op == "join" else GroupBy)
-        assert pinned(operator) == (
-            option.algorithm, option.parallel, option.exchange, option.backend
-        )
+        assert pinned(operator) == (option.algorithm, option.parallel, option.backend)
         # The two read-only properties perf/harness.py reads.
         assert (node.join_algorithm or node.grouping_algorithm) is option.algorithm
     modes = {node.option.mode for node in nodes}

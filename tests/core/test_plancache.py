@@ -369,20 +369,9 @@ class TestBackendOptionSpace:
     def test_process_config_adds_backend_variants(self):
         config = dqo_config(workers=4, backend="process")
         grouping = grouping_options(config, 4)
-        assert any(
-            o.backend == "process" and o.parallel for o in grouping
-        )
-        assert any(
-            o.backend == "process" and o.exchange for o in grouping
-        )
+        assert any(o.mode == "parallel@process" for o in grouping)
         joins = join_options(config, 4)
-        assert any(o.backend == "process" and o.parallel for o in joins)
-        assert any(o.backend == "process" and o.exchange for o in joins)
-
-    def test_exchange_needs_multiple_workers(self):
-        config = dqo_config(backend="process")
-        assert not any(o.exchange for o in grouping_options(config, 1))
-        assert not any(o.exchange for o in join_options(config, 1))
+        assert any(o.mode == "parallel@process" for o in joins)
 
     def test_backend_changes_config_fingerprint(self):
         thread = dqo_config(workers=4)

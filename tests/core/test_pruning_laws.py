@@ -65,8 +65,8 @@ class TestCoversIsPartialOrder:
         assert correlations.close_sorted(closed) == closed
 
 
-#: the widest option spaces: every algorithm in every loop, exchange and
-#: backend mode.
+#: the widest option spaces: every algorithm in every loop and backend
+#: mode.
 WIDEST = dqo_config(workers=4, backend="process")
 columns = st.sampled_from(COLUMNS)
 correlation_sets = st.builds(Correlations, st.frozensets(st.tuples(columns, columns)))

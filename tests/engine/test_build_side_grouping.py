@@ -14,8 +14,7 @@ OG takes the route only over a sorted build key, and returns its groups
 ascending: exactly OG over the output when that output is sorted on the
 key, up to key order when it is only clustered. Over an unsorted build
 key it groups the output, as before.
-On a parallel or exchange route (two workers, threads or processes) it
-equals the parts' merge over the gathered output, in the merge's
+On a parallel route (two workers, threads or processes) it equals the parts' merge over the gathered output, in the merge's
 ascending key order, which the optimiser relies on to drop an ORDER BY.
 
 OJ looks each run of its sorted probe up once. Its index pairs must be
@@ -46,7 +45,6 @@ from repro.engine import (
 from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
 from repro.engine.executor import explain_analyze
 from repro.engine.kernels.joins import build_side
-from repro.engine.kernels.parallel import EXCHANGE_GROUPING_ALGORITHMS
 from repro.engine.operators.base import chunk_count
 from repro.engine.parallel import MORSEL_ROWS
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
@@ -82,7 +80,6 @@ PARALLEL_AGGREGATES = AGGREGATES + [avg_of("S.F", "avg_f")]
 PARALLEL_ROUTES = {
     "thread": {"parallel": True, "backend": "thread"},
     "process": {"parallel": True, "backend": "process"},
-    "exchange": {"exchange": True},
 }
 #: float64 partial sums reassociated across range shards
 #: (``test_parallel_routes.py``'s tolerance).
@@ -307,13 +304,11 @@ class TestRoute:
 
 
 def parallel_cases():
-    """(grouping, route) for every route the algorithm may take: an
-    exchange cannot run SPHG locally."""
+    """(grouping, route) for every order-free algorithm on every route."""
     return [
         pytest.param(grouping, route, id=f"{grouping.name}-{route}")
         for grouping in ORDER_FREE
         for route in PARALLEL_ROUTES
-        if route != "exchange" or grouping in EXCHANGE_GROUPING_ALGORITHMS
     ]
 
 
@@ -321,7 +316,7 @@ def parallel_cases():
 @pytest.mark.parametrize("shape", ["repeated_build_keys", "unmatched_build_rows", "morsels"])
 @pytest.mark.parametrize("grouping, route", parallel_cases())
 def test_parallel_routes_equal_partitioned_grouping(configured, grouping, route, shape, aggregates):
-    """On a parallel or exchange route the build-side result is what the
+    """On a parallel route the build-side result is what the
     same group-by over the gathered join output returns: the parts'
     merge (``partitioned_group_by``), in its ascending key order. Float
     AVG over range shards adds partial sums in another order."""
@@ -339,7 +334,7 @@ def test_parallel_routes_equal_partitioned_grouping(configured, grouping, route,
     assert np.all(np.diff(result["R.A"]) > 0)
     assert result.schema == reference.schema
     for name in reference.schema.names:
-        if name == "avg_f" and route != "exchange":
+        if name == "avg_f":
             np.testing.assert_allclose(result[name], reference[name], rtol=FLOAT_RTOL)
         else:
             assert np.array_equal(result[name], reference[name]), name
@@ -363,20 +358,16 @@ def unsorted_sparse(n_r: int, n_s: int):
 
 
 class TestFigure5AtTwoWorkers:
-    """At two workers the unsorted-sparse plans group in parts: through
-    an exchange at the paper's sizes under an ORDER BY, in parallel at
-    62 500 x 500 000 rows. Both take the build-side route."""
+    """At two workers and 62 500 x 500 000 rows the unsorted-sparse plan
+    groups in parallel, and takes the build-side route."""
 
-    @pytest.mark.parametrize(
-        "sizes", [(45_000, 90_000), (62_500, 500_000)], ids=["exchange", "parallel"]
-    )
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_order_by_the_key_needs_no_sort(self, sizes, backend):
-        catalog = unsorted_sparse(*sizes)
+    def test_order_by_the_key_needs_no_sort(self, backend):
+        catalog = unsorted_sparse(62_500, 500_000)
         logical = plan_query(FIG5_QUERY + " ORDER BY R.A", catalog)
         plan = optimize_dqo(logical, catalog, workers=2, backend=backend).plan
         grouping = next(node for node in plan.walk() if node.op == "group_by")
-        assert grouping.option.parallel or grouping.option.exchange
+        assert grouping.option.parallel
         assert all(node.op != "sort" for node in plan.walk())
         with scoped_settings(workers=2, backend=backend):
             table = execute(to_operator(plan, catalog))

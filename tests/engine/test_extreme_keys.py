@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import exchange_join, parallel_group_by, parallel_join
+from repro.engine.kernels.parallel import parallel_group_by, parallel_join
 from repro.indexes.hash_table import murmur3_finalizer
 
 INT64 = np.iinfo(np.int64)
@@ -58,10 +58,6 @@ ROUTES = {
     "thread": (
         partial(parallel_group_by, shards=3, workers=2),
         partial(parallel_join, shards=3, workers=2),
-    ),
-    "exchange": (
-        partial(parallel_group_by, shards=3, workers=2, partitioning="hash"),
-        partial(exchange_join, workers=2),
     ),
     "process": (
         partial(parallel_group_by, shards=3, workers=2, backend="process"),

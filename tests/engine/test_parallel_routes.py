@@ -1,13 +1,12 @@
 """One route matrix: every parallel route returns what the serial kernel does.
 
-A route is backend {thread, process} x partitioning {range, hash}; each
+A route is a backend {thread, process} over contiguous range shards; each
 is checked for every algorithm it applies to, through the kernel API
-(``parallel_group_by`` / ``parallel_join`` / ``exchange_join``) and
-through the ``GroupBy`` / ``Join`` operators. Joins are compared bit for
-bit; grouping up to key order (the merge sorts). A float aggregate input
-is the one place arithmetic may reassociate: range shards add a group's
-partial sums in another order than the serial pass (tolerance below),
-hash partitions keep each group's rows together and stay exact.
+(``parallel_group_by`` / ``parallel_join``) and through the ``GroupBy`` /
+``Join`` operators. Joins are compared bit for bit; grouping up to key
+order (the merge sorts). A float aggregate input is the one place
+arithmetic may reassociate: range shards add a group's partial sums in
+another order than the serial pass (tolerance below).
 """
 
 import numpy as np
@@ -27,10 +26,7 @@ from repro.engine import (
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
 from repro.engine.kernels.parallel import (
-    EXCHANGE_GROUPING_ALGORITHMS,
-    EXCHANGE_JOIN_ALGORITHMS,
     PARALLEL_PROBE_ALGORITHMS,
-    exchange_join,
     parallel_group_by,
     parallel_join,
 )
@@ -50,42 +46,25 @@ INT64 = np.iinfo(np.int64)
 #: empty bucket), both ends of int64, and enough else to collide.
 EXTREME_KEYS = (-1, INT64.min, INT64.max, 0, -2, 1, INT64.min + 1, INT64.max - 1, 7)
 
-ROUTES = [
-    pytest.param(backend, partitioning, id=f"{backend}-{partitioning}")
-    for backend in ("thread", "process")
-    for partitioning in ("range", "hash")
-]
+BACKENDS = ("thread", "process")
+ROUTES = [pytest.param(backend, id=f"{backend}-range") for backend in BACKENDS]
 
 
-def route_cases(range_algorithms, hash_algorithms):
-    """(backend, partitioning, algorithm) for every applicable algorithm."""
+def route_cases(algorithms):
+    """(backend, algorithm) for every applicable algorithm."""
     return [
-        pytest.param(
-            backend, partitioning, algorithm,
-            id=f"{backend}-{partitioning}-{algorithm.name}",
-        )
-        for backend in ("thread", "process")
-        for partitioning, algorithms in (
-            ("range", range_algorithms),
-            ("hash", hash_algorithms),
-        )
+        pytest.param(backend, algorithm, id=f"{backend}-range-{algorithm.name}")
+        for backend in BACKENDS
         for algorithm in sorted(algorithms, key=lambda a: a.name)
     ]
 
 
-GROUPING_CASES = route_cases(GroupingAlgorithm, EXCHANGE_GROUPING_ALGORITHMS)
-JOIN_CASES = route_cases(PARALLEL_PROBE_ALGORITHMS, EXCHANGE_JOIN_ALGORITHMS)
+GROUPING_CASES = route_cases(GroupingAlgorithm)
+JOIN_CASES = route_cases(PARALLEL_PROBE_ALGORITHMS)
 
 
-def routed_join(build, probe, algorithm, backend, partitioning, parts, **kwargs):
-    """``parts`` probe shards on two workers, or — an exchange has one
-    partition per worker — ``parts`` of each (kept <= 4: the shared
-    thread pool never shrinks, and other modules' timing tests assume a
-    small one)."""
-    if partitioning == "hash":
-        return exchange_join(
-            build, probe, algorithm, workers=parts, backend=backend, **kwargs
-        )
+def routed_join(build, probe, algorithm, backend, parts, **kwargs):
+    """``parts`` probe shards on two workers."""
     return parallel_join(
         build, probe, algorithm, shards=parts, workers=2, backend=backend, **kwargs
     )
@@ -111,45 +90,40 @@ def scenario():
 
 class TestGroupingKernel:
     @pytest.mark.parametrize("values", ["int", "float", None])
-    @pytest.mark.parametrize("backend, partitioning, algorithm", GROUPING_CASES)
-    def test_equals_serial(
-        self, dataset, floats, backend, partitioning, algorithm, values
-    ):
+    @pytest.mark.parametrize("backend, algorithm", GROUPING_CASES)
+    def test_equals_serial(self, dataset, floats, backend, algorithm, values):
         payload = {"int": dataset.payload, "float": floats, None: None}[values]
         serial = group_by(
             dataset.keys, payload, algorithm, num_distinct_hint=37
         ).sorted_by_key()
         result = parallel_group_by(
             dataset.keys, payload, algorithm, shards=7, num_distinct_hint=37,
-            workers=2, backend=backend, partitioning=partitioning,
+            workers=2, backend=backend,
         )
         assert np.all(np.diff(result.keys) > 0)  # the merge sorts
         assert np.array_equal(result.keys, serial.keys)
         assert np.array_equal(result.counts, serial.counts)
         assert result.sums.dtype == serial.sums.dtype
-        if values == "float" and partitioning == "range":
+        if values == "float":
             np.testing.assert_allclose(result.sums, serial.sums, rtol=FLOAT_RTOL)
         else:
             assert np.array_equal(result.sums, serial.sums)
 
-    @pytest.mark.parametrize("backend, partitioning", ROUTES)
-    def test_degenerate_inputs_run_serially(self, backend, partitioning):
-        route = dict(backend=backend, partitioning=partitioning)
+    @pytest.mark.parametrize("backend", ROUTES)
+    def test_degenerate_inputs_run_serially(self, backend):
         empty = parallel_group_by(
-            np.empty(0, dtype=np.int64), None, GroupingAlgorithm.HG, shards=4, **route
+            np.empty(0, dtype=np.int64), None, GroupingAlgorithm.HG, shards=4,
+            backend=backend,
         )
         assert empty.num_groups == 0
         few = parallel_group_by(
-            np.array([5, 5, 6]), None, GroupingAlgorithm.SOG, shards=50, **route
+            np.array([5, 5, 6]), None, GroupingAlgorithm.SOG, shards=50, backend=backend
         )
         assert (few.keys.tolist(), few.counts.tolist()) == ([5, 6], [2, 1])
         with pytest.raises(PreconditionError):
-            parallel_group_by(np.array([1]), None, GroupingAlgorithm.HG, shards=0, **route)
-
-    @pytest.mark.parametrize("algorithm", [GroupingAlgorithm.OG, GroupingAlgorithm.SPHG])
-    def test_hash_partitioning_refuses_what_it_breaks(self, dataset, algorithm):
-        with pytest.raises(PreconditionError):
-            parallel_group_by(dataset.keys, None, algorithm, partitioning="hash")
+            parallel_group_by(
+                np.array([1]), None, GroupingAlgorithm.HG, shards=0, backend=backend
+            )
 
 
 class TestGroupByOperator:
@@ -172,8 +146,8 @@ class TestGroupByOperator:
             )
         ).sort_by(["key"])
 
-    @pytest.mark.parametrize("backend, partitioning, algorithm", GROUPING_CASES)
-    def test_equals_serial(self, dataset, floats, backend, partitioning, algorithm):
+    @pytest.mark.parametrize("backend, algorithm", GROUPING_CASES)
+    def test_equals_serial(self, dataset, floats, backend, algorithm):
         """Includes the float-input regression: every partial used to be
         truncated to SUM's INT64 before the merge, so ``sum_f`` came out
         up to one per shard short of the serial answer and ``avg_f`` was
@@ -183,13 +157,10 @@ class TestGroupByOperator:
         )
         serial = self.grouped(table, algorithm, parallel=False)
         with scoped_settings(workers=2):
-            if partitioning == "hash":
-                result = self.grouped(table, algorithm, exchange=True, backend=backend)
-            else:
-                result = self.grouped(table, algorithm, shards=7, backend=backend)
+            result = self.grouped(table, algorithm, shards=7, backend=backend)
         assert result.schema == serial.schema
         for name in serial.schema.names:
-            if name == "avg_f" and partitioning == "range":
+            if name == "avg_f":
                 np.testing.assert_allclose(
                     result[name], serial[name], rtol=FLOAT_RTOL
                 )
@@ -199,10 +170,8 @@ class TestGroupByOperator:
 
 class TestJoinKernel:
     @pytest.mark.parametrize("build_keys", ["distinct", "duplicated"])
-    @pytest.mark.parametrize("backend, partitioning, algorithm", JOIN_CASES)
-    def test_bit_identical_to_serial(
-        self, scenario, backend, partitioning, algorithm, build_keys
-    ):
+    @pytest.mark.parametrize("backend, algorithm", JOIN_CASES)
+    def test_bit_identical_to_serial(self, scenario, backend, algorithm, build_keys):
         """Distinct build keys take the one-gather fast path, duplicated
         ones the general match expansion; neither may be observable."""
         build, probe = scenario.r["ID"], scenario.s["R_ID"]
@@ -211,8 +180,7 @@ class TestJoinKernel:
         serial = join(build, probe, algorithm)
         reports = []
         result = routed_join(
-            build, probe, algorithm, backend, partitioning, 4,
-            on_report=reports.append,
+            build, probe, algorithm, backend, 4, on_report=reports.append
         )
         for got, want in (
             (result.left_indices, serial.left_indices),
@@ -223,17 +191,17 @@ class TestJoinKernel:
         assert len(reports) == 1 and len(reports[0].results) == 4
         assert reports[0].workers_used >= 1 and reports[0].busy_seconds >= 0.0
 
-    @pytest.mark.parametrize("backend, partitioning", ROUTES)
-    def test_empty_sides_run_serially(self, backend, partitioning):
+    @pytest.mark.parametrize("backend", ROUTES)
+    def test_empty_sides_run_serially(self, backend):
         some, none = np.arange(5, dtype=np.int64), np.empty(0, dtype=np.int64)
         for build, probe in ((some, none), (none, some)):
-            result = routed_join(build, probe, JoinAlgorithm.HJ, backend, partitioning, 3)
+            result = routed_join(build, probe, JoinAlgorithm.HJ, backend, 3)
             assert result.left_indices.size == result.right_indices.size == 0
 
 
 class TestJoinOperator:
-    @pytest.mark.parametrize("backend, partitioning, algorithm", JOIN_CASES)
-    def test_equals_serial(self, scenario, backend, partitioning, algorithm):
+    @pytest.mark.parametrize("backend, algorithm", JOIN_CASES)
+    def test_equals_serial(self, scenario, backend, algorithm):
         def run(**route):
             return execute(
                 Join(
@@ -244,11 +212,7 @@ class TestJoinOperator:
 
         serial = run(parallel=False)
         with scoped_settings(workers=2):
-            result = run(
-                parallel=partitioning == "range",
-                exchange=partitioning == "hash",
-                backend=backend,
-            )
+            result = run(parallel=True, backend=backend)
         assert result.schema == serial.schema
         for name in serial.schema.names:
             assert np.array_equal(result[name], serial[name]), name
@@ -259,24 +223,24 @@ keys_of = st.lists(st.sampled_from(EXTREME_KEYS), min_size=1, max_size=60).map(
 )
 
 
-@pytest.mark.parametrize("backend, partitioning", ROUTES)
+@pytest.mark.parametrize("backend", ROUTES)
 @settings(max_examples=40, deadline=None)
 @given(build=keys_of, probe=keys_of, shards=st.integers(1, 12), parts=st.integers(2, 4))
-def test_no_key_value_is_special(backend, partitioning, build, probe, shards, parts):
+def test_no_key_value_is_special(backend, build, probe, shards, parts):
     """-1, both ends of int64 and heavy duplication on every route: the
     hash families against the sort-based ones, and against themselves
     run serially."""
     values = np.arange(build.size, dtype=np.int64)
     hashed = parallel_group_by(
         build, values, GroupingAlgorithm.HG, shards=shards, workers=2,
-        backend=backend, partitioning=partitioning,
+        backend=backend,
     ).sorted_by_key()
     sort_based = group_by(build, values, GroupingAlgorithm.SOG)
     assert np.array_equal(hashed.keys, sort_based.keys)
     assert np.array_equal(hashed.counts, sort_based.counts)
     assert np.array_equal(hashed.sums, sort_based.sums)
 
-    joined = routed_join(build, probe, JoinAlgorithm.HJ, backend, partitioning, parts)
+    joined = routed_join(build, probe, JoinAlgorithm.HJ, backend, parts)
     serial = join(build, probe, JoinAlgorithm.HJ)
     assert np.array_equal(joined.left_indices, serial.left_indices)
     assert np.array_equal(joined.right_indices, serial.right_indices)
@@ -311,10 +275,9 @@ def test_integer_sum_is_exact_on_every_route(route, rows, shards):
     if route == "serial":
         result = group_by(keys, values, GroupingAlgorithm.HG)
     else:
-        backend, partitioning = route.split("-")
         result = parallel_group_by(
             keys, values, GroupingAlgorithm.HG, shards=shards, workers=2,
-            backend=backend, partitioning=partitioning,
+            backend=route.removesuffix("-range"),
         )
     assert dict(zip(result.keys.tolist(), result.sums.tolist())) == expected
 
@@ -325,22 +288,19 @@ def small_keys(low, high):
     )
 
 
-@pytest.mark.parametrize("backend, partitioning", ROUTES)
+@pytest.mark.parametrize("backend", ROUTES)
 @settings(max_examples=40, deadline=None)
 @given(build=small_keys(-3, 12), probe=small_keys(-8, 20), parts=st.integers(2, 4))
-def test_misses_gaps_and_duplicates(backend, partitioning, build, probe, parts):
+def test_misses_gaps_and_duplicates(backend, build, probe, parts):
     """Build keys distinct or repeated over a domain with unoccupied
     slots, probe keys that miss inside and outside it: every algorithm
     of the route, bit for bit."""
-    algorithms = (
-        EXCHANGE_JOIN_ALGORITHMS if partitioning == "hash" else PARALLEL_PROBE_ALGORITHMS
-    )
-    for algorithm in algorithms:
+    for algorithm in PARALLEL_PROBE_ALGORITHMS:
         try:
             serial = join(build, probe, algorithm)
         except PreconditionError:  # SPHJ over too sparse a draw
             continue
-        result = routed_join(build, probe, algorithm, backend, partitioning, parts)
+        result = routed_join(build, probe, algorithm, backend, parts)
         assert np.array_equal(result.left_indices, serial.left_indices), algorithm
         assert np.array_equal(result.right_indices, serial.right_indices), algorithm
 

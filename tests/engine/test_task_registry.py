@@ -48,18 +48,6 @@ PAYLOADS = {
         },
         BOUNDS,
     ),
-    "join_partition": (
-        {
-            "build": np.arange(60)[::2],
-            "probe": KEYS,
-            "algorithm": JoinAlgorithm.BSJ,
-            "num_distinct_hint": None,
-        },
-        [
-            {"build_start": 0, "build_stop": 30, "probe_start": 0, "probe_stop": 900},
-            {"build_start": 5, "build_stop": 25, "probe_start": 900, "probe_stop": 3_000},
-        ],
-    ),
     "sleep": ({"seconds": 0.0}, [{"token": "a"}, {"token": "b"}]),
 }
 

@@ -127,7 +127,7 @@ class TestExplainWhy:
             labels = [rival["algorithm"] for rival in decision.rivals]
             assert len(set(labels)) == len(labels)
             assert decision.algorithm not in labels
-            assert any("exchange@process" in label for label in labels)
+            assert any("parallel@process" in label for label in labels)
             for rival in decision.rivals:
                 if rival["applicable"]:
                     assert rival["cost"] == pytest.approx(searched[rival["algorithm"]])
