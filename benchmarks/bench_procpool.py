@@ -1,8 +1,8 @@
 """Extension bench: the parallel scaling curve (serial / thread / process).
 
-Times the same >= 1M-row grouping and join workloads through the
-``GroupBy`` and ``Join`` operators — the entry points a query takes — on
-all three execution strategies: serial, the thread morsel pool, and the
+Times the same >= 1M-row grouping workload through the ``GroupBy``
+operator — the entry point a query takes — on all three execution
+strategies: serial, the thread morsel pool, and the
 process pool with shared-memory columns, at 1/2/4 workers, and records
 the full curve as one JSON artifact. The speed-up claims (thread >= 1.5x
 and process >= 2x over serial for 4-worker grouping) are asserted only
@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from repro._util.timer import time_callable
-from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
+from repro.datagen import Density, Sortedness, make_grouping_dataset
 from repro.engine import count_star, execute, sum_of
 from repro.engine.kernels.grouping import GroupingAlgorithm
-from repro.engine.kernels.joins import JoinAlgorithm
-from repro.engine.operators import GroupBy, Join, TableScan
+from repro.engine.operators import GroupBy, TableScan
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -45,20 +44,6 @@ def table(bench_rows):
     ).to_table()
 
 
-@pytest.fixture(scope="module")
-def join_scenario(bench_rows):
-    rows = max(min(bench_rows, 4_000_000), 1_000_000)
-    return make_join_scenario(
-        n_r=rows // 4,
-        n_s=rows,
-        num_groups=GROUPS,
-        r_sortedness=Sortedness.UNSORTED,
-        s_sortedness=Sortedness.UNSORTED,
-        density=Density.DENSE,
-        seed=0,
-    )
-
-
 def grouped(table, workers=1, **route):
     """SPHG through the operator: serial, or 8 shards on ``backend``."""
     return execute(
@@ -74,36 +59,17 @@ def grouped(table, workers=1, **route):
     )
 
 
-def joined(scenario, workers=1, **route):
-    """HJ through the operator: serial, or one probe shard per worker."""
-    return execute(
-        Join(
-            TableScan(scenario.r),
-            TableScan(scenario.s),
-            "ID",
-            "R_ID",
-            algorithm=JoinAlgorithm.HJ,
-            **route,
-        ),
-        workers=workers,
-    )
-
-
-def test_parallel_routes_identity(table, join_scenario):
+def test_parallel_routes_identity(table):
     """Before any timing claim: both backends return the serial rows
-    (grouping up to the merge's key sort, join exactly)."""
+    (up to the merge's key sort)."""
     serial = grouped(table, parallel=False).sort_by(["key"])
-    serial_join = joined(join_scenario, parallel=False)
     for backend in ("thread", "process"):
         sharded = grouped(table, 2, shards=SHARDS, backend=backend)
         for name in serial.schema.names:
             assert np.array_equal(sharded[name], serial[name]), (backend, name)
-        probed = joined(join_scenario, 2, parallel=True, backend=backend)
-        for name in serial_join.schema.names:
-            assert np.array_equal(probed[name], serial_join[name]), (backend, name)
 
 
-def test_scaling_curve_serial_thread_process(table, join_scenario, bench_artifact):
+def test_scaling_curve_serial_thread_process(table, bench_artifact):
     """The scaling claim: serial vs thread pool vs process pool at 1/2/4
     workers on the same >= 1M-row workloads."""
     cores = os.cpu_count() or 1
@@ -111,9 +77,6 @@ def test_scaling_curve_serial_thread_process(table, join_scenario, bench_artifac
 
     timings["grouping/serial"] = time_callable(
         lambda: grouped(table, parallel=False), repeats=3, warmup=1
-    )
-    timings["join/serial"] = time_callable(
-        lambda: joined(join_scenario, parallel=False), repeats=3, warmup=1
     )
     for workers in WORKER_COUNTS:
         for backend in ("thread", "process"):
@@ -123,19 +86,12 @@ def test_scaling_curve_serial_thread_process(table, join_scenario, bench_artifac
                 ),
                 repeats=3, warmup=1,
             )
-            timings[f"join/{backend}{workers}"] = time_callable(
-                lambda w=workers, b=backend: joined(
-                    join_scenario, w, parallel=True, backend=b
-                ),
-                repeats=3, warmup=1,
-            )
 
     speedups = {
-        f"{kind}/{backend}{workers}": (
-            timings[f"{kind}/serial"].best
-            / timings[f"{kind}/{backend}{workers}"].best
+        f"grouping/{backend}{workers}": (
+            timings["grouping/serial"].best
+            / timings[f"grouping/{backend}{workers}"].best
         )
-        for kind in ("grouping", "join")
         for backend in ("thread", "process")
         for workers in WORKER_COUNTS
     }

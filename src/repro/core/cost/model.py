@@ -167,8 +167,8 @@ class CostModel:
     def ipc_row_cost(self) -> float:
         """Abstract cost of moving one result row across the process
         boundary (pickle + queue copy). Inputs are free — they travel
-        through shared memory — so only *outputs* (partial aggregates,
-        match indices) are charged."""
+        through shared memory — so only *outputs* (partial aggregates)
+        are charged."""
         return 0.5
 
     def dispatch_cost(self, backend: str) -> float:
@@ -222,31 +222,4 @@ class CostModel:
         )
         if backend == "process":
             cost += self.ipc_row_cost() * w * max(float(num_groups), 1.0)
-        return cost
-
-    def parallel_join_cost(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-        workers: float,
-        backend: str = "thread",
-    ) -> float:
-        """Cost of the shared-build, sharded-probe join variant: the
-        build phase stays serial (erected once — in shared memory for the
-        process backend), the probe phase divides across the backend's
-        :meth:`effective_workers`, plus per-worker dispatch. The process
-        backend ships one output index pair per probe row back over the
-        queue. Strictly worse than :meth:`join_cost` at ``workers = 1``."""
-        w = max(float(workers), 1.0)
-        ew = self.effective_workers(w, backend)
-        serial = self.join_cost(algorithm, left_rows, right_rows, num_groups)
-        build = min(
-            self.join_build_cost(algorithm, left_rows, right_rows, num_groups),
-            serial,
-        )
-        cost = build + (serial - build) / ew + w * self.dispatch_cost(backend)
-        if backend == "process":
-            cost += self.ipc_row_cost() * max(float(right_rows), 1.0)
         return cost

@@ -38,7 +38,6 @@ from repro.core.plan import implementation_label, mode_token
 from repro.core.properties import Correlations, PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder
-from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
 from repro.indexes.perfect_hash import MIN_DENSITY
 
 #: the blackbox textbook operator catalogue available to SQO. SPH variants
@@ -75,7 +74,13 @@ def stays_dense(domain_size: float, rows: float) -> bool:
 class _Spelled:
     """How an option names itself, through the plan's one mode renderer
     (:func:`repro.core.plan.mode_token`). Options are immutable and
-    shared by every candidate, so each spelling is rendered once."""
+    shared by every candidate, so each spelling is rendered once.
+
+    An option that makes no loop decision (every join) runs serially on
+    the calling thread; :class:`GroupingOption` overrides both fields."""
+
+    parallel = False
+    backend = "thread"
 
     @functools.cached_property
     def mode(self) -> str:
@@ -84,7 +89,7 @@ class _Spelled:
 
     @functools.cached_property
     def label(self) -> str:
-        """``SPHJ``, ``HG/parallel``, ``HJ/parallel@process``."""
+        """``SPHJ``, ``HG/parallel``, ``HG/parallel@process``."""
         return implementation_label(self.algorithm.name, self.mode)
 
 
@@ -175,18 +180,13 @@ class GroupingOption(_Spelled):
 class JoinOption(_Spelled):
     """One candidate join implementation (build = left, probe = right).
 
-    ``parallel`` reflects the recipe's MOLECULE-level ``loop`` binding:
-    the build structure is erected once, then probed by concurrent probe
-    morsels. Only the probe-streaming families (HJ/SPHJ/BSJ) shard this
-    way, and shard outputs concatenate back in probe order, so the
-    parallel variant derives exactly the serial variant's properties.
-    ``backend`` picks the pool.
+    A join always runs the serial kernel: its recipe's ``loop`` is bound
+    ``serial``, and its mode is ``serial``. Parallel work stays in the
+    grouping's parallel load (Figure 3e).
     """
 
     algorithm: JoinAlgorithm
     recipe: Granule | None = None
-    parallel: bool = False
-    backend: str = "thread"
 
     @functools.cached_property
     def output_order(self) -> JoinOutputOrder:
@@ -332,39 +332,23 @@ def _grouping_options(
     return tuple(options)
 
 
-def join_options(
-    config: OptimizerConfig, workers: int = 1
-) -> tuple[JoinOption, ...]:
-    """The join implementation space of a configuration (see
-    :func:`grouping_options`; enumerated once per configuration too).
-    Parallel-loop recipes are kept only for the probe-streaming families
-    whose sharded probe is bit-identical to the serial kernel
-    (:data:`PARALLEL_PROBE_ALGORITHMS`)."""
-    return _join_options(
-        config.is_deep, config.max_granularity, config.backend, workers > 1
-    )
+def join_options(config: OptimizerConfig) -> tuple[JoinOption, ...]:
+    """The join implementation space of a configuration: one option per
+    algorithm, whatever the worker count or backend (enumerated once per
+    configuration, like :func:`grouping_options`). Deep configurations
+    keep each algorithm's first serial-loop recipe of the lattice."""
+    return _join_options(config.is_deep, config.max_granularity)
 
 
 @functools.cache
 def _join_options(
-    is_deep: bool, max_granularity: Granularity, config_backend: str, many_workers: bool
+    is_deep: bool, max_granularity: Granularity
 ) -> tuple[JoinOption, ...]:
     if not is_deep:
         return tuple(JoinOption(algorithm) for algorithm in SQO_JOIN_CATALOG)
-    options: list[JoinOption] = []
-    seen: set[tuple[JoinAlgorithm, bool, str]] = set()
+    options: dict[JoinAlgorithm, JoinOption] = {}
     for recipe in enumerate_recipes(logical_join(), max_granularity):
         algorithm = recipe_join_algorithm(recipe)
-        parallel, backend = _recipe_mode(recipe)
-        if parallel and not many_workers:
-            continue
-        if backend == "process" and config_backend != "process":
-            continue
-        if parallel and algorithm not in PARALLEL_PROBE_ALGORITHMS:
-            continue
-        key = (algorithm, parallel, backend)
-        if key in seen:
-            continue
-        seen.add(key)
-        options.append(JoinOption(algorithm, recipe, parallel, backend))
-    return tuple(options)
+        if algorithm not in options and recipe_loop(recipe) == "serial":
+            options[algorithm] = JoinOption(algorithm, recipe)
+    return tuple(options.values())

@@ -67,12 +67,13 @@ def option_cost(
     for a grouping. The mode and backend are decided here and nowhere
     else, so no two readers can quote different prices for one option.
     """
-    join = isinstance(option, JoinOption)
+    if isinstance(option, JoinOption):
+        return model.join_cost(option.algorithm, *sizes)
     if not option.parallel:
-        price = model.join_cost if join else model.grouping_cost
-        return price(option.algorithm, *sizes)
-    price = model.parallel_join_cost if join else model.parallel_grouping_cost
-    return price(option.algorithm, *sizes, float(workers), option.backend)
+        return model.grouping_cost(option.algorithm, *sizes)
+    return model.parallel_grouping_cost(
+        option.algorithm, *sizes, float(workers), option.backend
+    )
 
 
 def base_access_cost(
@@ -246,7 +247,7 @@ class PlanSpace:
         self._join_estimates: dict[tuple[int, int, int], tuple] = {}
         self.scans = [self._scan_context(scan) for scan in spec.scans]
         self._mark_interesting()
-        options = join_options(config, workers)
+        options = join_options(config)
         self.orientations = {
             edge: self._orientations(edge, options) for edge in spec.joins
         }

@@ -135,7 +135,7 @@ class PhysicalNode:
     @property
     def label(self) -> str:
         """The node's head as plan summaries spell it, children aside:
-        ``HJ/parallel@process``, ``scan(S via btree(R_ID))``,
+        ``HG/parallel@process``, ``scan(S via btree(R_ID))``,
         ``sort[S.R_ID]``, ``filter``."""
         decided = self.decision
         if self.op in ALGORITHMIC_OPS:
@@ -225,7 +225,7 @@ def mode_token(parallel: bool, backend: str) -> str:
 
 
 def implementation_label(algorithm: str, mode: str) -> str:
-    """``SPHJ``, ``HG/parallel``, ``HJ/parallel@process``: an algorithm
+    """``SPHJ``, ``HG/parallel``, ``HG/parallel@process``: an algorithm
     named with its :func:`mode_token`, serial left unmarked."""
     return algorithm if mode == "serial" else f"{algorithm}/{mode}"
 
@@ -510,8 +510,6 @@ def _lower_node(
         )
     if node.op == "sort":
         return Sort(child(0, _also(required, *decided)), list(decided))
-    # A costed plan must execute as costed: the option's loop decision is
-    # pinned (True/False, never the auto-detect None), with its backend.
     option = node.option
     if node.op == "join":
         needs = _also(required, *decided.keys)
@@ -521,11 +519,12 @@ def _lower_node(
             *decided.keys,
             algorithm=option.algorithm,
             validate=validate,
-            parallel=option.parallel,
-            backend=option.backend,
             columns=required,
         )
     if node.op == "group_by":
+        # A costed plan must execute as costed: the option's loop decision
+        # is pinned (True/False, never the auto-detect None), with its
+        # backend.
         (key,) = decided.keys
         inputs = {spec.column for spec in decided.aggregates if spec.column is not None}
         operator: PhysicalOperator = GroupBy(

@@ -15,12 +15,7 @@ from repro.engine.kernels.grouping import (
     perfect_hash_slots,
     sort_order_slots,
 )
-from repro.engine.kernels.parallel import (
-    PARALLEL_PROBE_ALGORITHMS,
-    merge_partials,
-    parallel_group_by,
-    parallel_join,
-)
+from repro.engine.kernels.parallel import merge_partials, parallel_group_by
 from repro.engine.kernels.rle_grouping import rle_compress_with_sums, rle_group_by
 from repro.engine.kernels.joins import (
     JOIN_KERNELS,
@@ -55,9 +50,7 @@ __all__ = [
     "merge_join",
     "merge_partials",
     "order_slots",
-    "PARALLEL_PROBE_ALGORITHMS",
     "parallel_group_by",
-    "parallel_join",
     "perfect_hash_join",
     "rle_compress_with_sums",
     "rle_group_by",

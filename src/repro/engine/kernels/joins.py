@@ -196,9 +196,6 @@ class BuildSide:
     each slot's run, and :func:`expand_matches` produces the pairs. Both
     emit pairs probe-major with build rows ascending, so which of the two
     ran is not observable in the output.
-
-    All fields are arrays or scalars, so a build side erected once can be
-    published to worker processes field by field and reassembled there.
     """
 
     kind: str

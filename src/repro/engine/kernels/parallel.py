@@ -1,24 +1,18 @@
-"""Morsel-parallel grouping and join kernels (Figure 3e's "parallel load").
+"""Morsel-parallel grouping (Figure 3e's "parallel load").
 
 Figure 3(e) unnests grouping into *SPH + parallel load*; the MOLECULE-level
 ``loop`` parameter of the physiological lattice chooses serial vs parallel.
-This module implements the parallel variants the way morsel-driven engines
+This module implements the parallel variant the way morsel-driven engines
 do ([14] Leis et al.): rows are cut into contiguous ranges
 (:func:`~repro.engine.parallel.morsel_boundaries`) and a pool — threads or
 processes (:func:`~repro.engine.parallel.run_tasks`) — runs the pieces.
 
-The work done per piece is one of two tasks, each written once and
-registered by name so either pool runs the same function:
-
-=================  ==================================================
-``group_partial``  a slice of key + aggregate-input arrays -> partial
-                   aggregate arrays, merged by :func:`merge_partials`
-``probe``          a shared :class:`BuildSide` x a probe slice ->
-                   index pairs (probe-major, so slices concatenate)
-=================  ==================================================
-
-Both backends return the serial kernels' bits: grouping up to key order
-(the merge sorts), joins exactly.
+The work done per piece is the ``group_partial`` task, written once and
+registered by name so either pool runs the same function: a slice of
+key + aggregate-input arrays -> partial aggregate arrays, merged by
+:func:`merge_partials`. Both backends return the serial kernel's bits up
+to key order (the merge sorts). Joins have no parallel form: every join
+runs the serial kernel.
 """
 
 from __future__ import annotations
@@ -39,14 +33,6 @@ from repro.engine.kernels.grouping import (
     aggregate_groups,
     group_by,
 )
-from repro.engine.kernels.joins import (
-    BuildSide,
-    JoinAlgorithm,
-    JoinOutputOrder,
-    JoinResult,
-    build_side,
-    join,
-)
 from repro.engine.parallel import (
     MorselReport,
     morsel_boundaries,
@@ -54,18 +40,6 @@ from repro.engine.parallel import (
     task,
 )
 from repro.errors import ExecutionError, PreconditionError
-
-#: join algorithms whose probe phase shards safely: the build structure is
-#: read-only during probing and output is probe-major, so concatenating
-#: shard outputs reproduces the serial result exactly. OJ/SOJ interleave
-#: both inputs and fall back to the serial kernel.
-PARALLEL_PROBE_ALGORITHMS = frozenset(
-    {JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ}
-)
-
-
-# ---------------------------------------------------------------------------
-# grouping: range shards -> group_partial per piece -> merge_partials
 
 
 def decompose_partials(aggregates: list[AggregateSpec]) -> list[AggregateSpec]:
@@ -236,94 +210,4 @@ def parallel_group_by(
         counts=merged["counts"],
         sums=merged.get("sums", np.zeros(merged_keys.size, dtype=np.int64)),
         key_order=KeyOrder.SORTED,
-    )
-
-
-# ---------------------------------------------------------------------------
-# joins: shared build x sharded probe
-
-
-@task("probe")
-def probe_task(payload: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Probe rows ``[start, stop)`` of the probe side against the shared
-    build side; probe rows are reported in whole-input positions."""
-    start, stop = payload["start"], payload["stop"]
-    left, probe_out = BuildSide(**payload["build"]).probe(
-        payload["probe"][start:stop]
-    )
-    return left, probe_out + np.int64(start)
-
-
-def _concatenated(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
-def parallel_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    algorithm: JoinAlgorithm,
-    shards: int = 4,
-    num_distinct_hint: int | None = None,
-    workers: int | None = None,
-    on_report=None,
-    backend: str = "thread",
-    build: BuildSide | None = None,
-) -> JoinResult:
-    """Shared-build, sharded-probe join: the morsel-parallel join form.
-
-    The build side's structure (hash table / SPH array / sorted array)
-    is erected once on the calling thread, unless ``build`` is it
-    already (see :func:`~repro.engine.kernels.joins.join`); probe
-    morsels then scan it read-only in parallel — pool threads read the
-    arrays themselves, worker processes map the one published copy (a
-    build side passed again is not published again: the store caches
-    its arrays by identity). Because HJ/SPHJ/BSJ expand matches
-    probe-major, concatenating the shard outputs in shard order yields
-    exactly the serial kernel's output.
-
-    OJ and SOJ merge both inputs in lockstep — there is no read-only
-    shared structure to probe — so they fall back to the serial kernel.
-
-    :param on_report: optional callback receiving the scheduling
-        :class:`~repro.engine.parallel.MorselReport` (operators use it to
-        attribute per-node parallelism degree and worker busy time).
-    :raises PreconditionError: if ``shards`` < 1, or the underlying
-        kernel's precondition fails (e.g. SPHJ over a sparse domain).
-    """
-    if shards < 1:
-        raise PreconditionError(f"shards must be >= 1, got {shards}")
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if (
-        algorithm not in PARALLEL_PROBE_ALGORITHMS
-        or shards == 1
-        or build_keys.size == 0
-        or probe_keys.size == 0
-    ):
-        return join(
-            build_keys,
-            probe_keys,
-            algorithm,
-            num_distinct_hint=num_distinct_hint,
-            build=build,
-        )
-    if build is None:
-        build = build_side(build_keys, algorithm, num_distinct_hint)
-    report = run_tasks(
-        "probe",
-        {"build": vars(build), "probe": probe_keys},
-        [
-            {"start": start, "stop": stop}
-            for start, stop in morsel_boundaries(probe_keys.size, shards)
-        ],
-        backend,
-        workers,
-    )
-    if on_report is not None:
-        on_report(report)
-    return JoinResult(
-        left_indices=_concatenated([left for left, __ in report.results]),
-        right_indices=_concatenated([right for __, right in report.results]),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=build.structure_bytes,
     )

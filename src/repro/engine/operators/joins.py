@@ -23,10 +23,7 @@ from repro.engine.kernels.joins import (
     join,
     matches_through_codes,
 )
-from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS, parallel_join
-from repro.engine.parallel import MIN_PARALLEL_ROWS, MORSEL_ROWS
-from repro.service.context import check_active_context, get_active_context
-from repro.settings import check, get_settings
+from repro.service.context import check_active_context
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
@@ -91,16 +88,8 @@ class Join(MaterialisedOperator):
         ignored, and a relation always keeps at least one column (it
         carries the row count).
 
-    :param parallel: the optimiser's MOLECULE-level ``loop`` decision for
-        the probe phase. ``True`` forces the shared-build, sharded-probe
-        morsel path (HJ/SPHJ/BSJ; output is bit-identical to serial),
-        ``False`` forces serial, ``None`` (default) auto-parallelises
-        large probe sides when the :class:`~repro.settings.Settings` in
-        force have more than one worker. OJ/SOJ always run serially.
-    :param backend: which pool runs the parallel work: ``"thread"``,
-        ``"process"`` (shared-memory workers,
-        :mod:`repro.engine.procpool`), or ``None`` (default) to follow
-        the settings in force.
+    Every join runs the serial kernel on the calling thread, whatever
+    the worker count: parallel work belongs to the grouping above it.
     """
 
     HAND_OVERS = ("to_table", "matches")
@@ -115,8 +104,6 @@ class Join(MaterialisedOperator):
         num_distinct_hint: int | None = None,
         validate: bool = False,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        parallel: bool | None = None,
-        backend: str | None = None,
         columns: Collection[str] | None = None,
     ) -> None:
         super().__init__(children=[left, right])
@@ -136,8 +123,6 @@ class Join(MaterialisedOperator):
         self._num_distinct_hint = num_distinct_hint
         self._validate = validate
         self._chunk_size = chunk_size
-        self._parallel = parallel
-        self._backend = None if backend is None else check("backend", backend)
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
 
@@ -158,34 +143,6 @@ class Join(MaterialisedOperator):
             return JoinOutputOrder.KEY_SORTED
         return JoinOutputOrder.PROBE_ORDER
 
-    def _probe_shards(self, probe_rows: int) -> int:
-        """Probe-morsel count for this execution (1 = serial kernel).
-
-        Under a governed :class:`~repro.service.context.QueryContext`,
-        large probes shard into morsel-sized pieces even when only one
-        worker is configured: the morsels then run inline with a
-        deadline/cancellation poll between each, keeping the query's
-        abort latency at morsel (tens of ms) rather than whole-kernel
-        (hundreds of ms) granularity. HJ/SPHJ/BSJ shard outputs are
-        bit-identical to the serial kernel, so results are unchanged.
-        """
-        if self._algorithm not in PARALLEL_PROBE_ALGORITHMS:
-            return 1
-        workers = get_settings().workers
-        governed = (
-            get_active_context() is not None
-            and self._parallel is not False
-            and probe_rows > MORSEL_ROWS
-        )
-        if governed:
-            morsels = -(-probe_rows // MORSEL_ROWS)
-            return max(workers, morsels)
-        if self._parallel is False or workers <= 1:
-            return 1
-        if self._parallel is None and probe_rows < MIN_PARALLEL_ROWS:
-            return 1
-        return workers
-
     def matches(self) -> JoinMatches:
         """Everything the join computes before it gathers: both
         materialised inputs and the matching index pairs. A parent that
@@ -205,30 +162,15 @@ class Join(MaterialisedOperator):
         if dictionary is not None:
             # Look each distinct probe key up once; the rows follow below.
             probe_keys = dictionary.dictionary
-        shards = self._probe_shards(probe_keys.size)
-        if shards > 1:
-            result = parallel_join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                shards=shards,
-                num_distinct_hint=self._num_distinct_hint,
-                backend=self._backend or get_settings().backend,
-                on_report=lambda report: self._note_parallelism(
-                    report.workers_used, report.busy_seconds
-                ),
-                build=build,
-            )
-        else:
-            result = join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                num_distinct_hint=self._num_distinct_hint,
-                validate=self._validate,
-                build=build,
-                run_starts=None if build is None else self._run_starts(right_table),
-            )
+        result = join(
+            build_keys,
+            probe_keys,
+            self._algorithm,
+            num_distinct_hint=self._num_distinct_hint,
+            validate=self._validate,
+            build=build,
+            run_starts=None if build is None else self._run_starts(right_table),
+        )
         if dictionary is not None:
             result = matches_through_codes(
                 result,
@@ -316,13 +258,7 @@ class Join(MaterialisedOperator):
         return output
 
     def describe(self) -> str:
-        if self._parallel:
-            loop = ", loop=parallel"
-        else:
-            loop = ""
-        if self._backend == "process":
-            loop += ", backend=process"
         return (
             f"Join({self._left_key} = {self._right_key}, "
-            f"impl={self._algorithm.value}{loop})"
+            f"impl={self._algorithm.value})"
         )

@@ -8,8 +8,7 @@ threads achieve genuine wall-clock speedup on multi-core hosts.
 This module owns the process-wide pieces (the worker count and backend
 are :class:`repro.settings.Settings` fields):
 
-* the morsel sizing constants :data:`MORSEL_ROWS` and
-  :data:`MIN_PARALLEL_ROWS`;
+* the parallel threshold :data:`MIN_PARALLEL_ROWS`;
 * one lazily-created, shared :class:`~concurrent.futures.ThreadPoolExecutor`
   (named ``repro-worker-N`` threads) that every parallel operator
   schedules onto — one pool per process, as in the morsel paper;
@@ -59,11 +58,6 @@ T = TypeVar("T")
 
 #: thread-name prefix of pool workers; also the nested-scheduling sentinel.
 WORKER_THREAD_PREFIX = "repro-worker"
-
-#: rows per morsel when an operator auto-splits its input — large enough
-#: that numpy kernel time dominates scheduling overhead, small enough to
-#: load-balance across workers.
-MORSEL_ROWS = 65_536
 
 #: inputs below this row count stay serial even with several workers:
 #: the kernels finish in tens of microseconds, under the pool's
@@ -355,8 +349,8 @@ def run_tasks(
     """Run the task ``kind`` once per piece; results in piece order.
 
     :param shared: inputs every piece reads — a (possibly nested) dict
-        whose ndarray leaves are the big arrays (columns, build-side
-        fields); everything else must be small and picklable.
+        whose ndarray leaves are the big arrays (columns);
+        everything else must be small and picklable.
     :param pieces: one small dict per morsel (bounds); each call's
         payload is ``{**shared, **piece}``.
     :param backend: ``"thread"`` or ``"process"``.

@@ -50,6 +50,7 @@ from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.feedback import FeedbackSample, FeedbackStore
+from repro.obs.slo import percentile
 from repro.settings import get_settings
 
 #: schema version stamped on every appended entry.
@@ -302,17 +303,12 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
 # -- summary helpers --------------------------------------------------------
 
 
-def _walk_operator_nodes(node: dict) -> Iterator[dict]:
+def walk_operator_nodes(node: dict) -> Iterator[dict]:
+    """Every node of a logged operator tree (a profile entry's
+    ``operators``), pre-order."""
     yield node
     for child in node.get("children", []) or []:
-        yield from _walk_operator_nodes(child)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted, non-empty list."""
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
+        yield from walk_operator_nodes(child)
 
 
 def feedback_from_entries(entries: list[dict]) -> FeedbackStore:
@@ -331,7 +327,7 @@ def feedback_from_entries(entries: list[dict]) -> FeedbackStore:
         operators = entry.get("operators")
         if not isinstance(operators, dict):
             continue
-        for node in _walk_operator_nodes(operators):
+        for node in walk_operator_nodes(operators):
             if node.get("estimated_rows") is None:
                 continue
             store.record(
@@ -387,7 +383,7 @@ def summarise(entries: list[dict]) -> str:
         if entry.get("kind") == "profile":
             operators = entry.get("operators")
             if isinstance(operators, dict):
-                for node in _walk_operator_nodes(operators):
+                for node in walk_operator_nodes(operators):
                     segments_read += int(node.get("segments_read", 0))
                     segments_skipped += int(node.get("segments_skipped", 0))
                     bytes_read += int(node.get("bytes_read", 0))
@@ -433,7 +429,7 @@ def summarise(entries: list[dict]) -> str:
         operators = entry.get("operators")
         if not isinstance(operators, dict):
             continue
-        for node in _walk_operator_nodes(operators):
+        for node in walk_operator_nodes(operators):
             kind = node.get("operator_kind") or node.get("name", "?")
             self_times.setdefault(kind, []).append(
                 float(node.get("self_seconds", 0.0))
@@ -450,10 +446,10 @@ def summarise(entries: list[dict]) -> str:
                     [
                         kind,
                         str(len(values)),
-                        f"{_percentile(values, 0.50) * 1e3:.3f}ms",
-                        f"{_percentile(values, 0.90) * 1e3:.3f}ms",
-                        f"{_percentile(values, 0.99) * 1e3:.3f}ms",
-                        format_bytes(_percentile(peaks[kind], 0.50)),
+                        f"{percentile(values, 0.50) * 1e3:.3f}ms",
+                        f"{percentile(values, 0.90) * 1e3:.3f}ms",
+                        f"{percentile(values, 0.99) * 1e3:.3f}ms",
+                        format_bytes(percentile(peaks[kind], 0.50)),
                     ]
                     for kind, values in sorted(self_times.items())
                 ],
@@ -476,9 +472,9 @@ def summarise(entries: list[dict]) -> str:
         lines.append(
             "query latency: "
             f"count={len(walls)} "
-            f"p50={_percentile(walls, 0.50) * 1e3:.3f}ms "
-            f"p90={_percentile(walls, 0.90) * 1e3:.3f}ms "
-            f"p99={_percentile(walls, 0.99) * 1e3:.3f}ms"
+            f"p50={percentile(walls, 0.50) * 1e3:.3f}ms "
+            f"p90={percentile(walls, 0.90) * 1e3:.3f}ms "
+            f"p99={percentile(walls, 0.99) * 1e3:.3f}ms"
         )
     return "\n".join(lines)
 
@@ -568,7 +564,7 @@ def _optimizer_effort_lines(entries: list[dict]) -> list[str]:
             [
                 mode,
                 str(slot["searches"]),
-                f"{_percentile(slot['generated'], 0.50):.0f}",
+                f"{percentile(slot['generated'], 0.50):.0f}",
                 f"{pruned_total / generated_total:.1%}"
                 if generated_total
                 else "-",
@@ -711,7 +707,7 @@ def _collect_nodes(entry: dict) -> list[dict]:
     operators = entry.get("operators")
     if not isinstance(operators, dict):
         return []
-    return list(_walk_operator_nodes(operators))
+    return list(walk_operator_nodes(operators))
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

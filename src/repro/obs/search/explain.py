@@ -298,7 +298,7 @@ def _explain_decision(
     )
     scope = config.property_scope
     if node.op == "join":
-        options = join_options(config, workers)
+        options = join_options(config)
         terms = cost_model.join_cost_terms(option.algorithm, *sizes)
         why_not, sides = _join_reason, ("build", "probe")
     else:

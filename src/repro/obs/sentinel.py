@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.obs.querylog import walk_operator_nodes
 from repro.obs.runtime import get_metrics
 
 #: schema version stamped into (and required of) the baseline store.
@@ -413,12 +414,6 @@ def _plan_mode(entry: dict) -> str:
     return f"{'deep' if deep else 'shallow'}/w{workers}"
 
 
-def _walk_profile_nodes(node: dict):
-    yield node
-    for child in node.get("children", []) or []:
-        yield from _walk_profile_nodes(child)
-
-
 @dataclass
 class _Observations:
     """One batch of log rows, decomposed into detector inputs."""
@@ -507,7 +502,7 @@ def _extract(entries: list[dict], store: BaselineStore) -> _Observations:
                 operators = entry.get("operators")
                 if not isinstance(operators, dict):
                     continue
-                for node in _walk_profile_nodes(operators):
+                for node in walk_operator_nodes(operators):
                     estimated = node.get("estimated_rows")
                     if estimated is None:
                         continue

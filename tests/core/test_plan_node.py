@@ -2,9 +2,9 @@
 
 A join or group-by node holds the option the plan space priced; a scan
 holds its access path. Two contracts follow. Spelling: the decision
-label, ``describe()`` and EXPLAIN WHY name each of the five modes the
+label, ``describe()`` and EXPLAIN WHY name each of the three modes the
 same way. Lowering: the operator ``to_operator`` builds runs the node's
-option in its mode and on its backend, and reads the table through the
+option in its mode and on its backend (a join's is always serial), and reads the table through the
 access path the node names — something result-equality tests cannot see,
 since every mode returns the same bits.
 """
@@ -63,7 +63,9 @@ def test_one_spelling_per_mode(paper_query):
     nodes = [node for node in report.result.plan.walk() if node.option is not None]
     seen = set()
     for node, why in zip(nodes, report.decisions):
-        options = (join_options if node.op == "join" else grouping_options)(config, 4)
+        options = (
+            join_options(config) if node.op == "join" else grouping_options(config, 4)
+        )
         rivals = iter(why.rivals)
         for option in options:
             said = why.algorithm if option == node.option else next(rivals)["algorithm"]
@@ -81,7 +83,10 @@ def test_one_spelling_per_mode(paper_query):
 def pinned(operator) -> tuple:
     """What a Join / GroupBy operator was told to run: its algorithm and
     the (parallel, backend) it pins — ``parallel=None`` would mean
-    auto-detect, i.e. a dropped decision."""
+    auto-detect, i.e. a dropped decision. A join has no loop to pin: it
+    always runs the serial kernel."""
+    if isinstance(operator, Join):
+        return (operator.algorithm, False, "thread")
     return (operator.algorithm, operator._parallel, operator._backend)
 
 
@@ -93,7 +98,7 @@ def test_every_option_lowers_as_costed(backend, memory_storage):
     scan_s = PhysicalNode("scan", AccessPath("S", "S"))
     nodes = [
         PhysicalNode("join", Implementation(option, ("R.ID", "S.R_ID")), (scan_r, scan_s))
-        for option in join_options(config, 4)
+        for option in join_options(config)
     ] + [
         PhysicalNode(
             "group_by", Implementation(option, ("R.A",), (count_star(),)), (scan_r,)

@@ -8,6 +8,7 @@ the tail of the file covers the parallel option space the worker
 dimension exists for.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -22,16 +23,20 @@ from repro.core import (
     sqo_config,
 )
 from repro.core.optimizer import extract_query, spec_fingerprint
+from repro.core.optimizer.exhaustive import enumerate_exhaustive
 from repro.core.optimizer.greedy import optimize_greedy
 from repro.core.optimizer.plancache import config_fingerprint
 from repro.core.optimizer.rules import grouping_options, join_options
 from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import GroupingAlgorithm, JoinAlgorithm
-from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
 from repro.obs import capture_observability
 from repro.settings import scoped_settings
 from repro.sql import plan_query
+from repro.storage import Catalog, Table
 from repro.storage.catalog import ForeignKey
+
+#: a scan group-by: where a parallel loop pays for itself at four workers.
+SCAN_GROUP_BY = "SELECT K, COUNT(*) FROM T GROUP BY K"
 
 
 @pytest.fixture
@@ -45,6 +50,16 @@ def catalog():
         density=Density.DENSE,
         seed=3,
     ).build_catalog()
+
+
+@pytest.fixture
+def scan_catalog():
+    rng = np.random.default_rng(5)
+    catalog = Catalog()
+    catalog.register(
+        "T", Table.from_arrays({"K": rng.integers(0, 50, 20_000), "V": rng.integers(0, 9, 20_000)})
+    )
+    return catalog
 
 
 @pytest.fixture
@@ -312,27 +327,35 @@ class TestParallelOptionSpace:
 
     def test_serial_space_has_no_parallel_options(self):
         assert not any(o.parallel for o in grouping_options(dqo_config(), 1))
-        assert not any(o.parallel for o in join_options(dqo_config(), 1))
+        assert not any(o.parallel for o in join_options(dqo_config()))
 
     def test_deep_multiworker_space_adds_parallel_variants(self):
         grouping = grouping_options(dqo_config(), 4)
         parallel_algorithms = {o.algorithm for o in grouping if o.parallel}
         assert parallel_algorithms  # the lattice's parallel-loop recipes
-        joins = join_options(dqo_config(), 4)
-        assert {o.algorithm for o in joins if o.parallel} == set(
-            PARALLEL_PROBE_ALGORITHMS
-        )
 
     def test_sqo_never_sees_the_loop_granule(self):
         assert not any(o.parallel for o in grouping_options(sqo_config(), 4))
-        assert not any(o.parallel for o in join_options(sqo_config(), 4))
+        assert not any(o.parallel for o in join_options(sqo_config()))
 
-    def test_optimizer_picks_parallel_plan_when_cheaper(
-        self, catalog, paper_query
-    ):
-        logical = plan_query(paper_query, catalog)
-        serial = optimize_dqo(logical, catalog, workers=1)
-        wide = optimize_dqo(logical, catalog, workers=4)
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_every_join_option_is_serial(self, catalog, paper_query, workers, backend):
+        """Whatever the configuration plans for, every join of every plan
+        in the space runs the serial kernel; the grouping keeps its loop."""
+        config = dqo_config(workers=workers, backend=backend)
+        plans = enumerate_exhaustive(plan_query(paper_query, catalog), catalog, config=config)
+        nodes = [node for entry in plans for node in entry.plan.walk()]
+        joins = [node.option for node in nodes if node.op == "join"]
+        assert joins and all(option.mode == "serial" for option in joins)
+        assert {option.mode for option in join_options(config)} == {"serial"}
+        groupings = {node.option.parallel for node in nodes if node.op == "group_by"}
+        assert groupings == ({False, True} if workers > 1 else {False})
+
+    def test_optimizer_picks_parallel_plan_when_cheaper(self, scan_catalog):
+        logical = plan_query(SCAN_GROUP_BY, scan_catalog)
+        serial = optimize_dqo(logical, scan_catalog, workers=1)
+        wide = optimize_dqo(logical, scan_catalog, workers=4)
         assert wide.cost < serial.cost
         assert any(node.option and node.option.parallel for node in wide.plan.walk())
         assert not any(
@@ -340,19 +363,21 @@ class TestParallelOptionSpace:
         )
 
     def test_figure5_costs_invariant_to_ambient_workers(
-        self, catalog, paper_query
+        self, catalog, paper_query, scan_catalog
     ):
         # The default config plans for one worker regardless of
         # REPRO_WORKERS, so published cost ratios never drift with the
-        # runtime executor setting.
-        logical = plan_query(paper_query, catalog)
-        baseline = optimize_dqo(logical, catalog)
-        with scoped_settings(workers=4):
-            under_ambient = optimize_dqo(logical, catalog)
-        assert under_ambient.cost == baseline.cost
+        # runtime executor setting — not even where a parallel loop
+        # would pay, as it does for a scan group-by.
+        for queried, sql in ((catalog, paper_query), (scan_catalog, SCAN_GROUP_BY)):
+            logical = plan_query(sql, queried)
+            baseline = optimize_dqo(logical, queried)
+            with scoped_settings(workers=4):
+                under_ambient = optimize_dqo(logical, queried)
+            assert under_ambient.cost == baseline.cost
         # Opting in to the ambient setting is explicit:
         with scoped_settings(workers=4):
-            ambient_aware = optimize_dqo(logical, catalog, workers=None)
+            ambient_aware = optimize_dqo(logical, scan_catalog, workers=None)
         assert ambient_aware.cost < baseline.cost
 
 
@@ -363,15 +388,13 @@ class TestBackendOptionSpace:
     def test_thread_config_excludes_process_options(self):
         for option in grouping_options(dqo_config(workers=4), 4):
             assert option.backend == "thread"
-        for option in join_options(dqo_config(workers=4), 4):
+        for option in join_options(dqo_config(workers=4)):
             assert option.backend == "thread"
 
     def test_process_config_adds_backend_variants(self):
         config = dqo_config(workers=4, backend="process")
         grouping = grouping_options(config, 4)
         assert any(o.mode == "parallel@process" for o in grouping)
-        joins = join_options(config, 4)
-        assert any(o.mode == "parallel@process" for o in joins)
 
     def test_backend_changes_config_fingerprint(self):
         thread = dqo_config(workers=4)

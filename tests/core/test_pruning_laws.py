@@ -93,7 +93,7 @@ class TestDerivationReadsOnlyTheOutputOrder:
            st.dictionaries(columns, sizes))
     def test_join_options(self, build, probe, build_key, probe_key,
                           correlations, scope, rows, domains):
-        options = join_options(WIDEST, 4)
+        options = join_options(WIDEST)
         first = first_of_each_order(options)
         inputs = (build, probe, build_key, probe_key, correlations, scope, rows, domains)
         for option in options:

@@ -2,9 +2,9 @@
 
 A join's build side, a build-side group-by's slot assignment, the runs
 OJ looks its probe up by and the dictionary HJ and BSJ look their probe
-up by are memoised on the base column they are erected over. Every
-route that
-builds — serial, governed morsels, ``workers=2`` threads and processes —
+up by are memoised on the base column they are erected over. A join
+builds on one route, the serial kernel, whatever the worker count, and
+an active query context does not change it; ungoverned or governed, it
 must return, on its first and on every later execution, exactly what the
 memo-free kernel returns: the same index pairs in the same order, the
 same result table in the same row order (HG's included). What must never
@@ -38,8 +38,7 @@ from repro.engine.aggregates import sum_of
 from repro.engine.kernels.grouping import assign_slots
 from repro.engine.kernels.joins import join
 from repro.engine.operators import joins as join_operators
-from repro.engine.parallel import MORSEL_ROWS
-from repro.engine.procpool import get_shared_store, leaked_segments
+from repro.engine.procpool import leaked_segments
 from repro.errors import DeadlineExceeded, PreconditionError
 from repro.obs.runtime import capture_observability
 from repro.service.context import QueryContext, activate_context, check_active_context
@@ -58,7 +57,6 @@ BUILD_SIDE_GROUPING = (
     GroupingAlgorithm.SOG,
     GroupingAlgorithm.BSG,
 )
-ROUTES = ("serial", "governed", "thread", "process")
 #: (hits, misses) of two runs of one join over the same tables.
 EXPECTED_MEMO_COUNTS = {
     JoinAlgorithm.HJ: (1, 3),
@@ -66,23 +64,24 @@ EXPECTED_MEMO_COUNTS = {
     JoinAlgorithm.BSJ: (1, 3),
     JoinAlgorithm.OJ: (2, 2),
 }
+#: the join's one route, run without and with an active query context.
+ROUTES = ("serial", "governed")
 HINT = 1_250
 QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 
 
 def arrays(repeated: bool = False, seed: int = 3) -> tuple[dict, dict]:
     """R (ID sorted and dense; distinct, or each repeated) and S (R_ID
-    sorted, one morsel and more), so every memoised algorithm applies."""
+    sorted, 70 000 rows), so every memoised algorithm applies."""
     rng = np.random.default_rng(seed)
     ids = np.repeat(np.arange(2_500), 2) if repeated else np.arange(5_000)
-    probe = np.sort(rng.integers(0, ids.max() + 1, MORSEL_ROWS + 4_464))
+    probe = np.sort(rng.integers(0, ids.max() + 1, 70_000))
     r = {"ID": ids.astype(np.int64), "A": (ids // 4 + 100).astype(np.int64)}
     s = {"R_ID": probe.astype(np.int64), "B": rng.integers(-9, 9, probe.size)}
     return r, s
 
 
-def join_operator(r: Table, s: Table, algorithm, route: str, **options) -> Join:
-    parallel = True if route in ("thread", "process") else None
+def join_operator(r: Table, s: Table, algorithm, **options) -> Join:
     return Join(
         TableScan(r.qualified("R")),
         TableScan(s.qualified("S")),
@@ -90,14 +89,13 @@ def join_operator(r: Table, s: Table, algorithm, route: str, **options) -> Join:
         "S.R_ID",
         algorithm,
         num_distinct_hint=HINT,
-        parallel=parallel,
         **options,
     )
 
 
 def on_route(route: str, run):
-    """``run()`` on ``route``: one worker (ungoverned or governed, which
-    probes in morsels), or two thread or process workers."""
+    """``run()`` at one worker, ungoverned (``"serial"``) or under a
+    query context (``"governed"``), or at two ``"process"`` workers."""
     if route in ("serial", "governed"):
         with scoped_settings(workers=1):
             if route == "serial":
@@ -133,7 +131,7 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
     )
 
     def run():
-        operator = join_operator(r, s, algorithm, route)
+        operator = join_operator(r, s, algorithm)
         matches = operator.matches()
         return matches.pairs, operator.gather(matches)
 
@@ -162,7 +160,7 @@ def test_grouping_hit_equals_fresh_build(grouping):
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
 
     def grouped(r, s, hint):
-        join = join_operator(r, s, JoinAlgorithm.HJ, "serial")
+        join = join_operator(r, s, JoinAlgorithm.HJ)
         return execute(
             GroupBy(
                 join,
@@ -222,7 +220,7 @@ def test_sparse_sphj_raises_every_time_and_memoises_nothing():
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     for _ in range(2):
         with pytest.raises(PreconditionError):
-            execute(join_operator(r, s, JoinAlgorithm.SPHJ, "serial"), workers=1)
+            execute(join_operator(r, s, JoinAlgorithm.SPHJ), workers=1)
     assert r.column("ID").memo == {}
 
 
@@ -242,7 +240,7 @@ def test_deadline_inside_the_build_leaves_no_entry(monkeypatch):
     monkeypatch.setattr(join_operators, "build_side", slow_build)
     with pytest.raises(DeadlineExceeded):
         execute(
-            join_operator(r, s, JoinAlgorithm.HJ, "serial"),
+            join_operator(r, s, JoinAlgorithm.HJ),
             workers=1,
             context=QueryContext.start(deadline=0.2),
         )
@@ -256,7 +254,7 @@ def test_validated_oj_checks_the_probe_on_every_execution():
     for _ in range(2):
         with pytest.raises(PreconditionError, match="right is unsorted"):
             execute(
-                join_operator(r, s, JoinAlgorithm.OJ, "serial", validate=True),
+                join_operator(r, s, JoinAlgorithm.OJ, validate=True),
                 workers=1,
             )
 
@@ -279,7 +277,6 @@ def test_fresh_tables_over_the_same_arrays_never_hit():
                     Table.from_arrays(r_data),
                     Table.from_arrays(s_data),
                     JoinAlgorithm.HJ,
-                    "serial",
                 ),
                 workers=1,
             )
@@ -300,7 +297,7 @@ def test_threads_racing_on_the_first_query_agree():
     def grouped(r, s):
         return execute(
             GroupBy(
-                join_operator(r, s, JoinAlgorithm.HJ, "serial"),
+                join_operator(r, s, JoinAlgorithm.HJ),
                 "R.A",
                 [count_star("n")],
                 GroupingAlgorithm.HG,
@@ -349,7 +346,7 @@ def test_unregister_frees_the_memoised_structure(route):
     on_route(
         route,
         lambda: execute(
-            join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ, route)
+            join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ)
         ),
     )
     __, build = catalog.table("R").column("ID").memo["build_side"]
@@ -362,34 +359,14 @@ def test_unregister_frees_the_memoised_structure(route):
     assert leaked_segments() == []
 
 
-def test_process_route_publishes_a_memoised_build_side_once():
-    r_data, s_data = arrays(seed=9)
-    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
-    store = get_shared_store()
-    published = [store.stats()["published_bytes"]]
-    for _ in range(3):
-        on_route(
-            "process",
-            lambda: execute(join_operator(r, s, JoinAlgorithm.HJ, "process", backend="process")),
-        )
-        published.append(store.stats()["published_bytes"])
-    # The first run publishes the build side and the probe keys; the
-    # second probes the probe column's dictionary, so it publishes the
-    # distinct keys (each once); the third publishes nothing.
-    __, dictionary = s.column("R_ID").memo["dictionary"]
-    assert published[1] > published[0]
-    assert published[2] - published[1] == dictionary.dictionary.nbytes == 40_000
-    assert published[3] == published[2]
-
-
 # --------------------------------------------------------------------------
 # Where OJ's probe runs start, memoised on the probe column
 
 
 def oj_probe(kind: str) -> np.ndarray:
-    """An S.R_ID column of one morsel and more over R.ID 0..4 999."""
+    """An S.R_ID column of 70 000 rows over R.ID 0..4 999."""
     rng = np.random.default_rng(11)
-    n = MORSEL_ROWS + 4_464
+    n = 70_000
     if kind == "sorted":
         return np.sort(rng.integers(0, 5_000, n))
     if kind == "unsorted":
@@ -409,7 +386,7 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
     fresh = join(r_data["ID"], s_data["R_ID"], JoinAlgorithm.OJ)
     with capture_observability() as (metrics, __):
         pairs = [
-            join_operator(r, s, JoinAlgorithm.OJ, "serial").matches().pairs
+            join_operator(r, s, JoinAlgorithm.OJ).matches().pairs
             for _ in range(2)
         ]
     assert memo_counts(metrics) == (2, 2)
@@ -428,7 +405,7 @@ def test_narrowed_probe_never_hits(narrowed):
     finds its runs afresh and leaves the base column's entry alone."""
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
-    execute(join_operator(r, s, JoinAlgorithm.OJ, "serial"), workers=1)
+    execute(join_operator(r, s, JoinAlgorithm.OJ), workers=1)
     base_entry = s.column("R_ID").memo["runs"]
     probe = TableScan(s.qualified("S"))
     if narrowed == "filtered":
@@ -460,7 +437,7 @@ def test_unregister_frees_the_probe_runs():
     catalog.register("R", Table.from_arrays(r_data))
     catalog.register("S", Table.from_arrays(s_data))
     execute(
-        join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.OJ, "serial"),
+        join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.OJ),
         workers=1,
     )
     __, run_starts = catalog.table("S").column("R_ID").memo["runs"]
@@ -481,9 +458,9 @@ DICTIONARY_JOINS = (JoinAlgorithm.HJ, JoinAlgorithm.BSJ)
 
 def dictionary_arrays(repeated: bool, misses: bool) -> tuple[dict, dict]:
     """R (ID sparse; distinct, or each repeated) and an unsorted S whose
-    R_ID has more distinct values than a morsel holds, so even the
-    dictionary's values are probed in morsels on the governed route. With
-    ``misses``, every tenth probe row matches no build row."""
+    R_ID has at most half as many distinct values as rows, so its
+    dictionary is admitted. With ``misses``, every tenth probe row
+    matches no build row."""
     rng = np.random.default_rng(17)
     keys = np.arange(80_000, dtype=np.int64) * 3
     ids = np.repeat(keys, 2) if repeated else keys
@@ -491,7 +468,7 @@ def dictionary_arrays(repeated: bool, misses: bool) -> tuple[dict, dict]:
     if misses:
         probe[::10] += 1
     distinct = np.unique(probe).size
-    assert MORSEL_ROWS < distinct and distinct * 2 <= probe.size
+    assert distinct * 2 <= probe.size
     r = {"ID": ids, "A": ids % 97}
     s = {"R_ID": probe, "B": rng.integers(-9, 9, probe.size)}
     return r, s
@@ -531,7 +508,7 @@ def test_dictionary_probe_equals_memo_free_kernel(
     entries = []
     for _ in range(3):
         pairs = on_route(
-            route, lambda: join_operator(r, s, algorithm, route).matches().pairs
+            route, lambda: join_operator(r, s, algorithm).matches().pairs
         )
         assert np.array_equal(pairs.left_indices, fresh.left_indices)
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
@@ -585,7 +562,7 @@ def test_many_distinct_probe_keys_are_declined_unsorted(algorithm, encodings):
     fresh = join(r_data["ID"], probe, algorithm)
     with capture_observability() as (metrics, __):
         for _ in range(3):
-            pairs = join_operator(r, s, algorithm, "serial").matches().pairs
+            pairs = join_operator(r, s, algorithm).matches().pairs
             assert np.array_equal(pairs.left_indices, fresh.left_indices)
             assert np.array_equal(pairs.right_indices, fresh.right_indices)
     assert encodings == []
@@ -605,9 +582,7 @@ def test_unregister_frees_the_probe_dictionary(route):
         on_route(
             route,
             lambda: execute(
-                join_operator(
-                    catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ, route
-                )
+                join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ)
             ),
         )
     dictionary = memo_entry(catalog.table("S"), "R_ID", "dictionary")

@@ -7,8 +7,7 @@ build-side match indices only for value aggregates; the key column is
 never gathered. That route must not be observable. For every order-free grouping
 algorithm x every join algorithm x a set of shapes (repeated build keys,
 build rows nobody matches, a build larger than the matches, empty
-inputs, a filtered build, a governed context whose probe runs in
-morsels), the result equals the same group-by over the join's
+inputs, a filtered build), the result equals the same group-by over the join's
 materialised table: up to key order for HG, exactly for the others.
 OG takes the route only over a sorted build key, and returns its groups
 ascending: exactly OG over the output when that output is sorted on the
@@ -46,9 +45,7 @@ from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
 from repro.engine.executor import explain_analyze
 from repro.engine.kernels.joins import build_side
 from repro.engine.operators.base import chunk_count
-from repro.engine.parallel import MORSEL_ROWS
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
-from repro.service.context import QueryContext, activate_context
 from repro.settings import scoped_settings
 from repro.sql import plan_query
 from repro.storage import Table
@@ -84,6 +81,9 @@ PARALLEL_ROUTES = {
 #: float64 partial sums reassociated across range shards
 #: (``test_parallel_routes.py``'s tolerance).
 FLOAT_RTOL = 1e-12
+#: S rows of the "morsels" shape: past the two-worker grouping threshold
+#: (``MIN_PARALLEL_ROWS``) and more than one chunk.
+MORSELS_PROBE_ROWS = 69_536
 
 
 def relations(shape: str, seed: int = 7) -> tuple[dict, dict]:
@@ -110,7 +110,7 @@ def relations(shape: str, seed: int = 7) -> tuple[dict, dict]:
         ids, probe, groups = np.arange(30), np.arange(0), np.arange(30) % 4
     elif shape == "morsels":
         ids = np.arange(500)
-        probe = rng.integers(0, 500, MORSEL_ROWS + 4_000)
+        probe = rng.integers(0, 500, MORSELS_PROBE_ROWS)
         groups = rng.integers(0, 50, ids.size)
     else:
         raise AssertionError(shape)
@@ -195,16 +195,6 @@ def test_filtered_build(join_algorithm, grouping):
         unfused(r, s, join_algorithm, grouping, filtered=True),
         grouping,
     )
-
-
-@pytest.mark.parametrize("join_algorithm", list(JoinAlgorithm), ids=lambda a: a.name)
-@pytest.mark.parametrize("grouping", ORDER_FREE, ids=lambda a: a.name)
-def test_governed_probe_in_morsels(join_algorithm, grouping):
-    r, s = relations("morsels")
-    operator = plan(r, s, join_algorithm, grouping)
-    with activate_context(QueryContext.start()):
-        fused = execute(operator)
-    assert_same(fused, unfused(r, s, join_algorithm, grouping), grouping)
 
 
 #: how the OG law cases lay out R.A and S.R_ID: the build key sorted and

@@ -7,14 +7,14 @@ them) and a -1 among join keys lost matches. Emptiness is now read off
 the slot array, which no key can equal. HG and HJ are compared with the
 sort-based SOG and SOJ over keys drawn from a pool that holds -1 and
 both ends of ``int64``. These are the serial kernels; the same keys on
-every parallel route are ``test_parallel_routes.py``'s
+every parallel grouping route are ``test_parallel_routes.py``'s
 ``test_no_key_value_is_special``.
 
 Colliding keys — keys that share a home bucket in every table of up to
 2**20 buckets, one group of them at the last bucket — are checked on
-every route here: they are the rows HG/HJ's first round cannot resolve,
-so they exercise the round loop behind it and its wrap-around past the
-last bucket.
+every grouping route here, and through the (always serial) join: they
+are the rows HG/HJ's first round cannot resolve, so they exercise the
+round loop behind it and its wrap-around past the last bucket.
 """
 
 from functools import partial
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
 from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import parallel_group_by, parallel_join
+from repro.engine.kernels.parallel import parallel_group_by
 from repro.indexes.hash_table import murmur3_finalizer
 
 INT64 = np.iinfo(np.int64)
@@ -52,17 +52,11 @@ colliding_keys = st.lists(st.sampled_from(COLLIDING), min_size=1, max_size=80).m
 )
 
 
-#: route -> (group_by, join) run on it.
+#: route -> the group_by run on it.
 ROUTES = {
-    "serial": (group_by, join),
-    "thread": (
-        partial(parallel_group_by, shards=3, workers=2),
-        partial(parallel_join, shards=3, workers=2),
-    ),
-    "process": (
-        partial(parallel_group_by, shards=3, workers=2, backend="process"),
-        partial(parallel_join, shards=3, workers=2, backend="process"),
-    ),
+    "serial": group_by,
+    "thread": partial(parallel_group_by, shards=3, workers=2),
+    "process": partial(parallel_group_by, shards=3, workers=2, backend="process"),
 }
 
 
@@ -109,17 +103,18 @@ def test_serial(build, probe):
 @pytest.mark.usefixtures("fork_pool")
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @settings(max_examples=30, deadline=None)
+@given(keys=colliding_keys)
+def test_colliding_keys(route, keys):
+    """HG against SOG on keys that collide in every table any route
+    builds."""
+    check_grouping(keys, ROUTES[route])
+
+
+@settings(max_examples=30, deadline=None)
 @given(build=colliding_keys, probe=colliding_keys)
-def test_colliding_keys(route, build, probe):
-    """HG against SOG and HJ against SOJ on keys that collide in every
-    table any route builds; HJ also against itself run serially."""
-    run_group_by, run_join = ROUTES[route]
-    check_grouping(build, run_group_by)
-    check_join(build, probe, run_join)
-    joined = run_join(build, probe, JoinAlgorithm.HJ)
-    serial = join(build, probe, JoinAlgorithm.HJ)
-    assert np.array_equal(joined.left_indices, serial.left_indices)
-    assert np.array_equal(joined.right_indices, serial.right_indices)
+def test_colliding_join_keys(build, probe):
+    """HJ against SOJ on keys that collide in every table it builds."""
+    check_join(build, probe, join)
 
 
 def test_colliding_keys_share_their_home_buckets():

@@ -1,12 +1,12 @@
-"""Real parallel execution: the morsel scheduler, worker-count
-determinism, and the shared-build parallel join.
+"""Real parallel execution: the morsel scheduler and worker-count
+determinism.
 
-The route dimension (backend x partitioning == serial, any piece count)
-is covered by test_parallel_routes.py; this file covers the *workers*
-dimension — scheduling morsels on the shared thread pool must change
-wall-clock behaviour only, never results. Every (algorithm x workers)
-combination is asserted identical to the serial kernel: grouping up to
-key order (the merge sorts), joins bit-for-bit.
+The route dimension (backend x piece count == serial) is covered by
+test_parallel_routes.py; this file covers the *workers* dimension —
+scheduling morsels on the shared thread pool must change wall-clock
+behaviour only, never results. Every (algorithm x workers) combination
+is asserted identical to the serial kernel, up to key order (the merge
+sorts).
 """
 
 import threading
@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
+from repro.datagen import Density, Sortedness, make_grouping_dataset
 from repro.engine import (
     col,
     count_star,
@@ -22,14 +22,8 @@ from repro.engine import (
     sum_of,
 )
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
-from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import (
-    PARALLEL_PROBE_ALGORITHMS,
-    merge_partials,
-    parallel_group_by,
-    parallel_join,
-)
-from repro.engine.operators import Filter, GroupBy, Join, TableScan
+from repro.engine.kernels.parallel import merge_partials, parallel_group_by
+from repro.engine.operators import Filter, GroupBy, TableScan
 from repro.engine.parallel import (
     morsel_boundaries,
     on_worker_thread,
@@ -60,12 +54,6 @@ def sorted_dense_dataset():
     return make_grouping_dataset(
         20_000, 64, Sortedness.SORTED, Density.DENSE, seed=11
     )
-
-
-@pytest.fixture
-def join_scenario():
-    """Sorted/sorted dense: every join algorithm is applicable."""
-    return make_join_scenario(n_r=1_500, n_s=6_000, num_groups=75, seed=13)
 
 
 class TestMorselBoundaries:
@@ -181,50 +169,6 @@ class TestGroupingWorkersDeterminism:
         assert np.array_equal(first.sums, second.sums)
 
 
-JOIN_CASES = [
-    JoinAlgorithm.HJ,
-    JoinAlgorithm.SPHJ,
-    JoinAlgorithm.OJ,
-    JoinAlgorithm.SOJ,
-    JoinAlgorithm.BSJ,
-]
-
-
-class TestJoinWorkersDeterminism:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("algorithm", JOIN_CASES)
-    def test_every_algorithm_bit_identical(
-        self, join_scenario, algorithm, workers
-    ):
-        build = join_scenario.r["ID"]
-        probe = join_scenario.s["R_ID"]
-        serial = join(build, probe, algorithm)
-        parallel = parallel_join(
-            build, probe, algorithm, shards=8, workers=workers
-        )
-        # Bit-identical, not merely set-equal: probe-major shard outputs
-        # concatenate back into exactly the serial row order.
-        assert np.array_equal(parallel.left_indices, serial.left_indices)
-        assert np.array_equal(parallel.right_indices, serial.right_indices)
-
-    def test_lockstep_algorithms_fall_back_to_serial(self, join_scenario):
-        assert JoinAlgorithm.OJ not in PARALLEL_PROBE_ALGORITHMS
-        assert JoinAlgorithm.SOJ not in PARALLEL_PROBE_ALGORITHMS
-
-    def test_reports_scheduling_facts(self, join_scenario):
-        reports = []
-        parallel_join(
-            join_scenario.r["ID"],
-            join_scenario.s["R_ID"],
-            JoinAlgorithm.HJ,
-            shards=6,
-            workers=2,
-            on_report=reports.append,
-        )
-        assert len(reports) == 1
-        assert len(reports[0].results) == 6
-
-
 class TestMergePrecision:
     """Satellite regression: merging partial aggregates must stay exact
     past 2**53, where float64 loses integer resolution."""
@@ -279,28 +223,6 @@ class TestOperatorParallelism:
         table = sorted_dense_dataset.to_table()
         serial = self._grouped(table, False, 1)
         parallel = self._grouped(table, True, workers)
-        for name in serial.schema.names:
-            assert np.array_equal(
-                parallel[name], serial[name]
-            ), name
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_join_operator(self, join_scenario, workers):
-        def run(parallel, workers):
-            with scoped_settings(workers=workers):
-                return execute(
-                    Join(
-                        TableScan(join_scenario.r),
-                        TableScan(join_scenario.s),
-                        "ID",
-                        "R_ID",
-                        algorithm=JoinAlgorithm.HJ,
-                        parallel=parallel,
-                    )
-                )
-
-        serial = run(False, 1)
-        parallel = run(True, workers)
         for name in serial.schema.names:
             assert np.array_equal(
                 parallel[name], serial[name]

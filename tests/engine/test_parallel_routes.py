@@ -1,9 +1,8 @@
 """One route matrix: every parallel route returns what the serial kernel does.
 
 A route is a backend {thread, process} over contiguous range shards; each
-is checked for every algorithm it applies to, through the kernel API
-(``parallel_group_by`` / ``parallel_join``) and through the ``GroupBy`` /
-``Join`` operators. Joins are compared bit for bit; grouping up to key
+is checked for every grouping algorithm, through the kernel API
+(``parallel_group_by``) and through the ``GroupBy`` operator, up to key
 order (the merge sorts). A float aggregate input is the one place
 arithmetic may reassociate: range shards add a group's partial sums in
 another order than the serial pass (tolerance below).
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
+from repro.datagen import Density, Sortedness, make_grouping_dataset
 from repro.engine import (
     avg_of,
     count_star,
@@ -24,13 +23,8 @@ from repro.engine import (
     sum_of,
 )
 from repro.engine.kernels.grouping import GroupingAlgorithm, group_by
-from repro.engine.kernels.joins import JoinAlgorithm, join
-from repro.engine.kernels.parallel import (
-    PARALLEL_PROBE_ALGORITHMS,
-    parallel_group_by,
-    parallel_join,
-)
-from repro.engine.operators import GroupBy, Join, TableScan
+from repro.engine.kernels.parallel import parallel_group_by
+from repro.engine.operators import GroupBy, TableScan
 from repro.errors import PreconditionError
 from repro.service.session import QueryService, ServiceConfig
 from repro.settings import scoped_settings
@@ -60,14 +54,6 @@ def route_cases(algorithms):
 
 
 GROUPING_CASES = route_cases(GroupingAlgorithm)
-JOIN_CASES = route_cases(PARALLEL_PROBE_ALGORITHMS)
-
-
-def routed_join(build, probe, algorithm, backend, parts, **kwargs):
-    """``parts`` probe shards on two workers."""
-    return parallel_join(
-        build, probe, algorithm, shards=parts, workers=2, backend=backend, **kwargs
-    )
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +66,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def floats(dataset):
     return np.random.default_rng(3).random(dataset.keys.size) * 10
-
-
-@pytest.fixture(scope="module")
-def scenario():
-    """Sorted/sorted dense: every join algorithm is applicable."""
-    return make_join_scenario(n_r=1_500, n_s=6_000, num_groups=75, seed=13)
 
 
 class TestGroupingKernel:
@@ -168,56 +148,6 @@ class TestGroupByOperator:
                 assert np.array_equal(result[name], serial[name]), name
 
 
-class TestJoinKernel:
-    @pytest.mark.parametrize("build_keys", ["distinct", "duplicated"])
-    @pytest.mark.parametrize("backend, algorithm", JOIN_CASES)
-    def test_bit_identical_to_serial(self, scenario, backend, algorithm, build_keys):
-        """Distinct build keys take the one-gather fast path, duplicated
-        ones the general match expansion; neither may be observable."""
-        build, probe = scenario.r["ID"], scenario.s["R_ID"]
-        if build_keys == "duplicated":
-            build = np.concatenate([build, build[::3]])
-        serial = join(build, probe, algorithm)
-        reports = []
-        result = routed_join(
-            build, probe, algorithm, backend, 4, on_report=reports.append
-        )
-        for got, want in (
-            (result.left_indices, serial.left_indices),
-            (result.right_indices, serial.right_indices),
-        ):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
-        assert len(reports) == 1 and len(reports[0].results) == 4
-        assert reports[0].workers_used >= 1 and reports[0].busy_seconds >= 0.0
-
-    @pytest.mark.parametrize("backend", ROUTES)
-    def test_empty_sides_run_serially(self, backend):
-        some, none = np.arange(5, dtype=np.int64), np.empty(0, dtype=np.int64)
-        for build, probe in ((some, none), (none, some)):
-            result = routed_join(build, probe, JoinAlgorithm.HJ, backend, 3)
-            assert result.left_indices.size == result.right_indices.size == 0
-
-
-class TestJoinOperator:
-    @pytest.mark.parametrize("backend, algorithm", JOIN_CASES)
-    def test_equals_serial(self, scenario, backend, algorithm):
-        def run(**route):
-            return execute(
-                Join(
-                    TableScan(scenario.r), TableScan(scenario.s), "ID", "R_ID",
-                    algorithm=algorithm, **route,
-                )
-            )
-
-        serial = run(parallel=False)
-        with scoped_settings(workers=2):
-            result = run(parallel=True, backend=backend)
-        assert result.schema == serial.schema
-        for name in serial.schema.names:
-            assert np.array_equal(result[name], serial[name]), name
-
-
 keys_of = st.lists(st.sampled_from(EXTREME_KEYS), min_size=1, max_size=60).map(
     lambda values: np.array(values, dtype=np.int64)
 )
@@ -225,11 +155,10 @@ keys_of = st.lists(st.sampled_from(EXTREME_KEYS), min_size=1, max_size=60).map(
 
 @pytest.mark.parametrize("backend", ROUTES)
 @settings(max_examples=40, deadline=None)
-@given(build=keys_of, probe=keys_of, shards=st.integers(1, 12), parts=st.integers(2, 4))
-def test_no_key_value_is_special(backend, build, probe, shards, parts):
+@given(build=keys_of, shards=st.integers(1, 12))
+def test_no_key_value_is_special(backend, build, shards):
     """-1, both ends of int64 and heavy duplication on every route: the
-    hash families against the sort-based ones, and against themselves
-    run serially."""
+    hash family against the sort-based one."""
     values = np.arange(build.size, dtype=np.int64)
     hashed = parallel_group_by(
         build, values, GroupingAlgorithm.HG, shards=shards, workers=2,
@@ -239,15 +168,6 @@ def test_no_key_value_is_special(backend, build, probe, shards, parts):
     assert np.array_equal(hashed.keys, sort_based.keys)
     assert np.array_equal(hashed.counts, sort_based.counts)
     assert np.array_equal(hashed.sums, sort_based.sums)
-
-    joined = routed_join(build, probe, JoinAlgorithm.HJ, backend, parts)
-    serial = join(build, probe, JoinAlgorithm.HJ)
-    assert np.array_equal(joined.left_indices, serial.left_indices)
-    assert np.array_equal(joined.right_indices, serial.right_indices)
-    sort_merge = join(build, probe, JoinAlgorithm.SOJ)
-    assert sorted(zip(joined.left_indices.tolist(), joined.right_indices.tolist())) == (
-        sorted(zip(sort_merge.left_indices.tolist(), sort_merge.right_indices.tolist()))
-    )
 
 
 #: addends whose sums leave float64's exact range (2**53) but not int64.
@@ -280,29 +200,6 @@ def test_integer_sum_is_exact_on_every_route(route, rows, shards):
             backend=route.removesuffix("-range"),
         )
     assert dict(zip(result.keys.tolist(), result.sums.tolist())) == expected
-
-
-def small_keys(low, high):
-    return st.lists(st.integers(low, high), min_size=1, max_size=40).map(
-        lambda values: np.array(values, dtype=np.int64)
-    )
-
-
-@pytest.mark.parametrize("backend", ROUTES)
-@settings(max_examples=40, deadline=None)
-@given(build=small_keys(-3, 12), probe=small_keys(-8, 20), parts=st.integers(2, 4))
-def test_misses_gaps_and_duplicates(backend, build, probe, parts):
-    """Build keys distinct or repeated over a domain with unoccupied
-    slots, probe keys that miss inside and outside it: every algorithm
-    of the route, bit for bit."""
-    for algorithm in PARALLEL_PROBE_ALGORITHMS:
-        try:
-            serial = join(build, probe, algorithm)
-        except PreconditionError:  # SPHJ over too sparse a draw
-            continue
-        result = routed_join(build, probe, algorithm, backend, parts)
-        assert np.array_equal(result.left_indices, serial.left_indices), algorithm
-        assert np.array_equal(result.right_indices, serial.right_indices), algorithm
 
 
 def test_float_aggregates_agree_across_worker_counts(memory_storage):

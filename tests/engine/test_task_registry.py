@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine import count_star, procpool, sum_of
 from repro.engine.kernels.grouping import GroupingAlgorithm
-from repro.engine.kernels.joins import JoinAlgorithm, build_side
 from repro.engine.parallel import get_task, registered_tasks, run_tasks
 from repro.errors import ExecutionError
 
@@ -38,13 +37,6 @@ PAYLOADS = {
             "aggregates": [count_star(), sum_of("v")],
             "algorithm": GroupingAlgorithm.HG,
             "num_distinct_hint": 40,
-        },
-        BOUNDS,
-    ),
-    "probe": (
-        {
-            "build": vars(build_side(np.arange(40), JoinAlgorithm.HJ)),
-            "probe": KEYS[::-1],
         },
         BOUNDS,
     ),

@@ -127,7 +127,12 @@ class TestExplainWhy:
             labels = [rival["algorithm"] for rival in decision.rivals]
             assert len(set(labels)) == len(labels)
             assert decision.algorithm not in labels
-            assert any("parallel@process" in label for label in labels)
+            # The grouping's rivals include its process-backend siblings;
+            # a join has none, it runs serially in every configuration.
+            if node.op == "group_by":
+                assert any("parallel@process" in label for label in labels)
+            else:
+                assert not any("/parallel" in label for label in labels)
             for rival in decision.rivals:
                 if rival["applicable"]:
                     assert rival["cost"] == pytest.approx(searched[rival["algorithm"]])
