@@ -25,9 +25,10 @@ every repeat on a freshly built catalog, so that it erects its hash
 tables and slot assignments itself; and *warm*, repeated on one catalog,
 so that it reuses the build structures the first run memoised on the base
 columns. The measured speedup is the cold one; the warm seconds record
-what reuse buys per plan shape. With ``--workers N`` every cell is
-optimised for and executed at N workers, so the deep plans may run in
-parallel; the paper's grid is the default, one worker.
+what reuse buys per plan shape. A cell fails unless its SQO and DQO
+plans, cold and warm, return the same groups. With ``--workers N`` every
+cell is optimised for and executed at N workers, so the deep plans may
+run in parallel; the paper's grid is the default, one worker.
 
 Run as a script::
 
@@ -39,6 +40,8 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro._util.timer import Timer, time_callable
 from repro.bench.reporting import render_table
 from repro.core.cost.model import CostModel
@@ -47,6 +50,7 @@ from repro.core.optimizer.sqo import optimize_sqo
 from repro.core.plan import to_operator
 from repro.datagen.grouping import Density, Sortedness
 from repro.datagen.join import JoinScenario, make_join_scenario
+from repro.errors import ExecutionError
 from repro.settings import check, scoped_settings
 from repro.sql.planner import plan_query
 from repro.storage.catalog import Catalog
@@ -183,11 +187,15 @@ def run_figure5(
             )
             if execute_plans:
                 with scoped_settings(workers=workers):
-                    cell.sqo_seconds, cell.sqo_warm_seconds = _time_plan(
+                    cell.sqo_seconds, cell.sqo_warm_seconds, groups = _time_plan(
                         sqo.plan, catalog, scenario
                     )
-                    cell.dqo_seconds, cell.dqo_warm_seconds = _time_plan(
+                    cell.dqo_seconds, cell.dqo_warm_seconds, more = _time_plan(
                         dqo.plan, catalog, scenario
+                    )
+                if len(set(groups + more)) > 1:
+                    raise ExecutionError(
+                        f"{_cell_name(cell)}: SQO and DQO returned different groups"
                     )
             result.cells.append(cell)
     return result
@@ -195,20 +203,28 @@ def run_figure5(
 
 def _time_plan(
     plan, catalog: Catalog, scenario: JoinScenario, repeats: int = 3
-) -> tuple[float, float]:
+) -> tuple[float, float, list[bytes]]:
     """Best-of-``repeats`` seconds of ``plan``'s ``to_table``: cold, each
     repeat over a new catalog of ``scenario``, then warm, over
-    ``catalog`` after one unmeasured run."""
+    ``catalog`` after one unmeasured run; and the groups each cold run
+    and the last warm run returned (:func:`_groups`)."""
     warm = time_callable(
         to_operator(plan, catalog).to_table, repeats=repeats, warmup=1
-    ).best
-    cold = []
+    )
+    tables, cold = [warm.last_result], []
     for _ in range(repeats):
         operator = to_operator(plan, _cold_catalog(scenario))
         with Timer() as timer:
-            operator.to_table()
+            tables.append(operator.to_table())
         cold.append(timer.elapsed)
-    return min(cold), warm
+    return min(cold), warm.best, [_groups(table) for table in tables]
+
+
+def _groups(table: Table) -> bytes:
+    """``table``'s rows ascending, as bytes: equal for equal row multisets."""
+    columns = [table[name] for name in table.schema.names]
+    order = np.lexsort(columns[::-1])
+    return b"".join(column[order].tobytes() for column in columns)
 
 
 def _cold_catalog(scenario: JoinScenario) -> Catalog:

@@ -24,13 +24,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro._util.arrays import runs_of
+from repro._util.arrays import is_nondecreasing
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
+from repro.storage.dictionary import DictionaryEncoded
+from repro.storage.rle import RunLengthEncoded, rle_encode
 
 #: Maximum load of HJ's build-side table. A probe that meets its key in
 #: its home bucket is resolved in the probe's full-width first round; the
@@ -134,51 +137,16 @@ def expand_matches(
     return build_out.astype(np.int64), probe_out.astype(np.int64)
 
 
-def matches_through_codes(
-    value_matches: JoinResult, codes: np.ndarray, num_values: int, distinct: bool
-) -> JoinResult:
-    """The pairs of a probe whose rows were looked up by value.
-
-    ``value_matches`` joined the build input with the distinct values of
-    a probe column, each looked up once; ``codes[i]`` is the value of
-    probe row ``i`` (``num_values`` in all). Each row takes its value's
-    matches: with ``distinct`` build keys, a value has at most one, and
-    the rows' build rows are one gather; otherwise each value's match
-    range is its slot for :func:`expand_matches`. Either way the pairs
-    are exactly a row-by-row probe's: probe-major, build rows ascending.
-    """
-    left, right = value_matches.left_indices, value_matches.right_indices
-    if distinct:
-        rows_per_value = np.full(num_values, -1, dtype=np.int64)
-        rows_per_value[right] = left
-        build_rows = rows_per_value[codes]
-        hit = build_rows >= 0
-        if hit.all():
-            probe_rows = np.arange(codes.size, dtype=np.int64)
-        else:
-            probe_rows = np.flatnonzero(hit)
-            build_rows = build_rows[probe_rows]
-    else:
-        counts = np.bincount(right, minlength=num_values)
-        build_rows, probe_rows = expand_matches(
-            codes, np.cumsum(counts) - counts, counts, left
-        )
-    return JoinResult(
-        build_rows,
-        probe_rows,
-        value_matches.output_order,
-        value_matches.structure_bytes,
-    )
-
-
 @dataclass(frozen=True)
 class BuildSide:
     """The probe-able form of a join's build input.
 
     Every probe-streaming join looks a probe key up in three steps: map
     the key to a *slot* (one slot per distinct build key, -1 for a key no
-    build row has), map the slot to its build rows, emit the pairs. The
-    algorithm families differ in the first step only (:attr:`kind`):
+    build row has), map the slot to its build rows, emit the pairs; an
+    encoded probe column (:meth:`probe_encoded`) takes the first two once
+    per run or distinct value. The families differ in the first step only
+    (:attr:`kind`):
 
     ``"hash"``
         an open-addressing table (:attr:`bucket_keys`, :attr:`bucket_slots`);
@@ -217,15 +185,9 @@ class BuildSide:
     #: footprint column.
     structure_bytes: int = 0
 
-    def slots(
-        self, probe_keys: np.ndarray, run_starts: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Slot of each probe key; -1 where no build row can match.
-
-        :param run_starts: where each run of equal keys in ``probe_keys``
-            starts (``runs_of(probe_keys)[0]``), found earlier; None finds
-            them here. Only a build side in slot order (OJ's) reads them.
-        """
+    def slots(self, probe_keys: np.ndarray) -> np.ndarray:
+        """Slot of each probe key; -1 where no build row can match."""
+        probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
         if self.kind == "hash":
             table = OpenAddressingHashTable.from_state(
                 self.hash_name,
@@ -239,31 +201,42 @@ class BuildSide:
             raw = probe_keys - np.int64(self.min_key)
             in_domain = (raw >= 0) & (raw < self.num_slots)
             return raw if in_domain.all() else np.where(in_domain, raw, -1)
-        if self.rows is None:
-            # A build input in slot order is OJ's sorted input, and OJ's
-            # probe input is sorted too: it has one run per distinct key.
-            # Look each run up once and repeat its slot over the run.
-            if run_starts is None:
-                run_starts = runs_of(probe_keys)[0]
-            lengths = np.diff(np.append(run_starts, probe_keys.size))
-            return np.repeat(self._sorted_slots(probe_keys[run_starts]), lengths)
-        return self._sorted_slots(probe_keys)
-
-    def _sorted_slots(self, probe_keys: np.ndarray) -> np.ndarray:
-        """Binary search of ``probe_keys`` in the ascending build keys."""
         last = self.keys.size - 1
         positions = np.searchsorted(self.keys, probe_keys)
         np.minimum(positions, last, out=positions)
         found = self.keys[positions] == probe_keys
         return positions if found.all() else np.where(found, positions, -1)
 
-    def probe(
-        self, probe_keys: np.ndarray, run_starts: np.ndarray | None = None
+    def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Matching ``(build_row, probe_row)`` index arrays, probe-major.
+        OJ's probe is sorted, one run per key: it probes the runs."""
+        if self.rows is None:
+            return self.probe_encoded(rle_encode(probe_keys))
+        return self._pairs(self.slots(probe_keys))
+
+    def probe_encoded(
+        self, encoded: RunLengthEncoded | DictionaryEncoded
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Matching ``(build_row, probe_row)`` index arrays, probe-major
-        (``run_starts`` as for :meth:`slots`)."""
-        slots = self.slots(probe_keys, run_starts)
+        """:meth:`probe` of the column ``encoded`` encodes: each run or
+        distinct value is looked up once, and the rows take its matches
+        by ``np.repeat`` over the run lengths or a gather through the
+        codes. The pairs are the row-by-row probe's, in its order."""
+        if isinstance(encoded, RunLengthEncoded):
+            return self._pairs(
+                self.slots(encoded.values),
+                lambda per_run: np.repeat(per_run, encoded.lengths),
+            )
+        return self._pairs(
+            self.slots(encoded.dictionary), lambda per_value: per_value[encoded.codes]
+        )
+
+    def _pairs(
+        self, slots: np.ndarray, spread: Callable | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs of probe keys with ``slots``; where the keys are runs
+        or distinct values, ``spread`` turns one entry per key into one per row."""
         if self.offsets is not None:
+            slots = slots if spread is None else spread(slots)
             return expand_matches(slots, self.offsets, self.counts, self.rows)
         build_rows = slots if self.rows is None else self.rows[slots]
         # Misses are -1 slots; an unoccupied direct slot holds row -1. An
@@ -272,8 +245,11 @@ class BuildSide:
         hit = slots >= 0
         if self.kind == "direct":
             hit &= build_rows >= 0
+        if spread is not None:
+            build_rows = spread(np.where(hit, build_rows, -1))
+            hit = build_rows >= 0
         if hit.all():
-            probe_rows = np.arange(probe_keys.size, dtype=np.int64)
+            probe_rows = np.arange(build_rows.size, dtype=np.int64)
         else:
             probe_rows = np.flatnonzero(hit)
             build_rows = build_rows[probe_rows]
@@ -405,13 +381,11 @@ def _probe_join(
     probe_keys: np.ndarray,
     algorithm: JoinAlgorithm,
     build: BuildSide | None = None,
-    run_starts: np.ndarray | None = None,
     **build_options,
 ) -> JoinResult:
     """Erect ``algorithm``'s build side over ``build_keys`` (unless
     ``build`` is it already) and probe it with all of ``probe_keys`` —
-    the serial form of every join but SOJ. ``run_starts`` as for
-    :meth:`BuildSide.slots`."""
+    the serial form of every join but SOJ."""
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
     order = (
@@ -424,7 +398,7 @@ def _probe_join(
         return JoinResult(empty, empty.copy(), order)
     if build is None:
         build = build_side(build_keys, algorithm, **build_options)
-    left, right = build.probe(probe_keys, run_starts)
+    left, right = build.probe(probe_keys)
     return JoinResult(left, right, order, structure_bytes=build.structure_bytes)
 
 
@@ -474,27 +448,28 @@ def merge_join(
     right_keys: np.ndarray,
     validate: bool = False,
     build: BuildSide | None = None,
-    run_starts: np.ndarray | None = None,
 ) -> JoinResult:
     """OJ: merge two key-sorted inputs (Table 2's OJ).
 
-    The sorted left input is its own build side: each right row finds its
-    matching left range by binary search, and because the right keys are
-    sorted too, the probe-major output *is* key order.
+    The sorted left input is its own build side: each run of equal right
+    keys finds its matching left range by binary search, and because the
+    right keys are sorted too, the probe-major output *is* key order.
 
     :param validate: verify both inputs are sorted (one extra pass each).
-    :param run_starts: where each run of equal ``right_keys`` starts,
-        found earlier; None finds them here.
     :raises PreconditionError: when ``validate`` and an input is unsorted.
     """
     if validate:
-        for name, keys in (("left", left_keys), ("right", right_keys)):
-            keys = np.asarray(keys)
-            if keys.size > 1 and not bool(np.all(keys[:-1] <= keys[1:])):
-                raise PreconditionError(
-                    f"merge join requires sorted inputs; {name} is unsorted"
-                )
-    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build, run_starts)
+        check_merge_inputs(left_keys, right_keys)
+    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build)
+
+
+def check_merge_inputs(left_keys: np.ndarray, right_keys: np.ndarray) -> None:
+    """Raise :class:`PreconditionError` unless both inputs are sorted."""
+    for name, keys in (("left", left_keys), ("right", right_keys)):
+        if not is_nondecreasing(np.asarray(keys)):
+            raise PreconditionError(
+                f"merge join requires sorted inputs; {name} is unsorted"
+            )
 
 
 def sort_merge_join(
@@ -533,7 +508,6 @@ def join(
     num_distinct_hint: int | None = None,
     validate: bool = False,
     build: BuildSide | None = None,
-    run_starts: np.ndarray | None = None,
 ) -> JoinResult:
     """Dispatch to the chosen Table 2 join kernel.
 
@@ -541,21 +515,13 @@ def join(
         ``build_keys`` for ``algorithm`` earlier, with the options this
         call would pass it; None erects it here. SOJ, which has none,
         ignores it.
-    :param run_starts: where each run of equal ``probe_keys`` starts,
-        found earlier; None finds them where needed. Only OJ reads them.
     """
     if algorithm is JoinAlgorithm.HJ:
         return hash_join(build_keys, probe_keys, num_distinct_hint, build=build)
     if algorithm is JoinAlgorithm.SPHJ:
         return perfect_hash_join(build_keys, probe_keys, build=build)
     if algorithm is JoinAlgorithm.OJ:
-        return merge_join(
-            build_keys,
-            probe_keys,
-            validate=validate,
-            build=build,
-            run_starts=run_starts,
-        )
+        return merge_join(build_keys, probe_keys, validate=validate, build=build)
     if algorithm is JoinAlgorithm.SOJ:
         return sort_merge_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.BSJ:

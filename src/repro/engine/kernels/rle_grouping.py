@@ -76,6 +76,6 @@ def rle_compress_with_sums(
     encoded = rle_encode(keys)
     if encoded.num_runs == 0:
         return encoded, np.empty(0, dtype=values.dtype)
-    boundaries = np.concatenate([[0], np.cumsum(encoded.lengths)])
+    boundaries = np.concatenate([[0], np.cumsum(encoded.lengths, dtype=np.int64)])
     run_sums = np.add.reduceat(values, boundaries[:-1])
     return encoded, run_sums

@@ -302,22 +302,20 @@ def memoised(
     column: Column,
     kind: str,
     key: tuple,
-    build: Callable[[], T],
+    build: Callable[[], T | None],
     second_touch: bool = False,
 ) -> T | None:
     """``build()``, memoised on ``column`` as its one ``kind`` structure.
 
-    ``build`` must read nothing but the column's values and ``key``, so a
-    hit returns exactly what a fresh build would. A column keeps one
-    entry per kind, and a miss replaces it; a build that raises leaves
-    the memo as it was. Every query shares the structure (an object or
-    an array), so its arrays are made read-only before it is stored.
+    ``build`` must read nothing but the column and ``key``, so a hit
+    returns exactly what a fresh build would. A column keeps one entry
+    per kind, and a miss replaces it; a build that raises, or declines
+    by returning None, leaves the memo as it was. Every query shares the
+    structure (a dataclass), so its arrays are made read-only first.
 
     With ``second_touch`` the first read only records that it happened
     and returns None; the second builds. A filter's or a join's output
-    is a fresh column read once, so it never pays for the build. Such a
-    ``build`` may return None to decline, and the decline is stored like
-    a structure.
+    is a fresh column read once, so it never pays for the build.
     """
     # Imported here: repro.obs imports this module.
     from repro.obs.runtime import get_metrics
@@ -338,12 +336,8 @@ def memoised(
         return None
     structure = build()
     if structure is None:
-        fields = ()
-    elif isinstance(structure, np.ndarray):
-        fields = [structure]
-    else:
-        fields = vars(structure).values()
-    for value in fields:
+        return None
+    for value in vars(structure).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     column.memo[kind] = (key, structure)

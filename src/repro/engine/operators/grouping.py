@@ -19,6 +19,7 @@ from repro.engine.kernels.grouping import (
     KeyOrder,
     aggregate_groups,
     assign_slots,
+    perfect_hash_slots,
 )
 from repro.engine.kernels.parallel import partitioned_group_by
 from repro.engine.operators.base import (
@@ -29,9 +30,12 @@ from repro.engine.operators.base import (
 )
 from repro.engine.operators.joins import Join, JoinMatches
 from repro.engine.parallel import MIN_PARALLEL_ROWS
-from repro.errors import ExecutionError, PreconditionError
+from repro.errors import ExecutionError
+from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.service.context import check_active_context
 from repro.settings import check, get_settings
+from repro.storage.dictionary import DictionaryEncoded, code_dtype
+from repro.storage.rle import RunLengthEncoded
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
 
@@ -206,8 +210,9 @@ class GroupBy(MaterialisedOperator):
     def _group_matches(self, matches: JoinMatches) -> Table | None:
         """Group a join's output without gathering its key column.
 
-        Slots are assigned over the build input's key column, once per
-        build row. A group's COUNT is the sum of its build rows' match
+        Slots are per build row: HG's memoised ones, or the build key
+        column's memoised ``encoding`` (its dictionary or runs are the
+        groups). A group's COUNT is the sum of its build rows' match
         counts; groups with none (build keys nobody matched) are dropped.
         For the other aggregates each output row reads its slot through
         the build-side match indices, and its input through the indices
@@ -215,10 +220,8 @@ class GroupBy(MaterialisedOperator):
         gathered output, when the build input has more rows than the
         join emitted, when SPHG finds the build keys too sparse (the
         matched keys alone may still be dense), or when OG finds them out
-        of order. OG over a non-decreasing build key takes its runs as
-        the groups, which come back ascending: the order OG over the
-        output gives whenever the output is sorted on the key, the only
-        case in which a plan relies on OG's order.
+        of order. All but HG return their groups ascending: for OG the
+        order OG over a key-sorted output gives, the only one plans use.
 
         Where the output would have been grouped in parts (a parallel
         route), the groups come back sorted by key, as the
@@ -229,25 +232,31 @@ class GroupBy(MaterialisedOperator):
         if matches.left.num_rows > pairs.num_rows:
             return None
         column = matches.left.column(self._key)
-
-        def assign() -> GroupingAssignment:
-            if self._algorithm is GroupingAlgorithm.OG and not is_nondecreasing(
-                column.values
-            ):
-                raise PreconditionError("OG over an unsorted build key")
-            return assign_slots(column.values, self._algorithm, self._num_distinct_hint)
-
-        try:
-            # Memoised on the build input's key column: an unchanged base
-            # column's assignment is reused by every later query.
-            assignment = memoised(
-                column, "slots", (self._algorithm, self._num_distinct_hint), assign
-            )
-        except PreconditionError:
-            if self._algorithm in (GroupingAlgorithm.SPHG, GroupingAlgorithm.OG):
+        algorithm = self._algorithm
+        hg = algorithm is GroupingAlgorithm.HG
+        # HG's slots follow hash order, not the keys' ranks: its own entry.
+        structure = memoised(
+            column,
+            "slots" if hg else "encoding",
+            (self._num_distinct_hint,) if hg else (),
+            lambda: self._encode(column.values),
+        )
+        if structure is None:
+            return None
+        if hg:
+            build_slots, group_keys = structure.slots, structure.group_keys
+        elif isinstance(structure, RunLengthEncoded):
+            group_keys = structure.values
+            build_slots = np.repeat(np.arange(group_keys.size), structure.lengths)
+        else:
+            build_slots, group_keys = structure.codes, structure.dictionary
+            # Order-preserving codes are sorted exactly when the column is.
+            if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(build_slots):
                 return None
-            raise
-        build_slots, group_keys = assignment.slots, assignment.group_keys
+        if algorithm is GroupingAlgorithm.SPHG and group_keys.size:
+            span = int(group_keys[-1]) - int(group_keys[0]) + 1
+            if group_keys.size < MIN_DENSITY * span:
+                return None
         row_matches = np.bincount(pairs.left_indices, minlength=build_slots.size)
         counts = np.bincount(
             build_slots, weights=row_matches, minlength=group_keys.size
@@ -276,7 +285,7 @@ class GroupBy(MaterialisedOperator):
             columns = {alias: column[order] for alias, column in columns.items()}
         result = self._output(group_keys, columns)
         scratch = (
-            assignment.memory_bytes()
+            structure.memory_bytes()
             + row_matches.nbytes
             + (0 if slots is None else slots.nbytes)
             + sum(array.nbytes for array in values.values())
@@ -285,6 +294,28 @@ class GroupBy(MaterialisedOperator):
             matches.left.memory_bytes() + scratch + result.memory_bytes()
         )
         return result
+
+    def _encode(
+        self, values: np.ndarray
+    ) -> DictionaryEncoded | GroupingAssignment | None:
+        """HG's slot assignment over the build key column; for the others,
+        whose slots are the keys' ranks, its dictionary encoding, made
+        from their own assignment. None where OG finds the column unsorted
+        or SPHG its domain over twice its length."""
+        algorithm = self._algorithm
+        if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(values):
+            return None
+        if algorithm is GroupingAlgorithm.SPHG and values.size:
+            low, high = int(values.min()), int(values.max())
+            if values.size < MIN_DENSITY * (high - low + 1):
+                return None
+            assignment = perfect_hash_slots(values, low, high, min_density=0.0)
+        else:
+            assignment = assign_slots(values, algorithm, self._num_distinct_hint)
+        if algorithm is GroupingAlgorithm.HG:
+            return assignment
+        codes = assignment.slots.astype(code_dtype(assignment.num_groups))
+        return DictionaryEncoded(codes, assignment.group_keys)
 
     def _output(self, group_keys: np.ndarray, columns: dict[str, np.ndarray]) -> Table:
         """The one cast to the output types (a float SUM truncates here,

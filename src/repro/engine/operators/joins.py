@@ -8,20 +8,20 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection
 
 import numpy as np
 
-from repro._util.arrays import runs_of
+from repro._util.arrays import is_nondecreasing
 from repro.engine.kernels.joins import (
     BuildSide,
     JoinAlgorithm,
     JoinOutputOrder,
     JoinResult,
     build_side,
+    check_merge_inputs,
     join,
-    matches_through_codes,
 )
 from repro.service.context import check_active_context
 from repro.engine.operators.base import (
@@ -34,6 +34,7 @@ from repro.engine.operators.base import (
 from repro.errors import ExecutionError
 from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
+from repro.storage.rle import RunLengthEncoded, rle_encode
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -76,11 +77,9 @@ class Join(MaterialisedOperator):
 
     What depends on one base column alone is memoised on it (DESIGN.md
     "Build structures are facts about a column"): the build side over
-    the left key, OJ's probe run starts, and the dictionary of the right
-    key HJ and BSJ probe by from the column's second probe on. With it,
-    each distinct probe key is looked up once, on whichever route the
-    join takes, and the rows take their key's matches through the codes;
-    the pairs are the row-by-row probe's, in its order.
+    the left key, and the right key column's ``encoding``, through which
+    HJ, BSJ and OJ look each run or distinct value up once; the pairs
+    are the row-by-row probe's, in its order.
 
     :param columns: the columns an ancestor reads. Only those are
         gathered through the match indices; ``None`` (default) gathers
@@ -153,31 +152,25 @@ class Join(MaterialisedOperator):
         check_active_context()
         build_keys = left_table[self._left_key]
         probe_keys = right_table[self._right_key]
+        if self._validate and self._algorithm is JoinAlgorithm.OJ:
+            check_merge_inputs(build_keys, probe_keys)
         build = (
             self._build_side(left_table)
             if build_keys.size and probe_keys.size
             else None
         )
-        dictionary = None if build is None else self._probe_dictionary(right_table)
-        if dictionary is not None:
-            # Look each distinct probe key up once; the rows follow below.
-            probe_keys = dictionary.dictionary
-        result = join(
-            build_keys,
-            probe_keys,
-            self._algorithm,
-            num_distinct_hint=self._num_distinct_hint,
-            validate=self._validate,
-            build=build,
-            run_starts=None if build is None else self._run_starts(right_table),
-        )
-        if dictionary is not None:
-            result = matches_through_codes(
-                result,
-                dictionary.codes,
-                dictionary.cardinality,
-                distinct=build.offsets is None,
+        encoded = None if build is None else self._probe_encoding(right_table)
+        if encoded is None:
+            result = join(
+                build_keys,
+                probe_keys,
+                self._algorithm,
+                num_distinct_hint=self._num_distinct_hint,
+                build=build,
             )
+        else:
+            pairs = build.probe_encoded(encoded)
+            result = JoinResult(*pairs, self.output_order, build.structure_bytes)
         matches = JoinMatches(left_table, right_table, result)
         # Working set: both materialised inputs, the kernel's build-side
         # structure plus match-index arrays.
@@ -204,42 +197,31 @@ class Join(MaterialisedOperator):
             ),
         )
 
-    def _run_starts(self, right_table: Table) -> np.ndarray | None:
-        """Where each run of equal right keys starts (OJ looks each run up
-        once), found on their first use and memoised on the column like
-        the build side. None for every other algorithm."""
-        if self._algorithm is not JoinAlgorithm.OJ:
+    def _probe_encoding(
+        self, right_table: Table
+    ) -> RunLengthEncoded | DictionaryEncoded | None:
+        """The right key column's shared ``encoding``: the run-length form
+        of a non-decreasing column, else its dictionary. OJ builds it on
+        the column's first probe, HJ and BSJ on its second. None before
+        that, for SPHJ (a gather already), and for a column over half
+        distinct, whose entry could outgrow it: HJ and BSJ decide that on
+        the statistics before any sort, OJ on its runs. The kernel then
+        probes row by row."""
+        if self._algorithm is JoinAlgorithm.SPHJ:
             return None
+        oj = self._algorithm is JoinAlgorithm.OJ
         column = right_table.column(self._right_key)
-        # Stored in the narrowest type that indexes the column (uint32
-        # below 2**32 rows): the memo outlives the query.
-        index_type = np.min_scalar_type(column.values.size)
-        return memoised(
-            column, "runs", (), lambda: runs_of(column.values)[0].astype(index_type)
-        )
+        values = column.values
 
-    def _probe_dictionary(self, right_table: Table) -> DictionaryEncoded | None:
-        """The probe key column's sorted distinct values and each row's
-        code, memoised on the column from its second probe on. HJ and
-        BSJ then look each distinct key up once instead of once per row.
-        None on a column's first probe, for a column with more than half
-        as many distinct values as rows (declined on its statistics,
-        never encoded), and for every other algorithm: SPHJ's lookup is a
-        gather already, and OJ looks its runs up."""
-        if self._algorithm not in (JoinAlgorithm.HJ, JoinAlgorithm.BSJ):
-            return None
-        column = right_table.column(self._right_key)
-
-        def encode() -> DictionaryEncoded | None:
-            if column.statistics.distinct * 2 > len(column):
+        def encode() -> RunLengthEncoded | DictionaryEncoded | None:
+            if not oj and column.statistics.distinct * 2 > values.size:
                 return None
-            encoded = dictionary_encode(column.values)
-            # The memo outlives the query: codes in the narrowest type
-            # that holds them (uint16 below 65 536 distinct keys).
-            code_type = np.min_scalar_type(encoded.cardinality)
-            return replace(encoded, codes=encoded.codes.astype(code_type))
+            if not is_nondecreasing(values):
+                return None if oj else dictionary_encode(values)
+            encoded = rle_encode(values)
+            return encoded if encoded.num_runs * 2 <= values.size else None
 
-        return memoised(column, "dictionary", (), encode, second_touch=True)
+        return memoised(column, "encoding", (), encode, second_touch=not oj)
 
     def gather(self, matches: JoinMatches) -> Table:
         """The join's output table. Late materialisation: only the

@@ -7,6 +7,11 @@ construction. This module provides that encoding, so that density is not
 just a measured statistic but something the storage layer can *manufacture*
 — which is exactly the lever the DQO optimiser pulls when it rewrites a
 sparse-domain grouping into dictionary-encode + SPH grouping.
+
+It is also, with :mod:`repro.storage.rle`, a form of the ``encoding``
+the engine memoises on a key column: group-bys read groups and slots
+off it, and join probes gather matches through its codes.
+:func:`code_dtype` is the one code width rule, for the memo and disk.
 """
 
 from __future__ import annotations
@@ -21,6 +26,16 @@ from repro.storage.dtypes import DataType
 from repro.storage.statistics import ColumnStatistics
 
 
+def code_dtype(count: int) -> np.dtype:
+    """The narrowest unsigned type holding every integer in ``[0,
+    count)``: the codes of ``count`` dictionary entries (uint8 up to 256,
+    uint16 up to 65 536), or run lengths below ``count``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if count <= int(np.iinfo(dtype).max) + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
 @dataclass(frozen=True)
 class DictionaryEncoded:
     """A dictionary-encoded column: codes plus the sorted dictionary.
@@ -30,7 +45,7 @@ class DictionaryEncoded:
     ``codes[i] < codes[j]  <=>  original[i] < original[j]``.
     """
 
-    #: dense integer codes in ``[0, len(dictionary))``.
+    #: dense integer codes in ``[0, len(dictionary))``, in :func:`code_dtype`.
     codes: np.ndarray
     #: sorted array of the distinct original values.
     dictionary: np.ndarray
@@ -75,7 +90,9 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
     if values.ndim != 1:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
     dictionary, codes = np.unique(values, return_inverse=True)
-    return DictionaryEncoded(codes=codes.astype(np.int64), dictionary=dictionary)
+    return DictionaryEncoded(
+        codes=codes.astype(code_dtype(dictionary.size)), dictionary=dictionary
+    )
 
 
 def dictionary_encode_column(column: Column) -> tuple[Column, DictionaryEncoded]:

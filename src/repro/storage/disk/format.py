@@ -45,7 +45,7 @@ import numpy as np
 
 from repro._util.arrays import run_count
 from repro.errors import StorageError
-from repro.storage.dictionary import dictionary_encode
+from repro.storage.dictionary import code_dtype, dictionary_encode
 from repro.storage.rle import rle_encode
 from repro.storage.statistics import ColumnStatistics, count_distinct
 
@@ -62,15 +62,6 @@ MANIFEST_NAME = "MANIFEST.json"
 ENCODINGS = ("plain", "dictionary", "rle")
 
 _TRAILER = struct.Struct("<I")  # footer length, little-endian uint32
-
-
-def _code_dtype(cardinality: int) -> np.dtype:
-    """Narrowest unsigned dtype that can hold dictionary codes."""
-    if cardinality <= 1 << 8:
-        return np.dtype(np.uint8)
-    if cardinality <= 1 << 16:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
 
 
 def _has_nulls(values: np.ndarray) -> bool:
@@ -97,7 +88,7 @@ def choose_encoding(values: np.ndarray) -> str:
     if not _has_nulls(values):
         cardinality = count_distinct(values, values.min(), values.max())
         sizes["dictionary"] = (
-            cardinality * itemsize + n * int(_code_dtype(cardinality).itemsize)
+            cardinality * itemsize + n * code_dtype(cardinality).itemsize
         )
     order = {"plain": 0, "rle": 1, "dictionary": 2}
     return min(sizes, key=lambda name: (sizes[name], order[name]))
@@ -155,8 +146,7 @@ def encode_segment(values: np.ndarray, encoding: str = "auto") -> tuple[bytes, d
         arrays = [("values", values)]
     elif encoding == "dictionary":
         encoded = dictionary_encode(values)
-        codes = encoded.codes.astype(_code_dtype(encoded.cardinality))
-        arrays = [("codes", codes), ("dictionary", encoded.dictionary)]
+        arrays = [("codes", encoded.codes), ("dictionary", encoded.dictionary)]
     else:  # rle
         encoded = rle_encode(values)
         arrays = [

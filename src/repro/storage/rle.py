@@ -6,6 +6,9 @@ properties. RLE is the second concrete compression scheme in this library
 a run-length encoded column *is* a partitioned/clustered representation —
 grouping over an RLE column degenerates to an aggregation over runs, which
 is the order-based grouping kernel operating on metadata only.
+
+It is also the ``encoding`` the engine memoises on a non-decreasing join
+probe column: each run is looked up once, its matches repeated over it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from repro._util.arrays import runs_of
 from repro.errors import ColumnError
+from repro.storage.dictionary import code_dtype
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,7 @@ class RunLengthEncoded:
 
     #: value of each run.
     values: np.ndarray
-    #: length of each run; same size as :attr:`values`, all >= 1.
+    #: length of each run (>= 1, one per value), in ``code_dtype``.
     lengths: np.ndarray
 
     def __post_init__(self) -> None:
@@ -67,10 +71,8 @@ def rle_encode(values: np.ndarray) -> RunLengthEncoded:
     if values.ndim != 1:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
     starts, run_values = runs_of(values)
-    if starts.size == 0:
-        return RunLengthEncoded(
-            values=values.copy(), lengths=np.empty(0, dtype=np.int64)
-        )
-    boundaries = np.append(starts, values.size)
-    lengths = np.diff(boundaries).astype(np.int64)
-    return RunLengthEncoded(values=run_values.copy(), lengths=lengths)
+    lengths = np.diff(np.append(starts, values.size))
+    return RunLengthEncoded(
+        values=run_values,
+        lengths=lengths.astype(code_dtype(int(lengths.max(initial=0)) + 1)),
+    )

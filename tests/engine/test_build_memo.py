@@ -1,8 +1,11 @@
 """Laws of the build memo: a hit is indistinguishable from a fresh build.
 
-A join's build side, a build-side group-by's slot assignment, the runs
-OJ looks its probe up by and the dictionary HJ and BSJ look their probe
-up by are memoised on the base column they are erected over. A join
+A join's build side, HG's build-side slot assignment and a key column's
+one ``encoding`` are memoised on the base column they are erected over.
+The encoding is the column's run-length form or its dictionary: SPHG,
+OG, SOG and BSG take their groups and slots from it, and HJ, BSJ and OJ
+look each run or distinct value of their probe up once through it. Each
+key column gets one, whichever of these reads it first. A join
 builds on one route, the serial kernel, whatever the worker count, and
 an active query context does not change it; ungoverned or governed, it
 must return, on its first and on every later execution, exactly what the
@@ -21,7 +24,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro._util.arrays import runs_of
 from repro.engine import (
     Filter,
     GroupBy,
@@ -38,6 +40,7 @@ from repro.engine.aggregates import sum_of
 from repro.engine.kernels.grouping import assign_slots
 from repro.engine.kernels.joins import join
 from repro.engine.operators import joins as join_operators
+from repro.engine.operators.base import memoised
 from repro.engine.procpool import leaked_segments
 from repro.errors import DeadlineExceeded, PreconditionError
 from repro.obs.runtime import capture_observability
@@ -45,7 +48,8 @@ from repro.service.context import QueryContext, activate_context, check_active_c
 from repro.service.session import QueryService, ServiceConfig
 from repro.settings import scoped_settings
 from repro.storage import Catalog, ForeignKey, Table
-from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
+from repro.storage.dictionary import DictionaryEncoded, code_dtype, dictionary_encode
+from repro.storage.rle import RunLengthEncoded, rle_encode
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -57,6 +61,7 @@ BUILD_SIDE_GROUPING = (
     GroupingAlgorithm.SOG,
     GroupingAlgorithm.BSG,
 )
+ENCODINGS = (DictionaryEncoded, RunLengthEncoded)
 #: (hits, misses) of two runs of one join over the same tables.
 EXPECTED_MEMO_COUNTS = {
     JoinAlgorithm.HJ: (1, 3),
@@ -137,9 +142,9 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 
     with capture_observability() as (metrics, __):
         runs = [on_route(route, run) for _ in range(2)]
-    # Each run reads the build side. OJ reads the runs of its probe
-    # column too; HJ and BSJ read its dictionary, which the first run
-    # only records and the second builds.
+    # Each run reads the build side. OJ reads its probe column's
+    # encoding too; HJ and BSJ read it as well, but the first run only
+    # records the probe and the second builds.
     assert memo_counts(metrics) == EXPECTED_MEMO_COUNTS[algorithm]
     __, build = r.column("ID").memo["build_side"]
     shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
@@ -153,8 +158,9 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 
 @pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
 def test_grouping_hit_equals_fresh_build(grouping):
-    """Hints A -> B -> A: a changed key misses and replaces the one
-    entry; each run equals a group-by over tables nothing was memoised
+    """Hints A -> B -> A: HG's changed key misses and replaces its one
+    slots entry, while the other four read the one encoding whatever the
+    hint; each run equals a group-by over tables nothing was memoised
     on, HG's row order included."""
     r_data, s_data = arrays(seed=5)
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
@@ -181,15 +187,25 @@ def test_grouping_hit_equals_fresh_build(grouping):
     with capture_observability() as (metrics, __):
         for hint, expected_table in zip(hints, fresh):
             assert grouped(r, s, hint).equals(expected_table)
-            key, assignment = r.column("A").memo["slots"]
-            assert key == (grouping, hint)
-            expected = assign_slots(r_data["A"], grouping, hint)
-            assert np.array_equal(assignment.slots, expected.slots)
-            assert np.array_equal(assignment.group_keys, expected.group_keys)
-    # Per run, R.ID's build side, S.R_ID's probe dictionary and R.A's
-    # slots are each read once: the build side misses on the first run
-    # only, the dictionary on the first two, the slots on every run.
-    assert memo_counts(metrics) == (3, 6)
+            if grouping is GroupingAlgorithm.HG:
+                key, assignment = r.column("A").memo["slots"]
+                assert key == (hint,)
+                expected = assign_slots(r_data["A"], grouping, hint)
+                assert np.array_equal(assignment.slots, expected.slots)
+                assert np.array_equal(assignment.group_keys, expected.group_keys)
+            else:
+                key, encoded = r.column("A").memo["encoding"]
+                assert key == () and "slots" not in r.column("A").memo
+                expected = dictionary_encode(r_data["A"])
+                assert np.array_equal(encoded.codes, expected.codes)
+                assert encoded.codes.dtype == expected.codes.dtype
+                assert np.array_equal(encoded.dictionary, expected.dictionary)
+    # Per run, R.ID's build side, S.R_ID's encoding and R.A's slots or
+    # encoding are each read once: the build side misses on the first
+    # run only, S.R_ID on the first two, HG's slots on every run and
+    # R.A's encoding on the first only.
+    hits = 3 if grouping is GroupingAlgorithm.HG else 5
+    assert memo_counts(metrics) == (hits, 9 - hits)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -328,12 +344,12 @@ def test_threads_racing_on_the_first_query_agree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 12 and all(result.equals(fresh) for result in results)
-    # However the probe dictionary's first touches and builds interleave,
-    # the entry left is the dictionary.
-    __, dictionary = s.column("R_ID").memo["dictionary"]
-    expected = dictionary_encode(s_data["R_ID"])
-    assert np.array_equal(dictionary.dictionary, expected.dictionary)
-    assert np.array_equal(dictionary.codes, expected.codes)
+    # However the probe's first touches and builds interleave, the entry
+    # left is the sorted column's run-length form.
+    __, encoded = s.column("R_ID").memo["encoding"]
+    expected = rle_encode(s_data["R_ID"])
+    assert np.array_equal(encoded.values, expected.values)
+    assert np.array_equal(encoded.lengths, expected.lengths)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -360,7 +376,7 @@ def test_unregister_frees_the_memoised_structure(route):
 
 
 # --------------------------------------------------------------------------
-# Where OJ's probe runs start, memoised on the probe column
+# The run-length form OJ probes a sorted column through, memoised on it
 
 
 def oj_probe(kind: str) -> np.ndarray:
@@ -378,8 +394,11 @@ def oj_probe(kind: str) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["sorted", "unsorted", "all_equal", "all_distinct"])
 def test_oj_runs_hit_equals_memo_free_kernel(kind):
-    """OJ does not validate by default, so an unsorted probe is looked up
-    run by run too; its pairs are the per-row search's either way."""
+    """OJ builds a sorted probe column's run-length form on its first
+    probe and reads it after. It never sorts: an unsorted probe (OJ does
+    not validate by default) and one with more runs than half its rows
+    are looked up run by run afresh. The pairs are the per-row search's
+    either way."""
     r_data, s_data = arrays()
     s_data = {"R_ID": oj_probe(kind), "B": np.zeros(oj_probe(kind).size, dtype=np.int64)}
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
@@ -389,11 +408,19 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
             join_operator(r, s, JoinAlgorithm.OJ).matches().pairs
             for _ in range(2)
         ]
-    assert memo_counts(metrics) == (2, 2)
-    key, run_starts = s.column("R_ID").memo["runs"]
-    assert key == ()
-    assert np.array_equal(run_starts, runs_of(s_data["R_ID"])[0])
-    assert not run_starts.flags.writeable
+    memoised_runs = kind in ("sorted", "all_equal")
+    assert memo_counts(metrics) == ((2, 2) if memoised_runs else (1, 3))
+    if memoised_runs:
+        key, encoded = s.column("R_ID").memo["encoding"]
+        expected = rle_encode(s_data["R_ID"])
+        assert key == ()
+        assert np.array_equal(encoded.values, expected.values)
+        assert np.array_equal(encoded.lengths, expected.lengths)
+        assert encoded.lengths.dtype == code_dtype(int(expected.lengths.max()) + 1)
+        assert not encoded.values.flags.writeable
+        assert not encoded.lengths.flags.writeable
+    else:
+        assert "encoding" not in s.column("R_ID").memo
     for result in pairs:
         assert np.array_equal(result.left_indices, fresh.left_indices)
         assert np.array_equal(result.right_indices, fresh.right_indices)
@@ -406,7 +433,7 @@ def test_narrowed_probe_never_hits(narrowed):
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     execute(join_operator(r, s, JoinAlgorithm.OJ), workers=1)
-    base_entry = s.column("R_ID").memo["runs"]
+    base_entry = s.column("R_ID").memo["encoding"]
     probe = TableScan(s.qualified("S"))
     if narrowed == "filtered":
         probe = Filter(probe, col("S.B") > 0)
@@ -425,9 +452,9 @@ def test_narrowed_probe_never_hits(narrowed):
                 pairs = operator.matches().pairs
             assert np.array_equal(pairs.left_indices, fresh.left_indices)
             assert np.array_equal(pairs.right_indices, fresh.right_indices)
-    # Both hits are the build side's; both runs reads miss.
+    # Both hits are the build side's; both encoding reads miss.
     assert memo_counts(metrics) == (2, 2)
-    assert s.column("R_ID").memo["runs"] is base_entry
+    assert s.column("R_ID").memo["encoding"] is base_entry
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -440,18 +467,19 @@ def test_unregister_frees_the_probe_runs():
         join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.OJ),
         workers=1,
     )
-    __, run_starts = catalog.table("S").column("R_ID").memo["runs"]
-    structure = weakref.ref(run_starts)
-    del run_starts
+    __, encoded = catalog.table("S").column("R_ID").memo["encoding"]
+    assert isinstance(encoded, RunLengthEncoded)
+    structures = [weakref.ref(encoded.values), weakref.ref(encoded.lengths)]
+    del encoded
     catalog.unregister("R")
     catalog.unregister("S")
     gc.collect()
-    assert structure() is None
+    assert all(structure() is None for structure in structures)
 
 
 # --------------------------------------------------------------------------
-# The dictionary HJ and BSJ look their probe up by, memoised on the probe
-# column from its second probe on
+# The dictionary HJ and BSJ look an unsorted probe up by, memoised on the
+# probe column from its second probe on
 
 DICTIONARY_JOINS = (JoinAlgorithm.HJ, JoinAlgorithm.BSJ)
 
@@ -487,7 +515,7 @@ def encodings(monkeypatch) -> list:
     return calls
 
 
-def memo_entry(table: Table, name: str, kind: str):
+def memo_entry(table: Table, name: str, kind: str = "encoding"):
     entry = table.column(name).memo.get(kind)
     return None if entry is None else entry[1]
 
@@ -513,15 +541,16 @@ def test_dictionary_probe_equals_memo_free_kernel(
         assert np.array_equal(pairs.left_indices, fresh.left_indices)
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
         assert pairs.structure_bytes == fresh.structure_bytes
-        entries.append(memo_entry(s, "R_ID", "dictionary"))
+        entries.append(memo_entry(s, "R_ID"))
     first, built, read = entries
     assert encodings == [s_data["R_ID"].size]
-    assert not isinstance(first, DictionaryEncoded)
+    assert not isinstance(first, ENCODINGS)
     assert isinstance(built, DictionaryEncoded) and read is built
     expected = dictionary_encode(s_data["R_ID"])
     assert np.array_equal(built.dictionary, expected.dictionary)
     assert np.array_equal(built.codes, expected.codes)
-    assert built.codes.dtype == np.min_scalar_type(expected.cardinality)
+    assert built.codes.dtype == code_dtype(expected.cardinality)
+    assert not built.codes.flags.writeable and not built.dictionary.flags.writeable
 
 
 @pytest.mark.parametrize("narrowed", ["filtered", "sliced"])
@@ -546,14 +575,15 @@ def test_narrowed_probe_never_builds_a_dictionary(algorithm, narrowed, encodings
         assert np.array_equal(pairs.left_indices, fresh.left_indices)
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
     assert encodings == []
-    assert "dictionary" not in s.column("R_ID").memo
+    assert "encoding" not in s.column("R_ID").memo
 
 
 @pytest.mark.parametrize("algorithm", DICTIONARY_JOINS, ids=lambda a: a.name)
 def test_many_distinct_probe_keys_are_declined_unsorted(algorithm, encodings):
     """A probe column with more than half as many distinct values as rows
-    is declined on its second probe, before anything sorts it; the
-    decline is memoised, and every execution probes row by row."""
+    is declined from its second probe on, off its statistics and before
+    anything sorts it; nothing is stored, and every execution probes
+    row by row."""
     r_data, __ = arrays()
     probe = np.random.default_rng(13).permutation(5_000)[:3_000].repeat(2)[:5_999]
     r = Table.from_arrays(r_data)
@@ -565,17 +595,18 @@ def test_many_distinct_probe_keys_are_declined_unsorted(algorithm, encodings):
             pairs = join_operator(r, s, algorithm).matches().pairs
             assert np.array_equal(pairs.left_indices, fresh.left_indices)
             assert np.array_equal(pairs.right_indices, fresh.right_indices)
+            assert not isinstance(memo_entry(s, "R_ID"), ENCODINGS)
     assert encodings == []
-    assert s.column("R_ID").memo["dictionary"] == ((), None)
-    # Build side: miss, hit, hit. Dictionary: first touch, decline, hit.
-    assert memo_counts(metrics) == (3, 3)
+    # Build side: miss, hit, hit. Encoding: first touch, then declined
+    # on each later read.
+    assert memo_counts(metrics) == (2, 4)
 
 
 @pytest.mark.usefixtures("memory_storage")
 @pytest.mark.parametrize("route", ["serial", "process"])
 def test_unregister_frees_the_probe_dictionary(route):
     catalog = Catalog()
-    r_data, s_data = arrays()
+    r_data, s_data = dictionary_arrays(repeated=False, misses=False)
     catalog.register("R", Table.from_arrays(r_data))
     catalog.register("S", Table.from_arrays(s_data))
     for _ in range(2):
@@ -585,7 +616,8 @@ def test_unregister_frees_the_probe_dictionary(route):
                 join_operator(catalog.table("R"), catalog.table("S"), JoinAlgorithm.HJ)
             ),
         )
-    dictionary = memo_entry(catalog.table("S"), "R_ID", "dictionary")
+    dictionary = memo_entry(catalog.table("S"), "R_ID")
+    assert isinstance(dictionary, DictionaryEncoded)
     arrays_ = (dictionary.codes, dictionary.dictionary)
     assert not any(array.flags.writeable for array in arrays_)
     structures = [weakref.ref(array) for array in arrays_]
@@ -595,3 +627,223 @@ def test_unregister_frees_the_probe_dictionary(route):
     gc.collect()
     assert all(structure() is None for structure in structures)
     assert leaked_segments() == []
+
+
+# --------------------------------------------------------------------------
+# One encoding per key column, whichever reader builds it
+
+
+def builds_of(column_entries: list) -> int:
+    """Distinct encodings among a column's entries read after each run:
+    a rebuild replaces the entry with a new object."""
+    return len({id(entry) for entry in column_entries if isinstance(entry, ENCODINGS)})
+
+
+def grouping_sequence_arrays(layout: str) -> tuple[dict, dict]:
+    """:func:`arrays` with R.A dense: sorted with R.ID, or with R's rows
+    shuffled."""
+    r_data, s_data = arrays(seed=7)
+    if layout == "unsorted":
+        order = np.random.default_rng(7).permutation(r_data["ID"].size)
+        r_data = {name: values[order] for name, values in r_data.items()}
+    return r_data, s_data
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("layout", ["unsorted", "sorted"])
+def test_one_encoding_build_per_grouping_key(layout, route):
+    """SOG, then BSG, then SPHG over a dense unsorted R.A or OG over a
+    sorted one, then one algorithm under a second hint: R.A is encoded
+    once, and every result equals a group-by over tables nothing was
+    memoised on."""
+    r_data, s_data = grouping_sequence_arrays(layout)
+    last = GroupingAlgorithm.OG if layout == "sorted" else GroupingAlgorithm.SPHG
+    steps = [
+        (GroupingAlgorithm.SOG, HINT),
+        (GroupingAlgorithm.BSG, HINT),
+        (last, HINT),
+        (last, 4_000),
+    ]
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+
+    def grouped(r, s, grouping, hint):
+        operator = GroupBy(
+            join_operator(r, s, JoinAlgorithm.HJ),
+            "R.A",
+            [count_star("n"), sum_of("S.B", "b")],
+            grouping,
+            num_distinct_hint=hint,
+            parallel=False,
+        )
+        return on_route(route, lambda: execute(operator))
+
+    entries = []
+    for grouping, hint in steps:
+        fresh_r, fresh_s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+        fresh = grouped(fresh_r, fresh_s, grouping, hint)
+        assert grouped(r, s, grouping, hint).equals(fresh)
+        entries.append(memo_entry(r, "A"))
+    assert builds_of(entries) == 1 and "slots" not in r.column("A").memo
+    expected = dictionary_encode(r_data["A"])
+    assert np.array_equal(entries[-1].codes, expected.codes)
+    assert entries[-1].codes.dtype == expected.codes.dtype
+    assert np.array_equal(entries[-1].dictionary, expected.dictionary)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_one_encoding_build_per_sorted_probe(route):
+    """OJ, then HJ, then BSJ over a sorted S.R_ID: OJ builds its run-length
+    form on the first probe and the others read it, each returning the
+    memo-free kernel's pairs."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    entries = []
+    for algorithm in (JoinAlgorithm.OJ, JoinAlgorithm.HJ, JoinAlgorithm.BSJ):
+        fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+        pairs = on_route(route, lambda: join_operator(r, s, algorithm).matches().pairs)
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+        entries.append(memo_entry(s, "R_ID"))
+    assert builds_of(entries) == 1
+    assert isinstance(entries[0], RunLengthEncoded) and entries[-1] is entries[0]
+
+
+def probe_column(kind: str) -> np.ndarray:
+    """A probe key column of 60 000 rows over R.ID 0..4 999 (sorted or
+    not, few distinct values), or one whose entry must be declined: a
+    sorted unique key, and 55 % of the rows distinct."""
+    rng = np.random.default_rng(23)
+    if kind == "sorted_unique":
+        return np.arange(60_000)
+    if kind == "distinct_55":
+        keys = rng.permutation(60_000)[:33_000]
+        return rng.permutation(np.concatenate([keys, keys[:27_000]]))
+    values = rng.integers(0, 5_000, 60_000)
+    return np.sort(values) if kind == "sorted" else values
+
+
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "sorted_unique", "distinct_55"])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "algorithm", [JoinAlgorithm.OJ, *DICTIONARY_JOINS], ids=lambda a: a.name
+)
+def test_probe_encoding_laws(algorithm, route, kind):
+    """Over three executions: each equals the memo-free kernel; OJ builds
+    on the first probe, HJ and BSJ on the second; the entry is read-only,
+    in the narrowest types, and never larger than the int64 column; a
+    column with more than half its rows distinct is never encoded."""
+    r_data, __ = arrays()
+    probe = probe_column(kind)
+    r = Table.from_arrays(r_data)
+    s = Table.from_arrays({"R_ID": probe, "B": np.zeros(probe.size, dtype=np.int64)})
+    fresh = join(r_data["ID"], probe, algorithm, num_distinct_hint=HINT)
+    entries = []
+    for _ in range(3):
+        pairs = on_route(route, lambda: join_operator(r, s, algorithm).matches().pairs)
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+        entries.append(memo_entry(s, "R_ID"))
+    declined = kind in ("sorted_unique", "distinct_55") or (
+        kind == "unsorted" and algorithm is JoinAlgorithm.OJ
+    )
+    if declined:
+        assert not any(isinstance(entry, ENCODINGS) for entry in entries)
+        return
+    first_built = 0 if algorithm is JoinAlgorithm.OJ else 1
+    assert not any(isinstance(entry, ENCODINGS) for entry in entries[:first_built])
+    encoded = entries[first_built]
+    assert all(entry is encoded for entry in entries[first_built:])
+    if kind == "sorted":
+        expected = rle_encode(probe)
+        assert isinstance(encoded, RunLengthEncoded)
+        assert np.array_equal(encoded.values, expected.values)
+        assert np.array_equal(encoded.lengths, expected.lengths)
+        narrow = [(encoded.lengths, int(expected.lengths.max()) + 1)]
+    else:
+        expected = dictionary_encode(probe)
+        assert isinstance(encoded, DictionaryEncoded)
+        assert np.array_equal(encoded.dictionary, expected.dictionary)
+        assert np.array_equal(encoded.codes, expected.codes)
+        narrow = [(encoded.codes, expected.cardinality)]
+    for array, count in narrow:
+        assert array.dtype == code_dtype(count)
+    assert not any(
+        array.flags.writeable for array in vars(encoded).values()
+    )
+    assert encoded.memory_bytes() <= probe.astype(np.int64).nbytes
+
+
+def test_declined_build_is_decided_again_and_stores_nothing():
+    """A build that returns None leaves the entry as it was: the
+    second-touch mark stays, and the next read builds again."""
+    column = Table.from_arrays({"K": np.arange(10)}).column("K")
+    calls = []
+
+    def build():
+        calls.append(1)
+        return None if len(calls) < 2 else rle_encode(np.arange(3))
+
+    assert memoised(column, "encoding", (), build, second_touch=True) is None
+    assert memoised(column, "encoding", (), build, second_touch=True) is None
+    marked = column.memo["encoding"]
+    built = memoised(column, "encoding", (), build, second_touch=True)
+    assert calls == [1, 1] and marked[1] is not built
+    assert memoised(column, "encoding", (), build) is built
+    assert not built.values.flags.writeable and not built.lengths.flags.writeable
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_probe_and_group_by_share_one_encoding(route):
+    """A column probed by OJ, then grouped on the build side, keeps OJ's
+    run-length form; a column grouped first, then probed by OJ, keeps
+    the group-by's dictionary. Each reader equals a run over tables
+    nothing was memoised on."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    keys = {"K": np.unique(r_data["A"]), "C": np.arange(np.unique(r_data["A"]).size)}
+
+    def grouped_by_probe_key(r, s):
+        # S is the build side here, so S.R_ID is a build-side group key.
+        join = Join(
+            TableScan(s.qualified("S")), TableScan(r.qualified("R")), "S.R_ID", "R.ID"
+        )
+        operator = GroupBy(
+            join, "S.R_ID", [count_star("n")], GroupingAlgorithm.SOG, parallel=False
+        )
+        return on_route(route, lambda: execute(operator))
+
+    def probed_on_group_key(r, k):
+        operator = Join(
+            TableScan(k.qualified("K")),
+            TableScan(r.qualified("R")),
+            "K.K",
+            "R.A",
+            JoinAlgorithm.OJ,
+        )
+        return on_route(route, lambda: operator.matches().pairs)
+
+    join_operator(r, s, JoinAlgorithm.OJ).matches()
+    runs = memo_entry(s, "R_ID")
+    assert isinstance(runs, RunLengthEncoded)
+    fresh = grouped_by_probe_key(Table.from_arrays(r_data), Table.from_arrays(s_data))
+    assert grouped_by_probe_key(r, s).equals(fresh)
+    assert memo_entry(s, "R_ID") is runs
+
+    k = Table.from_arrays(keys)
+    execute(
+        GroupBy(
+            join_operator(r, s, JoinAlgorithm.HJ),
+            "R.A",
+            [count_star("n")],
+            GroupingAlgorithm.SOG,
+            parallel=False,
+        ),
+        workers=1,
+    )
+    codes = memo_entry(r, "A")
+    assert isinstance(codes, DictionaryEncoded)
+    pairs = probed_on_group_key(r, k)
+    expected = join(keys["K"], r_data["A"], JoinAlgorithm.OJ)
+    assert np.array_equal(pairs.left_indices, expected.left_indices)
+    assert np.array_equal(pairs.right_indices, expected.right_indices)
+    assert memo_entry(r, "A") is codes

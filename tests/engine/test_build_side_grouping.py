@@ -18,7 +18,8 @@ ascending key order, which the optimiser relies on to drop an ORDER BY.
 
 OJ looks each run of its sorted probe up once. Its index pairs must be
 the per-row binary search's, over sorted, unsorted (unvalidated),
-all-equal and all-distinct probes.
+all-equal and all-distinct probes, whether it finds the runs itself or
+probes through the column's run-length or dictionary encoding.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util.arrays import runs_of
 from repro.core.optimizer.dqo import optimize_dqo
 from repro.core.plan import to_operator
 from repro.datagen import Density, Sortedness, make_join_scenario
@@ -48,7 +48,7 @@ from repro.engine.operators.base import chunk_count
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
 from repro.settings import scoped_settings
 from repro.sql import plan_query
-from repro.storage import Table
+from repro.storage import Table, dictionary_encode, rle_encode
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -452,9 +452,12 @@ def assert_oj_pairs(build, probe):
     if build.size == 0 or probe.size == 0:
         return
     oj = build_side(build, JoinAlgorithm.OJ)
-    # Run starts found earlier (memoised on the probe column) or here.
-    for run_starts in (None, runs_of(probe)[0]):
-        left, right = oj.probe(probe, run_starts)
+    # Runs found here, or the probe column's encodings (memoised on it).
+    for left, right in (
+        oj.probe(probe),
+        oj.probe_encoded(rle_encode(probe)),
+        oj.probe_encoded(dictionary_encode(probe)),
+    ):
         assert left.dtype == right.dtype == np.int64
         assert left.tolist() == expected_left
         assert right.tolist() == expected_right

@@ -12,6 +12,40 @@ from repro.storage import (
     dictionary_encode_column,
     rle_encode,
 )
+from repro.storage.dictionary import code_dtype
+
+
+@pytest.mark.parametrize(
+    "count,dtype",
+    [
+        (0, np.uint8),
+        (256, np.uint8),
+        (257, np.uint16),
+        (1 << 16, np.uint16),
+        ((1 << 16) + 1, np.uint32),
+        (1 << 32, np.uint32),
+        ((1 << 32) + 1, np.uint64),
+    ],
+)
+def test_code_dtype_is_the_narrowest_that_holds_every_code(count, dtype):
+    assert code_dtype(count) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("distinct", [255, 256, 257, 65_536, 65_537])
+def test_dictionary_codes_use_the_one_width_rule(distinct):
+    values = np.arange(distinct, dtype=np.int64)[::-1].repeat(2)
+    encoded = dictionary_encode(values)
+    assert encoded.codes.dtype == code_dtype(distinct)
+    assert np.array_equal(encoded.decode(), values)
+
+
+@pytest.mark.parametrize("longest", [1, 255, 256, 65_536])
+def test_run_lengths_use_the_one_width_rule(longest):
+    values = np.concatenate([np.zeros(longest), np.ones(3)]).astype(np.int64)
+    encoded = rle_encode(values)
+    assert encoded.lengths.dtype == code_dtype(longest + 1)
+    assert encoded.lengths.tolist() == [longest, 3]
+    assert np.array_equal(encoded.decode(), values)
 
 
 class TestDictionary:
