@@ -26,7 +26,8 @@ tables and slot assignments itself; and *warm*, repeated on one catalog,
 so that it reuses the build structures the first run memoised on the base
 columns. The measured speedup is the cold one; the warm seconds record
 what reuse buys per plan shape. A cell fails unless its SQO and DQO
-plans, cold and warm, return the same groups. With ``--workers N`` every
+plans, cold and warm, return the same groups, and those are the groups
+numpy computes from the generated arrays alone. With ``--workers N`` every
 cell is optimised for and executed at N workers, so the deep plans may
 run in parallel; the paper's grid is the default, one worker.
 
@@ -197,6 +198,10 @@ def run_figure5(
                     raise ExecutionError(
                         f"{_cell_name(cell)}: SQO and DQO returned different groups"
                     )
+                if groups[0] != _expected_groups(scenario):
+                    raise ExecutionError(
+                        f"{_cell_name(cell)}: the plans' groups differ from numpy's"
+                    )
             result.cells.append(cell)
     return result
 
@@ -225,6 +230,14 @@ def _groups(table: Table) -> bytes:
     columns = [table[name] for name in table.schema.names]
     order = np.lexsort(columns[::-1])
     return b"".join(column[order].tobytes() for column in columns)
+
+
+def _expected_groups(scenario: JoinScenario) -> bytes:
+    """:func:`_groups` of the rows numpy computes for ``scenario``
+    (:meth:`JoinScenario.expected_groups`), which no plan's route can
+    change."""
+    keys, counts = scenario.expected_groups()
+    return _groups(Table.from_arrays({"A": keys, "count": counts}))
 
 
 def _cold_catalog(scenario: JoinScenario) -> Catalog:

@@ -60,6 +60,16 @@ class JoinScenario:
         catalog.add_foreign_key(ForeignKey("S", "R_ID", "R", "ID"))
         return catalog
 
+    def expected_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The query's rows computed with numpy alone, whatever route a
+        plan takes: (R.A ascending, COUNT(*) per value), the group sizes
+        of R.A over the position of each S row's R row."""
+        ids = self.r["ID"]
+        order = np.argsort(ids, kind="stable")
+        positions = order[np.searchsorted(ids, self.s["R_ID"], sorter=order)]
+        keys, counts = np.unique(self.r["A"][positions], return_counts=True)
+        return keys, counts.astype(np.int64)
+
 
 def make_join_scenario(
     n_r: int = PAPER_R_ROWS,

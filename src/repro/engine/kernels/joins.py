@@ -198,9 +198,10 @@ class BuildSide:
             )
             return table.probe(probe_keys)
         if self.kind == "direct":
-            raw = probe_keys - np.int64(self.min_key)
-            in_domain = (raw >= 0) & (raw < self.num_slots)
-            return raw if in_domain.all() else np.where(in_domain, raw, -1)
+            raw = probe_keys - np.int64(self.min_key) if self.min_key else probe_keys
+            if not raw.size or (raw.min() >= 0 and raw.max() < self.num_slots):
+                return raw
+            return np.where((raw >= 0) & (raw < self.num_slots), raw, -1)
         last = self.keys.size - 1
         positions = np.searchsorted(self.keys, probe_keys)
         np.minimum(positions, last, out=positions)
@@ -229,6 +230,38 @@ class BuildSide:
         return self._pairs(
             self.slots(encoded.dictionary), lambda per_value: per_value[encoded.codes]
         )
+
+    def match_counts(
+        self, keys: np.ndarray, weights: np.ndarray | None, num_build_rows: int
+    ) -> np.ndarray:
+        """Matches per build row (int64, ``num_build_rows`` of them) of
+        probe keys ``keys``, each standing for ``weights`` rows (None =
+        one each): the ``np.bincount`` of :meth:`probe`'s build rows,
+        without emitting a pair. Pass an encoded column's run values and
+        lengths, or its dictionary and counts, and the slots are looked
+        up once per run or distinct value."""
+        slots = self.slots(keys)
+        if slots.size and slots.min() < 0:
+            hit = slots >= 0
+            slots = slots[hit]
+            weights = None if weights is None else weights[hit]
+        num_slots = self.keys.size if self.kind == "sorted" else self.num_slots
+        per_slot = np.bincount(slots, weights, minlength=num_slots).astype(np.int64)
+        if self.offsets is not None:
+            # Every build row of a slot has that slot's matches.
+            per_row = np.repeat(per_slot, self.counts)
+            if self.rows is None:
+                return per_row
+            counts = np.empty(num_build_rows, dtype=np.int64)
+            counts[self.rows] = per_row
+            return counts
+        if self.rows is None:
+            return per_slot
+        counts = np.zeros(num_build_rows, dtype=np.int64)
+        # An unoccupied direct slot (row -1) has no build row to count.
+        occupied = self.rows >= 0
+        counts[self.rows[occupied]] = per_slot[occupied]
+        return counts
 
     def _pairs(
         self, slots: np.ndarray, spread: Callable | None = None

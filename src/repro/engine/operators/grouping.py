@@ -34,7 +34,7 @@ from repro.errors import ExecutionError
 from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.service.context import check_active_context
 from repro.settings import check, get_settings
-from repro.storage.dictionary import DictionaryEncoded, code_dtype
+from repro.storage.dictionary import DictionaryEncoded, code_dtype, narrow_counts
 from repro.storage.rle import RunLengthEncoded
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
@@ -213,10 +213,12 @@ class GroupBy(MaterialisedOperator):
         Slots are per build row: HG's memoised ones, or the build key
         column's memoised ``encoding`` (its dictionary or runs are the
         groups). A group's COUNT is the sum of its build rows' match
-        counts; groups with none (build keys nobody matched) are dropped.
-        For the other aggregates each output row reads its slot through
-        the build-side match indices, and its input through the indices
-        of the input column's side. Returns None, and the caller groups the
+        counts (:attr:`JoinMatches.row_counts`); groups with none (build
+        keys nobody matched) are dropped. When every aggregate is a
+        COUNT, the join never emits its pairs. For the other aggregates
+        each output row reads its slot through the build-side match
+        indices, and its input through the indices of the input column's
+        side. Returns None, and the caller groups the
         gathered output, when the build input has more rows than the
         join emitted, when SPHG finds the build keys too sparse (the
         matched keys alone may still be dense), or when OG finds them out
@@ -228,8 +230,13 @@ class GroupBy(MaterialisedOperator):
         parts' merge returns them: the optimiser relies on that order and
         drops an ``ORDER BY`` on the key for these routes.
         """
-        pairs = matches.pairs
-        if matches.left.num_rows > pairs.num_rows:
+        # Only an aggregate other than COUNT reads values through the
+        # pairs; read them first, so the row counts are counted off them.
+        counted = all(
+            spec.function is AggregateFunction.COUNT for spec in self._aggregates
+        )
+        pairs = None if counted else matches.pairs
+        if matches.left.num_rows > matches.num_rows:
             return None
         column = matches.left.column(self._key)
         algorithm = self._algorithm
@@ -257,7 +264,7 @@ class GroupBy(MaterialisedOperator):
             span = int(group_keys[-1]) - int(group_keys[0]) + 1
             if group_keys.size < MIN_DENSITY * span:
                 return None
-        row_matches = np.bincount(pairs.left_indices, minlength=build_slots.size)
+        row_matches = matches.row_counts
         counts = np.bincount(
             build_slots, weights=row_matches, minlength=group_keys.size
         ).astype(np.int64)
@@ -279,7 +286,7 @@ class GroupBy(MaterialisedOperator):
             else compute_aggregate(spec, slots, group_keys.size, values[spec.column])
             for spec in self._aggregates
         }
-        if self._parts(pairs.num_rows) > 1:
+        if self._parts(matches.num_rows) > 1:
             order = np.argsort(group_keys, kind="stable")
             group_keys = group_keys[order]
             columns = {alias: column[order] for alias, column in columns.items()}
@@ -314,8 +321,12 @@ class GroupBy(MaterialisedOperator):
             assignment = assign_slots(values, algorithm, self._num_distinct_hint)
         if algorithm is GroupingAlgorithm.HG:
             return assignment
-        codes = assignment.slots.astype(code_dtype(assignment.num_groups))
-        return DictionaryEncoded(codes, assignment.group_keys)
+        slots, num_groups = assignment.slots, assignment.num_groups
+        return DictionaryEncoded(
+            slots.astype(code_dtype(num_groups)),
+            assignment.group_keys,
+            narrow_counts(np.bincount(slots, minlength=num_groups)),
+        )
 
     def _output(self, group_keys: np.ndarray, columns: dict[str, np.ndarray]) -> Table:
         """The one cast to the output types (a float SUM truncates here,

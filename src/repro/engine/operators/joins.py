@@ -8,7 +8,7 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection
 
 import numpy as np
@@ -39,18 +39,53 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class JoinMatches:
-    """A join before its gather: both inputs and the matching pairs."""
+    """A join before its gather: both inputs and the matches, computed
+    on first read, either as the index :attr:`pairs` or as
+    :attr:`row_counts`, the matches per build row, without emitting a
+    pair. Readers of either share one object, so no input is read twice,
+    and each computed part adds its bytes to the join's working set."""
 
+    join: Join
     left: Table
     right: Table
-    pairs: JoinResult
+    #: the build side over the left key; None for SOJ and an empty input.
+    build: BuildSide | None
+    #: the right key column's memoised encoding; None = probe row by row.
+    encoded: RunLengthEncoded | DictionaryEncoded | None
+    _pairs: JoinResult | None = field(default=None, init=False)
+    _row_counts: np.ndarray | None = field(default=None, init=False)
+
+    @property
+    def pairs(self) -> JoinResult:
+        """The matching ``(build row, probe row)`` index pairs."""
+        if self._pairs is None:
+            self._pairs = self.join._probe(self)
+            self.join._note_memory(self.memory_bytes())
+        return self._pairs
+
+    @property
+    def row_counts(self) -> np.ndarray:
+        """Matches per left row: the ``np.bincount`` of the pairs' build
+        rows, counted off the pairs where they exist (and for SOJ, which
+        has no build side to count with), else without them."""
+        if self._row_counts is None:
+            self._row_counts = (
+                self.join._count(self)
+                if self._pairs is None and self.build is not None
+                else np.bincount(self.pairs.left_indices, minlength=self.left.num_rows)
+            )
+            self.join._note_memory(self.memory_bytes())
+        return self._row_counts
 
     @property
     def num_rows(self) -> int:
-        """Rows of the join's output."""
-        return self.pairs.num_rows
+        """Rows of the join's output, read off whichever of the pairs
+        and the row counts exists (the counts if neither does)."""
+        if self._pairs is not None:
+            return self._pairs.num_rows
+        return int(self.row_counts.sum())
 
     def column(self, name: str) -> np.ndarray:
         """Input column ``name`` read through the match indices of its
@@ -60,12 +95,16 @@ class JoinMatches:
         return self.right[name][self.pairs.right_indices]
 
     def memory_bytes(self) -> int:
-        """Bytes of both inputs plus the pairs and the build structure."""
-        return (
-            self.left.memory_bytes()
-            + self.right.memory_bytes()
-            + self.pairs.memory_bytes()
-        )
+        """Bytes of both inputs, the build structure, and the pairs and
+        row counts computed so far."""
+        nbytes = self.left.memory_bytes() + self.right.memory_bytes()
+        if self._pairs is not None:
+            nbytes += self._pairs.memory_bytes()
+        elif self.build is not None:
+            nbytes += self.build.structure_bytes
+        if self._row_counts is not None:
+            nbytes += self._row_counts.nbytes
+        return nbytes
 
 
 class Join(MaterialisedOperator):
@@ -144,9 +183,11 @@ class Join(MaterialisedOperator):
 
     def matches(self) -> JoinMatches:
         """Everything the join computes before it gathers: both
-        materialised inputs and the matching index pairs. A parent that
-        reads the inputs through the pairs itself (a group-by on a
-        build-side key) takes these instead of :meth:`to_table`."""
+        materialised inputs, the build side and the probe's encoding;
+        the matches follow on first read. A parent that reads the inputs
+        through the pairs itself, or counts the matches per build row (a
+        group-by on a build-side key), takes these instead of
+        :meth:`to_table`."""
         left_table = self.children[0].to_table()
         right_table = self.children[1].to_table()
         check_active_context()
@@ -160,22 +201,42 @@ class Join(MaterialisedOperator):
             else None
         )
         encoded = None if build is None else self._probe_encoding(right_table)
+        matches = JoinMatches(self, left_table, right_table, build, encoded)
+        # Working set: both materialised inputs and the build-side
+        # structure; the matches add theirs when they are computed.
+        self._note_memory(matches.memory_bytes())
+        return matches
+
+    def _probe(self, matches: JoinMatches) -> JoinResult:
+        """The pairs of ``matches``: through the probe column's encoding
+        where it has one, else the kernel's row-by-row probe."""
+        build, encoded = matches.build, matches.encoded
         if encoded is None:
-            result = join(
-                build_keys,
-                probe_keys,
+            return join(
+                matches.left[self._left_key],
+                matches.right[self._right_key],
                 self._algorithm,
                 num_distinct_hint=self._num_distinct_hint,
                 build=build,
             )
-        else:
-            pairs = build.probe_encoded(encoded)
-            result = JoinResult(*pairs, self.output_order, build.structure_bytes)
-        matches = JoinMatches(left_table, right_table, result)
-        # Working set: both materialised inputs, the kernel's build-side
-        # structure plus match-index arrays.
-        self._note_memory(matches.memory_bytes())
-        return matches
+        return JoinResult(
+            *build.probe_encoded(encoded), self.output_order, build.structure_bytes
+        )
+
+    def _count(self, matches: JoinMatches) -> np.ndarray:
+        """The row counts of ``matches``, without its pairs: the build
+        side looks each run or distinct value of an encoded probe column
+        up once, weighted by its run lengths or dictionary counts, and
+        each row of any other."""
+        build, encoded = matches.build, matches.encoded
+        num_build_rows = matches.left.num_rows
+        if isinstance(encoded, RunLengthEncoded):
+            return build.match_counts(encoded.values, encoded.lengths, num_build_rows)
+        if isinstance(encoded, DictionaryEncoded):
+            return build.match_counts(
+                encoded.dictionary, encoded.counts, num_build_rows
+            )
+        return build.match_counts(matches.right[self._right_key], None, num_build_rows)
 
     def _build_side(self, left_table: Table) -> BuildSide | None:
         """The build side over the left key column, erected on its first

@@ -288,8 +288,11 @@ def _hook(
                 return hand_over()
             begin()
             handed = timed(hand_over)
-            stats.rows_out += handed.num_rows
-            stats.chunks_out += chunk_count(handed.num_rows, operator._chunk_size)
+            # Counted as the operator's own work: a join's matches count
+            # their rows when first asked.
+            rows = timed(lambda: handed.num_rows)
+            stats.rows_out += rows
+            stats.chunks_out += chunk_count(rows, operator._chunk_size)
             return handed
 
         return instrumented_hand_over

@@ -36,6 +36,12 @@ def code_dtype(count: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
+def narrow_counts(counts: np.ndarray) -> np.ndarray:
+    """Row counts (run lengths, rows per dictionary entry) in
+    :func:`code_dtype` of one more than the largest."""
+    return counts.astype(code_dtype(int(counts.max(initial=0)) + 1))
+
+
 @dataclass(frozen=True)
 class DictionaryEncoded:
     """A dictionary-encoded column: codes plus the sorted dictionary.
@@ -49,6 +55,9 @@ class DictionaryEncoded:
     codes: np.ndarray
     #: sorted array of the distinct original values.
     dictionary: np.ndarray
+    #: rows per dictionary entry (each >= 1), in :func:`narrow_counts`
+    #: width, like run lengths: the column pre-aggregated by value.
+    counts: np.ndarray
 
     @property
     def cardinality(self) -> int:
@@ -56,8 +65,12 @@ class DictionaryEncoded:
         return int(self.dictionary.size)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the code and dictionary arrays."""
-        return int(self.codes.nbytes) + int(self.dictionary.nbytes)
+        """Bytes held by the code, dictionary and count arrays."""
+        return (
+            int(self.codes.nbytes)
+            + int(self.dictionary.nbytes)
+            + int(self.counts.nbytes)
+        )
 
     def decode(self) -> np.ndarray:
         """Reconstruct the original values."""
@@ -89,9 +102,13 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
     """
     if values.ndim != 1:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
-    dictionary, codes = np.unique(values, return_inverse=True)
+    dictionary, codes, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
     return DictionaryEncoded(
-        codes=codes.astype(code_dtype(dictionary.size)), dictionary=dictionary
+        codes=codes.astype(code_dtype(dictionary.size)),
+        dictionary=dictionary,
+        counts=narrow_counts(counts),
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro._util.arrays import runs_of
 from repro.errors import ColumnError
-from repro.storage.dictionary import code_dtype
+from repro.storage.dictionary import narrow_counts
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class RunLengthEncoded:
 
     #: value of each run.
     values: np.ndarray
-    #: length of each run (>= 1, one per value), in ``code_dtype``.
+    #: length of each run (>= 1, one per value), in ``narrow_counts`` width.
     lengths: np.ndarray
 
     def __post_init__(self) -> None:
@@ -72,7 +72,4 @@ def rle_encode(values: np.ndarray) -> RunLengthEncoded:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
     starts, run_values = runs_of(values)
     lengths = np.diff(np.append(starts, values.size))
-    return RunLengthEncoded(
-        values=run_values,
-        lengths=lengths.astype(code_dtype(int(lengths.max(initial=0)) + 1)),
-    )
+    return RunLengthEncoded(values=run_values, lengths=narrow_counts(lengths))

@@ -200,6 +200,8 @@ def test_grouping_hit_equals_fresh_build(grouping):
                 assert np.array_equal(encoded.codes, expected.codes)
                 assert encoded.codes.dtype == expected.codes.dtype
                 assert np.array_equal(encoded.dictionary, expected.dictionary)
+                assert np.array_equal(encoded.counts, expected.counts)
+                assert encoded.counts.dtype == expected.counts.dtype
     # Per run, R.ID's build side, S.R_ID's encoding and R.A's slots or
     # encoding are each read once: the build side misses on the first
     # run only, S.R_ID on the first two, HG's slots on every run and
@@ -764,7 +766,11 @@ def test_probe_encoding_laws(algorithm, route, kind):
         assert isinstance(encoded, DictionaryEncoded)
         assert np.array_equal(encoded.dictionary, expected.dictionary)
         assert np.array_equal(encoded.codes, expected.codes)
-        narrow = [(encoded.codes, expected.cardinality)]
+        assert np.array_equal(encoded.counts, expected.counts)
+        narrow = [
+            (encoded.codes, expected.cardinality),
+            (encoded.counts, int(expected.counts.max()) + 1),
+        ]
     for array, count in narrow:
         assert array.dtype == code_dtype(count)
     assert not any(
@@ -847,3 +853,107 @@ def test_probe_and_group_by_share_one_encoding(route):
     assert np.array_equal(pairs.left_indices, expected.left_indices)
     assert np.array_equal(pairs.right_indices, expected.right_indices)
     assert memo_entry(r, "A") is codes
+
+
+# --------------------------------------------------------------------------
+# COUNT grouped on a build-side key: the matches counted, never paired
+
+def count_plan(r: Table, s, algorithm, grouping, probe_filter=None) -> GroupBy:
+    """``SELECT R.A, COUNT(*) ... GROUP BY R.A`` over one join, at the
+    worker count in force; ``probe_filter`` filters S first."""
+    probe = TableScan(s.qualified("S"))
+    if probe_filter is not None:
+        probe = Filter(probe, probe_filter)
+    join = Join(
+        TableScan(r.qualified("R")),
+        probe,
+        "R.ID",
+        "S.R_ID",
+        algorithm,
+        num_distinct_hint=HINT,
+    )
+    return GroupBy(join, "R.A", [count_star("n")], grouping)
+
+
+def gathered(r_data: dict, s_data: dict, algorithm, grouping) -> Table:
+    """The same COUNT over the join's gathered output, on tables nothing
+    was memoised on: the route that reads every pair."""
+    operator = count_plan(
+        Table.from_arrays(r_data), Table.from_arrays(s_data), algorithm, grouping
+    )
+    output = TableScan(execute(operator.children[0]))
+    return execute(GroupBy(output, "R.A", [count_star("n")], grouping))
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "workers2"])
+@pytest.mark.parametrize("layout", ["sorted", "unsorted"])
+@pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
+@pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
+def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, layout, workers):
+    """Cold, first-touched and warm (the probe column's run-length form
+    or dictionary memoised), a COUNT grouped on R.A never emits the
+    join's pairs, and returns what grouping the gathered output returns:
+    bit for bit, in the same order (at two workers both sort their
+    groups), HG's up to order at one worker. OG's groups ascend, which
+    is what OG gives over an output sorted on the key and SOG over any."""
+    r_data, s_data = arrays()
+    reference = grouping
+    if layout == "unsorted":
+        order = np.random.default_rng(41).permutation(s_data["R_ID"].size)
+        s_data = {name: values[order] for name, values in s_data.items()}
+        if grouping is GroupingAlgorithm.OG:
+            reference = GroupingAlgorithm.SOG
+    probed = []
+    with scoped_settings(workers=workers):
+        expected = gathered(r_data, s_data, algorithm, reference)
+        monkeypatch.setattr(Join, "_probe", lambda *args: probed.append(args))
+        r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+        for run in ("cold", "first touch", "warm"):
+            result = execute(count_plan(r, s, algorithm, grouping))
+            if grouping is GroupingAlgorithm.HG and workers == 1:
+                result, expected = result.sort_by(["R.A"]), expected.sort_by(["R.A"])
+            assert result.equals(expected), run
+    assert probed == []
+    encoded = memo_entry(s, "R_ID")
+    if algorithm is JoinAlgorithm.SPHJ or (
+        algorithm is JoinAlgorithm.OJ and layout == "unsorted"
+    ):
+        assert not isinstance(encoded, ENCODINGS)
+    else:
+        form = RunLengthEncoded if layout == "sorted" else DictionaryEncoded
+        assert isinstance(encoded, form)
+
+
+def test_declined_count_gathers_from_the_same_matches():
+    """A filtered probe makes the join smaller than its build, so the
+    COUNT declines the build-side route and groups the gathered output.
+    The gather reads the matches the decline was decided on: each input
+    is read, and the join probed, once."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    operator = count_plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, col("S.B") > 7)
+    joined = operator.children[0]
+    calls = {"left": [], "right": [], "matches": [], "gather": []}
+
+    def spy(name, method):
+        def recorded(*args):
+            result = method(*args)
+            calls[name].append((args, result))
+            return result
+        return recorded
+
+    for side, child in zip(("left", "right"), joined.children):
+        child.to_table = spy(side, child.to_table)
+    joined.matches = spy("matches", joined.matches)
+    joined.gather = spy("gather", joined.gather)
+    result = execute(operator, workers=1)
+    assert [len(calls[side]) for side in ("left", "right", "matches")] == [1, 1, 1]
+    (__, matches), = calls["matches"]
+    ((handed,), __), = calls["gather"]
+    assert handed is matches and matches.num_rows < r.num_rows
+    fresh = join(r_data["ID"], s_data["R_ID"][s_data["B"] > 7], JoinAlgorithm.HJ)
+    assert matches.num_rows == fresh.num_rows
+    expected = np.unique(r_data["A"][fresh.left_indices], return_counts=True)
+    result = result.sort_by(["R.A"])
+    assert result["R.A"].tolist() == expected[0].tolist()
+    assert result["n"].tolist() == expected[1].tolist()

@@ -43,7 +43,7 @@ from repro.engine import (
 )
 from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
 from repro.engine.executor import explain_analyze
-from repro.engine.kernels.joins import build_side
+from repro.engine.kernels.joins import build_side, join
 from repro.engine.operators.base import chunk_count
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
 from repro.settings import scoped_settings
@@ -407,6 +407,25 @@ class TestJoinActuals:
         assert stats.chunks_out == chunk_count(s["S.R_ID"].size)
         assert stats.peak_memory_bytes > 0
         assert stats.cumulative_seconds <= analyzed.root.cumulative_seconds
+
+    @pytest.mark.parametrize("shape", ["morsels", "repeated_build_keys"])
+    def test_count_route_reports_the_pairs_it_never_emits(self, monkeypatch, shape):
+        """A COUNT grouped on the build key counts the matches per build
+        row; the join still reports as many rows as it has pairs, and a
+        working set."""
+        r, s = relations(shape)
+        operator = plan(
+            r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=[count_star("n")]
+        )
+        probed = []
+        monkeypatch.setattr(Join, "_probe", lambda *args: probed.append(args))
+        analyzed = explain_analyze(operator)
+        stats = next(node for node in analyzed.root.walk() if node.name == "Join")
+        pairs = join(r["R.ID"], s["S.R_ID"], JoinAlgorithm.HJ).num_rows
+        assert probed == [] and stats.rows_out == pairs
+        assert stats.chunks_out == chunk_count(pairs)
+        assert stats.peak_memory_bytes > 0
+        assert analyzed.table["n"].sum() == pairs
 
 
 class TestEmptyInputs:

@@ -9,6 +9,7 @@ from repro.engine.kernels.joins import (
     JoinAlgorithm,
     JoinOutputOrder,
     binary_search_join,
+    build_side,
     hash_join,
     join,
     merge_join,
@@ -16,6 +17,7 @@ from repro.engine.kernels.joins import (
     sort_merge_join,
 )
 from repro.errors import PreconditionError
+from repro.storage import dictionary_encode, rle_encode
 
 
 def naive_pairs(build, probe):
@@ -130,3 +132,74 @@ def test_all_join_kernels_agree(build_values, probe_values):
             assert algorithm is JoinAlgorithm.SPHJ
             continue
         assert result.canonical_pairs() == expected, algorithm
+
+
+# --------------------------------------------------------------------------
+# BuildSide.match_counts: the pairs' per-build-row count, without the pairs
+
+#: (algorithm, BuildSide kind): HJ hashes, SPHJ indexes directly, BSJ and
+#: OJ binary-search (OJ's build rows are in slot order: ``rows`` is None).
+COUNTING_JOINS = {
+    JoinAlgorithm.HJ: "hash",
+    JoinAlgorithm.SPHJ: "direct",
+    JoinAlgorithm.BSJ: "sorted",
+    JoinAlgorithm.OJ: "sorted",
+}
+
+
+def counting_build_keys(algorithm, repeated: bool) -> np.ndarray:
+    """Build keys over 10..129 with every seventh key absent (unoccupied
+    direct slots), distinct or each repeated up to three times; shuffled
+    except for OJ, whose build input is sorted."""
+    rng = np.random.default_rng(31)
+    keys = np.array([key for key in range(10, 130) if key % 7], dtype=np.int64)
+    if repeated:
+        keys = np.repeat(keys, rng.integers(1, 4, keys.size))
+    return keys if algorithm is JoinAlgorithm.OJ else rng.permutation(keys)
+
+
+def counting_probes() -> dict:
+    """Probe key columns: hits only, misses inside the build keys' domain
+    (absent keys) and outside it (below and above), and none at all."""
+    rng = np.random.default_rng(37)
+    return {
+        "hits": rng.choice([key for key in range(10, 130) if key % 7], 900),
+        "misses": rng.integers(0, 150, 900),
+        "out_of_domain": np.concatenate(
+            [rng.integers(-40, 10, 50), rng.integers(10, 130, 800), [10**12, -(10**12)]]
+        ),
+        "empty": np.empty(0, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("probe_form", ["raw", "rle", "dictionary"])
+@pytest.mark.parametrize("probe_kind", ["hits", "misses", "out_of_domain", "empty"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
+def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
+    """``match_counts`` of a probe column, as its rows, its runs with
+    their lengths or its dictionary with its counts, equals
+    ``np.bincount`` of the build rows the same probe pairs with."""
+    build_keys = counting_build_keys(algorithm, repeated)
+    probe = counting_probes()[probe_kind].astype(np.int64)
+    if algorithm is JoinAlgorithm.OJ:
+        probe = np.sort(probe)
+    build = build_side(build_keys, algorithm)
+    assert build.kind == COUNTING_JOINS[algorithm]
+    assert (build.offsets is not None) == repeated
+    if probe_form == "raw":
+        left, __ = build.probe(probe)
+        keys, weights = probe, None
+    else:
+        encoded = rle_encode(probe) if probe_form == "rle" else dictionary_encode(probe)
+        left, __ = build.probe_encoded(encoded)
+        keys, weights = (
+            (encoded.values, encoded.lengths)
+            if probe_form == "rle"
+            else (encoded.dictionary, encoded.counts)
+        )
+    counts = build.match_counts(keys, weights, build_keys.size)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(left, minlength=build_keys.size))
+    # Independently: a build row matches every probe row with its key.
+    assert counts.tolist() == [int(np.sum(probe == key)) for key in build_keys]

@@ -6,7 +6,9 @@ the DP picks today. Over the four Figure-5 layouts (both relations
 sorted or both unsorted, dense or sparse keys) at reduced size, every
 distinct plan :func:`enumerate_exhaustive` composes is lowered (with its
 runtime precondition checks on) and executed, serially and at two thread
-workers; its rows, sorted by the group key, equal the DP pick's.
+workers; its rows, sorted by the group key, equal the DP pick's, and
+the DP pick's equal the group sizes numpy computes from the generated
+arrays (``JoinScenario.expected_groups``), which no route can change.
 
 Each plan runs three times over tables nothing was memoised on: cold,
 then with its build structures memoised and the probe column's first
@@ -66,6 +68,8 @@ def test_every_oracle_plan_returns_the_dp_picks_rows(sortedness, density, worker
     with scoped_settings(workers=workers, backend="thread"):
         expected = rows_by_key(execute(to_operator(pick, catalog)))
         assert expected
+        keys, counts = scenario.expected_groups()
+        assert expected == list(zip(keys.tolist(), counts.tolist()))
         for plan in plans:
             tables = fresh_catalog(scenario)
             for run in ("cold", "first touch", "dictionary"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ColumnError
@@ -37,6 +37,26 @@ def test_dictionary_codes_use_the_one_width_rule(distinct):
     encoded = dictionary_encode(values)
     assert encoded.codes.dtype == code_dtype(distinct)
     assert np.array_equal(encoded.decode(), values)
+
+
+@pytest.mark.parametrize("most", [1, 255, 256, 65_536])
+def test_dictionary_counts_use_the_one_width_rule(most):
+    values = np.concatenate([np.full(most, 7), np.arange(3)]).astype(np.int64)
+    encoded = dictionary_encode(values[::-1])
+    assert encoded.counts.dtype == code_dtype(most + 1)
+    assert encoded.counts.tolist() == [1, 1, 1, most]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=200))
+def test_dictionary_counts_are_rows_per_entry(values):
+    values = np.array(values, dtype=np.int64)
+    encoded = dictionary_encode(values)
+    assert int(encoded.counts.sum()) == values.size
+    assert encoded.counts.tolist() == np.bincount(encoded.codes).tolist()
+    assert encoded.memory_bytes() == (
+        encoded.codes.nbytes + encoded.dictionary.nbytes + encoded.counts.nbytes
+    )
 
 
 @pytest.mark.parametrize("longest", [1, 255, 256, 65_536])
