@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -213,7 +212,7 @@ class BuildSide:
         OJ's probe is sorted, one run per key: it probes the runs."""
         if self.rows is None:
             return self.probe_encoded(rle_encode(probe_keys))
-        return self._pairs(self.slots(probe_keys))
+        return self.pairs(self.slots(probe_keys))
 
     def probe_encoded(
         self, encoded: RunLengthEncoded | DictionaryEncoded
@@ -222,25 +221,26 @@ class BuildSide:
         distinct value is looked up once, and the rows take its matches
         by ``np.repeat`` over the run lengths or a gather through the
         codes. The pairs are the row-by-row probe's, in its order."""
-        if isinstance(encoded, RunLengthEncoded):
-            return self._pairs(
-                self.slots(encoded.values),
-                lambda per_run: np.repeat(per_run, encoded.lengths),
-            )
-        return self._pairs(
-            self.slots(encoded.dictionary), lambda per_value: per_value[encoded.codes]
-        )
+        return self.pairs(self.slots(distinct_keys(encoded)), encoded)
 
     def match_counts(
-        self, keys: np.ndarray, weights: np.ndarray | None, num_build_rows: int
+        self,
+        slots: np.ndarray,
+        num_build_rows: int,
+        encoded: RunLengthEncoded | DictionaryEncoded | None = None,
     ) -> np.ndarray:
-        """Matches per build row (int64, ``num_build_rows`` of them) of
-        probe keys ``keys``, each standing for ``weights`` rows (None =
-        one each): the ``np.bincount`` of :meth:`probe`'s build rows,
-        without emitting a pair. Pass an encoded column's run values and
-        lengths, or its dictionary and counts, and the slots are looked
-        up once per run or distinct value."""
-        slots = self.slots(keys)
+        """Matches per build row (int64, ``num_build_rows`` of them) of a
+        probe whose keys have ``slots`` (:meth:`slots`): the
+        ``np.bincount`` of :meth:`pairs`' build rows, without emitting a
+        pair. The slots are one per probe row or, with ``encoded``, one
+        per run or distinct value of that probe column
+        (:func:`distinct_keys`), each weighted by its run length or
+        dictionary count."""
+        weights = None
+        if isinstance(encoded, RunLengthEncoded):
+            weights = encoded.lengths
+        elif encoded is not None:
+            weights = encoded.counts
         if slots.size and slots.min() < 0:
             hit = slots >= 0
             slots = slots[hit]
@@ -263,13 +263,24 @@ class BuildSide:
         counts[self.rows[occupied]] = per_slot[occupied]
         return counts
 
-    def _pairs(
-        self, slots: np.ndarray, spread: Callable | None = None
+    def pairs(
+        self,
+        slots: np.ndarray,
+        encoded: RunLengthEncoded | DictionaryEncoded | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs of probe keys with ``slots``; where the keys are runs
-        or distinct values, ``spread`` turns one entry per key into one per row."""
+        """The pairs of a probe whose keys have ``slots`` (:meth:`slots`):
+        one slot per probe row or, with ``encoded``, one per run or
+        distinct value of that probe column (:func:`distinct_keys`),
+        which its rows take by ``np.repeat`` over the run lengths or a
+        gather through the codes."""
+
+        def spread(per_key: np.ndarray) -> np.ndarray:
+            if isinstance(encoded, RunLengthEncoded):
+                return np.repeat(per_key, encoded.lengths)
+            return per_key[encoded.codes]
+
         if self.offsets is not None:
-            slots = slots if spread is None else spread(slots)
+            slots = slots if encoded is None else spread(slots)
             return expand_matches(slots, self.offsets, self.counts, self.rows)
         build_rows = slots if self.rows is None else self.rows[slots]
         # Misses are -1 slots; an unoccupied direct slot holds row -1. An
@@ -278,7 +289,7 @@ class BuildSide:
         hit = slots >= 0
         if self.kind == "direct":
             hit &= build_rows >= 0
-        if spread is not None:
+        if encoded is not None:
             build_rows = spread(np.where(hit, build_rows, -1))
             hit = build_rows >= 0
         if hit.all():
@@ -289,6 +300,14 @@ class BuildSide:
         return build_rows.astype(np.int64, copy=False), probe_rows.astype(
             np.int64, copy=False
         )
+
+
+def distinct_keys(encoded: RunLengthEncoded | DictionaryEncoded) -> np.ndarray:
+    """The keys an encoded probe column is looked up by, once each: its
+    run values or its dictionary."""
+    if isinstance(encoded, RunLengthEncoded):
+        return encoded.values
+    return encoded.dictionary
 
 
 def _rows_by_slot(

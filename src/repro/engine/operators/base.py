@@ -259,14 +259,19 @@ class MaterialisedOperator(PhysicalOperator):
     chunks and concatenating them again; it polls the governing context
     before and after the work, where the chunk loop used to poll per
     chunk. :func:`repro.obs.instrument.instrumented` hooks the methods
-    named in :attr:`HAND_OVERS` as well as ``chunks``, and counts a
-    handed-over output as the :func:`chunk_count` chunks it stands for.
+    named in :attr:`HAND_OVERS` and :attr:`STEPS` as well as ``chunks``,
+    and counts a handed-over output as the :func:`chunk_count` chunks it
+    stands for.
     """
 
     _chunk_size: int = DEFAULT_CHUNK_SIZE
     #: methods that hand the whole output (anything with a ``num_rows``)
     #: to a parent; one call is one execution of the operator.
     HAND_OVERS: tuple[str, ...] = ("to_table",)
+    #: methods a parent calls on a hand-over's result to finish the
+    #: operator's work (a join's gather): the operator's own time and
+    #: memory, but no rows of their own.
+    STEPS: tuple[str, ...] = ()
 
     def _materialise(self) -> Table:
         """Compute the operator's whole output."""

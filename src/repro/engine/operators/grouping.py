@@ -158,7 +158,12 @@ class GroupBy(MaterialisedOperator):
         # there, before the join multiplies the rows, on every route; the
         # join's row count may still decide against the build side.
         if isinstance(child, Join) and self._key in child.children[0].output_schema:
-            matches = child.matches()
+            # Only an aggregate other than COUNT reads values through the
+            # pairs; COUNTs alone need the matches per build row.
+            counted = all(
+                spec.function is AggregateFunction.COUNT for spec in self._aggregates
+            )
+            matches = child.matches(pairs=not counted, row_counts=True)
             check_active_context()
             result = self._group_matches(matches)
             if result is not None:
@@ -215,7 +220,7 @@ class GroupBy(MaterialisedOperator):
         groups). A group's COUNT is the sum of its build rows' match
         counts (:attr:`JoinMatches.row_counts`); groups with none (build
         keys nobody matched) are dropped. When every aggregate is a
-        COUNT, the join never emits its pairs. For the other aggregates
+        COUNT, the join was asked for no pairs. For the other aggregates
         each output row reads its slot through the build-side match
         indices, and its input through the indices of the input column's
         side. Returns None, and the caller groups the
@@ -230,12 +235,6 @@ class GroupBy(MaterialisedOperator):
         parts' merge returns them: the optimiser relies on that order and
         drops an ``ORDER BY`` on the key for these routes.
         """
-        # Only an aggregate other than COUNT reads values through the
-        # pairs; read them first, so the row counts are counted off them.
-        counted = all(
-            spec.function is AggregateFunction.COUNT for spec in self._aggregates
-        )
-        pairs = None if counted else matches.pairs
         if matches.left.num_rows > matches.num_rows:
             return None
         column = matches.left.column(self._key)
@@ -279,7 +278,7 @@ class GroupBy(MaterialisedOperator):
             for spec in self._aggregates
             if spec.function is not AggregateFunction.COUNT
         }
-        slots = build_slots[pairs.left_indices] if values else None
+        slots = build_slots[matches.pairs.left_indices] if values else None
         columns = {
             spec.alias: counts
             if spec.function is AggregateFunction.COUNT

@@ -8,7 +8,7 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Collection
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.engine.kernels.joins import (
     JoinResult,
     build_side,
     check_merge_inputs,
+    distinct_keys,
     join,
 )
 from repro.service.context import check_active_context
@@ -39,52 +40,34 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class JoinMatches:
-    """A join before its gather: both inputs and the matches, computed
-    on first read, either as the index :attr:`pairs` or as
-    :attr:`row_counts`, the matches per build row, without emitting a
-    pair. Readers of either share one object, so no input is read twice,
-    and each computed part adds its bytes to the join's working set."""
+    """A join before its gather: both inputs, the probe's lookups into
+    the build side, and the matches in the form the parent asked for:
+    the index :attr:`pairs`, the matches per build row
+    (:attr:`row_counts`), or both."""
 
-    join: Join
     left: Table
     right: Table
     #: the build side over the left key; None for SOJ and an empty input.
     build: BuildSide | None
     #: the right key column's memoised encoding; None = probe row by row.
     encoded: RunLengthEncoded | DictionaryEncoded | None
-    _pairs: JoinResult | None = field(default=None, init=False)
-    _row_counts: np.ndarray | None = field(default=None, init=False)
-
-    @property
-    def pairs(self) -> JoinResult:
-        """The matching ``(build row, probe row)`` index pairs."""
-        if self._pairs is None:
-            self._pairs = self.join._probe(self)
-            self.join._note_memory(self.memory_bytes())
-        return self._pairs
-
-    @property
-    def row_counts(self) -> np.ndarray:
-        """Matches per left row: the ``np.bincount`` of the pairs' build
-        rows, counted off the pairs where they exist (and for SOJ, which
-        has no build side to count with), else without them."""
-        if self._row_counts is None:
-            self._row_counts = (
-                self.join._count(self)
-                if self._pairs is None and self.build is not None
-                else np.bincount(self.pairs.left_indices, minlength=self.left.num_rows)
-            )
-            self.join._note_memory(self.memory_bytes())
-        return self._row_counts
+    #: the build-side slot of each probe row, or of each run or distinct
+    #: value of ``encoded``; None without a build side.
+    slots: np.ndarray | None
+    #: the matching ``(build row, probe row)`` index pairs; None when
+    #: only the row counts were asked for.
+    pairs: JoinResult | None
+    #: matches per left row, the ``np.bincount`` of the pairs' build
+    #: rows; None unless asked for.
+    row_counts: np.ndarray | None
 
     @property
     def num_rows(self) -> int:
-        """Rows of the join's output, read off whichever of the pairs
-        and the row counts exists (the counts if neither does)."""
-        if self._pairs is not None:
-            return self._pairs.num_rows
+        """Rows of the join's output."""
+        if self.pairs is not None:
+            return self.pairs.num_rows
         return int(self.row_counts.sum())
 
     def column(self, name: str) -> np.ndarray:
@@ -95,15 +78,16 @@ class JoinMatches:
         return self.right[name][self.pairs.right_indices]
 
     def memory_bytes(self) -> int:
-        """Bytes of both inputs, the build structure, and the pairs and
-        row counts computed so far."""
+        """Bytes of both inputs, the build structure, the slots, the
+        pairs and the row counts."""
         nbytes = self.left.memory_bytes() + self.right.memory_bytes()
-        if self._pairs is not None:
-            nbytes += self._pairs.memory_bytes()
+        if self.pairs is not None:
+            nbytes += self.pairs.memory_bytes()
         elif self.build is not None:
             nbytes += self.build.structure_bytes
-        if self._row_counts is not None:
-            nbytes += self._row_counts.nbytes
+        for array in (self.slots, self.row_counts):
+            if array is not None:
+                nbytes += array.nbytes
         return nbytes
 
 
@@ -131,6 +115,7 @@ class Join(MaterialisedOperator):
     """
 
     HAND_OVERS = ("to_table", "matches")
+    STEPS = ("gather",)
 
     def __init__(
         self,
@@ -181,13 +166,13 @@ class Join(MaterialisedOperator):
             return JoinOutputOrder.KEY_SORTED
         return JoinOutputOrder.PROBE_ORDER
 
-    def matches(self) -> JoinMatches:
+    def matches(self, pairs: bool = True, row_counts: bool = False) -> JoinMatches:
         """Everything the join computes before it gathers: both
-        materialised inputs, the build side and the probe's encoding;
-        the matches follow on first read. A parent that reads the inputs
-        through the pairs itself, or counts the matches per build row (a
-        group-by on a build-side key), takes these instead of
-        :meth:`to_table`."""
+        materialised inputs, the build side, the probe's encoding, and
+        the matches as the index ``pairs``, as the ``row_counts`` per
+        build row, or both. A parent that reads the inputs through the
+        pairs itself, or counts the matches per build row (a group-by on
+        a build-side key), takes these instead of :meth:`to_table`."""
         left_table = self.children[0].to_table()
         right_table = self.children[1].to_table()
         check_active_context()
@@ -201,42 +186,45 @@ class Join(MaterialisedOperator):
             else None
         )
         encoded = None if build is None else self._probe_encoding(right_table)
-        matches = JoinMatches(self, left_table, right_table, build, encoded)
-        # Working set: both materialised inputs and the build-side
-        # structure; the matches add theirs when they are computed.
+        slots = found = counts = None
+        if build is None:
+            # SOJ and an empty input: the kernel's join, counted off its
+            # pairs.
+            found = join(
+                build_keys,
+                probe_keys,
+                self._algorithm,
+                num_distinct_hint=self._num_distinct_hint,
+            )
+            if row_counts:
+                counts = np.bincount(found.left_indices, minlength=left_table.num_rows)
+        else:
+            # Each probe row, or each run or distinct value of the probe
+            # column's encoding, is looked up once; the pairs and the row
+            # counts are both read off those slots.
+            slots = build.slots(probe_keys if encoded is None else distinct_keys(encoded))
+            if pairs:
+                found = self._pairs(build, slots, encoded)
+            if row_counts:
+                counts = build.match_counts(slots, left_table.num_rows, encoded)
+        matches = JoinMatches(
+            left_table, right_table, build, encoded, slots, found, counts
+        )
+        # Working set: both materialised inputs, the build-side structure
+        # and the matches.
         self._note_memory(matches.memory_bytes())
         return matches
 
-    def _probe(self, matches: JoinMatches) -> JoinResult:
-        """The pairs of ``matches``: through the probe column's encoding
-        where it has one, else the kernel's row-by-row probe."""
-        build, encoded = matches.build, matches.encoded
-        if encoded is None:
-            return join(
-                matches.left[self._left_key],
-                matches.right[self._right_key],
-                self._algorithm,
-                num_distinct_hint=self._num_distinct_hint,
-                build=build,
-            )
+    def _pairs(
+        self,
+        build: BuildSide,
+        slots: np.ndarray,
+        encoded: RunLengthEncoded | DictionaryEncoded | None,
+    ) -> JoinResult:
+        """The matching pairs of a probe whose keys have ``slots``."""
         return JoinResult(
-            *build.probe_encoded(encoded), self.output_order, build.structure_bytes
+            *build.pairs(slots, encoded), self.output_order, build.structure_bytes
         )
-
-    def _count(self, matches: JoinMatches) -> np.ndarray:
-        """The row counts of ``matches``, without its pairs: the build
-        side looks each run or distinct value of an encoded probe column
-        up once, weighted by its run lengths or dictionary counts, and
-        each row of any other."""
-        build, encoded = matches.build, matches.encoded
-        num_build_rows = matches.left.num_rows
-        if isinstance(encoded, RunLengthEncoded):
-            return build.match_counts(encoded.values, encoded.lengths, num_build_rows)
-        if isinstance(encoded, DictionaryEncoded):
-            return build.match_counts(
-                encoded.dictionary, encoded.counts, num_build_rows
-            )
-        return build.match_counts(matches.right[self._right_key], None, num_build_rows)
 
     def _build_side(self, left_table: Table) -> BuildSide | None:
         """The build side over the left key column, erected on its first
@@ -287,18 +275,21 @@ class Join(MaterialisedOperator):
     def gather(self, matches: JoinMatches) -> Table:
         """The join's output table. Late materialisation: only the
         columns an ancestor reads are gathered through the match
-        indices."""
+        indices. Matches handed over without their pairs (a group-by
+        that counted, then declined) are paired off their slots first."""
+        if matches.pairs is None:
+            pairs = self._pairs(matches.build, matches.slots, matches.encoded)
+            matches = replace(matches, pairs=pairs)
         data = {name: matches.column(name) for name in self._schema.names}
-        return Table.from_arrays(
+        output = Table.from_arrays(
             data, dtypes={s.name: s.dtype for s in self._schema}
         )
-
-    def _materialise(self) -> Table:
-        matches = self.matches()
-        output = self.gather(matches)
         # Working set: the matches and the gathered output.
         self._note_memory(matches.memory_bytes() + output.memory_bytes())
         return output
+
+    def _materialise(self) -> Table:
+        return self.gather(self.matches())
 
     def describe(self) -> str:
         return (

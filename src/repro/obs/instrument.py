@@ -10,7 +10,9 @@ time is inclusive, and ``self_seconds`` subtracts the children out.
 Whole-output hand-overs are hooked the same way: each method a
 materialising operator lists in ``HAND_OVERS`` (``to_table``, and a
 join's ``matches``, which a group-by on a build-side key takes instead
-of the joined table).
+of the joined table), and each it lists in ``STEPS`` (a join's
+``gather`` of matches a group-by declined) is timed as the operator's
+own work, with no rows of its own.
 
 The hooks are removed when the context exits, so instrumentation is
 strictly opt-in and the un-instrumented engine stays untouched.
@@ -281,24 +283,31 @@ def _hook(
         return
 
     def hooked(hand_over):
-        def instrumented_hand_over():
+        def instrumented_hand_over(*args, **kwargs):
             # A join's output is its matches, gathered: the hand-over
             # inside another step of the same operator is counted there.
             if inside:
-                return hand_over()
+                return hand_over(*args, **kwargs)
             begin()
-            handed = timed(hand_over)
-            # Counted as the operator's own work: a join's matches count
-            # their rows when first asked.
-            rows = timed(lambda: handed.num_rows)
-            stats.rows_out += rows
-            stats.chunks_out += chunk_count(rows, operator._chunk_size)
+            handed = timed(lambda: hand_over(*args, **kwargs))
+            stats.rows_out += handed.num_rows
+            stats.chunks_out += chunk_count(handed.num_rows, operator._chunk_size)
             return handed
 
         return instrumented_hand_over
 
+    def hooked_step(step):
+        def instrumented_step(*args, **kwargs):
+            if inside:
+                return step(*args, **kwargs)
+            return timed(lambda: step(*args, **kwargs))
+
+        return instrumented_step
+
     for name in operator.HAND_OVERS:
         setattr(operator, name, hooked(getattr(operator, name)))
+    for name in operator.STEPS:
+        setattr(operator, name, hooked_step(getattr(operator, name)))
 
 
 @contextmanager
@@ -342,5 +351,8 @@ def instrumented(root: PhysicalOperator) -> Iterator[OperatorStats]:
     finally:
         for operator in hooked:
             operator.__dict__.pop("chunks", None)
-            for name in getattr(operator, "HAND_OVERS", ()):
+            for name in (
+                *getattr(operator, "HAND_OVERS", ()),
+                *getattr(operator, "STEPS", ()),
+            ):
                 operator.__dict__.pop(name, None)

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro._util.arrays import run_count
 from repro.errors import StorageError
-from repro.storage.dictionary import code_dtype, dictionary_encode
+from repro.storage.dictionary import code_dtype
 from repro.storage.rle import rle_encode
 from repro.storage.statistics import ColumnStatistics, count_distinct
 
@@ -145,8 +145,12 @@ def encode_segment(values: np.ndarray, encoding: str = "auto") -> tuple[bytes, d
     if encoding == "plain":
         arrays = [("values", values)]
     elif encoding == "dictionary":
-        encoded = dictionary_encode(values)
-        arrays = [("codes", encoded.codes), ("dictionary", encoded.dictionary)]
+        # A segment stores no counts: np.unique without them.
+        dictionary, codes = np.unique(values, return_inverse=True)
+        arrays = [
+            ("codes", codes.astype(code_dtype(dictionary.size))),
+            ("dictionary", dictionary),
+        ]
     else:  # rle
         encoded = rle_encode(values)
         arrays = [

@@ -38,7 +38,7 @@ from repro.engine import (
 )
 from repro.engine.aggregates import sum_of
 from repro.engine.kernels.grouping import assign_slots
-from repro.engine.kernels.joins import join
+from repro.engine.kernels.joins import BuildSide, join
 from repro.engine.operators import joins as join_operators
 from repro.engine.operators.base import memoised
 from repro.engine.procpool import leaked_segments
@@ -906,7 +906,7 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
     probed = []
     with scoped_settings(workers=workers):
         expected = gathered(r_data, s_data, algorithm, reference)
-        monkeypatch.setattr(Join, "_probe", lambda *args: probed.append(args))
+        monkeypatch.setattr(Join, "_pairs", lambda *args: probed.append(args))
         r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
         for run in ("cold", "first touch", "warm"):
             result = execute(count_plan(r, s, algorithm, grouping))
@@ -924,20 +924,22 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
         assert isinstance(encoded, form)
 
 
-def test_declined_count_gathers_from_the_same_matches():
+def test_declined_count_gathers_from_the_same_matches(monkeypatch):
     """A filtered probe makes the join smaller than its build, so the
     COUNT declines the build-side route and groups the gathered output.
-    The gather reads the matches the decline was decided on: each input
-    is read, and the join probed, once."""
+    The gather pairs the slots the decline was counted off: each input
+    is read, each probe key looked up, and the pairs built, once."""
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     operator = count_plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, col("S.B") > 7)
     joined = operator.children[0]
-    calls = {"left": [], "right": [], "matches": [], "gather": []}
+    calls = {
+        "left": [], "right": [], "matches": [], "gather": [], "pairs": [], "slots": []
+    }
 
     def spy(name, method):
-        def recorded(*args):
-            result = method(*args)
+        def recorded(*args, **kwargs):
+            result = method(*args, **kwargs)
             calls[name].append((args, result))
             return result
         return recorded
@@ -946,11 +948,15 @@ def test_declined_count_gathers_from_the_same_matches():
         child.to_table = spy(side, child.to_table)
     joined.matches = spy("matches", joined.matches)
     joined.gather = spy("gather", joined.gather)
+    joined._pairs = spy("pairs", joined._pairs)
+    monkeypatch.setattr(BuildSide, "slots", spy("slots", BuildSide.slots))
     result = execute(operator, workers=1)
-    assert [len(calls[side]) for side in ("left", "right", "matches")] == [1, 1, 1]
+    steps = ("left", "right", "matches", "pairs", "slots")
+    assert [len(calls[step]) for step in steps] == [1, 1, 1, 1, 1]
     (__, matches), = calls["matches"]
     ((handed,), __), = calls["gather"]
     assert handed is matches and matches.num_rows < r.num_rows
+    assert matches.pairs is None
     fresh = join(r_data["ID"], s_data["R_ID"][s_data["B"] > 7], JoinAlgorithm.HJ)
     assert matches.num_rows == fresh.num_rows
     expected = np.unique(r_data["A"][fresh.left_indices], return_counts=True)

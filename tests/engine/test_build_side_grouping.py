@@ -22,6 +22,8 @@ all-equal and all-distinct probes, whether it finds the runs itself or
 probes through the column's run-length or dictionary encoding.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,7 @@ from repro.engine import (
 )
 from repro.engine.aggregates import avg_of, max_of, min_of, sum_of
 from repro.engine.executor import explain_analyze
-from repro.engine.kernels.joins import build_side, join
+from repro.engine.kernels.joins import BuildSide, build_side, join
 from repro.engine.operators.base import chunk_count
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
 from repro.settings import scoped_settings
@@ -418,7 +420,7 @@ class TestJoinActuals:
             r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=[count_star("n")]
         )
         probed = []
-        monkeypatch.setattr(Join, "_probe", lambda *args: probed.append(args))
+        monkeypatch.setattr(Join, "_pairs", lambda *args: probed.append(args))
         analyzed = explain_analyze(operator)
         stats = next(node for node in analyzed.root.walk() if node.name == "Join")
         pairs = join(r["R.ID"], s["S.R_ID"], JoinAlgorithm.HJ).num_rows
@@ -426,6 +428,40 @@ class TestJoinActuals:
         assert stats.chunks_out == chunk_count(pairs)
         assert stats.peak_memory_bytes > 0
         assert analyzed.table["n"].sum() == pairs
+
+    @pytest.mark.parametrize(
+        "shape, aggregates",
+        [("morsels", AGGREGATES), ("build_larger_than_matches", [count_star("n")])],
+        ids=["value_aggregates", "declined_count"],
+    )
+    def test_the_pairs_are_the_joins_work(self, monkeypatch, shape, aggregates):
+        """Where the pairs are built, for value aggregates in the join's
+        matches and for a declined COUNT in its gather, their time and
+        bytes are the join's, and profiling adds no lookup, pairing or
+        count."""
+        r, s = relations(shape)
+        calls = {"slots": 0, "pairs": 0, "match_counts": 0}
+        for name in calls:
+            method = getattr(BuildSide, name)
+
+            def spied(*args, method=method, name=name):
+                calls[name] += 1
+                time.sleep(0.05 if name == "pairs" else 0)
+                return method(*args)
+
+            monkeypatch.setattr(BuildSide, name, spied)
+        execute(plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=aggregates))
+        unprofiled, calls = calls, {name: 0 for name in calls}
+        analyzed = explain_analyze(
+            plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=aggregates)
+        )
+        assert calls == unprofiled == {"slots": 1, "pairs": 1, "match_counts": 1}
+        stats = next(node for node in analyzed.root.walk() if node.name == "Join")
+        pairs = join(r["R.ID"], s["S.R_ID"], JoinAlgorithm.HJ)
+        assert stats.cumulative_seconds >= 0.05
+        assert stats.peak_memory_bytes >= (
+            pairs.left_indices.nbytes + pairs.right_indices.nbytes
+        )
 
 
 class TestEmptyInputs:

@@ -10,6 +10,7 @@ from repro.engine.kernels.joins import (
     JoinOutputOrder,
     binary_search_join,
     build_side,
+    distinct_keys,
     hash_join,
     join,
     merge_join,
@@ -135,7 +136,8 @@ def test_all_join_kernels_agree(build_values, probe_values):
 
 
 # --------------------------------------------------------------------------
-# BuildSide.match_counts: the pairs' per-build-row count, without the pairs
+# BuildSide.match_counts: the pairs' per-build-row count, without the pairs,
+# and BuildSide.pairs: the pairs, off the same slots
 
 #: (algorithm, BuildSide kind): HJ hashes, SPHJ indexes directly, BSJ and
 #: OJ binary-search (OJ's build rows are in slot order: ``rows`` is None).
@@ -177,9 +179,10 @@ def counting_probes() -> dict:
 @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
 @pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
 def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
-    """``match_counts`` of a probe column, as its rows, its runs with
-    their lengths or its dictionary with its counts, equals
-    ``np.bincount`` of the build rows the same probe pairs with."""
+    """``match_counts`` of a probe column's slots, one per row, or one
+    per run or dictionary entry weighted by its length or count, equals
+    ``np.bincount`` of the build rows the same probe pairs with; and
+    ``pairs`` of the same slots are the probe's pairs."""
     build_keys = counting_build_keys(algorithm, repeated)
     probe = counting_probes()[probe_kind].astype(np.int64)
     if algorithm is JoinAlgorithm.OJ:
@@ -188,17 +191,17 @@ def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kin
     assert build.kind == COUNTING_JOINS[algorithm]
     assert (build.offsets is not None) == repeated
     if probe_form == "raw":
-        left, __ = build.probe(probe)
-        keys, weights = probe, None
+        expected = build.probe(probe)
+        encoded, keys = None, probe
     else:
         encoded = rle_encode(probe) if probe_form == "rle" else dictionary_encode(probe)
-        left, __ = build.probe_encoded(encoded)
-        keys, weights = (
-            (encoded.values, encoded.lengths)
-            if probe_form == "rle"
-            else (encoded.dictionary, encoded.counts)
-        )
-    counts = build.match_counts(keys, weights, build_keys.size)
+        expected = build.probe_encoded(encoded)
+        keys = distinct_keys(encoded)
+    slots = build.slots(keys)
+    for got, want in zip(build.pairs(slots, encoded), expected):
+        assert np.array_equal(got, want)
+    left = expected[0]
+    counts = build.match_counts(slots, build_keys.size, encoded)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, np.bincount(left, minlength=build_keys.size))
     # Independently: a build row matches every probe row with its key.
