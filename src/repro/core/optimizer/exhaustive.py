@@ -43,7 +43,7 @@ class ExhaustivePlan:
     """One complete plan of the exhaustive space, with its total cost."""
 
     #: nested one-line rendering, every implementation with its mode:
-    #: ``HG/parallel@process(HJ(scan(R), sort[S.R_ID](scan(S))))``.
+    #: ``HG/parallel@process(HJ(scan(S), sort[R.ID](scan(R))))``.
     description: str
     cost: float
     #: estimated output cardinality (same estimation chain as the DP).

@@ -128,7 +128,10 @@ class GroupingOption(_Spelled):
 
         Sort variants emit key order by construction; the parallel
         loop's partial-merge sorts the merged keys regardless of the
-        shard-local algorithm."""
+        shard-local algorithm. A parallel option is never planned where
+        the engine groups a join's build input, serially
+        (:func:`~repro.core.optimizer.space.groups_on_build_side`), so
+        the merge runs wherever a plan names it."""
         if self.parallel or self.algorithm in (
             GroupingAlgorithm.SPHG,
             GroupingAlgorithm.SOG,

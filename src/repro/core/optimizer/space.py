@@ -654,6 +654,27 @@ def grouping_inputs(space: PlanSpace, entries: list[DPEntry]) -> list[DPEntry]:
     return inputs
 
 
+def groups_on_build_side(entry, key: str) -> bool:
+    """Does a group-by on ``key`` over ``entry`` group a join's build
+    input? ``entry`` is a search entry or a plan node; either way, true
+    when it is a join whose build input scans ``key``'s relation.
+
+    There the engine assigns the slots over the build rows, serially
+    (:class:`repro.engine.operators.grouping.GroupBy`), so no parallel
+    grouping option applies: the search never generates one and
+    ``EXPLAIN WHY`` shows one as inapplicable."""
+    if entry.op != "join":
+        return False
+    alias = key.partition(".")[0]
+    pending = [entry.children[0]]
+    while pending:
+        node = pending.pop()
+        if node.op == "scan" and node.decision.name == alias:
+            return True
+        pending.extend(node.children)
+    return False
+
+
 def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
     """Every applicable grouping implementation over ``entry``, each
     priced in its own mode less any build phase a view already paid."""
@@ -661,10 +682,13 @@ def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
     groups = entry.estimate.ndv(key)
     estimate = space.estimator.group_by(entry.estimate, key)
     credit = space.group_key_view and entry.op in ("scan", "filter")
+    serial = groups_on_build_side(entry, key)
     derived: dict = {}
     for implementation in space.groupings:
         option = implementation.option
-        if not option.applicable(entry.properties, key, space.scope):
+        if (serial and option.parallel) or not option.applicable(
+            entry.properties, key, space.scope
+        ):
             continue
         cost = option_cost(
             space.cost_model, option, space.workers, entry.estimate.rows, groups

@@ -65,13 +65,11 @@ class GroupBy(MaterialisedOperator):
         the settings in force.
 
     Neither ``shards`` nor ``parallel`` splits anything when the child
-    is a :class:`Join` and the key is a column of its build input (for
-    OG, a non-decreasing one), which covers every Figure 5 plan: the
-    slots are assigned once over the build input, serially, and where
-    the execution would have had more than one part the surviving groups
-    are sorted by key, the order a merge of parts returns
-    (:meth:`_group_matches`). Only when that route declines does the
-    gathered output split as described above.
+    is a :class:`Join` and the key is a column of its build input, which
+    covers every Figure 5 plan: the slots are assigned once over the
+    build input, serially (:meth:`_group_matches`), and the optimiser
+    plans no parallel grouping there. Only when that route declines does
+    the gathered output split as described above.
     """
 
     def __init__(
@@ -229,11 +227,6 @@ class GroupBy(MaterialisedOperator):
         matched keys alone may still be dense), or when OG finds them out
         of order. All but HG return their groups ascending: for OG the
         order OG over a key-sorted output gives, the only one plans use.
-
-        Where the output would have been grouped in parts (a parallel
-        route), the groups come back sorted by key, as the
-        parts' merge returns them: the optimiser relies on that order and
-        drops an ``ORDER BY`` on the key for these routes.
         """
         if matches.left.num_rows > matches.num_rows:
             return None
@@ -285,10 +278,6 @@ class GroupBy(MaterialisedOperator):
             else compute_aggregate(spec, slots, group_keys.size, values[spec.column])
             for spec in self._aggregates
         }
-        if self._parts(matches.num_rows) > 1:
-            order = np.argsort(group_keys, kind="stable")
-            group_keys = group_keys[order]
-            columns = {alias: column[order] for alias, column in columns.items()}
         result = self._output(group_keys, columns)
         scratch = (
             structure.memory_bytes()

@@ -13,9 +13,7 @@ from repro.engine.operators.base import (
     MaterialisedOperator,
     PhysicalOperator,
 )
-from repro.engine.parallel import run_morsels
 from repro.errors import ExecutionError
-from repro.settings import get_settings
 from repro.storage.dtypes import DataType
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
@@ -49,21 +47,10 @@ class TableScan(MaterialisedOperator):
 
 
 class Filter(PhysicalOperator):
-    """Keep rows where a boolean expression holds. Streaming.
+    """Keep rows where a boolean expression holds. Streaming and serial
+    at every worker count: no plan prices parallel filtering."""
 
-    With several workers in the :class:`~repro.settings.Settings` in force,
-    incoming chunks are batched and the predicate+filter morsels run on
-    the shared worker pool; output chunk order is preserved, so parallel
-    and serial execution produce identical streams. ``parallel=False``
-    pins the serial path.
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        predicate: Expression,
-        parallel: bool | None = None,
-    ) -> None:
+    def __init__(self, child: PhysicalOperator, predicate: Expression) -> None:
         super().__init__(children=[child])
         missing = predicate.referenced_columns() - set(child.output_schema.names)
         if missing:
@@ -71,45 +58,18 @@ class Filter(PhysicalOperator):
                 f"filter references missing column(s): {sorted(missing)}"
             )
         self._predicate = predicate
-        self._parallel = parallel
 
     @property
     def output_schema(self) -> Schema:
         return self.children[0].output_schema
 
-    def _filter_chunk(self, chunk: Chunk) -> Chunk:
-        mask = np.asarray(self._predicate.evaluate(chunk.data()), dtype=bool)
-        filtered = chunk.filter(mask)
-        # Working set: the mask plus the filtered copy of one chunk.
-        self._note_memory(int(mask.nbytes) + filtered.memory_bytes())
-        return filtered
-
     def chunks(self) -> Iterator[Chunk]:
-        workers = get_settings().workers
-        if self._parallel is False or workers <= 1:
-            for chunk in self.children[0].chunks():
-                yield self._filter_chunk(chunk)
-            return
-        # Morsel mode: evaluate a batch of chunks concurrently, yield in
-        # arrival order (determinism), then pull the next batch.
-        batch: list[Chunk] = []
-        batch_size = workers * 4
         for chunk in self.children[0].chunks():
-            batch.append(chunk)
-            if len(batch) < batch_size:
-                continue
-            report = run_morsels(
-                [(lambda c=c: self._filter_chunk(c)) for c in batch]
-            )
-            self._note_parallelism(report.workers_used, report.busy_seconds)
-            yield from report.results
-            batch = []
-        if batch:
-            report = run_morsels(
-                [(lambda c=c: self._filter_chunk(c)) for c in batch]
-            )
-            self._note_parallelism(report.workers_used, report.busy_seconds)
-            yield from report.results
+            mask = np.asarray(self._predicate.evaluate(chunk.data()), dtype=bool)
+            filtered = chunk.filter(mask)
+            # Working set: the mask plus the filtered copy of one chunk.
+            self._note_memory(int(mask.nbytes) + filtered.memory_bytes())
+            yield filtered
 
     def describe(self) -> str:
         return f"Filter({self._predicate!r})"

@@ -40,7 +40,7 @@ from repro.core.optimizer.rules import (
     grouping_options,
     join_options,
 )
-from repro.core.optimizer.space import option_cost
+from repro.core.optimizer.space import groups_on_build_side, option_cost
 from repro.core.plan import PhysicalNode, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.engine.kernels.grouping import GroupingAlgorithm
@@ -289,7 +289,9 @@ def _explain_decision(
     priced on the node's inputs, or given the reason it could not run.
 
     Both families read alike: an option's ``applicable`` and the reason
-    functions take the inputs' properties, then the node's keys."""
+    functions take the inputs' properties, then the node's keys. A
+    parallel grouping is refused where the search refuses it
+    (:func:`~repro.core.optimizer.space.groups_on_build_side`)."""
     option, keys = node.option, node.decision.keys
     inputs = [child.properties for child in node.children]
     sizes = (
@@ -307,13 +309,15 @@ def _explain_decision(
         why_not, sides = _grouping_reason, ("input",)
     decisive_term, decisive_value = max(terms, key=lambda term: term[1])
     chosen_cost = float(node.local_cost)
+    serial = node.op == "group_by" and groups_on_build_side(node.children[0], *keys)
     rivals = []
     for rival in options:
         if rival == option:
             continue
+        refused = serial and rival.parallel
         entry = {
             "algorithm": rival.label,
-            "applicable": rival.applicable(*inputs, *keys, scope),
+            "applicable": not refused and rival.applicable(*inputs, *keys, scope),
             "cost": None,
             "ratio": None,
             "reason": "",
@@ -322,6 +326,8 @@ def _explain_decision(
             entry["cost"] = option_cost(cost_model, rival, workers, *sizes)
             if chosen_cost > 0:
                 entry["ratio"] = entry["cost"] / chosen_cost
+        elif refused:
+            entry["reason"] = f"{keys[0]} is grouped on the join's build input"
         else:
             entry["reason"] = why_not(rival, *inputs, *keys, scope)
         rivals.append(entry)

@@ -16,11 +16,15 @@ import pytest
 from repro.avs import AVRegistry, ViewKind, materialize_view
 from repro.core import DynamicProgrammingOptimizer, SearchStats, dqo_config, sqo_config
 from repro.core.optimizer import enumerate_exhaustive
+from repro.core.plan import to_operator
 from repro.datagen import Density, Sortedness, make_join_scenario, make_star_scenario
 from repro.datagen.star import DimensionSpec
+from repro.engine.executor import explain_analyze
 from repro.errors import OptimizationError
 from repro.obs.search import SearchTrace
+from repro.settings import scoped_settings
 from repro.sql import plan_query
+from repro.storage import Table
 from repro.storage.disk import BufferManager, is_disk_table, set_buffer_manager
 
 FILTERED = (
@@ -29,16 +33,25 @@ FILTERED = (
 )
 
 
-def layout(r_sort=Sortedness.UNSORTED, s_sort=Sortedness.UNSORTED,
-           density=Density.SPARSE, **sizes):
-    # Large enough that the S-unsorted x sparse cells group in parallel at
-    # four workers, on either backend (test_grid_keeps_a_parallel_grouping),
-    # so the grid also checks non-serial verdicts; the search itself never
+#: grouped on a key of the join's probe input, which the engine groups
+#: in parallel where the plan says so (a build-side key never is).
+PROBE_KEYED = "SELECT S.B, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY S.B"
+
+
+def scenario(r_sort=Sortedness.UNSORTED, s_sort=Sortedness.UNSORTED,
+             density=Density.SPARSE, **sizes):
+    # Large enough that a sparse probe-side key groups in parallel at four
+    # workers, on either backend (test_grid_keeps_a_parallel_grouping), so
+    # the grid also checks non-serial verdicts; the search itself never
     # looks at the rows.
     sizes = dict(n_r=20_000, n_s=50_000, num_groups=2_000, seed=3) | sizes
     return make_join_scenario(
         r_sortedness=r_sort, s_sortedness=s_sort, density=density, **sizes
-    ).build_catalog()
+    )
+
+
+def layout(*args, **sizes):
+    return scenario(*args, **sizes).build_catalog()
 
 
 def unpruned_costs(logical, catalog, config) -> Counter:
@@ -83,18 +96,28 @@ def test_figure5_grid(r_sort, s_sort, density, workers, backend, make_config,
     assert_agreement(paper_query, layout(r_sort, s_sort, density), config)
 
 
+@pytest.mark.usefixtures("fork_pool")
 @pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("r_sort", list(Sortedness))
-def test_grid_keeps_a_parallel_grouping(r_sort, backend, paper_query):
-    catalog = layout(r_sort, Sortedness.UNSORTED, Density.SPARSE)
+def test_grid_keeps_a_parallel_grouping(r_sort, backend):
+    """S.B made sparse (no perfect hash) groups in parallel at four
+    workers; the oracle agrees, and the engine runs it in parallel."""
+    joined = scenario(r_sort)
+    sparse = {"R_ID": joined.s["R_ID"], "B": joined.s["B"] * 1_000}
+    catalog = dataclasses.replace(joined, s=Table.from_arrays(sparse)).build_catalog()
     config = dqo_config(workers=4, backend=backend)
+    assert_agreement(PROBE_KEYED, catalog, config)
     plan = DynamicProgrammingOptimizer(catalog, config=config).optimize(
-        plan_query(paper_query, catalog)
+        plan_query(PROBE_KEYED, catalog)
     ).plan
     grouping = next(node for node in plan.walk() if node.op == "group_by")
     assert grouping.label == {"thread": "HG/parallel", "process": "HG/parallel@process"}[
         backend
     ]
+    with scoped_settings(workers=4, backend=backend):
+        analyzed = explain_analyze(to_operator(plan, catalog))
+    stats = next(node for node in analyzed.root.walk() if node.name == "GroupBy")
+    assert stats.parallel_degree > 1
 
 
 def test_filtered_and_commuted():

@@ -893,9 +893,9 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
     """Cold, first-touched and warm (the probe column's run-length form
     or dictionary memoised), a COUNT grouped on R.A never emits the
     join's pairs, and returns what grouping the gathered output returns:
-    bit for bit, in the same order (at two workers both sort their
-    groups), HG's up to order at one worker. OG's groups ascend, which
-    is what OG gives over an output sorted on the key and SOG over any."""
+    bit for bit, in the same order, HG's up to order. OG's groups
+    ascend, which is what OG gives over an output sorted on the key and
+    SOG over any."""
     r_data, s_data = arrays()
     reference = grouping
     if layout == "unsorted":
@@ -910,7 +910,7 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
         r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
         for run in ("cold", "first touch", "warm"):
             result = execute(count_plan(r, s, algorithm, grouping))
-            if grouping is GroupingAlgorithm.HG and workers == 1:
+            if grouping is GroupingAlgorithm.HG:
                 result, expected = result.sort_by(["R.A"]), expected.sort_by(["R.A"])
             assert result.equals(expected), run
     assert probed == []

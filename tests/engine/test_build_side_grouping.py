@@ -13,8 +13,9 @@ OG takes the route only over a sorted build key, and returns its groups
 ascending: exactly OG over the output when that output is sorted on the
 key, up to key order when it is only clustered. Over an unsorted build
 key it groups the output, as before.
-On a parallel route (two workers, threads or processes) it equals the parts' merge over the gathered output, in the merge's
-ascending key order, which the optimiser relies on to drop an ORDER BY.
+A parallel route (two workers, threads or processes) groups the build
+side as the serial route does, in its order; up to key order that is
+the parts' merge over the gathered output.
 
 OJ looks each run of its sorted probe up once. Its index pairs must be
 the per-row binary search's, over sorted, unsorted (unvalidated),
@@ -308,22 +309,26 @@ def parallel_cases():
 @pytest.mark.parametrize("shape", ["repeated_build_keys", "unmatched_build_rows", "morsels"])
 @pytest.mark.parametrize("grouping, route", parallel_cases())
 def test_parallel_routes_equal_partitioned_grouping(configured, grouping, route, shape, aggregates):
-    """On a parallel route the build-side result is what the
-    same group-by over the gathered join output returns: the parts'
-    merge (``partitioned_group_by``), in its ascending key order. Float
-    AVG over range shards adds partial sums in another order."""
+    """On a parallel route the build-side result is the serial route's,
+    bit for bit and in its order: the build side is grouped once,
+    serially, whatever the loop mode. Up to key order it is what the
+    same group-by over the gathered join output returns, the parts'
+    merge (``partitioned_group_by``). Float AVG over range shards adds
+    partial sums in another order."""
     configured(workers=2)
     r, s = relations(shape)
     route_options = PARALLEL_ROUTES[route]
     operator = plan(r, s, JoinAlgorithm.HJ, grouping, aggregates=aggregates, **route_options)
     calls = gathers(operator)
     result = execute(operator)
+    serial = execute(plan(r, s, JoinAlgorithm.HJ, grouping, aggregates=aggregates))
     gathered = execute(plan(r, s, JoinAlgorithm.HJ, grouping).children[0])
     reference = execute(
         GroupBy(TableScan(gathered), "R.A", aggregates, grouping, **route_options)
     )
     assert calls == []
-    assert np.all(np.diff(result["R.A"]) > 0)
+    assert result.equals(serial)
+    result = result.sort_by(["R.A"])
     assert result.schema == reference.schema
     for name in reference.schema.names:
         if name == "avg_f":
@@ -336,8 +341,8 @@ FIG5_QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 
 
 def unsorted_sparse(n_r: int, n_s: int):
-    """The section 4.3 catalog, both tables unsorted, sparse keys, 20 000
-    groups."""
+    """The section 4.3 scenario, both tables unsorted, sparse keys,
+    20 000 groups."""
     return make_join_scenario(
         n_r,
         n_s,
@@ -346,32 +351,37 @@ def unsorted_sparse(n_r: int, n_s: int):
         s_sortedness=Sortedness.UNSORTED,
         density=Density.SPARSE,
         seed=1,
-    ).build_catalog()
+    )
 
 
 class TestFigure5AtTwoWorkers:
     """At two workers and 62 500 x 500 000 rows the unsorted-sparse plan
-    groups in parallel, and takes the build-side route."""
+    is the one-worker plan: its group-by takes the build-side route,
+    which groups serially, so no parallel option is planned there."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_order_by_the_key_needs_no_sort(self, backend):
-        catalog = unsorted_sparse(62_500, 500_000)
+    def test_order_by_key_plans_as_serial(self, backend):
+        scenario = unsorted_sparse(62_500, 500_000)
+        catalog = scenario.build_catalog()
         logical = plan_query(FIG5_QUERY + " ORDER BY R.A", catalog)
-        plan = optimize_dqo(logical, catalog, workers=2, backend=backend).plan
-        grouping = next(node for node in plan.walk() if node.op == "group_by")
-        assert grouping.option.parallel
-        assert all(node.op != "sort" for node in plan.walk())
+        plan = optimize_dqo(logical, catalog, workers=2, backend=backend)
+        serial = optimize_dqo(logical, catalog, workers=1)
+        assert plan.plan_fingerprint == serial.plan_fingerprint
+        assert not any("/parallel" in node.label for node in plan.plan.walk())
         with scoped_settings(workers=2, backend=backend):
-            table = execute(to_operator(plan, catalog))
-        keys = table[table.schema.names[0]]
-        assert keys.size > 0 and np.all(np.diff(keys) > 0)
+            table = execute(to_operator(plan.plan, catalog))
+        keys, counts = scenario.expected_groups()
+        assert np.array_equal(table[table.schema.names[0]], keys)
+        assert np.array_equal(table[table.schema.names[1]], counts)
 
     def test_process_plan_publishes_nothing_and_claims_no_parallel_work(self):
-        catalog = unsorted_sparse(62_500, 500_000)
-        plan = optimize_dqo(
-            plan_query(FIG5_QUERY, catalog), catalog, workers=2, backend="process"
-        ).plan
-        assert "HG/parallel@process" in [node.label for node in plan.walk()]
+        catalog = unsorted_sparse(62_500, 500_000).build_catalog()
+        logical = plan_query(FIG5_QUERY, catalog)
+        result = optimize_dqo(logical, catalog, workers=2, backend="process")
+        serial = optimize_dqo(logical, catalog, workers=1)
+        assert result.plan_fingerprint == serial.plan_fingerprint
+        plan = result.plan
+        assert not any("/parallel" in node.label for node in plan.walk())
         # Sweep what earlier tests published (the process-backend test
         # leg publishes their inputs), so every segment left is this plan's.
         shutdown_process_pool()
@@ -382,11 +392,10 @@ class TestFigure5AtTwoWorkers:
                 execute(to_operator(plan, catalog))
                 published.append(store.stats()["published_bytes"])
             analyzed = explain_analyze(to_operator(plan, catalog))
-        assert published[2] == published[1]
+        assert published[2] == published[1] == published[0]
         assert leaked_segments() == []
-        grouping = next(node for node in analyzed.root.walk() if node.name == "GroupBy")
-        assert grouping.parallel_degree <= 1
-        assert grouping.worker_busy_seconds == 0.0
+        for stats in analyzed.root.walk():
+            assert stats.parallel_degree == 0 and stats.worker_busy_seconds == 0.0
 
 
 class TestJoinActuals:

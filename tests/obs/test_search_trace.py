@@ -140,17 +140,19 @@ class TestRoundTrip:
         # Replay works off the serialised form too.
         assert replay(trace.to_dict())["chosen"] == rep["chosen"]
 
-    def test_dead_candidates_keep_their_mode(self, join_catalog, paper_query):
-        """Under four process workers one algorithm has serial, parallel
-        and parallel@process siblings; each dead one journals its own
-        label, so the killed-candidate list can tell them apart."""
+    def test_dead_candidates_keep_their_mode(self, join_catalog):
+        """Under four process workers one algorithm grouping a key of the
+        join's probe input has serial, parallel and parallel@process
+        siblings; each dead one journals its own label, so the
+        killed-candidate list can tell them apart."""
+        query = "SELECT S.B, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY S.B"
         trace = SearchTrace(capacity_per_class=1 << 16)
         DynamicProgrammingOptimizer(
             join_catalog,
             config=dqo_config(workers=4, backend="process"),
             plan_cache=PlanCache(),
             trace=trace,
-        ).optimize(plan_query(paper_query, join_catalog))
+        ).optimize(plan_query(query, join_catalog))
         rep = replay(trace)
         modes_by_algorithm = defaultdict(set)
         for entry_id in rep["deaths"]:

@@ -127,12 +127,19 @@ class TestExplainWhy:
             labels = [rival["algorithm"] for rival in decision.rivals]
             assert len(set(labels)) == len(labels)
             assert decision.algorithm not in labels
-            # The grouping's rivals include its process-backend siblings;
-            # a join has none, it runs serially in every configuration.
+            # The grouping's rivals include its parallel siblings, which
+            # the search refuses on a key of the join's build input; a
+            # join has none, it runs serially in every configuration.
+            parallel = [
+                rival for rival in decision.rivals if "/parallel" in rival["algorithm"]
+            ]
             if node.op == "group_by":
                 assert any("parallel@process" in label for label in labels)
+                for rival in parallel:
+                    assert not rival["applicable"] and "build input" in rival["reason"]
+                    assert rival["algorithm"] not in searched
             else:
-                assert not any("/parallel" in label for label in labels)
+                assert parallel == []
             for rival in decision.rivals:
                 if rival["applicable"]:
                     assert rival["cost"] == pytest.approx(searched[rival["algorithm"]])
