@@ -1,10 +1,11 @@
 """Extension bench: the parallel scaling curve (serial / thread / process).
 
-Times the same >= 1M-row grouping workload through the ``GroupBy``
-operator — the entry point a query takes — on all three execution
-strategies: serial, the thread morsel pool, and the
-process pool with shared-memory columns, at 1/2/4 workers, and records
-the full curve as one JSON artifact. The speed-up claims (thread >= 1.5x
+Times the same >= 1M-row grouping workload on all three execution
+strategies: serial through the ``GroupBy`` operator, and eight range
+shards plus a merge (``partitioned_group_by``, the kernel a parallel
+group-by runs) on the thread morsel pool and on the process pool with
+shared-memory columns, at 1/2/4 workers, and records the full curve as
+one JSON artifact. The speed-up claims (thread >= 1.5x
 and process >= 2x over serial for 4-worker grouping) are asserted only
 on hosts that actually have >= 4 cores; the artifact carries an explicit
 ``speedup_assertion`` marker so a skipped assertion can never read as a
@@ -22,6 +23,7 @@ from repro._util.timer import time_callable
 from repro.datagen import Density, Sortedness, make_grouping_dataset
 from repro.engine import count_star, execute, sum_of
 from repro.engine.kernels.grouping import GroupingAlgorithm
+from repro.engine.kernels.parallel import partitioned_group_by
 from repro.engine.operators import GroupBy, TableScan
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
@@ -31,6 +33,7 @@ SHARDS = 8
 WORKER_COUNTS = [1, 2, 4]
 #: speedup floors asserted for 4-worker grouping on >= 4 cores.
 SPEEDUP_FLOORS = {"thread": 1.5, "process": 2.0}
+AGGREGATES = [count_star(), sum_of("value")]
 
 
 @pytest.fixture(scope="module")
@@ -44,29 +47,44 @@ def table(bench_rows):
     ).to_table()
 
 
-def grouped(table, workers=1, **route):
-    """SPHG through the operator: serial, or 8 shards on ``backend``."""
+def grouped(table):
+    """SPHG through the operator, serially."""
     return execute(
         GroupBy(
             TableScan(table),
             "key",
-            [count_star(), sum_of("value")],
+            AGGREGATES,
             algorithm=GroupingAlgorithm.SPHG,
             num_distinct_hint=GROUPS,
-            **route,
         ),
-        workers=workers,
+        workers=1,
     )
+
+
+def sharded(table, workers, backend):
+    """The same SPHG in ``SHARDS`` range shards on ``workers`` workers of
+    ``backend``, merged: ``{column: array}``, keys ascending."""
+    keys, columns, __ = partitioned_group_by(
+        table["key"],
+        {"value": table["value"]},
+        AGGREGATES,
+        GroupingAlgorithm.SPHG,
+        SHARDS,
+        GROUPS,
+        backend,
+        workers,
+    )
+    return {"key": keys, **columns}
 
 
 def test_parallel_routes_identity(table):
     """Before any timing claim: both backends return the serial rows
     (up to the merge's key sort)."""
-    serial = grouped(table, parallel=False).sort_by(["key"])
+    serial = grouped(table).sort_by(["key"])
     for backend in ("thread", "process"):
-        sharded = grouped(table, 2, shards=SHARDS, backend=backend)
+        merged = sharded(table, 2, backend)
         for name in serial.schema.names:
-            assert np.array_equal(sharded[name], serial[name]), (backend, name)
+            assert np.array_equal(merged[name], serial[name]), (backend, name)
 
 
 def test_scaling_curve_serial_thread_process(table, bench_artifact):
@@ -76,14 +94,12 @@ def test_scaling_curve_serial_thread_process(table, bench_artifact):
     timings: dict = {}
 
     timings["grouping/serial"] = time_callable(
-        lambda: grouped(table, parallel=False), repeats=3, warmup=1
+        lambda: grouped(table), repeats=3, warmup=1
     )
     for workers in WORKER_COUNTS:
         for backend in ("thread", "process"):
             timings[f"grouping/{backend}{workers}"] = time_callable(
-                lambda w=workers, b=backend: grouped(
-                    table, w, shards=SHARDS, backend=b
-                ),
+                lambda w=workers, b=backend: sharded(table, w, b),
                 repeats=3, warmup=1,
             )
 

@@ -43,8 +43,6 @@ class OptimizerConfig:
     #: keeps the syntactic sides (DESIGN.md substitution #5); the
     #: commutation ablation turns this on.
     consider_commutation: bool = False
-    #: insert explicit sort enforcers to manufacture orders.
-    consider_enforcers: bool = True
     #: prune Pareto-dominated DP entries (ablation dial).
     prune_dominated: bool = True
     #: registered Algorithmic Views to exploit, if any.

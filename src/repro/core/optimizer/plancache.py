@@ -98,9 +98,8 @@ def config_fingerprint(config: OptimizerConfig) -> tuple:
         config.max_granularity,
         config.property_scope,
         config.consider_commutation,
-        config.consider_enforcers,
         config.prune_dominated,
-        getattr(config, "backend", "thread"),
+        config.backend,
         id(config.views) if config.views is not None else None,
     )
 

@@ -470,10 +470,9 @@ def access_paths(space: PlanSpace, scan: ScanContext) -> Iterator[DPEntry]:
             yield from _btree_paths(space, scan, views)
         else:
             yield from _view_paths(space, scan, base, views)
-    if space.config.consider_enforcers:
-        for column in dict.fromkeys(scan.interesting):
-            if not scan.properties.is_sorted_on(column):
-                yield order_enforced(space, base, column)
+    for column in dict.fromkeys(scan.interesting):
+        if not scan.properties.is_sorted_on(column):
+            yield order_enforced(space, base, column)
 
 
 def _base_scan(space: PlanSpace, scan: ScanContext) -> DPEntry:
@@ -641,17 +640,13 @@ def join_candidates(
 
 def grouping_inputs(space: PlanSpace, entries: list[DPEntry]) -> list[DPEntry]:
     """What the group-by may consume: every joined entry as it is, then
-    (enforcers permitting) each one not yet sorted on the group key
-    under a sort on it."""
-    inputs = list(entries)
+    each one not yet sorted on the group key under a sort on it."""
     key = space.spec.group_key
-    if space.config.consider_enforcers:
-        inputs += [
-            order_enforced(space, entry, key)
-            for entry in entries
-            if not entry.properties.is_sorted_on(key)
-        ]
-    return inputs
+    return list(entries) + [
+        order_enforced(space, entry, key)
+        for entry in entries
+        if not entry.properties.is_sorted_on(key)
+    ]
 
 
 def groups_on_build_side(entry, key: str) -> bool:

@@ -522,9 +522,8 @@ def _lower_node(
             columns=required,
         )
     if node.op == "group_by":
-        # A costed plan must execute as costed: the option's loop decision
-        # is pinned (True/False, never the auto-detect None), with its
-        # backend.
+        # A costed plan must execute as costed: the option's loop decision,
+        # with its backend.
         (key,) = decided.keys
         inputs = {spec.column for spec in decided.aggregates if spec.column is not None}
         operator: PhysicalOperator = GroupBy(

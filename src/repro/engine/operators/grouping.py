@@ -23,13 +23,11 @@ from repro.engine.kernels.grouping import (
 )
 from repro.engine.kernels.parallel import partitioned_group_by
 from repro.engine.operators.base import (
-    DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
     PhysicalOperator,
     memoised,
 )
 from repro.engine.operators.joins import Join, JoinMatches
-from repro.engine.parallel import MIN_PARALLEL_ROWS
 from repro.errors import ExecutionError
 from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.service.context import check_active_context
@@ -48,28 +46,24 @@ class GroupBy(MaterialisedOperator):
     :param algorithm: which §4.1 implementation performs the grouping.
     :param num_distinct_hint: known NDV (the paper assumes it known).
     :param validate: verify the algorithm's precondition at runtime.
-    :param shards: morsel count for the Figure 3(e) parallel-load variant:
-        with ``shards > 1`` the input splits into shards, each grouped
-        independently on the shared worker pool
-        (:mod:`repro.engine.parallel`), and the decomposable partial
-        aggregates are merged. The merged output is key-sorted.
-    :param parallel: the optimiser's MOLECULE-level ``loop`` decision.
-        ``True`` forces morsel-parallel execution (one shard per
-        configured worker), ``False`` forces the serial path, and
-        ``None`` (default) auto-parallelises large inputs when the
-        :class:`~repro.settings.Settings` in force have more than one
-        worker.
+    :param parallel: the optimiser's MOLECULE-level ``loop`` decision,
+        the Figure 3(e) parallel load. ``True`` splits the input into one
+        range shard per worker of the :class:`~repro.settings.Settings`
+        in force, groups each on the shared worker pool
+        (:mod:`repro.engine.parallel`) and merges the decomposable
+        partial aggregates; the merged output is key-sorted. ``False``
+        (default) groups serially, at any worker count.
     :param backend: which pool runs the parallel work: ``"thread"``,
         ``"process"`` (shared-memory workers,
         :mod:`repro.engine.procpool`), or ``None`` (default) to follow
         the settings in force.
 
-    Neither ``shards`` nor ``parallel`` splits anything when the child
-    is a :class:`Join` and the key is a column of its build input, which
-    covers every Figure 5 plan: the slots are assigned once over the
-    build input, serially (:meth:`_group_matches`), and the optimiser
-    plans no parallel grouping there. Only when that route declines does
-    the gathered output split as described above.
+    ``parallel`` splits nothing when the child is a :class:`Join` and the
+    key is a column of its build input, which covers every Figure 5 plan:
+    the slots are assigned once over the build input, serially
+    (:meth:`_group_matches`), and the optimiser plans no parallel
+    grouping there. Only when that route declines does the gathered
+    output split as described above.
     """
 
     def __init__(
@@ -80,9 +74,7 @@ class GroupBy(MaterialisedOperator):
         algorithm: GroupingAlgorithm = GroupingAlgorithm.HG,
         num_distinct_hint: int | None = None,
         validate: bool = False,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        shards: int = 1,
-        parallel: bool | None = None,
+        parallel: bool = False,
         backend: str | None = None,
     ) -> None:
         super().__init__(children=[child])
@@ -102,10 +94,6 @@ class GroupBy(MaterialisedOperator):
         self._algorithm = algorithm
         self._num_distinct_hint = num_distinct_hint
         self._validate = validate
-        self._chunk_size = chunk_size
-        if shards < 1:
-            raise ExecutionError(f"shards must be >= 1, got {shards}")
-        self._shards = shards
         self._parallel = parallel
         self._backend = None if backend is None else check("backend", backend)
 
@@ -137,19 +125,6 @@ class GroupBy(MaterialisedOperator):
             return KeyOrder.FIRST_OCCURRENCE
         return KeyOrder.SORTED
 
-    def _parts(self, num_rows: int) -> int:
-        """Pieces this execution groups through (1 = the serial kernel).
-        The explicit ``shards`` argument wins; otherwise the ``parallel``
-        mode consults the settings in force."""
-        workers = get_settings().workers
-        if self._shards > 1:
-            return self._shards
-        if self._parallel is False or workers <= 1:
-            return 1
-        if self._parallel is None and num_rows < MIN_PARALLEL_ROWS:
-            return 1
-        return workers
-
     def _materialise(self) -> Table:
         child = self.children[0]
         # A group-by on a key of a join's build input assigns its slots
@@ -176,7 +151,7 @@ class GroupBy(MaterialisedOperator):
             for spec in self._aggregates
             if spec.column is not None
         }
-        parts = self._parts(table.num_rows)
+        parts = get_settings().workers if self._parallel else 1
         if parts > 1 and table.num_rows:
             group_keys, columns, report = partitioned_group_by(
                 keys,
@@ -329,14 +304,10 @@ class GroupBy(MaterialisedOperator):
             f"{spec.function.value.upper()}({spec.column or '*'}) AS {spec.alias}"
             for spec in self._aggregates
         )
-        if self._shards > 1:
-            loop = f", shards={self._shards}"
-        elif self._parallel:
-            loop = ", loop=parallel"
-        else:
-            loop = ""
-        if self._backend == "process":
-            loop += ", backend=process"
+        loop = ""
+        if self._parallel:
+            backend = self._backend or get_settings().backend
+            loop = f", loop=parallel, backend={backend}"
         return (
             f"GroupBy(key={self._key}, impl={self._algorithm.value}{loop}, "
             f"[{aggs}])"

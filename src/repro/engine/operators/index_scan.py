@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.operators.base import (
-    DEFAULT_CHUNK_SIZE,
-    MaterialisedOperator,
-)
+from repro.engine.operators.base import MaterialisedOperator
 from repro.errors import ExecutionError
 from repro.indexes.btree import BPlusTree
 from repro.storage.schema import Schema
@@ -54,7 +51,6 @@ class IndexRangeScan(MaterialisedOperator):
         index: BPlusTree,
         low: int,
         high: int,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         super().__init__(children=[])
         if column not in table.schema:
@@ -64,7 +60,6 @@ class IndexRangeScan(MaterialisedOperator):
         self._index = index
         self._low = low
         self._high = high
-        self._chunk_size = chunk_size
 
     @property
     def output_schema(self) -> Schema:

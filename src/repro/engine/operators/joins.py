@@ -26,7 +26,6 @@ from repro.engine.kernels.joins import (
 )
 from repro.service.context import check_active_context
 from repro.engine.operators.base import (
-    DEFAULT_CHUNK_SIZE,
     MaterialisedOperator,
     PhysicalOperator,
     kept_columns,
@@ -126,7 +125,6 @@ class Join(MaterialisedOperator):
         algorithm: JoinAlgorithm = JoinAlgorithm.HJ,
         num_distinct_hint: int | None = None,
         validate: bool = False,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         columns: Collection[str] | None = None,
     ) -> None:
         super().__init__(children=[left, right])
@@ -145,7 +143,6 @@ class Join(MaterialisedOperator):
         self._algorithm = algorithm
         self._num_distinct_hint = num_distinct_hint
         self._validate = validate
-        self._chunk_size = chunk_size
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
 

@@ -54,14 +54,12 @@ class SegmentScan(PhysicalOperator):
         table: DiskTable,
         alias: str = "",
         predicates: Sequence[Expression] = (),
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         columns: Collection[str] | None = None,
     ) -> None:
         super().__init__(children=[])
         self._table = table
         self._alias = alias
         self._predicates = tuple(predicates)
-        self._chunk_size = chunk_size
         prefix = f"{alias}." if alias else ""
         raw = {f"{prefix}{name}": name for name in table.schema.names}
         #: raw column name -> output (qualified) name, in table order.
@@ -98,8 +96,8 @@ class SegmentScan(PhysicalOperator):
                     self._names[name]: values
                     for name, values in group.arrays.items()
                 }
-                for start in range(0, group.num_rows, self._chunk_size):
-                    stop = min(start + self._chunk_size, group.num_rows)
+                for start in range(0, group.num_rows, DEFAULT_CHUNK_SIZE):
+                    stop = min(start + DEFAULT_CHUNK_SIZE, group.num_rows)
                     produced = True
                     yield Chunk(
                         {name: values[start:stop] for name, values in data.items()}

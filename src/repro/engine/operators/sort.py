@@ -35,7 +35,6 @@ class Sort(MaterialisedOperator):
         self,
         child: PhysicalOperator,
         keys: list[str],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         super().__init__(children=[child])
         schema = child.output_schema
@@ -45,7 +44,6 @@ class Sort(MaterialisedOperator):
         if not keys:
             raise ExecutionError("sort needs at least one key column")
         self._keys = list(keys)
-        self._chunk_size = chunk_size
 
     @property
     def output_schema(self) -> Schema:
@@ -79,14 +77,12 @@ class PartitionBy(PhysicalOperator):
         child: PhysicalOperator,
         key: str,
         algorithm: GroupingAlgorithm = GroupingAlgorithm.HG,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         super().__init__(children=[child])
         if key not in child.output_schema:
             raise ExecutionError(f"partition key {key!r} not in input schema")
         self._key = key
         self._algorithm = algorithm
-        self._chunk_size = chunk_size
         self._materialised: Table | None = None
         self._assignment: GroupingAssignment | None = None
 
@@ -121,8 +117,8 @@ class PartitionBy(PhysicalOperator):
         """The input stream with a dense ``__slot__`` group id appended."""
         table, assignment = self._ensure_materialised()
         names = list(table.schema.names)
-        for start in range(0, max(table.num_rows, 1), self._chunk_size):
-            stop = min(start + self._chunk_size, table.num_rows)
+        for start in range(0, max(table.num_rows, 1), DEFAULT_CHUNK_SIZE):
+            stop = min(start + DEFAULT_CHUNK_SIZE, table.num_rows)
             data = {name: table[name][start:stop] for name in names}
             data[self.SLOT_COLUMN] = assignment.slots[start:stop]
             yield Chunk(data)

@@ -8,7 +8,6 @@ threads achieve genuine wall-clock speedup on multi-core hosts.
 This module owns the process-wide pieces (the worker count and backend
 are :class:`repro.settings.Settings` fields):
 
-* the parallel threshold :data:`MIN_PARALLEL_ROWS`;
 * one lazily-created, shared :class:`~concurrent.futures.ThreadPoolExecutor`
   (named ``repro-worker-N`` threads) that every parallel operator
   schedules onto — one pool per process, as in the morsel paper;
@@ -58,11 +57,6 @@ T = TypeVar("T")
 
 #: thread-name prefix of pool workers; also the nested-scheduling sentinel.
 WORKER_THREAD_PREFIX = "repro-worker"
-
-#: inputs below this row count stay serial even with several workers:
-#: the kernels finish in tens of microseconds, under the pool's
-#: dispatch latency.
-MIN_PARALLEL_ROWS = 32_768
 
 _pool: "_MorselPool | None" = None
 _pool_size = 0
@@ -204,8 +198,12 @@ def run_morsels(
     tracer = get_tracer()
     busy_lock = threading.Lock()
     busy_by_worker: dict[str, float] = {}
+    # The shared pool only grows, so it may hold more threads than this
+    # batch's workers: the gate holds the batch to that many at a time.
+    gate = threading.Semaphore(workers)
+    failed = threading.Event()
 
-    def timed(task: Callable[[], T], index: int) -> T:
+    def measured(task: Callable[[], T], index: int) -> T:
         worker = threading.current_thread().name
         with activate_context(context):
             if context is not None:
@@ -228,6 +226,13 @@ def run_morsels(
             busy_by_worker[worker] = busy_by_worker.get(worker, 0.0) + elapsed
         return result
 
+    def timed(task: Callable[[], T], index: int) -> T:
+        with gate:
+            if failed.is_set():
+                # Waited at the gate while the batch failed: as cancelled.
+                raise CancelledError
+            return measured(task, index)
+
     pool = _get_pool(workers)
     futures = [
         pool.submit(timed, task, index) for index, task in enumerate(tasks)
@@ -242,6 +247,7 @@ def run_morsels(
         except BaseException as error:  # noqa: BLE001 - re-raised below
             if first_error is None:
                 first_error = error
+                failed.set()
                 for pending in futures:
                     pending.cancel()
             results.append(None)

@@ -53,6 +53,27 @@ ALERT_KINDS = ("plan_flip", "latency_drift", "qerror_drift")
 #: alert severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
 
+#: drift threshold: window median beyond baseline ``median + k·MAD``.
+MAD_K = 4.0
+#: ...and at least this ratio over the baseline median (guards the
+#: near-zero-MAD case where any jitter clears ``k·MAD``).
+MIN_LATENCY_RATIO = 1.5
+#: latency ratio at which a drift alert escalates to ``critical``.
+CRITICAL_LATENCY_RATIO = 3.0
+#: q-error drift: window median at least this multiple of baseline.
+MIN_QERROR_RATIO = 2.0
+#: ...and at least this absolute q-error (2× of 1.1 is still fine).
+QERROR_FLOOR = 4.0
+#: plan flips escalate to ``critical`` when the new plan's estimated
+#: cost exceeds the old by this ratio.
+COST_REGRESSION_RATIO = 1.1
+#: EWMA smoothing for the per-fingerprint latency trend.
+EWMA_ALPHA = 0.2
+#: retained alerts (ring buffer).
+MAX_ALERTS = 256
+#: TTL for :meth:`Sentinel.has_fresh_critical`.
+CRITICAL_TTL_SECONDS = 60.0
+
 
 @dataclass
 class SentinelConfig:
@@ -64,28 +85,8 @@ class SentinelConfig:
     window: int = 64
     #: minimum window samples before a drift verdict is attempted.
     min_samples: int = 8
-    #: drift threshold: window median beyond baseline ``median + k·MAD``.
-    mad_k: float = 4.0
-    #: ...and at least this ratio over the baseline median (guards the
-    #: near-zero-MAD case where any jitter clears ``k·MAD``).
-    min_latency_ratio: float = 1.5
-    #: latency ratio at which a drift alert escalates to ``critical``.
-    critical_latency_ratio: float = 3.0
-    #: q-error drift: window median at least this multiple of baseline.
-    min_qerror_ratio: float = 2.0
-    #: ...and at least this absolute q-error (2× of 1.1 is still fine).
-    qerror_floor: float = 4.0
-    #: plan flips escalate to ``critical`` when the new plan's estimated
-    #: cost exceeds the old by this ratio.
-    cost_regression_ratio: float = 1.1
-    #: EWMA smoothing for the per-fingerprint latency trend.
-    ewma_alpha: float = 0.2
     #: baseline latency/q-error reservoir size per fingerprint.
     reservoir: int = 128
-    #: retained alerts (ring buffer).
-    max_alerts: int = 256
-    #: TTL for :meth:`Sentinel.has_fresh_critical`.
-    critical_ttl_seconds: float = 60.0
 
 
 @dataclass
@@ -545,9 +546,7 @@ class Sentinel:
         self._store = store if store is not None else BaselineStore()
         self._config = config if config is not None else SentinelConfig()
         self._lock = threading.Lock()
-        self._alerts: deque[SentinelAlert] = deque(
-            maxlen=max(int(self._config.max_alerts), 1)
-        )
+        self._alerts: deque[SentinelAlert] = deque(maxlen=MAX_ALERTS)
         self._windows: dict[str, deque[float]] = {}
         self._counts: dict[str, int] = {kind: 0 for kind in ALERT_KINDS}
         self._evaluated = 0
@@ -586,7 +585,7 @@ class Sentinel:
         if not last:
             return False
         now = time.time() if now is None else now
-        return (now - last) <= self._config.critical_ttl_seconds
+        return (now - last) <= CRITICAL_TTL_SECONDS
 
     def snapshot(self) -> dict:
         """JSON-friendly state for ``health()``/dashboards."""
@@ -644,13 +643,13 @@ class Sentinel:
             ):
                 continue
             observed = robust_median(list(window))
-            threshold = baseline_median + config.mad_k * baseline_mad
+            threshold = baseline_median + MAD_K * baseline_mad
             ratio = _ratio(observed, baseline_median)
-            if observed > threshold and ratio >= config.min_latency_ratio:
+            if observed > threshold and ratio >= MIN_LATENCY_RATIO:
                 drifted_latency.add(spec_fp)
                 severity = (
                     "critical"
-                    if ratio >= config.critical_latency_ratio
+                    if ratio >= CRITICAL_LATENCY_RATIO
                     else "warning"
                 )
                 alerts.append(
@@ -667,7 +666,7 @@ class Sentinel:
                             f"latency p50 {observed * 1e3:.3f}ms vs "
                             f"baseline {baseline_median * 1e3:.3f}ms "
                             f"(x{ratio:.2f}, k·MAD "
-                            f"{config.mad_k:.1f}·{baseline_mad * 1e3:.3f}ms)"
+                            f"{MAD_K:.1f}·{baseline_mad * 1e3:.3f}ms)"
                         ),
                     )
                 )
@@ -685,8 +684,8 @@ class Sentinel:
                 observed = robust_median(samples)
                 ratio = _ratio(observed, baseline)
                 if (
-                    observed >= config.qerror_floor
-                    and ratio >= config.min_qerror_ratio
+                    observed >= QERROR_FLOOR
+                    and ratio >= MIN_QERROR_RATIO
                 ):
                     drifted_qerror.add((spec_fp, op_kind))
                     alerts.append(
@@ -711,7 +710,7 @@ class Sentinel:
         for spec_fp, samples in obs.latencies.items():
             if spec_fp in drifted_latency:
                 continue
-            self._store.absorb_latency(spec_fp, samples, config.ewma_alpha)
+            self._store.absorb_latency(spec_fp, samples, EWMA_ALPHA)
         for spec_fp, per_kind in obs.qerrors.items():
             for op_kind, samples in per_kind.items():
                 if (spec_fp, op_kind) in drifted_qerror:
@@ -759,7 +758,7 @@ class Sentinel:
         old_cost = float(committed.get("cost", 0.0) or 0.0)
         new_cost = float(row.get("cost", 0.0) or 0.0)
         cost_ratio = _ratio(new_cost, old_cost)
-        if cost_ratio >= self._config.cost_regression_ratio:
+        if cost_ratio >= COST_REGRESSION_RATIO:
             severity = "critical"
         elif cost_ratio >= 1.0:
             severity = "warning"

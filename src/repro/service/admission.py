@@ -64,9 +64,6 @@ class AdmissionConfig:
     #: waiting-query count at which new admissions come back degraded
     #: (serial execution, shallow optimisation). None disables.
     degrade_queue_depth: int | None = 8
-    #: default seconds a query may wait before it is shed (None = wait
-    #: for its own deadline, or forever).
-    queue_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -231,8 +228,8 @@ class AdmissionController:
 
         :param priority: queue class; HIGH admits before NORMAL before
             LOW, FIFO within a class.
-        :param timeout: max seconds to wait before shedding; defaults to
-            the config's ``queue_timeout``.
+        :param timeout: max seconds to wait before shedding (None = wait
+            for the context's deadline, or forever).
         :param context: when given, polled while queued — a cancellation
             or deadline fires in the queue too.
         :raises AdmissionRejected: queue full, wait timed out, or the
@@ -242,8 +239,6 @@ class AdmissionController:
         :raises repro.errors.DeadlineExceeded: ``context`` deadline
             passed while queued.
         """
-        if timeout is None:
-            timeout = self._config.queue_timeout
         wait_deadline = None if timeout is None else time.monotonic() + timeout
         metrics = get_metrics()
         started = time.monotonic()

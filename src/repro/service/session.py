@@ -33,7 +33,7 @@ from repro.core.optimizer.base import (
     sqo_config,
 )
 from repro.core.optimizer.dp import DynamicProgrammingOptimizer
-from repro.core.optimizer.plancache import DEFAULT_CAPACITY, PlanCache
+from repro.core.optimizer.plancache import PlanCache
 from repro.core.plan import to_operator
 from repro.engine.executor import execute, explain_analyze
 from repro.errors import (
@@ -47,6 +47,7 @@ from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.profile import QueryProfile
 from repro.obs.querylog import QueryLog, get_query_log
 from repro.obs.sentinel import (
+    CRITICAL_TTL_SECONDS,
     BaselineStore,
     Sentinel,
     SentinelAlert,
@@ -54,7 +55,7 @@ from repro.obs.sentinel import (
     SentinelThread,
 )
 from repro.obs.runtime import get_metrics, get_tracer
-from repro.obs.slo import SLObjective, SLOTracker
+from repro.obs.slo import SLOTracker
 from repro.service.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -123,17 +124,6 @@ class ServiceConfig:
     backend: str | None = None
     #: optimise deep (DQO) by default; False = shallow (SQO).
     deep: bool = True
-    #: deadline applied when a query names none (seconds, None = none).
-    default_deadline: float | None = None
-    #: memory budget applied when a query names none (bytes, None = none).
-    default_memory_budget: int | None = None
-    #: plan-cache capacity (plans), shared across the service's queries.
-    plan_cache_capacity: int = DEFAULT_CAPACITY
-    #: latency objectives per priority class; None takes the defaults in
-    #: :data:`repro.obs.slo.DEFAULT_OBJECTIVES`.
-    slo_objectives: "dict[Priority, SLObjective] | None" = None
-    #: sliding window the SLO tracker evaluates over, in seconds.
-    slo_window_seconds: float = 300.0
     #: plan-regression sentinel dials; None takes the defaults. The
     #: sentinel thread only starts when a query log is active (it has
     #: nothing to tail otherwise) — see :meth:`QueryService.
@@ -141,8 +131,6 @@ class ServiceConfig:
     sentinel: SentinelConfig | None = None
     #: persist sentinel baselines here (None = in-memory only).
     sentinel_baseline_path: str | None = None
-    #: sentinel log-tail poll interval, seconds.
-    sentinel_interval_seconds: float = 2.0
     #: advise the admission controller into degraded posture while a
     #: critical sentinel alert is fresh (containment; default off).
     sentinel_degrade_on_critical: bool = False
@@ -208,11 +196,8 @@ class QueryService:
         self._config = config or ServiceConfig()
         self._cost_model = cost_model
         self._admission = AdmissionController(self._config.admission)
-        self._plan_cache = PlanCache(self._config.plan_cache_capacity)
-        self._slo = SLOTracker(
-            objectives=self._config.slo_objectives,
-            window_seconds=self._config.slo_window_seconds,
-        )
+        self._plan_cache = PlanCache()
+        self._slo = SLOTracker()
         self._active: dict[str, QueryContext] = {}
         self._active_lock = threading.Lock()
         self._closed = False
@@ -282,10 +267,7 @@ class QueryService:
         if self._sentinel_thread is not None:
             return self._sentinel_thread
         self._sentinel_thread = SentinelThread(
-            log,
-            self._sentinel,
-            interval_seconds=self._config.sentinel_interval_seconds,
-            on_alerts=self._on_sentinel_alerts,
+            log, self._sentinel, on_alerts=self._on_sentinel_alerts
         )
         self._sentinel_thread.start()
         return self._sentinel_thread
@@ -294,9 +276,7 @@ class QueryService:
         if not self._config.sentinel_degrade_on_critical:
             return
         if any(alert.severity == "critical" for alert in alerts):
-            self._admission.advise_degraded(
-                self._sentinel.config.critical_ttl_seconds
-            )
+            self._admission.advise_degraded(CRITICAL_TTL_SECONDS)
 
     @property
     def catalog(self) -> Catalog:
@@ -433,18 +413,18 @@ class QueryService:
     ) -> QueryOutcome:
         """Run ``sql`` end-to-end under admission + context governance.
 
-        :param deadline: relative seconds; defaults to the service's
-            ``default_deadline``. Governs queue wait, optimisation, and
-            execution together.
+        :param deadline: relative seconds (None = none). Governs queue
+            wait, optimisation, and execution together.
         :param priority: admission queue class.
         :param token: external cancellation latch (e.g. held by a server
             connection); a fresh one is created when None.
         :param memory_budget_bytes: cap on any single operator's working
-            set; defaults to the service's ``default_memory_budget``.
+            set (None = none).
         :param workers: morsel workers for this query; defaults to the
             service's setting, then :func:`repro.settings.ambient`.
             Forced to 1 when the query is admitted degraded.
-        :param queue_timeout: max seconds to wait for admission.
+        :param queue_timeout: max seconds to wait for admission (None =
+            wait for the deadline, or forever).
         :param trace_id: client-minted correlation id; minted at this
             edge when None. Threads through every span, stage histogram
             exemplar, query-log row, and profile of this request — and
@@ -467,16 +447,9 @@ class QueryService:
         if workers is not None:
             workers = _client_workers(workers)
         context = QueryContext.start(
-            deadline=(
-                deadline if deadline is not None
-                else self._config.default_deadline
-            ),
+            deadline=deadline,
             token=token,
-            memory_budget_bytes=(
-                memory_budget_bytes
-                if memory_budget_bytes is not None
-                else self._config.default_memory_budget
-            ),
+            memory_budget_bytes=memory_budget_bytes,
             query_id=query_id,
             trace_id=trace_id,
         )

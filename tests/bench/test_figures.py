@@ -5,6 +5,11 @@ the paper's qualitative claims (EXPERIMENTS.md records the full-scale
 numbers).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -173,3 +178,19 @@ class TestTables:
     def test_table1_lattice_sizes(self):
         text = render_lattice_sizes()
         assert "ORGANELLE" in text and "MOLECULE" in text
+
+
+@pytest.mark.parametrize("module", ["figure4", "figure5"])
+def test_script_runs_once(module):
+    """``python -m repro.bench.<module>`` runs the module once: were the
+    package to import it eagerly, ``runpy`` would find it in
+    ``sys.modules`` and warn that it runs a second copy as ``__main__``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", f"repro.bench.{module}", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

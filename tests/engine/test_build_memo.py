@@ -174,7 +174,6 @@ def test_grouping_hit_equals_fresh_build(grouping):
                 [count_star("n"), sum_of("S.B", "b")],
                 grouping,
                 num_distinct_hint=hint,
-                parallel=False,
             ),
             workers=1,
         )
@@ -282,7 +281,7 @@ def test_filtered_build_writes_nothing_on_the_base_column():
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     build = Filter(TableScan(r.qualified("R")), col("R.A") > 150)
     operator = Join(build, TableScan(s.qualified("S")), "R.ID", "S.R_ID")
-    execute(GroupBy(operator, "R.A", [count_star("n")], parallel=False), workers=1)
+    execute(GroupBy(operator, "R.A", [count_star("n")]), workers=1)
     assert r.column("ID").memo == {} and r.column("A").memo == {}
 
 
@@ -320,7 +319,6 @@ def test_threads_racing_on_the_first_query_agree():
                 [count_star("n")],
                 GroupingAlgorithm.HG,
                 num_distinct_hint=HINT,
-                parallel=False,
             ),
             workers=1,
         )
@@ -675,7 +673,6 @@ def test_one_encoding_build_per_grouping_key(layout, route):
             [count_star("n"), sum_of("S.B", "b")],
             grouping,
             num_distinct_hint=hint,
-            parallel=False,
         )
         return on_route(route, lambda: execute(operator))
 
@@ -814,7 +811,7 @@ def test_probe_and_group_by_share_one_encoding(route):
             TableScan(s.qualified("S")), TableScan(r.qualified("R")), "S.R_ID", "R.ID"
         )
         operator = GroupBy(
-            join, "S.R_ID", [count_star("n")], GroupingAlgorithm.SOG, parallel=False
+            join, "S.R_ID", [count_star("n")], GroupingAlgorithm.SOG
         )
         return on_route(route, lambda: execute(operator))
 
@@ -842,7 +839,6 @@ def test_probe_and_group_by_share_one_encoding(route):
             "R.A",
             [count_star("n")],
             GroupingAlgorithm.SOG,
-            parallel=False,
         ),
         workers=1,
     )

@@ -84,8 +84,8 @@ PARALLEL_ROUTES = {
 #: float64 partial sums reassociated across range shards
 #: (``test_parallel_routes.py``'s tolerance).
 FLOAT_RTOL = 1e-12
-#: S rows of the "morsels" shape: past the two-worker grouping threshold
-#: (``MIN_PARALLEL_ROWS``) and more than one chunk.
+#: S rows of the "morsels" shape: many chunks, and two large range
+#: shards at two workers.
 MORSELS_PROBE_ROWS = 69_536
 
 
@@ -135,14 +135,14 @@ def plan(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES, 
     if filtered:
         build = Filter(build, col("R.X") > -20)
     join = Join(build, TableScan(Table.from_arrays(s)), "R.ID", "S.R_ID", join_algorithm)
-    return GroupBy(join, "R.A", aggregates, grouping, **(route or {"parallel": False}))
+    return GroupBy(join, "R.A", aggregates, grouping, **route)
 
 
 def unfused(r, s, join_algorithm, grouping, filtered=False, aggregates=AGGREGATES):
     """The same group-by over the join's materialised table."""
     join = plan(r, s, join_algorithm, grouping, filtered).children[0]
     return execute(
-        GroupBy(TableScan(execute(join)), "R.A", aggregates, grouping, parallel=False)
+        GroupBy(TableScan(execute(join)), "R.A", aggregates, grouping)
     )
 
 
@@ -477,12 +477,13 @@ class TestEmptyInputs:
     """SPHG over no rows is an empty result, as for every other
     algorithm, on every route."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sphg_over_empty_scan(self, shards):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sphg_over_empty_scan(self, workers):
         table = Table.from_arrays({"k": np.empty(0, dtype=np.int64)})
         result = execute(
             GroupBy(TableScan(table), "k", [count_star("c")], GroupingAlgorithm.SPHG,
-                    shards=shards)
+                    parallel=True),
+            workers=workers,
         )
         assert result.num_rows == 0
 

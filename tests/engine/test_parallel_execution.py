@@ -9,7 +9,9 @@ is asserted identical to the serial kernel, up to key order (the merge
 sorts).
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +108,45 @@ class TestRunMorsels:
 
         report = run_morsels([outer, outer], workers=2)
         assert report.results == [1, 1]
+
+    def test_workers_bound_a_batch_on_a_grown_pool(self):
+        run_morsels([lambda: None] * 8, workers=8)  # the pool only grows
+        running, peak = [0], [0]
+        lock = threading.Lock()
+
+        def task():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_morsels([task] * 32, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] <= 2
+
+    def test_a_failed_batch_starts_no_morsel_held_at_the_gate(self):
+        run_morsels([lambda: None] * 8, workers=8)  # the pool only grows
+        ran = []
+
+        def boom():
+            time.sleep(0.01)
+            raise ValueError("morsel failure")
+
+        def work():
+            ran.append(1)
+            time.sleep(0.01)
+
+        with pytest.raises(ValueError, match="morsel failure"):
+            run_morsels([boom] + [work] * 31, workers=2)
+        # Six more pool threads hold a morsel each at the gate when the
+        # batch fails; none of those starts.
+        assert len(ran) < 7
 
     def test_morsel_metrics_are_exact(self):
         with capture_observability() as (metrics, tracer):
@@ -214,7 +255,6 @@ class TestOperatorParallelism:
                     "key",
                     [count_star(), sum_of("value")],
                     algorithm=GroupingAlgorithm.HG,
-                    shards=8,
                     parallel=parallel,
                 )
             ).sort_by(["key"])

@@ -135,9 +135,9 @@ class TestGroupByOperator:
         table = Table.from_arrays(
             {"key": dataset.keys, "value": dataset.payload, "f": floats}
         )
-        serial = self.grouped(table, algorithm, parallel=False)
+        serial = self.grouped(table, algorithm)
         with scoped_settings(workers=2):
-            result = self.grouped(table, algorithm, shards=7, backend=backend)
+            result = self.grouped(table, algorithm, parallel=True, backend=backend)
         assert result.schema == serial.schema
         for name in serial.schema.names:
             if name == "avg_f":

@@ -1,4 +1,9 @@
-"""The GroupBy operator's Figure 3(e) sharded (parallel-load) mode."""
+"""The GroupBy operator's Figure 3(e) sharded (parallel-load) mode:
+``parallel=True`` groups one range shard per configured worker.
+
+The tests that sweep the worker count up to 16 pin the thread backend:
+the process pool grows to the largest count it is asked for and keeps
+its workers, and ``test_parallel_routes.py`` covers the process route."""
 
 import numpy as np
 import pytest
@@ -16,7 +21,6 @@ from repro.engine import (
     min_of,
     sum_of,
 )
-from repro.errors import ExecutionError
 from repro.storage import Table
 
 
@@ -39,14 +43,16 @@ ALL_AGGREGATES = [
 
 
 class TestShardedGroupBy:
-    @pytest.mark.parametrize("shards", [2, 3, 7, 16])
-    def test_all_aggregates_match_serial(self, rng, shards):
+    @pytest.mark.parametrize("workers", [2, 3, 7, 16])
+    def test_all_aggregates_match_serial(self, rng, workers):
         table = make_table(rng)
         serial = execute(
             GroupBy(TableScan(table), "k", ALL_AGGREGATES)
         ).sort_by(["k"])
         sharded = execute(
-            GroupBy(TableScan(table), "k", ALL_AGGREGATES, shards=shards)
+            GroupBy(TableScan(table), "k", ALL_AGGREGATES, parallel=True,
+                    backend="thread"),
+            workers=workers,
         ).sort_by(["k"])
         assert sharded.schema == serial.schema
         for name in ("k", "c", "s", "lo", "hi"):
@@ -61,7 +67,8 @@ class TestShardedGroupBy:
         ).sort_by(["k"])
         sharded = execute(
             GroupBy(TableScan(table), "k", [count_star("c")],
-                    GroupingAlgorithm.SPHG, shards=4)
+                    GroupingAlgorithm.SPHG, parallel=True),
+            workers=4,
         ).sort_by(["k"])
         assert sharded.equals(serial)
 
@@ -70,19 +77,24 @@ class TestShardedGroupBy:
             {"k": np.empty(0, dtype=np.int64), "v": np.empty(0, dtype=np.int64)}
         )
         result = execute(
-            GroupBy(TableScan(table), "k", [count_star("c")], shards=4)
+            GroupBy(TableScan(table), "k", [count_star("c")], parallel=True),
+            workers=4,
         )
         assert result.num_rows == 0
 
-    def test_describe_mentions_shards(self, rng):
-        operator = GroupBy(
-            TableScan(make_table(rng)), "k", [count_star()], shards=8
-        )
-        assert "shards=8" in operator.describe()
-
-    def test_invalid_shards(self, rng):
-        with pytest.raises(ExecutionError):
-            GroupBy(TableScan(make_table(rng)), "k", [count_star()], shards=0)
+    @pytest.mark.parametrize("backend", [None, "thread", "process"])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_describe_names_the_loop_only_when_parallel(self, rng, parallel, backend):
+        """A label tells the truth: the loop mode and the pool it runs
+        on appear exactly when the operator runs parallel."""
+        described = GroupBy(
+            TableScan(make_table(rng)), "k", [count_star()],
+            parallel=parallel, backend=backend,
+        ).describe()
+        assert ("loop=parallel" in described) is parallel
+        assert ("backend=" in described) is parallel
+        if parallel and backend is not None:
+            assert f"backend={backend}" in described
 
 
 @settings(max_examples=30, deadline=None)
@@ -90,7 +102,7 @@ class TestShardedGroupBy:
     st.lists(st.integers(0, 10), min_size=1, max_size=200),
     st.integers(2, 9),
 )
-def test_sharded_property(values, shards):
+def test_sharded_property(values, workers):
     """Property: shard + merge equals serial for COUNT/SUM/MIN/MAX/AVG."""
     table = Table.from_arrays(
         {
@@ -100,6 +112,8 @@ def test_sharded_property(values, shards):
     )
     serial = execute(GroupBy(TableScan(table), "k", ALL_AGGREGATES)).sort_by(["k"])
     sharded = execute(
-        GroupBy(TableScan(table), "k", ALL_AGGREGATES, shards=shards)
+        GroupBy(TableScan(table), "k", ALL_AGGREGATES, parallel=True,
+                backend="thread"),
+        workers=workers,
     ).sort_by(["k"])
     assert serial.to_rows() == pytest.approx(sharded.to_rows())

@@ -10,6 +10,9 @@ settings. Two laws hold on every node:
   carries ``/parallel``;
 * no ``/parallel`` group-by sits on a join whose build input holds its
   key: the engine groups that build input once, serially.
+
+A hand-built group-by names no loop mode, so it runs serially at any
+worker count, however many rows it groups.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from repro.core.optimizer.base import dqo_config
 from repro.core.optimizer.dp import DynamicProgrammingOptimizer
 from repro.core.optimizer.plancache import PlanCache
 from repro.core.plan import to_operator
+from repro.engine import count_star
 from repro.engine.executor import explain_analyze
-from repro.engine.operators import GroupBy, Join
+from repro.engine.operators import GroupBy, Join, TableScan
+from repro.obs import capture_observability
 from repro.settings import scoped_settings
 from repro.sql import plan_query
+from repro.storage import Table
 from test_golden_plans import FIG5_LAYOUTS, FIG5_QUERY, cases, datagen, memory_catalog
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
@@ -83,3 +89,14 @@ def test_parallel_work_runs_where_the_plan_says(every_case, backend):
             ):
                 violations.append(f"{label}: {node.label} groups a join's build input")
     assert not violations, "\n".join(violations)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_hand_built_group_by_runs_serially(backend):
+    keys = np.random.default_rng(41).integers(0, 500, 69_536)
+    operator = GroupBy(TableScan(Table.from_arrays({"k": keys})), "k", [count_star("n")])
+    with scoped_settings(workers=2, backend=backend):
+        with capture_observability() as (metrics, __):
+            analyzed = explain_analyze(operator)
+    assert analyzed.root.parallel_degree <= 1
+    assert metrics.snapshot().get("parallel.morsels", 0) == 0
