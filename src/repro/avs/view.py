@@ -17,17 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
 from repro.core.granularity import Granularity
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
+from repro.engine.operators.joins import memoised_build_side
 from repro.errors import PreconditionError, ViewError
-from repro.indexes.hash_table import OpenAddressingHashTable
-from repro.indexes.perfect_hash import StaticPerfectHash
-from repro.indexes.sorted_array import SortedKeyIndex
 from repro.storage.catalog import Catalog
 from repro.storage.dictionary import DictionaryEncoded, dictionary_encode_column
 from repro.storage.table import Table
@@ -36,11 +32,14 @@ from repro.storage.table import Table
 class ViewKind(enum.Enum):
     """The materialisable Algorithmic View kinds."""
 
-    #: a hash table over a column — waives HJ's build phase.
+    #: HJ's build side (a hash table) over a column — waives HJ's build
+    #: phase.
     HASH_TABLE = "hash_table"
-    #: a static-perfect-hash array — waives SPHJ/SPHG builds (dense only).
+    #: SPHJ's build side (a static-perfect-hash array) — waives SPHJ's
+    #: build phase (dense only).
     SPH_ARRAY = "sph_array"
-    #: a sorted distinct-key directory — waives BSJ/BSG directory builds.
+    #: BSJ's build side (the sorted distinct keys) — waives BSJ's build
+    #: phase, and the DP also credits BSG's directory build with it.
     SORTED_KEYS = "sorted_keys"
     #: a sorted copy of the table — order for free (an "index view").
     SORTED_PROJECTION = "sorted_projection"
@@ -62,6 +61,15 @@ VIEW_GRANULARITY: dict[ViewKind, Granularity] = {
     ViewKind.SORTED_PROJECTION: Granularity.ORGANELLE,
     ViewKind.DICTIONARY: Granularity.MACROMOLECULE,
     ViewKind.BTREE: Granularity.MACROMOLECULE,
+}
+
+#: The join whose build side each join-level kind precomputes: the
+#: view's artifact is that join's memoised ``build_side`` entry on the
+#: column, so the join reads it on its first run.
+VIEW_JOIN: dict[ViewKind, JoinAlgorithm] = {
+    ViewKind.HASH_TABLE: JoinAlgorithm.HJ,
+    ViewKind.SPH_ARRAY: JoinAlgorithm.SPHJ,
+    ViewKind.SORTED_KEYS: JoinAlgorithm.BSJ,
 }
 
 
@@ -106,14 +114,8 @@ def build_cost_of(
     """Offline construction cost of a view kind, per the cost model's
     build-phase accounting."""
     cost_model = cost_model or PaperCostModel()
-    if kind is ViewKind.HASH_TABLE:
-        return cost_model.join_build_cost(JoinAlgorithm.HJ, rows, 0.0, num_distinct)
-    if kind is ViewKind.SPH_ARRAY:
-        return cost_model.join_build_cost(
-            JoinAlgorithm.SPHJ, rows, 0.0, num_distinct
-        )
-    if kind is ViewKind.SORTED_KEYS:
-        return cost_model.join_build_cost(JoinAlgorithm.BSJ, rows, 0.0, num_distinct)
+    if kind in VIEW_JOIN:
+        return cost_model.join_build_cost(VIEW_JOIN[kind], rows, 0.0, num_distinct)
     if kind is ViewKind.SORTED_PROJECTION:
         return cost_model.sort_cost(rows)
     if kind is ViewKind.DICTIONARY:
@@ -134,28 +136,26 @@ def materialize_view(
 ) -> AlgorithmicView:
     """Actually build a view's artifact from catalog data.
 
+    A join-level view's artifact is its join's build side, memoised on
+    the base column (:data:`VIEW_JOIN`): a plan that joins through that
+    column with that algorithm erects nothing on its first run. A
+    column keeps one build side, so a later build under another
+    algorithm replaces the entry (the view keeps its artifact).
+
     :raises ViewError: for an SPH view over a sparse domain (the §2.1
         applicability precondition).
     """
     table = catalog.table(table_name)
-    values = table[column]
-    stats = table.column(column).statistics
-    cost = build_cost_of(kind, table.num_rows, stats.distinct, cost_model)
-    if kind is ViewKind.HASH_TABLE:
-        hash_table = OpenAddressingHashTable(max(stats.distinct, 1))
-        if values.size:
-            hash_table.build(values)
-        artifact: object = hash_table
-    elif kind is ViewKind.SPH_ARRAY:
+    base = table.column(column)
+    cost = build_cost_of(kind, table.num_rows, base.statistics.distinct, cost_model)
+    if kind in VIEW_JOIN:
         try:
-            artifact = StaticPerfectHash.for_keys(values)
+            artifact: object = memoised_build_side(base, VIEW_JOIN[kind])
         except PreconditionError as error:
             raise ViewError(
-                f"cannot materialise SPH view on {table_name}.{column}: "
+                f"cannot materialise {kind.name} view on {table_name}.{column}: "
                 f"{error}"
             ) from error
-    elif kind is ViewKind.SORTED_KEYS:
-        artifact = SortedKeyIndex.from_values(values)
     elif kind is ViewKind.SORTED_PROJECTION:
         artifact = table.sort_by([column])
     elif kind is ViewKind.DICTIONARY:

@@ -30,7 +30,7 @@ import numpy as np
 from repro._util.arrays import is_nondecreasing
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
-from repro.indexes.perfect_hash import MIN_DENSITY, StaticPerfectHash
+from repro.indexes.perfect_hash import StaticPerfectHash
 from repro.storage.dictionary import DictionaryEncoded
 from repro.storage.rle import RunLengthEncoded, rle_encode
 
@@ -176,8 +176,9 @@ class BuildSide:
     counts: np.ndarray | None = None
     bucket_keys: np.ndarray | None = None
     bucket_slots: np.ndarray | None = None
-    hash_name: str = "murmur3"
     min_key: int = 0
+    #: the distinct build keys ("hash", "sorted") or the width of the
+    #: direct array's key domain ("direct").
     num_slots: int = 0
     keys: np.ndarray | None = None
     #: bytes of the structure erected for this build side — Table 2's
@@ -189,7 +190,7 @@ class BuildSide:
         probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
         if self.kind == "hash":
             table = OpenAddressingHashTable.from_state(
-                self.hash_name,
+                "murmur3",
                 self.bucket_keys,
                 self.bucket_slots,
                 self.bucket_keys[:0],
@@ -245,8 +246,9 @@ class BuildSide:
             hit = slots >= 0
             slots = slots[hit]
             weights = None if weights is None else weights[hit]
-        num_slots = self.keys.size if self.kind == "sorted" else self.num_slots
-        per_slot = np.bincount(slots, weights, minlength=num_slots).astype(np.int64)
+        per_slot = np.bincount(slots, weights, minlength=self.num_slots).astype(
+            np.int64
+        )
         if self.offsets is not None:
             # Every build row of a slot has that slot's matches.
             per_row = np.repeat(per_slot, self.counts)
@@ -331,30 +333,22 @@ def _nbytes(*arrays: np.ndarray | None) -> int:
     return sum(int(array.nbytes) for array in arrays if array is not None)
 
 
-def build_side(
-    build_keys: np.ndarray,
-    algorithm: JoinAlgorithm,
-    num_distinct_hint: int | None = None,
-    hash_name: str = "murmur3",
-    min_density: float = MIN_DENSITY,
-) -> BuildSide:
+def build_side(build_keys: np.ndarray, algorithm: JoinAlgorithm) -> BuildSide:
     """Erect the build side of a join over non-empty ``build_keys``.
 
     Whether the keys are distinct is read off data the kernel touches
     anyway, in O(n): the hash table's key count (HJ), the occupancy of
     the perfect-hash array (SPHJ), strict monotonicity of the sorted keys
-    (BSJ after its sort, OJ on its pre-sorted input).
+    (BSJ after its sort, OJ on its pre-sorted input). HJ's table is
+    sized for one distinct key per row.
 
-    :param num_distinct_hint: expected distinct build keys; sizes HJ's
-        table. A hint that proves too low costs a rebuild at the row
-        count, never correctness.
     :raises PreconditionError: SPHJ over a sparse domain; an algorithm
         with no shared build side (SOJ).
     """
     num_rows = int(build_keys.size)
     if algorithm is JoinAlgorithm.HJ:
         table, build_slots = OpenAddressingHashTable.for_keys(
-            build_keys, num_distinct_hint, hash_name, JOIN_TABLE_LOAD
+            build_keys, max_load=JOIN_TABLE_LOAD
         )
         slot_counts = (
             None
@@ -371,12 +365,11 @@ def build_side(
             counts,
             bucket_keys=table.bucket_keys,
             bucket_slots=table.bucket_slots,
-            hash_name=hash_name,
             num_slots=table.num_keys,
             structure_bytes=table.memory_bytes() + _nbytes(rows, offsets, counts),
         )
     if algorithm is JoinAlgorithm.SPHJ:
-        sph = StaticPerfectHash.for_keys(build_keys, min_density)
+        sph = StaticPerfectHash.for_keys(build_keys)
         build_slots = sph.slot(build_keys)
         slot_counts = (
             None
@@ -423,21 +416,17 @@ def build_side(
         rows,
         offsets,
         counts,
+        num_slots=int(keys.size),
         keys=keys,
         structure_bytes=_nbytes(rows, offsets, counts, owned),
     )
 
 
 def _probe_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    algorithm: JoinAlgorithm,
-    build: BuildSide | None = None,
-    **build_options,
+    build_keys: np.ndarray, probe_keys: np.ndarray, algorithm: JoinAlgorithm
 ) -> JoinResult:
-    """Erect ``algorithm``'s build side over ``build_keys`` (unless
-    ``build`` is it already) and probe it with all of ``probe_keys`` —
-    the serial form of every join but SOJ."""
+    """Erect ``algorithm``'s build side over ``build_keys`` and probe it
+    with all of ``probe_keys`` — the serial form of every join but SOJ."""
     build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
     order = (
@@ -448,41 +437,22 @@ def _probe_join(
     if build_keys.size == 0 or probe_keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return JoinResult(empty, empty.copy(), order)
-    if build is None:
-        build = build_side(build_keys, algorithm, **build_options)
+    build = build_side(build_keys, algorithm)
     left, right = build.probe(probe_keys)
     return JoinResult(left, right, order, structure_bytes=build.structure_bytes)
 
 
-def hash_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    num_distinct_hint: int | None = None,
-    hash_name: str = "murmur3",
-    build: BuildSide | None = None,
-) -> JoinResult:
+def hash_join(build_keys: np.ndarray, probe_keys: np.ndarray) -> JoinResult:
     """HJ: build a hash table on ``build_keys``, stream ``probe_keys``.
 
     Handles duplicate keys on both sides (full inner equi-join semantics).
     Output preserves probe order — the property Figure 5's 2.8x case rests
     on (DESIGN.md substitution #5a).
     """
-    return _probe_join(
-        build_keys,
-        probe_keys,
-        JoinAlgorithm.HJ,
-        build,
-        num_distinct_hint=num_distinct_hint,
-        hash_name=hash_name,
-    )
+    return _probe_join(build_keys, probe_keys, JoinAlgorithm.HJ)
 
 
-def perfect_hash_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    min_density: float = MIN_DENSITY,
-    build: BuildSide | None = None,
-) -> JoinResult:
+def perfect_hash_join(build_keys: np.ndarray, probe_keys: np.ndarray) -> JoinResult:
     """SPHJ: dense-domain direct-array join (Table 2's SPHJ).
 
     The build side's key domain must be dense; the probe side streams and
@@ -490,16 +460,11 @@ def perfect_hash_join(
 
     :raises PreconditionError: when the build-side domain is too sparse.
     """
-    return _probe_join(
-        build_keys, probe_keys, JoinAlgorithm.SPHJ, build, min_density=min_density
-    )
+    return _probe_join(build_keys, probe_keys, JoinAlgorithm.SPHJ)
 
 
 def merge_join(
-    left_keys: np.ndarray,
-    right_keys: np.ndarray,
-    validate: bool = False,
-    build: BuildSide | None = None,
+    left_keys: np.ndarray, right_keys: np.ndarray, validate: bool = False
 ) -> JoinResult:
     """OJ: merge two key-sorted inputs (Table 2's OJ).
 
@@ -512,7 +477,7 @@ def merge_join(
     """
     if validate:
         check_merge_inputs(left_keys, right_keys)
-    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ, build)
+    return _probe_join(left_keys, right_keys, JoinAlgorithm.OJ)
 
 
 def check_merge_inputs(left_keys: np.ndarray, right_keys: np.ndarray) -> None:
@@ -543,41 +508,29 @@ def sort_merge_join(
     )
 
 
-def binary_search_join(
-    build_keys: np.ndarray,
-    probe_keys: np.ndarray,
-    build: BuildSide | None = None,
-) -> JoinResult:
+def binary_search_join(build_keys: np.ndarray, probe_keys: np.ndarray) -> JoinResult:
     """BSJ: sorted array on the build side, binary-search each probe
     (Table 2's BSJ). Output preserves probe order."""
-    return _probe_join(build_keys, probe_keys, JoinAlgorithm.BSJ, build)
+    return _probe_join(build_keys, probe_keys, JoinAlgorithm.BSJ)
 
 
 def join(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
     algorithm: JoinAlgorithm,
-    num_distinct_hint: int | None = None,
     validate: bool = False,
-    build: BuildSide | None = None,
 ) -> JoinResult:
-    """Dispatch to the chosen Table 2 join kernel.
-
-    :param build: the build side :func:`build_side` erected over
-        ``build_keys`` for ``algorithm`` earlier, with the options this
-        call would pass it; None erects it here. SOJ, which has none,
-        ignores it.
-    """
+    """Dispatch to the chosen Table 2 join kernel."""
     if algorithm is JoinAlgorithm.HJ:
-        return hash_join(build_keys, probe_keys, num_distinct_hint, build=build)
+        return hash_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.SPHJ:
-        return perfect_hash_join(build_keys, probe_keys, build=build)
+        return perfect_hash_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.OJ:
-        return merge_join(build_keys, probe_keys, validate=validate, build=build)
+        return merge_join(build_keys, probe_keys, validate=validate)
     if algorithm is JoinAlgorithm.SOJ:
         return sort_merge_join(build_keys, probe_keys)
     if algorithm is JoinAlgorithm.BSJ:
-        return binary_search_join(build_keys, probe_keys, build=build)
+        return binary_search_join(build_keys, probe_keys)
     raise PreconditionError(f"unknown join algorithm: {algorithm!r}")
 
 

@@ -16,7 +16,6 @@ from repro.engine.aggregates import AggregateFunction, AggregateSpec, compute_ag
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     GroupingAssignment,
-    KeyOrder,
     aggregate_groups,
     assign_slots,
     perfect_hash_slots,
@@ -110,20 +109,6 @@ class GroupBy(MaterialisedOperator):
     def algorithm(self) -> GroupingAlgorithm:
         """The selected grouping implementation."""
         return self._algorithm
-
-    @property
-    def output_key_order(self) -> KeyOrder:
-        """The key order this operator's output will exhibit — the plan
-        property the optimiser propagates (without running the operator)."""
-        if self._algorithm is GroupingAlgorithm.HG:
-            return KeyOrder.UNSPECIFIED
-        if self._algorithm is GroupingAlgorithm.OG:
-            # Sorted only if the input was sorted; clustered input yields
-            # first-occurrence order, or ascending order where the groups
-            # are the runs of a sorted build key (_group_matches). Either
-            # is clustered, which is all a plan reads of it.
-            return KeyOrder.FIRST_OCCURRENCE
-        return KeyOrder.SORTED
 
     def _materialise(self) -> Table:
         child = self.children[0]

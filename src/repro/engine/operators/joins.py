@@ -32,11 +32,29 @@ from repro.engine.operators.base import (
     memoised,
 )
 from repro.errors import ExecutionError
-from repro.indexes.perfect_hash import MIN_DENSITY
+from repro.storage.column import Column
 from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
 from repro.storage.rle import RunLengthEncoded, rle_encode
 from repro.storage.schema import Schema
 from repro.storage.table import Table
+
+
+def memoised_build_side(column: Column, algorithm: JoinAlgorithm) -> BuildSide | None:
+    """``algorithm``'s build side over ``column``, erected on its first
+    use and memoised on the column: an unchanged base column's is reused
+    by every later query, and a join-level Algorithmic View is this
+    entry, erected ahead of the first query. None for SOJ, which sorts
+    both inputs instead."""
+    if algorithm is JoinAlgorithm.SOJ:
+        return None
+    return memoised(
+        column,
+        "build_side",
+        (algorithm,),
+        lambda: build_side(
+            np.ascontiguousarray(column.values, dtype=np.int64), algorithm
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -123,7 +141,6 @@ class Join(MaterialisedOperator):
         left_key: str,
         right_key: str,
         algorithm: JoinAlgorithm = JoinAlgorithm.HJ,
-        num_distinct_hint: int | None = None,
         validate: bool = False,
         columns: Collection[str] | None = None,
     ) -> None:
@@ -141,7 +158,6 @@ class Join(MaterialisedOperator):
         self._left_key = left_key
         self._right_key = right_key
         self._algorithm = algorithm
-        self._num_distinct_hint = num_distinct_hint
         self._validate = validate
         schema = left.output_schema.concat(right.output_schema)
         self._schema = schema.project(kept_columns(schema.names, columns))
@@ -178,7 +194,7 @@ class Join(MaterialisedOperator):
         if self._validate and self._algorithm is JoinAlgorithm.OJ:
             check_merge_inputs(build_keys, probe_keys)
         build = (
-            self._build_side(left_table)
+            memoised_build_side(left_table.column(self._left_key), self._algorithm)
             if build_keys.size and probe_keys.size
             else None
         )
@@ -187,12 +203,7 @@ class Join(MaterialisedOperator):
         if build is None:
             # SOJ and an empty input: the kernel's join, counted off its
             # pairs.
-            found = join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                num_distinct_hint=self._num_distinct_hint,
-            )
+            found = join(build_keys, probe_keys, self._algorithm)
             if row_counts:
                 counts = np.bincount(found.left_indices, minlength=left_table.num_rows)
         else:
@@ -221,26 +232,6 @@ class Join(MaterialisedOperator):
         """The matching pairs of a probe whose keys have ``slots``."""
         return JoinResult(
             *build.pairs(slots, encoded), self.output_order, build.structure_bytes
-        )
-
-    def _build_side(self, left_table: Table) -> BuildSide | None:
-        """The build side over the left key column, erected on its first
-        use and memoised on the column: an unchanged base column's is
-        reused by every later query. None for SOJ, which sorts both
-        inputs instead."""
-        if self._algorithm is JoinAlgorithm.SOJ:
-            return None
-        column = left_table.column(self._left_key)
-        options = (self._num_distinct_hint, "murmur3", MIN_DENSITY)
-        return memoised(
-            column,
-            "build_side",
-            (self._algorithm, *options),
-            lambda: build_side(
-                np.ascontiguousarray(column.values, dtype=np.int64),
-                self._algorithm,
-                *options,
-            ),
         )
 
     def _probe_encoding(

@@ -129,16 +129,6 @@ def _get_pool(workers: int) -> _MorselPool:
         return _pool
 
 
-def shutdown_pool() -> None:
-    """Tear down the shared pool (tests / interpreter shutdown)."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown(wait=True)
-        _pool = None
-        _pool_size = 0
-
-
 def on_worker_thread() -> bool:
     """True when the calling thread is a pool worker (nested scheduling
     from here would deadlock a bounded pool — run inline instead)."""

@@ -10,14 +10,12 @@ from repro.indexes.hash_table import (
     murmur3_finalizer,
 )
 from repro.indexes.perfect_hash import StaticPerfectHash
-from repro.indexes.sorted_array import SortedKeyIndex
 
 __all__ = [
     "BPlusTree",
     "ChainedHashTable",
     "HASH_FUNCTIONS",
     "OpenAddressingHashTable",
-    "SortedKeyIndex",
     "StaticPerfectHash",
     "identity_hash",
     "murmur3_finalizer",

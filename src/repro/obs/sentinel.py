@@ -325,10 +325,9 @@ class BaselineStore:
         with self._lock:
             record["plans"][mode] = dict(plan)
 
-    def absorb_latency(
-        self, spec_fp: str, samples: Iterable[float], alpha: float
-    ) -> None:
-        """Fold latency samples into the fingerprint's reservoir+EWMA."""
+    def absorb_latency(self, spec_fp: str, samples: Iterable[float]) -> None:
+        """Fold latency samples into the fingerprint's reservoir and its
+        EWMA (weight :data:`EWMA_ALPHA` on each new sample)."""
         record = self.record(spec_fp)
         with self._lock:
             latency = record["latency"]
@@ -339,7 +338,8 @@ class BaselineStore:
                 latency["ewma"] = (
                     float(value)
                     if previous is None
-                    else alpha * float(value) + (1.0 - alpha) * float(previous)
+                    else EWMA_ALPHA * float(value)
+                    + (1.0 - EWMA_ALPHA) * float(previous)
                 )
             del latency["samples"][: -self._reservoir]
 
@@ -710,7 +710,7 @@ class Sentinel:
         for spec_fp, samples in obs.latencies.items():
             if spec_fp in drifted_latency:
                 continue
-            self._store.absorb_latency(spec_fp, samples, EWMA_ALPHA)
+            self._store.absorb_latency(spec_fp, samples)
         for spec_fp, per_kind in obs.qerrors.items():
             for op_kind, samples in per_kind.items():
                 if (spec_fp, op_kind) in drifted_qerror:
@@ -898,10 +898,6 @@ class SentinelThread:
         if thread is not None:
             thread.join(timeout=timeout)
         self._thread = None
-
-    def poke(self) -> None:
-        """Wake the polling thread early (e.g. after a burst of work)."""
-        self._wake.set()
 
     def tick(self) -> list[SentinelAlert]:
         """Run one poll inline: read newly-completed log rows, observe

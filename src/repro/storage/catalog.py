@@ -41,14 +41,6 @@ def add_unregister_observer(observer) -> None:
         _unregister_observers.append(observer)
 
 
-def remove_unregister_observer(observer) -> None:
-    """Remove a previously added unregister observer (missing is a no-op)."""
-    try:
-        _unregister_observers.remove(observer)
-    except ValueError:
-        pass
-
-
 def _maybe_spill(name: str, table: Table):
     """Spill ``table`` to disk when ``REPRO_STORAGE=disk`` is active.
 

@@ -198,6 +198,13 @@ class DiskColumn:
         """Materialise the column through the buffer pool."""
         return self._table.column_values(self._name)
 
+    @property
+    def memo(self) -> dict:
+        """A new, empty dict on every read: a disk column memoises
+        nothing (a scan reads fresh arrays through the buffer pool), so
+        what a reader stores here is dropped with the dict."""
+        return {}
+
     def memory_bytes(self) -> int:
         """RAM held by the column object itself: none — segment bytes
         are accounted by the buffer pool and the scans that pin them."""
@@ -420,10 +427,6 @@ class DiskTable:
                 f"no column {name!r}; table has {list(self._schema.names)}"
             )
         return self._columns[name]
-
-    def segment_metas(self, name: str) -> list[dict]:
-        """The manifest's segment index (zone maps included) of one column."""
-        return list(self._column_record(name)["segments"])
 
     def _segment_loader(self, name: str, index: int):
         record = self._column_record(name)

@@ -13,7 +13,7 @@ from repro.avs import (
 from repro.core import Granularity, optimize_dqo
 from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.errors import ViewError
-from repro.indexes import OpenAddressingHashTable, SortedKeyIndex, StaticPerfectHash
+from repro.engine.kernels.joins import BuildSide
 from repro.sql import plan_query
 
 
@@ -25,15 +25,18 @@ def catalog():
 class TestMaterialisation:
     def test_hash_table_view(self, catalog):
         view = materialize_view(catalog, ViewKind.HASH_TABLE, "R", "ID")
-        assert isinstance(view.artifact, OpenAddressingHashTable)
-        assert view.artifact.num_keys == 500
+        assert isinstance(view.artifact, BuildSide)
+        assert view.artifact.kind == "hash"
+        assert view.artifact.num_slots == 500
         assert view.build_cost == 4 * 500
         assert view.granularity is Granularity.MACROMOLECULE
 
     def test_sph_view_dense(self, catalog):
         view = materialize_view(catalog, ViewKind.SPH_ARRAY, "R", "ID")
-        assert isinstance(view.artifact, StaticPerfectHash)
-        assert view.artifact.is_minimal
+        assert isinstance(view.artifact, BuildSide)
+        assert view.artifact.kind == "direct"
+        # Minimal: one slot per distinct key of the dense domain.
+        assert view.artifact.num_slots == 500
 
     def test_sph_view_sparse_rejected(self):
         catalog = make_join_scenario(
@@ -44,8 +47,9 @@ class TestMaterialisation:
 
     def test_sorted_keys_view(self, catalog):
         view = materialize_view(catalog, ViewKind.SORTED_KEYS, "R", "A")
-        assert isinstance(view.artifact, SortedKeyIndex)
-        assert view.artifact.num_keys == 50
+        assert isinstance(view.artifact, BuildSide)
+        assert view.artifact.kind == "sorted"
+        assert view.artifact.num_slots == 50
 
     def test_sorted_projection_view(self, catalog):
         view = materialize_view(catalog, ViewKind.SORTED_PROJECTION, "S", "R_ID")

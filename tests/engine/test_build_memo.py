@@ -93,7 +93,6 @@ def join_operator(r: Table, s: Table, algorithm, **options) -> Join:
         "R.ID",
         "S.R_ID",
         algorithm,
-        num_distinct_hint=HINT,
         **options,
     )
 
@@ -125,7 +124,7 @@ def memo_counts(metrics) -> tuple[int, int]:
 def test_join_hit_equals_fresh_build(algorithm, route, repeated):
     r_data, s_data = arrays(repeated)
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
-    fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+    fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
     expected = Table.from_arrays(
         {
             "R.ID": r_data["ID"][fresh.left_indices],
@@ -445,8 +444,7 @@ def test_narrowed_probe_never_hits(narrowed):
     with capture_observability() as (metrics, __):
         for _ in range(2):
             operator = Join(
-                TableScan(r.qualified("R")), probe, "R.ID", "S.R_ID", JoinAlgorithm.OJ,
-                num_distinct_hint=HINT,
+                TableScan(r.qualified("R")), probe, "R.ID", "S.R_ID", JoinAlgorithm.OJ
             )
             with scoped_settings(workers=1):
                 pairs = operator.matches().pairs
@@ -532,7 +530,7 @@ def test_dictionary_probe_equals_memo_free_kernel(
     pairs in its order."""
     r_data, s_data = dictionary_arrays(repeated, misses)
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
-    fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+    fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
     entries = []
     for _ in range(3):
         pairs = on_route(
@@ -698,7 +696,7 @@ def test_one_encoding_build_per_sorted_probe(route):
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     entries = []
     for algorithm in (JoinAlgorithm.OJ, JoinAlgorithm.HJ, JoinAlgorithm.BSJ):
-        fresh = join(r_data["ID"], s_data["R_ID"], algorithm, num_distinct_hint=HINT)
+        fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
         pairs = on_route(route, lambda: join_operator(r, s, algorithm).matches().pairs)
         assert np.array_equal(pairs.left_indices, fresh.left_indices)
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
@@ -735,7 +733,7 @@ def test_probe_encoding_laws(algorithm, route, kind):
     probe = probe_column(kind)
     r = Table.from_arrays(r_data)
     s = Table.from_arrays({"R_ID": probe, "B": np.zeros(probe.size, dtype=np.int64)})
-    fresh = join(r_data["ID"], probe, algorithm, num_distinct_hint=HINT)
+    fresh = join(r_data["ID"], probe, algorithm)
     entries = []
     for _ in range(3):
         pairs = on_route(route, lambda: join_operator(r, s, algorithm).matches().pairs)
@@ -866,7 +864,6 @@ def count_plan(r: Table, s, algorithm, grouping, probe_filter=None) -> GroupBy:
         "R.ID",
         "S.R_ID",
         algorithm,
-        num_distinct_hint=HINT,
     )
     return GroupBy(join, "R.A", [count_star("n")], grouping)
 

@@ -42,12 +42,6 @@ class TestStorageAndIndexFootprints:
             large.insert(key, key)
         assert 0 < small.memory_bytes() < large.memory_bytes()
 
-    def test_sorted_array_footprint_is_key_bytes(self):
-        from repro.indexes.sorted_array import SortedKeyIndex
-
-        index = SortedKeyIndex(np.arange(1_000, dtype=np.int64))
-        assert index.memory_bytes() == 1_000 * 8
-
     def test_sph_is_denser_than_hash_table_on_dense_keys(self):
         """Table 1: SPH's dense array beats a general hash table."""
         from repro.indexes.hash_table import OpenAddressingHashTable

@@ -1,12 +1,10 @@
-"""Static perfect hashing and the sorted-key index."""
+"""Static perfect hashing."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.errors import IndexError_, PreconditionError
-from repro.indexes import SortedKeyIndex, StaticPerfectHash
+from repro.errors import PreconditionError
+from repro.indexes import StaticPerfectHash
 
 
 class TestStaticPerfectHash:
@@ -58,37 +56,3 @@ class TestStaticPerfectHash:
         with pytest.raises(PreconditionError):
             StaticPerfectHash(0, 4, num_distinct=6)
 
-
-class TestSortedKeyIndex:
-    def test_lookup_hits_and_misses(self):
-        index = SortedKeyIndex(np.array([10, 20, 30]))
-        assert list(index.lookup(np.array([20, 25, 10, 31]))) == [1, -1, 0, -1]
-
-    def test_lookup_existing_raises_on_miss(self):
-        index = SortedKeyIndex(np.array([1, 2]))
-        with pytest.raises(IndexError_, match="not in index"):
-            index.lookup_existing(np.array([3]))
-
-    def test_from_values_dedups(self):
-        index = SortedKeyIndex.from_values(np.array([3, 1, 3, 2, 1]))
-        assert list(index.keys()) == [1, 2, 3]
-        assert index.num_keys == 3
-
-    def test_requires_strictly_increasing(self):
-        with pytest.raises(PreconditionError):
-            SortedKeyIndex(np.array([1, 1, 2]))
-        with pytest.raises(PreconditionError):
-            SortedKeyIndex(np.array([2, 1]))
-
-    def test_range_slots(self):
-        index = SortedKeyIndex(np.array([10, 20, 30, 40]))
-        assert index.range_slots(15, 35) == (1, 3)
-        assert index.range_slots(10, 40) == (0, 4)
-        assert index.range_slots(41, 99) == (4, 4)
-
-    @given(st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=200))
-    def test_every_key_found_at_its_rank(self, key_set):
-        keys = np.array(sorted(key_set), dtype=np.int64)
-        index = SortedKeyIndex(keys)
-        slots = index.lookup(keys)
-        assert np.array_equal(slots, np.arange(keys.size))

@@ -88,7 +88,7 @@ class TestBaselineStore:
         path = tmp_path / "baselines.json"
         store = BaselineStore(path)
         store.commit_plan("fp", "deep/w1", {"plan_hash": "h1", "cost": 5.0})
-        store.absorb_latency("fp", [0.01, 0.02], alpha=0.2)
+        store.absorb_latency("fp", [0.01, 0.02])
         store.absorb_qerrors("fp", "join", [1.5, 2.0])
         store.index_plan("h1", "fp")
         store.save()
@@ -123,7 +123,7 @@ class TestBaselineStore:
     def test_save_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "baselines.json"
         store = BaselineStore(path)
-        store.absorb_latency("fp", [0.01], alpha=0.2)
+        store.absorb_latency("fp", [0.01])
         store.save()
         leftovers = [
             p for p in tmp_path.iterdir() if p.suffix == ".tmp"
@@ -136,7 +136,7 @@ class TestBaselineStore:
 
     def test_reservoir_is_bounded(self):
         store = BaselineStore(reservoir=8)
-        store.absorb_latency("fp", [float(i) for i in range(100)], alpha=0.2)
+        store.absorb_latency("fp", [float(i) for i in range(100)])
         record = store.peek("fp")
         assert len(record["latency"]["samples"]) == 8
         assert record["latency"]["count"] == 100
@@ -147,7 +147,7 @@ class TestBaselineStore:
         def writer(tag):
             store = BaselineStore(path)
             for i in range(20):
-                store.absorb_latency(f"fp-{tag}", [0.01 * i], alpha=0.2)
+                store.absorb_latency(f"fp-{tag}", [0.01 * i])
                 store.save()
 
         threads = [
