@@ -23,7 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from repro._util.arrays import is_nondecreasing
-from repro.storage.statistics import ColumnStatistics
+from repro.obs.runtime import get_tracer
+from repro.storage.statistics import OCCUPANCY_MAX_SPREAD, ColumnStatistics
 from repro.storage.table import Table
 
 
@@ -184,9 +185,44 @@ class Correlations:
 #: rows of the sample that may refute a correlation before the full sort.
 CORRELATION_SAMPLE_ROWS = 2048
 
+#: rows of a table's prefix that correlation detection looks at.
+CORRELATION_PREFIX_ROWS = 100_000
+
+
+def in_order_of_unique(
+    x_values: np.ndarray, y_values: np.ndarray, x_statistics: ColumnStatistics
+) -> np.ndarray:
+    """``y_values`` ordered by ``x_values``, a prefix of a column without
+    ties whose whole-column statistics are ``x_statistics``.
+
+    With no ties there is one order by ``x``, so no stable sort is
+    needed. An integer ``x`` whose whole-column domain is at most
+    :data:`~repro.storage.statistics.OCCUPANCY_MAX_SPREAD` times the
+    prefix's rows is scattered, each ``y`` to slot ``x - minimum``, in
+    O(n + domain): the slots are the order when the prefix fills them,
+    else the filled ones are kept through an occupancy mask, as in
+    :func:`~repro.storage.statistics.occupancy_distinct`. Any other
+    ``x`` is sorted unstably.
+    """
+    if x_values.dtype.kind in "iu":
+        domain = x_statistics.domain_size
+        if domain <= OCCUPANCY_MAX_SPREAD * x_values.size:
+            offset_dtype = np.uint64 if x_values.dtype.kind == "u" else np.int64
+            offsets = x_values.astype(offset_dtype, copy=False) - offset_dtype(
+                x_statistics.minimum
+            )
+            slots = np.empty(domain, dtype=y_values.dtype)
+            slots[offsets] = y_values
+            if domain == x_values.size:
+                return slots
+            occupied = np.zeros(domain, dtype=np.bool_)
+            occupied[offsets] = True
+            return slots[occupied]
+    return y_values[np.argsort(x_values)]
+
 
 def detect_monotone_correlation(
-    table: Table, x: str, y: str, sample_limit: int = 100_000
+    table: Table, x: str, y: str, sample_limit: int = CORRELATION_PREFIX_ROWS
 ) -> bool:
     """Measure whether ``y`` is non-decreasing when rows are ordered by
     ``x`` (stably) — i.e. whether ``(x, y)`` is a monotone correlation.
@@ -204,7 +240,11 @@ def detect_monotone_correlation(
        way by the stable sort of any subset that holds both, so a pair
        out of order in the sample is out of order in the whole: a
        refutation is exact.
-    3. *The sort confirms* a pair the sample could not refute.
+    3. *The order confirms* a pair the sample could not refute. An ``x``
+       without ties (``distinct == count``) has one order, which
+       :func:`in_order_of_unique` reaches by a scatter or an unstable
+       sort; only a tied ``x`` pays the stable sort. Stage 2 orders its
+       sample the same way.
 
     Only the rows looked at are read: a disk table decodes the segments
     covering them, never the whole column. A correlation is a fact about
@@ -219,17 +259,23 @@ def detect_monotone_correlation(
     y_statistics = y_column.statistics
     if y_statistics.minimum == y_statistics.maximum:  # never true of NaN
         return True
-    if x_column.statistics.is_sorted:
+    x_statistics = x_column.statistics
+    if x_statistics.is_sorted:
         if y_statistics.is_sorted or rows == table.num_rows:
             return y_statistics.is_sorted
         return is_nondecreasing(y_column.slice(0, rows).values)
+    unique = x_statistics.distinct == x_statistics.count
 
     def ordered_within(count: int) -> bool:
         """``y`` non-decreasing under a stable order by ``x``, over the
         first ``count`` rows."""
         x_values = x_column.slice(0, count).values
         y_values = y_column.slice(0, count).values
-        return is_nondecreasing(y_values[np.argsort(x_values, kind="stable")])
+        if unique:
+            ordered = in_order_of_unique(x_values, y_values, x_statistics)
+        else:
+            ordered = y_values[np.argsort(x_values, kind="stable")]
+        return is_nondecreasing(ordered)
 
     if rows > CORRELATION_SAMPLE_ROWS and not ordered_within(
         CORRELATION_SAMPLE_ROWS
@@ -263,29 +309,30 @@ def properties_from_table(table: Table, qualify: str = "") -> PropertyVector:
     )
 
 
-def correlations_from_table(
-    table: Table, qualify: str = "", sample_limit: int = 100_000
-) -> Correlations:
-    """Detect all pairwise monotone correlations among a table's columns.
+def correlations_from_table(table: Table, qualify: str = "") -> Correlations:
+    """Detect all pairwise monotone correlations among a table's columns,
+    over its first :data:`CORRELATION_PREFIX_ROWS` rows.
 
     Quadratic in column count — intended for the narrow relations of the
     paper's experiments, not thousand-column tables. The pairs are
     memoised in the :attr:`~repro.storage.table.Table.memo` of the
     table's :attr:`~repro.storage.table.Table.origin` (the object whose
     data they describe): the memo dies with that table, and a new table
-    is never answered with an old one's pairs.
+    is never answered with an old one's pairs. Detection runs inside one
+    ``optimizer.correlations`` tracer span, so a traced first query
+    shows what confirming its correlations cost.
     """
     source = table.origin
-    key = ("monotone_correlations", sample_limit)
-    pairs = source.memo.get(key)
+    pairs = source.memo.get("monotone_correlations")
     if pairs is None:
         names = source.schema.names
-        pairs = source.memo[key] = frozenset(
-            (x, y)
-            for x in names
-            for y in names
-            if x != y and detect_monotone_correlation(source, x, y, sample_limit)
-        )
+        with get_tracer().span("optimizer.correlations", columns=len(names)):
+            pairs = source.memo["monotone_correlations"] = frozenset(
+                (x, y)
+                for x in names
+                for y in names
+                if x != y and detect_monotone_correlation(source, x, y)
+            )
     if qualify:
         pairs = frozenset(
             (f"{qualify}.{x}", f"{qualify}.{y}") for x, y in pairs

@@ -8,7 +8,8 @@ stage must give the answer of the one stable ``argsort`` it replaces
 lives on the table object, so a new table is never answered with a dead
 one's pairs. And the bounds the design promises are counted: segments
 read by a first optimise, rows decoded by an append, statistics and
-recipes computed by a second optimise.
+recipes computed by a second optimise, the sorts a first touch runs and
+the tracer spans its correlation detection records.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.properties import (
     correlations_from_table,
     detect_monotone_correlation,
 )
+from repro.obs import capture_observability
 from repro.sql import plan_query
 from repro.storage import Catalog, StatisticsOverlay, Table
 from repro.storage.disk import BufferManager, append_table, write_table
@@ -63,23 +65,39 @@ def assert_detects_like_the_sort(x, y, sample_limit=100_000):
                 ) == reference(table[a], table[b], sample_limit), (type(candidate), a, b)
 
 
+#: how ``column_pairs`` draws its ascending ``x``: with ties, or unique
+#: over a domain as wide as its length, within twice it (the widest a
+#: scatter takes), far beyond it, or unsigned.
+X_KINDS = {
+    "tied": lambda rng, size: np.sort(rng.integers(0, max(size // 3, 1), size)),
+    "unique": lambda rng, size: np.arange(size) + int(rng.integers(-50, 50)),
+    "unique_gaps": lambda rng, size: np.sort(rng.choice(2 * size, size, replace=False)),
+    "unique_sparse": lambda rng, size: np.sort(rng.choice(50 * size, size, replace=False)),
+    "unique_unsigned": lambda rng, size: np.sort(
+        rng.choice(2 * size, size, replace=False)
+    ).astype(np.uint32)
+    + np.uint32(2**31),
+}
+
+
 @st.composite
 def column_pairs(draw):
-    """Pairs with ties: correlated, correlated but for one late swap,
-    anti-correlated, constant, unrelated; sorted or shuffled together."""
+    """Pairs over a tied or a unique ``x``: correlated, correlated but for
+    one late swap, anti-correlated, constant, unrelated; sorted or
+    shuffled together."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     size = draw(st.sampled_from([0, 1, 2, 5, 40, 90]))
+    x = X_KINDS[draw(st.sampled_from(sorted(X_KINDS)))](rng, size)
     relation = draw(
         st.sampled_from(["monotone", "late_swap", "anti", "constant", "random", "nan"])
     )
-    x = np.sort(rng.integers(0, max(size // 3, 1), size))
     y = x // 2
     if relation == "late_swap" and size > 2:
         y = y.copy()
-        y[-1], y[-2] = -1, y[-1]
+        y[-1], y[-2] = y.min() - 1, y[-1]
     elif relation == "anti":
-        y = -y
+        y = -y.astype(np.int64)
     elif relation == "constant":
         y = np.full(size, 7)
     elif relation == "random":
@@ -93,10 +111,12 @@ def column_pairs(draw):
     return x, y
 
 
-@settings(max_examples=150, deadline=None)
-@given(column_pairs(), st.sampled_from([4, 16, 100_000]))
+@settings(max_examples=300, deadline=None)
+@given(column_pairs(), st.sampled_from([4, 16, 64, 100_000]))
 def test_detection_equals_the_stable_sort(pair, sample_limit):
-    # A sample of 8 rows, so that 40- and 90-row tables reach every stage.
+    # A sample of 8 rows, so that 40- and 90-row tables reach every stage;
+    # a limit of 4 or 16 leaves a unique x's prefix too few rows for a
+    # scatter over the column's domain, one of 64 does not.
     with mock.patch.object(properties, "CORRELATION_SAMPLE_ROWS", 8):
         assert_detects_like_the_sort(*pair, sample_limit)
 
@@ -190,7 +210,8 @@ def optimise(catalog, sql="SELECT T.g, COUNT(*) FROM T GROUP BY T.g"):
 
 
 def test_first_optimise_reads_only_the_segments_covering_the_sample(tmp_path):
-    rows, segment_rows, limit = 250_000, 25_000, 100_000
+    rows, segment_rows = 250_000, 25_000
+    limit = properties.CORRELATION_PREFIX_ROWS
     pool = BufferManager(budget_bytes=1 << 26)
     directory = str(tmp_path / "T")
     table = Table.from_arrays(scan_shape(np.random.default_rng(3), rows))
@@ -266,6 +287,20 @@ def test_second_optimise_computes_no_statistic_and_enumerates_no_recipe(
     assert second.stats.generated == first.stats.generated > 0
 
 
+def test_correlation_detection_is_one_span_per_table_on_first_touch(memory_storage):
+    rng = np.random.default_rng(7)
+    catalog = Catalog()
+    catalog.register("R", Table.from_arrays({"ID": rng.permutation(500), "A": rng.integers(0, 50, 500)}))
+    catalog.register("S", Table.from_arrays({"R_ID": rng.integers(0, 500, 900)}))
+    sql = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
+    for expected in (2, 0):  # the second optimise reads the memo
+        with capture_observability() as (_, tracer):
+            optimise(catalog, sql)
+        spans = [span for span in tracer.finished_spans if span.name == "optimizer.correlations"]
+        assert len(spans) == expected
+        assert all(span.parent_id is not None for span in spans)  # inside optimize
+
+
 @pytest.mark.parametrize("is_deep", [False, True])
 @pytest.mark.parametrize("granularity", list(Granularity))
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -291,7 +326,9 @@ def test_first_touch_sorts_only_in_the_documented_fallbacks(
 ):
     """Section 4.3's R and S in the four layouts: ``np.unique`` runs only
     for an unsorted column over a sparse domain, and a sort longer than
-    the sample only for a pair the sample could not refute."""
+    the sample only for a pair the sample could not refute. ``R.ID`` has
+    no ties, so that pair is never sorted stably: over a dense domain it
+    is scattered, over a sparse one sorted unstably."""
     rng = np.random.default_rng(6)
     rows = 3 * properties.CORRELATION_SAMPLE_ROWS
     ids = np.arange(rows)
@@ -310,14 +347,20 @@ def test_first_touch_sorts_only_in_the_documented_fallbacks(
     }
     uniques, sorts = [], []
     unique, argsort = np.unique, np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sorts.append((a.size, kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
     monkeypatch.setattr(np, "unique", lambda a, *r, **k: uniques.append(a.size) or unique(a, *r, **k))
-    monkeypatch.setattr(np, "argsort", lambda a, *r, **k: sorts.append(a.size) or argsort(a, *r, **k))
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     for table in tables.values():
         properties.properties_from_table(table)
         correlations_from_table(table)
     monkeypatch.undo()
     unsorted_sparse_columns = 0 if dense or stored_sorted else 3  # all but S.B
     assert len(uniques) == unsorted_sparse_columns
-    survivors = 0 if stored_sorted else 1  # (R.ID, R.A), reached through a shuffle
-    assert sum(size > properties.CORRELATION_SAMPLE_ROWS for size in sorts) == survivors
+    longer = [kind for size, kind in sorts if size > properties.CORRELATION_SAMPLE_ROWS]
+    # (R.ID, R.A), reached through a shuffle of a sparse domain
+    assert longer == ([None] if not (dense or stored_sorted) else [])
     assert ("ID", "A") in correlations_from_table(tables["R"]).pairs
