@@ -136,7 +136,8 @@ def expand_matches(
     return build_out.astype(np.int64), probe_out.astype(np.int64)
 
 
-@dataclass(frozen=True)
+# Compared by identity (eq=False): a join's ``lookup`` memo is keyed on it.
+@dataclass(frozen=True, eq=False)
 class BuildSide:
     """The probe-able form of a join's build input.
 

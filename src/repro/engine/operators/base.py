@@ -316,7 +316,8 @@ def memoised(
     returns exactly what a fresh build would. A column keeps one entry
     per kind, and a miss replaces it; a build that raises, or declines
     by returning None, leaves the memo as it was. Every query shares the
-    structure (a dataclass), so its arrays are made read-only first.
+    structure (a dataclass or one array), so its arrays are made
+    read-only first.
 
     With ``second_touch`` the first read only records that it happened
     and returns None; the second builds. A filter's or a join's output
@@ -342,7 +343,10 @@ def memoised(
     structure = build()
     if structure is None:
         return None
-    for value in vars(structure).values():
+    arrays = (
+        [structure] if isinstance(structure, np.ndarray) else vars(structure).values()
+    )
+    for value in arrays:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     column.memo[kind] = (key, structure)

@@ -8,6 +8,7 @@ assumed by the Figure 5 reconstruction (DESIGN.md substitution #5).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Collection
 
@@ -54,6 +55,27 @@ def memoised_build_side(column: Column, algorithm: JoinAlgorithm) -> BuildSide |
         lambda: build_side(
             np.ascontiguousarray(column.values, dtype=np.int64), algorithm
         ),
+    )
+
+
+def probe_slots(
+    build: BuildSide,
+    column: Column,
+    encoded: RunLengthEncoded | DictionaryEncoded | None,
+) -> np.ndarray:
+    """The slot in ``build`` of each row of the probe ``column`` or, with
+    the column's ``encoded`` form, of each of its runs or distinct values
+    (:func:`distinct_keys`). The latter is the column's ``lookup``, a
+    fact about two base columns: it is memoised on the probe column,
+    keyed on the build side and the encoding it was computed against,
+    held by weak reference and compared by identity."""
+    if encoded is None:
+        return build.slots(column.values)
+    return memoised(
+        column,
+        "lookup",
+        (weakref.ref(build), weakref.ref(encoded)),
+        lambda: build.slots(distinct_keys(encoded)),
     )
 
 
@@ -115,11 +137,12 @@ class Join(MaterialisedOperator):
     ``columns`` when given); the caller must pre-qualify ambiguous column
     names (see :meth:`Table.qualified`).
 
-    What depends on one base column alone is memoised on it (DESIGN.md
+    What depends on base columns alone is memoised on them (DESIGN.md
     "Build structures are facts about a column"): the build side over
-    the left key, and the right key column's ``encoding``, through which
-    HJ, BSJ and OJ look each run or distinct value up once; the pairs
-    are the row-by-row probe's, in its order.
+    the left key; the right key column's ``encoding``, through which
+    HJ, SPHJ, BSJ and OJ look each run or distinct value up once; and
+    that ``lookup`` itself (:func:`probe_slots`). The pairs are the
+    row-by-row probe's, in its order.
 
     :param columns: the columns an ancestor reads. Only those are
         gathered through the match indices; ``None`` (default) gathers
@@ -210,7 +233,7 @@ class Join(MaterialisedOperator):
             # Each probe row, or each run or distinct value of the probe
             # column's encoding, is looked up once; the pairs and the row
             # counts are both read off those slots.
-            slots = build.slots(probe_keys if encoded is None else distinct_keys(encoded))
+            slots = probe_slots(build, right_table.column(self._right_key), encoded)
             if pairs:
                 found = self._pairs(build, slots, encoded)
             if row_counts:
@@ -239,13 +262,11 @@ class Join(MaterialisedOperator):
     ) -> RunLengthEncoded | DictionaryEncoded | None:
         """The right key column's shared ``encoding``: the run-length form
         of a non-decreasing column, else its dictionary. OJ builds it on
-        the column's first probe, HJ and BSJ on its second. None before
-        that, for SPHJ (a gather already), and for a column over half
-        distinct, whose entry could outgrow it: HJ and BSJ decide that on
-        the statistics before any sort, OJ on its runs. The kernel then
-        probes row by row."""
-        if self._algorithm is JoinAlgorithm.SPHJ:
-            return None
+        the column's first probe, HJ, SPHJ and BSJ on its second. None
+        before that, and for a column over half distinct, whose entry
+        could outgrow it: HJ, SPHJ and BSJ decide that on the statistics
+        before any encoding, OJ on its runs. The kernel then probes row
+        by row."""
         oj = self._algorithm is JoinAlgorithm.OJ
         column = right_table.column(self._right_key)
         values = column.values

@@ -45,6 +45,7 @@ class Column:
             )
         if dtype is None:
             dtype = DataType.from_numpy(array.dtype)
+        _check_integer_range(name, array, dtype.numpy_dtype)
         array = np.ascontiguousarray(array, dtype=dtype.numpy_dtype)
         array.flags.writeable = False
         self._name = name
@@ -126,4 +127,25 @@ class Column:
             and self._dtype == other._dtype
             and self._values.shape == other._values.shape
             and bool(np.array_equal(self._values, other._values))
+        )
+
+
+def _check_integer_range(name: str, array: np.ndarray, target: np.dtype) -> None:
+    """Raise :class:`ColumnError` if integer ``array`` holds a value the
+    integer ``target`` type cannot, instead of letting the conversion
+    wrap it (a ``uint64`` value of 2**63 or more would become a negative
+    ``int64``). Only a cast that is not always safe pays the scan."""
+    if (
+        array.dtype.kind not in "iu"
+        or target.kind not in "iu"
+        or not array.size
+        or np.can_cast(array.dtype, target)
+    ):
+        return
+    limits = np.iinfo(target)
+    low, high = int(array.min()), int(array.max())
+    if low < limits.min or high > limits.max:
+        raise ColumnError(
+            f"column {name!r}: {array.dtype} values in [{low}, {high}] do not "
+            f"fit its {target} type"
         )

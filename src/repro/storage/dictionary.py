@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import ColumnError
 from repro.storage.column import Column
 from repro.storage.dtypes import DataType
-from repro.storage.statistics import ColumnStatistics
+from repro.storage.statistics import OCCUPANCY_MAX_SPREAD, ColumnStatistics
 
 
 def code_dtype(count: int) -> np.dtype:
@@ -42,7 +42,8 @@ def narrow_counts(counts: np.ndarray) -> np.ndarray:
     return counts.astype(code_dtype(int(counts.max(initial=0)) + 1))
 
 
-@dataclass(frozen=True)
+# Compared by identity (eq=False): a join's ``lookup`` memo is keyed on it.
+@dataclass(frozen=True, eq=False)
 class DictionaryEncoded:
     """A dictionary-encoded column: codes plus the sorted dictionary.
 
@@ -98,10 +99,18 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
     """Encode ``values`` against its own sorted distinct-value dictionary.
 
     The resulting code column is dense and order-preserving, which makes it
-    directly usable as a static perfect hash key (paper §2.1).
+    directly usable as a static perfect hash key (paper §2.1). An integer
+    array whose domain is at most :data:`OCCUPANCY_MAX_SPREAD` times its
+    length is encoded by counting (:func:`_encode_by_counting`), any
+    other by ``np.unique``; both give the same arrays in the same types.
     """
     if values.ndim != 1:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
+    if values.dtype.kind in "iu" and values.size:
+        minimum = int(values.min())
+        domain = int(values.max()) - minimum + 1
+        if domain <= OCCUPANCY_MAX_SPREAD * values.size:
+            return _encode_by_counting(values, minimum, domain)
     dictionary, codes, counts = np.unique(
         values, return_inverse=True, return_counts=True
     )
@@ -109,6 +118,35 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
         codes=codes.astype(code_dtype(dictionary.size)),
         dictionary=dictionary,
         counts=narrow_counts(counts),
+    )
+
+
+def _encode_by_counting(
+    values: np.ndarray, minimum: int, domain: int
+) -> DictionaryEncoded:
+    """:func:`dictionary_encode` of an integer array all inside
+    ``[minimum, minimum + domain)``, in O(n + domain) and without a sort:
+    the rows per domain value are a ``bincount`` of the offsets, a
+    value's code is the number of occupied values below it (a prefix
+    sum of the occupancy), and the rows gather their codes. Offsets are
+    taken as :func:`~repro.storage.statistics.occupancy_distinct` takes
+    them, in ``int64`` (``uint64`` for unsigned input), which cannot wrap
+    because every offset is below ``domain``."""
+    offset_dtype = np.uint64 if values.dtype.kind == "u" else np.int64
+    base = offset_dtype(minimum)
+    offsets = (values.astype(offset_dtype, copy=False) - base).astype(
+        np.intp, copy=False
+    )
+    per_value = np.bincount(offsets, minlength=domain)
+    occupied = per_value > 0
+    present = np.flatnonzero(occupied)
+    # The smallest value occurs, so every prefix count is at least one.
+    code_of = np.cumsum(occupied, dtype=np.intp)
+    code_of -= 1
+    return DictionaryEncoded(
+        codes=code_of.astype(code_dtype(present.size))[offsets],
+        dictionary=(present.astype(offset_dtype) + base).astype(values.dtype),
+        counts=narrow_counts(per_value[present]),
     )
 
 

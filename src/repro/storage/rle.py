@@ -22,7 +22,8 @@ from repro.errors import ColumnError
 from repro.storage.dictionary import narrow_counts
 
 
-@dataclass(frozen=True)
+# Compared by identity (eq=False): a join's ``lookup`` memo is keyed on it.
+@dataclass(frozen=True, eq=False)
 class RunLengthEncoded:
     """A run-length-encoded 1-D array: (value, run length) pairs in order."""
 

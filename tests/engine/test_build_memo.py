@@ -3,9 +3,12 @@
 A join's build side, HG's build-side slot assignment and a key column's
 one ``encoding`` are memoised on the base column they are erected over.
 The encoding is the column's run-length form or its dictionary: SPHG,
-OG, SOG and BSG take their groups and slots from it, and HJ, BSJ and OJ
-look each run or distinct value of their probe up once through it. Each
-key column gets one, whichever of these reads it first. A join
+OG, SOG and BSG take their groups and slots from it, and HJ, SPHJ, BSJ
+and OJ look each run or distinct value of their probe up once through
+it. Each key column gets one, whichever of these reads it first. That
+``lookup`` (the build-side slot of each run or distinct value) is
+memoised on the probe column too, keyed on the build side and the
+encoding it was computed against. A join
 builds on one route, the serial kernel, whatever the worker count, and
 an active query context does not change it; ungoverned or governed, it
 must return, on its first and on every later execution, exactly what the
@@ -38,7 +41,7 @@ from repro.engine import (
 )
 from repro.engine.aggregates import sum_of
 from repro.engine.kernels.grouping import assign_slots
-from repro.engine.kernels.joins import BuildSide, join
+from repro.engine.kernels.joins import BuildSide, distinct_keys, join
 from repro.engine.operators import joins as join_operators
 from repro.engine.operators.base import memoised
 from repro.engine.procpool import leaked_segments
@@ -64,10 +67,10 @@ BUILD_SIDE_GROUPING = (
 ENCODINGS = (DictionaryEncoded, RunLengthEncoded)
 #: (hits, misses) of two runs of one join over the same tables.
 EXPECTED_MEMO_COUNTS = {
-    JoinAlgorithm.HJ: (1, 3),
-    JoinAlgorithm.SPHJ: (1, 1),
-    JoinAlgorithm.BSJ: (1, 3),
-    JoinAlgorithm.OJ: (2, 2),
+    JoinAlgorithm.HJ: (1, 4),
+    JoinAlgorithm.SPHJ: (1, 4),
+    JoinAlgorithm.BSJ: (1, 4),
+    JoinAlgorithm.OJ: (3, 3),
 }
 #: the join's one route, run without and with an active query context.
 ROUTES = ("serial", "governed")
@@ -141,9 +144,11 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 
     with capture_observability() as (metrics, __):
         runs = [on_route(route, run) for _ in range(2)]
-    # Each run reads the build side. OJ reads its probe column's
-    # encoding too; HJ and BSJ read it as well, but the first run only
-    # records the probe and the second builds.
+    # Each run reads the build side and the probe column's encoding, and
+    # a run that finds an encoding reads the probe's lookup through it.
+    # OJ builds both on the first run and reads them on the second; HJ,
+    # SPHJ and BSJ only record the probe on the first run, and build the
+    # encoding and the lookup on the second.
     assert memo_counts(metrics) == EXPECTED_MEMO_COUNTS[algorithm]
     __, build = r.column("ID").memo["build_side"]
     shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
@@ -153,6 +158,79 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
         assert pairs.structure_bytes == fresh.structure_bytes
         assert table.equals(expected)
+
+
+@pytest.mark.parametrize("layout", ["sorted", "unsorted"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
+def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
+    """Three runs: the last reads the probe column's memoised lookup
+    (each run or distinct value's build-side slot) and returns the
+    memo-free kernel's pairs, in its order, and its matches per build
+    row."""
+    r_data, s_data = arrays(repeated)
+    if layout == "unsorted":
+        order = np.random.default_rng(43).permutation(s_data["R_ID"].size)
+        s_data = {name: values[order] for name, values in s_data.items()}
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
+    fresh_counts = np.bincount(fresh.left_indices, minlength=r.num_rows)
+
+    def run():
+        return join_operator(r, s, algorithm).matches(pairs=True, row_counts=True)
+
+    for _ in range(2):
+        on_route(route, run)
+    with capture_observability() as (metrics, __):
+        matches = on_route(route, run)
+    if algorithm is JoinAlgorithm.OJ and layout == "unsorted":
+        # OJ never encodes an unsorted probe, so there is no lookup.
+        assert memo_counts(metrics) == (1, 1)
+        assert "lookup" not in s.column("R_ID").memo
+    else:
+        assert memo_counts(metrics) == (3, 0)
+        (build_ref, encoded_ref), slots = s.column("R_ID").memo["lookup"]
+        assert build_ref() is matches.build and encoded_ref() is matches.encoded
+        assert matches.slots is slots and not slots.flags.writeable
+        assert slots.nbytes <= 8 * distinct_keys(matches.encoded).size
+    assert np.array_equal(matches.pairs.left_indices, fresh.left_indices)
+    assert np.array_equal(matches.pairs.right_indices, fresh.right_indices)
+    assert np.array_equal(matches.row_counts, fresh_counts)
+    assert matches.row_counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_lookup_is_not_read_against_a_replaced_build_side(route):
+    """HJ warms S.R_ID's lookup; BSJ then replaces R.ID's build side, and
+    HJ replaces it again. Each replacement makes the lookup miss and be
+    computed against the build side in force; every run returns the
+    memo-free kernel's pairs."""
+    r_data, s_data = arrays(seed=9)
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    lookups = []
+    for algorithm in (JoinAlgorithm.HJ,) * 3 + (JoinAlgorithm.BSJ, JoinAlgorithm.HJ):
+        fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
+        with capture_observability() as (metrics, __):
+            pairs = on_route(
+                route, lambda: join_operator(r, s, algorithm).matches().pairs
+            )
+        assert np.array_equal(pairs.left_indices, fresh.left_indices)
+        assert np.array_equal(pairs.right_indices, fresh.right_indices)
+        lookups.append((memo_counts(metrics), s.column("R_ID").memo.get("lookup")))
+    # Build side, encoding and lookup per run: HJ records the probe,
+    # then builds the encoding and the lookup, then hits all three; BSJ
+    # and HJ again erect a new build side, so the lookup misses.
+    assert [counts for counts, __ in lookups] == [
+        (0, 2), (1, 2), (3, 0), (1, 2), (1, 2)
+    ]
+    __, built, hit, bsj, hj = (entry for __, entry in lookups)
+    assert hit is built and bsj is not built and hj is not bsj
+    __, build = r.column("ID").memo["build_side"]
+    __, encoded = s.column("R_ID").memo["encoding"]
+    (build_ref, encoded_ref), slots = hj
+    assert build_ref() is build and encoded_ref() is encoded
+    assert np.array_equal(slots, build.slots(distinct_keys(encoded)))
 
 
 @pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
@@ -203,9 +281,11 @@ def test_grouping_hit_equals_fresh_build(grouping):
     # Per run, R.ID's build side, S.R_ID's encoding and R.A's slots or
     # encoding are each read once: the build side misses on the first
     # run only, S.R_ID on the first two, HG's slots on every run and
-    # R.A's encoding on the first only.
-    hits = 3 if grouping is GroupingAlgorithm.HG else 5
-    assert memo_counts(metrics) == (hits, 9 - hits)
+    # R.A's encoding on the first only. S.R_ID's lookup is read once
+    # there is an encoding to read it through: a miss on the second run,
+    # a hit on the third.
+    hits = 4 if grouping is GroupingAlgorithm.HG else 6
+    assert memo_counts(metrics) == (hits, 11 - hits)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -216,14 +296,22 @@ def test_reregistered_table_returns_new_answer():
     catalog.register("S", Table.from_arrays(s_data))
     catalog.add_foreign_key(ForeignKey("S", "R_ID", "R", "ID"))
     service = QueryService(catalog, ServiceConfig())
+    probe = catalog.table("S").column("R_ID")
     try:
         old = service.execute(QUERY).table
-        assert service.execute(QUERY).table.equals(old)
+        for _ in range(2):
+            assert service.execute(QUERY).table.equals(old)
+        (old_build, __), old_slots = probe.memo["lookup"]
+        assert old_build() is catalog.table("R").column("ID").memo["build_side"][1]
         new_r = {"ID": r_data["ID"], "A": r_data["ID"] % 7}
         catalog.register("R", Table.from_arrays(new_r), replace=True)
         new = service.execute(QUERY).table
     finally:
         service.shutdown()
+    # S.R_ID's lookup was computed again, against the new R.ID.
+    (new_build, __), new_slots = probe.memo["lookup"]
+    assert new_slots is not old_slots
+    assert new_build() is catalog.table("R").column("ID").memo["build_side"][1]
     counts = np.bincount(new_r["A"][s_data["R_ID"]], minlength=7)
     assert sorted(zip(*(new[name].tolist() for name in new.schema.names))) == [
         (key, int(count)) for key, count in enumerate(counts) if count
@@ -408,7 +496,9 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
             for _ in range(2)
         ]
     memoised_runs = kind in ("sorted", "all_equal")
-    assert memo_counts(metrics) == ((2, 2) if memoised_runs else (1, 3))
+    # Build side, encoding and (with runs to read it through) lookup: a
+    # miss each on the first run, a hit each on the second.
+    assert memo_counts(metrics) == ((3, 3) if memoised_runs else (1, 3))
     if memoised_runs:
         key, encoded = s.column("R_ID").memo["encoding"]
         expected = rle_encode(s_data["R_ID"])
@@ -450,8 +540,9 @@ def test_narrowed_probe_never_hits(narrowed):
                 pairs = operator.matches().pairs
             assert np.array_equal(pairs.left_indices, fresh.left_indices)
             assert np.array_equal(pairs.right_indices, fresh.right_indices)
-    # Both hits are the build side's; both encoding reads miss.
-    assert memo_counts(metrics) == (2, 2)
+    # Both hits are the build side's. Each run's probe column is new:
+    # its encoding and its lookup through it miss, and die with it.
+    assert memo_counts(metrics) == (2, 4)
     assert s.column("R_ID").memo["encoding"] is base_entry
 
 
@@ -908,11 +999,10 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
             assert result.equals(expected), run
     assert probed == []
     encoded = memo_entry(s, "R_ID")
-    if algorithm is JoinAlgorithm.SPHJ or (
-        algorithm is JoinAlgorithm.OJ and layout == "unsorted"
-    ):
+    if algorithm is JoinAlgorithm.OJ and layout == "unsorted":
         assert not isinstance(encoded, ENCODINGS)
     else:
+        # SPHJ too reads the probe through its encoding.
         form = RunLengthEncoded if layout == "sorted" else DictionaryEncoded
         assert isinstance(encoded, form)
 

@@ -160,13 +160,14 @@ class TestMorselPoolTeardown:
 
 
 class TestDeadlineAcceptance:
-    """ISSUE acceptance: a deadline the 1.2M-row join cannot meet."""
+    """A deadline the held 1.2M-row join cannot meet."""
 
-    #: the warm query takes ~25 ms since joins materialise late (was
-    #: ~120 ms, and this deadline 0.05 s): 5 ms expires inside the join.
+    #: a warm query takes a few ms since its join looks nothing up (was
+    #: ~120 ms, and this deadline 0.05 s), so the join is held: 5 ms
+    #: expires inside it.
     DEADLINE = 0.005
 
-    def test_governed_abort_within_budget(self, big_catalog, tmp_path):
+    def test_governed_abort_within_budget(self, big_catalog, tmp_path, join_held):
         service = QueryService(big_catalog)
         try:
             # Warm-up: the first optimisation against a fresh catalog
@@ -175,6 +176,7 @@ class TestDeadlineAcceptance:
             # not statistics collection.
             warm = service.execute(PAPER_SQL)
             assert warm.table.num_rows == 100
+            join_held.set()
             log_path = tmp_path / "log.jsonl"
             set_query_log(log_path)
             try:
@@ -206,11 +208,12 @@ class TestDeadlineAcceptance:
         finally:
             service.shutdown()
 
-    def test_mid_flight_cancel_by_query_id(self, big_catalog):
+    def test_mid_flight_cancel_by_query_id(self, big_catalog, join_held):
         service = QueryService(big_catalog)
         try:
             service.execute(PAPER_SQL)  # warm statistics + plan cache
             failures: list = []
+            join_held.set()
 
             def run():
                 try:

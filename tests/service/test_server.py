@@ -296,13 +296,14 @@ class TestUntypedFailures:
 
 
 class TestCancelOverTheWire:
-    def test_cancel_from_a_second_connection(self, big_catalog):
+    def test_cancel_from_a_second_connection(self, big_catalog, join_held):
         service = QueryService(big_catalog)
         server = QueryServer(service).start()
         try:
             with ServiceClient("127.0.0.1", server.port) as runner:
                 runner.query(PAPER_SQL)  # warm statistics + plan cache
                 outcome: dict = {}
+                join_held.set()
 
                 def run():
                     try:

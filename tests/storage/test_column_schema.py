@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ColumnError, SchemaError
-from repro.storage import Column, ColumnSpec, DataType, Schema
+from repro.storage import Column, ColumnSpec, DataType, Schema, Table
 
 
 class TestDataType:
@@ -58,6 +58,31 @@ class TestColumn:
     def test_take(self):
         column = Column("x", [10, 20, 30])
         assert list(column.take(np.array([2, 0])).values) == [30, 10]
+
+    def test_uint64_beyond_int64_is_rejected_not_wrapped(self):
+        values = np.uint64(2**63) + np.arange(10, dtype=np.uint64)
+        with pytest.raises(ColumnError, match="do not fit"):
+            Column("x", values)
+        with pytest.raises(ColumnError, match="do not fit"):
+            Table.from_arrays({"x": values})
+
+    def test_uint64_that_fits_is_kept_exactly(self):
+        values = np.array([0, 7, 2**63 - 1], dtype=np.uint64)
+        column = Column("x", values)
+        assert column.dtype is DataType.INT64
+        assert column.values.tolist() == [0, 7, 2**63 - 1]
+        assert column.statistics.minimum == 0
+        assert column.statistics.maximum == 2**63 - 1
+
+    def test_explicit_narrower_type_must_hold_every_value(self):
+        assert Column("x", np.array([-5, 2**31 - 1]), DataType.INT32).values.tolist() == [
+            -5,
+            2**31 - 1,
+        ]
+        with pytest.raises(ColumnError, match="do not fit"):
+            Column("x", np.array([2**31]), DataType.INT32)
+        with pytest.raises(ColumnError, match="do not fit"):
+            Column("x", np.array([-1]), DataType.UINT32)
 
     def test_equals(self):
         assert Column("x", [1, 2]).equals(Column("x", [1, 2]))

@@ -12,7 +12,9 @@ from repro.storage import (
     dictionary_encode_column,
     rle_encode,
 )
-from repro.storage.dictionary import code_dtype
+from repro.storage import dictionary as dictionary_module
+from repro.storage.dictionary import code_dtype, narrow_counts
+from repro.storage.statistics import OCCUPANCY_MAX_SPREAD
 
 
 @pytest.mark.parametrize(
@@ -111,6 +113,105 @@ class TestDictionary:
         # dictionary is sorted & distinct
         d = encoded.dictionary
         assert np.all(d[:-1] < d[1:]) if d.size > 1 else True
+
+
+# --------------------------------------------------------------------------
+# An integer column over a domain of at most OCCUPANCY_MAX_SPREAD times its
+# length is encoded by counting, without a sort: the result is np.unique's.
+
+
+@pytest.fixture
+def counted(monkeypatch) -> list:
+    """The row count of every array ``dictionary_encode`` encodes by
+    counting."""
+    calls = []
+    real = dictionary_module._encode_by_counting
+
+    def spy(values, minimum, domain):
+        calls.append(values.size)
+        return real(values, minimum, domain)
+
+    monkeypatch.setattr(dictionary_module, "_encode_by_counting", spy)
+    return calls
+
+
+def assert_equals_unique(values: np.ndarray) -> None:
+    """``dictionary_encode(values)`` is ``np.unique``'s dictionary,
+    inverse and counts, bit for bit, in the one width rule's types."""
+    encoded = dictionary_encode(values)
+    dictionary, codes, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    assert encoded.dictionary.dtype == dictionary.dtype == values.dtype
+    assert np.array_equal(encoded.dictionary, dictionary)
+    assert encoded.codes.dtype == code_dtype(dictionary.size)
+    assert np.array_equal(encoded.codes, codes)
+    assert encoded.counts.dtype == narrow_counts(counts).dtype
+    assert np.array_equal(encoded.counts, counts)
+
+
+def spread_of(values: np.ndarray) -> int:
+    return int(values.max()) - int(values.min()) + 1
+
+
+COUNTED_CASES = {
+    # A naive offset in int8 would wrap: 127 - (-128) does not fit.
+    "int8_full_range": np.array([-128, 127, 0, -1, 5, 127, -128], dtype=np.int8)
+    .repeat(40),
+    "int8_wide": np.random.default_rng(1).integers(-128, 128, 300).astype(np.int8),
+    "int32": np.random.default_rng(2).integers(-50_000, 50_000, 60_000).astype(np.int32),
+    "int64_negative": np.random.default_rng(3).integers(-2**62, -2**62 + 900, 1_000),
+    "int64_minimum": np.array([-2**63, -2**63 + 3, -2**63, -2**63 + 1]),
+    "int64_maximum": np.array([2**63 - 1, 2**63 - 4, 2**63 - 1]),
+    "uint32_above_2_31": (
+        np.uint32(2**31) + np.random.default_rng(4).integers(0, 2_000, 1_500)
+    ).astype(np.uint32),
+    "uint64_above_2_63": np.uint64(2**63) + np.arange(12, dtype=np.uint64)[::-1],
+    "one_value": np.full(25, -7, dtype=np.int64),
+    "one_row": np.array([3], dtype=np.uint16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_CASES))
+def test_counting_encoder_equals_unique(name, counted):
+    values = COUNTED_CASES[name]
+    assert spread_of(values) <= OCCUPANCY_MAX_SPREAD * values.size
+    assert_equals_unique(values)
+    assert counted == [values.size]
+
+
+@pytest.mark.parametrize("rows", [2, 7, 100])
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "one_past"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])
+def test_counting_bound_is_the_occupancy_spread(rows, extra, dtype, counted):
+    """A domain of exactly OCCUPANCY_MAX_SPREAD times the rows is
+    counted; one value wider is sorted. Both equal ``np.unique``. Signed
+    domains start at the type's minimum, unsigned ones at 2**31."""
+    domain = OCCUPANCY_MAX_SPREAD * rows + extra
+    low = int(np.iinfo(dtype).min) if np.dtype(dtype).kind == "i" else 2**31
+    offsets = np.random.default_rng(rows + extra).integers(0, domain, rows)
+    offsets[0], offsets[-1] = 0, domain - 1
+    values = (low + offsets).astype(dtype)
+    assert spread_of(values) == domain
+    assert_equals_unique(values)
+    assert counted == ([] if extra else [rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64]),
+    st.data(),
+)
+def test_dictionary_encode_equals_unique_on_any_integers(dtype, data):
+    limits = np.iinfo(dtype)
+    values = data.draw(
+        st.lists(st.integers(int(limits.min), int(limits.max)), min_size=1, max_size=60)
+    )
+    if data.draw(st.booleans()):
+        # Cluster the values so the domain is narrow enough to count.
+        low = data.draw(st.integers(int(limits.min), int(limits.max) - 100))
+        values = [low + value % 100 for value in values]
+    assert_equals_unique(np.array(values, dtype=dtype))
 
 
 class TestRLE:
