@@ -62,19 +62,26 @@ def probe_slots(
     build: BuildSide,
     column: Column,
     encoded: RunLengthEncoded | DictionaryEncoded | None,
+    standing: bool,
 ) -> np.ndarray:
     """The slot in ``build`` of each row of the probe ``column`` or, with
     the column's ``encoded`` form, of each of its runs or distinct values
     (:func:`distinct_keys`). The latter is the column's ``lookup``, a
     fact about two base columns: it is memoised on the probe column,
-    keyed on the build side and the encoding it was computed against,
-    held by weak reference and compared by identity."""
+    keyed on the build side by weak reference and compared by identity.
+    The key needs no encoding: a column's ``encoding`` is never replaced
+    once built. Only a ``standing`` build side, one its column held
+    before this join read it, gets an entry: a filter's or a join's
+    output is a fresh column read once, so a lookup keyed on its build
+    side could never hit, and would evict the base column's."""
     if encoded is None:
         return build.slots(column.values)
+    if not standing:
+        return build.slots(distinct_keys(encoded))
     return memoised(
         column,
         "lookup",
-        (weakref.ref(build), weakref.ref(encoded)),
+        (weakref.ref(build),),
         lambda: build.slots(distinct_keys(encoded)),
     )
 
@@ -216,8 +223,10 @@ class Join(MaterialisedOperator):
         probe_keys = right_table[self._right_key]
         if self._validate and self._algorithm is JoinAlgorithm.OJ:
             check_merge_inputs(build_keys, probe_keys)
+        build_column = left_table.column(self._left_key)
+        standing = build_column.memo.get("build_side")
         build = (
-            memoised_build_side(left_table.column(self._left_key), self._algorithm)
+            memoised_build_side(build_column, self._algorithm)
             if build_keys.size and probe_keys.size
             else None
         )
@@ -233,7 +242,12 @@ class Join(MaterialisedOperator):
             # Each probe row, or each run or distinct value of the probe
             # column's encoding, is looked up once; the pairs and the row
             # counts are both read off those slots.
-            slots = probe_slots(build, right_table.column(self._right_key), encoded)
+            slots = probe_slots(
+                build,
+                right_table.column(self._right_key),
+                encoded,
+                standing is not None and standing[1] is build,
+            )
             if pairs:
                 found = self._pairs(build, slots, encoded)
             if row_counts:

@@ -42,8 +42,7 @@ def narrow_counts(counts: np.ndarray) -> np.ndarray:
     return counts.astype(code_dtype(int(counts.max(initial=0)) + 1))
 
 
-# Compared by identity (eq=False): a join's ``lookup`` memo is keyed on it.
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DictionaryEncoded:
     """A dictionary-encoded column: codes plus the sorted dictionary.
 

@@ -22,8 +22,7 @@ from repro.errors import ColumnError
 from repro.storage.dictionary import narrow_counts
 
 
-# Compared by identity (eq=False): a join's ``lookup`` memo is keyed on it.
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunLengthEncoded:
     """A run-length-encoded 1-D array: (value, run length) pairs in order."""
 

@@ -7,8 +7,8 @@ OG, SOG and BSG take their groups and slots from it, and HJ, SPHJ, BSJ
 and OJ look each run or distinct value of their probe up once through
 it. Each key column gets one, whichever of these reads it first. That
 ``lookup`` (the build-side slot of each run or distinct value) is
-memoised on the probe column too, keyed on the build side and the
-encoding it was computed against. A join
+memoised on the probe column too, keyed on the build side it was
+computed against, once that build side stands on its column. A join
 builds on one route, the serial kernel, whatever the worker count, and
 an active query context does not change it; ungoverned or governed, it
 must return, on its first and on every later execution, exactly what the
@@ -70,7 +70,7 @@ EXPECTED_MEMO_COUNTS = {
     JoinAlgorithm.HJ: (1, 4),
     JoinAlgorithm.SPHJ: (1, 4),
     JoinAlgorithm.BSJ: (1, 4),
-    JoinAlgorithm.OJ: (3, 3),
+    JoinAlgorithm.OJ: (2, 3),
 }
 #: the join's one route, run without and with an active query context.
 ROUTES = ("serial", "governed")
@@ -145,10 +145,11 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
     with capture_observability() as (metrics, __):
         runs = [on_route(route, run) for _ in range(2)]
     # Each run reads the build side and the probe column's encoding, and
-    # a run that finds an encoding reads the probe's lookup through it.
-    # OJ builds both on the first run and reads them on the second; HJ,
-    # SPHJ and BSJ only record the probe on the first run, and build the
-    # encoding and the lookup on the second.
+    # a run that finds an encoding and a standing build side reads the
+    # probe's lookup through them. OJ builds both on the first run and
+    # reads them on the second, when its lookup misses; HJ, SPHJ and BSJ
+    # only record the probe on the first run, and build the encoding and
+    # the lookup on the second.
     assert memo_counts(metrics) == EXPECTED_MEMO_COUNTS[algorithm]
     __, build = r.column("ID").memo["build_side"]
     shared = [value for value in vars(build).values() if isinstance(value, np.ndarray)]
@@ -190,8 +191,8 @@ def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
         assert "lookup" not in s.column("R_ID").memo
     else:
         assert memo_counts(metrics) == (3, 0)
-        (build_ref, encoded_ref), slots = s.column("R_ID").memo["lookup"]
-        assert build_ref() is matches.build and encoded_ref() is matches.encoded
+        (build_ref,), slots = s.column("R_ID").memo["lookup"]
+        assert build_ref() is matches.build
         assert matches.slots is slots and not slots.flags.writeable
         assert slots.nbytes <= 8 * distinct_keys(matches.encoded).size
     assert np.array_equal(matches.pairs.left_indices, fresh.left_indices)
@@ -202,14 +203,16 @@ def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_lookup_is_not_read_against_a_replaced_build_side(route):
-    """HJ warms S.R_ID's lookup; BSJ then replaces R.ID's build side, and
-    HJ replaces it again. Each replacement makes the lookup miss and be
-    computed against the build side in force; every run returns the
-    memo-free kernel's pairs."""
+    """HJ warms S.R_ID's lookup; BSJ then replaces R.ID's build side
+    twice, and HJ replaces it back twice. A build side read for the
+    first time is not standing: its lookup is computed and not stored.
+    The next run stores it, replacing the entry keyed on the build side
+    it replaced; every run returns the memo-free kernel's pairs."""
     r_data, s_data = arrays(seed=9)
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     lookups = []
-    for algorithm in (JoinAlgorithm.HJ,) * 3 + (JoinAlgorithm.BSJ, JoinAlgorithm.HJ):
+    hj, bsj = JoinAlgorithm.HJ, JoinAlgorithm.BSJ
+    for algorithm in (hj, hj, hj, bsj, bsj, hj, hj):
         fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
         with capture_observability() as (metrics, __):
             pairs = on_route(
@@ -220,17 +223,51 @@ def test_lookup_is_not_read_against_a_replaced_build_side(route):
         lookups.append((memo_counts(metrics), s.column("R_ID").memo.get("lookup")))
     # Build side, encoding and lookup per run: HJ records the probe,
     # then builds the encoding and the lookup, then hits all three; BSJ
-    # and HJ again erect a new build side, so the lookup misses.
+    # and HJ each erect a new build side, whose lookup is not read on
+    # that run and misses on the next.
     assert [counts for counts, __ in lookups] == [
-        (0, 2), (1, 2), (3, 0), (1, 2), (1, 2)
+        (0, 2), (1, 2), (3, 0), (1, 1), (2, 1), (1, 1), (2, 1)
     ]
-    __, built, hit, bsj, hj = (entry for __, entry in lookups)
-    assert hit is built and bsj is not built and hj is not bsj
+    __, built, hit, first_bsj, bsj_entry, first_hj, hj_entry = (
+        entry for __, entry in lookups
+    )
+    assert hit is built and first_bsj is built and first_hj is bsj_entry
+    assert bsj_entry is not built and hj_entry is not bsj_entry
     __, build = r.column("ID").memo["build_side"]
     __, encoded = s.column("R_ID").memo["encoding"]
-    (build_ref, encoded_ref), slots = hj
-    assert build_ref() is build and encoded_ref() is encoded
+    (build_ref,), slots = hj_entry
+    assert build_ref() is build
     assert np.array_equal(slots, build.slots(distinct_keys(encoded)))
+
+
+@pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
+def test_filtered_build_keeps_the_base_lookup(algorithm):
+    """A join whose build input is filtered, between two warm joins of
+    the base columns: its build side is a fresh column's, so it stores
+    no lookup, and the base join's lookup stays a hit."""
+    r_data, s_data = arrays()
+    r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
+    kept = r_data["A"] > 400
+    fresh = join(r_data["ID"][kept], s_data["R_ID"], algorithm)
+    for _ in range(3):
+        execute(join_operator(r, s, algorithm), workers=1)
+    entry = s.column("R_ID").memo["lookup"]
+    filtered = Join(
+        Filter(TableScan(r.qualified("R")), col("R.A") > 400),
+        TableScan(s.qualified("S")),
+        "R.ID",
+        "S.R_ID",
+        algorithm,
+    )
+    with scoped_settings(workers=1):
+        pairs = filtered.matches().pairs
+    assert np.array_equal(pairs.left_indices, fresh.left_indices)
+    assert np.array_equal(pairs.right_indices, fresh.right_indices)
+    assert s.column("R_ID").memo["lookup"] is entry
+    with capture_observability() as (metrics, __):
+        execute(join_operator(r, s, algorithm), workers=1)
+    # Build side, encoding and lookup all hit.
+    assert memo_counts(metrics) == (3, 0)
 
 
 @pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
@@ -301,15 +338,20 @@ def test_reregistered_table_returns_new_answer():
         old = service.execute(QUERY).table
         for _ in range(2):
             assert service.execute(QUERY).table.equals(old)
-        (old_build, __), old_slots = probe.memo["lookup"]
+        (old_build,), old_slots = probe.memo["lookup"]
         assert old_build() is catalog.table("R").column("ID").memo["build_side"][1]
         new_r = {"ID": r_data["ID"], "A": r_data["ID"] % 7}
         catalog.register("R", Table.from_arrays(new_r), replace=True)
         new = service.execute(QUERY).table
+        # The new R.ID's build side is not standing yet: S.R_ID's lookup
+        # is computed against it but not stored, and the old entry is
+        # never read against it.
+        assert probe.memo["lookup"][1] is old_slots
+        assert service.execute(QUERY).table.equals(new)
     finally:
         service.shutdown()
     # S.R_ID's lookup was computed again, against the new R.ID.
-    (new_build, __), new_slots = probe.memo["lookup"]
+    (new_build,), new_slots = probe.memo["lookup"]
     assert new_slots is not old_slots
     assert new_build() is catalog.table("R").column("ID").memo["build_side"][1]
     counts = np.bincount(new_r["A"][s_data["R_ID"]], minlength=7)
@@ -496,9 +538,10 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
             for _ in range(2)
         ]
     memoised_runs = kind in ("sorted", "all_equal")
-    # Build side, encoding and (with runs to read it through) lookup: a
-    # miss each on the first run, a hit each on the second.
-    assert memo_counts(metrics) == ((3, 3) if memoised_runs else (1, 3))
+    # Build side and encoding: a miss each on the first run, a hit each
+    # on the second. With runs to read it through, the lookup is read
+    # once the build side stands: a miss on the second run.
+    assert memo_counts(metrics) == ((2, 3) if memoised_runs else (1, 3))
     if memoised_runs:
         key, encoded = s.column("R_ID").memo["encoding"]
         expected = rle_encode(s_data["R_ID"])

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.datagen import Density, Sortedness, make_join_scenario
-from repro.engine import Join
-from repro.service.context import check_active_context
 from repro.service.session import QueryService
 
 
@@ -23,11 +18,11 @@ def service(join_catalog):
 
 @pytest.fixture(scope="session")
 def big_catalog():
-    """A governance-scale catalog: the join probes >= 1M rows, so a cold
-    query's statistics and builds cost real time. Session-scoped —
-    building it costs real seconds. A warm query over it looks nothing
-    up and takes a few milliseconds, so a test that must stop one
-    mid-flight holds its join (:func:`join_held`)."""
+    """A governance-scale catalog: the join probes >= 1M rows, so a
+    query that gathers its pairs (a SUM over an S column) runs long
+    enough for deadlines and cancellation to fire mid-flight; a warm
+    COUNT looks nothing up and is done in a few ms. Session-scoped —
+    building it costs real seconds."""
     scenario = make_join_scenario(
         n_r=100_000,
         n_s=1_200_000,
@@ -38,26 +33,3 @@ def big_catalog():
         seed=11,
     )
     return scenario.build_catalog()
-
-
-@pytest.fixture
-def join_held(monkeypatch) -> threading.Event:
-    """Set the returned event to hold the next join at its start: it
-    polls its query's context, as a long operator does between morsels,
-    until the query is cancelled or its deadline expires, and runs on
-    after 5 s otherwise. A cancel or a deadline then lands mid-flight
-    however fast the query is."""
-    armed = threading.Event()
-    matches = Join.matches
-
-    def held(self, *args, **kwargs):
-        if armed.is_set():
-            armed.clear()
-            until = time.monotonic() + 5.0
-            while time.monotonic() < until:
-                check_active_context()
-                time.sleep(0.001)
-        return matches(self, *args, **kwargs)
-
-    monkeypatch.setattr(Join, "matches", held)
-    return armed
