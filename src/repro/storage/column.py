@@ -136,7 +136,8 @@ def _check_integer_range(name: str, array: np.ndarray, target: np.dtype) -> None
     wrap it (a ``uint64`` value of 2**63 or more would become a negative
     ``int64``). Only a cast that is not always safe pays the scan."""
     if (
-        array.dtype.kind not in "iu"
+        array.dtype == target
+        or array.dtype.kind not in "iu"
         or target.kind not in "iu"
         or not array.size
         or np.can_cast(array.dtype, target)
