@@ -48,8 +48,8 @@ from repro.core.optimizer.space import (
 from repro.core.plan import plan_decisions, plan_fingerprint
 from repro.core.properties import PropertyVector
 from repro.errors import OptimizationError
-from repro.service.context import check_active_context, get_active_context
-from repro.obs.querylog import get_query_log
+from repro.service.context import check_active_context
+from repro.obs.querylog import get_query_log, log_facts
 from repro.obs.runtime import get_metrics, get_tracer
 from repro.obs.search.trace import get_search_trace
 from repro.logical.algebra import LogicalPlan
@@ -192,14 +192,13 @@ class DynamicProgrammingOptimizer:
             )
             hit = cache.get(cache_key)
             if hit is not None:
-                query_log = get_query_log()
-                if query_log is not None:
-                    # Cached rows carry the cached plan's hash too, so a
-                    # plan flip stays attributable even when every
-                    # repetition resolves from the cache.
-                    row = self._optimize_row(hit, spec, spec_fp, workers)
-                    row["cached"] = True
-                    query_log.append(row)
+                if get_query_log() is not None:
+                    # A hit logs the cached plan's hash too, so a plan
+                    # flip stays attributable even when every repetition
+                    # resolves from the cache.
+                    facts = self._optimize_facts(hit, spec, spec_fp, workers)
+                    facts["cached"] = True
+                    log_facts("optimize", facts)
                 return hit
         trace = self._trace if self._trace is not None else get_search_trace()
         if trace is not None and not trace.enabled:
@@ -234,15 +233,14 @@ class DynamicProgrammingOptimizer:
             if trace is not None
             else None,
         )
-        query_log = get_query_log()
-        if query_log is not None:
-            row = self._optimize_row(result, spec, spec_fp, workers)
-            row["plan"] = best.plan.explain()
-            row["search"] = stats.as_dict()
-            row["decisions"] = plan_decisions(best.plan)
+        if get_query_log() is not None:
+            facts = self._optimize_facts(result, spec, spec_fp, workers)
+            facts["plan"] = best.plan.explain()
+            facts["search"] = stats.as_dict()
+            facts["decisions"] = plan_decisions(best.plan)
             if result.search_trace is not None:
-                row["search_trace"] = result.search_trace
-            query_log.append(row)
+                facts["search_trace"] = result.search_trace
+            log_facts("optimize", facts)
         if cache is not None and cache_key is not None:
             cache.put(cache_key, result)
         return result
@@ -252,12 +250,9 @@ class DynamicProgrammingOptimizer:
     ) -> list[DPEntry]:
         """Every surviving complete plan, decorated, in no cost order."""
         tracer = get_tracer()
-        active = get_active_context()
-        span_tags = {"scans": len(spec.scans), "deep": self._config.is_deep}
-        if active is not None:
-            span_tags["trace_id"] = active.trace_id
-            span_tags["query_id"] = active.query_id
-        with tracer.span("optimizer.optimize", **span_tags):
+        with tracer.span(
+            "optimizer.optimize", scans=len(spec.scans), deep=self._config.is_deep
+        ):
             space = PlanSpace(
                 spec, self._catalog, self._cost_model, self._config, workers, stats
             )
@@ -267,13 +262,12 @@ class DynamicProgrammingOptimizer:
                 finals = self._group(space, frontier, trace)
                 return [decorate(space, entry) for entry in finals]
 
-    def _optimize_row(
+    def _optimize_facts(
         self, result: OptimizationResult, spec: QuerySpec, spec_fp: str, workers: int
     ) -> dict:
-        """The query-log "optimize" row's facts that a fresh verdict and
-        a plan-cache hit share."""
+        """The query log's ``optimize`` facts that a fresh verdict and a
+        plan-cache hit share."""
         return {
-            "kind": "optimize",
             "cost": result.cost,
             "estimated_rows": result.estimated_rows,
             "scans": len(spec.scans),

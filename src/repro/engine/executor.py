@@ -18,7 +18,8 @@ from repro.engine.operators.base import PhysicalOperator
 from repro.obs.feedback import FeedbackStore
 from repro.obs.instrument import OperatorStats, format_bytes, instrumented
 from repro.obs.metrics import DEFAULT_BUCKETS
-from repro.obs.querylog import get_query_log
+from repro.obs.profile import QueryProfile
+from repro.obs.querylog import get_query_log, log_facts
 from repro.obs.runtime import get_metrics, get_tracer
 from repro.service.context import (
     QueryContext,
@@ -75,13 +76,8 @@ def execute(
     query_log = get_query_log()
     if not (metrics.enabled or tracer.enabled or query_log is not None):
         return root.to_table()
-    active = get_active_context()
-    span_tags = {"root": root.name}
-    if active is not None:
-        span_tags["trace_id"] = active.trace_id
-        span_tags["query_id"] = active.query_id
     io_before = _tree_io_counters(root)
-    with tracer.span("engine.execute", **span_tags):
+    with tracer.span("engine.execute", root=root.name):
         with Timer() as timer:
             result = root.to_table()
     if metrics.enabled:
@@ -93,7 +89,6 @@ def execute(
     if query_log is not None:
         settings = get_settings()
         entry = {
-            "kind": "execute",
             "root": root.name,
             "plan": root.explain(),
             "rows_out": result.num_rows,
@@ -116,7 +111,7 @@ def execute(
             entry["segments_read"] = read
             entry["segments_skipped"] = skipped
             entry["bytes_read"] = cold
-        query_log.append(entry)
+        log_facts("execute", entry)
     return result
 
 
@@ -167,6 +162,9 @@ class AnalyzedPlan:
     root: OperatorStats
     #: end-to-end wall seconds, including the driver loop.
     wall_seconds: float
+    #: this run as the record the query log stores and a served query
+    #: returns (set by :func:`explain_analyze`).
+    profile: QueryProfile | None = None
 
     def render(self) -> str:
         """The plan tree annotated with measured actuals (and, for
@@ -278,8 +276,8 @@ def explain_analyze(
     if workers is not None:
         with scoped_settings(workers=workers):
             return explain_analyze(root, feedback=feedback)
-    with instrumented(root) as stats:
-        with Timer() as timer:
+    with get_tracer().span("engine.execute", root=root.name):
+        with instrumented(root) as stats, Timer() as timer:
             table = root.to_table()
     analyzed = AnalyzedPlan(table=table, root=stats, wall_seconds=timer.elapsed)
     metrics = get_metrics()
@@ -308,16 +306,11 @@ def explain_analyze(
         ).observe(analyzed.peak_memory_bytes)
     if feedback is not None:
         feedback.record_plan(stats)
-    query_log = get_query_log()
-    if query_log is not None:
-        from repro.obs.profile import QueryProfile
-
-        active = get_active_context()
-        query_log.append(
-            QueryProfile.from_analyzed(
-                analyzed,
-                trace_id=active.trace_id if active is not None else "",
-                plan_hash=root.plan_fingerprint,
-            ).to_dict()
-        )
+    active = get_active_context()
+    analyzed.profile = QueryProfile.from_analyzed(
+        analyzed,
+        trace_id=active.trace_id if active is not None else "",
+        plan_hash=root.plan_fingerprint,
+    )
+    log_facts("profile", analyzed.profile)
     return analyzed

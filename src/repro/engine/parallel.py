@@ -199,17 +199,7 @@ def run_morsels(
             if context is not None:
                 context.check()
             started = time.perf_counter()
-            if tracer.enabled:
-                span_tags = {"index": index, "worker": worker}
-                if context is not None:
-                    # Morsels run on pool threads: the span carries the
-                    # scheduling query's trace id so one id stitches the
-                    # whole request together across threads.
-                    span_tags["trace_id"] = context.trace_id
-                    span_tags["query_id"] = context.query_id
-                with tracer.span("parallel.morsel", **span_tags):
-                    result = task()
-            else:
+            with tracer.span("parallel.morsel", index=index, worker=worker):
                 result = task()
         elapsed = time.perf_counter() - started
         with busy_lock:

@@ -453,25 +453,15 @@ class ProcessPool:
                 # transfer, the wall clock does (close enough at morsel
                 # granularity).
                 deadline = time.time() + max(remaining, 0.0)
-        tracer = get_tracer()
-        span = None
-        if tracer.enabled:
-            span_tags = {
-                "tasks": len(tasks),
-                "workers": self.workers,
-                "backend": "process",
-            }
-            if context is not None:
-                span_tags["trace_id"] = context.trace_id
-                span_tags["query_id"] = context.query_id
-            span = tracer.span("parallel.process_batch", **span_tags)
-        try:
+        with get_tracer().span(
+            "parallel.process_batch",
+            tasks=len(tasks),
+            workers=self.workers,
+            backend="process",
+        ):
             for index, (kind, payload) in enumerate(tasks):
                 self._tasks.put((batch_id, index, kind, payload, deadline))
             return self._collect(batch_id, len(tasks), context)
-        finally:
-            if span is not None:
-                span.end()
 
     def _collect(self, batch_id: int, expected: int, context) -> MorselReport:
         results = [None] * expected

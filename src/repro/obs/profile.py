@@ -434,8 +434,8 @@ def capture_profile(
     with capture_observability() as (metrics, tracer):
         with tracer.span("profile.capture", root=root.name):
             analyzed = explain_analyze(root, feedback=feedback)
-        spans = tracer.to_dicts()
-        snapshot = metrics.snapshot()
-    return QueryProfile.from_analyzed(
-        analyzed, query=query, spans=spans, metrics=snapshot
-    )
+        profile = analyzed.profile
+        profile.spans = tracer.to_dicts()
+        profile.metrics = metrics.snapshot()
+    profile.query = query or profile.query
+    return profile

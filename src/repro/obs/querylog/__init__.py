@@ -1,19 +1,26 @@
 """A persistent, append-only query log plus its CLI.
 
-Every :func:`repro.engine.executor.execute`,
-:func:`~repro.engine.executor.explain_analyze`, and
-:meth:`repro.core.optimizer.dp.DPOptimizer.optimize_spec` call appends a
-JSON line to the active log — enabled either explicitly
-(:func:`set_query_log`) or by the ``query_log`` setting
-(``REPRO_QUERY_LOG``, see :mod:`repro.settings`). Lines are
-self-describing (``kind`` is ``'execute'``,
-``'profile'``, or ``'optimize'``), so history survives schema growth and
-a half-written trailing line never poisons the reader.
+Each query writes one JSON line to the active log — enabled either
+explicitly (:func:`set_query_log`) or by the ``query_log`` setting
+(``REPRO_QUERY_LOG``, see :mod:`repro.settings`). The optimiser
+(:meth:`repro.core.optimizer.dp.DPOptimizer.optimize_spec`) and the
+executor (:func:`repro.engine.executor.execute`,
+:func:`~repro.engine.executor.explain_analyze`) log their facts through
+:func:`log_facts`:
 
-Entries written while a :class:`~repro.service.context.QueryContext`
-is active are stamped with its ``trace_id``, so one served request's
-``service`` row, its ``optimize`` row, and its ``execute``/``profile``
-rows all share a correlation id.
+* called directly, each appends a standalone row whose ``kind`` is
+  ``'optimize'``, ``'execute'`` or ``'profile'``;
+* inside a served query, :meth:`repro.service.session.QueryService.
+  execute` holds the query's ``service`` row open on its thread
+  (:func:`query_row`), the facts nest in it as the sections
+  ``optimize``, ``execute`` or ``profile``, and the row is appended once
+  when the query ends, whatever its ``status``.
+
+:func:`query_facts` reads a row's sections whichever shape it has, so
+no reader outside this module knows the two shapes. Lines are
+self-describing, and a half-written trailing line never poisons the
+reader. Rows written while a :class:`~repro.service.context.
+QueryContext` is active carry its ``trace_id``.
 
 ``python -m repro.obs.querylog`` turns the log back into insight::
 
@@ -24,12 +31,13 @@ rows all share a correlation id.
     python -m repro.obs.querylog --log run.jsonl trace <trace-id>
     python -m repro.obs.querylog --log run.jsonl regress --json
 
-``trace`` reconstructs one request's timeline from every entry carrying
-that correlation id (unique prefixes work), including its per-stage
-latency breakdown. ``regress`` replays history through the
-plan-regression sentinel (:mod:`repro.obs.sentinel`) and reports plan
-flips and latency/q-error drift; ``list``/``summary``/``regress``
-accept ``--since <iso|duration>`` and ``--last N`` window filters.
+``trace`` renders one request from the rows carrying that correlation
+id (unique prefixes work): a served query's one row, with its per-stage
+latency breakdown and its sections. ``regress`` replays history
+through the plan-regression sentinel (:mod:`repro.obs.sentinel`) and
+reports plan flips and latency/q-error drift;
+``list``/``summary``/``regress`` accept ``--since <iso|duration>`` and
+``--last N`` window filters.
 
 ``summary`` replays every logged profile through a
 :class:`~repro.obs.feedback.FeedbackStore`, reporting per-operator
@@ -44,7 +52,9 @@ import argparse
 import itertools
 import json
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -53,8 +63,13 @@ from repro.obs.feedback import FeedbackSample, FeedbackStore
 from repro.obs.slo import percentile
 from repro.settings import get_settings
 
-#: schema version stamped on every appended entry.
-LOG_SCHEMA_VERSION = 1
+#: schema version stamped on every appended entry: 2 since a served
+#: query's stages nest in its one ``service`` row.
+LOG_SCHEMA_VERSION = 2
+
+#: the stages that log facts: a standalone row of that kind, or the
+#: section of that name in a served query's row.
+SECTIONS = ("optimize", "execute", "profile")
 
 #: entry-id suffixes, shared by every handle in the process: two handles
 #: on one path never mint the same id.
@@ -100,7 +115,7 @@ class QueryLog:
                 record["trace_id"] = active.trace_id
         self._path.parent.mkdir(parents=True, exist_ok=True)
         with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, default=str) + "\n")
+            handle.write(json.dumps(record, default=_jsonable) + "\n")
         return record["id"]
 
     def entries(self) -> list[dict]:
@@ -221,6 +236,76 @@ def get_query_log() -> QueryLog | None:
     return QueryLog(path) if path else None
 
 
+def _jsonable(value):
+    """JSON fallback: a record with ``to_dict`` as that dict, anything
+    else as its text."""
+    to_dict = getattr(value, "to_dict", None)
+    return to_dict() if callable(to_dict) else str(value)
+
+
+# -- one row per query ------------------------------------------------------
+
+#: the calling thread's open query row (see :func:`query_row`).
+_open = threading.local()
+
+
+@contextmanager
+def query_row(**facts) -> Iterator[dict | None]:
+    """Hold one served query's ``service`` row open on this thread.
+
+    Until the block exits, :func:`log_facts` nests each stage's facts in
+    it; the caller adds its own (status, timings) to the yielded dict,
+    and the row is appended once on exit, however the block ends.
+    Yields None, and logs nothing, when no query log is active.
+    """
+    log = get_query_log()
+    if log is None:
+        yield None
+        return
+    row = {"kind": "service", **facts}
+    previous = getattr(_open, "row", None)
+    _open.row = row
+    try:
+        yield row
+    finally:
+        _open.row = previous
+        log.append(row)
+
+
+def log_facts(kind: str, facts) -> None:
+    """Log one stage's facts; ``kind`` is one of :data:`SECTIONS`.
+
+    With a :func:`query_row` open on this thread they become its
+    ``kind`` section; otherwise they are appended as a standalone
+    ``kind`` row. ``facts`` is a dict, or a record with ``to_dict`` (a
+    :class:`~repro.obs.profile.QueryProfile`) — an open row serialises
+    it only when the row is appended, so its owner may still amend it.
+    """
+    row = getattr(_open, "row", None)
+    if row is not None:
+        row[kind] = facts
+        return
+    log = get_query_log()
+    if log is not None:
+        if not isinstance(facts, dict):
+            facts = facts.to_dict()
+        log.append({"kind": kind, **facts})
+
+
+def query_facts(entry: dict) -> dict[str, dict]:
+    """A row's stage facts by section name, whichever shape it has: a
+    standalone ``optimize``/``execute``/``profile`` row is its own one
+    section; a served query's ``service`` row nests them."""
+    kind = entry.get("kind")
+    if kind in SECTIONS:
+        return {kind: entry}
+    return {
+        name: entry[name]
+        for name in SECTIONS
+        if isinstance(entry.get(name), dict)
+    }
+
+
 # -- window filters ---------------------------------------------------------
 
 #: duration suffixes accepted by :func:`parse_since`.
@@ -311,23 +396,26 @@ def walk_operator_nodes(node: dict) -> Iterator[dict]:
         yield from walk_operator_nodes(child)
 
 
+def _profile_nodes(entry: dict) -> list[dict]:
+    """Every operator node of a row's ``profile`` facts (none without)."""
+    operators = query_facts(entry).get("profile", {}).get("operators")
+    if not isinstance(operators, dict):
+        return []
+    return list(walk_operator_nodes(operators))
+
+
 def feedback_from_entries(entries: list[dict]) -> FeedbackStore:
     """Rebuild a :class:`FeedbackStore` from logged profile entries.
 
-    Every estimate-carrying operator node of every ``kind='profile'``
-    entry becomes one :class:`FeedbackSample` — the same shape
+    Every estimate-carrying operator node of every row's ``profile``
+    facts becomes one :class:`FeedbackSample` — the same shape
     :func:`~repro.engine.executor.explain_analyze` records live, so
     :meth:`FeedbackStore.qerror_summary` and even
     :meth:`FeedbackStore.refit` work across persisted history.
     """
     store = FeedbackStore()
     for entry in entries:
-        if entry.get("kind") != "profile":
-            continue
-        operators = entry.get("operators")
-        if not isinstance(operators, dict):
-            continue
-        for node in walk_operator_nodes(operators):
+        for node in _profile_nodes(entry):
             if node.get("estimated_rows") is None:
                 continue
             store.record(
@@ -361,11 +449,14 @@ def summarise(entries: list[dict]) -> str:
     )
     lines = [f"query log: {len(entries)} entr{'y' if len(entries) == 1 else 'ies'} ({breakdown or 'empty'})"]
 
-    # Which execution backend the optimize/execute rows ran under
-    # (rows logged before the backend dial existed carry no key).
+    # Which execution backend each row's query ran under (else was
+    # planned for): one count per row, so a served query counts once.
     backends: dict[str, int] = {}
     for entry in entries:
-        backend = entry.get("backend")
+        facts = query_facts(entry)
+        backend = (
+            facts.get("execute") or facts.get("optimize") or {}
+        ).get("backend")
         if backend:
             backends[backend] = backends.get(backend, 0) + 1
     if backends:
@@ -377,20 +468,15 @@ def summarise(entries: list[dict]) -> str:
         )
 
     # Out-of-core scans: segment reads/skips and cold bytes, summed over
-    # execute rows (top-level keys) and profile rows (operator nodes).
+    # execute facts (run totals) and profile facts (operator nodes).
     segments_read = segments_skipped = bytes_read = 0
     for entry in entries:
-        if entry.get("kind") == "profile":
-            operators = entry.get("operators")
-            if isinstance(operators, dict):
-                for node in walk_operator_nodes(operators):
-                    segments_read += int(node.get("segments_read", 0))
-                    segments_skipped += int(node.get("segments_skipped", 0))
-                    bytes_read += int(node.get("bytes_read", 0))
-        else:
-            segments_read += int(entry.get("segments_read", 0))
-            segments_skipped += int(entry.get("segments_skipped", 0))
-            bytes_read += int(entry.get("bytes_read", 0))
+        scans = _profile_nodes(entry)
+        scans.append(query_facts(entry).get("execute", {}))
+        for scan in scans:
+            segments_read += int(scan.get("segments_read", 0))
+            segments_skipped += int(scan.get("segments_skipped", 0))
+            bytes_read += int(scan.get("bytes_read", 0))
     if segments_read or segments_skipped:
         total = segments_read + segments_skipped
         skip_pct = 100.0 * segments_skipped / total if total else 0.0
@@ -424,12 +510,7 @@ def summarise(entries: list[dict]) -> str:
     self_times: dict[str, list[float]] = {}
     peaks: dict[str, list[float]] = {}
     for entry in entries:
-        if entry.get("kind") != "profile":
-            continue
-        operators = entry.get("operators")
-        if not isinstance(operators, dict):
-            continue
-        for node in walk_operator_nodes(operators):
+        for node in _profile_nodes(entry):
             kind = node.get("operator_kind") or node.get("name", "?")
             self_times.setdefault(kind, []).append(
                 float(node.get("self_seconds", 0.0))
@@ -461,12 +542,14 @@ def summarise(entries: list[dict]) -> str:
     lines.extend(_optimizer_effort_lines(entries))
     lines.extend(_plan_hash_lines(entries))
 
-    walls = [
-        float(entry["wall_seconds"])
-        for entry in entries
-        if entry.get("kind") in ("execute", "profile")
-        and entry.get("wall_seconds") is not None
-    ]
+    # One sample per row that ran a query: its execute (else profile)
+    # facts' wall time.
+    walls = []
+    for entry in entries:
+        facts = query_facts(entry)
+        ran = facts.get("execute") or facts.get("profile") or {}
+        if ran.get("wall_seconds") is not None:
+            walls.append(float(ran["wall_seconds"]))
     if walls:
         lines.append("")
         lines.append(
@@ -482,24 +565,25 @@ def summarise(entries: list[dict]) -> str:
 def _plancache_lines(entries: list[dict]) -> list[str]:
     """Plan-cache effectiveness across history.
 
-    Two sources are reconciled: ``kind='optimize'`` entries (a cache hit
-    logs ``cached: true``, a miss logs a full search record), and the
+    Two sources are reconciled: ``optimize`` facts (a cache hit logs
+    ``cached: true``, a miss logs a full search record), and the
     ``optimizer.plancache.*`` counters inside any metrics snapshots the
-    log carries (``kind='profile'`` entries; counters are cumulative per
+    log carries (``profile`` facts; counters are cumulative per
     snapshot, so the per-metric maximum is the era's total).
     """
     hits = misses = 0
     for entry in entries:
-        if entry.get("kind") != "optimize":
+        optimize = query_facts(entry).get("optimize")
+        if optimize is None:
             continue
-        if entry.get("cached"):
+        if optimize.get("cached"):
             hits += 1
         else:
             misses += 1
     counter_totals = {"hit": 0, "miss": 0, "evictions": 0}
     saw_counters = False
     for entry in entries:
-        metrics = entry.get("metrics")
+        metrics = query_facts(entry).get("profile", {}).get("metrics")
         if not isinstance(metrics, dict):
             continue
         for short in counter_totals:
@@ -528,19 +612,20 @@ def _optimizer_effort_lines(entries: list[dict]) -> list[str]:
     """Enumeration effort across history: per optimiser mode (deep vs
     shallow), how hard the fresh searches worked — candidates generated,
     the fraction pruned by dominance, frontier churn, truncation — plus
-    how many carried a decision trace. Fresh ``optimize`` rows stamp
+    how many carried a decision trace. Fresh ``optimize`` facts stamp
     their :class:`~repro.core.optimizer.base.SearchStats` as ``search``;
     cache hits carry none (the search never ran)."""
     from repro.bench.reporting import render_table
 
     per_mode: dict[str, dict] = {}
     for entry in entries:
-        if entry.get("kind") != "optimize" or entry.get("cached"):
+        optimize = query_facts(entry).get("optimize")
+        if optimize is None or optimize.get("cached"):
             continue
-        search = entry.get("search")
+        search = optimize.get("search")
         if not isinstance(search, dict):
             continue
-        mode = "deep" if entry.get("deep") else "shallow"
+        mode = "deep" if optimize.get("deep") else "shallow"
         slot = per_mode.setdefault(
             mode,
             {"searches": 0, "generated": [], "pruned": 0, "displaced": 0,
@@ -552,7 +637,7 @@ def _optimizer_effort_lines(entries: list[dict]) -> list[str]:
         slot["displaced"] += int(search.get("displaced", 0))
         slot["truncated"] += int(search.get("truncated", 0))
         slot["closures"] += int(search.get("closures", 0))
-        if entry.get("search_trace"):
+        if optimize.get("search_trace"):
             slot["traced"] += 1
     if not per_mode:
         return []
@@ -586,24 +671,23 @@ def _optimizer_effort_lines(entries: list[dict]) -> list[str]:
 
 def _plan_hash_lines(entries: list[dict]) -> list[str]:
     """Plan-shape population across history: per plan hash, how many
-    ``optimize`` rows chose it (split cached vs fresh) and the spec
+    optimisations chose it (split cached vs fresh) and the spec
     fingerprint it realises — the raw material of flip forensics."""
     from repro.bench.reporting import render_table
 
     per_hash: dict[str, dict] = {}
     for entry in entries:
-        if entry.get("kind") != "optimize":
-            continue
-        plan_hash = str(entry.get("plan_hash", "") or "")
+        optimize = query_facts(entry).get("optimize", {})
+        plan_hash = str(optimize.get("plan_hash", "") or "")
         if not plan_hash:
             continue
         slot = per_hash.setdefault(
             plan_hash,
-            {"spec": str(entry.get("spec_fingerprint", "") or ""),
+            {"spec": str(optimize.get("spec_fingerprint", "") or ""),
              "chosen": 0, "cached": 0},
         )
         slot["chosen"] += 1
-        if entry.get("cached"):
+        if optimize.get("cached"):
             slot["cached"] += 1
     if not per_hash:
         return []
@@ -644,30 +728,17 @@ def _cli_log(args: argparse.Namespace) -> QueryLog:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.bench.reporting import render_table
-    from repro.obs.instrument import format_bytes
 
     log = _cli_log(args)
     rows = []
     for entry in _windowed_entries(log, args):
-        kind = entry.get("kind", "?")
-        if kind == "profile":
-            detail = (
-                f"{entry.get('rows_out', 0):,} row(s), peak "
-                f"{format_bytes(entry.get('peak_memory_bytes', 0))}"
-            )
-        elif kind == "execute":
-            detail = f"{entry.get('rows_out', 0):,} row(s)"
-        elif kind == "optimize":
-            detail = f"cost={entry.get('cost', 0.0):.1f}"
-        else:
-            detail = ""
         wall = entry.get("wall_seconds")
         rows.append(
             [
                 str(entry.get("id", "?")),
-                kind,
+                entry.get("kind", "?"),
                 f"{wall * 1e3:.3f}ms" if wall is not None else "-",
-                detail,
+                _entry_detail(entry),
             ]
         )
     if not rows:
@@ -682,8 +753,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
     log = _cli_log(args)
     entry = log.entry(args.id)
-    if entry.get("kind") == "profile":
-        profile = QueryProfile.from_dict(entry)
+    facts = query_facts(entry).get("profile")
+    if facts is not None:
+        profile = QueryProfile.from_dict(facts)
         print(profile.render())
         if args.html:
             Path(args.html).write_text(profile.to_html(), encoding="utf-8")
@@ -696,18 +768,11 @@ def _cmd_show(args: argparse.Namespace) -> int:
     else:
         if args.html or args.flamegraph:
             raise ObservabilityError(
-                "--html/--flamegraph need a 'profile' entry; "
+                "--html/--flamegraph need an entry with a profile; "
                 f"{entry.get('id')} is {entry.get('kind', '?')!r}"
             )
         print(json.dumps(entry, indent=2, sort_keys=True, default=str))
     return 0
-
-
-def _collect_nodes(entry: dict) -> list[dict]:
-    operators = entry.get("operators")
-    if not isinstance(operators, dict):
-        return []
-    return list(walk_operator_nodes(operators))
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -716,10 +781,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     log = _cli_log(args)
     a, b = log.entry(args.a), log.entry(args.b)
-    nodes_a, nodes_b = _collect_nodes(a), _collect_nodes(b)
+    nodes_a, nodes_b = _profile_nodes(a), _profile_nodes(b)
     if not nodes_a or not nodes_b:
         raise ObservabilityError(
-            "diff needs two 'profile' entries with operator trees"
+            "diff needs two entries with profiled operator trees"
         )
     rows = []
     for index in range(max(len(nodes_a), len(nodes_b))):
@@ -741,8 +806,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         rows_a, self_a, peak_a = _fmt(node_a)
         rows_b, self_b, peak_b = _fmt(node_b)
         rows.append([name, rows_a, rows_b, self_a, self_b, peak_a, peak_b])
-    wall_a = a.get("wall_seconds", 0.0) or 0.0
-    wall_b = b.get("wall_seconds", 0.0) or 0.0
+    wall_a = query_facts(a)["profile"].get("wall_seconds", 0.0) or 0.0
+    wall_b = query_facts(b)["profile"].get("wall_seconds", 0.0) or 0.0
     print(
         f"diff {a.get('id')} ({wall_a * 1e3:.3f}ms) vs "
         f"{b.get('id')} ({wall_b * 1e3:.3f}ms)"
@@ -824,70 +889,66 @@ _STAGE_ORDER = (
 
 
 def _entry_detail(entry: dict) -> str:
-    """One-line description of a trace-timeline entry."""
-    kind = entry.get("kind", "?")
-    if kind == "service":
-        return (
+    """One line of what a row records: a served query's outcome, then
+    its stages' facts."""
+    parts = []
+    if entry.get("kind") == "service":
+        parts.append(
             f"status={entry.get('status', '?')} "
-            f"rows={entry.get('rows_out', '-')} "
-            f"cached={entry.get('cached', '-')} "
             f"degraded={entry.get('degraded', '-')}"
         )
-    if kind == "optimize":
-        return (
-            f"cost={entry.get('cost', 0.0):.1f} "
-            f"cached={bool(entry.get('cached'))}"
+    facts = query_facts(entry)
+    if "optimize" in facts:
+        optimize = facts["optimize"]
+        parts.append(
+            f"cost={float(optimize.get('cost', 0.0)):.1f} "
+            f"cached={bool(optimize.get('cached'))}"
         )
-    if kind == "profile":
-        return f"rows={entry.get('rows_out', '-')}"
-    if kind == "execute":
-        return f"rows={entry.get('rows_out', '-')} root={entry.get('root', '?')}"
-    return ""
+    ran = facts.get("execute") or facts.get("profile")
+    if ran is not None:
+        parts.append(f"rows={int(ran.get('rows_out', 0)):,}")
+    if "profile" in facts:
+        from repro.obs.instrument import format_bytes
+
+        peak = int(facts["profile"].get("peak_memory_bytes", 0))
+        parts.append(f"peak={format_bytes(peak)}")
+    return " ".join(parts)
 
 
 def render_trace(trace_id: str, entries: list[dict]) -> str:
-    """One request's timeline: every log entry carrying ``trace_id``,
-    time-ordered and offset from the first, with the ``service`` row's
-    per-stage latency breakdown expanded."""
+    """One request's rows (a served query writes exactly one),
+    time-ordered and offset from the first, each with its stages' facts
+    and its per-stage latency breakdown."""
     ordered = sorted(entries, key=lambda e: float(e.get("ts", 0.0)))
     base = float(ordered[0].get("ts", 0.0))
     lines = [
         f"trace {trace_id}: "
         f"{len(ordered)} entr{'y' if len(ordered) == 1 else 'ies'}"
     ]
-    service = next(
-        (e for e in ordered if e.get("kind") == "service"), None
-    )
-    if service is not None:
-        sql = " ".join(str(service.get("sql", "")).split())
-        wall = float(service.get("wall_seconds", 0.0) or 0.0)
-        lines.append(f"  sql:    {sql}")
-        lines.append(
-            f"  status: {service.get('status', '?')}   "
-            f"query_id: {service.get('query_id', '?')}   "
-            f"wall: {wall * 1e3:.3f}ms"
-        )
-    lines.append("")
     for entry in ordered:
         offset = (float(entry.get("ts", base)) - base) * 1e3
+        wall = float(entry.get("wall_seconds", 0.0) or 0.0)
         lines.append(
             f"  +{offset:9.3f}ms  {entry.get('kind', '?'):<8} "
-            f"{entry.get('id', '?')}  {_entry_detail(entry)}"
+            f"{entry.get('id', '?')}  wall={wall * 1e3:.3f}ms  "
+            f"{_entry_detail(entry)}"
         )
-        stages = entry.get("stages")
-        if entry.get("kind") == "service" and isinstance(stages, dict):
-            for stage in _STAGE_ORDER:
-                if stage in stages:
-                    lines.append(
-                        f"        stage {stage:<12} "
-                        f"{float(stages[stage]) * 1e3:10.3f}ms"
-                    )
-            for stage in sorted(set(stages) - set(_STAGE_ORDER)):
-                lines.append(
-                    f"        stage {stage:<12} "
-                    f"{float(stages[stage]) * 1e3:10.3f}ms"
-                )
+        if entry.get("sql"):
+            lines.append(f"        sql: {' '.join(str(entry['sql']).split())}")
+        stages = entry.get("stages") or {}
+        for stage in sorted(stages, key=_stage_rank):
+            lines.append(
+                f"        stage {stage:<12} "
+                f"{float(stages[stage]) * 1e3:10.3f}ms"
+            )
     return "\n".join(lines)
+
+
+def _stage_rank(stage: str) -> tuple[int, str]:
+    """Lifecycle order, then unknown stages by name."""
+    if stage in _STAGE_ORDER:
+        return (_STAGE_ORDER.index(stage), "")
+    return (len(_STAGE_ORDER), stage)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

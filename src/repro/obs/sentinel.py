@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.obs.querylog import walk_operator_nodes
+from repro.obs.querylog import query_facts, walk_operator_nodes
 from repro.obs.runtime import get_metrics
 
 #: schema version stamped into (and required of) the baseline store.
@@ -436,90 +436,66 @@ class _Observations:
 def _extract(entries: list[dict], store: BaselineStore) -> _Observations:
     """Decompose a batch of query-log rows into detector inputs.
 
-    ``optimize`` rows carry the full identity (plan hash + spec
-    fingerprint + catalog version) and feed the plan-flip detector;
-    ``service`` rows carry identity plus latency; bare ``execute`` /
-    ``profile`` rows are attributed through the store's plan index and
-    deduplicated against same-trace service rows, so one served request
-    is one latency sample, not three.
+    A row's ``optimize`` facts (:func:`~repro.obs.querylog.query_facts`)
+    carry the full identity (plan hash + spec fingerprint + catalog
+    version) and feed the plan-flip detector. A served query's
+    ``service`` row is one latency sample (its ``execute_seconds``), a
+    standalone ``execute`` row is one too, and ``profile`` facts give
+    q-errors; a row without ``optimize`` facts is attributed through the
+    store's plan index.
     """
     obs = _Observations()
-    service_traces: set[str] = set()
     for entry in entries:
-        if entry.get("kind") == "service" and entry.get("trace_id"):
-            service_traces.add(str(entry["trace_id"]))
-
-    def note_latency(spec_fp: str, seconds: float, trace_id: str) -> None:
-        obs.latencies.setdefault(spec_fp, []).append(seconds)
-        if trace_id:
-            exemplars = obs.traces.setdefault(spec_fp, [])
-            if trace_id not in exemplars:
-                exemplars.append(trace_id)
-
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind == "optimize":
-            spec_fp = str(entry.get("spec_fingerprint", "") or "")
-            plan_hash = str(entry.get("plan_hash", "") or "")
-            if not spec_fp or not plan_hash:
-                continue
-            obs.considered += 1
+        facts = query_facts(entry)
+        optimize = facts.get("optimize", {})
+        plan_hash = str(entry.get("plan_hash") or optimize.get("plan_hash") or "")
+        spec_fp = str(
+            entry.get("spec_fingerprint")
+            or optimize.get("spec_fingerprint")
+            or store.spec_for_plan(plan_hash)
+            or ""
+        )
+        if not spec_fp:
+            continue
+        obs.considered += 1
+        trace_id = str(entry.get("trace_id", "") or "")
+        if plan_hash:
             store.index_plan(plan_hash, spec_fp)
-            obs.plans.setdefault(spec_fp, []).append((_plan_mode(entry), entry))
             obs.last_plan[spec_fp] = plan_hash
-        elif kind == "service":
-            spec_fp = str(entry.get("spec_fingerprint", "") or "")
-            plan_hash = str(entry.get("plan_hash", "") or "")
-            if not spec_fp or entry.get("status") not in (None, "ok"):
-                continue
-            obs.considered += 1
-            store.index_plan(plan_hash, spec_fp)
-            if plan_hash:
-                obs.last_plan[spec_fp] = plan_hash
+        if optimize.get("plan_hash"):
+            sighting = dict(optimize, ts=entry.get("ts", 0.0), trace_id=trace_id)
+            obs.plans.setdefault(spec_fp, []).append(
+                (_plan_mode(optimize), sighting)
+            )
+        if entry.get("status") not in (None, "ok"):
+            continue
+        if entry.get("kind") == "service":
             seconds = entry.get("execute_seconds")
-            if seconds is None:
-                seconds = entry.get("wall_seconds")
-            if seconds is not None:
-                note_latency(
-                    spec_fp, float(seconds), str(entry.get("trace_id", ""))
-                )
-        elif kind in ("execute", "profile"):
-            plan_hash = str(entry.get("plan_hash", "") or "")
-            if not plan_hash:
+        else:
+            seconds = facts.get("execute", {}).get("wall_seconds")
+        if seconds is not None:
+            obs.latencies.setdefault(spec_fp, []).append(float(seconds))
+            exemplars = obs.traces.setdefault(spec_fp, [])
+            if trace_id and trace_id not in exemplars:
+                exemplars.append(trace_id)
+        operators = facts.get("profile", {}).get("operators")
+        if not isinstance(operators, dict):
+            continue
+        for node in walk_operator_nodes(operators):
+            estimated = node.get("estimated_rows")
+            if estimated is None:
                 continue
-            spec_fp = store.spec_for_plan(plan_hash)
-            if spec_fp is None:
+            actual = max(int(node.get("rows_out", 0)), 1)
+            est = max(float(estimated), 1.0)
+            qerror = max(est / actual, actual / est)
+            if not math.isfinite(qerror):
                 continue
-            obs.considered += 1
-            trace_id = str(entry.get("trace_id", "") or "")
-            if kind == "execute":
-                # A governed request already contributed its service row.
-                if trace_id and trace_id in service_traces:
-                    continue
-                seconds = entry.get("wall_seconds")
-                if seconds is not None:
-                    note_latency(spec_fp, float(seconds), trace_id)
-            else:
-                operators = entry.get("operators")
-                if not isinstance(operators, dict):
-                    continue
-                for node in walk_operator_nodes(operators):
-                    estimated = node.get("estimated_rows")
-                    if estimated is None:
-                        continue
-                    actual = max(int(node.get("rows_out", 0)), 1)
-                    est = max(float(estimated), 1.0)
-                    qerror = max(est / actual, actual / est)
-                    if not math.isfinite(qerror):
-                        continue
-                    op_kind = str(
-                        node.get("operator_kind")
-                        or node.get("plan_op")
-                        or "?"
-                    )
-                    obs.qerrors.setdefault(spec_fp, {}).setdefault(
-                        op_kind, []
-                    ).append(qerror)
+            op_kind = str(
+                node.get("operator_kind") or node.get("plan_op") or "?"
+            )
+            obs.qerrors.setdefault(spec_fp, {}).setdefault(
+                op_kind, []
+            ).append(qerror)
     return obs
 
 

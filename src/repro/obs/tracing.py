@@ -7,6 +7,11 @@ tree of timed regions. Finished spans export either as plain JSON or
 as the Chrome ``chrome://tracing`` / Perfetto event format (open the
 file in a Chromium browser's tracing UI to see the flame chart).
 
+A span opened while a :class:`~repro.service.context.QueryContext` is
+active on its thread is tagged with the context's ``trace_id`` and
+``query_id``, so one id stitches a served request's spans together
+across the optimiser, the executor and the morsel workers.
+
 Like metrics, tracing is zero-cost by default: a disabled tracer hands
 out one shared no-op span.
 """
@@ -19,6 +24,7 @@ import time
 from typing import Any, Mapping
 
 from repro.errors import ObservabilityError
+from repro.service.context import get_active_context
 
 
 class Span:
@@ -136,9 +142,17 @@ class Tracer:
 
     def span(self, name: str, **tags: Any) -> Span | _NullSpan:
         """Open a span nested under the current thread's innermost open
-        span. Use as a context manager, or call :meth:`Span.end`."""
+        span, tagged with the active query context's ids. Use as a
+        context manager, or call :meth:`Span.end`."""
         if not self.enabled:
             return _NULL_SPAN
+        active = get_active_context()
+        if active is not None:
+            tags = {
+                "trace_id": active.trace_id,
+                "query_id": active.query_id,
+                **tags,
+            }
         span = Span(name, tags)
         span._tracer = self
         span.start = time.perf_counter() - self._epoch

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.profile import QueryProfile
-from repro.obs.querylog import QueryLog, get_query_log
+from repro.obs.querylog import QueryLog, get_query_log, query_row
 from repro.obs.sentinel import (
     CRITICAL_TTL_SECONDS,
     BaselineStore,
@@ -460,80 +460,67 @@ class QueryService:
         started = time.monotonic()
         status = "ok"
         outcome: QueryOutcome | None = None
-        try:
-            with tracer.span(
-                "service.query",
-                query_id=context.query_id,
-                trace_id=context.trace_id,
-                sql=sql,
-            ):
-                slot = self._admission.admit(
-                    priority=priority, timeout=queue_timeout, context=context
-                )
-                with slot:
-                    outcome = self._run_admitted(
-                        sql, context, slot, workers, tracer, profile
+        with activate_context(context), query_row(
+            query_id=context.query_id,
+            trace_id=context.trace_id,
+            sql=sql,
+            priority=int(priority),
+        ) as row:
+            try:
+                with tracer.span("service.query", sql=sql):
+                    slot = self._admission.admit(
+                        priority=priority, timeout=queue_timeout, context=context
                     )
-            outcome.wall_seconds = time.monotonic() - started
-            self._count("completed")
-            self._note_query(sql, outcome.execute_seconds)
-            self._note_fingerprint(outcome.spec_fingerprint, sql)
-            if metrics.enabled:
-                metrics.counter("service.completed", exist_ok=True).inc()
-                metrics.histogram(
-                    "service.query_seconds", DEFAULT_BUCKETS, exist_ok=True
-                ).observe(outcome.wall_seconds, trace_id=context.trace_id)
-                for stage, seconds in outcome.stage_seconds.items():
-                    observe_stage(metrics, stage, seconds, context.trace_id)
-            return outcome
-        except Exception as error:
-            status = type(error).__name__
-            if isinstance(error, ReproError):
-                error.trace_id = context.trace_id  # correlate failures too
-            if isinstance(error, QueryCancelled):
-                self._count("cancelled")
-            elif isinstance(error, AdmissionRejected):
-                self._count("rejected")
-            else:
-                self._count("failed")
-            if metrics.enabled:
+                    with slot:
+                        outcome = self._run_admitted(
+                            sql, context, slot, workers, tracer, profile
+                        )
+                outcome.wall_seconds = time.monotonic() - started
+                self._count("completed")
+                self._note_query(sql, outcome.execute_seconds)
+                self._note_fingerprint(outcome.spec_fingerprint, sql)
+                if metrics.enabled:
+                    metrics.counter("service.completed", exist_ok=True).inc()
+                    metrics.histogram(
+                        "service.query_seconds", DEFAULT_BUCKETS, exist_ok=True
+                    ).observe(outcome.wall_seconds, trace_id=context.trace_id)
+                    for stage, seconds in outcome.stage_seconds.items():
+                        observe_stage(metrics, stage, seconds, context.trace_id)
+                return outcome
+            except Exception as error:
+                status = type(error).__name__
+                if isinstance(error, ReproError):
+                    error.trace_id = context.trace_id  # correlate failures too
                 if isinstance(error, QueryCancelled):
-                    metrics.counter("service.cancelled", exist_ok=True).inc()
+                    self._count("cancelled")
+                elif isinstance(error, AdmissionRejected):
+                    self._count("rejected")
                 else:
-                    metrics.counter("service.failed", exist_ok=True).inc()
-            raise
-        finally:
-            wall_seconds = time.monotonic() - started
-            self._slo.record(
-                priority, wall_seconds, ok=(status == "ok")
-            )
-            with self._active_lock:
-                self._active.pop(context.query_id, None)
-            query_log = get_query_log()
-            if query_log is not None:
-                entry = {
-                    "kind": "service",
-                    "query_id": context.query_id,
-                    "trace_id": context.trace_id,
-                    "sql": sql,
-                    "status": status,
-                    "priority": int(priority),
-                    "wall_seconds": wall_seconds,
-                }
-                if outcome is not None:
-                    entry.update(
-                        queued_seconds=outcome.queued_seconds,
-                        optimize_seconds=outcome.optimize_seconds,
-                        execute_seconds=outcome.execute_seconds,
-                        stages=dict(outcome.stage_seconds),
-                        rows_out=outcome.table.num_rows,
-                        cached=outcome.cached,
-                        degraded=outcome.degraded,
-                        plan_hash=outcome.plan_hash,
-                        spec_fingerprint=outcome.spec_fingerprint,
-                        catalog_version=outcome.catalog_version,
-                    )
-                query_log.append(entry)
+                    self._count("failed")
+                if metrics.enabled:
+                    if isinstance(error, QueryCancelled):
+                        metrics.counter("service.cancelled", exist_ok=True).inc()
+                    else:
+                        metrics.counter("service.failed", exist_ok=True).inc()
+                raise
+            finally:
+                wall_seconds = time.monotonic() - started
+                self._slo.record(
+                    priority, wall_seconds, ok=(status == "ok")
+                )
+                with self._active_lock:
+                    self._active.pop(context.query_id, None)
+                if row is not None:
+                    row.update(status=status, wall_seconds=wall_seconds)
+                    if outcome is not None:
+                        row.update(
+                            queued_seconds=outcome.queued_seconds,
+                            optimize_seconds=outcome.optimize_seconds,
+                            execute_seconds=outcome.execute_seconds,
+                            stages=dict(outcome.stage_seconds),
+                            rows_out=outcome.table.num_rows,
+                            degraded=outcome.degraded,
+                        )
 
     def _run_admitted(
         self,
@@ -551,52 +538,35 @@ class QueryService:
             workers = 1
         stage_seconds: dict = {"queue": slot.queued_seconds}
         query_profile: QueryProfile | None = None
-        with activate_context(context):
-            parse_started = time.monotonic()
-            with tracer.span(
-                "service.parse",
-                query_id=context.query_id,
-                trace_id=context.trace_id,
-            ):
-                logical = plan_query(sql, self._catalog)
-            stage_seconds["parse"] = time.monotonic() - parse_started
-            optimize_started = time.monotonic()
-            with tracer.span(
-                "service.optimize",
-                query_id=context.query_id,
-                trace_id=context.trace_id,
-            ):
-                result = self._optimize(logical, workers, degraded)
-            optimize_seconds = time.monotonic() - optimize_started
-            # A cache hit never enumerated: its cost is the lookup, a
-            # distinct stage from a real optimisation.
-            stage_seconds[
-                "plan_cache" if result.cached else "optimize"
-            ] = optimize_seconds
-            operator = to_operator(
-                result.plan, self._catalog, validate=False
-            )
-            execute_started = time.monotonic()
-            with tracer.span(
-                "service.execute",
-                query_id=context.query_id,
-                trace_id=context.trace_id,
-            ):
-                if profile:
-                    analyzed = explain_analyze(operator, workers=workers)
-                    table = analyzed.table
-                    query_profile = QueryProfile.from_analyzed(
-                        analyzed,
-                        query=sql,
-                        trace_id=context.trace_id,
-                        plan_hash=result.plan_fingerprint,
-                    )
-                    if result.search_trace:
-                        query_profile.search = dict(result.search_trace)
-                else:
-                    table = execute(operator, workers=workers)
-            execute_seconds = time.monotonic() - execute_started
-            stage_seconds["execute"] = execute_seconds
+        parse_started = time.monotonic()
+        with tracer.span("service.parse"):
+            logical = plan_query(sql, self._catalog)
+        stage_seconds["parse"] = time.monotonic() - parse_started
+        optimize_started = time.monotonic()
+        with tracer.span("service.optimize"):
+            result = self._optimize(logical, workers, degraded)
+        optimize_seconds = time.monotonic() - optimize_started
+        # A cache hit never enumerated: its cost is the lookup, a
+        # distinct stage from a real optimisation.
+        stage_seconds[
+            "plan_cache" if result.cached else "optimize"
+        ] = optimize_seconds
+        operator = to_operator(result.plan, self._catalog, validate=False)
+        execute_started = time.monotonic()
+        with tracer.span("service.execute"):
+            if profile:
+                analyzed = explain_analyze(operator, workers=workers)
+                table = analyzed.table
+                # The query log's open row holds this same record and
+                # serialises it when the query ends.
+                query_profile = analyzed.profile
+                query_profile.query = sql
+                if result.search_trace:
+                    query_profile.search = dict(result.search_trace)
+            else:
+                table = execute(operator, workers=workers)
+        execute_seconds = time.monotonic() - execute_started
+        stage_seconds["execute"] = execute_seconds
         return QueryOutcome(
             query_id=context.query_id,
             trace_id=context.trace_id,

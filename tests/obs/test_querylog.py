@@ -254,6 +254,34 @@ class TestSummaryAcceptance:
         assert "q" in out and "p50" in out
 
 
+def test_summary_counts_a_served_query_once(
+    tmp_path, plan, join_catalog, paper_query, capsys
+):
+    """Served queries (one row each, stages nested) and direct
+    ``execute()`` calls (one standalone row each) are one backend count
+    and one latency sample apiece."""
+    from repro.service.session import QueryService
+
+    path = tmp_path / "log.jsonl"
+    set_query_log(path)
+    service = QueryService(join_catalog)
+    try:
+        for __ in range(3):
+            service.execute(paper_query)
+        for __ in range(2):
+            execute(plan)
+    finally:
+        service.shutdown()
+        set_query_log(None)
+    kinds = [e["kind"] for e in QueryLog(path).entries()]
+    assert kinds == ["service"] * 3 + ["execute"] * 2
+    assert main(["--log", str(path), "summary"]) == 0
+    out = capsys.readouterr().out
+    assert "execution backends: 5 " in out
+    assert "query latency: count=5 " in out
+    assert "lookups=3 hits=2 misses=1" in out
+
+
 def test_log_entries_are_plain_json(tmp_path, plan):
     set_query_log(tmp_path / "log.jsonl")
     explain_analyze(plan)

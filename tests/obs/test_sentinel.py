@@ -403,3 +403,27 @@ class TestSentinelThread:
             )
         thread.tick()
         assert sentinel.store.peek("fp-b") is not None
+
+
+def test_a_served_query_is_one_latency_sample_however_the_tail_splits_the_log(
+    tmp_path, join_catalog, paper_query
+):
+    """A served query writes one row, so a tail that hands the sentinel
+    one row per batch still counts each query once."""
+    from repro.service.session import QueryService, ServiceConfig
+
+    log = QueryLog(tmp_path / "served.jsonl")
+    set_query_log(log)
+    service = QueryService(
+        join_catalog, ServiceConfig(sentinel=SentinelConfig(enabled=False))
+    )
+    try:
+        outcomes = [service.execute(paper_query) for __ in range(5)]
+    finally:
+        service.shutdown()
+        set_query_log(None)
+    sentinel = Sentinel()
+    for row in log.entries():
+        sentinel.observe([row])
+    fingerprint = outcomes[0].spec_fingerprint
+    assert sentinel.store.latency_baseline(fingerprint)[2] == len(outcomes)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import (
+    AdmissionRejected,
     DeadlineExceeded,
     MemoryBudgetExceeded,
     PlanError,
@@ -12,7 +13,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import capture_observability, set_query_log
-from repro.obs.querylog import QueryLog, main as querylog_main
+from repro.obs.querylog import QueryLog, main as querylog_main, query_facts
 from repro.service.admission import AdmissionConfig, Priority
 from repro.service.context import CancellationToken
 from repro.service.session import QueryService, ServiceConfig
@@ -120,6 +121,48 @@ class TestObservability:
         assert by_status["ok"]["rows_out"] == 100
         assert by_status["ok"]["priority"] == int(Priority.NORMAL)
         assert "PlanError" in by_status
+
+    def test_each_query_writes_one_row_whatever_its_status(
+        self, join_catalog, paper_query, tmp_path
+    ):
+        """A served query appends exactly one line, its ``service`` row,
+        whether it ran, failed, was cancelled or was shed; the
+        optimiser's and the executor's facts nest in it."""
+        service = QueryService(
+            join_catalog,
+            ServiceConfig(
+                admission=AdmissionConfig(max_concurrency=1, max_queue_depth=0)
+            ),
+        )
+        log_path = tmp_path / "log.jsonl"
+        set_query_log(log_path)
+        try:
+            service.execute(paper_query)
+            with pytest.raises(PlanError):
+                service.execute("SELECT R.NOPE FROM R GROUP BY R.NOPE")
+            token = CancellationToken()
+            token.cancel("before admission")
+            with pytest.raises(QueryCancelled):
+                service.execute(paper_query, token=token)
+            slot = service.admission.admit()  # soak the only slot
+            try:
+                with pytest.raises(AdmissionRejected):
+                    service.execute(paper_query)
+            finally:
+                slot.release()
+        finally:
+            set_query_log(None)
+            service.shutdown()
+        lines = log_path.read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert [row["kind"] for row in rows] == ["service"] * 4
+        assert [row["status"] for row in rows] == [
+            "ok", "PlanError", "QueryCancelled", "AdmissionRejected",
+        ]
+        assert len({row["trace_id"] for row in rows}) == 4
+        assert set(query_facts(rows[0])) == {"optimize", "execute"}
+        assert rows[0]["execute"]["rows_out"] == rows[0]["rows_out"] == 100
+        assert not query_facts(rows[3])  # shed before it optimised
 
     def test_untyped_crash_is_recorded_as_a_failure(
         self, service, paper_query, tmp_path, monkeypatch

@@ -14,7 +14,12 @@ import pytest
 
 from repro.errors import ParseError, ReproError, ServiceError
 from repro.obs import capture_observability, parse_prometheus, render_prometheus
-from repro.obs.querylog import QueryLog, main as querylog_main, set_query_log
+from repro.obs.querylog import (
+    QueryLog,
+    main as querylog_main,
+    query_facts,
+    set_query_log,
+)
 from repro.service.admission import AdmissionConfig, Priority
 from repro.service.server import (
     QueryServer,
@@ -59,7 +64,8 @@ class TestFourSinks:
             trace_id = response["trace_id"]
             assert trace_id
 
-            # Sink 1: tracer spans — the full lifecycle is stitched.
+            # Sink 1: tracer spans — the full lifecycle is stitched,
+            # down to the optimiser's and the executor's own spans.
             tagged = {
                 span.name
                 for span in tracer.finished_spans
@@ -70,6 +76,8 @@ class TestFourSinks:
                 "service.parse",
                 "service.optimize",
                 "service.execute",
+                "optimizer.optimize",
+                "engine.execute",
             ):
                 assert expected in tagged
 
@@ -82,22 +90,19 @@ class TestFourSinks:
             parse_prometheus(text)  # well-formed
             assert trace_id in text
 
-            # Sink 3: the persistent query log's service row.
-            service_rows = [
-                e for e in query_log.entries() if e.get("kind") == "service"
-            ]
-            assert [e["trace_id"] for e in service_rows] == [trace_id]
-            assert set(service_rows[0]["stages"]) <= set(STAGES)
+            # Sink 3: the persistent query log's one row for the query,
+            # carrying the optimiser's and the executor's facts.
+            (row,) = query_log.entries()
+            assert row["kind"] == "service"
+            assert row["trace_id"] == trace_id
+            assert set(row["stages"]) <= set(STAGES)
+            assert set(query_facts(row)) == {"optimize", "profile"}
 
-            # Sink 4: the query profile, over the wire and in the log.
+            # Sink 4: the query profile, over the wire and in the log:
+            # one record, with the SQL and the search stamp.
             assert response["profile"]["trace_id"] == trace_id
-            profile_rows = [
-                e for e in query_log.entries() if e.get("kind") == "profile"
-            ]
-            assert profile_rows
-            assert all(
-                e.get("trace_id") == trace_id for e in profile_rows
-            )
+            assert response["profile"]["query"] == PAPER_SQL
+            assert row["profile"] == response["profile"]
 
     def test_client_supplied_trace_id_is_honoured(self, client):
         response = client.query(PAPER_SQL, trace_id="feedc0ffee000001")
