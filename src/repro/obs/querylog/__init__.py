@@ -12,9 +12,10 @@ executor (:func:`repro.engine.executor.execute`,
   ``'optimize'``, ``'execute'`` or ``'profile'``;
 * inside a served query, :meth:`repro.service.session.QueryService.
   execute` holds the query's ``service`` row open on its thread
-  (:func:`query_row`), the facts nest in it as the sections
-  ``optimize``, ``execute`` or ``profile``, and the row is appended once
-  when the query ends, whatever its ``status``.
+  (:func:`query_row`; the TCP server opens it one step earlier, so the
+  row also carries the ``serialize`` stage), the facts nest in it as
+  the sections ``optimize``, ``execute`` or ``profile``, and the row is
+  appended once when the query ends, whatever its ``status``.
 
 :func:`query_facts` reads a row's sections whichever shape it has, so
 no reader outside this module knows the two shapes. Lines are
@@ -255,20 +256,30 @@ def query_row(**facts) -> Iterator[dict | None]:
 
     Until the block exits, :func:`log_facts` nests each stage's facts in
     it; the caller adds its own (status, timings) to the yielded dict,
-    and the row is appended once on exit, however the block ends.
+    and the row is appended once on exit, however the block ends (an
+    exception no caller recorded becomes its ``status``). A block
+    opened while a row is already open on the thread joins that row:
+    ``facts`` update it, and the outer block alone appends it — so the
+    server can stamp ``serialize`` after the service's block ends.
     Yields None, and logs nothing, when no query log is active.
     """
+    row = getattr(_open, "row", None)
+    if row is not None:
+        row.update(facts)
+        yield row
+        return
     log = get_query_log()
     if log is None:
         yield None
         return
-    row = {"kind": "service", **facts}
-    previous = getattr(_open, "row", None)
-    _open.row = row
+    row = _open.row = {"kind": "service", **facts}
     try:
         yield row
+    except Exception as error:
+        row.setdefault("status", type(error).__name__)
+        raise
     finally:
-        _open.row = previous
+        _open.row = None
         log.append(row)
 
 

@@ -5,8 +5,9 @@ with*: :class:`QueryService` runs SQL end-to-end (parse → optimise with
 the plan cache → morsel-parallel execution) under per-query resource
 governance, :class:`AdmissionController` bounds concurrency with
 priority classes and load shedding, :class:`Session` scopes client
-settings, and :class:`QueryServer` exposes it all over a JSON-lines TCP
-protocol with graceful shutdown.
+settings, and :class:`QueryServer` exposes it all over a TCP protocol
+(JSON-line requests, query results as raw column buffers) with graceful
+shutdown.
 
 Submodules import lazily (PEP 562): the engine imports
 :mod:`repro.service.context` from its hot path, and an eager package

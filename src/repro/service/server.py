@@ -1,29 +1,33 @@
-"""A threaded JSON-lines TCP front-end for the query service.
+"""A threaded TCP front-end for the query service.
 
-Protocol: one JSON object per line, request/response, UTF-8. Each
+Protocol: requests are JSON lines, one UTF-8 object per line. Each
 connection is one :class:`~repro.service.session.Session` (scoped
 settings live and die with the connection). Both ends set
-``TCP_NODELAY`` and write each frame — the JSON object plus its
-``"\\n"`` — with one ``sendall``. Requests carry an ``op``:
+``TCP_NODELAY`` and write each frame with one ``sendall``. A response
+frame is one JSON object plus its ``"\\n"``; a query result's frame
+goes on with the result's raw column buffers. Requests carry an ``op``:
 
 ``{"op": "query", "sql": ..., "id"?, "trace_id"?, "deadline"?,
 "priority"?, "workers"?, "memory_budget_bytes"?, "max_rows"?,
 "profile"?}``
-    Run SQL; responds ``{"ok": true, "id", "trace_id", "columns",
-    "row_count", "truncated", "wall_seconds", "stages", "cached",
-    "degraded", "plan_hash", "data"}``. ``data`` is the result
-    column-wise, one list per name in ``columns``, each capped at
-    ``max_rows`` (a non-negative integer, default 1000); ``row_count``
-    is always the full count. :class:`ServiceClient` replaces ``data``
-    with ``rows``, the same values as a list of row lists. The
+    Run SQL; responds with the header line ``{"ok": true, "id",
+    "trace_id", "columns", "dtypes", "nbytes", "row_count",
+    "truncated", "wall_seconds", "stages", "cached", "degraded",
+    "plan_hash"}`` followed by each column's bytes, in the order of
+    ``columns``: ``dtypes`` holds each column's numpy ``dtype.str``
+    (which names the byte order, e.g. ``"<i8"``) and ``nbytes`` its
+    byte length. Each column is capped at ``max_rows`` (a non-negative
+    integer, default 1000); ``row_count`` is always the full count.
+    :class:`ServiceClient` reads the ``sum(nbytes)`` bytes after the
+    header and returns them as ``rows``, a list of row lists. The
     per-query options get :meth:`Session.set
     <repro.service.session.Session.set>`'s coercions before the query
     runs. ``trace_id`` is minted at the server edge when the client
     supplies none; ``stages`` maps the
     :data:`~repro.service.session.STAGES` taxonomy to wall seconds,
-    including ``serialize`` (stamped here: ``tolist`` plus the JSON
-    encode of ``data``); ``profile: true`` attaches a full
-    per-operator ``profile`` record.
+    including ``serialize`` (stamped here: copying the capped columns
+    into the frame's buffers), which the query's log row carries too;
+    ``profile: true`` attaches a full per-operator ``profile`` record.
 
 ``{"op": "cancel", "id": ...}``
     Cancel a query started on *any* connection (use a second connection:
@@ -60,13 +64,17 @@ their tokens, then join connection threads (bounded wait).
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import socket
 import threading
 import time
 
+import numpy as np
+
 from repro.errors import AdmissionRejected, ReproError, ServiceError
+from repro.obs.querylog import query_row
 from repro.obs.runtime import get_metrics
 from repro.service.context import CancellationToken, new_trace_id
 from repro.service.session import QueryService, Session, observe_stage
@@ -77,14 +85,15 @@ DEFAULT_MAX_ROWS = 1000
 _log = logging.getLogger(__name__)
 
 
-def _frame(message: dict, data: str | None = None) -> bytes:
-    """``message`` as one newline-terminated UTF-8 frame. ``data``, JSON
-    already, is spliced in as the last member, so a query result is
-    encoded once, inside the ``serialize`` stage that times it."""
-    text = json.dumps(message)
-    if data is not None:
-        text = f'{text[:-1]}, "data": {data}}}'
-    return f"{text}\n".encode()
+#: dtype kinds a query result's column buffers may carry: the storage
+#: layer's bool, signed, unsigned and float columns.
+WIRE_KINDS = frozenset("biuf")
+
+
+def _frame(message: dict, buffers: list[bytes] = ()) -> bytes:
+    """``message`` as one newline-terminated UTF-8 line, then
+    ``buffers`` as they are."""
+    return b"".join([json.dumps(message).encode(), b"\n", *buffers])
 
 
 def _row_cap(value) -> int:
@@ -97,7 +106,7 @@ def _row_cap(value) -> int:
 
 
 class QueryServer:
-    """Serves a :class:`QueryService` over JSON-lines TCP.
+    """Serves a :class:`QueryService` over TCP (see the module docstring).
 
     >>> server = QueryServer(service)          # doctest: +SKIP
     >>> server.start()                         # doctest: +SKIP
@@ -276,42 +285,48 @@ class QueryServer:
 
     def _handle_query(
         self, session: Session, request: dict
-    ) -> tuple[dict, str]:
-        """The response to a query and its ``data``, JSON-encoded."""
+    ) -> tuple[dict, list[bytes]]:
+        """The response header to a query and its column buffers."""
         sql = request.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise ServiceError("query op requires a non-empty 'sql' string")
-        max_rows = _row_cap(request.get("max_rows", DEFAULT_MAX_ROWS))
         query_id = str(request["id"]) if request.get("id") else None
         # Mint the correlation id at the server edge when the client did
         # not — every span/metric/log row of this request carries it.
         trace_id = str(request.get("trace_id") or "") or new_trace_id()
-        token = CancellationToken()
-        if query_id is not None:
-            with self._lock:
-                self._tokens[query_id] = token
-        try:
-            outcome = session.execute(
-                sql,
-                deadline=request.get("deadline"),
-                priority=request.get("priority"),
-                workers=request.get("workers"),
-                memory_budget_bytes=request.get("memory_budget_bytes"),
-                token=token,
-                query_id=query_id,
-                trace_id=trace_id,
-                profile=request.get("profile"),
-            )
-        finally:
+        # The service's log row for this query joins this one, which is
+        # appended after ``serialize`` is stamped on it.
+        with query_row(trace_id=trace_id, sql=sql) as row:
+            max_rows = _row_cap(request.get("max_rows", DEFAULT_MAX_ROWS))
+            token = CancellationToken()
             if query_id is not None:
                 with self._lock:
-                    self._tokens.pop(query_id, None)
-        table = outcome.table
-        names = list(table.schema.names)
-        count = min(table.num_rows, max_rows)
-        serialize_started = time.monotonic()
-        data = json.dumps([table[name][:count].tolist() for name in names])
-        serialize_seconds = time.monotonic() - serialize_started
+                    self._tokens[query_id] = token
+            try:
+                outcome = session.execute(
+                    sql,
+                    deadline=request.get("deadline"),
+                    priority=request.get("priority"),
+                    workers=request.get("workers"),
+                    memory_budget_bytes=request.get("memory_budget_bytes"),
+                    token=token,
+                    query_id=query_id,
+                    trace_id=trace_id,
+                    profile=request.get("profile"),
+                )
+            finally:
+                if query_id is not None:
+                    with self._lock:
+                        self._tokens.pop(query_id, None)
+            table = outcome.table
+            names = list(table.schema.names)
+            count = min(table.num_rows, max_rows)
+            serialize_started = time.monotonic()
+            columns = [table[name][:count] for name in names]
+            buffers = [np.ascontiguousarray(column).tobytes() for column in columns]
+            serialize_seconds = time.monotonic() - serialize_started
+            if row is not None:
+                row["stages"]["serialize"] = serialize_seconds
         stages = dict(outcome.stage_seconds)
         stages["serialize"] = serialize_seconds
         observe_stage(
@@ -322,6 +337,8 @@ class QueryServer:
             "id": outcome.query_id,
             "trace_id": outcome.trace_id,
             "columns": names,
+            "dtypes": [column.dtype.str for column in columns],
+            "nbytes": [len(buffer) for buffer in buffers],
             "row_count": table.num_rows,
             "truncated": count < table.num_rows,
             "wall_seconds": outcome.wall_seconds,
@@ -334,7 +351,7 @@ class QueryServer:
         }
         if outcome.profile is not None:
             response["profile"] = outcome.profile.to_dict()
-        return response, data
+        return response, buffers
 
     @staticmethod
     def _error_response(error: Exception) -> dict:
@@ -427,6 +444,52 @@ def _wire_error_class(name: str) -> type:
     return error_class
 
 
+def _rows(body: bytes, dtypes, nbytes: list[int]) -> list[list]:
+    """A result's column buffers as a list of row lists, each value the
+    Python scalar ``.item()`` would give.
+
+    :raises ServiceError: a dtype outside :data:`WIRE_KINDS`, a buffer
+        that is not whole items, or columns of unequal length.
+    """
+    if not isinstance(dtypes, list) or len(dtypes) != len(nbytes):
+        raise ServiceError(f"{dtypes!r} does not name {len(nbytes)} column dtypes")
+    columns = []
+    offset = 0
+    for name, size in zip(dtypes, nbytes):
+        try:
+            dtype = np.dtype(name) if isinstance(name, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in WIRE_KINDS:
+            raise ServiceError(f"column dtype {name!r} cannot cross the wire")
+        if size % dtype.itemsize:
+            raise ServiceError(f"{size} bytes are not whole {name!r} items")
+        columns.append(
+            np.frombuffer(body, dtype, size // dtype.itemsize, offset)
+        )
+        offset += size
+    if len({len(column) for column in columns}) > 1:
+        raise ServiceError(
+            f"columns of unequal length {[len(c) for c in columns]}"
+        )
+    if not columns:
+        return []
+    # Row lists hold only scalars, so they form no cycle for the
+    # collector to find. Built with it running, 19 000 of them set off
+    # dozens of young collections and now and then a full one over the
+    # whole heap, a stall of ~15 ms. So it pauses (process-wide) while
+    # they are built; a collector that was already off stays off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if len(set(dtypes)) == 1:
+            return np.stack(columns, axis=1).tolist()
+        return list(map(list, zip(*(column.tolist() for column in columns))))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class ServiceClient:
     """A small blocking client for :class:`QueryServer`'s protocol.
 
@@ -443,18 +506,33 @@ class ServiceClient:
 
     def request(self, payload: dict) -> dict:
         """Send one request object, return the response object — a query
-        result's column-wise ``data`` rebuilt as ``rows``, a list of row
-        lists."""
+        result's column buffers rebuilt as ``rows``, a list of row lists.
+
+        :raises ServiceError: the connection closed, or a result frame
+            is malformed (short, or a buffer no column can be).
+        """
         frame = _frame(payload)
         with self._lock:
             self._socket.sendall(frame)
             line = self._frames.readline()
-        if not line:
-            raise ServiceError("server closed the connection")
-        response = json.loads(line)
-        data = response.pop("data", None)
-        if data is not None:
-            response["rows"] = list(map(list, zip(*data)))
+            if not line:
+                raise ServiceError("server closed the connection")
+            response = json.loads(line)
+            nbytes = response.get("nbytes")
+            if nbytes is None:
+                return response
+            if not (
+                isinstance(nbytes, list)
+                and all(type(n) is int and n >= 0 for n in nbytes)
+            ):
+                raise ServiceError(f"malformed column byte lengths {nbytes!r}")
+            body = self._frames.read(sum(nbytes))
+        if len(body) < sum(nbytes):
+            raise ServiceError(
+                f"server closed the connection {len(body)} bytes into a "
+                f"{sum(nbytes)}-byte result"
+            )
+        response["rows"] = _rows(body, response.get("dtypes"), nbytes)
         return response
 
     def query(self, sql: str, **options) -> dict:

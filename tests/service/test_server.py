@@ -1,6 +1,8 @@
-"""The JSON-lines TCP server: round-trips, the wire format, typed
-errors, cancellation."""
+"""The TCP server: round-trips, the wire format (JSON lines, a query
+result's column buffers after its header), typed errors,
+cancellation."""
 
+import gc
 import json
 import logging
 import socket
@@ -42,20 +44,33 @@ def client(server):
         yield c
 
 
-def raw_exchange(port: int, *lines: bytes) -> list[dict]:
+def raw_frames(port: int, *lines: bytes) -> list[tuple[dict, bytes]]:
     """Write ``lines`` and a ``close`` in one go on a plain socket and
     read to EOF: the server's responses, asserted to be exactly one
-    newline-terminated frame per request."""
+    frame per request, each a header line and the ``sum(nbytes)`` bytes
+    it announces."""
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
         sock.sendall(b"".join(lines) + b'{"op": "close"}\n')
         stream = b""
         while chunk := sock.recv(1 << 16):
             stream += chunk
-    assert stream.endswith(b"\n")
-    frames = stream[:-1].split(b"\n")
+    frames = []
+    while stream:
+        line, newline, stream = stream.partition(b"\n")
+        assert newline
+        header = json.loads(line)
+        size = sum(header.get("nbytes", []))
+        assert len(stream) >= size
+        frames.append((header, stream[:size]))
+        stream = stream[size:]
     assert len(frames) == len(lines) + 1
-    assert json.loads(frames[-1]) == {"ok": True, "bye": True}
-    return [json.loads(frame) for frame in frames[:-1]]
+    assert frames[-1] == ({"ok": True, "bye": True}, b"")
+    return frames[:-1]
+
+
+def raw_exchange(port: int, *lines: bytes) -> list[dict]:
+    """:func:`raw_frames`' headers."""
+    return [header for header, _body in raw_frames(port, *lines)]
 
 
 class TestRoundTrip:
@@ -103,7 +118,7 @@ ALL_COLUMNS = "SELECT T.K, T.I, T.U, T.F, T.B FROM T"
 WIRE_CASES = {
     "every-dtype-full": (ALL_COLUMNS, 100_000),
     "aggregate": ("SELECT T.B, AVG(T.F), COUNT(*) FROM T GROUP BY T.B", None),
-    "zero-rows": ("SELECT T.K, T.F FROM T WHERE T.K < 0", None),
+    "zero-rows": ("SELECT T.K, T.F FROM T WHERE T.U < 0", None),
     "default-cap": (ALL_COLUMNS, None),
     "truncated": (ALL_COLUMNS, 7),
     "max-rows-zero": (ALL_COLUMNS, 0),
@@ -116,7 +131,7 @@ def typed_server():
     (the engine has no string type), extremes included."""
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(TYPED_ROWS) * 1e6
-    floats[:4] = [np.inf, -np.inf, -0.0, 5e-324]
+    floats[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     ints = rng.integers(-(2**62), 2**62, TYPED_ROWS)
     ints[:2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
     catalog = Catalog()
@@ -132,6 +147,15 @@ def typed_server():
     srv.shutdown()
 
 
+def _bits(rows: list) -> list:
+    """Rows with each float as its int64 view: ``==`` sees neither a NaN
+    nor the sign of a zero, the bits do."""
+    return [
+        [np.float64(v).view(np.int64).item() if type(v) is float else v for v in row]
+        for row in rows
+    ]
+
+
 class TestWire:
     def test_nodelay_on_both_ends(self, server, client):
         assert client.ping()
@@ -139,15 +163,41 @@ class TestWire:
         for sock in (client._socket, served):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-    def test_one_frame_per_request_data_column_wise(self, server):
-        query = json.dumps({"op": "query", "sql": PAPER_SQL, "max_rows": 3})
-        response, pong = raw_exchange(server.port, query.encode() + b"\n", PING)
-        assert pong == {"ok": True, "pong": True}
-        assert "rows" not in response
-        assert response["row_count"] == 100 and response["truncated"]
-        columns, data = response["columns"], response["data"]
-        assert len(columns) == len(data) == 2
-        assert [len(values) for values in data] == [3, 3]
+    def test_one_frame_per_request_header_then_column_buffers(
+        self, typed_server
+    ):
+        cases = [WIRE_CASES[c] for c in ("truncated", "zero-rows", "max-rows-zero")]
+        queries = [
+            json.dumps(
+                {"op": "query", "sql": sql}
+                | ({} if cap is None else {"max_rows": cap})
+            ).encode() + b"\n"
+            for sql, cap in cases
+        ]
+        *answers, (pong, after) = raw_frames(typed_server.port, *queries, PING)
+        assert pong == {"ok": True, "pong": True} and after == b""
+        truncated, zero_rows, max_rows_zero = answers
+        for header, body in answers:
+            assert "data" not in header and "rows" not in header
+            assert (
+                len(header["dtypes"]) == len(header["nbytes"])
+                == len(header["columns"])
+            )
+            assert len(body) == sum(header["nbytes"])
+        header, body = truncated
+        table = typed_server.service.execute(ALL_COLUMNS).table
+        assert header["row_count"] == TYPED_ROWS and header["truncated"]
+        offset = 0
+        for name, dtype, size in zip(
+            header["columns"], header["dtypes"], header["nbytes"]
+        ):
+            assert dtype == table[name].dtype.str
+            assert body[offset:offset + size] == table[name][:7].tobytes()
+            offset += size
+        for header, _body in (zero_rows, max_rows_zero):
+            assert header["nbytes"] == [0] * len(header["columns"])
+        assert zero_rows[0]["row_count"] == 0
+        assert max_rows_zero[0]["row_count"] == TYPED_ROWS
 
     @pytest.mark.parametrize("case", sorted(WIRE_CASES))
     def test_rows_equal_the_in_process_table(self, typed_server, case):
@@ -160,14 +210,79 @@ class TestWire:
             response = client.query(sql, max_rows=max_rows)
         rows = response["rows"]
         assert type(rows) is list and all(type(row) is list for row in rows)
-        assert rows == expected
         assert [[type(v) for v in row] for row in rows] == [
             [type(v) for v in row] for row in expected
         ]
+        assert _bits(rows) == _bits(expected)
         assert response["columns"] == names
         assert response["row_count"] == table.num_rows
         assert response["truncated"] == (cap < table.num_rows)
         assert "data" not in response
+
+
+def one_shot_server(response: bytes) -> int:
+    """A fake server's port: it accepts one connection, reads one
+    request line, answers ``response`` and hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer() -> None:
+        with listener:
+            conn, _addr = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                conn.sendall(response)
+
+    threading.Thread(target=answer, daemon=True).start()
+    return listener.getsockname()[1]
+
+
+def result_frame(dtypes: list[str], nbytes: list[int], body: bytes) -> bytes:
+    header = {"ok": True, "columns": [f"c{i}" for i in range(len(dtypes))],
+              "dtypes": dtypes, "nbytes": nbytes}
+    return json.dumps(header).encode() + b"\n" + body
+
+
+#: frames :class:`ServiceClient` refuses, and the refusal it gives.
+BAD_FRAMES = {
+    "short": (result_frame(["<i8"], [16], bytes(8)), "8 bytes into a 16-byte"),
+    "string-dtype": (result_frame(["<U1"], [4], bytes(4)), "cannot cross"),
+    "object-dtype": (result_frame(["|O"], [8], bytes(8)), "cannot cross"),
+    "part-items": (result_frame(["<i8"], [12], bytes(12)), "not whole"),
+    "unequal-rows": (
+        result_frame(["<i8", "<i4"], [16, 4], bytes(20)), "unequal length"
+    ),
+}
+
+
+class TestBadFrames:
+    @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+    def test_client_refuses_a_bad_result_frame(self, case):
+        frame, message = BAD_FRAMES[case]
+        with ServiceClient("127.0.0.1", one_shot_server(frame)) as client:
+            with pytest.raises(ServiceError, match=message):
+                client.query("SELECT 1")
+
+    def test_a_well_formed_frame_is_read_whole(self):
+        frame = result_frame(
+            ["<i8", ">f8"], [16, 16],
+            np.array([1, 2], "<i8").tobytes() + np.array([0.5, -0.0], ">f8").tobytes(),
+        )
+        with ServiceClient("127.0.0.1", one_shot_server(frame)) as client:
+            rows = client.query("SELECT 1")["rows"]
+        assert rows == [[1, 0.5], [2, -0.0]]
+        assert str(rows[1][1]) == "-0.0"
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_building_rows_leaves_the_collector_as_it_was(self, collecting):
+        frame = result_frame(["<i8", "<i8"], [8, 8], bytes(16))
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with ServiceClient("127.0.0.1", one_shot_server(frame)) as client:
+                assert client.query("SELECT 1")["rows"] == [[0, 0]]
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestTypedErrors:

@@ -159,6 +159,36 @@ class TestErrorCorrelation:
         assert [e["trace_id"] for e in rows] == [info.value.trace_id]
 
 
+class TestServedLogRow:
+    def test_the_row_carries_the_wire_serialize_stage(self, client, query_log):
+        response = client.query(PAPER_SQL)
+        (row,) = query_log.entries()
+        assert row["trace_id"] == response["trace_id"]
+        assert "serialize" in row["stages"]
+        assert row["stages"] == response["stages"]
+
+    def test_one_row_per_query_failed_ones_included(self, client, query_log):
+        queries = [
+            (PAPER_SQL, {}, "ok"),
+            ("SELEC nope", {}, "ParseError"),
+            (PAPER_SQL, {"workers": "many"}, "ServiceError"),
+            (PAPER_SQL, {"max_rows": -1}, "ServiceError"),
+            (PAPER_SQL, {"deadline": 1e-9}, "DeadlineExceeded"),
+        ]
+        for i, (sql, options, status) in enumerate(queries):
+            if status == "ok":
+                client.query(sql, trace_id=f"t{i}", **options)
+                continue
+            with pytest.raises(ReproError) as info:
+                client.query(sql, trace_id=f"t{i}", **options)
+            assert type(info.value).__name__ == status
+        rows = query_log.entries()
+        assert [(r["kind"], r["trace_id"], r["status"]) for r in rows] == [
+            ("service", f"t{i}", status) for i, (*_, status) in enumerate(queries)
+        ]
+        assert "serialize" in rows[0]["stages"]
+
+
 class TestMetricsAndHealthOps:
     def test_metrics_round_trip_renders_valid_exposition(self, join_catalog):
         with capture_observability():
@@ -245,6 +275,7 @@ class TestTraceCli:
         assert "JOIN" in out
         assert "stage queue" in out
         assert "stage execute" in out
+        assert "stage serialize" in out
 
     def test_unknown_trace_id_fails_cleanly(self, query_log, capsys):
         rc = querylog_main(
