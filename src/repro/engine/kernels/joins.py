@@ -225,46 +225,73 @@ class BuildSide:
         codes. The pairs are the row-by-row probe's, in its order."""
         return self.pairs(self.slots(distinct_keys(encoded)), encoded)
 
-    def match_counts(
+    def num_matches(
         self,
         slots: np.ndarray,
-        num_build_rows: int,
+        num_probe_rows: int,
         encoded: RunLengthEncoded | DictionaryEncoded | None = None,
-    ) -> np.ndarray:
-        """Matches per build row (int64, ``num_build_rows`` of them) of a
-        probe whose keys have ``slots`` (:meth:`slots`): the
-        ``np.bincount`` of :meth:`pairs`' build rows, without emitting a
-        pair. The slots are one per probe row or, with ``encoded``, one
-        per run or distinct value of that probe column
-        (:func:`distinct_keys`), each weighted by its run length or
-        dictionary count."""
-        weights = None
-        if isinstance(encoded, RunLengthEncoded):
-            weights = encoded.lengths
-        elif encoded is not None:
-            weights = encoded.counts
-        if slots.size and slots.min() < 0:
-            hit = slots >= 0
-            slots = slots[hit]
-            weights = None if weights is None else weights[hit]
-        per_slot = np.bincount(slots, weights, minlength=self.num_slots).astype(
-            np.int64
+    ) -> int:
+        """How many pairs :meth:`pairs` of the same ``slots`` emits, without
+        emitting them: ``num_probe_rows`` where each probe row finds its
+        one build row (distinct build keys, no miss, no unoccupied direct
+        slot), else the sum over hit slots of their build rows, weighted
+        as in :meth:`pairs`."""
+        rows_per_slot = (
+            self.counts
+            if self.offsets is not None
+            else self.rows >= 0 if self.kind == "direct" else None
         )
-        if self.offsets is not None:
-            # Every build row of a slot has that slot's matches.
-            per_row = np.repeat(per_slot, self.counts)
-            if self.rows is None:
-                return per_row
-            counts = np.empty(num_build_rows, dtype=np.int64)
-            counts[self.rows] = per_row
-            return counts
-        if self.rows is None:
-            return per_slot
-        counts = np.zeros(num_build_rows, dtype=np.int64)
-        # An unoccupied direct slot (row -1) has no build row to count.
-        occupied = self.rows >= 0
-        counts[self.rows[occupied]] = per_slot[occupied]
-        return counts
+        one_row_each = rows_per_slot is None or (
+            self.offsets is None and rows_per_slot.all()
+        )
+        if one_row_each and int(slots.min(initial=0)) >= 0:
+            return num_probe_rows
+        per_key = slots >= 0
+        if rows_per_slot is not None:
+            # A -1 slot reads the last entry, which the slot test masks.
+            per_key = np.where(per_key, rows_per_slot[slots], 0)
+        weights = probe_weights(encoded)
+        return int(per_key.sum() if weights is None else (per_key * weights).sum())
+
+    def group_counts(
+        self,
+        slots: np.ndarray,
+        encoded: RunLengthEncoded | DictionaryEncoded | None,
+        row_groups: np.ndarray,
+        num_groups: int,
+    ) -> tuple[np.ndarray, int]:
+        """Matches per group (int64) of the probe whose keys have ``slots``,
+        build row ``i`` being in group ``row_groups[i]`` of ``num_groups``
+        (``np.bincount`` of the groups of :meth:`pairs`' build rows), and
+        their total, without a pair or a count per build row. ``encoded``
+        weighs each slot as in :meth:`pairs`. With distinct build keys and
+        no more slots than build slots, each slot's one build row is
+        counted, weighted, into its group; else the slots are counted
+        first, and each slot's count spread over its build rows."""
+        weights = probe_weights(encoded)
+        if self.offsets is None and slots.size <= self.num_slots:
+            rows = slots if self.rows is None else self.rows[slots]
+            # A miss is a -1 slot, which reads the last entry of ``rows``;
+            # an unoccupied direct slot holds row -1.
+            if slots.size and min(int(slots.min()), int(rows.min())) < 0:
+                hit = (slots >= 0) & (rows >= 0)
+                rows = rows[hit]
+                weights = None if weights is None else weights[hit]
+        else:
+            if int(slots.min(initial=0)) < 0:
+                hit = slots >= 0
+                slots = slots[hit]
+                weights = None if weights is None else weights[hit]
+            weights = np.bincount(slots, weights, minlength=self.num_slots)
+            rows = self.rows
+            if self.offsets is not None:
+                weights = np.repeat(weights, self.counts)
+            elif self.kind == "direct":
+                occupied = rows >= 0
+                rows, weights = rows[occupied], weights[occupied]
+        groups = row_groups if rows is None else row_groups[rows]
+        counts = np.bincount(groups, weights, minlength=num_groups)
+        return counts.astype(np.int64, copy=False), int(counts.sum())
 
     def pairs(
         self,
@@ -303,6 +330,16 @@ class BuildSide:
         return build_rows.astype(np.int64, copy=False), probe_rows.astype(
             np.int64, copy=False
         )
+
+
+def probe_weights(
+    encoded: RunLengthEncoded | DictionaryEncoded | None,
+) -> np.ndarray | None:
+    """The probe rows behind each of :func:`distinct_keys`: the run
+    lengths or dictionary counts; None (one each) without an encoding."""
+    if isinstance(encoded, RunLengthEncoded):
+        return encoded.lengths
+    return None if encoded is None else encoded.counts
 
 
 def distinct_keys(encoded: RunLengthEncoded | DictionaryEncoded) -> np.ndarray:

@@ -117,11 +117,11 @@ class GroupBy(MaterialisedOperator):
         # join's row count may still decide against the build side.
         if isinstance(child, Join) and self._key in child.children[0].output_schema:
             # Only an aggregate other than COUNT reads values through the
-            # pairs; COUNTs alone need the matches per build row.
+            # pairs; COUNTs alone are counted off the probe's slots.
             counted = all(
                 spec.function is AggregateFunction.COUNT for spec in self._aggregates
             )
-            matches = child.matches(pairs=not counted, row_counts=True)
+            matches = child.matches(pairs=not counted)
             check_active_context()
             result = self._group_matches(matches)
             if result is not None:
@@ -173,20 +173,22 @@ class GroupBy(MaterialisedOperator):
     def _group_matches(self, matches: JoinMatches) -> Table | None:
         """Group a join's output without gathering its key column.
 
-        Slots are per build row: HG's memoised ones, or the build key
+        Groups are per build row: HG's memoised slots, or the build key
         column's memoised ``encoding`` (its dictionary or runs are the
-        groups). A group's COUNT is the sum of its build rows' match
-        counts (:attr:`JoinMatches.row_counts`); groups with none (build
-        keys nobody matched) are dropped. When every aggregate is a
-        COUNT, the join was asked for no pairs. For the other aggregates
-        each output row reads its slot through the build-side match
-        indices, and its input through the indices of the input column's
-        side. Returns None, and the caller groups the
-        gathered output, when the build input has more rows than the
-        join emitted, when SPHG finds the build keys too sparse (the
-        matched keys alone may still be dense), or when OG finds them out
-        of order. All but HG return their groups ascending: for OG the
-        order OG over a key-sorted output gives, the only one plans use.
+        groups). COUNTs are counted off the probe's slots
+        (:meth:`BuildSide.group_counts`; SOJ and an empty input count
+        their pairs); groups with none (build keys nobody matched) are
+        dropped. When every aggregate is a COUNT, the join was asked for
+        no pairs. For the other aggregates each output row reads its
+        group through the build-side match indices, and its input
+        through the indices of the input column's side. Returns None,
+        and the caller groups the gathered output, when the build input
+        has more rows than the join matched (decided before the key
+        column's memo is read), when SPHG finds the build keys too
+        sparse (the matched keys alone may still be dense), or when OG
+        finds them out of order. All but HG return their groups
+        ascending: for OG the order OG over a key-sorted output gives,
+        the only one plans use.
         """
         if matches.left.num_rows > matches.num_rows:
             return None
@@ -203,35 +205,40 @@ class GroupBy(MaterialisedOperator):
         if structure is None:
             return None
         if hg:
-            build_slots, group_keys = structure.slots, structure.group_keys
+            row_groups, group_keys = structure.slots, structure.group_keys
         elif isinstance(structure, RunLengthEncoded):
             group_keys = structure.values
-            build_slots = np.repeat(np.arange(group_keys.size), structure.lengths)
+            row_groups = np.repeat(np.arange(group_keys.size), structure.lengths)
         else:
-            build_slots, group_keys = structure.codes, structure.dictionary
+            row_groups, group_keys = structure.codes, structure.dictionary
             # Order-preserving codes are sorted exactly when the column is.
-            if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(build_slots):
+            if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(row_groups):
                 return None
         if algorithm is GroupingAlgorithm.SPHG and group_keys.size:
             span = int(group_keys[-1]) - int(group_keys[0]) + 1
             if group_keys.size < MIN_DENSITY * span:
                 return None
-        row_matches = matches.row_counts
-        counts = np.bincount(
-            build_slots, weights=row_matches, minlength=group_keys.size
-        ).astype(np.int64)
-        matched = counts > 0
-        if not matched.all():
-            # A dropped group's build rows are in no match, so the slot
-            # they are renumbered to here is never read.
-            build_slots = (np.cumsum(matched) - 1)[build_slots]
-            group_keys, counts = group_keys[matched], counts[matched]
+        if matches.build is None:
+            counts = np.bincount(
+                row_groups[matches.pairs.left_indices], minlength=group_keys.size
+            )
+        else:
+            counts, __ = matches.build.group_counts(
+                matches.slots, matches.encoded, row_groups, group_keys.size
+            )
         values = {
             spec.column: matches.column(spec.column)
             for spec in self._aggregates
             if spec.function is not AggregateFunction.COUNT
         }
-        slots = build_slots[matches.pairs.left_indices] if values else None
+        matched = counts > 0
+        if not matched.all():
+            if values:
+                # A dropped group's build rows are in no match, so the
+                # group they are renumbered to here is never read.
+                row_groups = (np.cumsum(matched) - 1)[row_groups]
+            group_keys, counts = group_keys[matched], counts[matched]
+        slots = row_groups[matches.pairs.left_indices] if values else None
         columns = {
             spec.alias: counts
             if spec.function is AggregateFunction.COUNT
@@ -241,7 +248,6 @@ class GroupBy(MaterialisedOperator):
         result = self._output(group_keys, columns)
         scratch = (
             structure.memory_bytes()
-            + row_matches.nbytes
             + (0 if slots is None else slots.nbytes)
             + sum(array.nbytes for array in values.values())
         )

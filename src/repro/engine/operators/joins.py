@@ -89,9 +89,8 @@ def probe_slots(
 @dataclass(frozen=True)
 class JoinMatches:
     """A join before its gather: both inputs, the probe's lookups into
-    the build side, and the matches in the form the parent asked for:
-    the index :attr:`pairs`, the matches per build row
-    (:attr:`row_counts`), or both."""
+    the build side, the number of matches and, if the parent asked for
+    them, the index :attr:`pairs`."""
 
     left: Table
     right: Table
@@ -103,18 +102,10 @@ class JoinMatches:
     #: value of ``encoded``; None without a build side.
     slots: np.ndarray | None
     #: the matching ``(build row, probe row)`` index pairs; None when
-    #: only the row counts were asked for.
+    #: the parent counts the matches off the slots instead.
     pairs: JoinResult | None
-    #: matches per left row, the ``np.bincount`` of the pairs' build
-    #: rows; None unless asked for.
-    row_counts: np.ndarray | None
-
-    @property
-    def num_rows(self) -> int:
-        """Rows of the join's output."""
-        if self.pairs is not None:
-            return self.pairs.num_rows
-        return int(self.row_counts.sum())
+    #: rows of the join's output: the matches, emitted or not.
+    num_rows: int
 
     def column(self, name: str) -> np.ndarray:
         """Input column ``name`` read through the match indices of its
@@ -124,16 +115,15 @@ class JoinMatches:
         return self.right[name][self.pairs.right_indices]
 
     def memory_bytes(self) -> int:
-        """Bytes of both inputs, the build structure, the slots, the
-        pairs and the row counts."""
+        """Bytes of both inputs, the build structure, the slots and the
+        pairs."""
         nbytes = self.left.memory_bytes() + self.right.memory_bytes()
         if self.pairs is not None:
             nbytes += self.pairs.memory_bytes()
         elif self.build is not None:
             nbytes += self.build.structure_bytes
-        for array in (self.slots, self.row_counts):
-            if array is not None:
-                nbytes += array.nbytes
+        if self.slots is not None:
+            nbytes += self.slots.nbytes
         return nbytes
 
 
@@ -209,13 +199,13 @@ class Join(MaterialisedOperator):
             return JoinOutputOrder.KEY_SORTED
         return JoinOutputOrder.PROBE_ORDER
 
-    def matches(self, pairs: bool = True, row_counts: bool = False) -> JoinMatches:
+    def matches(self, pairs: bool = True) -> JoinMatches:
         """Everything the join computes before it gathers: both
-        materialised inputs, the build side, the probe's encoding, and
-        the matches as the index ``pairs``, as the ``row_counts`` per
-        build row, or both. A parent that reads the inputs through the
-        pairs itself, or counts the matches per build row (a group-by on
-        a build-side key), takes these instead of :meth:`to_table`."""
+        materialised inputs, the build side, the probe's encoding and
+        lookups, the number of matches and, if asked for, the index
+        ``pairs``. A parent that reads the inputs through the pairs
+        itself, or counts the matches off the slots (a group-by on a
+        build-side key), takes these instead of :meth:`to_table`."""
         left_table = self.children[0].to_table()
         right_table = self.children[1].to_table()
         check_active_context()
@@ -231,17 +221,16 @@ class Join(MaterialisedOperator):
             else None
         )
         encoded = None if build is None else self._probe_encoding(right_table)
-        slots = found = counts = None
+        slots = found = None
         if build is None:
             # SOJ and an empty input: the kernel's join, counted off its
             # pairs.
             found = join(build_keys, probe_keys, self._algorithm)
-            if row_counts:
-                counts = np.bincount(found.left_indices, minlength=left_table.num_rows)
+            total = found.num_rows
         else:
             # Each probe row, or each run or distinct value of the probe
-            # column's encoding, is looked up once; the pairs and the row
-            # counts are both read off those slots.
+            # column's encoding, is looked up once; the pairs, or the
+            # parent's counts, are read off those slots.
             slots = probe_slots(
                 build,
                 right_table.column(self._right_key),
@@ -250,10 +239,11 @@ class Join(MaterialisedOperator):
             )
             if pairs:
                 found = self._pairs(build, slots, encoded)
-            if row_counts:
-                counts = build.match_counts(slots, left_table.num_rows, encoded)
+                total = found.num_rows
+            else:
+                total = build.num_matches(slots, right_table.num_rows, encoded)
         matches = JoinMatches(
-            left_table, right_table, build, encoded, slots, found, counts
+            left_table, right_table, build, encoded, slots, found, total
         )
         # Working set: both materialised inputs, the build-side structure
         # and the matches.

@@ -224,7 +224,11 @@ class QueryServer:
         except Exception as error:
             if not isinstance(error, ReproError):
                 _log.exception("%r request failed", request.get("op"))
-            return _frame(self._error_response(error))
+            # A query refused before it runs (a bad ``max_rows``, a setting
+            # the session rejects) answers with the request's id too.
+            return _frame(
+                self._error_response(error, str(request.get("trace_id") or ""))
+            )
 
     def _handle_op(self, session: Session, request: dict) -> dict:
         op = request.get("op")
@@ -293,7 +297,9 @@ class QueryServer:
         query_id = str(request["id"]) if request.get("id") else None
         # Mint the correlation id at the server edge when the client did
         # not — every span/metric/log row of this request carries it.
-        trace_id = str(request.get("trace_id") or "") or new_trace_id()
+        trace_id = request["trace_id"] = (
+            str(request.get("trace_id") or "") or new_trace_id()
+        )
         # The service's log row for this query joins this one, which is
         # appended after ``serialize`` is stamped on it.
         with query_row(trace_id=trace_id, sql=sql) as row:
@@ -354,7 +360,7 @@ class QueryServer:
         return response, buffers
 
     @staticmethod
-    def _error_response(error: Exception) -> dict:
+    def _error_response(error: Exception, trace_id: str = "") -> dict:
         response = {
             "ok": False,
             "error": type(error).__name__,
@@ -362,7 +368,7 @@ class QueryServer:
         }
         if isinstance(error, AdmissionRejected):
             response["retry_after"] = error.retry_after
-        trace_id = getattr(error, "trace_id", "")
+        trace_id = getattr(error, "trace_id", "") or trace_id
         if trace_id:
             response["trace_id"] = trace_id
         return response

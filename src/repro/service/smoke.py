@@ -8,7 +8,8 @@ raises one of the :mod:`repro.errors` classes, nothing hangs, and the
 server shuts down gracefully within its bound.
 
 The telemetry surface is smoked too: one traced query's id must come
-back on the response, a ``metrics`` scrape must render as Prometheus
+back on the response, a query refused before it runs must raise with
+its request's id, a ``metrics`` scrape must render as Prometheus
 text that the validating parser accepts, and ``health`` must report an
 ``accepting`` service with a consistent outcome count. Run with
 ``REPRO_QUERY_LOG`` set to also capture a traced query log (CI uploads
@@ -31,6 +32,7 @@ from repro.errors import (
     ObservabilityError,
     QueryCancelled,
     ReproError,
+    ServiceError,
 )
 from repro.obs import enable_observability
 from repro.obs.exposition import parse_prometheus, render_prometheus
@@ -119,6 +121,13 @@ def main(argv: list[str] | None = None) -> int:
             warmed = warm.query(SQL)
             print(f"warm-up: {warmed['row_count']} groups")
             failures.extend(_check_full_response(service, warm))
+            # A query refused before it runs raises with its request's id.
+            try:
+                warm.query(SQL, max_rows=-1, trace_id="smoke-refused-0001")
+                failures.append("a query with max_rows -1 was answered")
+            except ServiceError as error:
+                if error.trace_id != "smoke-refused-0001":
+                    failures.append(f"refused query's trace_id {error.trace_id!r}")
 
         # One spec per client: mostly plain queries at mixed priorities,
         # plus one past-deadline query and one that gets cancelled.

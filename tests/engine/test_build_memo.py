@@ -168,18 +168,20 @@ def test_join_hit_equals_fresh_build(algorithm, route, repeated):
 def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
     """Three runs: the last reads the probe column's memoised lookup
     (each run or distinct value's build-side slot) and returns the
-    memo-free kernel's pairs, in its order, and its matches per build
-    row."""
+    memo-free kernel's pairs, in its order, and its matches per group
+    of R.A, counted off the same slots, with the kernel's match total."""
     r_data, s_data = arrays(repeated)
     if layout == "unsorted":
         order = np.random.default_rng(43).permutation(s_data["R_ID"].size)
         s_data = {name: values[order] for name, values in s_data.items()}
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     fresh = join(r_data["ID"], s_data["R_ID"], algorithm)
-    fresh_counts = np.bincount(fresh.left_indices, minlength=r.num_rows)
+    groups = dictionary_encode(r_data["A"])
+    num_groups = groups.dictionary.size
+    fresh_counts = np.bincount(groups.codes[fresh.left_indices], minlength=num_groups)
 
     def run():
-        return join_operator(r, s, algorithm).matches(pairs=True, row_counts=True)
+        return join_operator(r, s, algorithm).matches()
 
     for _ in range(2):
         on_route(route, run)
@@ -197,8 +199,14 @@ def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
         assert slots.nbytes <= 8 * distinct_keys(matches.encoded).size
     assert np.array_equal(matches.pairs.left_indices, fresh.left_indices)
     assert np.array_equal(matches.pairs.right_indices, fresh.right_indices)
-    assert np.array_equal(matches.row_counts, fresh_counts)
-    assert matches.row_counts.dtype == np.int64
+    counts, total = matches.build.group_counts(
+        matches.slots, matches.encoded, groups.codes, num_groups
+    )
+    assert np.array_equal(counts, fresh_counts) and counts.dtype == np.int64
+    assert total == matches.num_rows == fresh.num_rows
+    counted = on_route(route, lambda: join_operator(r, s, algorithm).matches(pairs=False))
+    assert counted.pairs is None and np.array_equal(counted.slots, matches.slots)
+    assert counted.num_rows == fresh.num_rows
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -49,6 +49,7 @@ from repro.engine.executor import explain_analyze
 from repro.engine.kernels.joins import BuildSide, build_side, join
 from repro.engine.operators.base import chunk_count
 from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_process_pool
+from repro.obs.runtime import capture_observability
 from repro.settings import scoped_settings
 from repro.sql import plan_query
 from repro.storage import Table, dictionary_encode, rle_encode
@@ -420,36 +421,50 @@ class TestJoinActuals:
         assert stats.cumulative_seconds <= analyzed.root.cumulative_seconds
 
     @pytest.mark.parametrize("shape", ["morsels", "repeated_build_keys"])
-    def test_count_route_reports_the_pairs_it_never_emits(self, monkeypatch, shape):
-        """A COUNT grouped on the build key counts the matches per build
-        row; the join still reports as many rows as it has pairs, and a
+    @pytest.mark.parametrize(
+        "algorithm",
+        [JoinAlgorithm.HJ, JoinAlgorithm.SPHJ, JoinAlgorithm.BSJ, JoinAlgorithm.OJ],
+        ids=lambda a: a.name,
+    )
+    def test_count_route_reports_the_pairs_it_never_emits(
+        self, monkeypatch, algorithm, shape
+    ):
+        """A COUNT grouped on the build key counts the matches off the
+        probe's slots, on every build side kind (hash, direct, sorted);
+        the join still reports as many rows as it has pairs, and a
         working set."""
         r, s = relations(shape)
-        operator = plan(
-            r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=[count_star("n")]
-        )
+        operator = plan(r, s, algorithm, GroupingAlgorithm.HG, aggregates=[count_star("n")])
         probed = []
         monkeypatch.setattr(Join, "_pairs", lambda *args: probed.append(args))
         analyzed = explain_analyze(operator)
         stats = next(node for node in analyzed.root.walk() if node.name == "Join")
-        pairs = join(r["R.ID"], s["S.R_ID"], JoinAlgorithm.HJ).num_rows
+        pairs = join(r["R.ID"], s["S.R_ID"], algorithm).num_rows
         assert probed == [] and stats.rows_out == pairs
         assert stats.chunks_out == chunk_count(pairs)
         assert stats.peak_memory_bytes > 0
         assert analyzed.table["n"].sum() == pairs
 
     @pytest.mark.parametrize(
-        "shape, aggregates",
-        [("morsels", AGGREGATES), ("build_larger_than_matches", [count_star("n")])],
+        "shape, aggregates, counted",
+        [
+            ("morsels", AGGREGATES, {"num_matches": 0, "group_counts": 1}),
+            (
+                "build_larger_than_matches",
+                [count_star("n")],
+                {"num_matches": 1, "group_counts": 0},
+            ),
+        ],
         ids=["value_aggregates", "declined_count"],
     )
-    def test_the_pairs_are_the_joins_work(self, monkeypatch, shape, aggregates):
+    def test_the_pairs_are_the_joins_work(self, monkeypatch, shape, aggregates, counted):
         """Where the pairs are built, for value aggregates in the join's
         matches and for a declined COUNT in its gather, their time and
         bytes are the join's, and profiling adds no lookup, pairing or
-        count."""
+        count. Value aggregates count their groups off the slots; a
+        declined COUNT counts only the join's matches, and no group."""
         r, s = relations(shape)
-        calls = {"slots": 0, "pairs": 0, "match_counts": 0}
+        calls = {"slots": 0, "pairs": 0, "num_matches": 0, "group_counts": 0}
         for name in calls:
             method = getattr(BuildSide, name)
 
@@ -464,13 +479,42 @@ class TestJoinActuals:
         analyzed = explain_analyze(
             plan(r, s, JoinAlgorithm.HJ, GroupingAlgorithm.HG, aggregates=aggregates)
         )
-        assert calls == unprofiled == {"slots": 1, "pairs": 1, "match_counts": 1}
+        assert calls == unprofiled == {"slots": 1, "pairs": 1, **counted}
         stats = next(node for node in analyzed.root.walk() if node.name == "Join")
         pairs = join(r["R.ID"], s["S.R_ID"], JoinAlgorithm.HJ)
         assert stats.cumulative_seconds >= 0.05
         assert stats.peak_memory_bytes >= (
             pairs.left_indices.nbytes + pairs.right_indices.nbytes
         )
+
+    @pytest.mark.parametrize(
+        "grouping", ORDER_FREE + (GroupingAlgorithm.OG,), ids=lambda a: a.name
+    )
+    def test_declined_count_reads_no_group_key_memo(self, grouping):
+        """A COUNT whose build input has more rows than the join matched
+        declines before it reads the key column's memo: the column holds
+        no ``slots`` or ``encoding`` entry, and no memo read is counted
+        but the join's (build side and probe encoding)."""
+        r, s = relations("build_larger_than_matches")
+        build, probe = Table.from_arrays(r), Table.from_arrays(s)
+        operator = GroupBy(
+            Join(TableScan(build), TableScan(probe), "R.ID", "S.R_ID"),
+            "R.A",
+            [count_star("n")],
+            grouping,
+        )
+        with capture_observability() as (metrics, __):
+            result = execute(operator)
+        assert build.column("R.A").memo == {}
+        snapshot = metrics.snapshot()
+        reads = snapshot.get("engine.build_memo.hits", 0) + snapshot.get(
+            "engine.build_memo.misses", 0
+        )
+        assert reads == 2
+        reference = unfused(
+            r, s, JoinAlgorithm.HJ, grouping, aggregates=[count_star("n")]
+        )
+        assert_same(result, reference, grouping)
 
 
 class TestEmptyInputs:

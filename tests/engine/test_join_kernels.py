@@ -136,7 +136,7 @@ def test_all_join_kernels_agree(build_values, probe_values):
 
 
 # --------------------------------------------------------------------------
-# BuildSide.match_counts: the pairs' per-build-row count, without the pairs,
+# BuildSide.group_counts: the pairs' per-group count, without the pairs,
 # and BuildSide.pairs: the pairs, off the same slots
 
 #: (algorithm, BuildSide kind): HJ hashes, SPHJ indexes directly, BSJ and
@@ -147,6 +147,9 @@ COUNTING_JOINS = {
     JoinAlgorithm.BSJ: "sorted",
     JoinAlgorithm.OJ: "sorted",
 }
+#: groups of the build rows: key // 10, so group 0 (and the last) has no
+#: build row, and every build key of a group shares it.
+NUM_GROUPS = 14
 
 
 def counting_build_keys(algorithm, repeated: bool) -> np.ndarray:
@@ -162,7 +165,9 @@ def counting_build_keys(algorithm, repeated: bool) -> np.ndarray:
 
 def counting_probes() -> dict:
     """Probe key columns: hits only, misses inside the build keys' domain
-    (absent keys) and outside it (below and above), and none at all."""
+    (absent keys) and outside it (below and above), none at all, and a
+    few distinct keys among which every kind of miss (fewer distinct
+    probe keys than build slots)."""
     rng = np.random.default_rng(37)
     return {
         "hits": rng.choice([key for key in range(10, 130) if key % 7], 900),
@@ -171,19 +176,24 @@ def counting_probes() -> dict:
             [rng.integers(-40, 10, 50), rng.integers(10, 130, 800), [10**12, -(10**12)]]
         ),
         "empty": np.empty(0, dtype=np.int64),
+        "few_keys": rng.choice([-5, 3, 14, 21, 22, 35, 64, 98, 129, 130, 10**9], 600),
     }
 
 
 @pytest.mark.parametrize("probe_form", ["raw", "rle", "dictionary"])
-@pytest.mark.parametrize("probe_kind", ["hits", "misses", "out_of_domain", "empty"])
+@pytest.mark.parametrize(
+    "probe_kind", ["hits", "misses", "out_of_domain", "empty", "few_keys"]
+)
 @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
 @pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
-def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
-    """``match_counts`` of a probe column's slots, one per row, or one
+def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
+    """``group_counts`` of a probe column's slots, one per row, or one
     per run or dictionary entry weighted by its length or count, equals
-    ``np.bincount`` of the build rows the same probe pairs with; and
+    ``np.bincount`` of the groups of the build rows the same probe pairs
+    with, and its total (and ``num_matches``) is the number of pairs;
     ``pairs`` of the same slots are the probe's pairs."""
     build_keys = counting_build_keys(algorithm, repeated)
+    row_groups = build_keys // 10
     probe = counting_probes()[probe_kind].astype(np.int64)
     if algorithm is JoinAlgorithm.OJ:
         probe = np.sort(probe)
@@ -201,8 +211,14 @@ def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kin
     for got, want in zip(build.pairs(slots, encoded), expected):
         assert np.array_equal(got, want)
     left = expected[0]
-    counts = build.match_counts(slots, build_keys.size, encoded)
+    counts, total = build.group_counts(slots, encoded, row_groups, NUM_GROUPS)
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.bincount(left, minlength=build_keys.size))
-    # Independently: a build row matches every probe row with its key.
-    assert counts.tolist() == [int(np.sum(probe == key)) for key in build_keys]
+    assert np.array_equal(counts, np.bincount(row_groups[left], minlength=NUM_GROUPS))
+    assert total == build.num_matches(slots, probe.size, encoded) == left.size
+    # Independently: a group matches every probe row with a key of its
+    # build rows, once per build row.
+    assert counts.tolist() == [
+        sum(int(np.sum(probe == key)) for key in build_keys[row_groups == group])
+        for group in range(NUM_GROUPS)
+    ]
+    assert counts[0] == counts[-1] == 0

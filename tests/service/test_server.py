@@ -19,6 +19,8 @@ from repro.errors import (
     QueryCancelled,
     ServiceError,
 )
+from repro.obs import set_query_log
+from repro.obs.querylog import QueryLog
 from repro.service.admission import AdmissionConfig
 from repro.service.server import QueryServer, ServiceClient
 from repro.service.session import QueryService, ServiceConfig
@@ -393,6 +395,29 @@ class TestBadSettingsAtTheEdge:
         assert stats["settings"] == {}
         assert stats["session"]["queries"] == 0  # refused before it ran
         assert threading.active_count() <= threads
+
+
+class TestRefusedBeforeItRuns:
+    @pytest.mark.parametrize(
+        "options",
+        [{"max_rows": -1}, {"workers": "many"}],
+        ids=["max_rows", "workers"],
+    )
+    def test_error_and_log_row_carry_the_trace_id(self, server, options, tmp_path):
+        """A query refused before it runs raises with the request's
+        ``trace_id``, and its one query-log row carries the same id."""
+        log_path = tmp_path / "log.jsonl"
+        set_query_log(log_path)
+        try:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceError) as raised:
+                    client.query(PAPER_SQL, trace_id="abc123", **options)
+        finally:
+            set_query_log(None)
+        assert raised.value.trace_id == "abc123"
+        (row,) = QueryLog(log_path).entries()
+        assert row["kind"] == "service" and row["trace_id"] == "abc123"
+        assert row["status"] == "ServiceError"
 
 
 class TestUntypedFailures:
