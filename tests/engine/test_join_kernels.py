@@ -180,20 +180,11 @@ def counting_probes() -> dict:
     }
 
 
-@pytest.mark.parametrize("probe_form", ["raw", "rle", "dictionary"])
-@pytest.mark.parametrize(
-    "probe_kind", ["hits", "misses", "out_of_domain", "empty", "few_keys"]
-)
-@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
-@pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
-def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
-    """``group_counts`` of a probe column's slots, one per row, or one
-    per run or dictionary entry weighted by its length or count, equals
-    ``np.bincount`` of the groups of the build rows the same probe pairs
-    with, and its total (and ``num_matches``) is the number of pairs;
-    ``pairs`` of the same slots are the probe's pairs."""
+def counting_case(algorithm, repeated, probe_kind, probe_form):
+    """The build keys, probe keys, build side, probe encoding (None for a
+    raw probe), the probe's slots and the kernel's pairs of one case;
+    checks that ``pairs`` of the slots are the probe's pairs."""
     build_keys = counting_build_keys(algorithm, repeated)
-    row_groups = build_keys // 10
     probe = counting_probes()[probe_kind].astype(np.int64)
     if algorithm is JoinAlgorithm.OJ:
         probe = np.sort(probe)
@@ -210,6 +201,25 @@ def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kin
     slots = build.slots(keys)
     for got, want in zip(build.pairs(slots, encoded), expected):
         assert np.array_equal(got, want)
+    return build_keys, probe, build, encoded, slots, expected
+
+
+@pytest.mark.parametrize("probe_form", ["raw", "rle", "dictionary"])
+@pytest.mark.parametrize(
+    "probe_kind", ["hits", "misses", "out_of_domain", "empty", "few_keys"]
+)
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
+def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
+    """``group_counts`` of a probe column's slots, one per row, or one
+    per run or dictionary entry weighted by its length or count, equals
+    ``np.bincount`` of the groups of the build rows the same probe pairs
+    with, and its total (and ``num_matches``) is the number of pairs;
+    ``pairs`` of the same slots are the probe's pairs."""
+    build_keys, probe, build, encoded, slots, expected = counting_case(
+        algorithm, repeated, probe_kind, probe_form
+    )
+    row_groups = build_keys // 10
     left = expected[0]
     counts, total = build.group_counts(slots, encoded, row_groups, NUM_GROUPS)
     assert counts.dtype == np.int64
@@ -222,3 +232,26 @@ def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kin
         for group in range(NUM_GROUPS)
     ]
     assert counts[0] == counts[-1] == 0
+
+
+@pytest.mark.parametrize("probe_form", ["raw", "rle", "dictionary"])
+@pytest.mark.parametrize("probe_kind", ["hits", "misses", "out_of_domain", "empty"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
+def test_match_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
+    """The pairs' per-build-row match counts, without the pairs:
+    ``group_counts`` with every build row its own group equals
+    ``np.bincount`` of the build rows the same probe pairs with, so
+    repeated build keys each count their own matches."""
+    build_keys, probe, build, encoded, slots, expected = counting_case(
+        algorithm, repeated, probe_kind, probe_form
+    )
+    left = expected[0]
+    counts, total = build.group_counts(
+        slots, encoded, np.arange(build_keys.size), build_keys.size
+    )
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(left, minlength=build_keys.size))
+    assert total == left.size
+    # Independently: a build row matches every probe row with its key.
+    assert counts.tolist() == [int(np.sum(probe == key)) for key in build_keys]
