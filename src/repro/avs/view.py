@@ -15,7 +15,7 @@ level the precomputed granule lives at.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
@@ -24,6 +24,7 @@ from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
 from repro.engine.operators.joins import memoised_build_side
 from repro.errors import PreconditionError, ViewError
+from repro.indexes.perfect_hash import StaticPerfectHash
 from repro.storage.catalog import Catalog
 from repro.storage.dictionary import DictionaryEncoded, dictionary_encode_column
 from repro.storage.table import Table
@@ -48,8 +49,10 @@ class ViewKind(enum.Enum):
     #: §2.1's "the keys of a dictionary-compressed column are a natural
     #: candidate for [SPH] and can directly be used".
     DICTIONARY = "dictionary"
-    #: an unclustered B+-tree from column values to row positions — §1's
-    #: access-path alternative ("unclustered B-tree vs scan").
+    #: an unclustered index from column values to row positions — §1's
+    #: access-path alternative ("unclustered B-tree vs scan"). It is the
+    #: column's sorted permutation: BSJ's build side, the same entry a
+    #: ``SORTED_KEYS`` view or a BSJ join over the column reads.
     BTREE = "btree"
 
 
@@ -70,6 +73,14 @@ VIEW_JOIN: dict[ViewKind, JoinAlgorithm] = {
     ViewKind.HASH_TABLE: JoinAlgorithm.HJ,
     ViewKind.SPH_ARRAY: JoinAlgorithm.SPHJ,
     ViewKind.SORTED_KEYS: JoinAlgorithm.BSJ,
+}
+
+#: The join whose memoised build side each kind's artifact is: the
+#: join-level kinds, and ``BTREE``, whose range scan reads BSJ's. A
+#: ``BTREE`` view is not in :data:`VIEW_JOIN`: it credits no join build.
+VIEW_BUILD_SIDE: dict[ViewKind, JoinAlgorithm] = {
+    **VIEW_JOIN,
+    ViewKind.BTREE: JoinAlgorithm.BSJ,
 }
 
 
@@ -118,13 +129,47 @@ def build_cost_of(
         return cost_model.join_build_cost(VIEW_JOIN[kind], rows, 0.0, num_distinct)
     if kind is ViewKind.SORTED_PROJECTION:
         return cost_model.sort_cost(rows)
-    if kind is ViewKind.DICTIONARY:
-        # Sort-based dictionary construction + one encoding pass.
-        return cost_model.sort_cost(rows) + rows
-    if kind is ViewKind.BTREE:
-        # Sort-based bottom-up bulkload.
+    if kind in (ViewKind.DICTIONARY, ViewKind.BTREE):
+        # A sort plus one pass: the dictionary's encoding pass. A btree
+        # view is one stable sort (BSJ's build side); its price is kept
+        # so that no AVSP selection moves with the structure.
         return cost_model.sort_cost(rows) + rows
     raise ViewError(f"unknown view kind {kind!r}")
+
+
+def declare_view(
+    catalog: Catalog,
+    kind: ViewKind,
+    table_name: str,
+    column: str,
+    cost_model: CostModel | None = None,
+) -> AlgorithmicView:
+    """The view of ``kind`` over ``table_name.column`` with its build cost
+    and no artifact: all an optimiser plans with, decided from the
+    column's type and statistics, so a hypothetical view erects nothing.
+
+    :raises ViewError: for a non-integer column under a kind whose
+        artifact is a build side (int64 keys, :data:`VIEW_BUILD_SIDE`);
+        for an SPH view over a sparse domain (§2.1's precondition).
+    """
+    table = catalog.table(table_name)
+    base = table.column(column)
+    stats = base.statistics
+    if kind in VIEW_BUILD_SIDE and not base.dtype.is_integer:
+        raise _refusal(
+            kind, table_name, column, f"its keys are integers, not {base.dtype.value}"
+        )
+    if kind is ViewKind.SPH_ARRAY and stats.count:
+        try:
+            StaticPerfectHash(int(stats.minimum), int(stats.maximum), stats.distinct)
+        except PreconditionError as error:
+            raise _refusal(kind, table_name, column, error) from error
+    return AlgorithmicView(
+        kind=kind,
+        table_name=table_name,
+        column=column,
+        build_cost=build_cost_of(kind, table.num_rows, stats.distinct, cost_model),
+    )
 
 
 def materialize_view(
@@ -134,44 +179,36 @@ def materialize_view(
     column: str,
     cost_model: CostModel | None = None,
 ) -> AlgorithmicView:
-    """Actually build a view's artifact from catalog data.
+    """Actually build a :func:`declare_view`'s artifact from catalog data.
 
-    A join-level view's artifact is its join's build side, memoised on
-    the base column (:data:`VIEW_JOIN`): a plan that joins through that
-    column with that algorithm erects nothing on its first run. A
-    column keeps one build side, so a later build under another
-    algorithm replaces the entry (the view keeps its artifact).
+    A :data:`VIEW_BUILD_SIDE` kind's artifact is that join's build side,
+    memoised on the base column: a join through it erects nothing, and
+    a ``BTREE`` and a ``SORTED_KEYS`` view share one object. A later
+    build under another algorithm replaces the column's entry (the view
+    keeps its artifact).
 
-    :raises ViewError: for an SPH view over a sparse domain (the §2.1
-        applicability precondition).
+    :raises ViewError: what :func:`declare_view` refuses; an SPH view
+        over an empty column.
     """
+    view = declare_view(catalog, kind, table_name, column, cost_model)
     table = catalog.table(table_name)
-    base = table.column(column)
-    cost = build_cost_of(kind, table.num_rows, base.statistics.distinct, cost_model)
-    if kind in VIEW_JOIN:
+    if kind in VIEW_BUILD_SIDE:
         try:
-            artifact: object = memoised_build_side(base, VIEW_JOIN[kind])
+            artifact: object = memoised_build_side(
+                table.column(column), VIEW_BUILD_SIDE[kind]
+            )
         except PreconditionError as error:
-            raise ViewError(
-                f"cannot materialise {kind.name} view on {table_name}.{column}: "
-                f"{error}"
-            ) from error
+            raise _refusal(kind, table_name, column, error) from error
     elif kind is ViewKind.SORTED_PROJECTION:
         artifact = table.sort_by([column])
-    elif kind is ViewKind.DICTIONARY:
-        artifact = DictionaryViewArtifact.build(table, column)
-    elif kind is ViewKind.BTREE:
-        from repro.engine.operators.index_scan import build_row_index
-
-        artifact = build_row_index(table, column)
     else:
-        raise ViewError(f"unknown view kind {kind!r}")
-    return AlgorithmicView(
-        kind=kind,
-        table_name=table_name,
-        column=column,
-        build_cost=cost,
-        artifact=artifact,
+        artifact = DictionaryViewArtifact.build(table, column)
+    return replace(view, artifact=artifact)
+
+
+def _refusal(kind: ViewKind, table_name: str, column: str, reason) -> ViewError:
+    return ViewError(
+        f"cannot materialise {kind.name} view on {table_name}.{column}: {reason}"
     )
 
 

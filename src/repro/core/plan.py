@@ -594,17 +594,13 @@ def _lower_scan(
             _narrowed(view.artifact.encoded_table.qualified(alias), required)
         )
     if kind == "btree":
-        low, high = path.index_range
         indexed = f"{alias}.{column}"
+        table = catalog.table(path.table).qualified(alias)
         return IndexRangeScan(
-            _narrowed(
-                catalog.table(path.table).qualified(alias),
-                _also(required, indexed),
-            ),
+            _narrowed(table, _also(required, indexed)),
             indexed,
             view.artifact,
-            low,
-            high,
+            *path.index_range,
         )
     raise PlanError(f"cannot lower scan view kind {kind!r}")
 

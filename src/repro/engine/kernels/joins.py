@@ -209,6 +209,22 @@ class BuildSide:
         found = self.keys[positions] == probe_keys
         return positions if found.all() else np.where(found, positions, -1)
 
+    def range_rows(self, low: int, high: int) -> np.ndarray:
+        """The build rows whose key lies in ``[low, high]``, in key order
+        with ties in row order, of BSJ's build side: two binary searches
+        over :attr:`keys` and one slice of :attr:`rows`, the stable
+        argsort (an unclustered index's range scan). Empty if
+        ``low > high``."""
+        first = int(np.searchsorted(self.keys, low, side="left"))
+        stop = max(first, int(np.searchsorted(self.keys, high, side="right")))
+        if self.offsets is not None:
+            # Slots to positions in ``rows``: each slot's run starts at
+            # its offset, and the slot past the last ends them all.
+            total = int(self.offsets[-1] + self.counts[-1])
+            first = int(self.offsets[first]) if first < self.num_slots else total
+            stop = int(self.offsets[stop]) if stop < self.num_slots else total
+        return self.rows[first:stop]
+
     def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matching ``(build_row, probe_row)`` index arrays, probe-major.
         OJ's probe is sorted, one run per key: it probes the runs."""

@@ -10,7 +10,7 @@ from repro.engine.operators.base import (
 )
 from repro.engine.operators.decode import DecodeColumn
 from repro.engine.operators.grouping import GroupBy
-from repro.engine.operators.index_scan import IndexRangeScan, build_row_index
+from repro.engine.operators.index_scan import IndexRangeScan
 from repro.engine.operators.joins import Join
 from repro.engine.operators.scan import Filter, Limit, Project, TableScan
 from repro.engine.operators.segment_scan import SegmentScan
@@ -32,7 +32,6 @@ __all__ = [
     "SegmentScan",
     "Sort",
     "TableScan",
-    "build_row_index",
     "chunk_count",
     "table_to_chunks",
 ]

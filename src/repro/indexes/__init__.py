@@ -1,7 +1,6 @@
 """Index structures: the MACROMOLECULE- and MOLECULE-level building blocks
 (Table 1 of the paper) that deep query optimisation chooses among."""
 
-from repro.indexes.btree import BPlusTree
 from repro.indexes.hash_table import (
     HASH_FUNCTIONS,
     ChainedHashTable,
@@ -12,7 +11,6 @@ from repro.indexes.hash_table import (
 from repro.indexes.perfect_hash import StaticPerfectHash
 
 __all__ = [
-    "BPlusTree",
     "ChainedHashTable",
     "HASH_FUNCTIONS",
     "OpenAddressingHashTable",

@@ -55,13 +55,14 @@ def _hypothetical_config(
     config: OptimizerConfig, overlay: StatisticsOverlay, catalog: Catalog
 ) -> OptimizerConfig:
     """The config under the overlay's index patches: a cloned AV registry
-    with the hypothetical views materialised (real artifacts over the
-    real data — costing needs only their existence) or dropped."""
+    with the hypothetical views declared or dropped. A declared view has
+    its build cost and no artifact: optimising needs only its existence,
+    and a what-if erects nothing on the real columns."""
     index_patches = overlay.index_patches()
     if not index_patches:
         return config
     from repro.avs.registry import AVRegistry
-    from repro.avs.view import ViewKind, materialize_view
+    from repro.avs.view import ViewKind, declare_view
 
     views = AVRegistry(list(config.views) if config.views is not None else [])
     for patch in index_patches:
@@ -74,7 +75,7 @@ def _hypothetical_config(
                 f"unknown view kind {kind_name!r}; expected one of {names}"
             ) from None
         if present and not views.has_view(kind, patch.table, patch.column):
-            views.add(materialize_view(catalog, kind, patch.table, patch.column))
+            views.add(declare_view(catalog, kind, patch.table, patch.column))
         elif not present and views.has_view(kind, patch.table, patch.column):
             views.remove(kind, patch.table, patch.column)
     return dc_replace(config, views=views)

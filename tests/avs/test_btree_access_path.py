@@ -13,11 +13,13 @@ from repro.avs import AVRegistry, ViewKind, materialize_view
 from repro.core import DynamicProgrammingOptimizer, dqo_config, to_operator
 from repro.core.cost import AccessPathCostModel
 from repro.engine import execute
-from repro.engine.operators import IndexRangeScan, build_row_index
-from repro.indexes import BPlusTree
+from repro.engine.kernels.joins import JoinAlgorithm
+from repro.engine.operators import IndexRangeScan
+from repro.engine.operators.joins import memoised_build_side
 from repro.logical import evaluate_naive
 from repro.sql import plan_query
 from repro.storage import Catalog, Table
+from repro.storage.disk import BufferManager, write_table
 
 ROWS = 20_000
 
@@ -45,12 +47,49 @@ def optimizer_for(catalog, registry):
     )
 
 
+#: the range law's key columns: repeated and distinct keys, negative
+#: keys, a narrow dtype, and the degenerate sizes.
+LAW_COLUMNS = {
+    "duplicates": np.array([5, 5, 1, 5, 3, 1, 9]),
+    "negative": np.array([-4, 7, -10, 0, 3, 2]),
+    "int32": np.array([40, -2, 40, 9, 0, 13], dtype=np.int32),
+    "one-row": np.array([6]),
+    "empty": np.array([], dtype=np.int64),
+}
+
+#: the range law's ``[low, high]`` over a column's smallest and largest
+#: key and its first one.
+LAW_RANGES = {
+    "inside": lambda lo, hi, first: (lo + 1, hi - 1),
+    "inverted": lambda lo, hi, first: (hi, lo - 1),
+    "below": lambda lo, hi, first: (lo - 10, lo - 1),
+    "above": lambda lo, hi, first: (hi + 1, hi + 10),
+    "single": lambda lo, hi, first: (first, first),
+    "whole": lambda lo, hi, first: (lo, hi),
+}
+
+
+def indexed_table(keys, storage, tmp_path):
+    """A catalog holding ``T(k, v)`` in ``storage``, and its ``btree``
+    view on ``k``."""
+    table = Table.from_arrays({"k": keys, "v": np.arange(keys.size)})
+    if storage == "disk":
+        table = write_table(
+            table,
+            str(tmp_path / "T"),
+            segment_rows=2,
+            buffer=BufferManager(budget_bytes=1 << 20),
+        )
+    catalog = Catalog()
+    catalog.register("T", table)
+    return catalog, materialize_view(catalog, ViewKind.BTREE, "T", "k")
+
+
 class TestIndexRangeScanOperator:
     def test_matches_filter_semantics(self, setting, rng):
         catalog, registry = setting
         table = catalog.table("T")
         index = registry.get(ViewKind.BTREE, "T", "k").artifact
-        assert isinstance(index, BPlusTree)
         scan = IndexRangeScan(table, "k", index, 500, 800)
         result = scan.to_table()
         assert sorted(result["k"].tolist()) == list(range(500, 801))
@@ -63,11 +102,36 @@ class TestIndexRangeScanOperator:
         values = result["k"]
         assert bool(np.all(values[:-1] <= values[1:]))
 
-    def test_duplicate_values_all_fetched(self):
-        table = Table.from_arrays({"k": np.array([5, 5, 1, 5]), "v": np.arange(4)})
-        index = build_row_index(table, "k")
-        result = IndexRangeScan(table, "k", index, 5, 5).to_table()
-        assert sorted(result["v"].tolist()) == [0, 1, 3]
+    def test_duplicate_values_all_fetched(self, memory_storage, tmp_path):
+        catalog, view = indexed_table(np.array([5, 5, 1, 5]), "memory", tmp_path)
+        result = IndexRangeScan(catalog.table("T"), "k", view.artifact, 5, 5)
+        assert result.to_table()["v"].tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("storage", ["memory", "disk"])
+    @pytest.mark.parametrize("bounds", list(LAW_RANGES))
+    @pytest.mark.parametrize("name", list(LAW_COLUMNS))
+    def test_range_law(self, name, bounds, storage, memory_storage, tmp_path):
+        """The scan is the stable sort of the rows, filtered to the
+        range, bit for bit; the view's artifact is the column's one
+        sorted build side."""
+        keys = LAW_COLUMNS[name]
+        lo, hi, first = (
+            (int(keys.min()), int(keys.max()), int(keys[0])) if keys.size else (0, 0, 0)
+        )
+        low, high = LAW_RANGES[bounds](lo, hi, first)
+        catalog, view = indexed_table(keys, storage, tmp_path)
+        table = catalog.table("T")
+        result = IndexRangeScan(table, "k", view.artifact, low, high).to_table()
+        order = np.argsort(keys, kind="stable")
+        expected = table.take(order[(keys[order] >= low) & (keys[order] <= high)])
+        assert result.equals(expected)
+        assert result["k"].dtype == keys.dtype
+        if storage == "memory":
+            # A disk column memoises nothing: only a resident one shares.
+            shared = memoised_build_side(table.column("k"), JoinAlgorithm.BSJ)
+            sorted_keys = materialize_view(catalog, ViewKind.SORTED_KEYS, "T", "k")
+            assert view.artifact is shared
+            assert sorted_keys.artifact is shared
 
 
 class TestAccessPathChoice:

@@ -15,6 +15,7 @@ from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.errors import ViewError
 from repro.engine.kernels.joins import BuildSide
 from repro.sql import plan_query
+from repro.storage import Catalog, Table
 
 
 @pytest.fixture
@@ -44,6 +45,19 @@ class TestMaterialisation:
         ).build_catalog()
         with pytest.raises(ViewError, match="SPH"):
             materialize_view(catalog, ViewKind.SPH_ARRAY, "R", "ID")
+
+    @pytest.mark.parametrize(
+        "kind",
+        [ViewKind.HASH_TABLE, ViewKind.SPH_ARRAY, ViewKind.SORTED_KEYS, ViewKind.BTREE],
+    )
+    def test_build_side_view_refuses_non_integer_column(self, kind):
+        """A build side's keys are int64: a float column would be
+        truncated into keys it does not hold."""
+        catalog = Catalog()
+        catalog.register("T", Table.from_arrays({"k": np.array([1.5, 2.5, 0.5, 2.5])}))
+        with pytest.raises(ViewError, match="integers, not float64"):
+            materialize_view(catalog, kind, "T", "k")
+        assert "build_side" not in catalog.table("T").column("k").memo
 
     def test_sorted_keys_view(self, catalog):
         view = materialize_view(catalog, ViewKind.SORTED_KEYS, "R", "A")

@@ -32,16 +32,6 @@ class TestStorageAndIndexFootprints:
         )
         assert table.memory_bytes() == 2 * 100 * 8
 
-    def test_btree_footprint_grows_with_keys(self):
-        from repro.indexes.btree import BPlusTree
-
-        small, large = BPlusTree(order=8), BPlusTree(order=8)
-        for key in range(16):
-            small.insert(key, key)
-        for key in range(512):
-            large.insert(key, key)
-        assert 0 < small.memory_bytes() < large.memory_bytes()
-
     def test_sph_is_denser_than_hash_table_on_dense_keys(self):
         """Table 1: SPH's dense array beats a general hash table."""
         from repro.indexes.hash_table import OpenAddressingHashTable

@@ -10,7 +10,10 @@ import re
 import pytest
 
 from repro import dqo_config, optimize_dqo, plan_query
+from repro.avs import AVRegistry, ViewKind, materialize_view
 from repro.datagen import Sortedness, make_join_scenario
+from repro.engine.kernels.joins import JoinAlgorithm
+from repro.engine.operators.joins import memoised_build_side
 from repro.obs.search import (
     StatisticsOverlay,
     explain_why,
@@ -66,6 +69,35 @@ class TestWhatIf:
         )
         assert report.plan_changed
         assert report.hypothetical["fingerprint"] == truth.plan_fingerprint
+
+    def test_hypothetical_views_erect_nothing(
+        self, memory_storage, join_catalog, paper_query
+    ):
+        """A what-if only optimises: its views are declared, not built,
+        so the real column keeps its build side, and the hypothetical
+        plan is the one really materialised views give."""
+        column = join_catalog.table("R").column("ID")
+        before = materialize_view(join_catalog, ViewKind.SPH_ARRAY, "R", "ID").artifact
+        overlay = (
+            StatisticsOverlay()
+            .set_index("R", "ID", kind="btree")
+            .set_index("R", "ID", kind="hash_table")
+        )
+        report = whatif(paper_query, join_catalog, overlay)
+        assert memoised_build_side(column, JoinAlgorithm.SPHJ) is before
+        built = AVRegistry(
+            [
+                materialize_view(join_catalog, kind, "R", "ID")
+                for kind in (ViewKind.BTREE, ViewKind.HASH_TABLE)
+            ]
+        )
+        real = whatif(
+            paper_query,
+            join_catalog,
+            StatisticsOverlay(),
+            config=dqo_config(views=built),
+        )
+        assert report.hypothetical == real.hypothetical
 
     def test_empty_overlay_changes_nothing(self, join_catalog, paper_query):
         report = whatif(paper_query, join_catalog, StatisticsOverlay())
