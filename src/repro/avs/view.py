@@ -22,11 +22,11 @@ from repro.core.cost.paper import PaperCostModel
 from repro.core.granularity import Granularity
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
-from repro.engine.operators.joins import memoised_build_side
+from repro.engine.operators.joins import memoised_build_side, memoised_encoding
 from repro.errors import PreconditionError, ViewError
 from repro.indexes.perfect_hash import StaticPerfectHash
 from repro.storage.catalog import Catalog
-from repro.storage.dictionary import DictionaryEncoded, dictionary_encode_column
+from repro.storage.dictionary import DictionaryEncoded, code_column
 from repro.storage.table import Table
 
 
@@ -219,7 +219,9 @@ class DictionaryViewArtifact:
     ``encoded_table`` is the source table with ``column`` replaced by its
     dense, order-preserving dictionary codes; ``encoding`` maps codes back
     to original values (used by the decode step the optimiser plants
-    after a group-by over the encoded column).
+    after a group-by over the encoded column). The encoding is the
+    column's memoised ``encoding`` entry (:func:`memoised_encoding`), the
+    object a join's probe or a build-side group-by over it reads.
     """
 
     column: str
@@ -229,9 +231,11 @@ class DictionaryViewArtifact:
     @classmethod
     def build(cls, table: Table, column: str) -> "DictionaryViewArtifact":
         """Encode ``table``'s ``column`` and assemble the artifact."""
-        code_column, encoding = dictionary_encode_column(table.column(column))
+        source = table.column(column)
+        encoding = memoised_encoding(source)
+        codes = code_column(source, encoding)
         replaced = [
-            code_column if existing.name == column else existing
+            codes if existing.name == column else existing
             for existing in table.columns()
         ]
         return cls(

@@ -121,17 +121,6 @@ class CostModel:
             rows
         )
 
-    def disk_scan_cost_terms(
-        self, rows: float, hit_fraction: float = 0.0, decode_weight: float = 0.0
-    ) -> list[tuple[str, float]]:
-        """:meth:`disk_scan_cost` decomposed for ``EXPLAIN WHY``."""
-        miss = min(max(1.0 - hit_fraction, 0.0), 1.0)
-        return [
-            ("cold-read", rows * miss * self.io_read_weight()),
-            ("decode", rows * decode_weight),
-            ("touch", self.scan_cost(rows)),
-        ]
-
     def grouping_build_cost(
         self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
     ) -> float:

@@ -31,8 +31,7 @@ from repro._util.arrays import is_nondecreasing
 from repro.errors import PreconditionError
 from repro.indexes.hash_table import OpenAddressingHashTable
 from repro.indexes.perfect_hash import StaticPerfectHash
-from repro.storage.dictionary import DictionaryEncoded
-from repro.storage.rle import RunLengthEncoded, rle_encode
+from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
 
 #: Maximum load of HJ's build-side table. A probe that meets its key in
 #: its home bucket is resolved in the probe's full-width first round; the
@@ -145,7 +144,7 @@ class BuildSide:
     the key to a *slot* (one slot per distinct build key, -1 for a key no
     build row has), map the slot to its build rows, emit the pairs; an
     encoded probe column (:meth:`probe_encoded`) takes the first two once
-    per run or distinct value. The families differ in the first step only
+    per distinct value. The families differ in the first step only
     (:attr:`kind`):
 
     ``"hash"``
@@ -227,25 +226,24 @@ class BuildSide:
 
     def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matching ``(build_row, probe_row)`` index arrays, probe-major.
-        OJ's probe is sorted, one run per key: it probes the runs."""
+        OJ's probe is sorted, one run per key: it probes its dictionary,
+        which :func:`dictionary_encode` reads off the runs."""
         if self.rows is None:
-            return self.probe_encoded(rle_encode(probe_keys))
+            return self.probe_encoded(dictionary_encode(probe_keys))
         return self.pairs(self.slots(probe_keys))
 
-    def probe_encoded(
-        self, encoded: RunLengthEncoded | DictionaryEncoded
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe` of the column ``encoded`` encodes: each run or
-        distinct value is looked up once, and the rows take its matches
-        by ``np.repeat`` over the run lengths or a gather through the
-        codes. The pairs are the row-by-row probe's, in its order."""
-        return self.pairs(self.slots(distinct_keys(encoded)), encoded)
+    def probe_encoded(self, encoded: DictionaryEncoded) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`probe` of the column ``encoded`` encodes: each distinct
+        value is looked up once, and the rows take its matches by a
+        gather through the codes. The pairs are the row-by-row probe's,
+        in its order."""
+        return self.pairs(self.slots(encoded.dictionary), encoded)
 
     def num_matches(
         self,
         slots: np.ndarray,
         num_probe_rows: int,
-        encoded: RunLengthEncoded | DictionaryEncoded | None = None,
+        encoded: DictionaryEncoded | None = None,
     ) -> int:
         """How many pairs :meth:`pairs` of the same ``slots`` emits, without
         emitting them: ``num_probe_rows`` where each probe row finds its
@@ -266,13 +264,14 @@ class BuildSide:
         if rows_per_slot is not None:
             # A -1 slot reads the last entry, which the slot test masks.
             per_key = np.where(per_key, rows_per_slot[slots], 0)
-        weights = probe_weights(encoded)
-        return int(per_key.sum() if weights is None else (per_key * weights).sum())
+        if encoded is None:
+            return int(per_key.sum())
+        return int((per_key * encoded.counts).sum())
 
     def group_counts(
         self,
         slots: np.ndarray,
-        encoded: RunLengthEncoded | DictionaryEncoded | None,
+        encoded: DictionaryEncoded | None,
         row_groups: np.ndarray,
         num_groups: int,
     ) -> tuple[np.ndarray, int]:
@@ -284,7 +283,7 @@ class BuildSide:
         no more slots than build slots, each slot's one build row is
         counted, weighted, into its group; else the slots are counted
         first, and each slot's count spread over its build rows."""
-        weights = probe_weights(encoded)
+        weights = None if encoded is None else encoded.counts
         if self.offsets is None and slots.size <= self.num_slots:
             rows = slots if self.rows is None else self.rows[slots]
             # A miss is a -1 slot, which reads the last entry of ``rows``;
@@ -312,21 +311,14 @@ class BuildSide:
     def pairs(
         self,
         slots: np.ndarray,
-        encoded: RunLengthEncoded | DictionaryEncoded | None = None,
+        encoded: DictionaryEncoded | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The pairs of a probe whose keys have ``slots`` (:meth:`slots`):
-        one slot per probe row or, with ``encoded``, one per run or
-        distinct value of that probe column (:func:`distinct_keys`),
-        which its rows take by ``np.repeat`` over the run lengths or a
-        gather through the codes."""
-
-        def spread(per_key: np.ndarray) -> np.ndarray:
-            if isinstance(encoded, RunLengthEncoded):
-                return np.repeat(per_key, encoded.lengths)
-            return per_key[encoded.codes]
-
+        one slot per probe row or, with ``encoded``, one per distinct
+        value of that probe column (its dictionary), which its rows take
+        by a gather through the codes."""
         if self.offsets is not None:
-            slots = slots if encoded is None else spread(slots)
+            slots = slots if encoded is None else slots[encoded.codes]
             return expand_matches(slots, self.offsets, self.counts, self.rows)
         build_rows = slots if self.rows is None else self.rows[slots]
         # Misses are -1 slots; an unoccupied direct slot holds row -1. An
@@ -336,7 +328,7 @@ class BuildSide:
         if self.kind == "direct":
             hit &= build_rows >= 0
         if encoded is not None:
-            build_rows = spread(np.where(hit, build_rows, -1))
+            build_rows = np.where(hit, build_rows, -1)[encoded.codes]
             hit = build_rows >= 0
         if hit.all():
             probe_rows = np.arange(build_rows.size, dtype=np.int64)
@@ -346,24 +338,6 @@ class BuildSide:
         return build_rows.astype(np.int64, copy=False), probe_rows.astype(
             np.int64, copy=False
         )
-
-
-def probe_weights(
-    encoded: RunLengthEncoded | DictionaryEncoded | None,
-) -> np.ndarray | None:
-    """The probe rows behind each of :func:`distinct_keys`: the run
-    lengths or dictionary counts; None (one each) without an encoding."""
-    if isinstance(encoded, RunLengthEncoded):
-        return encoded.lengths
-    return None if encoded is None else encoded.counts
-
-
-def distinct_keys(encoded: RunLengthEncoded | DictionaryEncoded) -> np.ndarray:
-    """The keys an encoded probe column is looked up by, once each: its
-    run values or its dictionary."""
-    if isinstance(encoded, RunLengthEncoded):
-        return encoded.values
-    return encoded.dictionary
 
 
 def _rows_by_slot(

@@ -13,26 +13,14 @@ import numpy as np
 
 from repro._util.arrays import is_nondecreasing
 from repro.engine.aggregates import AggregateFunction, AggregateSpec, compute_aggregate
-from repro.engine.kernels.grouping import (
-    GroupingAlgorithm,
-    GroupingAssignment,
-    aggregate_groups,
-    assign_slots,
-    perfect_hash_slots,
-)
+from repro.engine.kernels.grouping import GroupingAlgorithm, aggregate_groups
 from repro.engine.kernels.parallel import partitioned_group_by
-from repro.engine.operators.base import (
-    MaterialisedOperator,
-    PhysicalOperator,
-    memoised,
-)
-from repro.engine.operators.joins import Join, JoinMatches
+from repro.engine.operators.base import MaterialisedOperator, PhysicalOperator
+from repro.engine.operators.joins import Join, JoinMatches, memoised_encoding
 from repro.errors import ExecutionError
 from repro.indexes.perfect_hash import MIN_DENSITY
 from repro.service.context import check_active_context
 from repro.settings import check, get_settings
-from repro.storage.dictionary import DictionaryEncoded, code_dtype, narrow_counts
-from repro.storage.rle import RunLengthEncoded
 from repro.storage.schema import ColumnSpec, Schema
 from repro.storage.table import Table
 
@@ -173,9 +161,10 @@ class GroupBy(MaterialisedOperator):
     def _group_matches(self, matches: JoinMatches) -> Table | None:
         """Group a join's output without gathering its key column.
 
-        Groups are per build row: HG's memoised slots, or the build key
-        column's memoised ``encoding`` (its dictionary or runs are the
-        groups). COUNTs are counted off the probe's slots
+        Groups are per build row: the build key column's memoised
+        ``encoding`` (:func:`memoised_encoding`; its dictionary entries
+        are the groups, its codes the build rows' groups). COUNTs are
+        counted off the probe's slots
         (:meth:`BuildSide.group_counts`; SOJ and an empty input count
         their pairs); groups with none (build keys nobody matched) are
         dropped. When every aggregate is a COUNT, the join was asked for
@@ -186,34 +175,18 @@ class GroupBy(MaterialisedOperator):
         has more rows than the join matched (decided before the key
         column's memo is read), when SPHG finds the build keys too
         sparse (the matched keys alone may still be dense), or when OG
-        finds them out of order. All but HG return their groups
-        ascending: for OG the order OG over a key-sorted output gives,
-        the only one plans use.
+        finds them out of order. The groups leave ascending: for OG the
+        order OG over a key-sorted output gives, the only one plans use,
+        and for HG one order its unspecified order allows.
         """
         if matches.left.num_rows > matches.num_rows:
             return None
-        column = matches.left.column(self._key)
+        encoded = memoised_encoding(matches.left.column(self._key))
+        row_groups, group_keys = encoded.codes, encoded.dictionary
         algorithm = self._algorithm
-        hg = algorithm is GroupingAlgorithm.HG
-        # HG's slots follow hash order, not the keys' ranks: its own entry.
-        structure = memoised(
-            column,
-            "slots" if hg else "encoding",
-            (self._num_distinct_hint,) if hg else (),
-            lambda: self._encode(column.values),
-        )
-        if structure is None:
+        # Order-preserving codes are sorted exactly when the column is.
+        if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(row_groups):
             return None
-        if hg:
-            row_groups, group_keys = structure.slots, structure.group_keys
-        elif isinstance(structure, RunLengthEncoded):
-            group_keys = structure.values
-            row_groups = np.repeat(np.arange(group_keys.size), structure.lengths)
-        else:
-            row_groups, group_keys = structure.codes, structure.dictionary
-            # Order-preserving codes are sorted exactly when the column is.
-            if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(row_groups):
-                return None
         if algorithm is GroupingAlgorithm.SPHG and group_keys.size:
             span = int(group_keys[-1]) - int(group_keys[0]) + 1
             if group_keys.size < MIN_DENSITY * span:
@@ -247,7 +220,7 @@ class GroupBy(MaterialisedOperator):
         }
         result = self._output(group_keys, columns)
         scratch = (
-            structure.memory_bytes()
+            encoded.memory_bytes()
             + (0 if slots is None else slots.nbytes)
             + sum(array.nbytes for array in values.values())
         )
@@ -255,32 +228,6 @@ class GroupBy(MaterialisedOperator):
             matches.left.memory_bytes() + scratch + result.memory_bytes()
         )
         return result
-
-    def _encode(
-        self, values: np.ndarray
-    ) -> DictionaryEncoded | GroupingAssignment | None:
-        """HG's slot assignment over the build key column; for the others,
-        whose slots are the keys' ranks, its dictionary encoding, made
-        from their own assignment. None where OG finds the column unsorted
-        or SPHG its domain over twice its length."""
-        algorithm = self._algorithm
-        if algorithm is GroupingAlgorithm.OG and not is_nondecreasing(values):
-            return None
-        if algorithm is GroupingAlgorithm.SPHG and values.size:
-            low, high = int(values.min()), int(values.max())
-            if values.size < MIN_DENSITY * (high - low + 1):
-                return None
-            assignment = perfect_hash_slots(values, low, high, min_density=0.0)
-        else:
-            assignment = assign_slots(values, algorithm, self._num_distinct_hint)
-        if algorithm is GroupingAlgorithm.HG:
-            return assignment
-        slots, num_groups = assignment.slots, assignment.num_groups
-        return DictionaryEncoded(
-            slots.astype(code_dtype(num_groups)),
-            assignment.group_keys,
-            narrow_counts(np.bincount(slots, minlength=num_groups)),
-        )
 
     def _output(self, group_keys: np.ndarray, columns: dict[str, np.ndarray]) -> Table:
         """The one cast to the output types (a float SUM truncates here,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
-from typing import Collection
+from typing import Callable, Collection
 
 import numpy as np
 
-from repro._util.arrays import is_nondecreasing
+from repro._util.arrays import is_nondecreasing, run_count
 from repro.engine.kernels.joins import (
     BuildSide,
     JoinAlgorithm,
@@ -22,7 +22,6 @@ from repro.engine.kernels.joins import (
     JoinResult,
     build_side,
     check_merge_inputs,
-    distinct_keys,
     join,
 )
 from repro.service.context import check_active_context
@@ -35,7 +34,6 @@ from repro.engine.operators.base import (
 from repro.errors import ExecutionError
 from repro.storage.column import Column
 from repro.storage.dictionary import DictionaryEncoded, dictionary_encode
-from repro.storage.rle import RunLengthEncoded, rle_encode
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -58,16 +56,37 @@ def memoised_build_side(column: Column, algorithm: JoinAlgorithm) -> BuildSide |
     )
 
 
+def memoised_encoding(
+    column: Column,
+    admit: Callable[[Column], bool] = lambda column: True,
+    second_touch: bool = False,
+) -> DictionaryEncoded | None:
+    """``column``'s one ``encoding``, :func:`dictionary_encode` of its
+    values, built on its first use (its second with ``second_touch``)
+    and memoised on the column: every later reader, a join's probe, a
+    build-side group-by or a dictionary view, reads the same object.
+    ``admit(column)`` is asked before a build only; a column it refuses
+    stores nothing and is asked again on its next read. The entry is
+    keyed ``()``: no reader's algorithm or hint changes the encoding."""
+    return memoised(
+        column,
+        "encoding",
+        (),
+        lambda: dictionary_encode(column.values) if admit(column) else None,
+        second_touch=second_touch,
+    )
+
+
 def probe_slots(
     build: BuildSide,
     column: Column,
-    encoded: RunLengthEncoded | DictionaryEncoded | None,
+    encoded: DictionaryEncoded | None,
     standing: bool,
 ) -> np.ndarray:
     """The slot in ``build`` of each row of the probe ``column`` or, with
-    the column's ``encoded`` form, of each of its runs or distinct values
-    (:func:`distinct_keys`). The latter is the column's ``lookup``, a
-    fact about two base columns: it is memoised on the probe column,
+    the column's ``encoded`` form, of each of its distinct values. The
+    latter is the column's ``lookup``, a fact about two base columns:
+    it is memoised on the probe column,
     keyed on the build side by weak reference and compared by identity.
     The key needs no encoding: a column's ``encoding`` is never replaced
     once built. Only a ``standing`` build side, one its column held
@@ -77,12 +96,12 @@ def probe_slots(
     if encoded is None:
         return build.slots(column.values)
     if not standing:
-        return build.slots(distinct_keys(encoded))
+        return build.slots(encoded.dictionary)
     return memoised(
         column,
         "lookup",
         (weakref.ref(build),),
-        lambda: build.slots(distinct_keys(encoded)),
+        lambda: build.slots(encoded.dictionary),
     )
 
 
@@ -97,9 +116,9 @@ class JoinMatches:
     #: the build side over the left key; None for SOJ and an empty input.
     build: BuildSide | None
     #: the right key column's memoised encoding; None = probe row by row.
-    encoded: RunLengthEncoded | DictionaryEncoded | None
-    #: the build-side slot of each probe row, or of each run or distinct
-    #: value of ``encoded``; None without a build side.
+    encoded: DictionaryEncoded | None
+    #: the build-side slot of each probe row, or of each distinct value
+    #: of ``encoded``; None without a build side.
     slots: np.ndarray | None
     #: the matching ``(build row, probe row)`` index pairs; None when
     #: the parent counts the matches off the slots instead.
@@ -137,7 +156,7 @@ class Join(MaterialisedOperator):
     What depends on base columns alone is memoised on them (DESIGN.md
     "Build structures are facts about a column"): the build side over
     the left key; the right key column's ``encoding``, through which
-    HJ, SPHJ, BSJ and OJ look each run or distinct value up once; and
+    HJ, SPHJ, BSJ and OJ look each distinct value up once; and
     that ``lookup`` itself (:func:`probe_slots`). The pairs are the
     row-by-row probe's, in its order.
 
@@ -228,7 +247,7 @@ class Join(MaterialisedOperator):
             found = join(build_keys, probe_keys, self._algorithm)
             total = found.num_rows
         else:
-            # Each probe row, or each run or distinct value of the probe
+            # Each probe row, or each distinct value of the probe
             # column's encoding, is looked up once; the pairs, or the
             # parent's counts, are read off those slots.
             slots = probe_slots(
@@ -254,36 +273,25 @@ class Join(MaterialisedOperator):
         self,
         build: BuildSide,
         slots: np.ndarray,
-        encoded: RunLengthEncoded | DictionaryEncoded | None,
+        encoded: DictionaryEncoded | None,
     ) -> JoinResult:
         """The matching pairs of a probe whose keys have ``slots``."""
         return JoinResult(
             *build.pairs(slots, encoded), self.output_order, build.structure_bytes
         )
 
-    def _probe_encoding(
-        self, right_table: Table
-    ) -> RunLengthEncoded | DictionaryEncoded | None:
-        """The right key column's shared ``encoding``: the run-length form
-        of a non-decreasing column, else its dictionary. OJ builds it on
-        the column's first probe, HJ, SPHJ and BSJ on its second. None
-        before that, and for a column over half distinct, whose entry
-        could outgrow it: HJ, SPHJ and BSJ decide that on the statistics
-        before any encoding, OJ on its runs. The kernel then probes row
-        by row."""
-        oj = self._algorithm is JoinAlgorithm.OJ
+    def _probe_encoding(self, right_table: Table) -> DictionaryEncoded | None:
+        """The right key column's shared ``encoding``
+        (:func:`memoised_encoding`). OJ builds it on the column's first
+        probe, and only over a non-decreasing column; HJ, SPHJ and BSJ
+        on its second. None before that, and for a column over half
+        distinct, whose entry could outgrow it: HJ, SPHJ and BSJ decide
+        that on the statistics, OJ on the runs, before any encoding. The
+        kernel then probes row by row."""
         column = right_table.column(self._right_key)
-        values = column.values
-
-        def encode() -> RunLengthEncoded | DictionaryEncoded | None:
-            if not oj and column.statistics.distinct * 2 > values.size:
-                return None
-            if not is_nondecreasing(values):
-                return None if oj else dictionary_encode(values)
-            encoded = rle_encode(values)
-            return encoded if encoded.num_runs * 2 <= values.size else None
-
-        return memoised(column, "encoding", (), encode, second_touch=not oj)
+        if self._algorithm is JoinAlgorithm.OJ:
+            return memoised_encoding(column, _few_runs)
+        return memoised_encoding(column, _few_distinct, second_touch=True)
 
     def gather(self, matches: JoinMatches) -> Table:
         """The join's output table. Late materialisation: only the
@@ -309,3 +317,14 @@ class Join(MaterialisedOperator):
             f"Join({self._left_key} = {self._right_key}, "
             f"impl={self._algorithm.value})"
         )
+
+
+def _few_distinct(column: Column) -> bool:
+    """At most half of the column's rows are distinct, by its statistics."""
+    return column.statistics.distinct * 2 <= len(column)
+
+
+def _few_runs(column: Column) -> bool:
+    """The column is non-decreasing, in at most half as many runs as rows."""
+    values = column.values
+    return is_nondecreasing(values) and run_count(values) * 2 <= values.size

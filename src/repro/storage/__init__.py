@@ -6,7 +6,7 @@ from repro.storage.column import Column
 from repro.storage.dictionary import (
     DictionaryEncoded,
     dictionary_encode,
-    dictionary_encode_column,
+    code_column,
 )
 from repro.storage.disk import (
     BufferManager,
@@ -45,9 +45,9 @@ __all__ = [
     "StatisticsOverlay",
     "Table",
     "append_table",
+    "code_column",
     "collect_statistics",
     "dictionary_encode",
-    "dictionary_encode_column",
     "get_buffer_manager",
     "is_disk_table",
     "open_table",

@@ -79,9 +79,9 @@ class Column:
     @property
     def memo(self) -> dict:
         """Structures derived from this column's (immutable) values — a
-        join's build side, HG's slot assignment, the column's one
-        run-length or dictionary ``encoding`` — memoised by the operators
-        that read them. Renamed views share one memo, so every
+        join's build side, the column's one dictionary ``encoding``, a
+        probe column's ``lookup`` into a build side — memoised by the
+        operators that read them. Renamed views share one memo, so every
         query over a registered table reads the same entries; a column
         made from new or sliced data starts empty, and the memo is freed
         with the last view of the column."""

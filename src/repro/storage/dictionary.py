@@ -8,9 +8,9 @@ just a measured statistic but something the storage layer can *manufacture*
 — which is exactly the lever the DQO optimiser pulls when it rewrites a
 sparse-domain grouping into dictionary-encode + SPH grouping.
 
-It is also, with :mod:`repro.storage.rle`, a form of the ``encoding``
-the engine memoises on a key column: group-bys read groups and slots
-off it, and join probes gather matches through its codes.
+It is also the one ``encoding`` the engine memoises on a key column:
+build-side group-bys read their groups off it, join probes gather
+matches through its codes, and a dictionary view holds it.
 :func:`code_dtype` is the one code width rule, for the memo and disk.
 """
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util.arrays import is_nondecreasing, runs_of
 from repro.errors import ColumnError
 from repro.storage.column import Column
 from repro.storage.dtypes import DataType
@@ -100,8 +101,10 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
     The resulting code column is dense and order-preserving, which makes it
     directly usable as a static perfect hash key (paper §2.1). An integer
     array whose domain is at most :data:`OCCUPANCY_MAX_SPREAD` times its
-    length is encoded by counting (:func:`_encode_by_counting`), any
-    other by ``np.unique``; both give the same arrays in the same types.
+    length is encoded by counting (:func:`_encode_by_counting`), any other
+    non-decreasing integer array from its runs (:func:`_encode_runs`),
+    and the rest by ``np.unique``; all three give the same arrays in the
+    same types.
     """
     if values.ndim != 1:
         raise ColumnError(f"expected 1-D values, got shape {values.shape}")
@@ -110,6 +113,8 @@ def dictionary_encode(values: np.ndarray) -> DictionaryEncoded:
         domain = int(values.max()) - minimum + 1
         if domain <= OCCUPANCY_MAX_SPREAD * values.size:
             return _encode_by_counting(values, minimum, domain)
+        if is_nondecreasing(values):
+            return _encode_runs(values)
     dictionary, codes, counts = np.unique(
         values, return_inverse=True, return_counts=True
     )
@@ -149,14 +154,29 @@ def _encode_by_counting(
     )
 
 
-def dictionary_encode_column(column: Column) -> tuple[Column, DictionaryEncoded]:
-    """Encode a :class:`Column`, returning the code column and the encoding.
+def _encode_runs(values: np.ndarray) -> DictionaryEncoded:
+    """:func:`dictionary_encode` of a non-empty non-decreasing array, in
+    one linear pass and without a sort: each run of equal values
+    (:func:`~repro._util.arrays.runs_of`) is one dictionary entry, its
+    length the entry's count, and its rows take the run's index as
+    their code."""
+    starts, dictionary = runs_of(values)
+    counts = np.diff(starts, append=values.size)
+    codes = np.arange(starts.size, dtype=code_dtype(starts.size))
+    return DictionaryEncoded(
+        codes=np.repeat(codes, counts),
+        dictionary=dictionary,
+        counts=narrow_counts(counts),
+    )
 
-    The code column carries precomputed statistics: density is guaranteed by
+
+def code_column(column: Column, encoded: DictionaryEncoded) -> Column:
+    """The code column of ``column`` under its encoding ``encoded``.
+
+    It carries precomputed statistics: density is guaranteed by
     construction, and sortedness is inherited from the input because the
     encoding is order-preserving.
     """
-    encoded = dictionary_encode(column.values)
     source = column.statistics
     stats = ColumnStatistics(
         count=source.count,
@@ -167,5 +187,4 @@ def dictionary_encode_column(column: Column) -> tuple[Column, DictionaryEncoded]
         is_clustered=source.is_clustered,
         is_dense=source.count > 0,
     )
-    code_column = Column(column.name, encoded.codes, DataType.INT64, stats)
-    return code_column, encoded
+    return Column(column.name, encoded.codes, DataType.INT64, stats)

@@ -220,7 +220,10 @@ class DiskColumn:
         return Column(name, self.values, self._dtype, self._stats)
 
     def take(self, indices: np.ndarray) -> Column:
-        return Column(self._name, self.values[indices], self._dtype)
+        """Rows at ``indices``; decodes only the segments holding them."""
+        return Column(
+            self._name, self._table.take_values(self._name, indices), self._dtype
+        )
 
     def slice(self, start: int, stop: int) -> Column:
         """Rows ``[start, stop)``; decodes only the segments covering them."""
@@ -239,9 +242,10 @@ class DiskColumn:
 class DiskTable:
     """A disk-resident table directory opened behind the Table protocol.
 
-    Whole-table operations (``take``, ``sort_by``, ``qualified``, ...)
-    materialise through :meth:`to_memory` and return plain in-memory
-    results; segment-grained access (:meth:`row_group`,
+    Whole-table operations (``sort_by``, ``qualified``, ...) materialise
+    through :meth:`to_memory` and return plain in-memory results;
+    ``take`` and ``slice`` decode only the segments holding their rows;
+    segment-grained access (:meth:`row_group`,
     :meth:`segment_prunable`) is what the out-of-core scan path uses.
     """
 
@@ -392,13 +396,21 @@ class DiskTable:
         return self.to_memory().qualified(relation)
 
     def take(self, indices: np.ndarray) -> Table:
-        return self.to_memory().take(indices)
+        """:meth:`Table.take`, decoding only the segments holding the
+        requested rows."""
+        return Table(self.column(name).take(indices) for name in self._schema.names)
 
     def slice(self, start: int, stop: int) -> Table:
-        return self.to_memory().slice(start, stop)
+        """:meth:`Table.slice`, decoding only the segments covering
+        ``[start, stop)``."""
+        start = max(0, min(start, self.num_rows))
+        stop = max(start, min(stop, self.num_rows))
+        return Table(
+            self.column(name).slice(start, stop) for name in self._schema.names
+        )
 
     def head(self, count: int = 10) -> Table:
-        return self.to_memory().head(count)
+        return self.slice(0, count)
 
     def sort_by(self, names) -> Table:
         return self.to_memory().sort_by(names)
@@ -458,7 +470,7 @@ class DiskTable:
         parts = []
         first = 0  # row number of the segment's first row
         for index, meta in enumerate(record["segments"]):
-            if first >= stop:
+            if first >= stop or start >= stop:
                 break
             rows = int(meta["rows"])
             if first + rows > start:
@@ -472,6 +484,34 @@ class DiskTable:
         merged = np.concatenate(parts)
         merged.flags.writeable = False
         return merged
+
+    def take_values(self, name: str, indices: np.ndarray) -> np.ndarray:
+        """A column's values at row positions ``indices`` (negative ones
+        count from the end, as in numpy), decoded through the buffer
+        pool: only the segments holding a requested row are read, and
+        the rows are gathered from those segments laid end to end.
+
+        :raises IndexError: for a position outside the table.
+        """
+        record = self._column_record(name)
+        positions = np.asarray(indices, dtype=np.int64)
+        num_rows = self.num_rows
+        if positions.size and (
+            int(positions.min()) < -num_rows or int(positions.max()) >= num_rows
+        ):
+            raise IndexError(f"row index out of range for {num_rows} rows")
+        positions = np.where(positions < 0, positions + num_rows, positions)
+        starts = np.cumsum([0] + [int(meta["rows"]) for meta in record["segments"]])
+        segment_of = np.searchsorted(starts, positions, side="right") - 1
+        needed = np.flatnonzero(np.bincount(segment_of, minlength=starts.size - 1))
+        parts = [self.segment_values(name, int(index)) for index in needed]
+        if not parts:
+            return np.empty(0, dtype=DataType(record["dtype"]).numpy_dtype)
+        # Where each needed segment starts in the parts laid end to end.
+        shift = np.zeros(starts.size - 1, dtype=np.int64)
+        shift[needed] = np.cumsum([0] + [part.size for part in parts[:-1]])
+        shift -= starts[:-1]
+        return np.concatenate(parts)[positions + shift[segment_of]]
 
     @contextmanager
     def row_group(self, index: int, columns: Sequence[str] | None = None):

@@ -5,10 +5,10 @@ properties. RLE is the second concrete compression scheme in this library
 (next to :mod:`repro.storage.dictionary`); it is interesting to DQO because
 a run-length encoded column *is* a partitioned/clustered representation —
 grouping over an RLE column degenerates to an aggregation over runs, which
-is the order-based grouping kernel operating on metadata only.
-
-It is also the ``encoding`` the engine memoises on a non-decreasing join
-probe column: each run is looked up once, its matches repeated over it.
+is the order-based grouping kernel operating on metadata only. Disk
+pages use it too; the engine's memoised key encoding is a dictionary,
+which :func:`~repro.storage.dictionary.dictionary_encode` reads off a
+non-decreasing column's runs.
 """
 
 from __future__ import annotations

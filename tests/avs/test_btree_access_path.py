@@ -13,7 +13,7 @@ from repro.avs import AVRegistry, ViewKind, materialize_view
 from repro.core import DynamicProgrammingOptimizer, dqo_config, to_operator
 from repro.core.cost import AccessPathCostModel
 from repro.engine import execute
-from repro.engine.kernels.joins import JoinAlgorithm
+from repro.engine.kernels.joins import JoinAlgorithm, build_side
 from repro.engine.operators import IndexRangeScan
 from repro.engine.operators.joins import memoised_build_side
 from repro.logical import evaluate_naive
@@ -123,7 +123,8 @@ class TestIndexRangeScanOperator:
         table = catalog.table("T")
         result = IndexRangeScan(table, "k", view.artifact, low, high).to_table()
         order = np.argsort(keys, kind="stable")
-        expected = table.take(order[(keys[order] >= low) & (keys[order] <= high)])
+        source = table.to_memory() if storage == "disk" else table
+        expected = source.take(order[(keys[order] >= low) & (keys[order] <= high)])
         assert result.equals(expected)
         assert result["k"].dtype == keys.dtype
         if storage == "memory":
@@ -132,6 +133,30 @@ class TestIndexRangeScanOperator:
             sorted_keys = materialize_view(catalog, ViewKind.SORTED_KEYS, "T", "k")
             assert view.artifact is shared
             assert sorted_keys.artifact is shared
+
+
+    def test_disk_range_reads_only_the_segments_holding_its_rows(self, tmp_path):
+        """A 1 % range over a 100 000-row, two-column disk table whose key
+        is clustered (each block of 1 000 rows holds its own keys,
+        shuffled): the scan misses the buffer pool no more often than
+        there are segments holding its rows, per column, and returns the
+        in-memory scan's rows."""
+        rows, segment_rows = 100_000, 4_096
+        rng = np.random.default_rng(11)
+        keys = np.concatenate(
+            [block + rng.permutation(1_000) for block in range(0, rows, 1_000)]
+        )
+        table = Table.from_arrays({"k": keys, "v": rng.integers(0, 100, rows)})
+        pool = BufferManager(budget_bytes=256 << 10)
+        disk = write_table(table, str(tmp_path / "T"), segment_rows=segment_rows, buffer=pool)
+        build = build_side(keys, JoinAlgorithm.BSJ)
+        low, high = 40_000, 40_999
+        covering = np.unique(build.range_rows(low, high) // segment_rows).size
+        misses = pool.stats()["misses"]
+        result = IndexRangeScan(disk, "k", build, low, high).to_table()
+        assert pool.stats()["misses"] - misses <= covering * disk.num_columns
+        assert result.equals(IndexRangeScan(table, "k", build, low, high).to_table())
+        assert result.num_rows == rows // 100
 
 
 class TestAccessPathChoice:

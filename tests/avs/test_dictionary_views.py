@@ -15,6 +15,7 @@ from repro.avs.view import DictionaryViewArtifact
 from repro.core import optimize_dqo, optimize_sqo, to_operator
 from repro.datagen import Density, Sortedness, make_grouping_dataset, make_join_scenario
 from repro.engine import GroupingAlgorithm, execute
+from repro.engine.operators.joins import memoised_encoding
 from repro.errors import PlanError
 from repro.logical import evaluate_naive
 from repro.sql import plan_query
@@ -57,6 +58,20 @@ class TestArtifact:
             np.arange(artifact.encoding.cardinality)
         )
         assert bool(np.all(decoded[:-1] < decoded[1:]))
+
+    def test_encoding_is_the_columns_memo_entry(self, memory_storage, sparse_catalog):
+        """The view's encoding is the column's one ``encoding`` entry: the
+        object a join's probe or a build-side group-by over the column
+        reads, and a second view shares it."""
+        view = materialize_view(sparse_catalog, ViewKind.DICTIONARY, "T", "key")
+        column = sparse_catalog.table("T").column("key")
+        key, entry = column.memo["encoding"]
+        assert key == () and view.artifact.encoding is entry
+        assert memoised_encoding(column) is entry
+        again = materialize_view(sparse_catalog, ViewKind.DICTIONARY, "T", "key")
+        assert again.artifact.encoding is entry
+        codes = again.artifact.encoded_table.column("key").values
+        assert np.array_equal(codes, entry.codes)
 
     def test_other_columns_untouched(self, sparse_catalog):
         view = materialize_view(sparse_catalog, ViewKind.DICTIONARY, "T", "key")

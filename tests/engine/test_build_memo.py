@@ -1,14 +1,14 @@
 """Laws of the build memo: a hit is indistinguishable from a fresh build.
 
-A join's build side, HG's build-side slot assignment and a key column's
-one ``encoding`` are memoised on the base column they are erected over.
-The encoding is the column's run-length form or its dictionary: SPHG,
-OG, SOG and BSG take their groups and slots from it, and HJ, SPHJ, BSJ
-and OJ look each run or distinct value of their probe up once through
-it. Each key column gets one, whichever of these reads it first. That
-``lookup`` (the build-side slot of each run or distinct value) is
-memoised on the probe column too, keyed on the build side it was
-computed against, once that build side stands on its column. A join
+A join's build side and a key column's one ``encoding`` are memoised on
+the base column they are erected over. The encoding is the column's
+dictionary: the five grouping algorithms take their build-side groups
+from it, HJ, SPHJ, BSJ and OJ look each distinct value of their probe up
+once through it, and a dictionary view's artifact holds it. Each key
+column gets one, whichever of these reads it first. That ``lookup``
+(the build-side slot of each distinct value) is memoised on the probe
+column too, keyed on the build side it was computed against, once that
+build side stands on its column. A join
 builds on one route, the serial kernel, whatever the worker count, and
 an active query context does not change it; ungoverned or governed, it
 must return, on its first and on every later execution, exactly what the
@@ -27,6 +27,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.avs import ViewKind, materialize_view
+from repro.datagen import Density, Sortedness, make_join_scenario
 from repro.engine import (
     Filter,
     GroupBy,
@@ -40,8 +42,7 @@ from repro.engine import (
     execute,
 )
 from repro.engine.aggregates import sum_of
-from repro.engine.kernels.grouping import assign_slots
-from repro.engine.kernels.joins import BuildSide, distinct_keys, join
+from repro.engine.kernels.joins import BuildSide, join
 from repro.engine.operators import joins as join_operators
 from repro.engine.operators.base import memoised
 from repro.engine.procpool import leaked_segments
@@ -52,7 +53,6 @@ from repro.service.session import QueryService, ServiceConfig
 from repro.settings import scoped_settings
 from repro.storage import Catalog, ForeignKey, Table
 from repro.storage.dictionary import DictionaryEncoded, code_dtype, dictionary_encode
-from repro.storage.rle import RunLengthEncoded, rle_encode
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -64,7 +64,6 @@ BUILD_SIDE_GROUPING = (
     GroupingAlgorithm.SOG,
     GroupingAlgorithm.BSG,
 )
-ENCODINGS = (DictionaryEncoded, RunLengthEncoded)
 #: (hits, misses) of two runs of one join over the same tables.
 EXPECTED_MEMO_COUNTS = {
     JoinAlgorithm.HJ: (1, 4),
@@ -196,7 +195,7 @@ def test_lookup_hit_equals_memo_free_join(algorithm, route, repeated, layout):
         (build_ref,), slots = s.column("R_ID").memo["lookup"]
         assert build_ref() is matches.build
         assert matches.slots is slots and not slots.flags.writeable
-        assert slots.nbytes <= 8 * distinct_keys(matches.encoded).size
+        assert slots.nbytes <= 8 * matches.encoded.dictionary.size
     assert np.array_equal(matches.pairs.left_indices, fresh.left_indices)
     assert np.array_equal(matches.pairs.right_indices, fresh.right_indices)
     counts, total = matches.build.group_counts(
@@ -245,7 +244,7 @@ def test_lookup_is_not_read_against_a_replaced_build_side(route):
     __, encoded = s.column("R_ID").memo["encoding"]
     (build_ref,), slots = hj_entry
     assert build_ref() is build
-    assert np.array_equal(slots, build.slots(distinct_keys(encoded)))
+    assert np.array_equal(slots, build.slots(encoded.dictionary))
 
 
 @pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
@@ -280,10 +279,9 @@ def test_filtered_build_keeps_the_base_lookup(algorithm):
 
 @pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
 def test_grouping_hit_equals_fresh_build(grouping):
-    """Hints A -> B -> A: HG's changed key misses and replaces its one
-    slots entry, while the other four read the one encoding whatever the
-    hint; each run equals a group-by over tables nothing was memoised
-    on, HG's row order included."""
+    """Hints A -> B -> A: every algorithm reads the one encoding whatever
+    the hint; each run equals a group-by over tables nothing was
+    memoised on, HG's row order included."""
     r_data, s_data = arrays(seed=5)
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
 
@@ -308,29 +306,20 @@ def test_grouping_hit_equals_fresh_build(grouping):
     with capture_observability() as (metrics, __):
         for hint, expected_table in zip(hints, fresh):
             assert grouped(r, s, hint).equals(expected_table)
-            if grouping is GroupingAlgorithm.HG:
-                key, assignment = r.column("A").memo["slots"]
-                assert key == (hint,)
-                expected = assign_slots(r_data["A"], grouping, hint)
-                assert np.array_equal(assignment.slots, expected.slots)
-                assert np.array_equal(assignment.group_keys, expected.group_keys)
-            else:
-                key, encoded = r.column("A").memo["encoding"]
-                assert key == () and "slots" not in r.column("A").memo
-                expected = dictionary_encode(r_data["A"])
-                assert np.array_equal(encoded.codes, expected.codes)
-                assert encoded.codes.dtype == expected.codes.dtype
-                assert np.array_equal(encoded.dictionary, expected.dictionary)
-                assert np.array_equal(encoded.counts, expected.counts)
-                assert encoded.counts.dtype == expected.counts.dtype
-    # Per run, R.ID's build side, S.R_ID's encoding and R.A's slots or
-    # encoding are each read once: the build side misses on the first
-    # run only, S.R_ID on the first two, HG's slots on every run and
-    # R.A's encoding on the first only. S.R_ID's lookup is read once
-    # there is an encoding to read it through: a miss on the second run,
-    # a hit on the third.
-    hits = 4 if grouping is GroupingAlgorithm.HG else 6
-    assert memo_counts(metrics) == (hits, 11 - hits)
+            key, encoded = r.column("A").memo["encoding"]
+            assert key == () and set(r.column("A").memo) == {"encoding"}
+            expected = dictionary_encode(r_data["A"])
+            assert np.array_equal(encoded.codes, expected.codes)
+            assert encoded.codes.dtype == expected.codes.dtype
+            assert np.array_equal(encoded.dictionary, expected.dictionary)
+            assert np.array_equal(encoded.counts, expected.counts)
+            assert encoded.counts.dtype == expected.counts.dtype
+    # Per run, R.ID's build side, S.R_ID's encoding and R.A's encoding
+    # are each read once: the build side misses on the first run only,
+    # S.R_ID on the first two and R.A on the first only. S.R_ID's lookup
+    # is read once there is an encoding to read it through: a miss on
+    # the second run, a hit on the third.
+    assert memo_counts(metrics) == (6, 5)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -482,11 +471,11 @@ def test_threads_racing_on_the_first_query_agree():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 12 and all(result.equals(fresh) for result in results)
     # However the probe's first touches and builds interleave, the entry
-    # left is the sorted column's run-length form.
+    # left is the column's dictionary.
     __, encoded = s.column("R_ID").memo["encoding"]
-    expected = rle_encode(s_data["R_ID"])
-    assert np.array_equal(encoded.values, expected.values)
-    assert np.array_equal(encoded.lengths, expected.lengths)
+    expected = dictionary_encode(s_data["R_ID"])
+    assert np.array_equal(encoded.dictionary, expected.dictionary)
+    assert np.array_equal(encoded.codes, expected.codes)
 
 
 @pytest.mark.usefixtures("memory_storage")
@@ -513,7 +502,8 @@ def test_unregister_frees_the_memoised_structure(route):
 
 
 # --------------------------------------------------------------------------
-# The run-length form OJ probes a sorted column through, memoised on it
+# The dictionary OJ probes a sorted column through, read off its runs and
+# memoised on it
 
 
 def oj_probe(kind: str) -> np.ndarray:
@@ -531,11 +521,11 @@ def oj_probe(kind: str) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["sorted", "unsorted", "all_equal", "all_distinct"])
 def test_oj_runs_hit_equals_memo_free_kernel(kind):
-    """OJ builds a sorted probe column's run-length form on its first
-    probe and reads it after. It never sorts: an unsorted probe (OJ does
-    not validate by default) and one with more runs than half its rows
-    are looked up run by run afresh. The pairs are the per-row search's
-    either way."""
+    """OJ builds a sorted probe column's dictionary on its first probe
+    and reads it after. It never sorts: an unsorted probe (OJ does not
+    validate by default) and one with more runs than half its rows are
+    encoded afresh on every probe, and nothing is stored. The pairs are
+    the per-row search's either way."""
     r_data, s_data = arrays()
     s_data = {"R_ID": oj_probe(kind), "B": np.zeros(oj_probe(kind).size, dtype=np.int64)}
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
@@ -547,18 +537,18 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
         ]
     memoised_runs = kind in ("sorted", "all_equal")
     # Build side and encoding: a miss each on the first run, a hit each
-    # on the second. With runs to read it through, the lookup is read
-    # once the build side stands: a miss on the second run.
+    # on the second. With a dictionary to read it through, the lookup is
+    # read once the build side stands: a miss on the second run.
     assert memo_counts(metrics) == ((2, 3) if memoised_runs else (1, 3))
     if memoised_runs:
         key, encoded = s.column("R_ID").memo["encoding"]
-        expected = rle_encode(s_data["R_ID"])
+        expected = dictionary_encode(s_data["R_ID"])
         assert key == ()
-        assert np.array_equal(encoded.values, expected.values)
-        assert np.array_equal(encoded.lengths, expected.lengths)
-        assert encoded.lengths.dtype == code_dtype(int(expected.lengths.max()) + 1)
-        assert not encoded.values.flags.writeable
-        assert not encoded.lengths.flags.writeable
+        assert np.array_equal(encoded.dictionary, expected.dictionary)
+        assert np.array_equal(encoded.codes, expected.codes)
+        assert np.array_equal(encoded.counts, expected.counts)
+        assert encoded.counts.dtype == code_dtype(int(expected.counts.max()) + 1)
+        assert not any(array.flags.writeable for array in vars(encoded).values())
     else:
         assert "encoding" not in s.column("R_ID").memo
     for result in pairs:
@@ -569,7 +559,7 @@ def test_oj_runs_hit_equals_memo_free_kernel(kind):
 @pytest.mark.parametrize("narrowed", ["filtered", "sliced"])
 def test_narrowed_probe_never_hits(narrowed):
     """A filtered or sliced probe is a new column on every execution: it
-    finds its runs afresh and leaves the base column's entry alone."""
+    is encoded afresh and leaves the base column's entry alone."""
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     execute(join_operator(r, s, JoinAlgorithm.OJ), workers=1)
@@ -608,8 +598,8 @@ def test_unregister_frees_the_probe_runs():
         workers=1,
     )
     __, encoded = catalog.table("S").column("R_ID").memo["encoding"]
-    assert isinstance(encoded, RunLengthEncoded)
-    structures = [weakref.ref(encoded.values), weakref.ref(encoded.lengths)]
+    assert isinstance(encoded, DictionaryEncoded)
+    structures = [weakref.ref(array) for array in vars(encoded).values()]
     del encoded
     catalog.unregister("R")
     catalog.unregister("S")
@@ -684,7 +674,7 @@ def test_dictionary_probe_equals_memo_free_kernel(
         entries.append(memo_entry(s, "R_ID"))
     first, built, read = entries
     assert encodings == [s_data["R_ID"].size]
-    assert not isinstance(first, ENCODINGS)
+    assert not isinstance(first, DictionaryEncoded)
     assert isinstance(built, DictionaryEncoded) and read is built
     expected = dictionary_encode(s_data["R_ID"])
     assert np.array_equal(built.dictionary, expected.dictionary)
@@ -735,7 +725,7 @@ def test_many_distinct_probe_keys_are_declined_unsorted(algorithm, encodings):
             pairs = join_operator(r, s, algorithm).matches().pairs
             assert np.array_equal(pairs.left_indices, fresh.left_indices)
             assert np.array_equal(pairs.right_indices, fresh.right_indices)
-            assert not isinstance(memo_entry(s, "R_ID"), ENCODINGS)
+            assert not isinstance(memo_entry(s, "R_ID"), DictionaryEncoded)
     assert encodings == []
     # Build side: miss, hit, hit. Encoding: first touch, then declined
     # on each later read.
@@ -776,7 +766,9 @@ def test_unregister_frees_the_probe_dictionary(route):
 def builds_of(column_entries: list) -> int:
     """Distinct encodings among a column's entries read after each run:
     a rebuild replaces the entry with a new object."""
-    return len({id(entry) for entry in column_entries if isinstance(entry, ENCODINGS)})
+    return len(
+        {id(entry) for entry in column_entries if isinstance(entry, DictionaryEncoded)}
+    )
 
 
 def grouping_sequence_arrays(layout: str) -> tuple[dict, dict]:
@@ -822,7 +814,7 @@ def test_one_encoding_build_per_grouping_key(layout, route):
         fresh = grouped(fresh_r, fresh_s, grouping, hint)
         assert grouped(r, s, grouping, hint).equals(fresh)
         entries.append(memo_entry(r, "A"))
-    assert builds_of(entries) == 1 and "slots" not in r.column("A").memo
+    assert builds_of(entries) == 1 and set(r.column("A").memo) == {"encoding"}
     expected = dictionary_encode(r_data["A"])
     assert np.array_equal(entries[-1].codes, expected.codes)
     assert entries[-1].codes.dtype == expected.codes.dtype
@@ -831,9 +823,9 @@ def test_one_encoding_build_per_grouping_key(layout, route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_one_encoding_build_per_sorted_probe(route):
-    """OJ, then HJ, then BSJ over a sorted S.R_ID: OJ builds its run-length
-    form on the first probe and the others read it, each returning the
-    memo-free kernel's pairs."""
+    """OJ, then HJ, then BSJ over a sorted S.R_ID: OJ builds its
+    dictionary on the first probe and the others read it, each returning
+    the memo-free kernel's pairs."""
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     entries = []
@@ -844,7 +836,7 @@ def test_one_encoding_build_per_sorted_probe(route):
         assert np.array_equal(pairs.right_indices, fresh.right_indices)
         entries.append(memo_entry(s, "R_ID"))
     assert builds_of(entries) == 1
-    assert isinstance(entries[0], RunLengthEncoded) and entries[-1] is entries[0]
+    assert isinstance(entries[0], DictionaryEncoded) and entries[-1] is entries[0]
 
 
 def probe_column(kind: str) -> np.ndarray:
@@ -886,28 +878,23 @@ def test_probe_encoding_laws(algorithm, route, kind):
         kind == "unsorted" and algorithm is JoinAlgorithm.OJ
     )
     if declined:
-        assert not any(isinstance(entry, ENCODINGS) for entry in entries)
+        assert not any(isinstance(entry, DictionaryEncoded) for entry in entries)
         return
     first_built = 0 if algorithm is JoinAlgorithm.OJ else 1
-    assert not any(isinstance(entry, ENCODINGS) for entry in entries[:first_built])
+    assert not any(
+        isinstance(entry, DictionaryEncoded) for entry in entries[:first_built]
+    )
     encoded = entries[first_built]
     assert all(entry is encoded for entry in entries[first_built:])
-    if kind == "sorted":
-        expected = rle_encode(probe)
-        assert isinstance(encoded, RunLengthEncoded)
-        assert np.array_equal(encoded.values, expected.values)
-        assert np.array_equal(encoded.lengths, expected.lengths)
-        narrow = [(encoded.lengths, int(expected.lengths.max()) + 1)]
-    else:
-        expected = dictionary_encode(probe)
-        assert isinstance(encoded, DictionaryEncoded)
-        assert np.array_equal(encoded.dictionary, expected.dictionary)
-        assert np.array_equal(encoded.codes, expected.codes)
-        assert np.array_equal(encoded.counts, expected.counts)
-        narrow = [
-            (encoded.codes, expected.cardinality),
-            (encoded.counts, int(expected.counts.max()) + 1),
-        ]
+    expected = dictionary_encode(probe)
+    assert isinstance(encoded, DictionaryEncoded)
+    assert np.array_equal(encoded.dictionary, expected.dictionary)
+    assert np.array_equal(encoded.codes, expected.codes)
+    assert np.array_equal(encoded.counts, expected.counts)
+    narrow = [
+        (encoded.codes, expected.cardinality),
+        (encoded.counts, int(expected.counts.max()) + 1),
+    ]
     for array, count in narrow:
         assert array.dtype == code_dtype(count)
     assert not any(
@@ -924,7 +911,7 @@ def test_declined_build_is_decided_again_and_stores_nothing():
 
     def build():
         calls.append(1)
-        return None if len(calls) < 2 else rle_encode(np.arange(3))
+        return None if len(calls) < 2 else dictionary_encode(np.arange(3))
 
     assert memoised(column, "encoding", (), build, second_touch=True) is None
     assert memoised(column, "encoding", (), build, second_touch=True) is None
@@ -932,15 +919,15 @@ def test_declined_build_is_decided_again_and_stores_nothing():
     built = memoised(column, "encoding", (), build, second_touch=True)
     assert calls == [1, 1] and marked[1] is not built
     assert memoised(column, "encoding", (), build) is built
-    assert not built.values.flags.writeable and not built.lengths.flags.writeable
+    assert not built.codes.flags.writeable and not built.dictionary.flags.writeable
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_probe_and_group_by_share_one_encoding(route):
     """A column probed by OJ, then grouped on the build side, keeps OJ's
-    run-length form; a column grouped first, then probed by OJ, keeps
-    the group-by's dictionary. Each reader equals a run over tables
-    nothing was memoised on."""
+    dictionary; a column grouped first, then probed by OJ, keeps the
+    group-by's. Each reader equals a run over tables nothing was
+    memoised on."""
     r_data, s_data = arrays()
     r, s = Table.from_arrays(r_data), Table.from_arrays(s_data)
     keys = {"K": np.unique(r_data["A"]), "C": np.arange(np.unique(r_data["A"]).size)}
@@ -967,7 +954,7 @@ def test_probe_and_group_by_share_one_encoding(route):
 
     join_operator(r, s, JoinAlgorithm.OJ).matches()
     runs = memo_entry(s, "R_ID")
-    assert isinstance(runs, RunLengthEncoded)
+    assert isinstance(runs, DictionaryEncoded)
     fresh = grouped_by_probe_key(Table.from_arrays(r_data), Table.from_arrays(s_data))
     assert grouped_by_probe_key(r, s).equals(fresh)
     assert memo_entry(s, "R_ID") is runs
@@ -989,6 +976,112 @@ def test_probe_and_group_by_share_one_encoding(route):
     assert np.array_equal(pairs.left_indices, expected.left_indices)
     assert np.array_equal(pairs.right_indices, expected.right_indices)
     assert memo_entry(r, "A") is codes
+
+
+#: the three readers of a key column's encoding, in the order each test
+#: case lets them touch S.R_ID first.
+READER_ORDERS = {
+    "probe_first": ("probe", "group_by", "view"),
+    "group_by_first": ("group_by", "view", "probe"),
+    "view_first": ("view", "probe", "group_by"),
+}
+
+
+@pytest.mark.usefixtures("memory_storage")
+@pytest.mark.parametrize("order", list(READER_ORDERS))
+def test_every_reader_reads_the_first_readers_encoding(order, encodings):
+    """HJ's probe, a build-side SPHG group-by and a dictionary view over
+    S.R_ID, in three orders: the column is encoded once, by whichever
+    touches it first (HJ on its second probe), and holds that one
+    ``encoding`` entry; the probe's and the view's encoding are that
+    object. Each join and group-by equals a run over tables nothing was
+    memoised on."""
+    r_data, s_data = arrays()
+    catalog = Catalog()
+    catalog.register("R", Table.from_arrays(r_data))
+    catalog.register("S", Table.from_arrays(s_data))
+    r, s = catalog.table("R"), catalog.table("S")
+    fresh_pairs = join(r_data["ID"], s_data["R_ID"], JoinAlgorithm.HJ)
+
+    def grouped(r, s):
+        # S is the build side here, so S.R_ID is a build-side group key.
+        operator = Join(
+            TableScan(s.qualified("S")), TableScan(r.qualified("R")), "S.R_ID", "R.ID"
+        )
+        return execute(
+            GroupBy(operator, "S.R_ID", [count_star("n")], GroupingAlgorithm.SPHG),
+            workers=1,
+        )
+
+    fresh_groups = grouped(Table.from_arrays(r_data), Table.from_arrays(s_data))
+    del encodings[:]
+
+    def probe():
+        for _ in range(2):
+            with scoped_settings(workers=1):
+                matches = join_operator(r, s, JoinAlgorithm.HJ).matches()
+            assert np.array_equal(matches.pairs.left_indices, fresh_pairs.left_indices)
+            assert np.array_equal(matches.pairs.right_indices, fresh_pairs.right_indices)
+        return matches.encoded
+
+    def group_by():
+        assert grouped(r, s).equals(fresh_groups)
+        return memo_entry(s, "R_ID")
+
+    def view():
+        view = materialize_view(catalog, ViewKind.DICTIONARY, "S", "R_ID")
+        return view.artifact.encoding
+
+    readers = {"probe": probe, "group_by": group_by, "view": view}
+    first, *later = READER_ORDERS[order]
+    entry = readers[first]()
+    assert isinstance(entry, DictionaryEncoded) and memo_entry(s, "R_ID") is entry
+    for name in later:
+        assert readers[name]() is entry, name
+    assert memo_entry(s, "R_ID") is entry and encodings == [s_data["R_ID"].size]
+
+
+#: the Figure 5 layouts: (stored sorted, dense domain).
+FIGURE5_LAYOUTS = {
+    "sorted_dense": (True, True),
+    "sorted_sparse": (True, False),
+    "unsorted_dense": (False, True),
+    "unsorted_sparse": (False, False),
+}
+
+
+@pytest.mark.usefixtures("memory_storage")
+@pytest.mark.parametrize("layout", list(FIGURE5_LAYOUTS))
+def test_warm_figure5_query_leaves_three_memo_kinds(layout):
+    """After a warm §4.3 query on each layout, the plan the optimiser
+    picks has memoised a build side, R.A's encoding and S.R_ID's
+    encoding and lookup, and every column's memo holds no kind but
+    ``build_side``, ``encoding`` and ``lookup``."""
+    sorted_, dense = FIGURE5_LAYOUTS[layout]
+    sortedness = Sortedness.SORTED if sorted_ else Sortedness.UNSORTED
+    catalog = make_join_scenario(
+        n_r=6_250,
+        n_s=50_000,
+        num_groups=2_000,
+        r_sortedness=sortedness,
+        s_sortedness=sortedness,
+        density=Density.DENSE if dense else Density.SPARSE,
+        seed=11,
+    ).build_catalog()
+    service = QueryService(catalog, ServiceConfig())
+    try:
+        results = [service.execute(QUERY).table for _ in range(3)]
+    finally:
+        service.shutdown()
+    assert all(result.equals(results[0]) for result in results)
+    kinds = {
+        f"{name}.{column.name}": set(column.memo)
+        for name in ("R", "S")
+        for column in catalog.table(name).columns()
+    }
+    assert all(held <= {"build_side", "encoding", "lookup"} for held in kinds.values())
+    assert "encoding" in kinds["R.A"] and "build_side" in kinds["R.ID"]
+    assert kinds["S.R_ID"] == {"encoding", "lookup"}
 
 
 # --------------------------------------------------------------------------
@@ -1025,8 +1118,8 @@ def gathered(r_data: dict, s_data: dict, algorithm, grouping) -> Table:
 @pytest.mark.parametrize("grouping", BUILD_SIDE_GROUPING, ids=lambda a: a.name)
 @pytest.mark.parametrize("algorithm", MEMOISED_JOINS, ids=lambda a: a.name)
 def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, layout, workers):
-    """Cold, first-touched and warm (the probe column's run-length form
-    or dictionary memoised), a COUNT grouped on R.A never emits the
+    """Cold, first-touched and warm (the probe column's dictionary
+    memoised), a COUNT grouped on R.A never emits the
     join's pairs, and returns what grouping the gathered output returns:
     bit for bit, in the same order, HG's up to order. OG's groups
     ascend, which is what OG gives over an output sorted on the key and
@@ -1050,12 +1143,10 @@ def test_count_route_equals_gathered_route(monkeypatch, algorithm, grouping, lay
             assert result.equals(expected), run
     assert probed == []
     encoded = memo_entry(s, "R_ID")
-    if algorithm is JoinAlgorithm.OJ and layout == "unsorted":
-        assert not isinstance(encoded, ENCODINGS)
-    else:
-        # SPHJ too reads the probe through its encoding.
-        form = RunLengthEncoded if layout == "sorted" else DictionaryEncoded
-        assert isinstance(encoded, form)
+    # SPHJ too reads the probe through its encoding; OJ never encodes an
+    # unsorted one.
+    unencoded = algorithm is JoinAlgorithm.OJ and layout == "unsorted"
+    assert isinstance(encoded, DictionaryEncoded) != unencoded
 
 
 def test_declined_count_gathers_from_the_same_matches(monkeypatch):

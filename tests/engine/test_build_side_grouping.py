@@ -17,10 +17,10 @@ A parallel route (two workers, threads or processes) groups the build
 side as the serial route does, in its order; up to key order that is
 the parts' merge over the gathered output.
 
-OJ looks each run of its sorted probe up once. Its index pairs must be
-the per-row binary search's, over sorted, unsorted (unvalidated),
-all-equal and all-distinct probes, whether it finds the runs itself or
-probes through the column's run-length or dictionary encoding.
+OJ looks each distinct key of its sorted probe up once. Its index pairs
+must be the per-row binary search's, over sorted, unsorted
+(unvalidated), all-equal and all-distinct probes, whether it encodes
+the probe itself or probes through the column's memoised dictionary.
 """
 
 import time
@@ -52,7 +52,7 @@ from repro.engine.procpool import get_shared_store, leaked_segments, shutdown_pr
 from repro.obs.runtime import capture_observability
 from repro.settings import scoped_settings
 from repro.sql import plan_query
-from repro.storage import Table, dictionary_encode, rle_encode
+from repro.storage import Table, dictionary_encode
 
 pytestmark = pytest.mark.usefixtures("fork_pool")
 
@@ -493,7 +493,7 @@ class TestJoinActuals:
     def test_declined_count_reads_no_group_key_memo(self, grouping):
         """A COUNT whose build input has more rows than the join matched
         declines before it reads the key column's memo: the column holds
-        no ``slots`` or ``encoding`` entry, and no memo read is counted
+        no ``encoding`` entry, and no memo read is counted
         but the join's (build side and probe encoding)."""
         r, s = relations("build_larger_than_matches")
         build, probe = Table.from_arrays(r), Table.from_arrays(s)
@@ -561,10 +561,9 @@ def assert_oj_pairs(build, probe):
     if build.size == 0 or probe.size == 0:
         return
     oj = build_side(build, JoinAlgorithm.OJ)
-    # Runs found here, or the probe column's encodings (memoised on it).
+    # Encoded here, or the probe column's encoding (memoised on it).
     for left, right in (
         oj.probe(probe),
-        oj.probe_encoded(rle_encode(probe)),
         oj.probe_encoded(dictionary_encode(probe)),
     ):
         assert left.dtype == right.dtype == np.int64

@@ -10,7 +10,6 @@ from repro.engine.kernels.joins import (
     JoinOutputOrder,
     binary_search_join,
     build_side,
-    distinct_keys,
     hash_join,
     join,
     merge_join,
@@ -18,7 +17,7 @@ from repro.engine.kernels.joins import (
     sort_merge_join,
 )
 from repro.errors import PreconditionError
-from repro.storage import dictionary_encode, rle_encode
+from repro.storage import dictionary_encode
 
 
 def naive_pairs(build, probe):
@@ -183,10 +182,12 @@ def counting_probes() -> dict:
 def counting_case(algorithm, repeated, probe_kind, probe_form):
     """The build keys, probe keys, build side, probe encoding (None for a
     raw probe), the probe's slots and the kernel's pairs of one case;
-    checks that ``pairs`` of the slots are the probe's pairs."""
+    checks that ``pairs`` of the slots are the probe's pairs. The
+    ``"rle"`` form is the probe sorted into runs, then encoded: the
+    dictionary a sorted probe column holds."""
     build_keys = counting_build_keys(algorithm, repeated)
     probe = counting_probes()[probe_kind].astype(np.int64)
-    if algorithm is JoinAlgorithm.OJ:
+    if algorithm is JoinAlgorithm.OJ or probe_form == "rle":
         probe = np.sort(probe)
     build = build_side(build_keys, algorithm)
     assert build.kind == COUNTING_JOINS[algorithm]
@@ -195,9 +196,9 @@ def counting_case(algorithm, repeated, probe_kind, probe_form):
         expected = build.probe(probe)
         encoded, keys = None, probe
     else:
-        encoded = rle_encode(probe) if probe_form == "rle" else dictionary_encode(probe)
+        encoded = dictionary_encode(probe)
         expected = build.probe_encoded(encoded)
-        keys = distinct_keys(encoded)
+        keys = encoded.dictionary
     slots = build.slots(keys)
     for got, want in zip(build.pairs(slots, encoded), expected):
         assert np.array_equal(got, want)
@@ -212,7 +213,7 @@ def counting_case(algorithm, repeated, probe_kind, probe_form):
 @pytest.mark.parametrize("algorithm", list(COUNTING_JOINS), ids=lambda a: a.name)
 def test_group_counts_equal_bincount_of_the_pairs(algorithm, repeated, probe_kind, probe_form):
     """``group_counts`` of a probe column's slots, one per row, or one
-    per run or dictionary entry weighted by its length or count, equals
+    per dictionary entry weighted by its count, equals
     ``np.bincount`` of the groups of the build rows the same probe pairs
     with, and its total (and ``num_matches``) is the number of pairs;
     ``pairs`` of the same slots are the probe's pairs."""

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ColumnError
-from repro.storage import (
-    Column,
-    dictionary_encode,
-    dictionary_encode_column,
-    rle_encode,
-)
+from repro.storage import Column, code_column, dictionary_encode, rle_encode
 from repro.storage import dictionary as dictionary_module
 from repro.storage.dictionary import code_dtype, narrow_counts
 from repro.storage.statistics import OCCUPANCY_MAX_SPREAD
@@ -99,8 +94,7 @@ class TestDictionary:
         # A sparse sorted column becomes a dense sorted code column —
         # the §2.1 dictionary-compression-enables-SPH observation.
         column = Column("k", np.array([10, 10, 500, 9000]))
-        code_column, __ = dictionary_encode_column(column)
-        stats = code_column.statistics
+        stats = code_column(column, dictionary_encode(column.values)).statistics
         assert stats.is_dense
         assert stats.is_sorted
         assert stats.distinct == 3
@@ -212,6 +206,71 @@ def test_dictionary_encode_equals_unique_on_any_integers(dtype, data):
         low = data.draw(st.integers(int(limits.min), int(limits.max) - 100))
         values = [low + value % 100 for value in values]
     assert_equals_unique(np.array(values, dtype=dtype))
+
+
+# --------------------------------------------------------------------------
+# A non-decreasing integer column too wide to count is encoded from its
+# runs, in one pass and without a sort: the result is np.unique's.
+
+
+@pytest.fixture
+def from_runs(monkeypatch) -> list:
+    """The row count of every array ``dictionary_encode`` encodes from
+    its runs."""
+    calls = []
+    real = dictionary_module._encode_runs
+
+    def spy(values):
+        calls.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(dictionary_module, "_encode_runs", spy)
+    return calls
+
+
+RUN_CASES = {
+    "dense": np.repeat(np.arange(-3, 200), 3),
+    "sparse": np.sort(np.random.default_rng(5).integers(0, 10**9, 4_000)),
+    "negative": np.sort(np.random.default_rng(6).integers(-(2**40), -(2**39), 900)),
+    "int64_extremes": np.array([-(2**63), -(2**63), -1, 0, 2**63 - 2, 2**63 - 1]),
+    "uint64_extremes": np.array([0, 1, 2**63, 2**64 - 1, 2**64 - 1], dtype=np.uint64),
+    "int8": np.array([-128, -128, -5, 90, 127], dtype=np.int8),
+    "257_runs": np.repeat(np.arange(257) * 1_000, 2).astype(np.int32),
+    "one_row": np.array([42], dtype=np.int16),
+    "one_value": np.full(30, -(2**62)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_run_encoder_equals_unique(name):
+    """The run path itself, on any non-decreasing integer input: dense
+    (which ``dictionary_encode`` counts instead), sparse, negative, at
+    the extremes of the type, one row or one value."""
+    values = RUN_CASES[name]
+    encoded = dictionary_module._encode_runs(values)
+    dictionary, codes, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    assert encoded.dictionary.dtype == dictionary.dtype == values.dtype
+    assert np.array_equal(encoded.dictionary, dictionary)
+    assert encoded.codes.dtype == code_dtype(dictionary.size)
+    assert np.array_equal(encoded.codes, codes)
+    assert encoded.counts.dtype == narrow_counts(counts).dtype
+    assert np.array_equal(encoded.counts, counts)
+
+
+@pytest.mark.parametrize("name", ["sparse", "negative", "int64_extremes", "257_runs"])
+def test_sorted_wide_column_is_encoded_from_its_runs(name, from_runs, counted):
+    values = RUN_CASES[name]
+    assert spread_of(values) > OCCUPANCY_MAX_SPREAD * values.size
+    assert_equals_unique(values)
+    assert from_runs == [values.size] and counted == []
+
+
+def test_unsorted_wide_column_is_sorted(from_runs, counted):
+    values = RUN_CASES["sparse"][::-1].copy()
+    assert_equals_unique(values)
+    assert from_runs == counted == []
 
 
 class TestRLE:

@@ -92,6 +92,46 @@ class TestRoundTrip:
         assert np.isnan(np.asarray(disk.column_values("x"))).all()
 
 
+#: row positions a gather may ask for: scattered, repeated and negative
+#: ones, one segment's, the last row, and none.
+TAKE_CASES = {
+    "scattered": np.array([9_999, 0, 4_321, 4_321, 1_500, 8_000]),
+    "negative": np.array([-1, -10_000, 2, -2]),
+    "one_segment": np.arange(3_200, 3_700)[::-1],
+    "last_row": np.array([9_999]),
+    "none": np.array([], dtype=np.int64),
+}
+
+
+class TestGather:
+    @pytest.mark.parametrize("name", list(TAKE_CASES))
+    def test_take_equals_the_in_memory_take(self, disk, clustered_table, name):
+        """``take`` returns what the in-memory table's returns, and the
+        pool loads only the segments holding the rows, once each."""
+        indices = TAKE_CASES[name]
+        misses = disk.buffer.stats()["misses"]
+        result = disk.take(indices)
+        assert result.equals(clustered_table.take(indices))
+        segments = np.unique((indices % 10_000) // 1_000).size
+        assert disk.buffer.stats()["misses"] - misses <= segments * disk.num_columns
+
+    @pytest.mark.parametrize("index", [10_000, -10_001])
+    def test_take_outside_the_table_raises(self, disk, index):
+        with pytest.raises(IndexError):
+            disk.take(np.array([3, index]))
+
+    @pytest.mark.parametrize(
+        "start, stop", [(2_500, 2_700), (999, 1_001), (9_000, 20_000), (-5, 3), (7, 2)]
+    )
+    def test_slice_equals_the_in_memory_slice(self, disk, clustered_table, start, stop):
+        misses = disk.buffer.stats()["misses"]
+        result = disk.slice(start, stop)
+        assert result.equals(clustered_table.slice(start, stop))
+        first, last = max(start, 0), min(stop, 10_000)
+        segments = len(range(first // 1_000, (last - 1) // 1_000 + 1)) if last > first else 0
+        assert disk.buffer.stats()["misses"] - misses <= segments * disk.num_columns
+
+
 class TestZoneMapPruning:
     def test_selective_scan_reads_strictly_fewer_segments(self, disk):
         full = disk.estimate_scan(())
