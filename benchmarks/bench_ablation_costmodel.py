@@ -4,7 +4,9 @@ Table 2's constants were chosen for the authors' C++ kernels. This
 ablation fits a model to *this* substrate's measured kernel runtimes
 (:mod:`repro.core.cost.calibrated`) and re-runs the Figure 5 decision:
 does the fitted model still pick SPH plans for dense data, i.e. is the
-paper's conclusion robust to the constants?
+paper's conclusion robust to the constants? It retires with ROADMAP item
+1(b), which leaves one calibration path (or none) in place of
+``core/cost/calibrated.py``'s timing-dependent fit.
 """
 
 import pytest
@@ -28,16 +30,11 @@ def calibrated_model():
     return calibrate_grouping(samples)
 
 
-def test_calibration_time(benchmark):
-    benchmark.group = "cost model calibration"
-
-    def calibrate():
-        samples = measure_grouping_samples(
-            sizes=[50_000, 100_000], group_counts=[100, 2_000], repeats=1
-        )
-        return calibrate_grouping(samples)
-
-    model = benchmark.pedantic(calibrate, rounds=1, iterations=1)
+def test_calibration_time():
+    samples = measure_grouping_samples(
+        sizes=[50_000, 100_000], group_counts=[100, 2_000], repeats=1
+    )
+    model = calibrate_grouping(samples)
     assert model.grouping_coefficients
 
 

@@ -2,9 +2,12 @@
 
 "Unclustered B-tree vs scan" is the paper's opening example of a physical
 decision. Under :class:`AccessPathCostModel` the optimiser flips between
-the two at ~25% selectivity; this bench executes both access paths at
-several selectivities and verifies the optimiser's pick is also the
-wall-clock winner at the extremes.
+the two at ~25% selectivity; this bench times both access paths at 1 %
+and 80 % selectivity and checks that the optimiser's pick is also the
+wall-clock winner there. That each path returns exactly its range's rows
+is a tier-1 law (``tests/avs/test_btree_access_path.py``). The gate
+retires with ROADMAP item 16(c), which prices the index from measurement
+and re-measures the crossover.
 """
 
 import numpy as np
@@ -43,18 +46,6 @@ def _plan_with(catalog, registry, sql, use_views):
     )
     result = optimizer.optimize(plan_query(sql, catalog))
     return to_operator(result.plan, catalog, validate=False, views=registry)
-
-
-@pytest.mark.parametrize("selectivity_pct", [1, 10, 50])
-@pytest.mark.parametrize("path", ["scan", "index"], ids=["full-scan", "btree"])
-def test_access_path_execution(benchmark, setting, selectivity_pct, path):
-    catalog, registry = setting
-    bound = ROWS * selectivity_pct // 100
-    sql = f"SELECT k, v FROM T WHERE k < {bound}"
-    operator = _plan_with(catalog, registry, sql, use_views=(path == "index"))
-    benchmark.group = f"access path @ {selectivity_pct}% selectivity"
-    result = benchmark(operator.to_table)
-    assert result.num_rows == bound
 
 
 def test_optimiser_pick_wins_at_extremes(setting):

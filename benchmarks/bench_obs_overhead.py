@@ -8,6 +8,8 @@ instrumentation + memory accounting, bundled by `capture_profile`)
 must stay within 15% of bare execution. Both modes land in the
 artifact record
 (`REPRO_BENCH_ARTIFACTS=dir pytest benchmarks/bench_obs_overhead.py`).
+The budgets are timings, not laws: they move into the `perf/` ledger as
+interleaved ratios with ROADMAP item 22(b).
 """
 
 import gc

@@ -4,15 +4,18 @@ The governance stack (admission queue + per-query contexts + sessions)
 must be cheap: pushing 32 queries through a 4-slot
 :class:`~repro.service.session.QueryService` from 32 concurrent clients
 has to deliver throughput within 20% of running the same 32 queries
-back-to-back on a serial service, with zero queries lost. A second
-scenario floods a tiny queue and checks the shedding path: every
-submission either completes or is rejected *typed* with a usable
-``retry_after`` — nothing hangs, nothing vanishes.
+back-to-back on a serial service, with zero queries lost. The shedding
+path (a flooded tiny queue: every submission completes or is rejected
+*typed* with a usable ``retry_after``) is a tier-1 law,
+``tests/service/test_service.py``.
 
 The throughput artifact also carries a per-stage latency breakdown
 (p50/p95/total per :data:`~repro.service.session.STAGES` entry, for
 both the serial and the concurrent run), so a regression shows *which*
 stage slowed, not just that the ratio moved.
+
+A timing, not a law: it moves into the ``perf/`` ledger as an
+interleaved ratio with ROADMAP item 22(b).
 """
 
 import threading
@@ -28,20 +31,20 @@ from repro.service.session import QueryService, ServiceConfig
 
 SQL = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 QUERY_COUNT = 32
+#: S rows: big enough that execution dominates the per-query fixed costs
+#: the concurrent path pays twice (queue grant + context polling), small
+#: enough that four concurrent working sets don't thrash the caches of a
+#: small CI host.
+ROWS = 500_000
 #: concurrent throughput must stay within this factor of serial.
 THROUGHPUT_SLACK = 1.2
 
 
 @pytest.fixture(scope="module")
-def service_catalog(bench_rows):
-    # Big enough that execution dominates the per-query fixed costs the
-    # concurrent path pays twice (queue grant + context polling), small
-    # enough that four concurrent working sets don't thrash the caches
-    # of a small CI host.
-    rows = max(min(bench_rows, 500_000), 200_000)
+def service_catalog():
     scenario = make_join_scenario(
-        n_r=rows // 8,
-        n_s=rows,
+        n_r=ROWS // 8,
+        n_s=ROWS,
         num_groups=100,
         r_sortedness=Sortedness.UNSORTED,
         s_sortedness=Sortedness.UNSORTED,
@@ -155,54 +158,6 @@ def test_concurrent_throughput_within_20pct_of_serial(
         f"{serial_seconds:.2f}s serial (ratio {ratio:.2f} > "
         f"{THROUGHPUT_SLACK})"
     )
-
-
-def test_queue_full_sheds_typed_and_loses_nothing(service_catalog):
-    service = QueryService(
-        service_catalog,
-        ServiceConfig(
-            admission=AdmissionConfig(
-                max_concurrency=1, max_queue_depth=2, degrade_queue_depth=None
-            )
-        ),
-    )
-    try:
-        service.execute(SQL)  # warm
-        # Soak the only slot so the burst must queue (and overflow).
-        blocker = service.admission.admit()
-        results = [None] * 8
-        threads = [
-            threading.Thread(target=_submit, args=(service, results, index))
-            for index in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 10.0
-        while (
-            sum(1 for r in results if r and r[0] == "rejected") < 6
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
-        blocker.release()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        service.shutdown()
-
-    assert all(result is not None for result in results), "a query vanished"
-    completed = [r for r in results if r[0] == "ok"]
-    rejected = [r for r in results if r[0] == "rejected"]
-    assert len(completed) + len(rejected) == 8
-    assert len(completed) == 2, "exactly the queued queries completed"
-    assert len(rejected) == 6, "the overflow was shed"
-    assert all(retry > 0 for __, retry in rejected)
-
-
-def _submit(service: QueryService, results: list, index: int) -> None:
-    try:
-        results[index] = ("ok", service.execute(SQL).table.num_rows)
-    except AdmissionRejected as error:
-        results[index] = ("rejected", error.retry_after)
 
 
 def _stage_breakdown(stage_maps: list) -> dict:

@@ -1,8 +1,7 @@
-"""Shared benchmark configuration.
+"""Shared benchmark fixtures: JSON artifacts and cheap fork workers.
 
-Benchmark scale is reduced relative to the paper's 100M rows (DESIGN.md
-substitution #2) but large enough that the Figure 4 shapes are stable.
-Override with ``REPRO_BENCH_ROWS``.
+Each bench fixes its own data size; every file here is slated for
+retirement by the ROADMAP item its docstring names.
 """
 
 import os
@@ -13,15 +12,6 @@ import pytest
 
 from repro.bench.reporting import write_json_artifact
 from repro.settings import get_settings, set_settings
-
-#: rows per grouping benchmark (paper: 100,000,000).
-BENCH_ROWS = int(os.environ.get("REPRO_BENCH_ROWS", "1000000"))
-
-
-@pytest.fixture(scope="session")
-def bench_rows():
-    return BENCH_ROWS
-
 
 @pytest.fixture
 def bench_artifact():

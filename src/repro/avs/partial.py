@@ -8,8 +8,8 @@ flexibility for DQO at query time."*
 A :class:`PartialAlgorithmicView` freezes the decisions of a recipe down
 to a chosen granularity level offline; the decisions below stay open for
 query time. The measurable effect is the shrunken query-time enumeration
-space — :meth:`query_time_recipes` vs optimising from scratch — which the
-``bench_unnesting`` ablation quantifies.
+space — :meth:`query_time_recipes` vs optimising from scratch — which
+:func:`enumeration_savings` quantifies.
 """
 
 from __future__ import annotations

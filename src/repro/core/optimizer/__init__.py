@@ -10,11 +10,7 @@ from repro.core.optimizer.base import (
 )
 from repro.core.optimizer.dp import DynamicProgrammingOptimizer
 from repro.core.optimizer.dqo import optimize_dqo
-from repro.core.optimizer.exhaustive import (
-    ExhaustivePlan,
-    enumerate_exhaustive,
-    exhaustive_minimum,
-)
+from repro.core.optimizer.exhaustive import ExhaustivePlan, enumerate_exhaustive
 from repro.core.optimizer.greedy import GreedyOptimizer, optimize_greedy
 from repro.core.optimizer.plancache import (
     PlanCache,
@@ -59,7 +55,6 @@ __all__ = [
     "dqo_config",
     "enable_plan_cache",
     "enumerate_exhaustive",
-    "exhaustive_minimum",
     "extract_query",
     "get_plan_cache",
     "grouping_options",

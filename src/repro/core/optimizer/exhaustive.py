@@ -155,19 +155,3 @@ def enumerate_exhaustive(
             trace.oracle(plan.description, plan.cost, plan.rows)
     return plans
 
-
-def exhaustive_minimum(
-    plan: LogicalPlan,
-    catalog: Catalog,
-    cost_model: CostModel | None = None,
-    config: OptimizerConfig | None = None,
-    stats: SearchStats | None = None,
-) -> ExhaustivePlan:
-    """The cheapest plan in the exhaustive space.
-
-    :raises OptimizationError: if the space is empty.
-    """
-    plans = enumerate_exhaustive(plan, catalog, cost_model, config, stats)
-    if not plans:
-        raise OptimizationError("exhaustive enumeration found no plan")
-    return min(plans, key=lambda p: p.cost)

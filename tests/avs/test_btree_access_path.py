@@ -239,6 +239,10 @@ class TestExecution:
             "SELECT k, v FROM T WHERE k = 777",
             "SELECT k, v FROM T WHERE k < 300 AND v >= 50",
             "SELECT k, SUM(v) AS s FROM T WHERE k < 400 GROUP BY k ORDER BY k",
+            # 1 %, 10 % and 50 % of the rows: index, index, then scan.
+            f"SELECT k, v FROM T WHERE k < {ROWS // 100}",
+            f"SELECT k, v FROM T WHERE k < {ROWS // 10}",
+            f"SELECT k, v FROM T WHERE k < {ROWS // 2}",
         ],
     )
     def test_index_plans_match_naive(self, setting, sql):

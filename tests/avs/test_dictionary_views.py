@@ -22,6 +22,9 @@ from repro.sql import plan_query
 from repro.storage import Catalog
 
 
+GROUPING_QUERY = "SELECT key, COUNT(*) AS c, SUM(value) AS s FROM T GROUP BY key"
+
+
 @pytest.fixture
 def sparse_catalog():
     dataset = make_grouping_dataset(
@@ -86,10 +89,8 @@ class TestArtifact:
 
 
 class TestGroupingWithDictionaryView:
-    def test_optimiser_switches_to_sphg(self, sparse_catalog):
-        logical = plan_query(
-            "SELECT key, COUNT(*) AS c FROM T GROUP BY key", sparse_catalog
-        )
+    def test_optimiser_switches_to_sphg(self, memory_storage, sparse_catalog):
+        logical = plan_query(GROUPING_QUERY, sparse_catalog)
         baseline = optimize_dqo(logical, sparse_catalog)
         registry = AVRegistry(
             [materialize_view(sparse_catalog, ViewKind.DICTIONARY, "T", "key")]
@@ -103,22 +104,26 @@ class TestGroupingWithDictionaryView:
         )
         assert base_algorithm is not GroupingAlgorithm.SPHG
         assert view_algorithm is GroupingAlgorithm.SPHG
-        assert with_view.cost < baseline.cost
+        # HG (4n) -> SPHG over the codes (n), and the view's offline build
+        # is recovered in fewer than 10 queries.
+        assert baseline.cost / with_view.cost == pytest.approx(4.0)
+        saving = baseline.cost - with_view.cost
+        assert registry.total_build_cost() / saving < 10
 
     def test_execution_decodes_group_keys(self, sparse_catalog):
-        logical = plan_query(
-            "SELECT key, COUNT(*) AS c, SUM(value) AS s FROM T GROUP BY key",
-            sparse_catalog,
-        )
+        logical = plan_query(GROUPING_QUERY, sparse_catalog)
         registry = AVRegistry(
             [materialize_view(sparse_catalog, ViewKind.DICTIONARY, "T", "key")]
         )
-        result = optimize_dqo(logical, sparse_catalog, views=registry)
         truth = evaluate_naive(logical, sparse_catalog)
-        output = execute(
-            to_operator(result.plan, sparse_catalog, validate=True, views=registry)
-        )
-        assert output.equals_unordered(truth)
+        assert truth.num_rows == 200
+        # The plain plan and the view's plan return the same groups.
+        for views in (None, registry):
+            result = optimize_dqo(logical, sparse_catalog, views=views)
+            output = execute(
+                to_operator(result.plan, sparse_catalog, validate=True, views=views)
+            )
+            assert output.equals_unordered(truth)
 
     def test_lowering_without_registry_fails_loudly(self, sparse_catalog):
         logical = plan_query(
@@ -146,22 +151,24 @@ class TestGroupingWithDictionaryView:
 
 
 class TestJoinQueryWithDictionaryView:
-    def test_sparse_figure5_cell_lifts(self, sparse_join_catalog, paper_query):
-        logical = plan_query(paper_query, sparse_join_catalog)
-        sqo = optimize_sqo(logical, sparse_join_catalog)
-        dqo_plain = optimize_dqo(logical, sparse_join_catalog)
+    def test_sparse_figure5_cell_lifts(self, memory_storage, paper_query):
+        # At Figure 5's sizes plain DQO cannot beat SQO on sparse data
+        # (the paper's 1x cells); a dictionary view on the grouping
+        # attribute re-opens the gap: HJ + SPHG over the codes, 1.43x.
+        catalog = make_join_scenario(
+            r_sortedness=Sortedness.UNSORTED,
+            s_sortedness=Sortedness.UNSORTED,
+            density=Density.SPARSE,
+        ).build_catalog()
+        logical = plan_query(paper_query, catalog)
         registry = AVRegistry(
-            [
-                materialize_view(
-                    sparse_join_catalog, ViewKind.DICTIONARY, "R", "A"
-                )
-            ]
+            [materialize_view(catalog, ViewKind.DICTIONARY, "R", "A")]
         )
-        dqo_view = optimize_dqo(logical, sparse_join_catalog, views=registry)
-        # Plain DQO cannot beat SQO on sparse data (the paper's 1x cells);
-        # a dictionary view on the grouping attribute re-opens the gap.
-        assert dqo_plain.cost == pytest.approx(sqo.cost)
-        assert dqo_view.cost < sqo.cost
+        sqo = optimize_sqo(logical, catalog)
+        dqo_plain = optimize_dqo(logical, catalog)
+        dqo_view = optimize_dqo(logical, catalog, views=registry)
+        assert sqo.cost == dqo_plain.cost == 900_000
+        assert dqo_view.cost == 630_000
 
     def test_execution_through_join_and_decode(self, sparse_join_catalog, paper_query):
         logical = plan_query(paper_query, sparse_join_catalog)

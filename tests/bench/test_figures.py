@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro._util.timer import time_callable
 from repro.bench import (
     PAPER_FACTORS,
     render_crossover,
@@ -24,8 +26,9 @@ from repro.bench import (
 )
 from repro.bench.figure4 import applicable_algorithms
 from repro.bench.table1 import render_lattice_sizes
-from repro.datagen import Density, Sortedness
-from repro.engine import GroupingAlgorithm
+from repro.datagen import Density, Sortedness, zipf_keys
+from repro.engine import GroupingAlgorithm, group_by
+from repro.engine.kernels.rle_grouping import rle_compress_with_sums, rle_group_by
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,49 @@ class TestFigure4:
         text = render_figure4(figure4)
         assert "unsorted & sparse" in text
         assert "#groups" in text
+
+
+class TestExtensionShapes:
+    """Two wall-clock claims beyond the paper's panels, each side its best
+    of five at Figure 4's reduced scale; both margins are several-fold."""
+
+    def test_rle_beats_og_on_1000_to_1_runs(self):
+        """§2.2's "compressed (and how exactly?)": on a sorted column
+        compressed 1000:1, grouping the run metadata beats OG over the
+        rows (about 15x here), and both return the same groups."""
+        groups = 120
+        keys = np.sort(np.random.default_rng(0).integers(0, groups, groups * 1_000))
+        values = np.random.default_rng(1).integers(0, 100, keys.size)
+        encoded, run_sums = rle_compress_with_sums(keys, values)
+        rle_seconds = time_callable(
+            lambda: rle_group_by(encoded, run_sums), repeats=5
+        ).best
+        og_seconds = time_callable(
+            lambda: group_by(keys, values, GroupingAlgorithm.OG), repeats=5
+        ).best
+        assert rle_seconds < og_seconds
+        from_runs = rle_group_by(encoded, run_sums)
+        assert from_runs.num_groups == groups
+        from_rows = group_by(keys, values, GroupingAlgorithm.OG).sorted_by_key()
+        assert from_runs.counts.tolist() == from_rows.counts.tolist()
+
+    @pytest.mark.parametrize("skew", [0.0, 0.5])
+    def test_sphg_beats_hg_under_moderate_zipf_skew(self, skew):
+        """Figure 4's unsorted & dense winner survives Zipf skew while the
+        realised domain stays dense: SPHG's slots are oblivious to the
+        distribution (HG/SPHG about 3-5x here)."""
+        groups = 10_000
+        keys = zipf_keys(120_000, groups, skew, np.random.default_rng(0))
+        sphg_seconds = time_callable(
+            lambda: group_by(keys, None, GroupingAlgorithm.SPHG), repeats=5
+        ).best
+        hg_seconds = time_callable(
+            lambda: group_by(
+                keys, None, GroupingAlgorithm.HG, num_distinct_hint=groups
+            ),
+            repeats=5,
+        ).best
+        assert sphg_seconds < hg_seconds, skew
 
 
 class TestCrossover:

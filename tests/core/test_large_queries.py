@@ -96,21 +96,30 @@ class TestMultiWayOptimisation:
         assert len(joins) == 3  # 4 relations -> 3 joins
 
     def test_search_effort_grows_with_relations(self):
-        two_way = make_star_scenario(
-            fact_rows=2_000,
-            dimensions=[DimensionSpec(rows=1_000, num_groups=100)],
-            seed=3,
-        )
-        four_way = make_star_scenario(fact_rows=2_000, seed=3)
-        small_catalog = two_way.build_catalog()
-        large_catalog = four_way.build_catalog()
-        small = optimize_dqo(
-            plan_query(two_way.join_query(0), small_catalog), small_catalog
-        )
-        large = optimize_dqo(
-            plan_query(four_way.join_query(0), large_catalog), large_catalog
-        )
-        assert large.stats.generated > small.stats.generated
+        """DPsub with Pareto pruning on 2..5-relation stars: the states
+        generated grow with each relation but stay far below the
+        factorial plan space, and DQO never costs more than SQO."""
+        specs = [
+            DimensionSpec(
+                rows=1_000 + 500 * index,
+                num_groups=100 + 50 * index,
+                sortedness=Sortedness.UNSORTED if index % 2 else Sortedness.SORTED,
+                density=Density.DENSE if index % 3 else Density.SPARSE,
+            )
+            for index in range(4)
+        ]
+        generated = []
+        for num_dimensions in (1, 2, 3, 4):
+            scenario = make_star_scenario(
+                fact_rows=5_000, dimensions=specs[:num_dimensions], seed=0
+            )
+            catalog = scenario.build_catalog()
+            logical = plan_query(scenario.join_query(0), catalog)
+            dqo = optimize_dqo(logical, catalog)
+            assert 0 < dqo.cost <= optimize_sqo(logical, catalog).cost
+            generated.append(dqo.stats.generated)
+        assert generated == sorted(generated)
+        assert generated[0] < generated[-1] < 100_000
 
 
 class TestFiveWay:
@@ -131,5 +140,6 @@ class TestFiveWay:
         logical = plan_query(scenario.join_query(0), catalog)
         truth = evaluate_naive(logical, catalog)
         result = optimize_dqo(logical, catalog)
+        assert result.cost <= optimize_sqo(logical, catalog).cost
         output = execute(to_operator(result.plan, catalog, validate=True))
         assert output.equals_unordered(truth)

@@ -4,9 +4,12 @@ import pytest
 
 from repro.core import (
     DynamicProgrammingOptimizer,
+    Granularity,
+    dqo_config,
     optimize_dqo,
     optimize_greedy,
     optimize_sqo,
+    sqo_config,
 )
 from repro.core.optimizer import PropertyScope, extract_query
 from repro.datagen import Density, Sortedness, make_join_scenario
@@ -98,8 +101,36 @@ class TestSearchBehaviour:
         pruned = optimize_dqo(logical, join_catalog)
         unpruned = optimize_dqo(logical, join_catalog, prune_dominated=False)
         assert pruned.cost == pytest.approx(unpruned.cost)  # same optimum
+        assert pruned.stats.retained <= unpruned.stats.retained
         assert pruned.stats.pruned_dominated > 0
         assert unpruned.stats.pruned_dominated == 0
+
+    def test_depth_cap_trades_quality_for_space(self, paper_query):
+        """Figure 3's dial on the dense, both-unsorted query: reaching
+        MACROMOLECULE unlocks SPH and strictly cheapens the plan, and
+        MOLECULE never makes it worse."""
+        catalog = make_join_scenario(
+            r_sortedness=Sortedness.UNSORTED,
+            s_sortedness=Sortedness.UNSORTED,
+            density=Density.DENSE,
+        ).build_catalog()
+        logical = plan_query(paper_query, catalog)
+        configs = {
+            Granularity.ORGANELLE: sqo_config(),
+            Granularity.MACROMOLECULE: dqo_config(
+                max_granularity=Granularity.MACROMOLECULE
+            ),
+            Granularity.MOLECULE: dqo_config(max_granularity=Granularity.MOLECULE),
+        }
+        costs = {
+            level: DynamicProgrammingOptimizer(catalog, config=config)
+            .optimize(logical)
+            .cost
+            for level, config in configs.items()
+        }
+        assert min(costs.values()) > 0
+        assert costs[Granularity.MACROMOLECULE] < costs[Granularity.ORGANELLE]
+        assert costs[Granularity.MOLECULE] <= costs[Granularity.MACROMOLECULE]
 
     def test_greedy_never_beats_dp(self, paper_query):
         for s_sort in Sortedness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen import Density, Sortedness, make_grouping_dataset
+from repro.datagen import Density, Sortedness, make_grouping_dataset, zipf_keys
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     KeyOrder,
@@ -67,6 +67,18 @@ class TestIndividualKernels:
     def test_perfect_hash_sparse_rejected(self):
         with pytest.raises(PreconditionError, match="dense"):
             perfect_hash_slots(np.array([0, 1000]))
+
+    def test_sphg_refuses_zipf_1_5_keys(self):
+        """Skew interacts with density: the tail of a Zipf(1.5) draw over
+        10 000 keys is never drawn, so the realised domain has gaps and
+        SPHG must refuse. Density is a fact about the data at hand, not
+        about the nominal domain."""
+        keys = zipf_keys(300_000, 10_000, 1.5, np.random.default_rng(0))
+        realised = np.unique(keys).size
+        domain = int(keys.max()) - int(keys.min()) + 1
+        assert realised / domain < 0.5
+        with pytest.raises(PreconditionError, match="dense"):
+            group_by(keys, None, GroupingAlgorithm.SPHG)
 
     def test_perfect_hash_empty_needs_domain(self):
         with pytest.raises(PreconditionError):
@@ -225,3 +237,27 @@ def test_kernels_agree_on_figure4_datasets(sortedness, density):
         assert np.array_equal(result.keys, reference.keys)
         assert np.array_equal(result.counts, reference.counts)
         assert np.array_equal(result.sums, reference.sums)
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.5, 1.5])
+def test_kernels_agree_under_zipf_skew(skew):
+    """Every kernel that accepts Zipf-skewed keys returns the same groups;
+    only SPHG may refuse, and only once skew leaves gaps in the domain."""
+    keys = zipf_keys(20_000, 1_000, skew, np.random.default_rng(0))
+    payload = np.arange(keys.size, dtype=np.int64)
+    reference = group_by(keys, payload, GroupingAlgorithm.SOG).sorted_by_key()
+    assert reference.num_groups >= 1
+    for algorithm in (
+        GroupingAlgorithm.HG,
+        GroupingAlgorithm.SPHG,
+        GroupingAlgorithm.BSG,
+    ):
+        try:
+            result = group_by(keys, payload, algorithm, num_distinct_hint=1_000)
+        except PreconditionError:
+            assert algorithm is GroupingAlgorithm.SPHG and skew == 1.5
+            continue
+        result = result.sorted_by_key()
+        assert np.array_equal(result.keys, reference.keys), algorithm
+        assert np.array_equal(result.counts, reference.counts), algorithm
+        assert np.array_equal(result.sums, reference.sums), algorithm

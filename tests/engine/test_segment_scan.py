@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import Filter, col, execute
+from repro.engine import Filter, GroupBy, col, count_star, execute
 from repro.engine.operators import SegmentScan, TableScan
 from repro.errors import DeadlineExceeded
 from repro.service.context import QueryContext, activate_context
@@ -32,6 +32,29 @@ class TestStreaming:
         from_disk = SegmentScan(disk).to_table()
         from_memory = TableScan(disk.to_memory()).to_table()
         assert from_disk.equals(from_memory)
+
+    def test_results_identical_across_paths(self, tmp_path):
+        """A table four times its pool's budget, so the scan evicts as it
+        goes: the aggregate over it is the in-memory path's."""
+        rows = 16_384
+        rng = np.random.default_rng(3)
+        table = Table.from_arrays(
+            {
+                "k": np.arange(rows, dtype=np.int64),
+                "g": rng.integers(0, 64, rows),
+                "v": rng.integers(0, 1_000, rows),
+            }
+        )
+        pool = BufferManager(budget_bytes=table.memory_bytes() // 4)
+        disk = write_table(table, str(tmp_path / "t"), segment_rows=1_024, buffer=pool)
+
+        def aggregate(scan):
+            return execute(GroupBy(scan, "g", [count_star("n")]))
+
+        assert aggregate(SegmentScan(disk)).equals_unordered(
+            aggregate(TableScan(table))
+        )
+        assert pool.stats()["evictions"] > 0
 
     def test_alias_qualifies_output(self, disk):
         result = SegmentScan(disk, alias="T").to_table()

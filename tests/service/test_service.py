@@ -1,6 +1,8 @@
 """QueryService + Session: end-to-end SQL under governance."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -93,6 +95,56 @@ class TestExecute:
             assert outcome.table.num_rows == 100
         finally:
             service.shutdown()
+
+    def test_queue_full_sheds_typed_and_loses_nothing(
+        self, join_catalog, paper_query
+    ):
+        """A burst of eight behind one held slot and a queue of two: the
+        two queued queries complete, the six others are rejected typed
+        with a usable ``retry_after``, and none hangs or vanishes."""
+        service = QueryService(
+            join_catalog,
+            ServiceConfig(
+                admission=AdmissionConfig(
+                    max_concurrency=1, max_queue_depth=2, degrade_queue_depth=None
+                )
+            ),
+        )
+        results = [None] * 8
+
+        def submit(index):
+            try:
+                results[index] = ("ok", service.execute(paper_query).table.num_rows)
+            except AdmissionRejected as error:
+                results[index] = ("rejected", error.retry_after)
+
+        try:
+            service.execute(paper_query)  # warm
+            # Soak the only slot so the burst must queue (and overflow).
+            blocker = service.admission.admit()
+            threads = [
+                threading.Thread(target=submit, args=(index,)) for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while (
+                sum(1 for r in results if r and r[0] == "rejected") < 6
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            blocker.release()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            service.shutdown()
+        assert not any(thread.is_alive() for thread in threads), "a client hung"
+        assert all(result is not None for result in results), "a query vanished"
+        completed = [r for r in results if r[0] == "ok"]
+        rejected = [r for r in results if r[0] == "rejected"]
+        assert completed == [("ok", 100)] * 2, "exactly the queued queries completed"
+        assert len(rejected) == 6, "the overflow was shed"
+        assert all(retry > 0 for __, retry in rejected)
 
 
 class TestObservability:

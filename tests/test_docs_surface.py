@@ -3,7 +3,9 @@
 README.md and DESIGN.md name modules, classes and functions as
 backticked ``repro.…`` dotted names; every ``repro`` module lists its
 public names in ``__all__``. A deleted or renamed name must leave both,
-so each one here has to resolve to a real object.
+so each one here has to resolve to a real object. The same documents
+and the verify skill name bench, test and example files by path; each
+of those has to exist.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ DOCUMENTS = ("README.md", "DESIGN.md")
 #: an inline code span, or a fenced block's body.
 CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
 DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+#: documents that name repository files by path.
+PATH_DOCUMENTS = DOCUMENTS + (".claude/skills/verify/SKILL.md",)
+REPO_PATH = re.compile(r"(?<![\w./-])(?:benchmarks|tests|examples)/[\w./-]*")
 
 
 def resolve(dotted: str) -> object:
@@ -73,4 +78,21 @@ def test_exported_names_resolve():
         for name in getattr(module, "__all__", ()):
             if not hasattr(module, name):
                 missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+
+def documented_paths() -> list[tuple[str, str]]:
+    paths = set()
+    for document in PATH_DOCUMENTS:
+        text = (ROOT / document).read_text(encoding="utf-8")
+        paths.update((document, path.rstrip(".")) for path in REPO_PATH.findall(text))
+    return sorted(paths)
+
+
+def test_documented_paths_exist():
+    paths = documented_paths()
+    assert paths  # the pattern still finds the documents' paths
+    missing = [
+        f"{document}: {path}" for document, path in paths if not (ROOT / path).exists()
+    ]
     assert missing == []
