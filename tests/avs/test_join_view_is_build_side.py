@@ -78,20 +78,20 @@ def test_join_reads_the_view_artifact(kind, build_calls):
     assert np.array_equal(matches.pairs.right_indices, fresh.right_indices)
 
 
-def assert_credit_erects_nothing(scenario, credit, build_calls):
-    """The view waives SPHJ's build phase, ``credit`` = |R| cost units;
-    the credited plan reads the view's artifact as its build side and
-    erects nothing, and it and the plain plan return numpy's groups."""
+def test_credited_plan_erects_nothing(build_calls):
+    scenario = dense_unsorted()
     catalog = scenario.build_catalog()
     registry = AVRegistry([materialize_view(catalog, ViewKind.SPH_ARRAY, "R", "ID")])
     logical = plan_query(QUERY, catalog)
     plain = optimize_dqo(logical, catalog)
     credited = optimize_dqo(logical, catalog, views=registry)
-    assert plain.cost - credited.cost == credit
+    # The view waives SPHJ's build phase, |R| cost units.
+    assert plain.cost - credited.cost == 4_000
     (joined,) = [node for node in credited.plan.walk() if node.op == "join"]
     assert joined.option.algorithm is JoinAlgorithm.SPHJ
     del build_calls[:]
     keys, counts = scenario.expected_groups()
+    # The credited plan and the plain plan return numpy's groups.
     for result in (credited, plain):
         table = execute(to_operator(result.plan, catalog))
         order = np.argsort(table["R.A"])
@@ -100,23 +100,3 @@ def assert_credit_erects_nothing(scenario, credit, build_calls):
     assert build_calls == []
     __, build = catalog.table("R").column("ID").memo["build_side"]
     assert build is registry.get(ViewKind.SPH_ARRAY, "R", "ID").artifact
-    return keys
-
-
-def test_credited_plan_erects_nothing(build_calls):
-    assert_credit_erects_nothing(dense_unsorted(), 4_000, build_calls)
-
-
-def test_credit_is_the_build_phase_at_ablation_size(build_calls):
-    """The AV ablation's size: 100 000 R rows, 200 000 S rows."""
-    scenario = make_join_scenario(
-        n_r=100_000,
-        n_s=200_000,
-        num_groups=20_000,
-        r_sortedness=Sortedness.UNSORTED,
-        s_sortedness=Sortedness.UNSORTED,
-        density=Density.DENSE,
-    )
-    keys = assert_credit_erects_nothing(scenario, 100_000, build_calls)
-    # Uniform FK references leave a few R.A values unreferenced.
-    assert 0.9 * 20_000 <= keys.size <= 20_000

@@ -127,13 +127,12 @@ class TestExtensionShapes:
         from_rows = group_by(keys, values, GroupingAlgorithm.OG).sorted_by_key()
         assert from_runs.counts.tolist() == from_rows.counts.tolist()
 
-    @pytest.mark.parametrize("skew", [0.0, 0.5])
-    def test_sphg_beats_hg_under_moderate_zipf_skew(self, skew):
-        """Figure 4's unsorted & dense winner survives Zipf skew while the
-        realised domain stays dense: SPHG's slots are oblivious to the
+    def test_sphg_beats_hg_under_moderate_zipf_skew(self):
+        """Figure 4's unsorted & dense winner survives Zipf(0.5) skew while
+        the realised domain stays dense: SPHG's slots are oblivious to the
         distribution (HG/SPHG about 3-5x here)."""
         groups = 10_000
-        keys = zipf_keys(120_000, groups, skew, np.random.default_rng(0))
+        keys = zipf_keys(120_000, groups, 0.5, np.random.default_rng(0))
         sphg_seconds = time_callable(
             lambda: group_by(keys, None, GroupingAlgorithm.SPHG), repeats=5
         ).best
@@ -143,7 +142,7 @@ class TestExtensionShapes:
             ),
             repeats=5,
         ).best
-        assert sphg_seconds < hg_seconds, skew
+        assert sphg_seconds < hg_seconds
 
 
 class TestCrossover:

@@ -238,26 +238,3 @@ def test_kernels_agree_on_figure4_datasets(sortedness, density):
         assert np.array_equal(result.counts, reference.counts)
         assert np.array_equal(result.sums, reference.sums)
 
-
-@pytest.mark.parametrize("skew", [0.0, 0.5, 1.5])
-def test_kernels_agree_under_zipf_skew(skew):
-    """Every kernel that accepts Zipf-skewed keys returns the same groups;
-    only SPHG may refuse, and only once skew leaves gaps in the domain."""
-    keys = zipf_keys(20_000, 1_000, skew, np.random.default_rng(0))
-    payload = np.arange(keys.size, dtype=np.int64)
-    reference = group_by(keys, payload, GroupingAlgorithm.SOG).sorted_by_key()
-    assert reference.num_groups >= 1
-    for algorithm in (
-        GroupingAlgorithm.HG,
-        GroupingAlgorithm.SPHG,
-        GroupingAlgorithm.BSG,
-    ):
-        try:
-            result = group_by(keys, payload, algorithm, num_distinct_hint=1_000)
-        except PreconditionError:
-            assert algorithm is GroupingAlgorithm.SPHG and skew == 1.5
-            continue
-        result = result.sorted_by_key()
-        assert np.array_equal(result.keys, reference.keys), algorithm
-        assert np.array_equal(result.counts, reference.counts), algorithm
-        assert np.array_equal(result.sums, reference.sums), algorithm
