@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.avs.view import ViewKind, build_cost_of
+from repro.avs.view import VIEW_JOIN, ViewKind, build_cost_of
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
 from repro.datagen.workload import (
@@ -94,11 +94,10 @@ def enumerate_candidates(
 # Abstract per-query cost under a view selection.
 # ---------------------------------------------------------------------------
 
-#: join algorithm -> view kind that waives its build phase.
+#: join algorithm -> view kind that waives its build phase: each
+#: join-level kind's own join, and SOJ's pre-sorted build side.
 _JOIN_VIEW = {
-    JoinAlgorithm.HJ: ViewKind.HASH_TABLE,
-    JoinAlgorithm.SPHJ: ViewKind.SPH_ARRAY,
-    JoinAlgorithm.BSJ: ViewKind.SORTED_KEYS,
+    **{join: kind for kind, join in VIEW_JOIN.items()},
     JoinAlgorithm.SOJ: ViewKind.SORTED_PROJECTION,
 }
 
@@ -124,15 +123,11 @@ def _grouping_costs(
     input_dense: bool,
     deep: bool,
     cost_model: CostModel,
-    directory_view: bool,
 ) -> list[float]:
     """Applicable grouping costs over an input stream."""
     costs = [cost_model.grouping_cost(GroupingAlgorithm.HG, rows, groups)]
     costs.append(cost_model.grouping_cost(GroupingAlgorithm.SOG, rows, groups))
-    bsg = cost_model.grouping_cost(GroupingAlgorithm.BSG, rows, groups)
-    if directory_view:
-        bsg -= cost_model.grouping_build_cost(GroupingAlgorithm.BSG, rows, groups)
-    costs.append(bsg)
+    costs.append(cost_model.grouping_cost(GroupingAlgorithm.BSG, rows, groups))
     if input_sorted:
         costs.append(cost_model.grouping_cost(GroupingAlgorithm.OG, rows, groups))
     if deep and input_dense:
@@ -163,7 +158,6 @@ def best_query_cost(
     left = query.left
     if query.shape is QueryShape.GROUPING:
         best = float("inf")
-        directory = (ViewKind.SORTED_KEYS, left.name) in selected
         dense = left.key_dense or (ViewKind.DICTIONARY, left.name) in selected
         for scan_cost, is_sorted in _scan_variants(left, selected, cost_model):
             for grouping in _grouping_costs(
@@ -173,7 +167,6 @@ def best_query_cost(
                 dense,
                 deep,
                 cost_model,
-                directory,
             ):
                 best = min(best, scan_cost + grouping)
         return best
@@ -234,7 +227,6 @@ def best_query_cost(
                     output_dense,
                     deep,
                     cost_model,
-                    directory_view=False,
                 ):
                     best = min(
                         best,

@@ -40,7 +40,7 @@ class ViewKind(enum.Enum):
     #: build phase (dense only).
     SPH_ARRAY = "sph_array"
     #: BSJ's build side (the sorted distinct keys) — waives BSJ's build
-    #: phase, and the DP also credits BSG's directory build with it.
+    #: phase.
     SORTED_KEYS = "sorted_keys"
     #: a sorted copy of the table — order for free (an "index view").
     SORTED_PROJECTION = "sorted_projection"

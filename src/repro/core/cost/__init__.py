@@ -1,25 +1,13 @@
-"""Cost models: the paper's Table 2, a calibrated fit, and cardinalities."""
+"""Cost models: the paper's Table 2, and cardinalities."""
 
-from repro.core.cost.calibrated import (
-    CalibratedCostModel,
-    Sample,
-    calibrate_grouping,
-    fit_coefficients,
-    measure_grouping_samples,
-)
 from repro.core.cost.cardinality import CardinalityEstimator, RelationEstimate
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import AccessPathCostModel, PaperCostModel
 
 __all__ = [
     "AccessPathCostModel",
-    "CalibratedCostModel",
     "CardinalityEstimator",
     "CostModel",
     "PaperCostModel",
     "RelationEstimate",
-    "Sample",
-    "calibrate_grouping",
-    "fit_coefficients",
-    "measure_grouping_samples",
 ]

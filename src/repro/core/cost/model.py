@@ -8,23 +8,57 @@ Figure 5 reports (improvement factors).
 from __future__ import annotations
 
 import math
+from typing import Callable, ClassVar, Mapping, NamedTuple
 
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
 
+#: Table 2's price of a random access against a sequential touch: the 4
+#: in ``HG = 4*|R|`` and ``HJ = 4*(|R|+|S|)``. An unclustered index fetch
+#: and a cold disk read are random accesses too, and pay the same.
+RANDOM_ACCESS_WEIGHT = 4.0
+
+#: The phase a formula's term prices. A build term is work over the join's
+#: build input alone, which an Algorithmic View of the build side has
+#: already done (§3); probe and pass terms run on every query.
+BUILD, PROBE, PASS = "build", "probe", "pass"
+
+
+class Term(NamedTuple):
+    """One named term of a cost formula.
+
+    ``add(total, *sizes)`` returns ``total`` plus this term, so a formula
+    summed term by term keeps its left-to-right order to the last bit
+    (SOJ's ``... + |R| + |S|`` is one term of two summands). The term's
+    own value is ``add(0.0, *sizes)``.
+    """
+
+    name: str
+    phase: str
+    add: Callable[..., float]
+
 
 class CostModel:
-    """Base class: cost of each physical algorithm family.
+    """Base class: each algorithm family's formulas as term tables.
+
+    A model lists, per algorithm, the terms of its formula in summation
+    order (:attr:`grouping_terms` over ``(rows, groups)``,
+    :attr:`join_terms` over ``(build rows, probe rows, groups)``); every
+    price of a join or grouping here is a sum of those terms. A model
+    also supplies ``sort_cost(rows)`` and ``scan_cost(rows)``.
 
     ``num_groups`` is the NDV of the grouping/join key — the paper
     assumes it known (§4.1) and Table 2's BSG/BSJ formulas depend on it.
     """
 
+    grouping_terms: ClassVar[Mapping[GroupingAlgorithm, tuple[Term, ...]]]
+    join_terms: ClassVar[Mapping[JoinAlgorithm, tuple[Term, ...]]]
+
     def cache_fingerprint(self) -> tuple:
         """What the plan cache keys this model on.
 
         The default is instance identity — safe for any model, including
-        stateful fitted ones, at the price of never sharing cache entries
+        one that holds state, at the price of never sharing cache entries
         across instances. Stateless models (every instance costs
         identically) should override to drop the ``id`` term.
         """
@@ -35,7 +69,10 @@ class CostModel:
         self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
     ) -> float:
         """Cost of grouping ``input_rows`` rows into ``num_groups`` groups."""
-        raise NotImplementedError
+        total = 0.0
+        for term in self.grouping_terms[algorithm]:
+            total = term.add(total, input_rows, num_groups)
+        return total
 
     def join_cost(
         self,
@@ -45,22 +82,37 @@ class CostModel:
         num_groups: float,
     ) -> float:
         """Cost of joining (build side left, probe side right)."""
-        raise NotImplementedError
+        total = 0.0
+        for term in self.join_terms[algorithm]:
+            total = term.add(total, left_rows, right_rows, num_groups)
+        return total
 
-    def sort_cost(self, rows: float) -> float:
-        """Cost of an explicit sort enforcer."""
-        raise NotImplementedError
+    def join_build_cost(
+        self,
+        algorithm: JoinAlgorithm,
+        left_rows: float,
+        right_rows: float,
+        num_groups: float,
+    ) -> float:
+        """The build-phase terms of :meth:`join_cost`: what a matching
+        Algorithmic View saves when it is already materialised (§3)."""
+        total = 0.0
+        for term in self.join_terms[algorithm]:
+            if term.phase == BUILD:
+                total = term.add(total, left_rows, right_rows, num_groups)
+        return total
 
     # -- cost attribution (EXPLAIN WHY) ------------------------------------
 
     def grouping_cost_terms(
         self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
     ) -> list[tuple[str, float]]:
-        """:meth:`grouping_cost` decomposed into named terms, largest of
-        which is the *decisive* term ``EXPLAIN WHY`` reports. The default
-        is the undecomposed total; models with structured formulas (Table
-        2) override."""
-        return [("total", self.grouping_cost(algorithm, input_rows, num_groups))]
+        """:meth:`grouping_cost` as ``(name, value)`` terms, the largest
+        of which is the *decisive* term ``EXPLAIN WHY`` reports."""
+        return [
+            (term.name, term.add(0.0, input_rows, num_groups))
+            for term in self.grouping_terms[algorithm]
+        ]
 
     def join_cost_terms(
         self,
@@ -69,35 +121,29 @@ class CostModel:
         right_rows: float,
         num_groups: float,
     ) -> list[tuple[str, float]]:
-        """:meth:`join_cost` decomposed into named terms (see
+        """:meth:`join_cost` as ``(name, value)`` terms (see
         :meth:`grouping_cost_terms`)."""
         return [
-            (
-                "total",
-                self.join_cost(algorithm, left_rows, right_rows, num_groups),
-            )
+            (term.name, term.add(0.0, left_rows, right_rows, num_groups))
+            for term in self.join_terms[algorithm]
         ]
-
-    def scan_cost(self, rows: float) -> float:
-        """Cost of scanning a base table."""
-        raise NotImplementedError
 
     def index_scan_cost(self, total_rows: float, matching_rows: float) -> float:
         """Cost of fetching ``matching_rows`` of ``total_rows`` through an
         unclustered B-tree (§1's "unclustered B-tree vs scan"): a descent
-        plus one *random-access* gather per match. Random accesses carry
-        the same 4x factor Table 2 charges hash-based algorithms, putting
-        the scan-vs-index crossover at 25% selectivity."""
+        plus one *random-access* gather per match
+        (:data:`RANDOM_ACCESS_WEIGHT`), putting the scan-vs-index
+        crossover at 25% selectivity."""
         descent = math.log2(total_rows) if total_rows > 1 else 0.0
-        return descent + 4.0 * matching_rows
+        return descent + RANDOM_ACCESS_WEIGHT * matching_rows
 
     # -- out-of-core I/O terms ---------------------------------------------
 
     def io_read_weight(self) -> float:
-        """Cost per row of fetching it cold from disk — the same 4x
-        factor Table 2 charges random accesses, so a fully cold scan
-        costs 5x an in-memory one (4 read + 1 touch)."""
-        return 4.0
+        """Cost per row of fetching it cold from disk — a random access
+        (:data:`RANDOM_ACCESS_WEIGHT`), so a fully cold scan costs 5x an
+        in-memory one (4 read + 1 touch)."""
+        return RANDOM_ACCESS_WEIGHT
 
     def io_decode_weight(self, encoding: str) -> float:
         """Cost per row of decoding one on-disk page encoding: plain
@@ -114,34 +160,12 @@ class CostModel:
         table's current residency); only misses pay the cold-read
         weight. ``decode_weight`` is the residency-weighted per-row
         decode cost of the table's encoding mix. The in-memory
-        :meth:`scan_cost` term rides on top — touched rows are touched
+        ``scan_cost`` term rides on top — touched rows are touched
         rows wherever they live."""
         miss = min(max(1.0 - hit_fraction, 0.0), 1.0)
         return rows * (miss * self.io_read_weight() + decode_weight) + self.scan_cost(
             rows
         )
-
-    def grouping_build_cost(
-        self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
-    ) -> float:
-        """The portion of :meth:`grouping_cost` spent building the
-        algorithm's internal structure — what a matching Algorithmic View
-        saves when it is already materialised (§3).
-
-        Defaults to zero (no AV benefit) unless a model overrides it.
-        """
-        return 0.0
-
-    def join_build_cost(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-    ) -> float:
-        """The build-side portion of :meth:`join_cost` (see
-        :meth:`grouping_build_cost`)."""
-        return 0.0
 
     # -- morsel-parallel loop variants (Figure 3e's "parallel load") -------
 

@@ -9,19 +9,31 @@
     SPHG(R) = |R|                        SPHJ(R,S) = |R| + |S|
     BSG(R)  = |R|*log2(#groups)          BSJ(R,S)  = |R|*log2(#groups) + |S|*log2(#groups)
 
-The build/probe split used for Algorithmic View credit (§3) is the natural
-reading of each formula: the |R| (build-side) term is the build phase, the
-|S| (probe-side) term the probe phase.
+Each formula is written once, as its terms. The build/probe split used
+for Algorithmic View credit (§3) is the natural reading of each join
+formula: the |R| (build-side) term is the build phase, the |S|
+(probe-side) term the probe phase, and a term over both inputs a pass.
+A group-by builds nothing that outlives its query, so every grouping
+term is a pass.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.cost.model import CostModel
+from repro.core.cost.model import (
+    BUILD,
+    PASS,
+    PROBE,
+    RANDOM_ACCESS_WEIGHT,
+    CostModel,
+    Term,
+)
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
-from repro.errors import CostModelError
+
+#: Table 2's "4", short enough to keep each term on one line.
+_W = RANDOM_ACCESS_WEIGHT
 
 
 def _log2(value: float) -> float:
@@ -33,8 +45,62 @@ class PaperCostModel(CostModel):
     """The exact Table 2 formulas; scans are free, sorts are n·log2(n).
 
     Scans being free matches the paper's §4.3 accounting, which sums only
-    the join and grouping terms.
+    the join and grouping terms. The term names are what EXPLAIN WHY
+    prints as the decisive cost term of an algorithm choice.
     """
+
+    grouping_terms = {
+        GroupingAlgorithm.HG: (
+            Term("hash build+probe 4*|R|", PASS, lambda t, n, g: t + _W * n),
+        ),
+        GroupingAlgorithm.OG: (Term("ordered pass |R|", PASS, lambda t, n, g: t + n),),
+        GroupingAlgorithm.SOG: (
+            Term("sort |R|*log2|R|", PASS, lambda t, n, g: t + n * _log2(n)),
+            Term("pass |R|", PASS, lambda t, n, g: t + n),
+        ),
+        GroupingAlgorithm.SPHG: (
+            Term("direct-address pass |R|", PASS, lambda t, n, g: t + n),
+        ),
+        GroupingAlgorithm.BSG: (
+            Term(
+                "binary-search probes |R|*log2(g)",
+                PASS,
+                lambda t, n, g: t + n * _log2(g),
+            ),
+        ),
+    }
+
+    join_terms = {
+        JoinAlgorithm.HJ: (
+            Term("hash build 4*|R|", BUILD, lambda t, r, s, g: t + _W * r),
+            Term("hash probe 4*|S|", PROBE, lambda t, r, s, g: t + _W * s),
+        ),
+        JoinAlgorithm.OJ: (
+            Term("merge pass |R|+|S|", PASS, lambda t, r, s, g: t + r + s),
+        ),
+        JoinAlgorithm.SOJ: (
+            # The build-side sort can be pre-materialised.
+            Term("sort build |R|*log2|R|", BUILD, lambda t, r, s, g: t + r * _log2(r)),
+            Term("sort probe |S|*log2|S|", PROBE, lambda t, r, s, g: t + s * _log2(s)),
+            Term("merge pass |R|+|S|", PASS, lambda t, r, s, g: t + r + s),
+        ),
+        JoinAlgorithm.SPHJ: (
+            Term("dense build |R|", BUILD, lambda t, r, s, g: t + r),
+            Term("probe pass |S|", PROBE, lambda t, r, s, g: t + s),
+        ),
+        JoinAlgorithm.BSJ: (
+            Term(
+                "binary-search build |R|*log2(g)",
+                BUILD,
+                lambda t, r, s, g: t + r * _log2(g),
+            ),
+            Term(
+                "binary-search probe |S|*log2(g)",
+                PROBE,
+                lambda t, r, s, g: t + s * _log2(g),
+            ),
+        ),
+    }
 
     def cache_fingerprint(self) -> tuple:
         # Stateless: every instance costs identically, so plan-cache
@@ -43,130 +109,13 @@ class PaperCostModel(CostModel):
         kind = type(self)
         return (kind.__module__, kind.__qualname__)
 
-    def grouping_cost(
-        self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
-    ) -> float:
-        n = float(input_rows)
-        if algorithm is GroupingAlgorithm.HG:
-            return 4.0 * n
-        if algorithm is GroupingAlgorithm.OG:
-            return n
-        if algorithm is GroupingAlgorithm.SOG:
-            return n * _log2(n) + n
-        if algorithm is GroupingAlgorithm.SPHG:
-            return n
-        if algorithm is GroupingAlgorithm.BSG:
-            return n * _log2(num_groups)
-        raise CostModelError(f"unknown grouping algorithm {algorithm!r}")
-
-    def join_cost(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-    ) -> float:
-        r = float(left_rows)
-        s = float(right_rows)
-        if algorithm is JoinAlgorithm.HJ:
-            return 4.0 * (r + s)
-        if algorithm is JoinAlgorithm.OJ:
-            return r + s
-        if algorithm is JoinAlgorithm.SOJ:
-            return r * _log2(r) + s * _log2(s) + r + s
-        if algorithm is JoinAlgorithm.SPHJ:
-            return r + s
-        if algorithm is JoinAlgorithm.BSJ:
-            return r * _log2(num_groups) + s * _log2(num_groups)
-        raise CostModelError(f"unknown join algorithm {algorithm!r}")
-
     def sort_cost(self, rows: float) -> float:
+        """Cost of an explicit sort enforcer."""
         n = float(rows)
         return n * _log2(n)
 
     def scan_cost(self, rows: float) -> float:
-        return 0.0
-
-    # -- cost attribution (EXPLAIN WHY) ------------------------------------
-
-    def grouping_cost_terms(
-        self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
-    ) -> list[tuple[str, float]]:
-        # Table 2's formulas, term by term, with the paper's reading of
-        # each: the names are what EXPLAIN WHY prints as the decisive
-        # cost term of an algorithm choice.
-        n = float(input_rows)
-        if algorithm is GroupingAlgorithm.HG:
-            return [("hash build+probe 4*|R|", 4.0 * n)]
-        if algorithm is GroupingAlgorithm.OG:
-            return [("ordered pass |R|", n)]
-        if algorithm is GroupingAlgorithm.SOG:
-            return [("sort |R|*log2|R|", n * _log2(n)), ("pass |R|", n)]
-        if algorithm is GroupingAlgorithm.SPHG:
-            return [("direct-address pass |R|", n)]
-        if algorithm is GroupingAlgorithm.BSG:
-            return [("binary-search probes |R|*log2(g)", n * _log2(num_groups))]
-        raise CostModelError(f"unknown grouping algorithm {algorithm!r}")
-
-    def join_cost_terms(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-    ) -> list[tuple[str, float]]:
-        r = float(left_rows)
-        s = float(right_rows)
-        if algorithm is JoinAlgorithm.HJ:
-            return [("hash build 4*|R|", 4.0 * r), ("hash probe 4*|S|", 4.0 * s)]
-        if algorithm is JoinAlgorithm.OJ:
-            return [("merge pass |R|+|S|", r + s)]
-        if algorithm is JoinAlgorithm.SOJ:
-            return [
-                ("sort build |R|*log2|R|", r * _log2(r)),
-                ("sort probe |S|*log2|S|", s * _log2(s)),
-                ("merge pass |R|+|S|", r + s),
-            ]
-        if algorithm is JoinAlgorithm.SPHJ:
-            return [("dense build |R|", r), ("probe pass |S|", s)]
-        if algorithm is JoinAlgorithm.BSJ:
-            return [
-                ("binary-search build |R|*log2(g)", r * _log2(num_groups)),
-                ("binary-search probe |S|*log2(g)", s * _log2(num_groups)),
-            ]
-        raise CostModelError(f"unknown join algorithm {algorithm!r}")
-
-    # -- build/probe split for Algorithmic Views (§3) ----------------------
-
-    def grouping_build_cost(
-        self, algorithm: GroupingAlgorithm, input_rows: float, num_groups: float
-    ) -> float:
-        # Grouping has no reusable build side over its own (per-query)
-        # input except BSG's sorted key directory, whose construction the
-        # Table 2 formula folds into |R|*log2(#groups); an AV holding the
-        # directory saves the searchsorted-build fraction, modelled as the
-        # #groups-dependent share of one pass.
-        if algorithm is GroupingAlgorithm.BSG:
-            return float(num_groups) * _log2(num_groups)
-        return 0.0
-
-    def join_build_cost(
-        self,
-        algorithm: JoinAlgorithm,
-        left_rows: float,
-        right_rows: float,
-        num_groups: float,
-    ) -> float:
-        r = float(left_rows)
-        if algorithm is JoinAlgorithm.HJ:
-            return 4.0 * r
-        if algorithm is JoinAlgorithm.SPHJ:
-            return r
-        if algorithm is JoinAlgorithm.BSJ:
-            return r * _log2(num_groups)
-        if algorithm is JoinAlgorithm.SOJ:
-            # The build-side sort can be pre-materialised.
-            return r * _log2(r)
+        """Cost of scanning a base table."""
         return 0.0
 
 

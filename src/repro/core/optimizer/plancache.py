@@ -108,8 +108,7 @@ def _cost_model_fingerprint(cost_model: "CostModel") -> tuple:
     """Delegates to :meth:`CostModel.cache_fingerprint`: stateless models
     fingerprint by class (entries shared across instances), stateful ones
     by instance identity. A model mutated *in place* keeps its identity —
-    callers doing that must :meth:`PlanCache.clear` (refitting normally
-    produces a new instance)."""
+    callers doing that must :meth:`PlanCache.clear`."""
     return cost_model.cache_fingerprint()
 
 

@@ -251,24 +251,11 @@ class PlanSpace:
         self.orientations = {
             edge: self._orientations(edge, options) for edge in spec.joins
         }
-        #: a sorted-keys view on the group key's base column has already
-        #: paid for the build phase of grouping an unjoined scan (§3).
-        self.group_key_view = self._group_key_view()
 
     def resolve(self, qualified: str) -> tuple[str, str]:
         """(table name, raw column name) of a qualified column."""
         scan = self.spec.scans[self.spec.scan_of_column(qualified)]
         return scan.table_name, qualified.split(".", 1)[1]
-
-    def _group_key_view(self) -> bool:
-        views, key = self.config.views, self.spec.group_key
-        if views is None or key is None:
-            return False
-        try:
-            site = self.resolve(key)
-        except PlanError:
-            return False  # a hand-built spec whose key names no scan
-        return views.has_view("sorted_keys", *site)
 
     def close(self, properties: PropertyVector) -> PropertyVector:
         """``properties`` closed under the query's correlations and cut
@@ -672,11 +659,10 @@ def groups_on_build_side(entry, key: str) -> bool:
 
 def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
     """Every applicable grouping implementation over ``entry``, each
-    priced in its own mode less any build phase a view already paid."""
+    priced in its own mode."""
     key = space.spec.group_key
     groups = entry.estimate.ndv(key)
     estimate = space.estimator.group_by(entry.estimate, key)
-    credit = space.group_key_view and entry.op in ("scan", "filter")
     serial = groups_on_build_side(entry, key)
     derived: dict = {}
     for implementation in space.groupings:
@@ -688,10 +674,6 @@ def grouping_candidates(space: PlanSpace, entry: DPEntry) -> Iterator[DPEntry]:
         cost = option_cost(
             space.cost_model, option, space.workers, entry.estimate.rows, groups
         )
-        if credit:
-            cost -= space.cost_model.grouping_build_cost(
-                option.algorithm, entry.estimate.rows, groups
-            )
         order = option.output_order
         properties = derived.get(order)
         if properties is None:

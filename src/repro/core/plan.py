@@ -110,7 +110,8 @@ class PhysicalNode:
     cost: float = 0.0
     #: estimated distinct groups this node builds/probes over (join and
     #: group-by nodes; 0.0 elsewhere) — the cost model's second input,
-    #: recorded so runtime feedback can refit coefficients per algorithm.
+    #: recorded so EXPLAIN WHY can re-price the node and a group-by can
+    #: size its hash table.
     estimated_groups: float = 0.0
     properties: PropertyVector = field(default_factory=PropertyVector)
 

@@ -261,7 +261,7 @@ def explain_analyze(
     q-errors feed the process-wide ``optimizer.qerror`` histogram when
     metrics are enabled, and — when a :class:`~repro.obs.feedback.
     FeedbackStore` is passed — (estimate, actual, seconds) samples are
-    accumulated for cost-model refitting.
+    accumulated for its q-error report.
 
     With a multi-worker configuration (ambient ``REPRO_WORKERS`` or the
     ``workers`` override) the rendering annotates each morsel-parallel

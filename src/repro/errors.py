@@ -86,10 +86,6 @@ class ViewError(ReproError):
     """An Algorithmic View was registered, looked up, or applied wrongly."""
 
 
-class CostModelError(ReproError):
-    """A cost model was asked to cost an operation it does not know."""
-
-
 class ObservabilityError(ReproError):
     """The observability layer was misused (e.g. ending a span that was
     never started, or registering two metrics under one name)."""

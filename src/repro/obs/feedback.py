@@ -2,20 +2,11 @@
 
 Every instrumented execution of an optimised plan yields, per operator,
 the pair (estimated rows, actual rows) plus the measured wall time. This
-module accumulates those pairs into a :class:`FeedbackStore`:
-
-- **q-error reporting** — per operator kind (``'join[SPHJ]'``,
-  ``'group_by[HG]'``...), the multiplicative estimation error
-  ``max(est/act, act/est)`` is summarised (count / mean / p50 / max), the
-  signal "Query Optimization in the Wild" identifies as the dominant
-  real-world optimiser failure mode.
-- **cost-model refitting** — group-by measurements convert into
-  :class:`repro.core.cost.calibrated.Sample` records
-  ``(rows_in, groups, seconds)``, exactly what
-  :func:`~repro.core.cost.calibrated.fit_coefficients` consumes, so a
-  :class:`~repro.core.cost.calibrated.CalibratedCostModel` can be refit
-  from *production* executions instead of offline microbenchmarks — a
-  measured adaptive-reoptimisation loop.
+module accumulates those pairs into a :class:`FeedbackStore` and reports,
+per operator kind (``'join[SPHJ]'``, ``'group_by[HG]'``...), the
+multiplicative estimation error ``max(est/act, act/est)`` summarised as
+count / mean / p50 / max: the signal "Query Optimization in the Wild"
+identifies as the dominant real-world optimiser failure mode.
 
 Imports of the cost-model layer are deferred to call time: ``repro.core``
 reports into ``repro.obs`` at module import, so the reverse edge must not
@@ -30,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cost.calibrated import CalibratedCostModel, Sample
     from repro.obs.instrument import OperatorStats
 
 
@@ -69,7 +59,7 @@ class FeedbackStore:
 
     Feed it from :func:`repro.engine.executor.explain_analyze` (pass the
     store as ``feedback=``) or directly via :meth:`record_plan`; read it
-    back as a q-error summary or as calibration samples.
+    back as a q-error summary.
     """
 
     def __init__(self) -> None:
@@ -146,62 +136,6 @@ class FeedbackStore:
                 "max": max(errors),
             }
         return summary
-
-    def grouping_samples(self) -> dict:
-        """Group-by measurements as calibration samples, keyed by
-        :class:`~repro.engine.kernels.grouping.GroupingAlgorithm`.
-
-        Each sample is ``(rows_in, actual groups, self seconds)`` — the
-        *measured* group count, not the estimate, so the fit learns from
-        ground truth. Joins are recorded for q-error reporting but not
-        converted: one join measurement covers build and probe together
-        and cannot be attributed to either side.
-        """
-        from repro.core.cost.calibrated import Sample
-        from repro.engine.kernels.grouping import GroupingAlgorithm
-
-        by_algorithm: dict = {}
-        for sample in self.samples():
-            if sample.plan_op != "group_by" or not sample.algorithm:
-                continue
-            try:
-                algorithm = GroupingAlgorithm[sample.algorithm]
-            except KeyError:
-                continue
-            by_algorithm.setdefault(algorithm, []).append(
-                Sample(
-                    rows=sample.rows_in,
-                    groups=max(sample.actual_rows, 1),
-                    seconds=sample.seconds,
-                )
-            )
-        return by_algorithm
-
-    def refit(self, minimum_samples: int = 4) -> "CalibratedCostModel":
-        """Fit a :class:`~repro.core.cost.calibrated.CalibratedCostModel`
-        from the accumulated group-by measurements.
-
-        Only algorithms with at least ``minimum_samples`` samples are
-        fitted (:func:`~repro.core.cost.calibrated.fit_coefficients`
-        needs 4 for its 4-term basis).
-
-        :raises CostModelError: when no algorithm has enough samples.
-        """
-        from repro.core.cost.calibrated import calibrate_grouping
-        from repro.errors import CostModelError
-
-        eligible = {
-            algorithm: samples
-            for algorithm, samples in self.grouping_samples().items()
-            if len(samples) >= max(minimum_samples, 4)
-        }
-        if not eligible:
-            raise CostModelError(
-                "feedback store has no algorithm with >= "
-                f"{max(minimum_samples, 4)} group-by samples "
-                f"({len(self)} sample(s) total)"
-            )
-        return calibrate_grouping(eligible)
 
     def render(self) -> str:
         """A human-readable q-error table, one line per operator kind."""

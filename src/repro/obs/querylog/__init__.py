@@ -421,8 +421,7 @@ def feedback_from_entries(entries: list[dict]) -> FeedbackStore:
     Every estimate-carrying operator node of every row's ``profile``
     facts becomes one :class:`FeedbackSample` — the same shape
     :func:`~repro.engine.executor.explain_analyze` records live, so
-    :meth:`FeedbackStore.qerror_summary` and even
-    :meth:`FeedbackStore.refit` work across persisted history.
+    :meth:`FeedbackStore.qerror_summary` works across persisted history.
     """
     store = FeedbackStore()
     for entry in entries:

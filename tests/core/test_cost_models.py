@@ -1,20 +1,66 @@
-"""Cost models: Table 2 exactness, calibration fitting, cardinalities."""
+"""Cost models: Table 2 exactness, the term tables, cardinalities."""
 
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cost import (
-    CardinalityEstimator,
-    PaperCostModel,
-    Sample,
-    calibrate_grouping,
-    fit_coefficients,
-)
+from repro.core.cost import CardinalityEstimator, PaperCostModel
+from repro.core.cost.model import BUILD
 from repro.datagen import make_join_scenario
 from repro.engine import GroupingAlgorithm, JoinAlgorithm
-from repro.errors import CostModelError
+
+
+def _log2(value):
+    return math.log2(value) if value > 1 else 0.0
+
+
+#: Table 2 as the model wrote it before its terms became tables: per
+#: algorithm, the term names EXPLAIN WHY prints, the total and (joins) the
+#: build phase an Algorithmic View waives, each over float inputs.
+GROUPING_FORMULAS = {
+    GroupingAlgorithm.HG: (["hash build+probe 4*|R|"], lambda n, g: 4.0 * n),
+    GroupingAlgorithm.OG: (["ordered pass |R|"], lambda n, g: n),
+    GroupingAlgorithm.SOG: (
+        ["sort |R|*log2|R|", "pass |R|"],
+        lambda n, g: n * _log2(n) + n,
+    ),
+    GroupingAlgorithm.SPHG: (["direct-address pass |R|"], lambda n, g: n),
+    GroupingAlgorithm.BSG: (
+        ["binary-search probes |R|*log2(g)"],
+        lambda n, g: n * _log2(g),
+    ),
+}
+JOIN_FORMULAS = {
+    JoinAlgorithm.HJ: (
+        ["hash build 4*|R|", "hash probe 4*|S|"],
+        lambda r, s, g: 4.0 * (r + s),
+        lambda r, s, g: 4.0 * r,
+    ),
+    JoinAlgorithm.OJ: (["merge pass |R|+|S|"], lambda r, s, g: r + s, lambda r, s, g: 0.0),
+    JoinAlgorithm.SOJ: (
+        ["sort build |R|*log2|R|", "sort probe |S|*log2|S|", "merge pass |R|+|S|"],
+        lambda r, s, g: r * _log2(r) + s * _log2(s) + r + s,
+        lambda r, s, g: r * _log2(r),
+    ),
+    JoinAlgorithm.SPHJ: (
+        ["dense build |R|", "probe pass |S|"],
+        lambda r, s, g: r + s,
+        lambda r, s, g: r,
+    ),
+    JoinAlgorithm.BSJ: (
+        ["binary-search build |R|*log2(g)", "binary-search probe |S|*log2(g)"],
+        lambda r, s, g: r * _log2(g) + s * _log2(g),
+        lambda r, s, g: r * _log2(g),
+    ),
+}
+
+#: Cardinalities: the degenerate 0 and 1, and non-integer estimates.
+SIZES = st.one_of(
+    st.sampled_from([0, 1, 0.5, 1.5, 2, 20_000, 90_000]),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+)
 
 
 class TestPaperCostModel:
@@ -70,68 +116,40 @@ class TestPaperCostModel:
     def test_scan_free(self):
         assert self.model.scan_cost(10**9) == 0.0
 
-    def test_build_split_bounded_by_total(self):
-        r, s, g = 10_000, 20_000, 500
-        for algorithm in JoinAlgorithm:
-            build = self.model.join_build_cost(algorithm, r, s, g)
+    @settings(max_examples=300, deadline=None)
+    @given(r=SIZES, s=SIZES, g=SIZES)
+    def test_build_split_bounded_by_total(self, r, s, g):
+        """Each price is the sum of its formula's terms, bit for bit
+        Table 2 as written, and a build credit is a build-phase term of
+        its own join formula."""
+        for algorithm, (names, formula) in GROUPING_FORMULAS.items():
+            total = self.model.grouping_cost(algorithm, r, g)
+            terms = self.model.grouping_cost_terms(algorithm, r, g)
+            assert [name for name, _ in terms] == names
+            assert total.hex() == formula(float(r), float(g)).hex()
+            assert total == sum(value for _, value in terms)
+            # A group-by builds nothing that outlives its query.
+            assert all(t.phase != BUILD for t in self.model.grouping_terms[algorithm])
+        for algorithm, (names, formula, build_formula) in JOIN_FORMULAS.items():
             total = self.model.join_cost(algorithm, r, s, g)
+            build = self.model.join_build_cost(algorithm, r, s, g)
+            terms = self.model.join_cost_terms(algorithm, r, s, g)
+            assert [name for name, _ in terms] == names
+            assert total.hex() == formula(float(r), float(s), float(g)).hex()
+            assert build.hex() == build_formula(float(r), float(s), float(g)).hex()
+            values = [value for _, value in terms]
+            if algorithm is JoinAlgorithm.SOJ:
+                # SOJ's merge term adds |R| and then |S|, in Table 2's
+                # order; summed as one value it may round once less.
+                assert total == pytest.approx(math.fsum(values), rel=1e-15, abs=0)
+            else:
+                assert total == sum(values)
+            assert build == sum(
+                term.add(0.0, r, s, g)
+                for term in self.model.join_terms[algorithm]
+                if term.phase == BUILD
+            )
             assert 0 <= build <= total
-
-
-class TestCalibration:
-    def test_fit_recovers_linear_model(self):
-        # Synthetic samples from cost = 2n exactly.
-        samples = [
-            Sample(n, g, 2.0 * n)
-            for n in (1_000, 2_000, 5_000, 10_000)
-            for g in (10, 100)
-        ]
-        coefficients = fit_coefficients(samples)
-        assert coefficients[1] == pytest.approx(2.0, abs=1e-6)
-
-    def test_fit_recovers_nlogn_model(self):
-        samples = [
-            Sample(n, 10, n * math.log2(n) * 0.5)
-            for n in (1_000, 2_000, 4_000, 8_000, 16_000)
-        ]
-        coefficients = fit_coefficients(samples)
-        assert coefficients[2] == pytest.approx(0.5, rel=0.05)
-
-    def test_fit_needs_four_samples(self):
-        with pytest.raises(CostModelError):
-            fit_coefficients([Sample(1, 1, 1.0)] * 3)
-
-    def test_coefficients_nonnegative(self):
-        rng = np.random.default_rng(0)
-        samples = [
-            Sample(n, 10, max(float(rng.normal(n, n / 10)), 1.0))
-            for n in (1_000, 2_000, 4_000, 8_000, 16_000, 32_000)
-        ]
-        assert (fit_coefficients(samples) >= 0).all()
-
-    def test_calibrated_model_costs(self):
-        samples = {
-            GroupingAlgorithm.HG: [
-                Sample(n, g, 4.0 * n) for n in (1_000, 2_000, 4_000, 8_000)
-                for g in (10, 100)
-            ],
-            GroupingAlgorithm.SPHG: [
-                Sample(n, g, 1.0 * n) for n in (1_000, 2_000, 4_000, 8_000)
-                for g in (10, 100)
-            ],
-        }
-        model = calibrate_grouping(samples)
-        hg = model.grouping_cost(GroupingAlgorithm.HG, 50_000, 100)
-        sphg = model.grouping_cost(GroupingAlgorithm.SPHG, 50_000, 100)
-        assert hg / sphg == pytest.approx(4.0, rel=0.01)
-        # Joins reuse the grouping fit: build + probe.
-        hj = model.join_cost(JoinAlgorithm.HJ, 10_000, 30_000, 100)
-        assert hj == pytest.approx(4.0 * 40_000, rel=0.01)
-
-    def test_uncalibrated_algorithm_rejected(self):
-        model = calibrate_grouping({})
-        with pytest.raises(CostModelError, match="no calibration"):
-            model.grouping_cost(GroupingAlgorithm.HG, 10, 2)
 
 
 class TestCardinality:

@@ -22,6 +22,7 @@ from repro.core import (
     set_plan_cache,
     sqo_config,
 )
+from repro.core.cost.model import PASS, CostModel, Term
 from repro.core.optimizer import extract_query, spec_fingerprint
 from repro.core.optimizer.exhaustive import enumerate_exhaustive
 from repro.core.optimizer.greedy import optimize_greedy
@@ -263,10 +264,20 @@ class TestInvalidation:
         assert b.optimize_spec(spec).cached
 
     def test_stateful_cost_models_keep_instance_identity(self):
-        from repro.core import CalibratedCostModel
+        class WeightedHashJoinModel(CostModel):
+            """Prices HJ with a per-instance weight: two instances need
+            not cost alike, so neither may serve the other's entries."""
 
-        a = CalibratedCostModel()
-        b = CalibratedCostModel()
+            def __init__(self, weight: float) -> None:
+                self.join_terms = {
+                    JoinAlgorithm.HJ: (
+                        Term("hash", PASS, lambda t, r, s, g: t + weight * (r + s)),
+                    )
+                }
+
+        a = WeightedHashJoinModel(4.0)
+        b = WeightedHashJoinModel(4.0)
+        assert a.join_cost(JoinAlgorithm.HJ, 1.0, 2.0, 1.0) == 12.0
         assert a.cache_fingerprint() != b.cache_fingerprint()
 
 

@@ -1,19 +1,10 @@
-"""q-error math and the FeedbackStore estimate->actual->refit loop."""
+"""q-error math and the FeedbackStore estimate->actual report."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.cost.calibrated import (
-    CalibratedCostModel,
-    Sample,
-    _basis,
-    fit_coefficients,
-)
 from repro.core.cost.cardinality import qerror
-from repro.engine.kernels.grouping import GroupingAlgorithm
-from repro.errors import CostModelError
 from repro.obs.feedback import FeedbackSample, FeedbackStore
 from repro.obs.instrument import OperatorStats
 
@@ -97,82 +88,6 @@ class TestFeedbackStore:
         # The unbounded scan miss shows up in max but not the mean.
         assert summary["scan"]["max"] == math.inf
         assert len(store.render().splitlines()) == 3
-
-    def test_grouping_samples_use_measured_groups(self):
-        store = FeedbackStore()
-        scan = _stats("scan", "", 1000.0, 1000)
-        root = _stats(
-            "group_by", "HG", 64.0, 80, seconds=0.25, children=(scan,)
-        )
-        store.record_plan(root)
-        samples = store.grouping_samples()
-        assert list(samples) == [GroupingAlgorithm.HG]
-        (sample,) = samples[GroupingAlgorithm.HG]
-        assert sample.rows == 1000  # measured input, not the estimate
-        assert sample.groups == 80  # measured output groups
-        assert sample.seconds == pytest.approx(0.25)
-
-    def test_joins_not_converted_to_grouping_samples(self):
-        store = FeedbackStore()
-        store.record(
-            FeedbackSample(
-                "join[HJ]", "join", "HJ", 100.0, 100, 200, 50.0, 0.1
-            )
-        )
-        assert store.grouping_samples() == {}
-
-    def test_refit_requires_enough_samples(self):
-        store = FeedbackStore()
-        store.record(
-            FeedbackSample(
-                "group_by[HG]", "group_by", "HG", 10.0, 10, 100, 10.0, 0.1
-            )
-        )
-        with pytest.raises(CostModelError):
-            store.refit()
-
-    def test_refit_roundtrip_into_fit_coefficients(self):
-        """Samples generated from known coefficients refit to a model
-        whose predictions match the generating ground truth."""
-        rng = np.random.default_rng(7)
-        true = np.array([0.0, 2e-8, 1e-9, 3e-9])
-        store = FeedbackStore()
-        grid = [(n, g) for n in (10_000, 50_000, 200_000, 800_000)
-                for g in (16, 1024, 65_536)]
-        for n, g in grid:
-            seconds = float(true @ _basis(n, g)) * (1 + rng.normal(0, 0.01))
-            scan = _stats("scan", "", float(n), n)
-            store.record_plan(
-                _stats(
-                    "group_by", "HG", float(g), g,
-                    seconds=seconds, children=(scan,),
-                )
-            )
-        model = store.refit()
-        assert isinstance(model, CalibratedCostModel)
-        for n, g in [(100_000, 256), (400_000, 20_000)]:
-            predicted = model.grouping_cost(GroupingAlgorithm.HG, n, g)
-            truth = float(true @ _basis(n, g))
-            assert predicted == pytest.approx(truth, rel=0.15)
-
-    def test_refit_agrees_with_direct_fit(self):
-        store = FeedbackStore()
-        raw = []
-        for i, (n, g) in enumerate(
-            [(1000, 10), (5000, 100), (20000, 500), (80000, 4000), (160000, 8000)]
-        ):
-            seconds = 1e-8 * n + 2e-9 * n * math.log2(g)
-            raw.append(Sample(n, g, seconds))
-            scan = _stats("scan", "", float(n), n)
-            store.record_plan(
-                _stats(
-                    "group_by", "SPHG", float(g), g,
-                    seconds=seconds, children=(scan,),
-                )
-            )
-        direct = fit_coefficients(raw)
-        refit = store.refit().grouping_coefficients[GroupingAlgorithm.SPHG]
-        np.testing.assert_allclose(refit, direct, rtol=1e-6, atol=1e-12)
 
     def test_clear(self):
         store = FeedbackStore()
