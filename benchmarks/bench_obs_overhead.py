@@ -17,7 +17,6 @@ import statistics
 
 from repro import (
     Density,
-    FeedbackStore,
     Sortedness,
     capture_observability,
     capture_profile,
@@ -30,6 +29,7 @@ from repro import (
 )
 from repro._util.timer import Timer, TimingResult, time_callable
 from repro.engine.executor import explain_analyze
+from repro.obs import qerror_summary, walk_operator_nodes
 
 QUERY = "SELECT R.A, COUNT(*) FROM R JOIN S ON R.ID = S.R_ID GROUP BY R.A"
 #: overhead budget for the disabled path (fraction of baseline best time).
@@ -121,11 +121,11 @@ def test_disabled_observability_overhead(bench_artifact):
         )
     )
 
-    feedback = FeedbackStore()
+    runs = []
     with capture_observability() as (metrics, tracer):
         enabled = time_callable(lambda: execute(plan), repeats=5, warmup=1)
         analyzed = time_callable(
-            lambda: explain_analyze(plan, feedback=feedback).table,
+            lambda: runs.append(explain_analyze(plan)) or runs[-1].table,
             repeats=5,
             warmup=1,
         )
@@ -146,7 +146,11 @@ def test_disabled_observability_overhead(bench_artifact):
             "rows_s": 90_000,
             "disabled_overhead": overhead,
             "enabled_overhead": enabled_overhead,
-            "qerror_summary": feedback.qerror_summary(),
+            "qerror_summary": qerror_summary(
+                node
+                for run in runs
+                for node in walk_operator_nodes(run.profile.operators)
+            ),
         },
     )
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.avs.view import VIEW_JOIN, ViewKind, build_cost_of
+from repro.avs.view import ViewKind, build_cost_of
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
+from repro.core.optimizer.space import JOIN_VIEW_KINDS
 from repro.datagen.workload import (
     QueryShape,
     TableProfile,
@@ -94,12 +95,9 @@ def enumerate_candidates(
 # Abstract per-query cost under a view selection.
 # ---------------------------------------------------------------------------
 
-#: join algorithm -> view kind that waives its build phase: each
-#: join-level kind's own join, and SOJ's pre-sorted build side.
-_JOIN_VIEW = {
-    **{join: kind for kind, join in VIEW_JOIN.items()},
-    JoinAlgorithm.SOJ: ViewKind.SORTED_PROJECTION,
-}
+#: join algorithm -> view kind that waives its build phase, as the
+#: optimiser credits it (:data:`~repro.core.optimizer.space.JOIN_VIEW_KINDS`).
+_JOIN_VIEW = {join: ViewKind(kind) for join, kind in JOIN_VIEW_KINDS.items()}
 
 
 def _scan_variants(

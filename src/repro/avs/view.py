@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from repro.core.cost.model import CostModel
 from repro.core.cost.paper import PaperCostModel
 from repro.core.granularity import Granularity
+from repro.core.optimizer.space import JOIN_VIEW_KINDS
 from repro.engine.kernels.grouping import GroupingAlgorithm
 from repro.engine.kernels.joins import JoinAlgorithm
 from repro.engine.operators.joins import memoised_build_side, memoised_encoding
@@ -68,11 +69,13 @@ VIEW_GRANULARITY: dict[ViewKind, Granularity] = {
 
 #: The join whose build side each join-level kind precomputes: the
 #: view's artifact is that join's memoised ``build_side`` entry on the
-#: column, so the join reads it on its first run.
+#: column, so the join reads it on its first run. Derived from the
+#: optimiser's :data:`~repro.core.optimizer.space.JOIN_VIEW_KINDS`; SOJ's
+#: view, a sorted copy of the table, is no build side.
 VIEW_JOIN: dict[ViewKind, JoinAlgorithm] = {
-    ViewKind.HASH_TABLE: JoinAlgorithm.HJ,
-    ViewKind.SPH_ARRAY: JoinAlgorithm.SPHJ,
-    ViewKind.SORTED_KEYS: JoinAlgorithm.BSJ,
+    ViewKind(kind): join
+    for join, kind in JOIN_VIEW_KINDS.items()
+    if join is not JoinAlgorithm.SOJ
 }
 
 #: The join whose memoised build side each kind's artifact is: the

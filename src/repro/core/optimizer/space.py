@@ -48,8 +48,10 @@ from repro.storage.catalog import Catalog
 from repro.storage.disk import conjunct_triple, is_disk_table
 
 #: join algorithm -> the Algorithmic View kind whose presence on the build
-#: side's (table, column) waives the build-phase cost (§3).
-_JOIN_VIEW_KINDS = {
+#: side's (table, column) waives the build-phase cost (§3): each of
+#: HJ/SPHJ/BSJ's own build side, and SOJ's pre-sorted build input. The
+#: one statement of the mapping; ``repro.avs`` derives its tables from it.
+JOIN_VIEW_KINDS = {
     JoinAlgorithm.HJ: "hash_table",
     JoinAlgorithm.SPHJ: "sph_array",
     JoinAlgorithm.BSJ: "sorted_keys",
@@ -426,7 +428,7 @@ class PlanSpace:
                     probe_key,
                     frozenset(
                         algorithm
-                        for algorithm, kind in _JOIN_VIEW_KINDS.items()
+                        for algorithm, kind in JOIN_VIEW_KINDS.items()
                         if views is not None
                         and views.has_view(kind, *build_site)
                     ),

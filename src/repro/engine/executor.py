@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 from repro._util.timer import Timer
 from repro.engine.operators.base import PhysicalOperator
-from repro.obs.feedback import FeedbackStore
-from repro.obs.instrument import OperatorStats, format_bytes, instrumented
+from repro.obs.instrument import (
+    OperatorStats,
+    format_bytes,
+    instrumented,
+    node_qerror,
+    render_operator_lines,
+    walk_operator_nodes,
+)
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.profile import QueryProfile
 from repro.obs.querylog import get_query_log, log_facts
@@ -118,17 +124,9 @@ def execute(
 def _tree_io_counters(root: PhysicalOperator) -> tuple[int, int, int]:
     """Summed (segments_read, segments_skipped, bytes_read) over the
     tree, each shared node counted once."""
-    seen: set[int] = set()
-    read = skipped = cold = 0
-    for operator in _walk_operators(root):
-        if id(operator) in seen:
-            continue
-        seen.add(id(operator))
-        r, s, b = operator.io_counters()
-        read += r
-        skipped += s
-        cold += b
-    return (read, skipped, cold)
+    distinct = {id(operator): operator for operator in _walk_operators(root)}
+    counters = [operator.io_counters() for operator in distinct.values()]
+    return tuple(sum(column) for column in zip(*counters))
 
 
 def _walk_operators(root: PhysicalOperator):
@@ -153,8 +151,8 @@ def explain(root: PhysicalOperator) -> str:
 
 @dataclass
 class AnalyzedPlan:
-    """Result of :func:`explain_analyze`: the output table plus the
-    measured per-operator stats tree."""
+    """Result of :func:`explain_analyze`: the output table, the measured
+    per-operator stats tree, and this run's profile."""
 
     #: the query result (the plan really ran).
     table: Table
@@ -163,87 +161,36 @@ class AnalyzedPlan:
     #: end-to-end wall seconds, including the driver loop.
     wall_seconds: float
     #: this run as the record the query log stores and a served query
-    #: returns (set by :func:`explain_analyze`).
-    profile: QueryProfile | None = None
+    #: returns: the operator record and its totals.
+    profile: QueryProfile
 
     def render(self) -> str:
         """The plan tree annotated with measured actuals (and, for
         optimised plans, estimates + per-operator q-error)."""
+        profile = self.profile
         lines = [
-            self.root.render(),
+            *render_operator_lines(profile.operators),
             f"Execution time: {self.wall_seconds * 1e3:.3f}ms "
             f"({self.table.num_rows:,} row(s) out)",
             "Peak operator memory: "
-            f"{format_bytes(self.peak_memory_bytes)} "
+            f"{format_bytes(profile.peak_memory_bytes)} "
             "(sum of per-node peaks)",
         ]
-        worst = self.max_qerror
-        if worst is not None:
-            lines.append(f"Worst cardinality q-error: {worst:.2f}")
-        read, skipped, cold = self.io_totals
-        if read or skipped:
+        if profile.max_qerror is not None:
+            lines.append(f"Worst cardinality q-error: {profile.max_qerror:.2f}")
+        if profile.segments_read or profile.segments_skipped:
             lines.append(
-                f"Storage I/O: {read} segment(s) read, "
-                f"{skipped} skipped via zone maps, "
-                f"{format_bytes(cold)} cold from disk"
+                f"Storage I/O: {profile.segments_read} segment(s) read, "
+                f"{profile.segments_skipped} skipped via zone maps, "
+                f"{format_bytes(profile.bytes_read)} cold from disk"
             )
         return "\n".join(lines)
 
-    @property
-    def io_totals(self) -> tuple[int, int, int]:
-        """Summed ``(segments_read, segments_skipped, bytes_read)`` over
-        every operator (all zero for fully in-memory plans)."""
-        seen: set[int] = set()
-        read = skipped = cold = 0
-        for node in self.root.walk():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            read += node.segments_read
-            skipped += node.segments_skipped
-            cold += node.bytes_read
-        return (read, skipped, cold)
-
-    @property
-    def peak_memory_bytes(self) -> int:
-        """Sum of every operator's peak working-set bytes (each node
-        counted once even when shared across a diamond plan)."""
-        seen: set[int] = set()
-        total = 0
-        for node in self.root.walk():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            total += node.peak_memory_bytes
-        return total
-
-    @property
-    def max_qerror(self) -> float | None:
-        """The worst per-operator cardinality q-error, or None when no
-        operator carries an estimate."""
-        errors = [
-            node.qerror
-            for node in self.root.walk()
-            if node.qerror is not None
-        ]
-        return max(errors) if errors else None
-
-    def qerrors(self) -> list[tuple[str, float]]:
-        """(operator kind, q-error) for every estimate-carrying node,
-        in plan pre-order."""
-        return [
-            (node.operator_kind, node.qerror)
-            for node in self.root.walk()
-            if node.qerror is not None
-        ]
-
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def explain_analyze(
     root: PhysicalOperator,
-    feedback: FeedbackStore | None = None,
     workers: int | None = None,
     context: QueryContext | None = None,
 ) -> AnalyzedPlan:
@@ -257,11 +204,11 @@ def explain_analyze(
     For plans lowered from an optimised plan tree
     (:func:`repro.core.plan.to_operator`), each operator's estimated
     cardinality is joined against the measured actuals: the rendering
-    gains ``est ... rows · act ... · q=...`` annotations, per-operator
+    gains ``est ... rows · act ... · q=...`` annotations, and per-operator
     q-errors feed the process-wide ``optimizer.qerror`` histogram when
-    metrics are enabled, and — when a :class:`~repro.obs.feedback.
-    FeedbackStore` is passed — (estimate, actual, seconds) samples are
-    accumulated for its q-error report.
+    metrics are enabled. The result's ``profile`` holds the per-operator
+    record (:func:`repro.obs.instrument.qerror_summary` reports it per
+    operator kind).
 
     With a multi-worker configuration (ambient ``REPRO_WORKERS`` or the
     ``workers`` override) the rendering annotates each morsel-parallel
@@ -272,20 +219,30 @@ def explain_analyze(
     """
     if context is not None:
         with activate_context(context):
-            return explain_analyze(root, feedback=feedback, workers=workers)
+            return explain_analyze(root, workers=workers)
     if workers is not None:
         with scoped_settings(workers=workers):
-            return explain_analyze(root, feedback=feedback)
+            return explain_analyze(root)
     with get_tracer().span("engine.execute", root=root.name):
         with instrumented(root) as stats, Timer() as timer:
             table = root.to_table()
-    analyzed = AnalyzedPlan(table=table, root=stats, wall_seconds=timer.elapsed)
+    active = get_active_context()
+    profile = QueryProfile.from_stats(
+        stats,
+        wall_seconds=timer.elapsed,
+        rows_out=table.num_rows,
+        trace_id=active.trace_id if active is not None else "",
+        plan_hash=root.plan_fingerprint,
+    )
     metrics = get_metrics()
     if metrics.enabled:
         histogram = metrics.histogram(
             "optimizer.qerror", QERROR_BUCKETS, exist_ok=True
         )
-        for __, error in analyzed.qerrors():
+        for node in walk_operator_nodes(profile.operators):
+            error = node_qerror(node)
+            if error is None:
+                continue
             if math.isfinite(error):
                 histogram.observe(error)
             else:
@@ -295,22 +252,12 @@ def explain_analyze(
         per_operator = metrics.histogram(
             "operator.bytes", MEMORY_BUCKETS, exist_ok=True
         )
-        seen: set[int] = set()
-        for node in stats.walk():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
+        for node in stats.walk_distinct():
             per_operator.observe(node.peak_memory_bytes)
         metrics.histogram(
             "query.peak_bytes", MEMORY_BUCKETS, exist_ok=True
-        ).observe(analyzed.peak_memory_bytes)
-    if feedback is not None:
-        feedback.record_plan(stats)
-    active = get_active_context()
-    analyzed.profile = QueryProfile.from_analyzed(
-        analyzed,
-        trace_id=active.trace_id if active is not None else "",
-        plan_hash=root.plan_fingerprint,
+        ).observe(profile.peak_memory_bytes)
+    log_facts("profile", profile)
+    return AnalyzedPlan(
+        table=table, root=stats, wall_seconds=timer.elapsed, profile=profile
     )
-    log_facts("profile", analyzed.profile)
-    return analyzed

@@ -25,8 +25,13 @@ from repro.obs.exposition import (
     render_prometheus,
     sanitize_metric_name,
 )
-from repro.obs.feedback import FeedbackSample, FeedbackStore
-from repro.obs.instrument import OperatorStats, format_bytes, instrumented
+from repro.obs.instrument import (
+    OperatorStats,
+    format_bytes,
+    instrumented,
+    qerror_summary,
+    walk_operator_nodes,
+)
 from repro.obs.profile import (
     PROFILE_SCHEMA_VERSION,
     QueryProfile,
@@ -77,8 +82,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_OBJECTIVES",
-    "FeedbackSample",
-    "FeedbackStore",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -111,6 +114,7 @@ __all__ = [
     "load_trace",
     "merge_snapshots",
     "parse_prometheus",
+    "qerror_summary",
     "render_prometheus",
     "replay",
     "sanitize_metric_name",
@@ -120,6 +124,7 @@ __all__ = [
     "set_search_trace",
     "set_tracer",
     "trace_search",
+    "walk_operator_nodes",
     "whatif",
 ]
 

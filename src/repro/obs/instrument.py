@@ -16,14 +16,21 @@ own work, with no rows of its own.
 
 The hooks are removed when the context exits, so instrumentation is
 strictly opt-in and the un-instrumented engine stays untouched.
+
+:meth:`OperatorStats.to_dict` emits the per-operator record that
+profiles and the query log hold; the functions beside it
+(:func:`walk_operator_nodes`, :func:`node_qerror`,
+:func:`qerror_summary`, :func:`render_operator_lines`) are how every
+reader reads it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.engine.operators.base import (
     MaterialisedOperator,
@@ -50,7 +57,8 @@ class OperatorStats:
 
     When the plan was lowered from an optimised plan tree, the
     ``estimated_*`` fields carry the optimiser's predictions for the
-    node, and :attr:`qerror` grades them against the measured actuals.
+    node, and the ``qerror`` of its :meth:`to_dict` record grades them
+    against the measured actuals.
     """
 
     name: str
@@ -92,31 +100,11 @@ class OperatorStats:
         return sum(child.rows_out for child in self.children)
 
     @property
-    def qerror(self) -> float | None:
-        """Cardinality q-error ``max(est/act, act/est)``; None when the
-        operator carries no estimate (hand-built plans)."""
-        if self.estimated_rows is None:
-            return None
-        from repro.core.cost.cardinality import qerror as _qerror
-
-        return _qerror(self.estimated_rows, self.rows_out)
-
-    @property
     def operator_kind(self) -> str:
         """Stable feedback key: plan op plus algorithm, e.g.
         ``'group_by[HG]'``; falls back to the operator class name."""
         base = self.plan_op or self.name
         return f"{base}[{self.plan_algorithm}]" if self.plan_algorithm else base
-
-    @property
-    def parallel_speedup(self) -> float | None:
-        """Effective intra-operator speedup: summed worker busy time over
-        the operator's exclusive wall time. ``None`` when the operator
-        ran no parallel morsel batch (degree < 2) or no time was
-        measured."""
-        if self.parallel_degree < 2 or self.self_seconds <= 0.0:
-            return None
-        return self.worker_busy_seconds / self.self_seconds
 
     @property
     def self_seconds(self) -> float:
@@ -133,39 +121,14 @@ class OperatorStats:
         for child in self.children:
             yield from child.walk()
 
-    def render(self, indent: int = 0) -> str:
-        """The stats tree as indented text, mirroring ``explain()``."""
-        line = (
-            f"{'  ' * indent}{self.description}  "
-            f"[actual rows={self.rows_out:,} chunks={self.chunks_out} "
-            f"self={self.self_seconds * 1e3:.3f}ms "
-            f"cum={self.cumulative_seconds * 1e3:.3f}ms "
-            f"peak {format_bytes(self.peak_memory_bytes)}]"
-        )
-        if self.parallel_degree > 1:
-            line += (
-                f"  [parallel workers={self.parallel_degree} "
-                f"busy={self.worker_busy_seconds * 1e3:.3f}ms"
-            )
-            speedup = self.parallel_speedup
-            if speedup is not None:
-                line += f" speedup={speedup:.2f}x"
-            line += "]"
-        if self.segments_read or self.segments_skipped:
-            line += (
-                f"  [io segments={self.segments_read} "
-                f"skipped={self.segments_skipped} "
-                f"cold={format_bytes(self.bytes_read)}]"
-            )
-        if self.estimated_rows is not None:
-            line += (
-                f"  [est {self.estimated_rows:,.0f} rows · "
-                f"act {self.rows_out:,} · q={self.qerror:.2f}]"
-            )
-        lines = [line]
-        for child in self.children:
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
+    def walk_distinct(self) -> Iterator["OperatorStats"]:
+        """Pre-order traversal that visits a node shared across a
+        diamond plan once."""
+        seen: set[int] = set()
+        for node in self.walk():
+            if id(node) not in seen:
+                seen.add(id(node))
+                yield node
 
     def to_dict(self) -> dict:
         """A JSON-friendly representation of the subtree."""
@@ -197,8 +160,92 @@ class OperatorStats:
             record["estimated_cost"] = self.estimated_cost
             if self.estimated_groups is not None:
                 record["estimated_groups"] = self.estimated_groups
-            record["qerror"] = self.qerror
+            record["qerror"] = node_qerror(record)
         return record
+
+
+# -- readers of the per-operator record ---------------------------------------
+
+
+def walk_operator_nodes(node: dict) -> Iterator[dict]:
+    """Every node of an operator record, pre-order."""
+    yield node
+    for child in node.get("children", []) or []:
+        yield from walk_operator_nodes(child)
+
+
+def node_qerror(node: dict) -> float | None:
+    """A node's cardinality q-error: its ``qerror`` key, else
+    :func:`~repro.core.cost.cardinality.qerror` of its estimate and
+    actual rows; None when it carries no estimate."""
+    if "qerror" in node:
+        return node["qerror"]
+    if node.get("estimated_rows") is None:
+        return None
+    # Deferred: ``repro.core`` reports into ``repro.obs`` at import.
+    from repro.core.cost.cardinality import qerror
+
+    return qerror(node["estimated_rows"], node.get("rows_out", 0))
+
+
+def qerror_summary(nodes: Iterable[dict]) -> dict[str, dict]:
+    """Per operator kind: ``{count, mean, p50, max}`` of the q-errors of
+    the estimate-carrying ``nodes``.
+
+    Unbounded misses (one side of the estimate is zero) count in
+    ``max`` but not in ``mean``/``p50``, so a single empty intermediate
+    does not wash out the distribution.
+    """
+    by_kind: dict[str, list[float]] = {}
+    for node in nodes:
+        error = node_qerror(node)
+        if error is not None:
+            by_kind.setdefault(node.get("operator_kind", ""), []).append(error)
+    summary: dict[str, dict] = {}
+    for kind, errors in sorted(by_kind.items()):
+        finite = sorted(e for e in errors if math.isfinite(e))
+        summary[kind] = {
+            "count": len(errors),
+            "mean": sum(finite) / len(finite) if finite else math.inf,
+            "p50": finite[(len(finite) - 1) // 2] if finite else math.inf,
+            "max": max(errors),
+        }
+    return summary
+
+
+def render_operator_lines(node: dict, indent: int = 0) -> list[str]:
+    """An operator record as EXPLAIN ANALYZE's lines, one per node,
+    indented like ``explain()``."""
+    self_seconds = node["self_seconds"]
+    line = (
+        f"{'  ' * indent}{node['description']}  "
+        f"[actual rows={node['rows_out']:,} chunks={node['chunks_out']} "
+        f"self={self_seconds * 1e3:.3f}ms "
+        f"cum={node['cumulative_seconds'] * 1e3:.3f}ms "
+        f"peak {format_bytes(node['peak_memory_bytes'])}]"
+    )
+    degree = node.get("parallel_degree", 0)
+    if degree > 1:
+        busy = node["worker_busy_seconds"]
+        line += f"  [parallel workers={degree} busy={busy * 1e3:.3f}ms"
+        if self_seconds > 0.0:
+            line += f" speedup={busy / self_seconds:.2f}x"
+        line += "]"
+    if node.get("segments_read") or node.get("segments_skipped"):
+        line += (
+            f"  [io segments={node['segments_read']} "
+            f"skipped={node['segments_skipped']} "
+            f"cold={format_bytes(node['bytes_read'])}]"
+        )
+    if node.get("estimated_rows") is not None:
+        line += (
+            f"  [est {node['estimated_rows']:,.0f} rows · "
+            f"act {node['rows_out']:,} · q={node_qerror(node):.2f}]"
+        )
+    lines = [line]
+    for child in node["children"]:
+        lines.extend(render_operator_lines(child, indent + 1))
+    return lines
 
 
 def _sample_parallelism(

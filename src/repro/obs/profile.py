@@ -26,12 +26,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ObservabilityError
-from repro.obs.instrument import format_bytes
+from repro.obs.instrument import (
+    OperatorStats,
+    format_bytes,
+    node_qerror,
+    render_operator_lines,
+    walk_operator_nodes,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.executor import AnalyzedPlan
     from repro.engine.operators.base import PhysicalOperator
-    from repro.obs.feedback import FeedbackStore
 
 #: bumped whenever the profile record shape changes incompatibly.
 PROFILE_SCHEMA_VERSION = 1
@@ -61,6 +65,11 @@ class QueryProfile:
     max_qerror: float | None = None
     #: sum of per-operator peak working-set bytes.
     peak_memory_bytes: int = 0
+    #: summed operator I/O: disk segments read, segments skipped via
+    #: zone maps, and cold bytes read (all zero for in-memory plans).
+    segments_read: int = 0
+    segments_skipped: int = 0
+    bytes_read: int = 0
     #: finished spans (:meth:`Span.to_dict` records), root first.
     spans: list = field(default_factory=list)
     #: a :meth:`MetricsRegistry.snapshot` taken after the run.
@@ -75,34 +84,42 @@ class QueryProfile:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_analyzed(
+    def from_stats(
         cls,
-        analyzed: "AnalyzedPlan",
-        query: str = "",
-        spans: list | None = None,
-        metrics: dict | None = None,
+        stats: OperatorStats,
+        wall_seconds: float,
+        rows_out: int,
         trace_id: str = "",
         plan_hash: str = "",
     ) -> "QueryProfile":
-        """Build a profile from an :func:`explain_analyze` result."""
+        """Build a profile from a measured stats tree, computing its
+        totals once (a node shared across a diamond plan counts once)."""
+        operators = stats.to_dict()
+        errors = [
+            error
+            for node in walk_operator_nodes(operators)
+            if (error := node_qerror(node)) is not None
+        ]
+        distinct = list(stats.walk_distinct())
         return cls(
-            query=query or analyzed.root.description,
+            query=stats.description,
             trace_id=trace_id,
             plan_hash=plan_hash,
-            operators=analyzed.root.to_dict(),
-            wall_seconds=analyzed.wall_seconds,
-            rows_out=analyzed.table.num_rows,
-            max_qerror=analyzed.max_qerror,
-            peak_memory_bytes=analyzed.peak_memory_bytes,
-            spans=list(spans or []),
-            metrics=dict(metrics or {}),
+            operators=operators,
+            wall_seconds=wall_seconds,
+            rows_out=rows_out,
+            max_qerror=max(errors, default=None),
+            peak_memory_bytes=sum(n.peak_memory_bytes for n in distinct),
+            segments_read=sum(n.segments_read for n in distinct),
+            segments_skipped=sum(n.segments_skipped for n in distinct),
+            bytes_read=sum(n.bytes_read for n in distinct),
         )
 
     # -- (de)serialisation --------------------------------------------------
 
     def to_dict(self) -> dict:
         """The profile as a JSON-friendly dict (``kind='profile'``)."""
-        return {
+        record = {
             "kind": "profile",
             "schema_version": self.schema_version,
             "query": self.query,
@@ -117,6 +134,12 @@ class QueryProfile:
             "metrics": self.metrics,
             "search": self.search,
         }
+        # I/O keys only when the run touched disk, as on its operators.
+        if self.segments_read or self.segments_skipped or self.bytes_read:
+            record["segments_read"] = self.segments_read
+            record["segments_skipped"] = self.segments_skipped
+            record["bytes_read"] = self.bytes_read
+        return record
 
     def to_json(self, indent: int | None = 2) -> str:
         """The profile as a JSON document."""
@@ -143,6 +166,9 @@ class QueryProfile:
             rows_out=int(record.get("rows_out", 0)),
             max_qerror=record.get("max_qerror"),
             peak_memory_bytes=int(record.get("peak_memory_bytes", 0)),
+            segments_read=int(record.get("segments_read", 0)),
+            segments_skipped=int(record.get("segments_skipped", 0)),
+            bytes_read=int(record.get("bytes_read", 0)),
             spans=list(record.get("spans", []) or []),
             metrics=dict(record.get("metrics", {}) or {}),
             search=dict(record.get("search", {}) or {}),
@@ -164,33 +190,23 @@ class QueryProfile:
             visit(self.operators, 0)
         return rows
 
-    def render(self) -> str:
-        """The profile as indented terminal text (``querylog show``)."""
-        lines = [f"profile: {self.query}"]
-        for row in self._operator_rows():
-            line = (
-                f"{'  ' * (row['depth'] + 1)}{row.get('description', '?')}  "
-                f"[rows={row.get('rows_out', 0):,} "
-                f"self={row.get('self_seconds', 0.0) * 1e3:.3f}ms "
-                f"peak {format_bytes(row.get('peak_memory_bytes', 0))}]"
-            )
-            if row.get("estimated_rows") is not None:
-                qerror = row.get("qerror")
-                line += (
-                    f"  [est {row['estimated_rows']:,.0f} · "
-                    f"q={qerror:.2f}]" if qerror is not None else ""
-                )
-            lines.append(line)
-        lines.append(
+    def _totals_line(self) -> str:
+        line = (
             f"wall {self.wall_seconds * 1e3:.3f}ms · "
             f"{self.rows_out:,} row(s) · "
             f"peak memory {format_bytes(self.peak_memory_bytes)}"
-            + (
-                f" · worst q-error {self.max_qerror:.2f}"
-                if self.max_qerror is not None
-                else ""
-            )
         )
+        if self.max_qerror is not None:
+            line += f" · worst q-error {self.max_qerror:.2f}"
+        return line
+
+    def render(self) -> str:
+        """The profile as terminal text (``querylog show``): its
+        operator lines are EXPLAIN ANALYZE's."""
+        lines = [f"profile: {self.query}"]
+        if self.operators:
+            lines.extend(render_operator_lines(self.operators))
+        lines.append(self._totals_line())
         if self.spans:
             lines.append(f"{len(self.spans)} span(s) recorded")
         summary = self.search.get("summary") if self.search else None
@@ -217,27 +233,16 @@ class QueryProfile:
         """
         weights: dict[str, int] = {}
 
-        def fold_operators(prefix: tuple[str, ...]) -> int:
-            """Fold the operator tree under ``prefix``; returns µs added."""
-            total = 0
-            stack = list(prefix)
-
-            def visit(node: dict) -> None:
-                nonlocal total
-                stack.append(str(node.get("name", "?")))
-                key = ";".join(stack)
-                self_us = max(
-                    1, round(float(node.get("self_seconds", 0.0)) * 1e6)
-                )
-                weights[key] = weights.get(key, 0) + self_us
-                total += self_us
-                for child in node.get("children", []) or []:
-                    visit(child)
-                stack.pop()
-
-            if self.operators:
-                visit(self.operators)
-            return total
+        def fold_operators(node: dict, path: tuple[str, ...]) -> int:
+            """Fold ``node``'s subtree under ``path``; returns µs added."""
+            path = (*path, str(node.get("name", "?")))
+            key = ";".join(path)
+            self_us = max(1, round(float(node.get("self_seconds", 0.0)) * 1e6))
+            weights[key] = weights.get(key, 0) + self_us
+            return self_us + sum(
+                fold_operators(child, path)
+                for child in node.get("children", []) or []
+            )
 
         if self.spans:
             by_id = {s.get("span_id"): s for s in self.spans}
@@ -275,12 +280,12 @@ class QueryProfile:
                     roots, key=lambda s: float(s.get("duration_s") or 0.0)
                 )
                 anchor_key = str(anchor.get("name", "?"))
-                spent = fold_operators((anchor_key,))
+                spent = fold_operators(self.operators, (anchor_key,))
                 weights[anchor_key] = max(
                     1, weights.get(anchor_key, 1) - spent
                 )
-        else:
-            fold_operators(())
+        elif self.operators:
+            fold_operators(self.operators, ())
         return "\n".join(f"{key} {count}" for key, count in weights.items())
 
     def to_html(self) -> str:
@@ -358,13 +363,7 @@ class QueryProfile:
                 f"<td class='num'>{_html.escape(rendered)}</td></tr>"
             )
 
-        summary = (
-            f"wall {self.wall_seconds * 1e3:.3f}ms · "
-            f"{self.rows_out:,} row(s) · "
-            f"peak memory {format_bytes(self.peak_memory_bytes)}"
-        )
-        if self.max_qerror is not None:
-            summary += f" · worst q-error {self.max_qerror:.2f}"
+        summary = self._totals_line()
         # '</' must not appear inside the inline <script> payload.
         embedded_json = self.to_json().replace("</", "<\\/")
 
@@ -413,11 +412,7 @@ td.num {{ text-align: right; font-variant-numeric: tabular-nums; }}
 """
 
 
-def capture_profile(
-    root: "PhysicalOperator",
-    query: str = "",
-    feedback: "FeedbackStore | None" = None,
-) -> QueryProfile:
+def capture_profile(root: "PhysicalOperator", query: str = "") -> QueryProfile:
     """Run ``root`` under full observability and return its profile.
 
     A fresh metrics registry and tracer are installed for the duration
@@ -433,7 +428,7 @@ def capture_profile(
 
     with capture_observability() as (metrics, tracer):
         with tracer.span("profile.capture", root=root.name):
-            analyzed = explain_analyze(root, feedback=feedback)
+            analyzed = explain_analyze(root)
         profile = analyzed.profile
         profile.spans = tracer.to_dicts()
         profile.metrics = metrics.snapshot()

@@ -40,11 +40,12 @@ reports plan flips and latency/q-error drift;
 ``list``/``summary``/``regress`` accept ``--since <iso|duration>`` and
 ``--last N`` window filters.
 
-``summary`` replays every logged profile through a
-:class:`~repro.obs.feedback.FeedbackStore`, reporting per-operator
+``summary`` reads the operator record of every logged profile
+(:func:`~repro.obs.instrument.qerror_summary`), reporting per-operator
 q-error alongside self-time and query-latency percentiles — the paper's
 "did the optimiser's guesses survive contact with execution?" question
-asked across history instead of per run.
+asked across history instead of per run. ``show`` renders a profile's
+operator lines exactly as EXPLAIN ANALYZE prints them.
 """
 
 from __future__ import annotations
@@ -57,10 +58,14 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs.feedback import FeedbackSample, FeedbackStore
+from repro.obs.instrument import (
+    format_bytes,
+    qerror_summary,
+    walk_operator_nodes,
+)
 from repro.obs.slo import percentile
 from repro.settings import get_settings
 
@@ -126,19 +131,8 @@ class QueryLog:
         """
         if not self._path.exists():
             return []
-        entries = []
         with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    entries.append(record)
-        return entries
+            return _parse_lines(handle)
 
     def read_from(self, offset: int) -> tuple[list[dict], int]:
         """Incremental read: every parseable entry whose line *completed*
@@ -164,17 +158,9 @@ class QueryLog:
         if end < 0:
             return [], offset
         consumed = blob[: end + 1]
-        entries = []
-        for raw_line in consumed.split(b"\n"):
-            line = raw_line.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                entries.append(record)
+        entries = _parse_lines(
+            raw.decode("utf-8", errors="replace") for raw in consumed.split(b"\n")
+        )
         return entries, offset + len(consumed)
 
     def entry(self, entry_id: str) -> dict:
@@ -204,6 +190,20 @@ class QueryLog:
 
     def __len__(self) -> int:
         return len(self.entries())
+
+
+def _parse_lines(lines: Iterable[str]) -> list[dict]:
+    """The JSON objects among ``lines``; blank and malformed lines (torn
+    writes) are skipped."""
+    records = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
 
 
 # -- process-wide handle ----------------------------------------------------
@@ -399,14 +399,6 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
 # -- summary helpers --------------------------------------------------------
 
 
-def walk_operator_nodes(node: dict) -> Iterator[dict]:
-    """Every node of a logged operator tree (a profile entry's
-    ``operators``), pre-order."""
-    yield node
-    for child in node.get("children", []) or []:
-        yield from walk_operator_nodes(child)
-
-
 def _profile_nodes(entry: dict) -> list[dict]:
     """Every operator node of a row's ``profile`` facts (none without)."""
     operators = query_facts(entry).get("profile", {}).get("operators")
@@ -415,40 +407,9 @@ def _profile_nodes(entry: dict) -> list[dict]:
     return list(walk_operator_nodes(operators))
 
 
-def feedback_from_entries(entries: list[dict]) -> FeedbackStore:
-    """Rebuild a :class:`FeedbackStore` from logged profile entries.
-
-    Every estimate-carrying operator node of every row's ``profile``
-    facts becomes one :class:`FeedbackSample` — the same shape
-    :func:`~repro.engine.executor.explain_analyze` records live, so
-    :meth:`FeedbackStore.qerror_summary` works across persisted history.
-    """
-    store = FeedbackStore()
-    for entry in entries:
-        for node in _profile_nodes(entry):
-            if node.get("estimated_rows") is None:
-                continue
-            store.record(
-                FeedbackSample(
-                    operator_kind=node.get("operator_kind", ""),
-                    plan_op=node.get("plan_op", ""),
-                    algorithm=node.get("plan_algorithm", ""),
-                    estimated_rows=float(node["estimated_rows"]),
-                    actual_rows=int(node.get("rows_out", 0)),
-                    rows_in=int(node.get("rows_in", 0)),
-                    estimated_groups=float(
-                        node.get("estimated_groups") or 0.0
-                    ),
-                    seconds=float(node.get("self_seconds", 0.0)),
-                )
-            )
-    return store
-
-
 def summarise(entries: list[dict]) -> str:
     """The ``summary`` report: q-error plus latency percentiles."""
     from repro.bench.reporting import render_table
-    from repro.obs.instrument import format_bytes
 
     kinds: dict[str, int] = {}
     for entry in entries:
@@ -477,16 +438,15 @@ def summarise(entries: list[dict]) -> str:
             )
         )
 
+    nodes = [node for entry in entries for node in _profile_nodes(entry)]
     # Out-of-core scans: segment reads/skips and cold bytes, summed over
     # execute facts (run totals) and profile facts (operator nodes).
     segments_read = segments_skipped = bytes_read = 0
-    for entry in entries:
-        scans = _profile_nodes(entry)
-        scans.append(query_facts(entry).get("execute", {}))
-        for scan in scans:
-            segments_read += int(scan.get("segments_read", 0))
-            segments_skipped += int(scan.get("segments_skipped", 0))
-            bytes_read += int(scan.get("bytes_read", 0))
+    runs = [query_facts(entry).get("execute", {}) for entry in entries]
+    for scan in nodes + runs:
+        segments_read += int(scan.get("segments_read", 0))
+        segments_skipped += int(scan.get("segments_skipped", 0))
+        bytes_read += int(scan.get("bytes_read", 0))
     if segments_read or segments_skipped:
         total = segments_read + segments_skipped
         skip_pct = 100.0 * segments_skipped / total if total else 0.0
@@ -496,8 +456,7 @@ def summarise(entries: list[dict]) -> str:
             f"{format_bytes(bytes_read)} cold from disk"
         )
 
-    store = feedback_from_entries(entries)
-    summary = store.qerror_summary()
+    summary = qerror_summary(nodes)
     if summary:
         lines.append("")
         lines.append(
@@ -519,15 +478,14 @@ def summarise(entries: list[dict]) -> str:
 
     self_times: dict[str, list[float]] = {}
     peaks: dict[str, list[float]] = {}
-    for entry in entries:
-        for node in _profile_nodes(entry):
-            kind = node.get("operator_kind") or node.get("name", "?")
-            self_times.setdefault(kind, []).append(
-                float(node.get("self_seconds", 0.0))
-            )
-            peaks.setdefault(kind, []).append(
-                float(node.get("peak_memory_bytes", 0))
-            )
+    for node in nodes:
+        kind = node.get("operator_kind") or node.get("name", "?")
+        self_times.setdefault(kind, []).append(
+            float(node.get("self_seconds", 0.0))
+        )
+        peaks.setdefault(kind, []).append(
+            float(node.get("peak_memory_bytes", 0))
+        )
     if self_times:
         lines.append("")
         lines.append(
@@ -785,9 +743,19 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _diff_cells(node: dict | None) -> tuple[str, str, str]:
+    """One side of a ``diff`` row: rows out, self time, peak memory."""
+    if node is None:
+        return "-", "-", "-"
+    return (
+        f"{node.get('rows_out', 0):,}",
+        f"{node.get('self_seconds', 0.0) * 1e3:.3f}ms",
+        format_bytes(node.get("peak_memory_bytes", 0)),
+    )
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.bench.reporting import render_table
-    from repro.obs.instrument import format_bytes
 
     log = _cli_log(args)
     a, b = log.entry(args.a), log.entry(args.b)
@@ -797,24 +765,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             "diff needs two entries with profiled operator trees"
         )
     rows = []
-    for index in range(max(len(nodes_a), len(nodes_b))):
-        node_a = nodes_a[index] if index < len(nodes_a) else None
-        node_b = nodes_b[index] if index < len(nodes_b) else None
+    for node_a, node_b in itertools.zip_longest(nodes_a, nodes_b):
         name_a = node_a.get("operator_kind", "?") if node_a else "-"
         name_b = node_b.get("operator_kind", "?") if node_b else "-"
         name = name_a if name_a == name_b else f"{name_a} vs {name_b}"
-
-        def _fmt(node: dict | None) -> tuple[str, str, str]:
-            if node is None:
-                return "-", "-", "-"
-            return (
-                f"{node.get('rows_out', 0):,}",
-                f"{node.get('self_seconds', 0.0) * 1e3:.3f}ms",
-                format_bytes(node.get("peak_memory_bytes", 0)),
-            )
-
-        rows_a, self_a, peak_a = _fmt(node_a)
-        rows_b, self_b, peak_b = _fmt(node_b)
+        (rows_a, self_a, peak_a), (rows_b, self_b, peak_b) = map(
+            _diff_cells, (node_a, node_b)
+        )
         rows.append([name, rows_a, rows_b, self_a, self_b, peak_a, peak_b])
     wall_a = query_facts(a)["profile"].get("wall_seconds", 0.0) or 0.0
     wall_b = query_facts(b)["profile"].get("wall_seconds", 0.0) or 0.0
@@ -918,8 +875,6 @@ def _entry_detail(entry: dict) -> str:
     if ran is not None:
         parts.append(f"rows={int(ran.get('rows_out', 0)):,}")
     if "profile" in facts:
-        from repro.obs.instrument import format_bytes
-
         peak = int(facts["profile"].get("peak_memory_bytes", 0))
         parts.append(f"peak={format_bytes(peak)}")
     return " ".join(parts)

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.obs.querylog import query_facts, walk_operator_nodes
+from repro.obs.instrument import node_qerror, walk_operator_nodes
+from repro.obs.querylog import query_facts
 from repro.obs.runtime import get_metrics
 
 #: schema version stamped into (and required of) the baseline store.
@@ -482,13 +483,8 @@ def _extract(entries: list[dict], store: BaselineStore) -> _Observations:
         if not isinstance(operators, dict):
             continue
         for node in walk_operator_nodes(operators):
-            estimated = node.get("estimated_rows")
-            if estimated is None:
-                continue
-            actual = max(int(node.get("rows_out", 0)), 1)
-            est = max(float(estimated), 1.0)
-            qerror = max(est / actual, actual / est)
-            if not math.isfinite(qerror):
+            qerror = node_qerror(node)
+            if qerror is None or not math.isfinite(qerror):
                 continue
             op_kind = str(
                 node.get("operator_kind") or node.get("plan_op") or "?"
@@ -650,8 +646,6 @@ class Sentinel:
         # 3. q-error drift per operator kind.
         for spec_fp, per_kind in obs.qerrors.items():
             for op_kind, samples in per_kind.items():
-                if len(samples) < 1:
-                    continue
                 baseline, count = self._store.qerror_baseline(
                     spec_fp, op_kind
                 )

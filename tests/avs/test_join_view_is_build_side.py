@@ -100,3 +100,39 @@ def test_credited_plan_erects_nothing(build_calls):
     assert build_calls == []
     __, build = catalog.table("R").column("ID").memo["build_side"]
     assert build is registry.get(ViewKind.SPH_ARRAY, "R", "ID").artifact
+
+
+@pytest.mark.parametrize("kind", list(ViewKind), ids=lambda kind: kind.name)
+def test_dp_and_avsp_credit_the_same_joins_for_a_view(kind):
+    """The joins whose build phase a view waives are the same in the DP
+    (a plan space over a catalog with the view) and in the AVSP."""
+    from repro.avs.selection import _JOIN_VIEW
+    from repro.avs.view import declare_view
+    from repro.core.cost import PaperCostModel
+    from repro.core.optimizer import dqo_config, extract_query
+    from repro.core.optimizer.space import PlanSpace
+    from repro.errors import ViewError
+
+    catalog = dense_unsorted().build_catalog()
+    try:
+        view = declare_view(catalog, kind, "R", "ID")
+    except ViewError:
+        pytest.skip(f"{kind.name} is not declarable over R.ID")
+    space = PlanSpace(
+        extract_query(plan_query(QUERY, catalog)),
+        catalog,
+        PaperCostModel(),
+        dqo_config(views=AVRegistry([view])),
+        workers=1,
+    )
+    dp = {
+        algorithm
+        for sides in space.orientations.values()
+        for side in sides
+        if side.build_key == "R.ID"
+        for algorithm in side.credited
+    }
+    avsp = {
+        algorithm for algorithm, credited in _JOIN_VIEW.items() if credited is kind
+    }
+    assert dp == avsp

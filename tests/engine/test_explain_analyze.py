@@ -18,8 +18,10 @@ from repro.obs import (
     Tracer,
     disable_observability,
     instrumented,
+    qerror_summary,
     set_metrics,
     set_tracer,
+    walk_operator_nodes,
 )
 from repro.storage import Table
 
@@ -145,12 +147,16 @@ class TestEstimatesAndQError:
     def test_analyzed_plan_reports_qerror_per_operator(self, optimised):
         operator, __ = optimised
         analyzed = explain_analyze(operator)
-        kinds = dict(analyzed.qerrors())
+        kinds = {
+            node["operator_kind"]: node["qerror"]
+            for node in walk_operator_nodes(analyzed.profile.operators)
+            if "qerror" in node
+        }
         assert any(k.startswith("group_by") for k in kinds)
         assert any(k.startswith("join") for k in kinds)
         for q in kinds.values():
             assert q >= 1.0
-        assert analyzed.max_qerror >= 1.0
+        assert analyzed.profile.max_qerror == max(kinds.values())
 
     def test_render_shows_est_act_q(self, optimised):
         operator, __ = optimised
@@ -167,13 +173,14 @@ class TestEstimatesAndQError:
         assert record["qerror"] >= 1.0
 
     def test_feedback_store_populated(self, optimised):
-        from repro.obs import FeedbackStore
-
         operator, __ = optimised
-        store = FeedbackStore()
-        explain_analyze(operator, feedback=store)
-        assert len(store) >= 3  # group_by + 2 joins at minimum
-        kinds = {s.plan_op for s in store.samples()}
+        nodes = list(
+            walk_operator_nodes(explain_analyze(operator).profile.operators)
+        )
+        summary = qerror_summary(nodes)
+        # group_by + 2 joins at minimum
+        assert sum(stats["count"] for stats in summary.values()) >= 3
+        kinds = {node["plan_op"] for node in nodes if "qerror" in node}
         assert {"group_by", "join"} <= kinds
 
     def test_qerror_histogram_recorded(self, optimised):

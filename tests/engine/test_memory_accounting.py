@@ -121,7 +121,7 @@ class TestExplainAnalyzeMemory:
         analyzed = explain_analyze(optimised_two_join_plan)
         for node in analyzed.root.walk():
             assert node.peak_memory_bytes > 0, node.description
-        assert analyzed.peak_memory_bytes == sum(
+        assert analyzed.profile.peak_memory_bytes == sum(
             node.peak_memory_bytes for node in analyzed.root.walk()
         )
 

@@ -119,8 +119,9 @@ class TestSegmentSkipping:
 
         selective = explain_analyze(to_operator(plan, disk_catalog))
         full = explain_analyze(to_operator(full_plan, disk_catalog))
-        sel_read, sel_skipped, __ = selective.io_totals
-        full_read, __, __ = full.io_totals
+        sel_read = selective.profile.segments_read
+        sel_skipped = selective.profile.segments_skipped
+        full_read = full.profile.segments_read
         assert sel_skipped > 0
         assert sel_read < full_read
         # R is sorted on ID: 1000 rows in 256-row segments, ID < 100

@@ -1,12 +1,18 @@
-"""q-error math and the FeedbackStore estimate->actual report."""
+"""q-error math and the per-kind estimate->actual report over the
+operator record."""
 
 import math
 
 import pytest
 
 from repro.core.cost.cardinality import qerror
-from repro.obs.feedback import FeedbackSample, FeedbackStore
-from repro.obs.instrument import OperatorStats
+from repro.obs.instrument import (
+    OperatorStats,
+    node_qerror,
+    qerror_summary,
+    walk_operator_nodes,
+)
+from repro.obs.profile import QueryProfile
 
 
 class TestQError:
@@ -51,48 +57,48 @@ def _stats(plan_op, algorithm, est, act, seconds=0.01, children=()):
 
 
 class TestFeedbackStore:
+    """Estimate-vs-actual feedback, read from the operator record."""
+
     def test_record_plan_skips_estimate_free_nodes(self):
         scan = OperatorStats(name="TableScan", description="scan", rows_out=10)
         root = _stats("group_by", "HG", 5.0, 5, children=(scan,))
-        store = FeedbackStore()
-        assert store.record_plan(root) == 1
-        assert len(store) == 1
-        assert store.samples()[0].operator_kind == "group_by[HG]"
+        summary = qerror_summary(walk_operator_nodes(root.to_dict()))
+        assert list(summary) == ["group_by[HG]"]
+        assert summary["group_by[HG]"]["count"] == 1
 
     def test_rows_in_comes_from_children(self):
         scan = _stats("scan", "", 100.0, 100)
         root = _stats("group_by", "SPHG", 20.0, 18, children=(scan,))
-        store = FeedbackStore()
-        store.record_plan(root)
-        group_sample = [
-            s for s in store.samples() if s.plan_op == "group_by"
-        ][0]
-        assert group_sample.rows_in == 100
-        assert group_sample.actual_rows == 18
+        profile = QueryProfile.from_stats(root, wall_seconds=0.0, rows_out=18)
+        group = profile.operators
+        assert group["plan_op"] == "group_by"
+        assert group["rows_in"] == 100
+        assert group["rows_out"] == 18
 
     def test_qerror_summary_by_kind(self):
-        store = FeedbackStore()
-        store.record(
-            FeedbackSample("join[HJ]", "join", "HJ", 100.0, 50, 150, 50.0, 0.1)
+        def node(kind, est, act):
+            return {"operator_kind": kind, "estimated_rows": est, "rows_out": act}
+
+        summary = qerror_summary(
+            [
+                node("join[HJ]", 100.0, 50),
+                node("join[HJ]", 100.0, 100),
+                node("scan", 0.0, 7),
+                node("scan", None, 7),
+            ]
         )
-        store.record(
-            FeedbackSample("join[HJ]", "join", "HJ", 100.0, 100, 200, 50.0, 0.1)
-        )
-        store.record(
-            FeedbackSample("scan", "scan", "", 0.0, 7, 0, 0.0, 0.0)
-        )
-        summary = store.qerror_summary()
         assert summary["join[HJ]"]["count"] == 2
         assert summary["join[HJ]"]["mean"] == pytest.approx(1.5)
+        assert summary["join[HJ]"]["p50"] == pytest.approx(1.0)
         assert summary["join[HJ]"]["max"] == pytest.approx(2.0)
-        # The unbounded scan miss shows up in max but not the mean.
+        # The unbounded scan miss shows up in max but not the mean; the
+        # estimate-free scan is not graded at all.
+        assert summary["scan"]["count"] == 1
         assert summary["scan"]["max"] == math.inf
-        assert len(store.render().splitlines()) == 3
+        assert summary["scan"]["mean"] == math.inf
 
-    def test_clear(self):
-        store = FeedbackStore()
-        store.record(
-            FeedbackSample("scan", "scan", "", 1.0, 1, 0, 0.0, 0.0)
-        )
-        store.clear()
-        assert len(store) == 0
+    def test_a_logged_qerror_key_is_read_as_is(self):
+        node = {"operator_kind": "scan", "estimated_rows": 3.0, "rows_out": 3}
+        assert node_qerror(node) == 1.0
+        assert node_qerror({**node, "qerror": 7.5}) == 7.5
+        assert node_qerror({"operator_kind": "scan", "rows_out": 3}) is None

@@ -314,6 +314,25 @@ class TestQErrorDrift:
         alerts = sentinel.observe([self.profile_row(2.4) for _ in range(4)])
         assert alerts == []
 
+    def test_a_node_is_graded_with_the_cardinality_qerror(self):
+        sentinel = Sentinel(config=SentinelConfig(min_samples=8))
+        sentinel.observe([optimize_row(plan_hash="h1")])
+        row = self.profile_row(1.0)
+        # An estimate below one row: q-error 4.0, as
+        # ``cardinality.qerror`` gives. The empty scan's miss is
+        # unbounded and skipped.
+        row["operators"] = {
+            "operator_kind": "join",
+            "estimated_rows": 0.25,
+            "rows_out": 1,
+            "children": [
+                {"operator_kind": "scan", "estimated_rows": 5.0, "rows_out": 0}
+            ],
+        }
+        sentinel.observe([row])
+        assert sentinel.store.qerror_baseline("fp-a", "join") == (4.0, 1)
+        assert sentinel.store.qerror_baseline("fp-a", "scan") == (0.0, 0)
+
     def test_unattributable_profiles_are_skipped(self):
         sentinel = Sentinel(config=SentinelConfig(min_samples=2))
         alerts = sentinel.observe(
